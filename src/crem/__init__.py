@@ -11,23 +11,17 @@ from .errors import (
     NonPhysicalLength,
     ParseError,
     SingularGradient,
-    SingularInsertion,
     SingularNormalEquations,
     ValidationError,
 )
 from .model import (
     ConfigState,
     EquilibriumConfig,
-    InsertionState,
     RobotParams,
-    StiffnessBundle,
     UncertaintyParams,
     backbone_lengths,
-    equilibrium_moments,
     projected_offsets,
     solve_equilibrium,
-    stiffnesses,
-    subsegment_lengths,
     uncertainty_lambda,
 )
 from .kinematics import (
@@ -42,16 +36,13 @@ from .kinematics import (
 from .differential import (
     JacobianSet,
     PhiGradients,
-    SolverMatrices,
     XiJacobians,
     assemble_motion_jacobians,
     assemble_xi_jacobians,
     fd_discrepancies,
     finite_difference_jacobian,
-    j_q_psi,
     jacobian_partitions,
     phi_gradients,
-    solver_matrices,
 )
 from .calibration import (
     CalibrationConfig,

@@ -10,7 +10,7 @@ M_lambda falls below a threshold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +21,11 @@ from .errors import (
 )
 from .kinematics import Pose, _tip_position_arrays, crem_pose
 from .model import ConfigState, RobotParams, UncertaintyParams
-from .differential import _motion_jacobian_arrays
-from .rotations import axis_angle
+from .differential import _COND_LIMIT, _jacobian_arrays
+from .rotations import SMALL_ANGLE, axis_angle
 
 PARAM_NAMES = ("k_lambda0", "k_lambda_theta", "k_lambda_q")
 
-_ZERO_ROT_ANGLE = 1e-7
-_COND_LIMIT = 1e12
 _MAX_STEP_RETRIES = 30
 # cost at sub-nanometer residual scale; below this M_lambda is float noise
 _M_FLOOR = 1e-18
@@ -124,7 +122,7 @@ def pose_error(measured: Measurement, modeled: Pose) -> np.ndarray:
     """Residual 6-vector [x_bar - x; alpha_e m_e].
 
     The orientation error rotation R_e = R_bar R^T is reduced to its
-    axis-angle vector; below 1e-7 rad the rotational residual is exactly
+    axis-angle vector; below SMALL_ANGLE the rotational residual is exactly
     zero, and near pi the axis comes from the symmetric part of R_e.
     Unobserved components are zero (and masked by the weights downstream).
     """
@@ -132,7 +130,7 @@ def pose_error(measured: Measurement, modeled: Pose) -> np.ndarray:
     c[:3] = measured.x_bar - modeled.p
     if measured.R_bar is not None:
         alpha, axis = axis_angle(np.asarray(measured.R_bar, dtype=float) @ modeled.R.T)
-        if alpha >= _ZERO_ROT_ANGLE:
+        if alpha >= SMALL_ANGLE:
             c[3:] = alpha * axis
     return c
 
@@ -156,6 +154,13 @@ def aggregate(residuals, weight_blocks) -> tuple[np.ndarray, float]:
     return c.reshape(-1), M
 
 
+def _commands(measurements):
+    """Commanded (theta, delta, q_s) of the measurements as arrays."""
+    return (np.array([m.psi.theta for m in measurements]),
+            np.array([m.psi.delta for m in measurements]),
+            np.array([m.q_s for m in measurements]))
+
+
 def _residual_matrix(measurements, params: RobotParams, k: UncertaintyParams) -> np.ndarray:
     """(N, 6) residuals; batched when no orientations are observed."""
     if any(m.R_bar is not None for m in measurements):
@@ -167,12 +172,9 @@ def _residual_matrix(measurements, params: RobotParams, k: UncertaintyParams) ->
                 raise NoConvergence(f"measurement {j}: {e}") from e
             rows.append(pose_error(m, pose))
         return np.asarray(rows)
-    theta = np.array([m.psi.theta for m in measurements])
-    delta = np.array([m.psi.delta for m in measurements])
-    qs = np.array([m.q_s for m in measurements])
     x_bar = np.stack([m.x_bar for m in measurements])
     try:
-        p, _, _ = _tip_position_arrays(params, theta, delta, qs, k)
+        p, _, _ = _tip_position_arrays(params, *_commands(measurements), k)
     except NoConvergence as e:
         raise NoConvergence(f"while evaluating dataset residuals: {e}") from e
     c = np.zeros((len(measurements), 6))
@@ -198,11 +200,8 @@ def identification_jacobian(
     tip Jacobian -J_k restricted to the free columns.
     """
     idx = np.array([PARAM_NAMES.index(n) for n in free_params], dtype=int)
-    theta = np.array([m.psi.theta for m in measurements])
-    delta = np.array([m.psi.delta for m in measurements])
-    qs = np.array([m.q_s for m in measurements])
     try:
-        _, _, J_k = _motion_jacobian_arrays(params, theta, delta, qs, k)
+        J_k = _jacobian_arrays(params, *_commands(measurements), k).J_k
     except NoConvergence as e:
         raise NoConvergence(f"while building the identification Jacobian: {e}") from e
     return (-J_k[:, :, idx]).reshape(len(measurements) * 6, len(idx))

@@ -19,16 +19,16 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    PARAM_NAMES,
     CalibrationConfig,
     direction_reversals,
     nls_estimate,
     split_at_turning_point,
 )
-from .calibration import PARAM_NAMES
 from .dataio import generate_synthetic, load_dataset, load_robot_config
-from .differential import assemble_motion_jacobians, fd_discrepancies
+from .differential import _jacobian_arrays, fd_discrepancies
 from .errors import CremError
-from .kinematics import crem_pose, micro_trajectory
+from .kinematics import _pose_arrays, micro_trajectory
 from .model import ConfigState, UncertaintyParams
 
 _FMT = "%.17g"
@@ -100,23 +100,19 @@ def cmd_simulate_micro(args, parser) -> int:
 def cmd_simulate_macro(args, parser) -> int:
     cfg = _load_config(args, parser)
     k = _parse_k(args.k_lambda, parser)
-    thetas = np.radians(_parse_range(args.theta_range, parser, "--theta-range"))
+    thetas = _parse_range(args.theta_range, parser, "--theta-range")
     delta = math.radians(args.delta)
-    rows = []
-    for th in thetas:
-        psi = ConfigState(float(th), delta)
-        js = assemble_motion_jacobians(cfg.params, psi, args.qs, k)
-        tip = crem_pose(cfg.params, psi, args.qs, k).tip
-        rows.append((math.degrees(th), tip.p, js.J_M[:3, :]))
+    js = _jacobian_arrays(cfg.params, np.radians(thetas), delta, args.qs, k)
+    pos, _, _ = _pose_arrays(cfg.params, js.th_s, js.th_e, delta, args.qs)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# schema=1\n")
         cols = ["theta", "x", "y", "z"] + [
             f"jm{i + 1}{ax}" for i in range(3) for ax in "xyz"
         ]
         fh.write(",".join(cols) + "\n")
-        for th_deg, p, JM in rows:
+        for th_deg, p, JM in zip(thetas, pos, js.J_M[:, :3, :]):
             fh.write(_fmt_row([th_deg, *p, *JM.T.ravel()]) + "\n")
-    _emit({"command": "simulate-macro", "rows": len(rows), "out": args.out})
+    _emit({"command": "simulate-macro", "rows": len(thetas), "out": args.out})
     return 0
 
 

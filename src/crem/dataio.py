@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .errors import (
     FrameError,
@@ -243,6 +242,9 @@ def smooth_trajectory(records, cutoff_hz: float, sample_hz: float | None = None)
     cutoff must stay below the Nyquist frequency.  Only x, y, z change;
     commanded columns pass through untouched.
     """
+    # imported here: scipy.signal costs about a second, and only this needs it
+    from scipy.signal import butter, filtfilt
+
     if len(records) < 2:
         return list(records)
     if sample_hz is None:

@@ -17,14 +17,16 @@ every analytic block can be checked against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularGradient
 from .kinematics import (
-    Pose,
+    STRAIGHT_SERIES_THRESHOLD,
     arc_direction,
     crem_pose,
+    pose_from_phi,
     segment_rotation,
 )
 from .model import (
@@ -32,28 +34,17 @@ from .model import (
     EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
+    _arc_stiffness,
+    _broadcast_samples,
+    _sigma,
     _solve_equilibrium_arrays,
     projected_offsets,
     solve_equilibrium,
-    uncertainty_lambda,
 )
 from .rotations import axis_angle_vector
 
-# |theta - theta0| below which the chi ratios switch to series forms
-_CHI_SERIES_THRESHOLD = 1e-4
+# condition number above which a 2x2 or normal-equation solve is refused
 _COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True, eq=False)
-class SolverMatrices:
-    """Matrix form A C_phi = B of the converged moment balance."""
-
-    A: np.ndarray
-    B: np.ndarray
-    S0: np.ndarray
-    C0: np.ndarray
-    S1: np.ndarray
-    C_phi: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,44 +88,37 @@ class JacobianSet:
 def _stiffness_terms(params: RobotParams, theta, delta, q_s, th_s, th_p):
     """Stiffnesses and their partials w.r.t. (theta, delta, q_s, th_s, th_p).
 
-    All arrays broadcast over the leading shape of the inputs.  Lengths are
-    evaluated exactly as in the solver (no boundary clamping: callers stay
-    inside (q_min, L - q_min)).
+    All arrays broadcast over the leading shape of the inputs.  The
+    stiffnesses come from the solver's arc kernel, with no boundary
+    clamping: callers stay inside (q_min, L - q_min).
     """
     th0 = params.theta0
+    theta, q_s, th_s, th_p = (np.asarray(a, dtype=float) for a in (theta, q_s, th_s, th_p))
     D = projected_offsets(params, delta)
-    sig = np.asarray(delta, dtype=float)[..., None] + params.beta * np.arange(params.n)
-    dD = -params.r * np.sin(sig)  # d Delta_i / d delta
-
-    L_i = params.L + D * (np.asarray(theta) - th0)[..., None]
-    Lq = params.L - np.asarray(q_s, dtype=float)
-    L_si = np.asarray(q_s, dtype=float)[..., None] + D * (np.asarray(th_s) - th0)[..., None]
-    L_ei = Lq[..., None] + D * (np.asarray(th_p) - np.asarray(th_s))[..., None]
+    dD = -params.r * np.sin(_sigma(params, delta))  # d Delta_i / d delta
+    Lq = params.L - q_s
+    L_i, k0 = _arc_stiffness(params, D, params.L, theta - th0)
+    L_ei, k1 = _arc_stiffness(params, D, Lq, th_p - th_s)
+    L_si, k2 = _arc_stiffness(params, D, q_s, th_s - th0)
 
     EIi, EIp, EIs = params.EI_i, params.EI_p, params.EI_s
+    ks = EIs / q_s
     inv_Li2 = EIi / L_i**2
     inv_si2 = EIi / L_si**2
     inv_ei2 = EIi / L_ei**2
-
-    k0 = EIp / params.L + np.sum(EIi / L_i, axis=-1)
-    k1 = EIp / Lq + np.sum(EIi / L_ei, axis=-1)
-    k2 = EIp / np.asarray(q_s, dtype=float) + np.sum(EIi / L_si, axis=-1)
-    ks = EIs / np.asarray(q_s, dtype=float)
-
-    d = {
+    return {
         "k0": k0, "k1": k1, "k2": k2, "ks": ks,
         "k0_theta": -np.sum(D * inv_Li2, axis=-1),
-        "k0_delta": -(np.asarray(theta) - th0) * np.sum(dD * inv_Li2, axis=-1),
+        "k0_delta": -(theta - th0) * np.sum(dD * inv_Li2, axis=-1),
         "k1_qs": EIp / Lq**2 + np.sum(inv_ei2, axis=-1),
         "k1_ths": np.sum(D * inv_ei2, axis=-1),
         "k1_thp": -np.sum(D * inv_ei2, axis=-1),
-        "k1_delta": -(np.asarray(th_p) - np.asarray(th_s)) * np.sum(dD * inv_ei2, axis=-1),
-        "k2_qs": -EIp / np.asarray(q_s, dtype=float) ** 2 - np.sum(inv_si2, axis=-1),
+        "k1_delta": -(th_p - th_s) * np.sum(dD * inv_ei2, axis=-1),
+        "k2_qs": -EIp / q_s**2 - np.sum(inv_si2, axis=-1),
         "k2_ths": -np.sum(D * inv_si2, axis=-1),
-        "k2_delta": -(np.asarray(th_s) - th0) * np.sum(dD * inv_si2, axis=-1),
-        "ks_qs": -EIs / np.asarray(q_s, dtype=float) ** 2,
+        "k2_delta": -(th_s - th0) * np.sum(dD * inv_si2, axis=-1),
+        "ks_qs": -EIs / q_s**2,
     }
-    return d
 
 
 def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams,
@@ -209,55 +193,6 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     return sol
 
 
-def solver_matrices(
-    params: RobotParams,
-    psi: ConfigState,
-    q_s: float,
-    k: UncertaintyParams,
-    phi: EquilibriumConfig,
-) -> SolverMatrices:
-    """Matrix form of the converged balance: A C_phi = B.
-
-    C_phi = S0 phi - C0 maps phi = (theta_s, theta_eps) to
-    (theta_s, theta_prime); the residual A C_phi - B vanishes at the
-    solved equilibrium.
-    """
-    t = _stiffness_terms(params, psi.theta, psi.delta, q_s, phi.theta_s, phi.theta_prime)
-    k1, k2, ks, k0 = t["k1"], t["k2"], t["ks"], t["k0"]
-    lam = float(uncertainty_lambda(k, q_s, psi.theta))
-    A = np.array([[k1 + k2 + ks, -k1], [k1, -k1]])
-    B = np.array([
-        (k2 + ks) * params.theta0 - lam,
-        k0 * (params.theta0 - psi.theta),
-    ])
-    S0 = np.array([[1.0, 0.0], [1.0, 1.0]])
-    C0 = np.array([0.0, params.theta0])
-    S1 = np.array([1.0, 0.0])
-    C_phi = S0 @ phi.phi() - C0
-    return SolverMatrices(A=A, B=B, S0=S0, C0=C0, S1=S1, C_phi=C_phi)
-
-
-def phi_gradients(
-    params: RobotParams,
-    psi: ConfigState,
-    q_s: float,
-    k: UncertaintyParams,
-    phi: EquilibriumConfig | None = None,
-) -> PhiGradients:
-    """Analytic sensitivities of phi at one configuration."""
-    if phi is None:
-        phi = solve_equilibrium(params, psi, q_s, k)
-    sol = _phi_gradient_arrays(
-        params, psi.theta, psi.delta, float(q_s), k, phi.theta_s, phi.theta_prime
-    )
-    return PhiGradients(
-        d_phi_d_theta=sol[:, 0].copy(),
-        d_phi_d_delta=sol[:, 1].copy(),
-        d_phi_d_qs=sol[:, 2].copy(),
-        d_phi_d_k=sol[:, 3:6].copy(),
-    )
-
-
 # ---------------------------------------------------------------------------
 # pose Jacobians
 
@@ -273,7 +208,7 @@ def _chi_abc(theta):
     """
     t = np.asarray(theta, dtype=float)
     u = t - np.pi / 2.0
-    near = np.abs(u) < _CHI_SERIES_THRESHOLD
+    near = np.abs(u) < STRAIGHT_SERIES_THRESHOLD
     u_safe = np.where(near, 1.0, u)
     st, ct = np.sin(t), np.cos(t)
     chi_a = np.where(near, -0.5 + u**2 / 8.0 - u**4 / 144.0,
@@ -313,10 +248,7 @@ def _xi_jacobian_arrays(params: RobotParams, th_s, th_e, delta, q_s):
     distal lever arm w = R_c p_g/c couples the inserted-side angular
     partition into the tip translation.
     """
-    th_s = np.asarray(th_s, dtype=float)
-    th_e = np.asarray(th_e, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    q_s = np.asarray(q_s, dtype=float)
+    th_s, th_e, delta, q_s = (np.asarray(a, dtype=float) for a in (th_s, th_e, delta, q_s))
 
     Jvt_s, Jwt_s, Jvd_s, Jwd_s = jacobian_partitions(th_s, delta, q_s)
     L_emp = params.L - q_s
@@ -357,44 +289,72 @@ def assemble_xi_jacobians(
     return XiJacobians(J_xi_phi=J_xi_phi, J_xi_delta=J_xi_delta, J_xi_qs=J_xi_qs)
 
 
-def j_q_psi(params: RobotParams, psi: ConfigState) -> np.ndarray:
-    """Secondary-backbone displacement per unit (theta, delta), shape (n, 2).
+class _JacobianArrays(NamedTuple):
+    """Vectorized constituents of the tip Jacobians at solved equilibria.
 
-    Row i differentiates q_i = Delta_i (theta - theta0) = r cos(sigma_i)
-    (theta - theta0).
+    grads stacks d phi / d(theta, delta, q_s, k_lambda0, k_lambda_theta,
+    k_lambda_q) as (..., 2, 6); J_q_psi (..., n, 2) is the secondary-backbone
+    displacement per unit (theta, delta), row i differentiating
+    q_i = Delta_i (theta - theta0).  The assembled Jacobians are formed on
+    access, so a caller that needs only J_k never forms J_M.
     """
-    sig = psi.delta + params.beta * np.arange(params.n)
-    return params.r * np.stack([
-        np.cos(sig),
-        (params.theta0 - psi.theta) * np.sin(sig),
-    ], axis=-1)
+
+    th_s: np.ndarray
+    th_p: np.ndarray
+    th_e: np.ndarray
+    grads: np.ndarray
+    J_xi_phi: np.ndarray
+    J_xi_delta: np.ndarray
+    J_xi_qs: np.ndarray
+    J_q_psi: np.ndarray
+
+    @property
+    def J_M(self) -> np.ndarray:
+        """(..., 6, n) through the minimum-norm pseudo-inverse of J_q_psi."""
+        col_theta = (self.J_xi_phi @ self.grads[..., 0:1])[..., 0]
+        col_delta = (self.J_xi_phi @ self.grads[..., 1:2])[..., 0] + self.J_xi_delta
+        J_psi = np.stack([col_theta, col_delta], axis=-1)  # (..., 6, 2)
+        return J_psi @ np.linalg.pinv(self.J_q_psi)
+
+    @property
+    def J_mu(self) -> np.ndarray:
+        return (self.J_xi_phi @ self.grads[..., 2:3])[..., 0] + self.J_xi_qs
+
+    @property
+    def J_k(self) -> np.ndarray:
+        return self.J_xi_phi @ self.grads[..., 3:6]
 
 
-def _motion_jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams):
-    """Vectorized (J_M (..., 6, n), J_mu (..., 6), J_k (..., 6, 3))."""
+def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams):
+    """Solve the equilibria and differentiate them; see _JacobianArrays."""
     th_s, th_p = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
-    theta_b, delta_b, qs_b = np.broadcast_arrays(
-        np.asarray(theta, dtype=float),
-        np.asarray(delta, dtype=float),
-        np.asarray(q_s, dtype=float),
-    )
+    theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
     th_e = th_p + (np.pi / 2.0 - th_s)
-    grads = _phi_gradient_arrays(params, theta_b, delta_b, qs_b, k, th_s, th_p)
-    J_xi_phi, J_xi_delta, J_xi_qs = _xi_jacobian_arrays(params, th_s, th_e, delta_b, qs_b)
-
-    col_theta = (J_xi_phi @ grads[..., 0:1])[..., 0]
-    col_delta = (J_xi_phi @ grads[..., 1:2])[..., 0] + J_xi_delta
-    J_psi = np.stack([col_theta, col_delta], axis=-1)  # (..., 6, 2)
-
-    sig = delta_b[..., None] + params.beta * np.arange(params.n)
-    Jq = params.r * np.stack([
+    grads = _phi_gradient_arrays(params, theta, delta, q_s, k, th_s, th_p)
+    xi = _xi_jacobian_arrays(params, th_s, th_e, delta, q_s)
+    sig = _sigma(params, delta)
+    J_q_psi = params.r * np.stack([
         np.cos(sig),
-        (params.theta0 - theta_b)[..., None] * np.sin(sig),
-    ], axis=-1)  # (..., n, 2)
-    J_M = J_psi @ np.linalg.pinv(Jq)
-    J_mu = (J_xi_phi @ grads[..., 2:3])[..., 0] + J_xi_qs
-    J_k = J_xi_phi @ grads[..., 3:6]
-    return J_M, J_mu, J_k
+        (params.theta0 - theta)[..., None] * np.sin(sig),
+    ], axis=-1)
+    return _JacobianArrays(th_s, th_p, th_e, grads, *xi, J_q_psi)
+
+
+def _as_phi_gradients(sol) -> PhiGradients:
+    """PhiGradients of one sample from its (2, 6) sensitivity block."""
+    return PhiGradients(
+        d_phi_d_theta=sol[:, 0].copy(),
+        d_phi_d_delta=sol[:, 1].copy(),
+        d_phi_d_qs=sol[:, 2].copy(),
+        d_phi_d_k=sol[:, 3:6].copy(),
+    )
+
+
+def phi_gradients(
+    params: RobotParams, psi: ConfigState, q_s: float, k: UncertaintyParams
+) -> PhiGradients:
+    """Analytic sensitivities of phi at one configuration."""
+    return _as_phi_gradients(_jacobian_arrays(params, psi.theta, psi.delta, float(q_s), k).grads)
 
 
 def assemble_motion_jacobians(
@@ -408,25 +368,17 @@ def assemble_motion_jacobians(
     J_k: tip twist per uncertainty parameter, columns ordered
     (k_lambda0, k_lambda_theta, k_lambda_q).
     """
-    phi = solve_equilibrium(params, psi, q_s, k)
-    grads = phi_gradients(params, psi, q_s, k, phi)
-    xi = assemble_xi_jacobians(params, phi, psi.delta, q_s)
-    Jq = j_q_psi(params, psi)
-    col_theta = xi.J_xi_phi @ grads.d_phi_d_theta
-    col_delta = xi.J_xi_phi @ grads.d_phi_d_delta + xi.J_xi_delta
-    J_M = np.column_stack([col_theta, col_delta]) @ np.linalg.pinv(Jq)
-    J_mu = xi.J_xi_phi @ grads.d_phi_d_qs + xi.J_xi_qs
-    J_k = xi.J_xi_phi @ grads.d_phi_d_k
+    c = _jacobian_arrays(params, psi.theta, psi.delta, float(q_s), k)
     return JacobianSet(
-        J_M=J_M,
-        J_mu=J_mu,
-        J_k=J_k,
-        J_xi_phi=xi.J_xi_phi,
-        J_xi_delta=xi.J_xi_delta,
-        J_xi_qs=xi.J_xi_qs,
-        J_q_psi=Jq,
-        phi=phi,
-        gradients=grads,
+        J_M=c.J_M,
+        J_mu=c.J_mu,
+        J_k=c.J_k,
+        J_xi_phi=c.J_xi_phi,
+        J_xi_delta=c.J_xi_delta,
+        J_xi_qs=c.J_xi_qs,
+        J_q_psi=c.J_q_psi,
+        phi=EquilibriumConfig.from_tip_angle(float(c.th_s), float(c.th_p)),
+        gradients=_as_phi_gradients(c.grads),
     )
 
 
@@ -496,8 +448,6 @@ def fd_discrepancies(
     d_phi_analytic = np.column_stack([
         g.d_phi_d_theta, g.d_phi_d_delta, g.d_phi_d_qs, g.d_phi_d_k
     ])
-
-    from .kinematics import pose_from_phi
 
     def kin_only(x):
         e = EquilibriumConfig(theta_s=float(x[0]), theta_eps=float(x[1]))

@@ -13,10 +13,6 @@ class NonPhysicalLength(CremError):
     """A backbone or subsegment length came out non-positive."""
 
 
-class SingularInsertion(CremError):
-    """Insertion depth too close to 0 or L for a stiffness evaluation."""
-
-
 class NoConvergence(CremError):
     """An iterative solve exhausted its iteration budget."""
 

@@ -96,23 +96,38 @@ def segment_rotation(theta_x, delta_x):
     return rot_z(-d) @ rot_y(np.pi / 2.0 - t) @ rot_z(d)
 
 
-def segment_position(L_x, theta_x, delta_x):
-    """Tip position of a single arc, shape (..., 3)."""
-    return np.asarray(L_x, dtype=float)[..., None] * arc_direction(theta_x, delta_x)
+def _arc_pose(L_x, theta_x, delta_x):
+    """Tip position (..., 3) and rotation (..., 3, 3) of constant-curvature arcs."""
+    p = np.asarray(L_x, dtype=float)[..., None] * arc_direction(theta_x, delta_x)
+    return p, segment_rotation(theta_x, delta_x)
 
 
 def segment_pose(L_x: float, theta_x: float, delta_x: float) -> Pose:
     """Pose of a single constant-curvature arc (scalar arguments)."""
     if L_x < 0.0:
         raise ValidationError(f"arc length must be >= 0, got {L_x}")
-    p = segment_position(np.float64(L_x), np.float64(theta_x), np.float64(delta_x))
-    R = segment_rotation(np.float64(theta_x), np.float64(delta_x))
-    return Pose(p=np.asarray(p, dtype=float), R=np.asarray(R, dtype=float))
+    return Pose(*_arc_pose(np.float64(L_x), np.float64(theta_x), np.float64(delta_x)))
 
 
 def compose(first: Pose, second: Pose) -> Pose:
     """Pose of frame c in a, given b in a (first) and c in b (second)."""
     return Pose(p=first.p + first.R @ second.p, R=first.R @ second.R)
+
+
+def _pose_arrays(params: RobotParams, th_s, th_e, delta, q_s):
+    """Vectorized two-subsegment chain for given equilibrium angles.
+
+    Returns the tip position p (..., 3) and the (p, R) pairs of both
+    subsegments: the inserted arc (the separation plane in the base frame)
+    and the empty arc (the tip in the separation-plane frame).
+    """
+    th_s, th_e, delta, q_s = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (th_s, th_e, delta, q_s))
+    )
+    p_c, R_c = _arc_pose(q_s, th_s, delta)
+    p_gc, R_gc = _arc_pose(params.L - q_s, th_e, delta)
+    p = p_c + (R_c @ p_gc[..., None])[..., 0]
+    return p, (p_c, R_c), (p_gc, R_gc)
 
 
 def pose_from_phi(
@@ -121,12 +136,13 @@ def pose_from_phi(
     """Two-subsegment pose for given equilibrium angles (no solve)."""
     if not (0.0 <= q_s <= params.L):
         raise ValidationError(f"q_s={q_s} outside [0, L]")
-    separation = segment_pose(q_s, phi.theta_s, delta)
-    distal = segment_pose(params.L - q_s, phi.theta_eps, delta)
+    p, (p_c, R_c), (p_gc, R_gc) = _pose_arrays(
+        params, phi.theta_s, phi.theta_eps, delta, q_s
+    )
     return SegmentedPose(
-        tip=compose(separation, distal),
-        separation=separation,
-        distal=distal,
+        tip=Pose(p=p, R=R_c @ R_gc),
+        separation=Pose(p=p_c, R=R_c),
+        distal=Pose(p=p_gc, R=R_gc),
         equilibrium=phi,
     )
 
@@ -149,16 +165,7 @@ def _tip_position_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     Returns (positions (..., 3), theta_s, theta_prime).
     """
     th_s, th_p = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
-    theta, delta, q_s = np.broadcast_arrays(
-        np.asarray(theta, dtype=float),
-        np.asarray(delta, dtype=float),
-        np.asarray(q_s, dtype=float),
-    )
-    th_e = th_p + (np.pi / 2.0 - th_s)
-    p_c = q_s[..., None] * arc_direction(th_s, delta)
-    p_gc = (params.L - q_s)[..., None] * arc_direction(th_e, delta)
-    R_c = segment_rotation(th_s, delta)
-    p = p_c + (R_c @ p_gc[..., None])[..., 0]
+    p, _, _ = _pose_arrays(params, th_s, th_p + (np.pi / 2.0 - th_s), delta, q_s)
     return p, th_s, th_p
 
 
@@ -172,5 +179,4 @@ def micro_trajectory(
 
     Returns (positions (N, 3), theta_s (N,), theta_prime (N,)).
     """
-    qs = np.asarray(qs_schedule, dtype=float)
-    return _tip_position_arrays(params, psi.theta, psi.delta, qs, k)
+    return _tip_position_arrays(params, psi.theta, psi.delta, qs_schedule, k)

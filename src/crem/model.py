@@ -16,16 +16,11 @@ and smaller theta means more bending.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergence,
-    NonPhysicalLength,
-    SingularInsertion,
-    ValidationError,
-)
+from .errors import NoConvergence, NonPhysicalLength, ValidationError
 
 THETA_BASE = math.pi / 2.0
 
@@ -118,17 +113,6 @@ class ConfigState:
 
 
 @dataclass(frozen=True)
-class InsertionState:
-    """Wire insertion depth q_s, mm; upper bound L is checked where L is known."""
-
-    q_s: float
-
-    def __post_init__(self):
-        if not (self.q_s >= 0.0 and math.isfinite(self.q_s)):
-            raise ValidationError(f"q_s must be >= 0, got {self.q_s}")
-
-
-@dataclass(frozen=True)
 class UncertaintyParams:
     """Affine actuation-uncertainty moment lambda = k0 + k_theta*theta + k_q*q_s."""
 
@@ -178,20 +162,6 @@ class EquilibriumConfig:
         return np.array([self.theta_s, self.theta_eps])
 
 
-@dataclass(frozen=True)
-class StiffnessBundle:
-    """Angular stiffnesses (N*mm/rad) and the lengths they were built from."""
-
-    k_theta0: float
-    k_theta1: float
-    k_theta2: float
-    k_theta_s: float
-    L_i: np.ndarray
-    L_si: np.ndarray
-    L_eps_i: np.ndarray
-    Delta_i: np.ndarray
-
-
 def _sigma(params: RobotParams, delta):
     """Angular positions sigma_i = delta + (i - 1) * beta, shape (..., n)."""
     d = np.asarray(delta, dtype=float)
@@ -203,38 +173,29 @@ def projected_offsets(params: RobotParams, delta):
     return params.r * np.cos(_sigma(params, delta))
 
 
+def _arc_stiffness(params: RobotParams, D, length, bend):
+    """Secondary-backbone lengths and angular stiffness of one arc.
+
+    An arc whose central backbone has length `length` and bends by `bend`
+    rad has secondary backbones L_x,i = length + Delta_i * bend, shape
+    (..., n), and stiffness EI_p / length + sum_i EI_i / L_x,i (N*mm/rad).
+    The balance has three such arcs: the whole segment (L, theta - theta0)
+    gives k0, the empty subsegment (L - q_s, theta_prime - theta_s) k1 and
+    the inserted one (q_s, theta_s - theta0) k2.  Lengths are not checked.
+    """
+    L_x = np.asarray(length, dtype=float)[..., None] + D * np.asarray(bend)[..., None]
+    return L_x, params.EI_p / length + np.sum(params.EI_i / L_x, axis=-1)
+
+
 def backbone_lengths(params: RobotParams, theta, delta):
     """Secondary backbone lengths L_i = L + Delta_i (theta - theta0)."""
-    D = projected_offsets(params, delta)
-    L_i = params.L + D * (np.asarray(theta, dtype=float) - params.theta0)[..., None]
+    L_i, _ = _arc_stiffness(params, projected_offsets(params, delta), params.L,
+                            np.asarray(theta, dtype=float) - params.theta0)
     if np.any(L_i <= 0.0):
         raise NonPhysicalLength(
             f"backbone length <= 0 (min {np.min(L_i):.6g} mm) at theta={theta}"
         )
     return L_i
-
-
-def subsegment_lengths(params: RobotParams, delta, q_s, theta_s, theta_prime):
-    """Per-backbone lengths of the inserted and empty subsegments.
-
-    L_si = q_s + Delta_i (theta_s - theta0)
-    L_eps_i = (L - q_s) + Delta_i (theta_prime - theta_s)
-
-    A non-positive component only raises when the corresponding stiffness
-    is actually needed: the inserted side requires q_s > 0, the empty side
-    q_s < L.
-    """
-    D = projected_offsets(params, delta)
-    q = np.asarray(q_s, dtype=float)
-    L_si = q[..., None] + D * (np.asarray(theta_s, dtype=float) - params.theta0)[..., None]
-    L_eps_i = (params.L - q)[..., None] + D * (
-        np.asarray(theta_prime, dtype=float) - np.asarray(theta_s, dtype=float)
-    )[..., None]
-    if np.any((q[..., None] > 0.0) & (L_si <= 0.0)):
-        raise NonPhysicalLength("inserted subsegment length <= 0")
-    if np.any((q[..., None] < params.L) & (L_eps_i <= 0.0)):
-        raise NonPhysicalLength("empty subsegment length <= 0")
-    return L_si, L_eps_i
 
 
 def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
@@ -246,39 +207,9 @@ def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
         + k.k_lambda_q * np.asarray(q_s, dtype=float)
 
 
-def stiffnesses(params: RobotParams, delta, q_s, theta, theta_s, theta_prime) -> StiffnessBundle:
-    """Angular stiffnesses of the moment balance at one configuration.
-
-    k_theta0: whole segment at nominal theta (proximal side of the base)
-    k_theta1: empty subsegment at (theta_prime - theta_s)
-    k_theta2: inserted subsegment at (theta_s - theta0)
-    k_theta_s: wire over the inserted depth
-
-    Scalar evaluation with q_s strictly inside (q_min, L - q_min); the
-    equilibrium solver handles the boundary regimes itself.
-    """
-    q_s = float(q_s)
-    if not (params.q_min < q_s < params.L - params.q_min):
-        raise SingularInsertion(
-            f"q_s={q_s:.6g} outside ({params.q_min:.3g}, {params.L - params.q_min:.6g})"
-        )
-    D = projected_offsets(params, delta)
-    L_i = backbone_lengths(params, theta, delta)
-    L_si, L_eps_i = subsegment_lengths(params, delta, q_s, theta_s, theta_prime)
-    k0 = params.EI_p / params.L + np.sum(params.EI_i / L_i, axis=-1)
-    k1 = params.EI_p / (params.L - q_s) + np.sum(params.EI_i / L_eps_i, axis=-1)
-    k2 = params.EI_p / q_s + np.sum(params.EI_i / L_si, axis=-1)
-    ks = params.EI_s / q_s
-    return StiffnessBundle(
-        k_theta0=float(k0),
-        k_theta1=float(k1),
-        k_theta2=float(k2),
-        k_theta_s=float(ks),
-        L_i=L_i,
-        L_si=L_si,
-        L_eps_i=L_eps_i,
-        Delta_i=D,
-    )
+def _broadcast_samples(theta, delta, q_s):
+    """(theta, delta, q_s) as float arrays of one broadcast shape."""
+    return np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (theta, delta, q_s)))
 
 
 def _solve_equilibrium_arrays(
@@ -300,15 +231,19 @@ def _solve_equilibrium_arrays(
 
     then re-evaluates the stiffnesses.  Converges when the proposed update
     falls below tol in both components.  Returns (theta_s, theta_prime)
-    broadcast over the inputs.
+    broadcast over the inputs.  Every sample must satisfy the ConfigState
+    rules and 0 <= q_s <= L; the first that does not (NaN included) is
+    rejected by its flat index before any sweep.
     """
-    theta, delta, q_s = np.broadcast_arrays(
-        np.asarray(theta, dtype=float),
-        np.asarray(delta, dtype=float),
-        np.asarray(q_s, dtype=float),
-    )
-    if np.any(q_s < 0.0) or np.any(q_s > params.L):
-        raise ValidationError("q_s must lie in [0, L]")
+    theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
+    ok = ((theta > 0.0) & (theta < math.pi) & (delta > -math.pi) & (delta <= math.pi)
+          & (q_s >= 0.0) & (q_s <= params.L))
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise ValidationError(
+            f"sample {i}: (theta, delta, q_s) = ({theta.flat[i]:.6g}, {delta.flat[i]:.6g}, "
+            f"{q_s.flat[i]:.6g}) outside (0, pi) x (-pi, pi] x [0, L]"
+        )
     th0 = params.theta0
     lam = np.asarray(uncertainty_lambda(k, q_s, theta), dtype=float)
 
@@ -318,9 +253,11 @@ def _solve_equilibrium_arrays(
     Lq_eff = np.maximum(params.L - q_s, params.q_min)
 
     D = projected_offsets(params, delta)
-    L_i = backbone_lengths(params, theta, delta)
-    k0 = params.EI_p / params.L + np.sum(params.EI_i / L_i, axis=-1)
+    L_i, k0 = _arc_stiffness(params, D, params.L, theta - th0)
+    if np.any(L_i <= 0.0):
+        raise NonPhysicalLength(f"backbone length <= 0 (min {np.min(L_i):.6g} mm)")
     m_base = k0 * (theta - th0)
+    ks = params.EI_s / qs_eff
 
     # constant-curvature initialization
     th_s = th0 + (theta - th0) * q_s / params.L
@@ -329,15 +266,12 @@ def _solve_equilibrium_arrays(
     damp = 1.0
     prev_step = np.inf
     for iteration in range(max_iter):
-        L_si = qs_eff[..., None] + D * (th_s - th0)[..., None]
-        L_eps_i = Lq_eff[..., None] + D * (th_p - th_s)[..., None]
-        if np.any(L_si <= 0.0) or np.any(L_eps_i <= 0.0):
+        L_si, k2 = _arc_stiffness(params, D, qs_eff, th_s - th0)
+        L_ei, k1 = _arc_stiffness(params, D, Lq_eff, th_p - th_s)
+        if np.any(L_si <= 0.0) or np.any(L_ei <= 0.0):
             raise NonPhysicalLength(
                 f"subsegment length <= 0 during equilibrium iteration {iteration}"
             )
-        k1 = params.EI_p / Lq_eff + np.sum(params.EI_i / L_eps_i, axis=-1)
-        k2 = params.EI_p / qs_eff + np.sum(params.EI_i / L_si, axis=-1)
-        ks = params.EI_s / qs_eff
         th_s_new = th0 + (m_base - lam) / (k2 + ks)
         th_p_new = th_s_new + m_base / k1
         ds = th_s_new - th_s
@@ -376,27 +310,3 @@ def solve_equilibrium(
         params, psi.theta, psi.delta, float(q_s), k, tol=tol, max_iter=max_iter
     )
     return EquilibriumConfig.from_tip_angle(float(th_s), float(th_p))
-
-
-def equilibrium_moments(
-    params: RobotParams,
-    psi: ConfigState,
-    q_s: float,
-    k: UncertaintyParams,
-    phi: EquilibriumConfig,
-):
-    """Moments (m1, m1p, m2, ms, lambda) at a candidate equilibrium.
-
-    m1 = k_theta0 (theta - theta0) is carried across the base by the whole
-    segment, m1p = k_theta1 (theta_prime - theta_s) by the empty
-    subsegment, m2 = -k_theta2 (theta_s - theta0) and
-    ms = -k_theta_s (theta_s - theta0) resist bending of the inserted
-    subsegment.  At equilibrium m1 = m1p and m1p + m2 + ms = lambda.
-    """
-    b = stiffnesses(params, psi.delta, q_s, psi.theta, phi.theta_s, phi.theta_prime)
-    m1 = b.k_theta0 * (psi.theta - params.theta0)
-    m1p = b.k_theta1 * (phi.theta_prime - phi.theta_s)
-    m2 = -b.k_theta2 * (phi.theta_s - params.theta0)
-    ms = -b.k_theta_s * (phi.theta_s - params.theta0)
-    lam = float(uncertainty_lambda(k, q_s, psi.theta))
-    return m1, m1p, m2, ms, lam

@@ -14,46 +14,34 @@ SMALL_ANGLE = 1e-7
 NEAR_PI = 1e-4
 
 
-def rot_z(angle):
-    """Right-handed rotation about +z."""
+def _plane_rotation(angle, i, j):
+    """Right-handed rotation turning axis i toward axis j."""
     a = np.asarray(angle, dtype=float)
     c, s = np.cos(a), np.sin(a)
-    zero = np.zeros_like(c)
-    one = np.ones_like(c)
-    return np.stack([
-        np.stack([c, -s, zero], axis=-1),
-        np.stack([s, c, zero], axis=-1),
-        np.stack([zero, zero, one], axis=-1),
-    ], axis=-2)
+    R = np.zeros(a.shape + (3, 3))
+    R[..., i, i] = c
+    R[..., i, j] = -s
+    R[..., j, i] = s
+    R[..., j, j] = c
+    R[..., 3 - i - j, 3 - i - j] = 1.0
+    return R
+
+
+def rot_z(angle):
+    """Right-handed rotation about +z."""
+    return _plane_rotation(angle, 0, 1)
 
 
 def rot_y(angle):
     """Right-handed rotation about +y."""
-    a = np.asarray(angle, dtype=float)
-    c, s = np.cos(a), np.sin(a)
-    zero = np.zeros_like(c)
-    one = np.ones_like(c)
-    return np.stack([
-        np.stack([c, zero, s], axis=-1),
-        np.stack([zero, one, zero], axis=-1),
-        np.stack([-s, zero, c], axis=-1),
-    ], axis=-2)
-
-
-def skew(v):
-    """Cross-product matrix [v]^ with [v]^ w = v x w."""
-    v = np.asarray(v, dtype=float)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    return np.stack([
-        np.stack([zero, -z, y], axis=-1),
-        np.stack([z, zero, -x], axis=-1),
-        np.stack([-y, x, zero], axis=-1),
-    ], axis=-2)
+    return _plane_rotation(angle, 2, 0)
 
 
 def unskew(m):
-    """Inverse of skew for (possibly only approximately) antisymmetric input."""
+    """v of a cross-product matrix [v]^ with [v]^ w = v x w.
+
+    The input may be only approximately antisymmetric.
+    """
     m = np.asarray(m, dtype=float)
     return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
 
@@ -99,10 +87,3 @@ def axis_angle_vector(R):
         # first-order: the skew part itself, exact to O(alpha^3)
         return unskew(np.asarray(R, dtype=float) - np.asarray(R).T) / 2.0
     return alpha * axis
-
-
-def rotation_from_axis_angle(axis, alpha):
-    """Rodrigues formula for a single unit axis and angle."""
-    axis = np.asarray(axis, dtype=float)
-    K = skew(axis)
-    return np.eye(3) + np.sin(alpha) * K + (1.0 - np.cos(alpha)) * (K @ K)

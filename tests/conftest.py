@@ -38,32 +38,44 @@ def k_zero() -> UncertaintyParams:
     return UncertaintyParams.zero()
 
 
-def oracle_equilibrium(params, theta, delta, q_s, k, tol=1e-12):
-    """Brute-force (theta_s, theta_prime): root-find on raw moment residuals.
+def equilibrium_moments(params, theta, delta, q_s, k, th_s, th_p):
+    """Moments (m1, m1p, m2, ms, lambda) at a candidate (theta_s, theta_prime).
 
     Written from the beam formulas directly (EI/length stiffnesses at the
-    current candidate angles) with no calls into the package solver.  The
-    guarantee checked is the residual itself, not the optimizer's verdict.
+    candidate angles) with no calls into the package.  m1 is carried
+    across the base by the whole segment, m1p by the empty subsegment,
+    m2 and ms resist bending of the inserted subsegment; at equilibrium
+    m1 = m1p and m1p + m2 + ms = lambda.
     """
     EIp = params.E_p * params.I_p
     EIi = params.E_i * params.I_i
     EIs = params.E_s * params.I_s
     offsets = params.r * np.cos(delta + 2.0 * np.pi / params.n * np.arange(params.n))
+    L_i = params.L + offsets * (theta - TH0)
+    L_si = q_s + offsets * (th_s - TH0)
+    L_ei = (params.L - q_s) + offsets * (th_p - th_s)
+    k0 = EIp / params.L + np.sum(EIi / L_i)
+    k1 = EIp / (params.L - q_s) + np.sum(EIi / L_ei)
+    k2 = EIp / q_s + np.sum(EIi / L_si)
+    ks = EIs / q_s
+    lam = k.k_lambda0 + k.k_lambda_theta * theta + k.k_lambda_q * q_s
+    m1 = k0 * (theta - TH0)
+    m1p = k1 * (th_p - th_s)
+    m2 = -k2 * (th_s - TH0)
+    ms = -ks * (th_s - TH0)
+    return m1, m1p, m2, ms, lam
+
+
+def oracle_equilibrium(params, theta, delta, q_s, k, tol=1e-12):
+    """Brute-force (theta_s, theta_prime): root-find on raw moment residuals.
+
+    The residuals come from equilibrium_moments, so no call goes into the
+    package solver.  The guarantee checked is the residual itself, not the
+    optimizer's verdict.
+    """
 
     def residuals(phi):
-        th_s, th_p = phi
-        L_i = params.L + offsets * (theta - TH0)
-        L_si = q_s + offsets * (th_s - TH0)
-        L_ei = (params.L - q_s) + offsets * (th_p - th_s)
-        k0 = EIp / params.L + np.sum(EIi / L_i)
-        k1 = EIp / (params.L - q_s) + np.sum(EIi / L_ei)
-        k2 = EIp / q_s + np.sum(EIi / L_si)
-        ks = EIs / q_s
-        lam = k.k_lambda0 + k.k_lambda_theta * theta + k.k_lambda_q * q_s
-        m1 = k0 * (theta - TH0)
-        m1p = k1 * (th_p - th_s)
-        m2 = -k2 * (th_s - TH0)
-        ms = -ks * (th_s - TH0)
+        m1, m1p, m2, ms, lam = equilibrium_moments(params, theta, delta, q_s, k, *phi)
         return [m1p - m1, m1p + m2 + ms - lam]
 
     guess = [TH0 + (theta - TH0) * q_s / params.L, theta]

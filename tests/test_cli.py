@@ -113,6 +113,14 @@ def test_macro_bad_range_is_usage_error(config_path, tmp_path):
     assert "theta-range" in proc.stderr
 
 
+@pytest.mark.parametrize("theta_range", ["0:60:4", "30:180:4", "30:200:2"])
+def test_macro_theta_outside_range_fails(config_path, tmp_path, theta_range):
+    proc = crem("simulate-macro", "--config", config_path, "--qs", "13.29",
+                "--theta-range", theta_range, "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 1
+    assert "theta" in proc.stderr
+
+
 def test_macro_columns_tangent_to_trajectory(config_path, tmp_path):
     out = tmp_path / "macro.csv"
     proc = crem("simulate-macro", "--config", config_path, "--qs", "13.29",

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -258,6 +261,13 @@ def make_wave(f_hz, n=600, fs=100.0, amp=1.0):
     return [TrajectoryRecord(t=float(ti), q_s=1.0, theta=1.0, delta=0.0,
                              x=float(xi), y=0.0, z=0.0)
             for ti, xi in zip(t, x)]
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second to import and only smoothing needs it
+    code = "import sys, crem; assert 'scipy.signal' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_smoothing_leaves_constant_data(tmp_path):

@@ -12,16 +12,17 @@ from crem import (
     UncertaintyParams,
     assemble_motion_jacobians,
     assemble_xi_jacobians,
+    crem_pose,
+    micro_trajectory,
     fd_discrepancies,
-    j_q_psi,
     jacobian_partitions,
     phi_gradients,
     solve_equilibrium,
-    solver_matrices,
 )
-from crem.differential import _chi_abc, finite_difference_jacobian
-from crem.kinematics import pose_from_phi
+from crem.differential import _chi_abc, _jacobian_arrays, finite_difference_jacobian
+from crem.kinematics import _tip_position_arrays, pose_from_phi
 from crem.model import backbone_lengths
+from conftest import equilibrium_moments
 
 TH0 = np.pi / 2
 
@@ -59,22 +60,12 @@ def test_chi_straight_limits():
 
 @pytest.mark.parametrize("theta_deg,q_s", [(30, 20.0), (60, 5.0), (100, 35.0)])
 def test_solver_matrices_residual_vanishes(bench, k_cal, theta_deg, q_s):
+    # the rows of A C_phi - B are, up to sign, the two moment residuals
     psi = ConfigState(np.radians(theta_deg), 0.4)
     phi = solve_equilibrium(bench, psi, q_s, k_cal)
-    sm = solver_matrices(bench, psi, q_s, k_cal, phi)
-    assert np.max(np.abs(sm.A @ sm.C_phi - sm.B)) < 1e-8
-    assert_allclose(sm.C_phi, [phi.theta_s, phi.theta_prime], atol=0)
-    assert float(sm.S1 @ sm.C_phi) == phi.theta_s
-
-
-def test_solver_matrices_structure(bench, k_zero):
-    psi = ConfigState(np.radians(45), 0.0)
-    phi = solve_equilibrium(bench, psi, 10.0, k_zero)
-    sm = solver_matrices(bench, psi, 10.0, k_zero, phi)
-    # second balance row is the proximal/distal moment match m1 = m1p:
-    # scaling C_phi and B together leaves the residual homogeneous
-    assert_allclose(sm.A[1], [sm.A[1, 0], -sm.A[1, 0]], atol=0)
-    assert_allclose(sm.S0, [[1.0, 0.0], [1.0, 1.0]], atol=0)
+    m1, m1p, m2, ms, lam = equilibrium_moments(bench, psi.theta, psi.delta, q_s, k_cal,
+                                               phi.theta_s, phi.theta_prime)
+    assert max(abs(m1p - m1), abs(m1p + m2 + ms - lam)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +204,16 @@ def test_xi_delta_in_plane_components_vanish(bench):
 # actuation map
 
 
-def test_backbone_displacement_jacobian_values(bench):
-    J = j_q_psi(bench, ConfigState(np.radians(30), 0.0))
+def test_backbone_displacement_jacobian_values(bench, k_zero):
+    J = assemble_motion_jacobians(bench, ConfigState(np.radians(30), 0.0), 20.0, k_zero).J_q_psi
     assert_allclose(J[:, 0], [3.0, -1.5, -1.5], rtol=1e-12)
-    J_straight = j_q_psi(bench, ConfigState(TH0, 0.8))
+    J_straight = assemble_motion_jacobians(bench, ConfigState(TH0, 0.8), 20.0, k_zero).J_q_psi
     assert_allclose(J_straight[:, 1], 0.0, atol=1e-15)
 
 
-def test_backbone_displacement_jacobian_against_lengths(bench):
+def test_backbone_displacement_jacobian_against_lengths(bench, k_zero):
     psi = ConfigState(np.radians(55), 0.9)
-    J = j_q_psi(bench, psi)
+    J = assemble_motion_jacobians(bench, psi, 20.0, k_zero).J_q_psi
     h = 1e-6
     for col, (dt, dd) in enumerate(((1.0, 0.0), (0.0, 1.0))):
         qp = backbone_lengths(bench, psi.theta + h * dt, psi.delta + h * dd) - bench.L
@@ -295,3 +286,47 @@ def test_depth_gradient_tracks_differences(bench, k_cal, theta, delta, fq):
     fp = np.array(solve_equilibrium(bench, psi, q_s + h, k_cal).phi())
     fm = np.array(solve_equilibrium(bench, psi, q_s - h, k_cal).phi())
     assert np.max(np.abs(g.d_phi_d_qs - (fp - fm) / (2.0 * h))) < 1e-5
+
+
+SAMPLES = st.lists(
+    st.tuples(
+        st.one_of(st.just(TH0), st.floats(np.radians(15), np.radians(165))),
+        st.floats(-np.pi, np.pi, exclude_min=True),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+@given(samples=SAMPLES, k0=st.floats(-0.5, 0.5), kq=st.floats(-0.05, 0.05))
+@settings(max_examples=40, deadline=None)
+def test_batched_core_equals_scalar_api(bench, samples, k0, kq):
+    # Straight samples and the q_s = 0 and q_s = L boundaries are drawn on
+    # purpose.  A batch sweeps until its slowest sample converges, so a
+    # sample's angles may move ~1e-15 rad further than when solved alone.
+    # Within 1e-2 L of either end the short subsegment's stiffness makes the
+    # Jacobians amplify that (to ~1e-4 relative at q_s = L), so they are
+    # compared at q_s = 0 (exact limit) and on [0.01 L, 0.99 L]; positions
+    # are compared everywhere.
+    k = UncertaintyParams(k0, 0.0, kq)
+    theta, delta, fq = (np.array(col) for col in zip(*samples))
+    qs = fq * bench.L
+    pos, _, _ = _tip_position_arrays(bench, theta, delta, qs, k)
+    core = _jacobian_arrays(bench, theta, delta, qs, k)
+    J_M, J_mu, J_k = core.J_M, core.J_mu, core.J_k
+    psi0 = ConfigState(theta[0], delta[0])
+    sweep, _, _ = micro_trajectory(bench, psi0, qs, k)
+    for i in range(len(samples)):
+        psi = ConfigState(theta[i], delta[i])
+        assert _close(pos[i], crem_pose(bench, psi, qs[i], k).tip.p)
+        assert _close(sweep[i], crem_pose(bench, psi0, qs[i], k).tip.p)
+        if 0.0 < qs[i] < 0.01 * bench.L or qs[i] > 0.99 * bench.L:
+            continue
+        js = assemble_motion_jacobians(bench, psi, qs[i], k)
+        assert _close(J_M[i], js.J_M)
+        assert _close(J_mu[i], js.J_mu)
+        assert _close(J_k[i], js.J_k)

@@ -7,21 +7,18 @@ from numpy.testing import assert_allclose
 from crem import (
     ConfigState,
     EquilibriumConfig,
-    InsertionState,
     NonPhysicalLength,
     RobotParams,
-    SingularInsertion,
     UncertaintyParams,
     ValidationError,
     backbone_lengths,
-    equilibrium_moments,
+    micro_trajectory,
     projected_offsets,
     solve_equilibrium,
-    stiffnesses,
-    subsegment_lengths,
     uncertainty_lambda,
 )
-from conftest import oracle_equilibrium
+from crem.model import _arc_stiffness, _solve_equilibrium_arrays
+from conftest import equilibrium_moments, oracle_equilibrium
 
 TH0 = np.pi / 2
 
@@ -62,11 +59,6 @@ def test_config_state_rejects_out_of_range_theta(theta):
         ConfigState(theta, 0.0)
 
 
-def test_insertion_state_rejects_negative():
-    with pytest.raises(ValidationError):
-        InsertionState(-1e-9)
-
-
 def test_equilibrium_config_angle_identity():
     phi = EquilibriumConfig(theta_s=1.2, theta_eps=1.4)
     assert_allclose(phi.theta_eps, phi.theta_prime + (np.pi / 2 - phi.theta_s), atol=0)
@@ -76,6 +68,16 @@ def test_equilibrium_config_angle_identity():
 
 # ---------------------------------------------------------------------------
 # geometry helpers
+
+
+def stiffness_kernel(params, delta, q_s, theta, th_s, th_p):
+    """(L_si, L_ei, k0, k1, k2) of the solver's arc kernel, unclamped."""
+    D = projected_offsets(params, delta)
+    q_s = np.float64(q_s)
+    _, k0 = _arc_stiffness(params, D, params.L, theta - TH0)
+    L_ei, k1 = _arc_stiffness(params, D, params.L - q_s, th_p - th_s)
+    L_si, k2 = _arc_stiffness(params, D, q_s, th_s - TH0)
+    return L_si, L_ei, k0, k1, k2
 
 
 def test_projected_offsets_delta_zero(bench):
@@ -110,7 +112,7 @@ def test_backbone_lengths_nonphysical(bench):
 
 
 def test_subsegment_lengths_direct(bench):
-    L_si, L_ei = subsegment_lengths(bench, 0.0, 20.0, 1.2, 1.1)
+    L_si, L_ei, *_ = stiffness_kernel(bench, 0.0, 20.0, 1.0, 1.2, 1.1)
     assert_allclose(L_si[0], 20.0 + 3.0 * (1.2 - TH0), atol=1e-12)
     assert_allclose(L_ei[0], 24.3 + 3.0 * (1.1 - 1.2), atol=1e-12)
 
@@ -118,16 +120,18 @@ def test_subsegment_lengths_direct(bench):
 def test_subsegment_lengths_sum_identity(bench):
     # the two partitions sum to the backbone length evaluated at theta_prime
     th_s, th_p = 1.3, 1.05
-    L_si, L_ei = subsegment_lengths(bench, 0.4, 17.0, th_s, th_p)
+    L_si, L_ei, *_ = stiffness_kernel(bench, 0.4, 17.0, 1.0, th_s, th_p)
     D = projected_offsets(bench, 0.4)
     assert_allclose(L_si + L_ei, bench.L + D * (th_p - TH0), atol=1e-12)
 
 
 def test_subsegment_lengths_boundaries(bench):
-    L_si, L_ei = subsegment_lengths(bench, 0.0, 0.0, TH0, 1.0)
-    assert_allclose(L_si, 0.0, atol=0)
-    L_si, L_ei = subsegment_lengths(bench, 0.0, bench.L, 1.0, 1.0)
-    assert_allclose(L_ei, 0.0, atol=0)
+    # the stiffnesses of a vanishing subsegment diverge; only lengths matter here
+    with np.errstate(divide="ignore"):
+        L_si, L_ei, *_ = stiffness_kernel(bench, 0.0, 0.0, 1.0, TH0, 1.0)
+        assert_allclose(L_si, 0.0, atol=0)
+        L_si, L_ei, *_ = stiffness_kernel(bench, 0.0, bench.L, 1.0, 1.0, 1.0)
+        assert_allclose(L_ei, 0.0, atol=0)
 
 
 def test_uncertainty_lambda_values(k_cal):
@@ -141,25 +145,16 @@ def test_uncertainty_lambda_values(k_cal):
 
 
 def test_stiffness_straight_values(bench):
-    b = stiffnesses(bench, 0.0, 22.15, TH0, TH0, TH0)
-    # all lengths equal L: k0 = E(I_p + 3 I_i)/L
-    assert_allclose(b.k_theta0, 4 * 41000.0 * 0.0312 / 44.3, rtol=1e-12)
-    assert_allclose(b.k_theta_s, 41000.0 * 0.0010 / 22.15, rtol=1e-12)
-    assert b.k_theta0 == pytest.approx(115.52, rel=1e-3)
-    assert b.k_theta_s == pytest.approx(1.851, rel=1e-3)
+    _, _, k0, k1, k2 = stiffness_kernel(bench, 0.0, 22.15, TH0, TH0, TH0)
+    # all lengths equal L: k0 = E(I_p + 3 I_i)/L; each half is twice as stiff
+    assert_allclose(k0, 4 * 41000.0 * 0.0312 / 44.3, rtol=1e-12)
+    assert_allclose([k1, k2], [2 * k0, 2 * k0], rtol=1e-12)
+    assert k0 == pytest.approx(115.52, rel=1e-3)
 
 
 def test_stiffness_positive_interior(bench):
-    b = stiffnesses(bench, 0.3, 10.0, 1.0, 1.3, 1.1)
-    for v in (b.k_theta0, b.k_theta1, b.k_theta2, b.k_theta_s):
+    for v in stiffness_kernel(bench, 0.3, 10.0, 1.0, 1.3, 1.1)[2:]:
         assert v > 0.0
-
-
-def test_stiffness_singular_at_boundaries(bench):
-    with pytest.raises(SingularInsertion):
-        stiffnesses(bench, 0.0, 0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(SingularInsertion):
-        stiffnesses(bench, 0.0, bench.L, 1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +183,28 @@ def test_zero_wire_closed_form(bench, k_zero):
 def test_moment_residuals_at_convergence(bench, k_cal):
     psi = ConfigState(np.radians(40), 0.6)
     phi = solve_equilibrium(bench, psi, 18.0, k_cal)
-    m1, m1p, m2, ms, lam = equilibrium_moments(bench, psi, 18.0, k_cal, phi)
+    m1, m1p, m2, ms, lam = equilibrium_moments(bench, psi.theta, psi.delta, 18.0, k_cal,
+                                               phi.theta_s, phi.theta_prime)
     scale = max(1.0, abs(m1))
     assert abs(m1 - m1p) < 1e-9 * scale
     assert abs(m1p + m2 + ms - lam) < 1e-9 * scale
+
+
+def test_batched_solve_rejects_non_finite_sample(bench, k_cal):
+    qs = np.linspace(0.0, 40.0, 6)
+    qs[3] = np.nan
+    with pytest.raises(ValidationError, match=r"sample 3: \(theta, delta, q_s\) = .*nan"):
+        micro_trajectory(bench, ConfigState(np.radians(30), 0.0), qs, k_cal)
+    with pytest.raises(ValidationError, match="sample 1"):
+        _solve_equilibrium_arrays(bench, [1.0, np.inf, np.nan], 0.0, 10.0, k_cal)
+
+
+@pytest.mark.parametrize("bad", [3.5, -0.2, 0.0, np.pi])
+def test_batched_solve_rejects_theta_outside_range(bench, k_cal, bad):
+    # the same rule ConfigState enforces on a single configuration
+    pattern = r"sample 2: \(theta, delta, q_s\) = \(" + f"{bad:.6g}"
+    with pytest.raises(ValidationError, match=pattern):
+        _solve_equilibrium_arrays(bench, [1.0, 0.5, bad, 1.2], 0.3, 10.0, k_cal)
 
 
 def test_solver_matches_bruteforce_oracle(bench, k_cal, k_zero):
@@ -258,7 +271,8 @@ def test_moment_balance_property(bench, theta, delta, fq, k0, kq):
     psi = ConfigState(theta, delta)
     q_s = fq * bench.L
     phi = solve_equilibrium(bench, psi, q_s, k)
-    m1, m1p, m2, ms, lam = equilibrium_moments(bench, psi, q_s, k, phi)
+    m1, m1p, m2, ms, lam = equilibrium_moments(bench, theta, delta, q_s, k,
+                                               phi.theta_s, phi.theta_prime)
     scale = max(1.0, abs(m1))
     assert abs(m1 - m1p) < 1e-9 * scale
     assert abs(m1p + m2 + ms - lam) < 1e-9 * scale
