@@ -7,20 +7,22 @@ and axis-angle orientation error; a damped Gauss-Newton loop on the
 weighted cost M_lambda = c~^T W c~ / 2N updates the free components of
 (k_lambda0, k_lambda_theta, k_lambda_q) until the relative change of
 M_lambda falls below a threshold.
+
+The loop is batched over the dataset, with or without observed
+orientation: the measurement arrays are stacked once per fit, and each
+evaluated k costs one batched equilibrium solve whose angles give the
+residuals and, once k is accepted, the next identification Jacobian.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NoConvergence,
-    SingularNormalEquations,
-    ValidationError,
-)
-from .kinematics import Pose, _tip_position_arrays, crem_pose
-from .model import ConfigState, RobotParams, UncertaintyParams
+from .errors import NoConvergence, SingularNormalEquations, ValidationError
+from .kinematics import Pose, _pose_arrays
+from .model import ConfigState, RobotParams, UncertaintyParams, _solve_equilibrium_arrays
 from .differential import _COND_LIMIT, _jacobian_arrays
 from .rotations import SMALL_ANGLE, axis_angle
 
@@ -118,6 +120,12 @@ class CalibrationResult:
     eta_flagged: bool
 
 
+def _rotation_residuals(R_bar, R):
+    """alpha_e m_e of R_e = R_bar R^T, (..., 3); exactly zero below SMALL_ANGLE."""
+    alpha, axis = axis_angle(R_bar @ np.swapaxes(R, -1, -2))
+    return np.where((alpha >= SMALL_ANGLE)[..., None], alpha[..., None] * axis, 0.0)
+
+
 def pose_error(measured: Measurement, modeled: Pose) -> np.ndarray:
     """Residual 6-vector [x_bar - x; alpha_e m_e].
 
@@ -129,29 +137,28 @@ def pose_error(measured: Measurement, modeled: Pose) -> np.ndarray:
     c = np.zeros(6)
     c[:3] = measured.x_bar - modeled.p
     if measured.R_bar is not None:
-        alpha, axis = axis_angle(np.asarray(measured.R_bar, dtype=float) @ modeled.R.T)
-        if alpha >= SMALL_ANGLE:
-            c[3:] = alpha * axis
+        c[3:] = _rotation_residuals(np.asarray(measured.R_bar, dtype=float), modeled.R)
     return c
 
 
 def default_weight_blocks(measurements, w_rot: float = 10.0) -> np.ndarray:
     """Diagonal per-measurement weights from the observation masks, (N, 6, 6)."""
-    N = len(measurements)
-    W = np.zeros((N, 6, 6))
-    for j, m in enumerate(measurements):
-        d = np.where(m.obs_mask, np.concatenate([np.ones(3), w_rot * np.ones(3)]), 0.0)
-        W[j] = np.diag(d)
+    mask = np.array([m.obs_mask for m in measurements], dtype=bool).reshape(-1, 6)
+    W = np.zeros((len(mask), 6, 6))
+    W[:, range(6), range(6)] = np.where(mask, np.repeat([1.0, w_rot], 3), 0.0)
     return W
+
+
+def _weighted_cost(c, W):
+    """(W c per measurement, M_lambda = c~^T W c~ / 2N) of (N, 6) residuals."""
+    Wc = (W @ c[..., None])[..., 0]
+    return Wc, float(np.sum(c * Wc) / (2.0 * c.shape[0]))
 
 
 def aggregate(residuals, weight_blocks) -> tuple[np.ndarray, float]:
     """Stack per-measurement residuals and evaluate M_lambda = c~^T W c~ / 2N."""
     c = np.asarray(residuals, dtype=float)
-    N = c.shape[0]
-    Wc = (np.asarray(weight_blocks) @ c[..., None])[..., 0]
-    M = float(np.sum(c * Wc) / (2.0 * N))
-    return c.reshape(-1), M
+    return c.reshape(-1), _weighted_cost(c, np.asarray(weight_blocks))[1]
 
 
 def _commands(measurements):
@@ -161,33 +168,49 @@ def _commands(measurements):
             np.array([m.q_s for m in measurements]))
 
 
+class _Dataset(NamedTuple):
+    """Measurement arrays, stacked once per fit."""
+
+    commands: tuple  # (theta, delta, q_s), each (N,)
+    x_bar: np.ndarray  # (N, 3)
+    pos_mask: np.ndarray  # (N, 3) observed position components
+    rot: np.ndarray  # indices of the measurements with an observed R_bar
+    R_bar: np.ndarray  # (len(rot), 3, 3)
+
+
+def _stack(measurements) -> _Dataset:
+    rot = np.array([j for j, m in enumerate(measurements) if m.R_bar is not None], dtype=int)
+    return _Dataset(_commands(measurements),
+                    np.stack([m.x_bar for m in measurements]),
+                    np.stack([m.obs_mask[:3] for m in measurements]), rot,
+                    np.array([measurements[j].R_bar for j in rot], dtype=float).reshape(-1, 3, 3))
+
+
+def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
+    """(N, 6) residuals and the equilibrium angles (theta_s, theta_prime) they rest on."""
+    theta, delta, q_s = data.commands
+    th_s, th_p = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
+    p, (_, R_c), (_, R_gc) = _pose_arrays(params, th_s, th_p + (np.pi / 2.0 - th_s), delta, q_s)
+    c = np.zeros((len(theta), 6))
+    c[:, :3] = data.x_bar - p
+    if data.rot.size:
+        c[data.rot, 3:] = _rotation_residuals(data.R_bar, R_c[data.rot] @ R_gc[data.rot])
+    return c, (th_s, th_p)
+
+
 def _residual_matrix(measurements, params: RobotParams, k: UncertaintyParams) -> np.ndarray:
-    """(N, 6) residuals; batched when no orientations are observed."""
-    if any(m.R_bar is not None for m in measurements):
-        rows = []
-        for j, m in enumerate(measurements):
-            try:
-                pose = crem_pose(params, m.psi, m.q_s, k).tip
-            except NoConvergence as e:
-                raise NoConvergence(f"measurement {j}: {e}") from e
-            rows.append(pose_error(m, pose))
-        return np.asarray(rows)
-    x_bar = np.stack([m.x_bar for m in measurements])
-    try:
-        p, _, _ = _tip_position_arrays(params, *_commands(measurements), k)
-    except NoConvergence as e:
-        raise NoConvergence(f"while evaluating dataset residuals: {e}") from e
-    c = np.zeros((len(measurements), 6))
-    c[:, :3] = x_bar - p
-    return c
+    """(N, 6) residuals [x_bar - x; alpha_e m_e] of the measurements at k."""
+    return _residuals(_stack(measurements), params, k)[0]
+
+
+def _rmse_um(c, pos_mask) -> float:
+    sq = np.sum(np.where(pos_mask, c[:, :3], 0.0) ** 2, axis=1)
+    return 1000.0 * float(np.sqrt(np.mean(sq)))
 
 
 def position_rmse_um(residuals, measurements) -> float:
     """RMSE over the observed position components, micrometres."""
-    c = np.asarray(residuals, dtype=float)[:, :3]
-    mask = np.stack([m.obs_mask[:3] for m in measurements])
-    sq = np.sum(np.where(mask, c, 0.0) ** 2, axis=1)
-    return 1000.0 * float(np.sqrt(np.mean(sq)))
+    return _rmse_um(np.asarray(residuals, dtype=float), _stack(measurements).pos_mask)
 
 
 def identification_jacobian(
@@ -233,28 +256,26 @@ def nls_estimate(
     H = np.eye(3) if config.H is None else np.asarray(config.H, dtype=float)
     idx = config.free_indices
 
+    data = _stack(measurements)
     k_vec = k0.as_array().astype(float)
 
     def evaluate(kv):
-        k = UncertaintyParams.from_array(kv)
-        c = _residual_matrix(measurements, params, k)
-        c_tilde, M = aggregate(c, W)
-        return c, c_tilde, M
+        c, angles = _residuals(data, params, UncertaintyParams.from_array(kv))
+        return (c, *_weighted_cost(c, W), angles)
 
-    c, c_tilde, M = evaluate(k_vec)
+    c, Wc, M, angles = evaluate(k_vec)
     trace = [IterationRecord(0, UncertaintyParams.from_array(k_vec),
-                             position_rmse_um(c, measurements), M)]
+                             _rmse_um(c, data.pos_mask), M)]
     eta = config.eta
     flagged = False
-    converged = False
 
     for iteration in range(1, config.max_iter + 1):
-        J = identification_jacobian(
-            measurements, params, UncertaintyParams.from_array(k_vec), config.free_params
-        )
-        Jb = J.reshape(len(measurements), 6, len(idx))
+        # J_k at the angles of the residuals at k_vec: no second solve
+        J_k = _jacobian_arrays(params, *data.commands, UncertaintyParams.from_array(k_vec),
+                               angles).J_k
+        Jb = -J_k[:, :, idx]
         JtW = np.einsum("nij,nik->jk", Jb, W @ Jb)
-        JtWc = np.einsum("nij,ni->j", Jb, (W @ c[..., None])[..., 0])
+        JtWc = np.einsum("nij,ni->j", Jb, Wc)
         cond = np.linalg.cond(JtW)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularNormalEquations(
@@ -263,29 +284,25 @@ def nls_estimate(
             )
         delta_free = np.linalg.solve(JtW, JtWc)
 
-        accepted = False
         for _ in range(_MAX_STEP_RETRIES):
             k_cand = k_vec.copy()
             k_cand[idx] -= (H[np.ix_(idx, idx)] @ (eta * delta_free))
-            c_cand, c_tilde_cand, M_cand = evaluate(k_cand)
-            if M_cand <= M * (1.0 + 1e-12):
-                accepted = True
+            cand = evaluate(k_cand)
+            if cand[2] <= M * (1.0 + 1e-12):
                 break
             eta *= 0.5
             flagged = True
-        if not accepted:
+        else:
             # cost cannot be reduced further along this direction
-            k_cand, c_cand, M_cand = k_vec, c, M
+            k_cand, cand = k_vec, (c, Wc, M, angles)
 
-        rel = abs(M_cand - M) / max(M, np.finfo(float).tiny)
-        k_vec, c, M = k_cand, c_cand, M_cand
+        rel = abs(cand[2] - M) / max(M, np.finfo(float).tiny)
+        k_vec, (c, Wc, M, angles) = k_cand, cand
         trace.append(IterationRecord(iteration, UncertaintyParams.from_array(k_vec),
-                                     position_rmse_um(c, measurements), M))
+                                     _rmse_um(c, data.pos_mask), M))
         if rel < config.beta_conv or M < _M_FLOOR:
-            converged = True
             break
-
-    if not converged:
+    else:
         raise NoConvergence(
             f"identification not converged after {config.max_iter} iterations "
             f"(M_lambda {M:.6g})"
@@ -293,7 +310,7 @@ def nls_estimate(
     return CalibrationResult(
         k_star=UncertaintyParams.from_array(k_vec),
         trace=trace,
-        converged=converged,
+        converged=True,
         eta_final=eta,
         eta_flagged=flagged,
     )

@@ -121,6 +121,15 @@ def _stiffness_terms(params: RobotParams, theta, delta, q_s, th_s, th_p):
     }
 
 
+def _cond_2x2(M):
+    """Spectral condition numbers sigma_max^2 / |det M| of (..., 2, 2) M; inf if singular."""
+    # sigma_max^2 + sigma_min^2 = |M|_F^2 = F and sigma_max sigma_min = |det M|
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    F = np.sum(M * M, axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (F + np.sqrt(np.maximum(F * F - 4.0 * det * det, 0.0))) / (2.0 * np.abs(det))
+
+
 def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams,
                          th_s, th_p):
     """Vectorized d phi / d(theta, delta, q_s, k), stacked as (..., 2, 6).
@@ -171,7 +180,7 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     M[..., 1, 0] = -g_ths[1] - g_thp[1]
     M[..., 1, 1] = -k1 - g_thp[1]
 
-    cond = np.linalg.cond(M)
+    cond = _cond_2x2(M)
     if np.any(~np.isfinite(cond)) or np.any(cond > _COND_LIMIT):
         raise SingularGradient(
             f"equilibrium sensitivity matrix condition {np.max(cond):.3g} exceeds {_COND_LIMIT:.0e}"
@@ -325,9 +334,12 @@ class _JacobianArrays(NamedTuple):
         return self.J_xi_phi @ self.grads[..., 3:6]
 
 
-def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams):
-    """Solve the equilibria and differentiate them; see _JacobianArrays."""
-    th_s, th_p = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
+def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, angles=None):
+    """Differentiate the equilibria at the solved angles (theta_s, theta_prime),
+    solving for them first when angles is None; see _JacobianArrays."""
+    if angles is None:
+        angles = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
+    th_s, th_p = angles
     theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
     th_e = th_p + (np.pi / 2.0 - th_s)
     grads = _phi_gradient_arrays(params, theta, delta, q_s, k, th_s, th_p)

@@ -233,17 +233,19 @@ def _solve_equilibrium_arrays(
     falls below tol in both components.  Returns (theta_s, theta_prime)
     broadcast over the inputs.  Every sample must satisfy the ConfigState
     rules and 0 <= q_s <= L; the first that does not (NaN included) is
-    rejected by its flat index before any sweep.
+    rejected by its flat index before any sweep.  NoConvergence names the
+    sample with the largest last step the same way.
     """
     theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
     ok = ((theta > 0.0) & (theta < math.pi) & (delta > -math.pi) & (delta <= math.pi)
           & (q_s >= 0.0) & (q_s <= params.L))
+
+    def sample(i):
+        return (f"sample {i}: (theta, delta, q_s) = ({theta.flat[i]:.6g}, "
+                f"{delta.flat[i]:.6g}, {q_s.flat[i]:.6g})")
+
     if not np.all(ok):
-        i = int(np.argmin(ok))
-        raise ValidationError(
-            f"sample {i}: (theta, delta, q_s) = ({theta.flat[i]:.6g}, {delta.flat[i]:.6g}, "
-            f"{q_s.flat[i]:.6g}) outside (0, pi) x (-pi, pi] x [0, L]"
-        )
+        raise ValidationError(f"{sample(int(np.argmin(ok)))} outside (0, pi) x (-pi, pi] x [0, L]")
     th0 = params.theta0
     lam = np.asarray(uncertainty_lambda(k, q_s, theta), dtype=float)
 
@@ -285,9 +287,10 @@ def _solve_equilibrium_arrays(
             damp = max(damp * 0.5, _DAMP_FLOOR)
         prev_step = step
     else:
+        worst = int(np.argmax(np.maximum(np.abs(ds), np.abs(dp))))
         raise NoConvergence(
-            f"equilibrium fixed point not converged after {max_iter} iterations "
-            f"(last step {step:.3g} rad)"
+            f"{sample(worst)}: equilibrium fixed point not converged after {max_iter} "
+            f"iterations (last step {step:.3g} rad)"
         )
 
     # analytic limit for vanishing insertion: the inserted side stiffens

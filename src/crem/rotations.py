@@ -1,7 +1,8 @@
 """Small rotation-matrix toolbox.
 
 All functions broadcast over leading dimensions: scalars give (3, 3),
-an array of angles of shape S gives S + (3, 3).
+an array of angles of shape S gives S + (3, 3), and the axis-angle maps
+take a stack of shape S + (3, 3).
 """
 from __future__ import annotations
 
@@ -47,43 +48,40 @@ def unskew(m):
 
 
 def axis_angle(R):
-    """Rotation angle and unit axis of a single rotation matrix.
+    """Rotation angles alpha, shape S, and unit axes, S + (3,), of R (S + (3, 3)).
 
-    Returns (alpha, axis) with alpha in [0, pi].  alpha is recovered from
-    atan2(|skew part|, trace), which stays accurate at both ends of the
-    range.  Near alpha = pi the axis comes from the symmetric part
-    (R + I)/2 = m m^T + s (I - m m^T), s = (1 + cos alpha)/2, solved
-    exactly for m m^T; the skew part only fixes the sign there.
+    alpha in [0, pi] is recovered from atan2(|skew part|, trace), which
+    stays accurate at both ends of the range.  Near alpha = pi the axis
+    comes from the symmetric part (R + I)/2 = m m^T + s (I - m m^T),
+    s = (1 + cos alpha)/2, solved exactly for m m^T; the skew part only
+    fixes the sign there, and at alpha = pi exactly the largest component
+    is made positive.  Without any skew part (the identity) the axis is +z.
     """
     R = np.asarray(R, dtype=float)
-    v = unskew(R - R.T) / 2.0  # sin(alpha) * axis
-    sin_a = float(np.linalg.norm(v))
-    cos_a = float(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
-    alpha = float(np.arctan2(sin_a, cos_a))
-    if alpha < SMALL_ANGLE:
-        # axis ill-defined; caller usually only needs alpha * axis ~ v
-        return alpha, np.array([0.0, 0.0, 1.0]) if sin_a == 0.0 else v / sin_a
-    if alpha > np.pi - NEAR_PI:
-        s = (1.0 + cos_a) / 2.0
-        outer = ((R + R.T) / 2.0 + np.eye(3)) / 2.0  # = m m^T + s (I - m m^T)
-        outer = (outer - s * np.eye(3)) / (1.0 - s)
-        j = int(np.argmax(np.diag(outer)))
-        axis = outer[:, j] / np.sqrt(outer[j, j])
-        if sin_a > 0.0 and float(axis @ v) < 0.0:
-            axis = -axis
-        elif sin_a == 0.0:
-            # alpha = pi exactly: +-axis equivalent, pick a canonical sign
-            k = int(np.argmax(np.abs(axis)))
-            if axis[k] < 0.0:
-                axis = -axis
-        return alpha, axis
-    return alpha, v / sin_a
+    v = unskew(R - np.swapaxes(R, -1, -2)) / 2.0  # sin(alpha) * axis
+    # |v| by matmul: the same rounding as np.linalg.norm of one vector
+    sin_a = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+    cos_a = np.minimum(np.maximum((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0), 1.0)
+    alpha = np.arctan2(sin_a, cos_a)
+    axis = v / np.where(sin_a == 0.0, 1.0, sin_a)[..., None]
+    axis[sin_a == 0.0] = (0.0, 0.0, 1.0)
+    near = alpha > np.pi - NEAR_PI
+    if near.any():
+        s = ((1.0 + cos_a[near]) / 2.0)[:, None, None]
+        outer = ((R[near] + np.swapaxes(R[near], -1, -2)) / 2.0 + np.eye(3)) / 2.0
+        outer = (outer - s * np.eye(3)) / (1.0 - s)  # = m m^T
+        diag = np.diagonal(outer, axis1=-2, axis2=-1)
+        rows, j = np.arange(diag.shape[0]), np.argmax(diag, axis=-1)
+        m = outer[rows, :, j] / np.sqrt(diag[rows, j])[:, None]
+        largest = m[rows, np.argmax(np.abs(m), axis=-1)]
+        flip = np.where(sin_a[near] > 0.0, np.sum(m * v[near], axis=-1) < 0.0, largest < 0.0)
+        axis[near] = np.where(flip[:, None], -m, m)
+    return alpha, axis
 
 
 def axis_angle_vector(R):
-    """Rotation vector alpha * axis of a single rotation matrix."""
+    """Rotation vectors alpha * axis (below SMALL_ANGLE the skew part, exact to O(alpha^3))."""
+    R = np.asarray(R, dtype=float)
     alpha, axis = axis_angle(R)
-    if alpha < SMALL_ANGLE:
-        # first-order: the skew part itself, exact to O(alpha^3)
-        return unskew(np.asarray(R, dtype=float) - np.asarray(R).T) / 2.0
-    return alpha * axis
+    return np.where((alpha < SMALL_ANGLE)[..., None], unskew(R - np.swapaxes(R, -1, -2)) / 2.0,
+                    alpha[..., None] * axis)

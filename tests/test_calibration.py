@@ -21,8 +21,9 @@ from crem import (
     split_at_turning_point,
     turning_point_index,
 )
-from crem.calibration import position_rmse_um
+from crem.calibration import _residual_matrix, position_rmse_um
 from crem.kinematics import Pose
+from crem.rotations import NEAR_PI, SMALL_ANGLE
 
 from conftest import oracle_rotation
 
@@ -385,3 +386,69 @@ def test_split_at_turning_point(bench, hairpin):
     mono = ms[: i // 2]
     pre2, post2 = split_at_turning_point(mono)
     assert len(pre2) == len(mono) and post2 == []
+
+
+# ---------------------------------------------------------------------------
+# batched residuals, one solve per evaluated k
+
+
+def test_batched_residuals_equal_per_sample_pose_error(bench, k_cal):
+    # R_bar absent and present, a partial mask, and orientation errors past
+    # the near-pi switch and below the zero-rotation snap
+    rng = np.random.default_rng(11)
+    axis = np.array([0.6, -0.48, 0.64])
+    part = np.array([True, True, False, True, False, True])
+    rows = [
+        (np.radians(40), 0.3, 12.0, None, None),
+        (np.radians(70), -1.1, 30.0, 0.3, None),
+        (np.radians(25), 2.0, 21.0, np.pi - 0.1 * NEAR_PI, None),
+        (TH0, 0.0, 5.0, 0.1 * SMALL_ANGLE, None),
+        (np.radians(55), -0.4, 40.0, 1.2, part),
+        (np.radians(35), 1.0, 0.0, None, part[:3].tolist() + [False] * 3),
+    ]
+    ms = []
+    for theta, delta, q_s, alpha, mask in rows:
+        psi = ConfigState(theta, delta)
+        tip = crem_pose(bench, psi, q_s, k_cal).tip
+        R_bar = None if alpha is None else oracle_rotation(axis, alpha) @ tip.R
+        ms.append(Measurement(psi=psi, q_s=q_s, x_bar=tip.p + 0.01 * rng.standard_normal(3),
+                              R_bar=R_bar, obs_mask=mask))
+    c = _residual_matrix(ms, bench, k_cal)
+    ref = np.stack([pose_error(m, crem_pose(bench, m.psi, m.q_s, k_cal).tip) for m in ms])
+    assert np.max(np.abs(c - ref)) <= 1e-12
+    assert np.linalg.norm(c[2, 3:]) > np.pi - NEAR_PI
+    assert np.all(c[3, 3:] == 0.0)
+
+
+def test_one_equilibrium_solve_per_evaluated_k(bench, monkeypatch):
+    import crem.calibration
+    import crem.differential
+    import crem.kinematics
+    import crem.model
+
+    k_true = UncertaintyParams(0.2, 0.0, 0.025)
+    rng = np.random.default_rng(3)
+    ms = make_measurements(bench, np.radians(45), 0.0, np.linspace(0.0, 40.0, 24), k_true,
+                           sigma=0.002, rng=rng)
+    ms += make_measurements(bench, np.radians(60), 0.5, np.linspace(2.0, 38.0, 8), k_true,
+                            with_R=True)
+    solve = crem.calibration._solve_equilibrium_arrays
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("equilibrium solved outside the residual evaluation")
+
+    monkeypatch.setattr(crem.calibration, "_solve_equilibrium_arrays", counting)
+    for module in (crem.differential, crem.kinematics, crem.model):
+        monkeypatch.setattr(module, "_solve_equilibrium_arrays", forbidden)
+    # H = 4 overshoots: some candidate steps are rejected and eta halves
+    cfg = CalibrationConfig(eta=1.0, H=4.0 * np.eye(3))
+    res = nls_estimate(ms, bench, cfg, UncertaintyParams.zero())
+    rejected = int(round(np.log2(cfg.eta / res.eta_final)))
+    assert res.converged and rejected > 0
+    # the start, every accepted step and every rejected candidate
+    assert len(calls) == len(res.trace) + rejected

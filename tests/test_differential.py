@@ -9,6 +9,7 @@ from crem import (
     ConfigState,
     EquilibriumConfig,
     RobotParams,
+    SingularGradient,
     UncertaintyParams,
     assemble_motion_jacobians,
     assemble_xi_jacobians,
@@ -19,7 +20,13 @@ from crem import (
     phi_gradients,
     solve_equilibrium,
 )
-from crem.differential import _chi_abc, _jacobian_arrays, finite_difference_jacobian
+from crem import differential
+from crem.differential import (
+    _chi_abc,
+    _cond_2x2,
+    _jacobian_arrays,
+    finite_difference_jacobian,
+)
 from crem.kinematics import _tip_position_arrays, pose_from_phi
 from crem.model import backbone_lengths
 from conftest import equilibrium_moments
@@ -330,3 +337,40 @@ def test_batched_core_equals_scalar_api(bench, samples, k0, kq):
         assert _close(J_M[i], js.J_M)
         assert _close(J_mu[i], js.J_mu)
         assert _close(J_k[i], js.J_k)
+
+
+# ---------------------------------------------------------------------------
+# conditioning of the sensitivity matrix
+
+
+def test_closed_form_cond_matches_numpy():
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((2000, 2, 2))
+    ref = np.linalg.cond(M)
+    # on a general matrix both sides lose ~eps * cond to cancellation in det
+    keep = ref < 1e3
+    assert_allclose(_cond_2x2(M[keep]), ref[keep], rtol=1e-12)
+    # ill-conditioned and upper triangular, like the sensitivity matrix
+    # (its [1, 0] entry cancels exactly), where both stay accurate
+    T = np.zeros((2000, 2, 2))
+    T[:, 0, 0] = 10.0 ** rng.uniform(-6, 6, 2000)
+    T[:, 0, 1] = rng.standard_normal(2000) * 10.0 ** rng.uniform(-6, 6, 2000)
+    T[:, 1, 1] = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-6, 6, 2000)
+    ref = np.linalg.cond(T)
+    assert np.max(ref) > 1e15
+    assert_allclose(_cond_2x2(T), ref, rtol=1e-12)
+
+
+def test_singular_sensitivity_matrix_raises(bench, k_cal, monkeypatch):
+    # without empty-arc stiffness the theta_prime column of M vanishes
+    terms = differential._stiffness_terms
+
+    def no_empty_arc(*args):
+        t = terms(*args)
+        for key in ("k1", "k1_qs", "k1_ths", "k1_thp", "k1_delta"):
+            t[key] = np.zeros_like(t[key])
+        return t
+
+    monkeypatch.setattr(differential, "_stiffness_terms", no_empty_arc)
+    with pytest.raises(SingularGradient, match="condition inf"):
+        assemble_motion_jacobians(bench, ConfigState(np.radians(40), 0.2), 15.0, k_cal)

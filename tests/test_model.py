@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from crem import (
     ConfigState,
     EquilibriumConfig,
+    NoConvergence,
     NonPhysicalLength,
     RobotParams,
     UncertaintyParams,
@@ -205,6 +206,15 @@ def test_batched_solve_rejects_theta_outside_range(bench, k_cal, bad):
     pattern = r"sample 2: \(theta, delta, q_s\) = \(" + f"{bad:.6g}"
     with pytest.raises(ValidationError, match=pattern):
         _solve_equilibrium_arrays(bench, [1.0, 0.5, bad, 1.2], 0.3, 10.0, k_cal)
+
+
+def test_batched_solve_no_convergence_names_the_sample(bench, k_zero):
+    # straight samples take a zero first step; the bent one cannot settle in one sweep
+    theta = np.full(5, TH0)
+    theta[3] = np.radians(40)
+    pattern = r"sample 3: \(theta, delta, q_s\) = \(0\.698132, 0\.2, 15\): .*not converged"
+    with pytest.raises(NoConvergence, match=pattern):
+        _solve_equilibrium_arrays(bench, theta, 0.2, 15.0, k_zero, max_iter=1)
 
 
 def test_solver_matches_bruteforce_oracle(bench, k_cal, k_zero):

@@ -75,3 +75,28 @@ def test_identity_rotation():
     al, a = axis_angle(np.eye(3))
     assert al == 0.0
     assert np.all(np.isfinite(a))
+
+
+ANGLES = st.one_of(st.floats(0.0, np.pi), st.sampled_from([0.0, 1e-9, np.pi - 1e-6, np.pi]))
+
+
+@given(samples=st.lists(st.tuples(UNIT_AXES, ANGLES, st.booleans()), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_batched_axis_angle_equals_per_matrix(samples):
+    Rs = []
+    for axis, alpha, symmetric in samples:
+        axis = axis / np.linalg.norm(axis)
+        if alpha == np.pi and symmetric:
+            # alpha = pi exactly with an exactly zero skew part
+            Rs.append(2.0 * np.outer(axis, axis) - np.eye(3))
+        else:
+            Rs.append(oracle_rotation(axis, alpha))
+    Rs = np.stack(Rs)
+    alpha, axis = axis_angle(Rs)
+    vec = axis_angle_vector(Rs)
+    assert alpha.shape == (len(Rs),) and axis.shape == vec.shape == (len(Rs), 3)
+    for i, R in enumerate(Rs):
+        a, m = axis_angle(R)
+        assert abs(alpha[i] - a) <= 1e-15
+        assert_allclose(axis[i], m, rtol=0, atol=1e-15)
+        assert_allclose(vec[i], axis_angle_vector(R), rtol=0, atol=1e-15)
