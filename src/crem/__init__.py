@@ -19,7 +19,6 @@ from .model import (
     EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
-    backbone_lengths,
     projected_offsets,
     solve_equilibrium,
     uncertainty_lambda,
@@ -27,7 +26,6 @@ from .model import (
 from .kinematics import (
     Pose,
     SegmentedPose,
-    compose,
     crem_pose,
     micro_trajectory,
     pose_from_phi,
@@ -35,27 +33,21 @@ from .kinematics import (
 )
 from .differential import (
     JacobianSet,
-    PhiGradients,
-    XiJacobians,
     assemble_motion_jacobians,
-    assemble_xi_jacobians,
     fd_discrepancies,
     finite_difference_jacobian,
     jacobian_partitions,
-    phi_gradients,
 )
 from .calibration import (
     CalibrationConfig,
     CalibrationResult,
     IterationRecord,
     Measurement,
-    aggregate,
     default_weight_blocks,
     direction_reversals,
     identification_jacobian,
     nls_estimate,
     pose_error,
-    position_rmse_um,
     principal_direction,
     split_at_turning_point,
     turning_point_index,

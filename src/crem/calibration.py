@@ -22,7 +22,13 @@ import numpy as np
 
 from .errors import NoConvergence, SingularNormalEquations, ValidationError
 from .kinematics import Pose, _pose_arrays
-from .model import ConfigState, RobotParams, UncertaintyParams, _solve_equilibrium_arrays
+from .model import (
+    ConfigState,
+    RobotParams,
+    UncertaintyParams,
+    _solve_equilibrium_arrays,
+    _theta_eps,
+)
 from .differential import _COND_LIMIT, _jacobian_arrays
 from .rotations import SMALL_ANGLE, axis_angle
 
@@ -90,6 +96,8 @@ class CalibrationConfig:
             raise ValidationError("beta_conv must be positive")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
+        if not (self.w_rot >= 0.0 and np.isfinite(self.w_rot)):
+            raise ValidationError(f"w_rot must be finite and >= 0, got {self.w_rot}")
         for name in self.free_params:
             if name not in PARAM_NAMES:
                 raise ValidationError(f"unknown free parameter {name!r}")
@@ -155,12 +163,6 @@ def _weighted_cost(c, W):
     return Wc, float(np.sum(c * Wc) / (2.0 * c.shape[0]))
 
 
-def aggregate(residuals, weight_blocks) -> tuple[np.ndarray, float]:
-    """Stack per-measurement residuals and evaluate M_lambda = c~^T W c~ / 2N."""
-    c = np.asarray(residuals, dtype=float)
-    return c.reshape(-1), _weighted_cost(c, np.asarray(weight_blocks))[1]
-
-
 def _commands(measurements):
     """Commanded (theta, delta, q_s) of the measurements as arrays."""
     return (np.array([m.psi.theta for m in measurements]),
@@ -190,7 +192,7 @@ def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
     """(N, 6) residuals and the equilibrium angles (theta_s, theta_prime) they rest on."""
     theta, delta, q_s = data.commands
     th_s, th_p = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
-    p, (_, R_c), (_, R_gc) = _pose_arrays(params, th_s, th_p + (np.pi / 2.0 - th_s), delta, q_s)
+    p, (_, R_c), (_, R_gc) = _pose_arrays(params, th_s, _theta_eps(th_s, th_p), delta, q_s)
     c = np.zeros((len(theta), 6))
     c[:, :3] = data.x_bar - p
     if data.rot.size:
@@ -204,13 +206,9 @@ def _residual_matrix(measurements, params: RobotParams, k: UncertaintyParams) ->
 
 
 def _rmse_um(c, pos_mask) -> float:
+    """RMSE over the observed position components of (N, 6) residuals, micrometres."""
     sq = np.sum(np.where(pos_mask, c[:, :3], 0.0) ** 2, axis=1)
     return 1000.0 * float(np.sqrt(np.mean(sq)))
-
-
-def position_rmse_um(residuals, measurements) -> float:
-    """RMSE over the observed position components, micrometres."""
-    return _rmse_um(np.asarray(residuals, dtype=float), _stack(measurements).pos_mask)
 
 
 def identification_jacobian(

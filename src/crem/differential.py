@@ -38,32 +38,13 @@ from .model import (
     _broadcast_samples,
     _sigma,
     _solve_equilibrium_arrays,
+    _theta_eps,
     projected_offsets,
-    solve_equilibrium,
 )
 from .rotations import axis_angle_vector
 
 # condition number above which a 2x2 or normal-equation solve is refused
 _COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True, eq=False)
-class PhiGradients:
-    """Sensitivities of phi = (theta_s, theta_eps) to the model inputs."""
-
-    d_phi_d_theta: np.ndarray
-    d_phi_d_delta: np.ndarray
-    d_phi_d_qs: np.ndarray
-    d_phi_d_k: np.ndarray  # (2, 3) columns ordered (k_lambda0, k_lambda_theta, k_lambda_q)
-
-
-@dataclass(frozen=True, eq=False)
-class XiJacobians:
-    """Body twist of the tip per unit change of (phi, delta, q_s)."""
-
-    J_xi_phi: np.ndarray  # (6, 2)
-    J_xi_delta: np.ndarray  # (6,)
-    J_xi_qs: np.ndarray  # (6,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +54,13 @@ class JacobianSet:
     J_M: np.ndarray  # (6, n) tip twist per secondary-backbone displacement
     J_mu: np.ndarray  # (6,) tip twist per insertion depth
     J_k: np.ndarray  # (6, 3) tip twist per uncertainty parameter
-    J_xi_phi: np.ndarray
-    J_xi_delta: np.ndarray
-    J_xi_qs: np.ndarray
+    J_xi_phi: np.ndarray  # (6, 2) tip twist per (theta_s, theta_eps) at fixed equilibrium
+    J_xi_delta: np.ndarray  # (6,)
+    J_xi_qs: np.ndarray  # (6,)
     J_q_psi: np.ndarray  # (n, 2)
     phi: EquilibriumConfig
-    gradients: PhiGradients
+    # (2, 6) d phi / d(theta, delta, q_s, k_lambda0, k_lambda_theta, k_lambda_q)
+    d_phi: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +270,6 @@ def _xi_jacobian_arrays(params: RobotParams, th_s, th_e, delta, q_s):
     return J_xi_phi, J_xi_delta, J_xi_qs
 
 
-def assemble_xi_jacobians(
-    params: RobotParams, phi: EquilibriumConfig, delta: float, q_s: float
-) -> XiJacobians:
-    """Tip-twist Jacobians w.r.t. (phi, delta, q_s) at fixed equilibrium."""
-    J_xi_phi, J_xi_delta, J_xi_qs = _xi_jacobian_arrays(
-        params, phi.theta_s, phi.theta_eps, float(delta), float(q_s)
-    )
-    return XiJacobians(J_xi_phi=J_xi_phi, J_xi_delta=J_xi_delta, J_xi_qs=J_xi_qs)
-
-
 class _JacobianArrays(NamedTuple):
     """Vectorized constituents of the tip Jacobians at solved equilibria.
 
@@ -341,7 +313,7 @@ def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParam
         angles = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
     th_s, th_p = angles
     theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
-    th_e = th_p + (np.pi / 2.0 - th_s)
+    th_e = _theta_eps(th_s, th_p)
     grads = _phi_gradient_arrays(params, theta, delta, q_s, k, th_s, th_p)
     xi = _xi_jacobian_arrays(params, th_s, th_e, delta, q_s)
     sig = _sigma(params, delta)
@@ -350,23 +322,6 @@ def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParam
         (params.theta0 - theta)[..., None] * np.sin(sig),
     ], axis=-1)
     return _JacobianArrays(th_s, th_p, th_e, grads, *xi, J_q_psi)
-
-
-def _as_phi_gradients(sol) -> PhiGradients:
-    """PhiGradients of one sample from its (2, 6) sensitivity block."""
-    return PhiGradients(
-        d_phi_d_theta=sol[:, 0].copy(),
-        d_phi_d_delta=sol[:, 1].copy(),
-        d_phi_d_qs=sol[:, 2].copy(),
-        d_phi_d_k=sol[:, 3:6].copy(),
-    )
-
-
-def phi_gradients(
-    params: RobotParams, psi: ConfigState, q_s: float, k: UncertaintyParams
-) -> PhiGradients:
-    """Analytic sensitivities of phi at one configuration."""
-    return _as_phi_gradients(_jacobian_arrays(params, psi.theta, psi.delta, float(q_s), k).grads)
 
 
 def assemble_motion_jacobians(
@@ -390,7 +345,7 @@ def assemble_motion_jacobians(
         J_xi_qs=c.J_xi_qs,
         J_q_psi=c.J_q_psi,
         phi=EquilibriumConfig.from_tip_angle(float(c.th_s), float(c.th_p)),
-        gradients=_as_phi_gradients(c.grads),
+        d_phi=c.grads,
     )
 
 
@@ -438,28 +393,18 @@ def fd_discrepancies(
     """
     js = assemble_motion_jacobians(params, psi, q_s, k)
     phi = js.phi
+    phis = []
 
     def full_pose(x):
         kk = UncertaintyParams(float(x[3]), float(x[4]), float(x[5]))
-        return crem_pose(params, ConfigState(float(x[0]), float(x[1])), float(x[2]), kk).tip
+        sp = crem_pose(params, ConfigState(float(x[0]), float(x[1])), float(x[2]), kk)
+        phis.append(sp.equilibrium.phi())
+        return sp.tip
 
     x0 = np.array([psi.theta, psi.delta, q_s, k.k_lambda0, k.k_lambda_theta, k.k_lambda_q])
     fd_full = finite_difference_jacobian(full_pose, x0, h)
-
-    def phi_vec(x):
-        kk = UncertaintyParams(float(x[3]), float(x[4]), float(x[5]))
-        e = solve_equilibrium(params, ConfigState(float(x[0]), float(x[1])), float(x[2]), kk)
-        return e.phi()
-
-    fd_phi = np.stack([
-        (phi_vec(x0 + dh) - phi_vec(x0 - dh)) / (2.0 * h)
-        for dh in (h * np.eye(6))
-    ], axis=-1)
-
-    g = js.gradients
-    d_phi_analytic = np.column_stack([
-        g.d_phi_d_theta, g.d_phi_d_delta, g.d_phi_d_qs, g.d_phi_d_k
-    ])
+    # full_pose saw x0 + h e_j, then x0 - h e_j, for j = 0..5
+    fd_phi = (np.array(phis[0::2]) - np.array(phis[1::2])).T / (2.0 * h)
 
     def kin_only(x):
         e = EquilibriumConfig(theta_s=float(x[0]), theta_eps=float(x[1]))
@@ -478,5 +423,5 @@ def fd_discrepancies(
         "J_xi_phi": _rel_err(js.J_xi_phi, fd_kin[:, 0:2]),
         "J_xi_delta": _rel_err(js.J_xi_delta, fd_kin[:, 2]),
         "J_xi_qs": _rel_err(js.J_xi_qs, fd_kin[:, 3]),
-        "d_phi": _rel_err(d_phi_analytic, fd_phi),
+        "d_phi": _rel_err(js.d_phi, fd_phi),
     }

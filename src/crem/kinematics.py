@@ -25,6 +25,7 @@ from .model import (
     RobotParams,
     UncertaintyParams,
     _solve_equilibrium_arrays,
+    _theta_eps,
     solve_equilibrium,
 )
 from .rotations import rot_y, rot_z
@@ -39,21 +40,6 @@ class Pose:
 
     p: np.ndarray
     R: np.ndarray
-
-    def homogeneous(self) -> np.ndarray:
-        T = np.eye(4)
-        T[:3, :3] = self.R
-        T[:3, 3] = self.p
-        return T
-
-    def orthonormality_error(self) -> float:
-        return float(np.max(np.abs(self.R.T @ self.R - np.eye(3))))
-
-    def validate(self, tol: float = 1e-12) -> None:
-        if self.p.shape != (3,) or self.R.shape != (3, 3):
-            raise ValidationError("Pose needs p of shape (3,) and R of shape (3, 3)")
-        if self.orthonormality_error() > tol or abs(np.linalg.det(self.R) - 1.0) > tol:
-            raise ValidationError("R is not a rotation matrix within tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,14 +90,9 @@ def _arc_pose(L_x, theta_x, delta_x):
 
 def segment_pose(L_x: float, theta_x: float, delta_x: float) -> Pose:
     """Pose of a single constant-curvature arc (scalar arguments)."""
-    if L_x < 0.0:
-        raise ValidationError(f"arc length must be >= 0, got {L_x}")
+    if not (L_x >= 0.0 and np.isfinite(L_x)):
+        raise ValidationError(f"arc length must be finite and >= 0, got {L_x}")
     return Pose(*_arc_pose(np.float64(L_x), np.float64(theta_x), np.float64(delta_x)))
-
-
-def compose(first: Pose, second: Pose) -> Pose:
-    """Pose of frame c in a, given b in a (first) and c in b (second)."""
-    return Pose(p=first.p + first.R @ second.p, R=first.R @ second.R)
 
 
 def _pose_arrays(params: RobotParams, th_s, th_e, delta, q_s):
@@ -165,7 +146,7 @@ def _tip_position_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     Returns (positions (..., 3), theta_s, theta_prime).
     """
     th_s, th_p = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
-    p, _, _ = _pose_arrays(params, th_s, th_p + (np.pi / 2.0 - th_s), delta, q_s)
+    p, _, _ = _pose_arrays(params, th_s, _theta_eps(th_s, th_p), delta, q_s)
     return p, th_s, th_p
 
 

@@ -156,10 +156,15 @@ class EquilibriumConfig:
 
     @classmethod
     def from_tip_angle(cls, theta_s: float, theta_prime: float) -> "EquilibriumConfig":
-        return cls(theta_s, theta_prime + (math.pi / 2.0 - theta_s))
+        return cls(theta_s, _theta_eps(theta_s, theta_prime))
 
     def phi(self) -> np.ndarray:
         return np.array([self.theta_s, self.theta_eps])
+
+
+def _theta_eps(theta_s, theta_prime):
+    """Empty-subsegment bend angle theta_eps = theta_prime + (pi/2 - theta_s)."""
+    return theta_prime + (np.pi / 2.0 - theta_s)
 
 
 def _sigma(params: RobotParams, delta):
@@ -185,17 +190,6 @@ def _arc_stiffness(params: RobotParams, D, length, bend):
     """
     L_x = np.asarray(length, dtype=float)[..., None] + D * np.asarray(bend)[..., None]
     return L_x, params.EI_p / length + np.sum(params.EI_i / L_x, axis=-1)
-
-
-def backbone_lengths(params: RobotParams, theta, delta):
-    """Secondary backbone lengths L_i = L + Delta_i (theta - theta0)."""
-    L_i, _ = _arc_stiffness(params, projected_offsets(params, delta), params.L,
-                            np.asarray(theta, dtype=float) - params.theta0)
-    if np.any(L_i <= 0.0):
-        raise NonPhysicalLength(
-            f"backbone length <= 0 (min {np.min(L_i):.6g} mm) at theta={theta}"
-        )
-    return L_i
 
 
 def uncertainty_lambda(k: UncertaintyParams, q_s, theta):

@@ -1,4 +1,4 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, test helpers and independent oracles.
 
 The equilibrium oracle here deliberately re-derives the moment balance
 from the raw beam formulas and hands it to a general-purpose root
@@ -12,7 +12,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import root
 
-from crem import RobotParams, UncertaintyParams
+from crem import RobotParams, UncertaintyParams, projected_offsets
+from crem.model import _arc_stiffness
 
 TH0 = np.pi / 2
 
@@ -36,6 +37,12 @@ def k_cal() -> UncertaintyParams:
 @pytest.fixture(scope="session")
 def k_zero() -> UncertaintyParams:
     return UncertaintyParams.zero()
+
+
+def backbone_lengths(params, theta, delta):
+    """Secondary backbone lengths L_i = L + Delta_i (theta - theta0) from the arc kernel."""
+    L_i, _ = _arc_stiffness(params, projected_offsets(params, delta), params.L, theta - TH0)
+    return L_i
 
 
 def equilibrium_moments(params, theta, delta, q_s, k, th_s, th_p):
@@ -83,6 +90,13 @@ def oracle_equilibrium(params, theta, delta, q_s, k, tol=1e-12):
     # moments are O(100) N mm; 1e-8 here means the root is at float depth
     assert np.max(np.abs(residuals(sol.x))) < 1e-8, (sol.message, sol.x)
     return float(sol.x[0]), float(sol.x[1])
+
+
+def assert_valid_pose(pose, tol=1e-12):
+    """p is a 3-vector and R a rotation matrix (orthonormal, det +1) within tol."""
+    assert pose.p.shape == (3,) and pose.R.shape == (3, 3)
+    assert np.max(np.abs(pose.R.T @ pose.R - np.eye(3))) <= tol
+    assert abs(np.linalg.det(pose.R) - 1.0) <= tol
 
 
 def oracle_rotation(axis, alpha):

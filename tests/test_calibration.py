@@ -9,7 +9,6 @@ from crem import (
     SingularNormalEquations,
     UncertaintyParams,
     ValidationError,
-    aggregate,
     crem_pose,
     default_weight_blocks,
     direction_reversals,
@@ -21,7 +20,7 @@ from crem import (
     split_at_turning_point,
     turning_point_index,
 )
-from crem.calibration import _residual_matrix, position_rmse_um
+from crem.calibration import _residual_matrix, _rmse_um, _weighted_cost
 from crem.kinematics import Pose
 from crem.rotations import NEAR_PI, SMALL_ANGLE
 
@@ -107,7 +106,7 @@ def test_measurement_validation():
 def test_aggregate_zero_residuals():
     c = np.zeros((4, 6))
     W = default_weight_blocks([_dummy_measurement() for _ in range(4)])
-    _, M = aggregate(c, W)
+    _, M = _weighted_cost(c, W)
     assert M == 0.0
 
 
@@ -118,7 +117,7 @@ def _dummy_measurement():
 def test_aggregate_single_unit_residual():
     c = np.zeros((1, 6))
     c[0, 0] = 1.0
-    _, M = aggregate(c, np.eye(6)[None])
+    _, M = _weighted_cost(c, np.eye(6)[None])
     assert M == 0.5
 
 
@@ -130,8 +129,8 @@ def test_aggregate_two_configs_hand_computed():
     W = np.zeros((2, 6, 6))
     W[:, 0, 0] = 1.0
     W[:, 1, 1] = 1.0
-    c_tilde, M = aggregate(c, W)
-    assert c_tilde.shape == (12,)
+    Wc, M = _weighted_cost(c, W)
+    assert_allclose(Wc, np.where(np.arange(6) < 2, c, 0.0), atol=0)
     assert_allclose(M, (1.0 + 4.0 + 9.0 + 1.0) / 4.0, rtol=1e-15)
 
 
@@ -148,7 +147,7 @@ def test_position_rmse_respects_mask(bench):
     m = Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
                     obs_mask=np.array([True, True, False, False, False, False]))
     c = np.array([[3.0, 4.0, 1e6, 0.0, 0.0, 0.0]])
-    assert_allclose(position_rmse_um(c, [m]), 5000.0, rtol=1e-12)
+    assert_allclose(_rmse_um(c, m.obs_mask[None, :3]), 5000.0, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +289,14 @@ def test_empty_dataset_rejected(bench):
 def test_eta_validation(eta):
     with pytest.raises(ValidationError):
         CalibrationConfig(eta=eta)
+
+
+@pytest.mark.parametrize("w_rot", [-1.0, np.nan, np.inf])
+def test_w_rot_validation(w_rot):
+    # a negative weight would make J^T W J indefinite
+    with pytest.raises(ValidationError):
+        CalibrationConfig(w_rot=w_rot)
+    CalibrationConfig(w_rot=0.0)
 
 
 def test_free_params_validation():

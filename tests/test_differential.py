@@ -12,12 +12,10 @@ from crem import (
     SingularGradient,
     UncertaintyParams,
     assemble_motion_jacobians,
-    assemble_xi_jacobians,
     crem_pose,
     micro_trajectory,
     fd_discrepancies,
     jacobian_partitions,
-    phi_gradients,
     solve_equilibrium,
 )
 from crem import differential
@@ -25,11 +23,11 @@ from crem.differential import (
     _chi_abc,
     _cond_2x2,
     _jacobian_arrays,
+    _xi_jacobian_arrays,
     finite_difference_jacobian,
 )
 from crem.kinematics import _tip_position_arrays, pose_from_phi
-from crem.model import backbone_lengths
-from conftest import equilibrium_moments
+from conftest import backbone_lengths, equilibrium_moments
 
 TH0 = np.pi / 2
 
@@ -80,20 +78,20 @@ def test_solver_matrices_residual_vanishes(bench, k_cal, theta_deg, q_s):
 
 
 def test_straight_phi_insensitive_to_depth(bench, k_zero):
-    g = phi_gradients(bench, ConfigState(TH0, 0.3), 15.0, k_zero)
-    assert_allclose(g.d_phi_d_qs, 0.0, atol=1e-12)
+    g = assemble_motion_jacobians(bench, ConfigState(TH0, 0.3), 15.0, k_zero).d_phi
+    assert_allclose(g[:, 2], 0.0, atol=1e-12)
 
 
 def test_tip_angle_follows_nominal_angle(bench, k_zero):
-    g = phi_gradients(bench, ConfigState(np.radians(30), 0.0), 20.0, k_zero)
-    d_theta_prime = g.d_phi_d_theta[0] + g.d_phi_d_theta[1]
+    g = assemble_motion_jacobians(bench, ConfigState(np.radians(30), 0.0), 20.0, k_zero).d_phi
+    d_theta_prime = g[0, 0] + g[1, 0]
     assert d_theta_prime > 0.0
 
 
 def test_phi_gradients_match_finite_differences(bench, k_cal):
     psi = ConfigState(np.radians(40), 0.7)
     q_s = 18.0
-    g = phi_gradients(bench, psi, q_s, k_cal)
+    analytic = assemble_motion_jacobians(bench, psi, q_s, k_cal).d_phi
     h = 1e-6
 
     def phi_of(theta, delta, qs, k0, kt, kq):
@@ -103,9 +101,6 @@ def test_phi_gradients_match_finite_differences(bench, k_cal):
 
     x0 = [psi.theta, psi.delta, q_s, k_cal.k_lambda0, k_cal.k_lambda_theta,
           k_cal.k_lambda_q]
-    analytic = np.column_stack([
-        g.d_phi_d_theta, g.d_phi_d_delta, g.d_phi_d_qs, g.d_phi_d_k
-    ])
     for j in range(6):
         xp, xm = list(x0), list(x0)
         xp[j] += h
@@ -116,9 +111,8 @@ def test_phi_gradients_match_finite_differences(bench, k_cal):
 
 def test_boundary_gradients_stay_finite(bench, k_cal):
     for q_s in (0.0, bench.L):
-        g = phi_gradients(bench, ConfigState(np.radians(30), 0.2), q_s, k_cal)
-        for arr in (g.d_phi_d_theta, g.d_phi_d_delta, g.d_phi_d_qs, g.d_phi_d_k):
-            assert np.all(np.isfinite(arr))
+        g = assemble_motion_jacobians(bench, ConfigState(np.radians(30), 0.2), q_s, k_cal).d_phi
+        assert g.shape == (2, 6) and np.all(np.isfinite(g))
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +167,14 @@ def test_partitions_match_single_arc_differences(theta):
 
 
 def test_straight_chain_depth_jacobian_vanishes(bench):
-    phi = EquilibriumConfig(theta_s=TH0, theta_eps=TH0)
-    xi = assemble_xi_jacobians(bench, phi, 0.3, 12.0)
-    assert_allclose(xi.J_xi_qs, 0.0, atol=1e-15)
+    _, _, J_xi_qs = _xi_jacobian_arrays(bench, TH0, TH0, 0.3, 12.0)
+    assert_allclose(J_xi_qs, 0.0, atol=1e-15)
 
 
 def test_xi_phi_column_against_pose_differences(bench):
     phi = EquilibriumConfig(theta_s=1.2, theta_eps=1.45)
     delta, q_s = 0.5, 14.0
-    xi = assemble_xi_jacobians(bench, phi, delta, q_s)
+    J_xi_phi, _, _ = _xi_jacobian_arrays(bench, phi.theta_s, phi.theta_eps, delta, q_s)
     h = 1e-7
     for col, (dts, dte) in enumerate(((1.0, 0.0), (0.0, 1.0))):
         pp = pose_from_phi(bench, EquilibriumConfig(phi.theta_s + h * dts,
@@ -192,19 +185,18 @@ def test_xi_phi_column_against_pose_differences(bench):
                            delta, q_s).tip
         dv = (pp.p - pm.p) / (2.0 * h)
         dw = Rotation.from_matrix(pp.R @ pm.R.T).as_rotvec() / (2.0 * h)
-        assert np.max(np.abs(xi.J_xi_phi[:3, col] - dv)) < 1e-6
-        assert np.max(np.abs(xi.J_xi_phi[3:, col] - dw)) < 1e-6
+        assert np.max(np.abs(J_xi_phi[:3, col] - dv)) < 1e-6
+        assert np.max(np.abs(J_xi_phi[3:, col] - dw)) < 1e-6
 
 
 def test_xi_delta_in_plane_components_vanish(bench):
     # at delta = 0 the bending plane is x-z: swinging it moves the tip out
     # of plane (y) and tilts about in-plane axes only
-    phi = EquilibriumConfig(theta_s=1.1, theta_eps=1.3)
-    xi = assemble_xi_jacobians(bench, phi, 0.0, 17.0)
-    assert abs(xi.J_xi_delta[0]) < 1e-12
-    assert abs(xi.J_xi_delta[2]) < 1e-12
-    assert abs(xi.J_xi_delta[4]) < 1e-12
-    assert abs(xi.J_xi_delta[1]) > 1e-3
+    _, J_xi_delta, _ = _xi_jacobian_arrays(bench, 1.1, 1.3, 0.0, 17.0)
+    assert abs(J_xi_delta[0]) < 1e-12
+    assert abs(J_xi_delta[2]) < 1e-12
+    assert abs(J_xi_delta[4]) < 1e-12
+    assert abs(J_xi_delta[1]) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +231,8 @@ def test_straight_micro_jacobian_vanishes(bench, k_zero):
 
 def test_macro_micro_decoupling_consistency(bench, k_cal):
     js = assemble_motion_jacobians(bench, ConfigState(np.radians(35), 0.6), 16.0, k_cal)
-    col_theta = js.J_xi_phi @ js.gradients.d_phi_d_theta
-    col_delta = js.J_xi_phi @ js.gradients.d_phi_d_delta + js.J_xi_delta
+    col_theta = js.J_xi_phi @ js.d_phi[:, 0]
+    col_delta = js.J_xi_phi @ js.d_phi[:, 1] + js.J_xi_delta
     # J_q_psi has full column rank away from straight, so the pseudo-inverse
     # composition reproduces the (theta, delta) columns exactly
     assert_allclose(js.J_M @ js.J_q_psi,
@@ -268,6 +260,25 @@ def test_fd_agreement_at_straight_boundary(bench, k_zero):
     assert max(errs.values()) < 1e-6, errs
 
 
+def test_fd_discrepancies_solves_each_point_once(bench, k_cal, monkeypatch):
+    # one solve for the analytic Jacobians and one per perturbed point
+    # (+h and -h in each of the six inputs); the d_phi differences reuse them
+    import crem.kinematics
+    import crem.model
+
+    solve = crem.model._solve_equilibrium_arrays
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    for module in (differential, crem.kinematics, crem.model):
+        monkeypatch.setattr(module, "_solve_equilibrium_arrays", counting)
+    fd_discrepancies(bench, ConfigState(np.radians(40), 0.3), 15.0, k_cal)
+    assert len(calls) == 1 + 12
+
+
 def test_fd_helper_on_known_map():
     def f(x):
         from crem.kinematics import Pose
@@ -288,11 +299,11 @@ def test_fd_helper_on_known_map():
 def test_depth_gradient_tracks_differences(bench, k_cal, theta, delta, fq):
     q_s = bench.L * fq
     psi = ConfigState(theta, delta)
-    g = phi_gradients(bench, psi, q_s, k_cal)
+    g = assemble_motion_jacobians(bench, psi, q_s, k_cal).d_phi
     h = 1e-6
     fp = np.array(solve_equilibrium(bench, psi, q_s + h, k_cal).phi())
     fm = np.array(solve_equilibrium(bench, psi, q_s - h, k_cal).phi())
-    assert np.max(np.abs(g.d_phi_d_qs - (fp - fm) / (2.0 * h))) < 1e-5
+    assert np.max(np.abs(g[:, 2] - (fp - fm) / (2.0 * h))) < 1e-5
 
 
 SAMPLES = st.lists(

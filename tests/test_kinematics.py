@@ -10,14 +10,14 @@ from crem import (
     RobotParams,
     UncertaintyParams,
     ValidationError,
-    compose,
     crem_pose,
     micro_trajectory,
     pose_from_phi,
     segment_pose,
     solve_equilibrium,
 )
-from crem.kinematics import Pose, arc_direction, segment_rotation
+from crem.kinematics import _pose_arrays, arc_direction, segment_rotation
+from conftest import assert_valid_pose
 
 TH0 = np.pi / 2
 
@@ -66,8 +66,7 @@ def test_bent_segment_matches_arc_geometry():
 @given(L_x=st.floats(0.0, 100.0), theta=THETAS, delta=DELTAS)
 @settings(max_examples=150, deadline=None)
 def test_segment_rotation_is_orthonormal(L_x, theta, delta):
-    pose = segment_pose(L_x, theta, delta)
-    pose.validate(tol=1e-12)
+    assert_valid_pose(segment_pose(L_x, theta, delta), tol=1e-12)
 
 
 def test_series_window_continuity():
@@ -84,12 +83,13 @@ def test_series_window_continuity():
 def test_zero_length_segment():
     pose = segment_pose(0.0, 1.0, 0.5)
     assert_allclose(pose.p, 0.0, atol=0)
-    pose.validate()
+    assert_valid_pose(pose)
 
 
 def test_negative_length_rejected():
-    with pytest.raises(ValidationError):
-        segment_pose(-1.0, 1.0, 0.0)
+    for L_x in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            segment_pose(L_x, 1.0, 0.0)
 
 
 def test_rotation_fixes_delta_axis():
@@ -113,27 +113,18 @@ def test_arc_direction_matches_position():
 # two-subsegment composition
 
 
-def test_compose_identity():
-    a = segment_pose(11.0, 0.9, 0.2)
-    ident = Pose(p=np.zeros(3), R=np.eye(3))
-    assert_allclose(compose(a, ident).p, a.p, atol=0)
-    assert_allclose(compose(ident, a).p, a.p, atol=0)
-
-
 @given(theta=st.floats(np.radians(15), np.radians(160)), fq=st.floats(0, 1),
        delta=DELTAS)
 @settings(max_examples=100, deadline=None)
-def test_subdivision_identity(theta, fq, delta):
+def test_subdivision_identity(bench, theta, fq, delta):
     # splitting a constant-curvature arc at any point reproduces the whole
-    L, q_s = 44.3, 44.3 * fq
+    L, q_s = bench.L, bench.L * fq
     th_s = TH0 + (theta - TH0) * q_s / L
     th_eps = theta - th_s + TH0
-    first = segment_pose(q_s, th_s, delta)
-    second = segment_pose(L - q_s, th_eps, delta)
+    p, (_, R_c), (_, R_gc) = _pose_arrays(bench, th_s, th_eps, delta, q_s)
     whole = segment_pose(L, theta, delta)
-    got = compose(first, second)
-    assert np.linalg.norm(got.p - whole.p) < 1e-9
-    assert np.max(np.abs(got.R - whole.R)) < 1e-9
+    assert np.linalg.norm(p - whole.p) < 1e-9
+    assert np.max(np.abs(R_c @ R_gc - whole.R)) < 1e-9
 
 
 def test_crem_pose_straight(bench, k_zero):
@@ -154,10 +145,10 @@ def test_crem_pose_zero_wire_neutrality(k_zero):
 def test_crem_pose_composition_consistency(bench, k_cal):
     psi = ConfigState(np.radians(40), 0.5)
     sp = crem_pose(bench, psi, 17.0, k_cal)
-    again = compose(sp.separation, sp.distal)
-    assert_allclose(sp.tip.p, again.p, atol=0)
-    assert_allclose(sp.tip.homogeneous()[:3, :3], sp.tip.R, atol=0)
-    sp.tip.validate(tol=1e-12)
+    sep, dist = sp.separation, sp.distal
+    assert_allclose(sp.tip.p, sep.p + sep.R @ dist.p, atol=0)
+    assert_allclose(sp.tip.R, sep.R @ dist.R, atol=0)
+    assert_valid_pose(sp.tip, tol=1e-12)
 
 
 def test_planarity_of_micro_trajectory(bench, k_cal):

@@ -12,14 +12,13 @@ from crem import (
     RobotParams,
     UncertaintyParams,
     ValidationError,
-    backbone_lengths,
     micro_trajectory,
     projected_offsets,
     solve_equilibrium,
     uncertainty_lambda,
 )
 from crem.model import _arc_stiffness, _solve_equilibrium_arrays
-from conftest import equilibrium_moments, oracle_equilibrium
+from conftest import backbone_lengths, equilibrium_moments, oracle_equilibrium
 
 TH0 = np.pi / 2
 
@@ -107,9 +106,16 @@ def test_backbone_lengths_bent(bench):
     assert_allclose(L[1], L[2], atol=1e-12)
 
 
-def test_backbone_lengths_nonphysical(bench):
+def test_backbone_lengths_nonphysical(bench, k_zero):
+    # a 3 mm pitch circle on a 1 mm segment: bent to theta = 0.2 the
+    # backbone at sigma = 0 would need length 1 + 3 (0.2 - pi/2) < 0
+    short = RobotParams(L=1.0, r=3.0, E_p=bench.E_p, E_i=bench.E_i, E_s=bench.E_s,
+                        I_p=bench.I_p, I_i=bench.I_i, I_s=bench.I_s)
+    psi = ConfigState(0.2, 0.0)
     with pytest.raises(NonPhysicalLength):
-        backbone_lengths(bench, TH0 - 20.0, 0.0)
+        solve_equilibrium(short, psi, 0.5, k_zero)
+    with pytest.raises(NonPhysicalLength):
+        micro_trajectory(short, psi, np.linspace(0.0, 1.0, 5), k_zero)
 
 
 def test_subsegment_lengths_direct(bench):
