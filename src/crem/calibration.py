@@ -35,6 +35,10 @@ from .rotations import SMALL_ANGLE, axis_angle
 PARAM_NAMES = ("k_lambda0", "k_lambda_theta", "k_lambda_q")
 
 _MAX_STEP_RETRIES = 30
+# turning points: samples kept clear of either end, and the least swing on
+# both sides as a fraction of the total progress span
+_TURN_END_MARGIN = 2
+_TURN_PROMINENCE = 0.1
 # cost at sub-nanometer residual scale; below this M_lambda is float noise
 _M_FLOOR = 1e-18
 
@@ -103,8 +107,8 @@ class CalibrationConfig:
                 raise ValidationError(f"unknown free parameter {name!r}")
         if len(set(self.free_params)) != len(self.free_params) or not self.free_params:
             raise ValidationError("free_params must be a nonempty set of distinct names")
-        if self.H is not None and np.asarray(self.H).shape != (3, 3):
-            raise ValidationError("H must be a 3x3 matrix")
+        if self.H is not None and not (np.shape(self.H) == (3, 3) and np.all(np.isfinite(self.H))):
+            raise ValidationError("H must be a finite 3x3 matrix")
 
     @property
     def free_indices(self) -> np.ndarray:
@@ -198,11 +202,6 @@ def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
     if data.rot.size:
         c[data.rot, 3:] = _rotation_residuals(data.R_bar, R_c[data.rot] @ R_gc[data.rot])
     return c, (th_s, th_p)
-
-
-def _residual_matrix(measurements, params: RobotParams, k: UncertaintyParams) -> np.ndarray:
-    """(N, 6) residuals [x_bar - x; alpha_e m_e] of the measurements at k."""
-    return _residuals(_stack(measurements), params, k)[0]
 
 
 def _rmse_um(c, pos_mask) -> float:
@@ -358,16 +357,15 @@ def direction_reversals(positions) -> np.ndarray:
     return np.nonzero(sgn[1:] * sgn[:-1] < 0.0)[0] + 1
 
 
-def turning_point_index(
-    positions, end_margin: int = 2, prominence: float = 0.1
-) -> int | None:
+def turning_point_index(positions) -> int | None:
     """Robust turning-point sample of a noisy out-and-back trajectory.
 
     Accumulated progress along the principal direction rises to a
     single interior extremum at the vertex and recedes after it; the
     extremum survives measurement noise because it aggregates the whole
-    path.  A candidate counts only when the progress swings by at least
-    ``prominence`` of the total progress span on both sides, which
+    path.  A candidate counts only when it lies _TURN_END_MARGIN samples
+    clear of either end and the progress swings by at least
+    _TURN_PROMINENCE of the total progress span on both sides, which
     rejects the near-end argmax wobble that noise produces on monotone
     trajectories.  Returns None when no candidate qualifies.
     """
@@ -378,14 +376,14 @@ def turning_point_index(
     span = float(np.max(c) - np.min(c))
     if span <= 0.0:
         return None
-    lo, hi = end_margin, p.shape[0] - 1 - end_margin
+    lo, hi = _TURN_END_MARGIN, p.shape[0] - 1 - _TURN_END_MARGIN
     hits = []
     for i, opp in ((int(np.argmax(c)), np.min), (int(np.argmin(c)), np.max)):
         if not lo <= i <= hi:
             continue
         before = abs(c[i] - opp(c[: i + 1]))
         after = abs(c[i] - opp(c[i:]))
-        if min(before, after) >= prominence * span:
+        if min(before, after) >= _TURN_PROMINENCE * span:
             hits.append(i)
     if not hits:
         return None

@@ -297,10 +297,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except CremError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (CremError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

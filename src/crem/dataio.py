@@ -31,6 +31,8 @@ from .model import ConfigState, RobotParams, UncertaintyParams
 _REQUIRED_KEYS = ("L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s")
 _TRANSFORM_KEYS = ("T_WB", "T_BI", "T_GM")
 _FMT = "%.17g"
+# sample rate of synthetic sweeps, Hz
+_SYNTHETIC_HZ = 30.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,11 +283,10 @@ def generate_synthetic(
     noise_sigma: float,
     seed: int,
     path=None,
-    frame: str = "base",
-    sample_hz: float = 30.0,
 ):
     """Model-generated insertion sweep with seeded isotropic position noise.
 
+    Positions are in the base frame, sampled at _SYNTHETIC_HZ.
     Writes the standard CSV when path is given and returns the records.
     Identical arguments always produce identical data.
     """
@@ -295,11 +296,11 @@ def generate_synthetic(
     noisy = pos + noise_sigma * rng.standard_normal(pos.shape)
     records = [
         TrajectoryRecord(
-            t=i / sample_hz, q_s=float(qs[i]), theta=theta, delta=delta,
+            t=i / _SYNTHETIC_HZ, q_s=float(qs[i]), theta=theta, delta=delta,
             x=float(noisy[i, 0]), y=float(noisy[i, 1]), z=float(noisy[i, 2]),
         )
         for i in range(len(qs))
     ]
     if path is not None:
-        write_trajectory(path, records, frame=frame)
+        write_trajectory(path, records)
     return records

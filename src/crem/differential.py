@@ -23,18 +23,20 @@ import numpy as np
 
 from .errors import SingularGradient
 from .kinematics import (
-    STRAIGHT_SERIES_THRESHOLD,
+    _arc_scalars,
+    _arc_slopes,
     arc_direction,
     crem_pose,
     pose_from_phi,
     segment_rotation,
 )
 from .model import (
+    THETA_BASE,
     ConfigState,
     EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
-    _arc_stiffness,
+    _arc_stiffness_partials,
     _broadcast_samples,
     _sigma,
     _solve_equilibrium_arrays,
@@ -45,6 +47,8 @@ from .rotations import axis_angle_vector
 
 # condition number above which a 2x2 or normal-equation solve is refused
 _COND_LIMIT = 1e12
+# central-difference step of the finite-difference oracle
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,42 +69,6 @@ class JacobianSet:
 
 # ---------------------------------------------------------------------------
 # equilibrium sensitivities
-
-
-def _stiffness_terms(params: RobotParams, theta, delta, q_s, th_s, th_p):
-    """Stiffnesses and their partials w.r.t. (theta, delta, q_s, th_s, th_p).
-
-    All arrays broadcast over the leading shape of the inputs.  The
-    stiffnesses come from the solver's arc kernel, with no boundary
-    clamping: callers stay inside (q_min, L - q_min).
-    """
-    th0 = params.theta0
-    theta, q_s, th_s, th_p = (np.asarray(a, dtype=float) for a in (theta, q_s, th_s, th_p))
-    D = projected_offsets(params, delta)
-    dD = -params.r * np.sin(_sigma(params, delta))  # d Delta_i / d delta
-    Lq = params.L - q_s
-    L_i, k0 = _arc_stiffness(params, D, params.L, theta - th0)
-    L_ei, k1 = _arc_stiffness(params, D, Lq, th_p - th_s)
-    L_si, k2 = _arc_stiffness(params, D, q_s, th_s - th0)
-
-    EIi, EIp, EIs = params.EI_i, params.EI_p, params.EI_s
-    ks = EIs / q_s
-    inv_Li2 = EIi / L_i**2
-    inv_si2 = EIi / L_si**2
-    inv_ei2 = EIi / L_ei**2
-    return {
-        "k0": k0, "k1": k1, "k2": k2, "ks": ks,
-        "k0_theta": -np.sum(D * inv_Li2, axis=-1),
-        "k0_delta": -(theta - th0) * np.sum(dD * inv_Li2, axis=-1),
-        "k1_qs": EIp / Lq**2 + np.sum(inv_ei2, axis=-1),
-        "k1_ths": np.sum(D * inv_ei2, axis=-1),
-        "k1_thp": -np.sum(D * inv_ei2, axis=-1),
-        "k1_delta": -(th_p - th_s) * np.sum(dD * inv_ei2, axis=-1),
-        "k2_qs": -EIp / q_s**2 - np.sum(inv_si2, axis=-1),
-        "k2_ths": -np.sum(D * inv_si2, axis=-1),
-        "k2_delta": -(th_s - th0) * np.sum(dD * inv_si2, axis=-1),
-        "ks_qs": -EIs / q_s**2,
-    }
 
 
 def _cond_2x2(M):
@@ -127,14 +95,22 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     """
     theta = np.asarray(theta, dtype=float)
     q_s = np.asarray(q_s, dtype=float)
-    th0 = params.theta0
+    th0 = THETA_BASE
     # same boundary clamp as the solver: stiffness lengths saturate at q_min
     # while lambda keeps the raw depth, so boundary samples get their finite
     # limit sensitivities instead of a division by zero
     qs_eff = np.clip(q_s, params.q_min, params.L - params.q_min)
-    t = _stiffness_terms(params, theta, delta, qs_eff, th_s, th_p)
-    k0, k1, k2, ks = t["k0"], t["k1"], t["k2"], t["ks"]
     C1, C2 = np.asarray(th_s, dtype=float), np.asarray(th_p, dtype=float)
+    D = projected_offsets(params, delta)
+    dD = -params.r * np.sin(_sigma(params, delta))  # d Delta_i / d delta
+    # the whole segment, the empty arc (L - q_s long, bent theta_prime -
+    # theta_s) and the inserted arc (q_s long, bent theta_s - theta0)
+    k0, _, k0_theta, k0_delta = _arc_stiffness_partials(params, D, dD, params.L, theta - th0)
+    k1, k1_len, k1_thp, k1_delta = _arc_stiffness_partials(
+        params, D, dD, params.L - qs_eff, C2 - C1)
+    k2, k2_qs, k2_ths, k2_delta = _arc_stiffness_partials(params, D, dD, qs_eff, C1 - th0)
+    ks = params.EI_s / qs_eff
+    ks_qs = -params.EI_s / qs_eff**2
 
     def gamma(k1_a, k2_a, ks_a, b1_a, b2_a):
         # Gamma_a = B'_a - A'_a C_phi for A'_a built from the stiffness partials
@@ -143,17 +119,11 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
         return g1, g2
 
     zero = np.zeros_like(k0)
-    g_th = gamma(zero, zero, zero,
-                 -k.k_lambda_theta + zero,
-                 t["k0_theta"] * (th0 - theta) - k0)
-    g_de = gamma(t["k1_delta"], t["k2_delta"], zero,
-                 t["k2_delta"] * th0,
-                 t["k0_delta"] * (th0 - theta))
-    g_qs = gamma(t["k1_qs"], t["k2_qs"], t["ks_qs"],
-                 (t["k2_qs"] + t["ks_qs"]) * th0 - k.k_lambda_q,
-                 zero)
-    g_ths = gamma(t["k1_ths"], t["k2_ths"], zero, t["k2_ths"] * th0, zero)
-    g_thp = gamma(t["k1_thp"], zero, zero, zero, zero)
+    g_th = gamma(zero, zero, zero, -k.k_lambda_theta + zero, k0_theta * (th0 - theta) - k0)
+    g_de = gamma(k1_delta, k2_delta, zero, k2_delta * th0, k0_delta * (th0 - theta))
+    g_qs = gamma(-k1_len, k2_qs, ks_qs, (k2_qs + ks_qs) * th0 - k.k_lambda_q, zero)
+    g_ths = gamma(-k1_thp, k2_ths, zero, k2_ths * th0, zero)
+    g_thp = gamma(k1_thp, zero, zero, zero, zero)
 
     # A S0 = [[k2 + ks, -k1], [0, -k1]]
     M = np.empty(np.shape(k0) + (2, 2))
@@ -188,45 +158,25 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
 # pose Jacobians
 
 
-def _chi_abc(theta):
-    """Ratios chi_a, chi_b, chi_c of the per-subsegment partitions.
-
-    chi_a = (u cos t - sin t + 1) / u^2
-    chi_b = (u sin t + cos t) / u^2
-    chi_c = (sin t - 1) / (-u)          with u = t - pi/2
-
-    evaluated by series within the straight window.
-    """
-    t = np.asarray(theta, dtype=float)
-    u = t - np.pi / 2.0
-    near = np.abs(u) < STRAIGHT_SERIES_THRESHOLD
-    u_safe = np.where(near, 1.0, u)
-    st, ct = np.sin(t), np.cos(t)
-    chi_a = np.where(near, -0.5 + u**2 / 8.0 - u**4 / 144.0,
-                     (u * ct - st + 1.0) / u_safe**2)
-    chi_b = np.where(near, -u / 3.0 + u**3 / 30.0,
-                     (u * st + ct) / u_safe**2)
-    chi_c = np.where(near, u / 2.0 - u**3 / 24.0,
-                     (st - 1.0) / (-u_safe))
-    return chi_a, chi_b, chi_c
-
-
 def jacobian_partitions(theta_i: float, delta_i: float, D_i: float):
     """Velocity partitions of one constant-curvature subsegment.
 
     Returns (J_v_theta, J_omega_theta, J_v_delta, J_omega_delta), each
     shape (..., 3), for a subsegment of arc length D_i bent to angle
-    theta_i in plane delta_i.  Space-frame angular velocity.
+    theta_i in plane delta_i.  Space-frame angular velocity.  The
+    translational partitions scale the arc ratios (a, b) of the kinematics
+    module: J_v_theta by their theta-slopes, J_v_delta by -a.
     """
-    chi_a, chi_b, chi_c = _chi_abc(theta_i)
+    a, _ = _arc_scalars(theta_i)
+    a_t, b_t = _arc_slopes(theta_i)
     t = np.asarray(theta_i, dtype=float)
     d = np.asarray(delta_i, dtype=float)
     Di = np.asarray(D_i, dtype=float)
     st, ct = np.sin(t), np.cos(t)
     sd, cd = np.sin(d), np.cos(d)
-    J_v_theta = Di[..., None] * np.stack([cd * chi_a, -sd * chi_a, chi_b], axis=-1)
+    J_v_theta = Di[..., None] * np.stack([cd * a_t, -sd * a_t, b_t], axis=-1)
     J_omega_theta = np.stack([-sd, -cd, np.zeros_like(sd)], axis=-1)
-    J_v_delta = Di[..., None] * np.stack([sd * chi_c, cd * chi_c, np.zeros_like(sd)], axis=-1)
+    J_v_delta = Di[..., None] * np.stack([-sd * a, -cd * a, np.zeros_like(sd)], axis=-1)
     J_omega_delta = np.stack([cd * ct, -sd * ct, st - 1.0], axis=-1)
     return J_v_theta, J_omega_theta, J_v_delta, J_omega_delta
 
@@ -319,7 +269,7 @@ def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParam
     sig = _sigma(params, delta)
     J_q_psi = params.r * np.stack([
         np.cos(sig),
-        (params.theta0 - theta)[..., None] * np.sin(sig),
+        (THETA_BASE - theta)[..., None] * np.sin(sig),
     ], axis=-1)
     return _JacobianArrays(th_s, th_p, th_e, grads, *xi, J_q_psi)
 
@@ -353,22 +303,22 @@ def assemble_motion_jacobians(
 # finite-difference oracle
 
 
-def finite_difference_jacobian(f, x, h: float = 1e-6) -> np.ndarray:
+def finite_difference_jacobian(f, x) -> np.ndarray:
     """Central-difference twist Jacobian of a pose-valued map.
 
     f maps a parameter vector to a Pose; the rotational rows are the
-    axis-angle vector of R(x + h e_j) R(x - h e_j)^T over 2h, matching the
-    space-frame convention of the analytic Jacobians.
+    axis-angle vector of R(x + h e_j) R(x - h e_j)^T over 2h, h = _FD_STEP,
+    matching the space-frame convention of the analytic Jacobians.
     """
     x = np.asarray(x, dtype=float)
     cols = []
     for j in range(x.size):
         e = np.zeros_like(x)
-        e[j] = h
+        e[j] = _FD_STEP
         pose_p = f(x + e)
         pose_m = f(x - e)
-        dv = (pose_p.p - pose_m.p) / (2.0 * h)
-        dw = axis_angle_vector(pose_p.R @ pose_m.R.T) / (2.0 * h)
+        dv = (pose_p.p - pose_m.p) / (2.0 * _FD_STEP)
+        dw = axis_angle_vector(pose_p.R @ pose_m.R.T) / (2.0 * _FD_STEP)
         cols.append(np.concatenate([dv, dw]))
     return np.stack(cols, axis=-1)
 
@@ -384,7 +334,6 @@ def fd_discrepancies(
     psi: ConfigState,
     q_s: float,
     k: UncertaintyParams,
-    h: float = 1e-6,
 ) -> dict:
     """Max mismatch of every analytic Jacobian against central differences.
 
@@ -402,16 +351,16 @@ def fd_discrepancies(
         return sp.tip
 
     x0 = np.array([psi.theta, psi.delta, q_s, k.k_lambda0, k.k_lambda_theta, k.k_lambda_q])
-    fd_full = finite_difference_jacobian(full_pose, x0, h)
+    fd_full = finite_difference_jacobian(full_pose, x0)
     # full_pose saw x0 + h e_j, then x0 - h e_j, for j = 0..5
-    fd_phi = (np.array(phis[0::2]) - np.array(phis[1::2])).T / (2.0 * h)
+    fd_phi = (np.array(phis[0::2]) - np.array(phis[1::2])).T / (2.0 * _FD_STEP)
 
     def kin_only(x):
         e = EquilibriumConfig(theta_s=float(x[0]), theta_eps=float(x[1]))
         return pose_from_phi(params, e, float(x[2]), float(x[3])).tip
 
     y0 = np.array([phi.theta_s, phi.theta_eps, psi.delta, q_s])
-    fd_kin = finite_difference_jacobian(kin_only, y0, h)
+    fd_kin = finite_difference_jacobian(kin_only, y0)
 
     return {
         "J_M": max(

@@ -7,10 +7,10 @@ theta_x in plane delta has tip position
     a = (sin theta_x - 1) / (theta_x - pi/2),  b = -cos theta_x / (theta_x - pi/2)
 
 and orientation R = Rz(-delta) Ry(pi/2 - theta_x) Rz(delta).  Near the
-straight configuration both ratios are evaluated by series.  The full
-segment is the inserted subsegment (length q_s, angle theta_s) composed
-with the empty subsegment (length L - q_s, angle theta_eps) in the frame
-of the separation plane.
+straight configuration both ratios and their theta_x-slopes are evaluated
+by series.  The full segment is the inserted subsegment (length q_s, angle
+theta_s) composed with the empty subsegment (length L - q_s, angle
+theta_eps) in the frame of the separation plane.
 """
 from __future__ import annotations
 
@@ -57,15 +57,32 @@ class SegmentedPose:
     equilibrium: EquilibriumConfig
 
 
-def _arc_scalars(theta_x):
-    """Ratios (a, b) above, series-evaluated within the straight window."""
+def _straight_window(theta_x):
+    """(t, u = t - pi/2, mask of the series window, u with ones inside it)."""
     t = np.asarray(theta_x, dtype=float)
     u = t - np.pi / 2.0
     near = np.abs(u) < STRAIGHT_SERIES_THRESHOLD
-    u_safe = np.where(near, 1.0, u)
+    return t, u, near, np.where(near, 1.0, u)
+
+
+def _arc_scalars(theta_x):
+    """Ratios (a, b) above, series-evaluated within the straight window."""
+    t, u, near, u_safe = _straight_window(theta_x)
     a = np.where(near, -u / 2.0 + u**3 / 24.0, (np.sin(t) - 1.0) / u_safe)
     b = np.where(near, 1.0 - u**2 / 6.0 + u**4 / 120.0, -np.cos(t) / u_safe)
     return a, b
+
+
+def _arc_slopes(theta_x):
+    """Slopes (da/d theta_x, db/d theta_x) of the ratios, in the same window.
+
+        da/dt = (u cos t - sin t + 1) / u^2,  db/dt = (u sin t + cos t) / u^2
+    """
+    t, u, near, u_safe = _straight_window(theta_x)
+    st, ct = np.sin(t), np.cos(t)
+    a_t = np.where(near, -0.5 + u**2 / 8.0 - u**4 / 144.0, (u * ct - st + 1.0) / u_safe**2)
+    b_t = np.where(near, -u / 3.0 + u**3 / 30.0, (u * st + ct) / u_safe**2)
+    return a_t, b_t
 
 
 def arc_direction(theta_x, delta_x):
@@ -92,6 +109,8 @@ def segment_pose(L_x: float, theta_x: float, delta_x: float) -> Pose:
     """Pose of a single constant-curvature arc (scalar arguments)."""
     if not (L_x >= 0.0 and np.isfinite(L_x)):
         raise ValidationError(f"arc length must be finite and >= 0, got {L_x}")
+    if not (np.isfinite(theta_x) and np.isfinite(delta_x)):
+        raise ValidationError(f"arc angles must be finite, got ({theta_x}, {delta_x})")
     return Pose(*_arc_pose(np.float64(L_x), np.float64(theta_x), np.float64(delta_x)))
 
 
@@ -117,6 +136,8 @@ def pose_from_phi(
     """Two-subsegment pose for given equilibrium angles (no solve)."""
     if not (0.0 <= q_s <= params.L):
         raise ValidationError(f"q_s={q_s} outside [0, L]")
+    if not np.isfinite(delta):
+        raise ValidationError(f"delta must be finite, got {delta}")
     p, (p_c, R_c), (p_gc, R_gc) = _pose_arrays(
         params, phi.theta_s, phi.theta_eps, delta, q_s
     )

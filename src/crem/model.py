@@ -10,8 +10,8 @@ moments carried across the separation plane plus an empirical actuation
 uncertainty moment lambda determine (theta_s, theta_prime).
 
 Units: mm, N, rad; moduli in MPa so E*I is N*mm^2 and stiffnesses are
-N*mm/rad.  Angles follow the convention that theta0 = pi/2 is straight
-and smaller theta means more bending.
+N*mm/rad.  Angles follow the convention that the base angle
+theta0 = THETA_BASE = pi/2 is straight and smaller theta means more bending.
 """
 from __future__ import annotations
 
@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import NoConvergence, NonPhysicalLength, ValidationError
 
+# base-disk angle of every segment: the straight configuration
 THETA_BASE = math.pi / 2.0
 
 # Insertion depths within this fraction of L from either end are treated as
-# boundary cases: below q_min the analytic limit phi = (theta0, theta) is
+# boundary cases: below q_min the analytic limit phi = (THETA_BASE, theta) is
 # returned, above L - q_min the empty-side lengths are clamped at q_min.
 Q_MIN_FRACTION = 1e-6
 
@@ -44,7 +45,6 @@ class RobotParams:
     E_i, I_i: same for each secondary backbone
     E_s, I_s: same for the insertable wire; zero allowed (wire absent)
     n: number of secondary backbones, evenly spaced
-    theta0: base-disk angle, fixed at pi/2
     """
 
     L: float
@@ -56,7 +56,6 @@ class RobotParams:
     I_i: float
     I_s: float
     n: int = 3
-    theta0: float = THETA_BASE
 
     def __post_init__(self):
         if not (self.L > 0.0 and math.isfinite(self.L)):
@@ -73,8 +72,6 @@ class RobotParams:
             v = getattr(self, name)
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValidationError(f"{name} must be >= 0, got {v}")
-        if self.theta0 != THETA_BASE:
-            raise ValidationError("theta0 is fixed at pi/2")
 
     @property
     def beta(self) -> float:
@@ -150,6 +147,10 @@ class EquilibriumConfig:
     theta_s: float
     theta_eps: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.theta_s) and math.isfinite(self.theta_eps)):
+            raise ValidationError(f"equilibrium angles must be finite, got {self.phi()}")
+
     @property
     def theta_prime(self) -> float:
         return self.theta_eps - (math.pi / 2.0 - self.theta_s)
@@ -192,6 +193,15 @@ def _arc_stiffness(params: RobotParams, D, length, bend):
     return L_x, params.EI_p / length + np.sum(params.EI_i / L_x, axis=-1)
 
 
+def _arc_stiffness_partials(params: RobotParams, D, dD, length, bend):
+    """Stiffness k of one arc (_arc_stiffness) and (dk/d length, dk/d bend, dk/d delta),
+    given dD = d Delta_i / d delta, shape (..., n)."""
+    L_x, k = _arc_stiffness(params, D, length, bend)
+    w = params.EI_i / L_x**2
+    return (k, -params.EI_p / length**2 - np.sum(w, axis=-1), -np.sum(D * w, axis=-1),
+            -bend * np.sum(dD * w, axis=-1))
+
+
 def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
     """lambda = k_lambda0 + k_lambda_theta * theta + k_lambda_q * q_s.
 
@@ -212,8 +222,6 @@ def _solve_equilibrium_arrays(
     delta,
     q_s,
     k: UncertaintyParams,
-    tol: float = _SOLVER_TOL,
-    max_iter: int = _SOLVER_MAX_ITER,
 ):
     """Vectorized fixed-point solve of the two moment equations.
 
@@ -224,7 +232,7 @@ def _solve_equilibrium_arrays(
         theta_prime = theta_s + (k0 / k1) (theta - theta0)
 
     then re-evaluates the stiffnesses.  Converges when the proposed update
-    falls below tol in both components.  Returns (theta_s, theta_prime)
+    falls below _SOLVER_TOL in both components.  Returns (theta_s, theta_prime)
     broadcast over the inputs.  Every sample must satisfy the ConfigState
     rules and 0 <= q_s <= L; the first that does not (NaN included) is
     rejected by its flat index before any sweep.  NoConvergence names the
@@ -240,7 +248,7 @@ def _solve_equilibrium_arrays(
 
     if not np.all(ok):
         raise ValidationError(f"{sample(int(np.argmin(ok)))} outside (0, pi) x (-pi, pi] x [0, L]")
-    th0 = params.theta0
+    th0 = THETA_BASE
     lam = np.asarray(uncertainty_lambda(k, q_s, theta), dtype=float)
 
     small = q_s < params.q_min
@@ -261,7 +269,7 @@ def _solve_equilibrium_arrays(
 
     damp = 1.0
     prev_step = np.inf
-    for iteration in range(max_iter):
+    for iteration in range(_SOLVER_MAX_ITER):
         L_si, k2 = _arc_stiffness(params, D, qs_eff, th_s - th0)
         L_ei, k1 = _arc_stiffness(params, D, Lq_eff, th_p - th_s)
         if np.any(L_si <= 0.0) or np.any(L_ei <= 0.0):
@@ -275,7 +283,7 @@ def _solve_equilibrium_arrays(
         step = max(float(np.max(np.abs(ds))), float(np.max(np.abs(dp))))
         th_s = th_s + damp * ds
         th_p = th_p + damp * dp
-        if step < tol:
+        if step < _SOLVER_TOL:
             break
         if step > prev_step:
             damp = max(damp * 0.5, _DAMP_FLOOR)
@@ -283,7 +291,7 @@ def _solve_equilibrium_arrays(
     else:
         worst = int(np.argmax(np.maximum(np.abs(ds), np.abs(dp))))
         raise NoConvergence(
-            f"{sample(worst)}: equilibrium fixed point not converged after {max_iter} "
+            f"{sample(worst)}: equilibrium fixed point not converged after {_SOLVER_MAX_ITER} "
             f"iterations (last step {step:.3g} rad)"
         )
 
@@ -299,11 +307,7 @@ def solve_equilibrium(
     psi: ConfigState,
     q_s: float,
     k: UncertaintyParams,
-    tol: float = _SOLVER_TOL,
-    max_iter: int = _SOLVER_MAX_ITER,
 ) -> EquilibriumConfig:
     """Equilibrium angles of the segment at configuration psi, depth q_s."""
-    th_s, th_p = _solve_equilibrium_arrays(
-        params, psi.theta, psi.delta, float(q_s), k, tol=tol, max_iter=max_iter
-    )
+    th_s, th_p = _solve_equilibrium_arrays(params, psi.theta, psi.delta, float(q_s), k)
     return EquilibriumConfig.from_tip_angle(float(th_s), float(th_p))

@@ -47,16 +47,8 @@ def unskew(m):
     return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
 
 
-def axis_angle(R):
-    """Rotation angles alpha, shape S, and unit axes, S + (3,), of R (S + (3, 3)).
-
-    alpha in [0, pi] is recovered from atan2(|skew part|, trace), which
-    stays accurate at both ends of the range.  Near alpha = pi the axis
-    comes from the symmetric part (R + I)/2 = m m^T + s (I - m m^T),
-    s = (1 + cos alpha)/2, solved exactly for m m^T; the skew part only
-    fixes the sign there, and at alpha = pi exactly the largest component
-    is made positive.  Without any skew part (the identity) the axis is +z.
-    """
+def _axis_angle_parts(R):
+    """(alpha, axis) as axis_angle documents them, plus the skew part v = sin(alpha) axis."""
     R = np.asarray(R, dtype=float)
     v = unskew(R - np.swapaxes(R, -1, -2)) / 2.0  # sin(alpha) * axis
     # |v| by matmul: the same rounding as np.linalg.norm of one vector
@@ -76,12 +68,24 @@ def axis_angle(R):
         largest = m[rows, np.argmax(np.abs(m), axis=-1)]
         flip = np.where(sin_a[near] > 0.0, np.sum(m * v[near], axis=-1) < 0.0, largest < 0.0)
         axis[near] = np.where(flip[:, None], -m, m)
+    return alpha, axis, v
+
+
+def axis_angle(R):
+    """Rotation angles alpha, shape S, and unit axes, S + (3,), of R (S + (3, 3)).
+
+    alpha in [0, pi] is recovered from atan2(|skew part|, trace), which
+    stays accurate at both ends of the range.  Near alpha = pi the axis
+    comes from the symmetric part (R + I)/2 = m m^T + s (I - m m^T),
+    s = (1 + cos alpha)/2, solved exactly for m m^T; the skew part only
+    fixes the sign there, and at alpha = pi exactly the largest component
+    is made positive.  Without any skew part (the identity) the axis is +z.
+    """
+    alpha, axis, _ = _axis_angle_parts(R)
     return alpha, axis
 
 
 def axis_angle_vector(R):
     """Rotation vectors alpha * axis (below SMALL_ANGLE the skew part, exact to O(alpha^3))."""
-    R = np.asarray(R, dtype=float)
-    alpha, axis = axis_angle(R)
-    return np.where((alpha < SMALL_ANGLE)[..., None], unskew(R - np.swapaxes(R, -1, -2)) / 2.0,
-                    alpha[..., None] * axis)
+    alpha, axis, v = _axis_angle_parts(R)
+    return np.where((alpha < SMALL_ANGLE)[..., None], v, alpha[..., None] * axis)

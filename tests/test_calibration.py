@@ -20,7 +20,7 @@ from crem import (
     split_at_turning_point,
     turning_point_index,
 )
-from crem.calibration import _residual_matrix, _rmse_um, _weighted_cost
+from crem.calibration import _residuals, _rmse_um, _stack, _weighted_cost
 from crem.kinematics import Pose
 from crem.rotations import NEAR_PI, SMALL_ANGLE
 
@@ -41,6 +41,11 @@ def make_measurements(params, theta, delta, qs, k_true, sigma=0.0, rng=None,
         rows.append(Measurement(psi=psi, q_s=float(q_s), x_bar=x,
                                 R_bar=pose.R.copy() if with_R else None))
     return rows
+
+
+def residual_matrix(measurements, params, k):
+    """(N, 6) residuals [x_bar - x; alpha_e m_e] of the measurements at k."""
+    return _residuals(_stack(measurements), params, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +177,6 @@ def test_identification_jacobian_matches_residual_differences(bench, k_cal):
     # position rows against the position-only residual pipeline with a
     # tight step; rotation rows against full-pose measurements with a
     # larger step that clears the zero-rotation snap threshold
-    from crem.calibration import _residual_matrix
-
     qs = np.array([5.0, 14.0, 23.0, 32.0])
     pos_rows = np.tile([True] * 3 + [False] * 3, len(qs))
 
@@ -186,8 +189,8 @@ def test_identification_jacobian_matches_residual_differences(bench, k_cal):
             kp, km = kv.copy(), kv.copy()
             kp[j] += h
             km[j] -= h
-            cp = _residual_matrix(ms, bench, UncertaintyParams.from_array(kp))
-            cm = _residual_matrix(ms, bench, UncertaintyParams.from_array(km))
+            cp = residual_matrix(ms, bench, UncertaintyParams.from_array(kp))
+            cm = residual_matrix(ms, bench, UncertaintyParams.from_array(km))
             fd = ((cp - cm) / (2.0 * h)).reshape(-1)
             assert np.max(np.abs(J[rows, j] - fd[rows])) < 1e-6, name
 
@@ -297,6 +300,15 @@ def test_w_rot_validation(w_rot):
     with pytest.raises(ValidationError):
         CalibrationConfig(w_rot=w_rot)
     CalibrationConfig(w_rot=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_H_validation(bad):
+    # caught here rather than as a non-finite k inside the first step
+    H = np.eye(3)
+    H[1, 2] = bad
+    with pytest.raises(ValidationError, match="H must be"):
+        CalibrationConfig(H=H)
 
 
 def test_free_params_validation():
@@ -420,7 +432,7 @@ def test_batched_residuals_equal_per_sample_pose_error(bench, k_cal):
         R_bar = None if alpha is None else oracle_rotation(axis, alpha) @ tip.R
         ms.append(Measurement(psi=psi, q_s=q_s, x_bar=tip.p + 0.01 * rng.standard_normal(3),
                               R_bar=R_bar, obs_mask=mask))
-    c = _residual_matrix(ms, bench, k_cal)
+    c = residual_matrix(ms, bench, k_cal)
     ref = np.stack([pose_error(m, crem_pose(bench, m.psi, m.q_s, k_cal).tip) for m in ms])
     assert np.max(np.abs(c - ref)) <= 1e-12
     assert np.linalg.norm(c[2, 3:]) > np.pi - NEAR_PI

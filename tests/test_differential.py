@@ -20,20 +20,33 @@ from crem import (
 )
 from crem import differential
 from crem.differential import (
-    _chi_abc,
     _cond_2x2,
     _jacobian_arrays,
     _xi_jacobian_arrays,
     finite_difference_jacobian,
 )
-from crem.kinematics import _tip_position_arrays, pose_from_phi
+from crem.kinematics import (
+    STRAIGHT_SERIES_THRESHOLD,
+    _arc_scalars,
+    _arc_slopes,
+    _tip_position_arrays,
+    pose_from_phi,
+)
+from crem.model import _arc_stiffness, _arc_stiffness_partials, _sigma, projected_offsets
 from conftest import backbone_lengths, equilibrium_moments
 
 TH0 = np.pi / 2
 
 
 # ---------------------------------------------------------------------------
-# arc-ratio series
+# arc-ratio series: the partitions scale the theta-slopes (chi_a, chi_b) of
+# the arc ratios (a, b) and chi_c = -a
+
+
+def chi_abc(theta):
+    a, _ = _arc_scalars(theta)
+    a_t, b_t = _arc_slopes(theta)
+    return a_t, b_t, -a
 
 
 def test_chi_values_against_extended_precision():
@@ -48,15 +61,39 @@ def test_chi_values_against_extended_precision():
         ref_a = (1.0 - np.cos(ul) - ul * np.sin(ul)) / ul**2
         ref_b = (ul * np.cos(ul) - np.sin(ul)) / ul**2
         ref_c = (1.0 - np.cos(ul)) / ul
-        a, b, c = _chi_abc(TH0 + u)
+        a, b, c = chi_abc(TH0 + u)
         assert abs(a - float(ref_a)) < atol, u
         assert abs(b - float(ref_b)) < atol, u
         assert abs(c - float(ref_c)) < atol, u
 
 
 def test_chi_straight_limits():
-    a, b, c = _chi_abc(TH0)
+    a, b, c = chi_abc(TH0)
     assert_allclose([a, b, c], [-0.5, 0.0, 0.0], atol=1e-15)
+
+
+@given(sign=st.sampled_from([-1.0, 1.0]), d=st.floats(0.0, 1e-6))
+@settings(max_examples=200, deadline=None)
+def test_arc_ratios_continuous_across_series_switch(sign, d):
+    # u = +-(threshold -+ d) straddle the switch from series to closed form.
+    # Every ratio and slope has |d/du| <= 1 there, so the true change is at
+    # most 2d; the rest is the closed forms' cancellation error, bounded as
+    # in test_chi_values_against_extended_precision (1e-9 for the ratios,
+    # which divide by u, 1e-7 for the slopes, which divide by u^2)
+    inside = TH0 + sign * (STRAIGHT_SERIES_THRESHOLD - d)
+    outside = TH0 + sign * (STRAIGHT_SERIES_THRESHOLD + d)
+    for f, atol in ((_arc_scalars, 1e-9), (_arc_slopes, 1e-7)):
+        jump = np.abs(np.subtract(f(inside), f(outside)))
+        assert np.all(jump <= 2.0 * d + atol), (f.__name__, jump)
+
+
+def test_arc_slopes_are_derivatives_of_the_ratios():
+    # central differences of (a, b) inside the window and clear of its edge,
+    # where the closed forms' cancellation stays below the 1e-8 asked here
+    theta = TH0 + np.array([-0.9, -0.05, -5e-5, 0.0, 3e-5, 0.05, 1.2])
+    h = 1e-6
+    fd = (np.array(_arc_scalars(theta + h)) - np.array(_arc_scalars(theta - h))) / (2.0 * h)
+    assert_allclose(np.array(_arc_slopes(theta)), fd, rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +411,32 @@ def test_closed_form_cond_matches_numpy():
 
 def test_singular_sensitivity_matrix_raises(bench, k_cal, monkeypatch):
     # without empty-arc stiffness the theta_prime column of M vanishes
-    terms = differential._stiffness_terms
+    q_s = 15.0
 
-    def no_empty_arc(*args):
-        t = terms(*args)
-        for key in ("k1", "k1_qs", "k1_ths", "k1_thp", "k1_delta"):
-            t[key] = np.zeros_like(t[key])
-        return t
+    def no_empty_arc(params, D, dD, length, bend):
+        out = _arc_stiffness_partials(params, D, dD, length, bend)
+        if np.array_equal(length, params.L - q_s):
+            return tuple(np.zeros_like(a) for a in out)
+        return out
 
-    monkeypatch.setattr(differential, "_stiffness_terms", no_empty_arc)
+    monkeypatch.setattr(differential, "_arc_stiffness_partials", no_empty_arc)
     with pytest.raises(SingularGradient, match="condition inf"):
-        assemble_motion_jacobians(bench, ConfigState(np.radians(40), 0.2), 15.0, k_cal)
+        assemble_motion_jacobians(bench, ConfigState(np.radians(40), 0.2), q_s, k_cal)
+
+
+@pytest.mark.parametrize("length,bend", [(44.3, -0.8), (20.0, 0.3), (5.0, 0.0)])
+def test_arc_stiffness_partials_against_differences(bench, length, bend):
+    delta, h = 0.7, 1e-6
+
+    def k_of(length, bend, delta):
+        return _arc_stiffness(bench, projected_offsets(bench, delta), length, bend)[1]
+
+    D = projected_offsets(bench, delta)
+    dD = -bench.r * np.sin(_sigma(bench, delta))
+    k, k_len, k_bend, k_delta = _arc_stiffness_partials(bench, D, dD, length, bend)
+    assert k == k_of(length, bend, delta)
+    fd = [(k_of(length + h, bend, delta) - k_of(length - h, bend, delta)) / (2.0 * h),
+          (k_of(length, bend + h, delta) - k_of(length, bend - h, delta)) / (2.0 * h),
+          (k_of(length, bend, delta + h) - k_of(length, bend, delta - h)) / (2.0 * h)]
+    # k is O(100) N mm/rad: the differences carry ~1e-8 of rounding
+    assert_allclose([k_len, k_bend, k_delta], fd, rtol=1e-7, atol=1e-6)

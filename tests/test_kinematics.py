@@ -87,9 +87,11 @@ def test_zero_length_segment():
 
 
 def test_negative_length_rejected():
-    for L_x in (-1.0, np.nan, np.inf):
+    for L_x, theta_x, delta_x in ((-1.0, 1.0, 0.0), (np.nan, 1.0, 0.0), (np.inf, 1.0, 0.0),
+                                  (1.0, np.nan, 0.0), (1.0, -np.inf, 0.0),
+                                  (1.0, 1.0, np.nan), (1.0, 1.0, np.inf)):
         with pytest.raises(ValidationError):
-            segment_pose(L_x, 1.0, 0.0)
+            segment_pose(L_x, theta_x, delta_x)
 
 
 def test_rotation_fixes_delta_axis():
@@ -166,6 +168,12 @@ def test_pose_from_phi_validates_range(bench):
         pose_from_phi(bench, phi, 0.0, -0.1)
     with pytest.raises(ValidationError):
         pose_from_phi(bench, phi, 0.0, bench.L + 0.1)
+    for delta in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="delta"):
+            pose_from_phi(bench, phi, delta, 10.0)
+    for angles in ((np.nan, 1.3), (1.2, np.inf), (-np.inf, np.nan)):
+        with pytest.raises(ValidationError, match="equilibrium angles"):
+            EquilibriumConfig(*angles)
 
 
 def test_pose_from_phi_matches_crem_pose(bench, k_cal):

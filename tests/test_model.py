@@ -17,6 +17,7 @@ from crem import (
     solve_equilibrium,
     uncertainty_lambda,
 )
+from crem import model
 from crem.model import _arc_stiffness, _solve_equilibrium_arrays
 from conftest import backbone_lengths, equilibrium_moments, oracle_equilibrium
 
@@ -214,13 +215,15 @@ def test_batched_solve_rejects_theta_outside_range(bench, k_cal, bad):
         _solve_equilibrium_arrays(bench, [1.0, 0.5, bad, 1.2], 0.3, 10.0, k_cal)
 
 
-def test_batched_solve_no_convergence_names_the_sample(bench, k_zero):
+def test_batched_solve_no_convergence_names_the_sample(bench, k_zero, monkeypatch):
     # straight samples take a zero first step; the bent one cannot settle in one sweep
     theta = np.full(5, TH0)
     theta[3] = np.radians(40)
-    pattern = r"sample 3: \(theta, delta, q_s\) = \(0\.698132, 0\.2, 15\): .*not converged"
+    monkeypatch.setattr(model, "_SOLVER_MAX_ITER", 1)
+    pattern = (r"sample 3: \(theta, delta, q_s\) = \(0\.698132, 0\.2, 15\): "
+               r".*not converged after 1 ")
     with pytest.raises(NoConvergence, match=pattern):
-        _solve_equilibrium_arrays(bench, theta, 0.2, 15.0, k_zero, max_iter=1)
+        _solve_equilibrium_arrays(bench, theta, 0.2, 15.0, k_zero)
 
 
 def test_solver_matches_bruteforce_oracle(bench, k_cal, k_zero):
