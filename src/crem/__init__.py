@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .errors import (
     CremError,
     FrameError,
-    InvalidCutoff,
     NoConvergence,
     NonPhysicalLength,
     ParseError,
@@ -60,7 +59,6 @@ from .dataio import (
     load_dataset,
     load_robot_config,
     read_trajectory,
-    smooth_trajectory,
     write_robot_config,
     write_trajectory,
 )

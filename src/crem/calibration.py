@@ -64,6 +64,11 @@ class Measurement:
         if x.shape != (3,) or not np.all(np.isfinite(x)):
             raise ValidationError("x_bar must be a finite 3-vector")
         object.__setattr__(self, "x_bar", x)
+        if self.R_bar is not None:
+            R = np.asarray(self.R_bar, dtype=float)
+            if R.shape != (3, 3) or not np.all(np.isfinite(R)):
+                raise ValidationError("R_bar must be a finite 3x3 matrix")
+            object.__setattr__(self, "R_bar", R)
         if self.obs_mask is None:
             mask = np.array([True] * 3 + [self.R_bar is not None] * 3)
         else:
@@ -149,7 +154,7 @@ def pose_error(measured: Measurement, modeled: Pose) -> np.ndarray:
     c = np.zeros(6)
     c[:3] = measured.x_bar - modeled.p
     if measured.R_bar is not None:
-        c[3:] = _rotation_residuals(np.asarray(measured.R_bar, dtype=float), modeled.R)
+        c[3:] = _rotation_residuals(measured.R_bar, modeled.R)
     return c
 
 

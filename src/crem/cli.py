@@ -118,16 +118,14 @@ def cmd_simulate_macro(args, parser) -> int:
 
 def _parse_grid(text: str, parser) -> dict:
     axes = {}
-    try:
-        for part in text.split(";"):
-            name, _, rng = part.partition("=")
-            name = name.strip()
-            if name not in ("theta", "delta", "qs"):
-                raise ValueError(f"unknown grid axis {name!r}")
-            lo, hi, n = rng.split(":")
-            axes[name] = np.linspace(float(lo), float(hi), int(n))
-    except ValueError as e:
-        parser.error(f"--grid: {e}")
+    for part in text.split(";"):
+        name, _, rng = part.partition("=")
+        name = name.strip()
+        if name not in ("theta", "delta", "qs"):
+            parser.error(f"--grid: unknown grid axis {name!r}")
+        if name in axes:
+            parser.error(f"--grid: axis {name!r} given twice")
+        axes[name] = _parse_range(rng, parser, f"--grid {name}")
     return axes
 
 

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    FrameError,
-    InvalidCutoff,
-    ParseError,
-    ValidationError,
-)
+from .errors import FrameError, ParseError, ValidationError
 from .calibration import Measurement
 from .kinematics import micro_trajectory
 from .model import ConfigState, RobotParams, UncertaintyParams
@@ -69,6 +64,8 @@ def default_params() -> RobotParams:
 
 
 def _check_rigid(T: np.ndarray, key: str) -> None:
+    if not np.all(np.isfinite(T)):
+        raise ValidationError(f"{key} is not a valid rigid transform: entries must be finite")
     R = T[:3, :3]
     if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
         raise ValidationError(f"{key} is not a valid rigid transform")
@@ -174,7 +171,7 @@ def read_trajectory(path):
                 nums = [float(p) for p in parts]
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from e
-            if nums[0] <= prev_t:
+            if not nums[0] > prev_t:
                 raise ParseError(f"{path}:{lineno}: t must increase monotonically")
             prev_t = nums[0]
             records.append(TrajectoryRecord(
@@ -187,14 +184,12 @@ def read_trajectory(path):
     return records, pragmas
 
 
-def write_trajectory(path, records, frame: str = "base") -> None:
-    """Write records to CSV; angles are converted to degrees for the file."""
-    if frame not in ("base", "image"):
-        raise ValidationError(f"frame must be 'base' or 'image', got {frame!r}")
+def write_trajectory(path, records) -> None:
+    """Write base-frame records to CSV; angles are converted to degrees for the file."""
     has_z = records[0].z is not None if records else True
     cols = ["t", "q_s", "theta", "delta", "x", "y"] + (["z"] if has_z else [])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# frame={frame}\n")
+        fh.write("# frame=base\n")
         fh.write(",".join(cols) + "\n")
         for rec in records:
             row = [rec.t, rec.q_s, math.degrees(rec.theta), math.degrees(rec.delta),
@@ -235,43 +230,6 @@ def load_dataset(path, config: RobotConfig | None = None):
         mask = np.array([True, True, rec.z is not None, False, False, False])
         measurements.append(Measurement(psi=psi, q_s=rec.q_s, x_bar=p, obs_mask=mask))
     return measurements
-
-
-def smooth_trajectory(records, cutoff_hz: float, sample_hz: float | None = None):
-    """Zero-phase second-order Butterworth low-pass on the position columns.
-
-    sample_hz defaults to the median sampling rate of the t column.  The
-    cutoff must stay below the Nyquist frequency.  Only x, y, z change;
-    commanded columns pass through untouched.
-    """
-    # imported here: scipy.signal costs about a second, and only this needs it
-    from scipy.signal import butter, filtfilt
-
-    if len(records) < 2:
-        return list(records)
-    if sample_hz is None:
-        dt = np.median(np.diff([r.t for r in records]))
-        if not dt > 0.0:
-            raise ValidationError("cannot infer sample rate from t column")
-        sample_hz = 1.0 / float(dt)
-    if cutoff_hz <= 0.0 or cutoff_hz >= sample_hz / 2.0:
-        raise InvalidCutoff(
-            f"cutoff {cutoff_hz} Hz not inside (0, Nyquist={sample_hz / 2.0} Hz)"
-        )
-    b, a = butter(2, cutoff_hz, fs=sample_hz)
-    has_z = records[0].z is not None
-    cols = [np.array([r.x for r in records]), np.array([r.y for r in records])]
-    if has_z:
-        cols.append(np.array([r.z for r in records]))
-    smoothed = [filtfilt(b, a, col) for col in cols]
-    out = []
-    for i, r in enumerate(records):
-        out.append(TrajectoryRecord(
-            t=r.t, q_s=r.q_s, theta=r.theta, delta=r.delta,
-            x=float(smoothed[0][i]), y=float(smoothed[1][i]),
-            z=float(smoothed[2][i]) if has_z else None,
-        ))
-    return out
 
 
 def generate_synthetic(

@@ -31,7 +31,3 @@ class ParseError(CremError):
 
 class FrameError(CremError):
     """A dataset declares a frame for which no transform is available."""
-
-
-class InvalidCutoff(CremError):
-    """A smoothing cutoff at or above the Nyquist frequency."""

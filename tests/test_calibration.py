@@ -102,6 +102,13 @@ def test_measurement_validation():
     with pytest.raises(ValidationError):
         Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
                     obs_mask=np.zeros(6, dtype=bool))
+    # unchecked, a NaN R_bar gives an exactly zero orientation residual
+    # (nan >= SMALL_ANGLE is false) and a (2, 2) one fails in _stack
+    for R_bar in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]),
+                  np.eye(2), np.eye(3).ravel()):
+        with pytest.raises(ValidationError, match="R_bar"):
+            Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
+                        R_bar=R_bar)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from crem import cli as crem_cli
 
 CONFIG_TEXT = """\
 L = 44.3
@@ -26,8 +30,6 @@ def config_path(tmp_path_factory):
 
 
 def crem(*argv, env_extra=None):
-    import os
-
     env = dict(os.environ)
     env.pop("CREM_CONFIG", None)
     if env_extra:
@@ -167,6 +169,20 @@ def test_jacobian_check_straight_boundary(config_path):
     assert s["pass"] is True
 
 
+@pytest.mark.parametrize("grid,msg", [
+    ("theta=15:75:0", "count must be >= 1"),
+    ("theta=15:75:-2;qs=0.2:0.8:2", "count must be >= 1"),
+    ("qs=0.2:0.8", "lo:hi:count"),
+    ("theta=20:70:2;theta=30:40:1", "given twice"),
+    ("phi=0:1:2", "unknown grid axis"),
+], ids=["zero-count", "negative-count", "two-fields", "repeated-axis", "unknown-axis"])
+def test_jacobian_check_bad_grid_is_usage_error(config_path, grid, msg):
+    proc = crem("jacobian-check", "--config", config_path, "--grid", grid)
+    assert proc.returncode == 2
+    assert "--grid" in proc.stderr and msg in proc.stderr
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -263,3 +279,34 @@ def test_version_flag():
     proc = crem("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_readme_commands_run_without_scipy(config_path, tmp_path):
+    # the runtime needs numpy only: with scipy unimportable, every README
+    # command still runs in process through crem.cli.main
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import crem.cli
+commands = [
+    "simulate-micro --theta 30 --qs-range 0:40:200 --k-lambda 0.2,0,0.025 --out sweep.csv",
+    "simulate-macro --theta-range 15:75:41 --qs 13.3 --out macro.csv",
+    "jacobian-check --out fd.csv",
+    "gen-synthetic --theta 30 --qs-range 0:40:200 --k-lambda 5,0,-0.1 "
+    "--noise 0.002 --seed 0 --out data.csv",
+    "calibrate --data data.csv --free k0,kq --out-trace trace.csv",
+    "calibrate --data data.csv --split-turning-point",
+]
+for command in commands:
+    code = crem.cli.main(command.split() + ["--config", {config_path!r}])
+    assert code == 0, (command, code)
+"""
+    env = dict(os.environ)
+    src = str(Path(crem_cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 6
+    for name in ("sweep.csv", "macro.csv", "fd.csv", "data.csv", "trace.csv"):
+        assert (tmp_path / name).exists()

@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +5,6 @@ from numpy.testing import assert_allclose
 from crem import (
     ConfigState,
     FrameError,
-    InvalidCutoff,
     ParseError,
     RobotConfig,
     TrajectoryRecord,
@@ -20,7 +16,6 @@ from crem import (
     load_robot_config,
     micro_trajectory,
     read_trajectory,
-    smooth_trajectory,
     turning_point_index,
     write_robot_config,
     write_trajectory,
@@ -111,9 +106,16 @@ def test_config_invalid_length(tmp_path):
 
 
 def test_config_rejects_nonrigid_transform(tmp_path):
-    text = BENCH_CFG + "T_BI = 2 0 0 0 0 1 0 0 0 0 1 0\n"
-    with pytest.raises(ValidationError, match="rigid"):
-        load_robot_config(write(tmp_path, "nr.cfg", text))
+    # non-finite entries fail here, naming the key, in the rotation block
+    # and in the translation column alike
+    for line in ("T_BI = 2 0 0 0 0 1 0 0 0 0 1 0",
+                 "T_BI = nan 0 0 0 0 1 0 0 0 0 1 0",
+                 "T_WB = 1 0 0 0 0 1 0 0 0 0 inf 0",
+                 "T_GM = 1 0 0 inf 0 1 0 0 0 0 1 0",
+                 "T_GM = 1 0 0 0 0 1 0 -inf 0 0 1 nan"):
+        key = line.split()[0]
+        with pytest.raises(ValidationError, match=f"{key} is not a valid rigid"):
+            load_robot_config(write(tmp_path, "nr.cfg", BENCH_CFG + line + "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +142,7 @@ def sample_records(n=5, three_d=True):
 def test_trajectory_round_trip(tmp_path, three_d):
     records = sample_records(three_d=three_d)
     path = tmp_path / "t.csv"
-    write_trajectory(path, records, frame="base")
+    write_trajectory(path, records)
     back, pragmas = read_trajectory(path)
     assert pragmas["frame"] == "base"
     assert len(back) == len(records)
@@ -175,9 +177,14 @@ def test_trajectory_header_errors(tmp_path):
 
 
 def test_trajectory_rejects_nonmonotone_time(tmp_path):
-    text = "t,q_s,theta,delta,x,y\n0,1,30,0,0,0\n0,2,30,0,0,0\n"
-    with pytest.raises(ParseError, match="monotonically"):
-        read_trajectory(write(tmp_path, "mono.csv", text))
+    # NaN compares false both ways: it must neither pass nor reset the rule
+    for rows, where in (("0,1,30,0,0,0\n0,2,30,0,0,0\n", ":3:"),
+                        ("0,1,30,0,0,0\nnan,2,30,0,0,0\n-5,3,30,0,0,0\n", ":3:"),
+                        ("nan,1,30,0,0,0\n", ":2:")):
+        text = "t,q_s,theta,delta,x,y\n" + rows
+        with pytest.raises(ParseError, match="monotonically") as err:
+            read_trajectory(write(tmp_path, "mono.csv", text))
+        assert where in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +216,9 @@ def test_load_dataset_applies_image_transform(tmp_path):
     T_BI[:3, :3] = oracle_rotation(axis, 0.83)
     T_BI[:3, 3] = [4.0, -2.0, 1.5]
 
-    records = sample_records(4)
-    path = tmp_path / "img.csv"
-    write_trajectory(path, records, frame="image")
+    text = ("# frame=image\nt,q_s,theta,delta,x,y,z\n"
+            "0,5,30,0,1.5,-2.5,0.75\n1,6,30,0,0.5,0.25,-3\n2,7,45,10,-4,2,1e-3\n")
+    path = write(tmp_path, "img.csv", text)
 
     plain = load_dataset(path, RobotConfig(params=default_params()))
     mapped = load_dataset(path, RobotConfig(params=default_params(), T_BI=T_BI))
@@ -224,7 +231,7 @@ def test_load_dataset_removes_marker_offset(tmp_path):
     T_GM[:3, 3] = [0.1, -0.2, 0.3]
     records = sample_records(3)
     path = tmp_path / "m.csv"
-    write_trajectory(path, records, frame="base")
+    write_trajectory(path, records)
     plain = load_dataset(path, RobotConfig(params=default_params()))
     shifted = load_dataset(path, RobotConfig(params=default_params(), T_GM=T_GM))
     for a, b in zip(plain, shifted):
@@ -249,69 +256,6 @@ def test_load_dataset_unknown_frame(tmp_path):
     text = "# frame=world\nt,q_s,theta,delta,x,y\n0,5,30,0,0,0\n"
     with pytest.raises(ParseError, match="frame"):
         load_dataset(write(tmp_path, "f.csv", text), None)
-
-
-# ---------------------------------------------------------------------------
-# smoothing
-
-
-def make_wave(f_hz, n=600, fs=100.0, amp=1.0):
-    t = np.arange(n) / fs
-    x = amp * np.sin(2.0 * np.pi * f_hz * t)
-    return [TrajectoryRecord(t=float(ti), q_s=1.0, theta=1.0, delta=0.0,
-                             x=float(xi), y=0.0, z=0.0)
-            for ti, xi in zip(t, x)]
-
-
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about a second to import and only smoothing needs it
-    code = "import sys, crem; assert 'scipy.signal' not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_smoothing_leaves_constant_data(tmp_path):
-    records = [TrajectoryRecord(t=i / 30.0, q_s=float(i), theta=1.0, delta=0.0,
-                                x=3.5, y=-1.0, z=0.25) for i in range(50)]
-    out = smooth_trajectory(records, cutoff_hz=5.0)
-    for a, b in zip(records, out):
-        assert abs(b.x - a.x) < 1e-12
-        assert abs(b.y - a.y) < 1e-12
-        assert abs(b.z - a.z) < 1e-12
-        assert b.q_s == a.q_s and b.theta == a.theta  # commanded columns pass through
-
-
-def test_smoothing_halves_power_at_cutoff():
-    records = make_wave(f_hz=10.0, fs=100.0)
-    out = smooth_trajectory(records, cutoff_hz=10.0, sample_hz=100.0)
-    x_in = np.array([r.x for r in records])[150:450]
-    x_out = np.array([r.x for r in out])[150:450]
-    # forward-backward pass applies |H|^2: -3 dB becomes a 0.5 amplitude ratio
-    ratio = np.max(np.abs(x_out)) / np.max(np.abs(x_in))
-    assert 0.45 < ratio < 0.55
-
-
-def test_smoothing_passes_low_frequencies():
-    records = make_wave(f_hz=0.5, fs=100.0)
-    out = smooth_trajectory(records, cutoff_hz=10.0, sample_hz=100.0)
-    x_in = np.array([r.x for r in records])[150:450]
-    x_out = np.array([r.x for r in out])[150:450]
-    assert np.max(np.abs(x_out - x_in)) < 0.01
-
-
-def test_smoothing_rejects_nyquist_violation():
-    records = make_wave(f_hz=1.0, fs=30.0, n=60)
-    with pytest.raises(InvalidCutoff):
-        smooth_trajectory(records, cutoff_hz=30.0, sample_hz=30.0)
-    with pytest.raises(InvalidCutoff):
-        smooth_trajectory(records, cutoff_hz=0.0, sample_hz=30.0)
-
-
-def test_smoothing_infers_sample_rate():
-    records = make_wave(f_hz=10.0, fs=100.0)
-    explicit = smooth_trajectory(records, cutoff_hz=10.0, sample_hz=100.0)
-    inferred = smooth_trajectory(records, cutoff_hz=10.0)
-    assert_allclose([r.x for r in inferred], [r.x for r in explicit], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
