@@ -35,7 +35,6 @@ from .differential import (
     assemble_motion_jacobians,
     fd_discrepancies,
     finite_difference_jacobian,
-    jacobian_partitions,
 )
 from .calibration import (
     CalibrationConfig,

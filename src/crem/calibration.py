@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, SingularNormalEquations, ValidationError
-from .kinematics import Pose, _pose_arrays
+from .kinematics import Pose, _tip_positions, segment_rotation
 from .model import (
     ConfigState,
     RobotParams,
@@ -201,11 +201,12 @@ def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
     """(N, 6) residuals and the equilibrium angles (theta_s, theta_prime) they rest on."""
     theta, delta, q_s = data.commands
     th_s, th_p = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
-    p, (_, R_c), (_, R_gc) = _pose_arrays(params, th_s, _theta_eps(th_s, th_p), delta, q_s)
     c = np.zeros((len(theta), 6))
-    c[:, :3] = data.x_bar - p
+    c[:, :3] = data.x_bar - _tip_positions(params, th_s, _theta_eps(th_s, th_p), delta, q_s)
     if data.rot.size:
-        c[data.rot, 3:] = _rotation_residuals(data.R_bar, R_c[data.rot] @ R_gc[data.rot])
+        # the tip frame turns by pi/2 - theta_prime in the plane delta
+        R = segment_rotation(th_p[data.rot], delta[data.rot])
+        c[data.rot, 3:] = _rotation_residuals(data.R_bar, R)
     return c, (th_s, th_p)
 
 

@@ -28,7 +28,7 @@ from .calibration import (
 from .dataio import generate_synthetic, load_dataset, load_robot_config
 from .differential import _jacobian_arrays, fd_discrepancies
 from .errors import CremError
-from .kinematics import _pose_arrays, micro_trajectory
+from .kinematics import _tip_positions, micro_trajectory
 from .model import ConfigState, UncertaintyParams
 
 _FMT = "%.17g"
@@ -103,7 +103,7 @@ def cmd_simulate_macro(args, parser) -> int:
     thetas = _parse_range(args.theta_range, parser, "--theta-range")
     delta = math.radians(args.delta)
     js = _jacobian_arrays(cfg.params, np.radians(thetas), delta, args.qs, k)
-    pos, _, _ = _pose_arrays(cfg.params, js.th_s, js.th_e, delta, args.qs)
+    pos = _tip_positions(cfg.params, js.th_s, js.th_e, delta, args.qs)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# schema=1\n")
         cols = ["theta", "x", "y", "z"] + [

@@ -5,10 +5,15 @@ Two layers:
 * equilibrium sensitivities d phi / d(theta, delta, q_s, k_lambda) from
   implicit differentiation of the moment balance A(x) C_phi = B(x),
   where x collects the length-dependent stiffnesses;
-* pose Jacobians of the two-subsegment chain: per-subsegment partitions
-  (J_v_theta, J_omega_theta, J_v_delta, J_omega_delta), their composition
-  J_xi_phi / J_xi_delta / J_xi_qs, and the assembled macro / micro /
+* pose Jacobians of the two-subsegment chain: the tip twist per
+  (theta_s, theta_eps), delta and q_s at fixed equilibrium
+  (J_xi_phi / J_xi_delta / J_xi_qs), and the assembled macro / micro /
   identification Jacobians J_M, J_mu, J_k.
+
+Both arcs bend in the plane delta, so each twist block is in-plane 2-D
+arithmetic turned by Rz(-delta), with no 3x3 product.  J_M maps through
+the closed-form pseudo-inverse of the backbone map J_q_psi, whose two
+columns are orthogonal for evenly spaced backbones.
 
 Angular velocity follows the space-frame convention dR R^T = [omega]^.
 A generic central-difference oracle over pose-valued maps is included so
@@ -22,14 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularGradient
-from .kinematics import (
-    _arc_scalars,
-    _arc_slopes,
-    arc_direction,
-    crem_pose,
-    pose_from_phi,
-    segment_rotation,
-)
+from .kinematics import _arc, _in_plane_tip, crem_pose, pose_from_phi
 from .model import (
     THETA_BASE,
     ConfigState,
@@ -47,6 +45,8 @@ from .rotations import axis_angle_vector
 
 # condition number above which a 2x2 or normal-equation solve is refused
 _COND_LIMIT = 1e12
+# relative singular-value cutoff of numpy's pinv, which J_M reproduces
+_PINV_RCOND = 1e-15
 # central-difference step of the finite-difference oracle
 _FD_STEP = 1e-6
 
@@ -158,78 +158,66 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
 # pose Jacobians
 
 
-def jacobian_partitions(theta_i: float, delta_i: float, D_i: float):
-    """Velocity partitions of one constant-curvature subsegment.
-
-    Returns (J_v_theta, J_omega_theta, J_v_delta, J_omega_delta), each
-    shape (..., 3), for a subsegment of arc length D_i bent to angle
-    theta_i in plane delta_i.  Space-frame angular velocity.  The
-    translational partitions scale the arc ratios (a, b) of the kinematics
-    module: J_v_theta by their theta-slopes, J_v_delta by -a.
-    """
-    a, _ = _arc_scalars(theta_i)
-    a_t, b_t = _arc_slopes(theta_i)
-    t = np.asarray(theta_i, dtype=float)
-    d = np.asarray(delta_i, dtype=float)
-    Di = np.asarray(D_i, dtype=float)
-    st, ct = np.sin(t), np.cos(t)
-    sd, cd = np.sin(d), np.cos(d)
-    J_v_theta = Di[..., None] * np.stack([cd * a_t, -sd * a_t, b_t], axis=-1)
-    J_omega_theta = np.stack([-sd, -cd, np.zeros_like(sd)], axis=-1)
-    J_v_delta = Di[..., None] * np.stack([-sd * a, -cd * a, np.zeros_like(sd)], axis=-1)
-    J_omega_delta = np.stack([cd * ct, -sd * ct, st - 1.0], axis=-1)
-    return J_v_theta, J_omega_theta, J_v_delta, J_omega_delta
-
-
 def _xi_jacobian_arrays(params: RobotParams, th_s, th_e, delta, q_s):
     """Vectorized (J_xi_phi (..., 6, 2), J_xi_delta (..., 6), J_xi_qs (..., 6)).
 
-    Chain rule over the two-subsegment composition: a perturbation of the
-    separation-plane frame carries the distal subsegment with it, so the
-    distal lever arm w = R_c p_g/c couples the inserted-side angular
-    partition into the tip translation.
+    Both arcs bend in the plane delta, so every block is an in-plane (x, z)
+    vector, or the plane normal y, turned by Rz(-delta).  The theta_s and
+    theta_eps columns turn about the shared axis Rz(-delta)(0, -1, 0); a
+    theta_s change also swings the empty arc, w = (L - q_s)(e_x, e_z), about
+    that axis.  Turning the plane by delta moves the tip along -y by its
+    in-plane distance x from the axis, and rotates the frame about
+    Rz(-delta)(sin, 0, cos - 1) of the tip bend pi/2 - theta_prime.
     """
-    th_s, th_e, delta, q_s = (np.asarray(a, dtype=float) for a in (th_s, th_e, delta, q_s))
+    th_s, th_e, delta, q_s = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (th_s, th_e, delta, q_s))
+    )
+    s, e = _arc(th_s, slopes=True), _arc(th_e, slopes=True)
+    x, _, e_x, e_z = _in_plane_tip(params, s, e, q_s)
+    L_e = params.L - q_s
+    sd, cd = np.sin(delta), np.cos(delta)
 
-    Jvt_s, Jwt_s, Jvd_s, Jwd_s = jacobian_partitions(th_s, delta, q_s)
-    L_emp = params.L - q_s
-    Jvt_e, Jwt_e, Jvd_e, Jwd_e = jacobian_partitions(th_e, delta, L_emp)
+    def in_plane(v_x, v_z):
+        """Rz(-delta) [v_x, 0, v_z]."""
+        return np.stack([cd * v_x, -sd * v_x, v_z], axis=-1)
 
-    R_c = segment_rotation(th_s, delta)
-    dir_e = arc_direction(th_e, delta)
-    p_gc = L_emp[..., None] * dir_e
-    w = (R_c @ p_gc[..., None])[..., 0]
-
-    def rotate(v):
-        return (R_c @ v[..., None])[..., 0]
-
-    col_s_top = Jvt_s - np.cross(w, Jwt_s)
-    col_e_top = rotate(Jvt_e)
-    col_e_bot = rotate(Jwt_e)
+    axis = np.stack([-sd, -cd, np.zeros_like(sd)], axis=-1)  # Rz(-delta) [0, -1, 0]
     J_xi_phi = np.stack([
-        np.concatenate([col_s_top, Jwt_s], axis=-1),
-        np.concatenate([col_e_top, col_e_bot], axis=-1),
-    ], axis=-1)  # (..., 6, 2)
-
-    d_top = Jvd_s - np.cross(w, Jwd_s) + rotate(Jvd_e)
-    d_bot = Jwd_s + rotate(Jwd_e)
-    J_xi_delta = np.concatenate([d_top, d_bot], axis=-1)
-
-    q_top = arc_direction(th_s, delta) - rotate(dir_e)
-    J_xi_qs = np.concatenate([q_top, np.zeros_like(q_top)], axis=-1)
+        np.concatenate([in_plane(q_s * s.a_t - L_e * e_z, q_s * s.b_t + L_e * e_x), axis],
+                       axis=-1),
+        np.concatenate([in_plane(L_e * (s.s * e.a_t + s.c * e.b_t),
+                                 L_e * (s.s * e.b_t - s.c * e.a_t)), axis], axis=-1),
+    ], axis=-1)
+    # sin and cos of theta_s + theta_eps = theta_prime + pi/2
+    J_xi_delta = np.concatenate([
+        x[..., None] * axis,
+        in_plane(s.s * e.c + s.c * e.s, -1.0 - (s.c * e.c - s.s * e.s)),
+    ], axis=-1)
+    J_xi_qs = np.concatenate([in_plane(s.a - e_x, s.b - e_z), np.zeros_like(axis)], axis=-1)
     return J_xi_phi, J_xi_delta, J_xi_qs
+
+
+def _orthogonal_pinv(J):
+    """Minimum-norm pseudo-inverse (..., m, n) of (..., n, m) J with orthogonal
+    columns, diag(1 / |J_j|^2) J^T.  A column is dropped where numpy's pinv
+    drops its singular value: |J_j| <= 1e-15 max_j |J_j| (rcond)."""
+    sq = np.sum(J * J, axis=-2)
+    keep = sq > _PINV_RCOND**2 * np.max(sq, axis=-1, keepdims=True)
+    return np.where(keep, 1.0 / np.where(keep, sq, 1.0), 0.0)[..., None] * np.swapaxes(J, -1, -2)
 
 
 class _JacobianArrays(NamedTuple):
     """Vectorized constituents of the tip Jacobians at solved equilibria.
 
     grads stacks d phi / d(theta, delta, q_s, k_lambda0, k_lambda_theta,
-    k_lambda_q) as (..., 2, 6); J_q_psi (..., n, 2) is the secondary-backbone
-    displacement per unit (theta, delta), row i differentiating
-    q_i = Delta_i (theta - theta0).  The assembled Jacobians are formed on
-    access, so a caller that needs only J_k never forms J_M.
+    k_lambda_q) as (..., 2, 6).  J_q_psi and the assembled Jacobians are
+    formed on access, so a caller that needs only J_k forms neither J_q_psi
+    nor J_M.
     """
 
+    params: RobotParams
+    theta: np.ndarray
+    delta: np.ndarray
     th_s: np.ndarray
     th_p: np.ndarray
     th_e: np.ndarray
@@ -237,15 +225,25 @@ class _JacobianArrays(NamedTuple):
     J_xi_phi: np.ndarray
     J_xi_delta: np.ndarray
     J_xi_qs: np.ndarray
-    J_q_psi: np.ndarray
+
+    @property
+    def J_q_psi(self) -> np.ndarray:
+        """(..., n, 2) secondary-backbone displacement per unit (theta, delta),
+        row i differentiating q_i = Delta_i (theta - theta0)."""
+        sig = _sigma(self.params, self.delta)
+        return self.params.r * np.stack([
+            np.cos(sig), (THETA_BASE - self.theta)[..., None] * np.sin(sig)], axis=-1)
 
     @property
     def J_M(self) -> np.ndarray:
-        """(..., 6, n) through the minimum-norm pseudo-inverse of J_q_psi."""
+        """(..., 6, n) through the minimum-norm pseudo-inverse of J_q_psi, whose
+        columns are orthogonal for n >= 3 evenly spaced backbones:
+        J_q_psi^T J_q_psi = (n r^2 / 2) diag(1, (theta0 - theta)^2).  At
+        straight the delta column vanishes and is dropped."""
         col_theta = (self.J_xi_phi @ self.grads[..., 0:1])[..., 0]
         col_delta = (self.J_xi_phi @ self.grads[..., 1:2])[..., 0] + self.J_xi_delta
         J_psi = np.stack([col_theta, col_delta], axis=-1)  # (..., 6, 2)
-        return J_psi @ np.linalg.pinv(self.J_q_psi)
+        return J_psi @ _orthogonal_pinv(self.J_q_psi)
 
     @property
     def J_mu(self) -> np.ndarray:
@@ -266,12 +264,7 @@ def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParam
     th_e = _theta_eps(th_s, th_p)
     grads = _phi_gradient_arrays(params, theta, delta, q_s, k, th_s, th_p)
     xi = _xi_jacobian_arrays(params, th_s, th_e, delta, q_s)
-    sig = _sigma(params, delta)
-    J_q_psi = params.r * np.stack([
-        np.cos(sig),
-        (THETA_BASE - theta)[..., None] * np.sin(sig),
-    ], axis=-1)
-    return _JacobianArrays(th_s, th_p, th_e, grads, *xi, J_q_psi)
+    return _JacobianArrays(params, theta, delta, th_s, th_p, th_e, grads, *xi)
 
 
 def assemble_motion_jacobians(

@@ -1,19 +1,22 @@
 """Constant-curvature pose maps for the modulated segment.
 
 A subsegment of arc length L_x bending from theta0 = pi/2 down to angle
-theta_x in plane delta has tip position
+theta_x in plane delta has tip position and orientation
 
-    p = L_x * [cos(delta) a, -sin(delta) a, b],
-    a = (sin theta_x - 1) / (theta_x - pi/2),  b = -cos theta_x / (theta_x - pi/2)
+    p = L_x Rz(-delta) [a, 0, b],  R = Rz(-delta) Ry(pi/2 - theta_x) Rz(delta),
+    a = (sin theta_x - 1) / (theta_x - pi/2),  b = -cos theta_x / (theta_x - pi/2).
 
-and orientation R = Rz(-delta) Ry(pi/2 - theta_x) Rz(delta).  Near the
-straight configuration both ratios and their theta_x-slopes are evaluated
-by series.  The full segment is the inserted subsegment (length q_s, angle
-theta_s) composed with the empty subsegment (length L - q_s, angle
-theta_eps) in the frame of the separation plane.
+Near the straight configuration both ratios and their theta_x-slopes are
+evaluated by series.  The full segment is the inserted subsegment (length
+q_s, angle theta_s) composed with the empty subsegment (length L - q_s,
+angle theta_eps) in the frame of the separation plane.  Both bend in the
+plane delta, so the batched chain is planar, p = Rz(-delta) [x, 0, z] with
+(x, z) = q_s (a_s, b_s) + (L - q_s) Ry(pi/2 - theta_s) (a_e, b_e), and the
+tip rotation is segment_rotation(theta_s + theta_eps - pi/2, delta).
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,39 +60,37 @@ class SegmentedPose:
     equilibrium: EquilibriumConfig
 
 
-def _straight_window(theta_x):
-    """(t, u = t - pi/2, mask of the series window, u with ones inside it)."""
+# sin, cos, arc ratios and their slopes (None unless asked) of one angle, see _arc
+_Arc = namedtuple("_Arc", "s c a b a_t b_t")
+
+
+def _arc(theta_x, slopes=False) -> _Arc:
+    """sin, cos, the ratios (a, b) above and, if asked, their theta_x-slopes
+
+        a_t = (u cos t - sin t + 1) / u^2,  b_t = (u sin t + cos t) / u^2
+
+    with u = t - pi/2.  Within the straight window |u| < STRAIGHT_SERIES_THRESHOLD
+    the ratios and slopes are series, evaluated on the window's samples only.
+    """
     t = np.asarray(theta_x, dtype=float)
     u = t - np.pi / 2.0
-    near = np.abs(u) < STRAIGHT_SERIES_THRESHOLD
-    return t, u, near, np.where(near, 1.0, u)
-
-
-def _arc_scalars(theta_x):
-    """Ratios (a, b) above, series-evaluated within the straight window."""
-    t, u, near, u_safe = _straight_window(theta_x)
-    a = np.where(near, -u / 2.0 + u**3 / 24.0, (np.sin(t) - 1.0) / u_safe)
-    b = np.where(near, 1.0 - u**2 / 6.0 + u**4 / 120.0, -np.cos(t) / u_safe)
-    return a, b
-
-
-def _arc_slopes(theta_x):
-    """Slopes (da/d theta_x, db/d theta_x) of the ratios, in the same window.
-
-        da/dt = (u cos t - sin t + 1) / u^2,  db/dt = (u sin t + cos t) / u^2
-    """
-    t, u, near, u_safe = _straight_window(theta_x)
     st, ct = np.sin(t), np.cos(t)
-    a_t = np.where(near, -0.5 + u**2 / 8.0 - u**4 / 144.0, (u * ct - st + 1.0) / u_safe**2)
-    b_t = np.where(near, -u / 3.0 + u**3 / 30.0, (u * st + ct) / u_safe**2)
-    return a_t, b_t
-
-
-def arc_direction(theta_x, delta_x):
-    """Tip position per unit arc length, shape (..., 3)."""
-    a, b = _arc_scalars(theta_x)
-    d = np.asarray(delta_x, dtype=float)
-    return np.stack([np.cos(d) * a, -np.sin(d) * a, b], axis=-1)
+    near = np.abs(u) < STRAIGHT_SERIES_THRESHOLD
+    u_safe = np.where(near, 1.0, u)
+    a = np.asarray((st - 1.0) / u_safe)
+    b = np.asarray(-ct / u_safe)
+    a_t = b_t = None
+    if slopes:
+        a_t = np.asarray((u * ct - st + 1.0) / u_safe**2)
+        b_t = np.asarray((u * st + ct) / u_safe**2)
+    if near.any():
+        w = u[near]
+        a[near] = -w / 2.0 + w**3 / 24.0
+        b[near] = 1.0 - w**2 / 6.0 + w**4 / 120.0
+        if slopes:
+            a_t[near] = -0.5 + w**2 / 8.0 - w**4 / 144.0
+            b_t[near] = -w / 3.0 + w**3 / 30.0
+    return _Arc(st, ct, a, b, a_t, b_t)
 
 
 def segment_rotation(theta_x, delta_x):
@@ -100,9 +101,10 @@ def segment_rotation(theta_x, delta_x):
 
 
 def _arc_pose(L_x, theta_x, delta_x):
-    """Tip position (..., 3) and rotation (..., 3, 3) of constant-curvature arcs."""
-    p = np.asarray(L_x, dtype=float)[..., None] * arc_direction(theta_x, delta_x)
-    return p, segment_rotation(theta_x, delta_x)
+    """Tip position (3,) and rotation (3, 3) of one constant-curvature arc."""
+    arc, d = _arc(theta_x), np.asarray(delta_x, dtype=float)
+    p = L_x * np.stack([np.cos(d) * arc.a, -np.sin(d) * arc.a, arc.b], axis=-1)
+    return p, segment_rotation(theta_x, d)
 
 
 def segment_pose(L_x: float, theta_x: float, delta_x: float) -> Pose:
@@ -114,35 +116,40 @@ def segment_pose(L_x: float, theta_x: float, delta_x: float) -> Pose:
     return Pose(*_arc_pose(np.float64(L_x), np.float64(theta_x), np.float64(delta_x)))
 
 
-def _pose_arrays(params: RobotParams, th_s, th_e, delta, q_s):
-    """Vectorized two-subsegment chain for given equilibrium angles.
+def _in_plane_tip(params: RobotParams, arc_s: _Arc, arc_e: _Arc, q_s):
+    """Tip (x, z) in the bending plane, and (e_x, e_z) = Ry(pi/2 - theta_s)(a_e, b_e),
+    the empty arc's direction turned by the inserted arc."""
+    e_x = arc_s.s * arc_e.a + arc_s.c * arc_e.b
+    e_z = arc_s.s * arc_e.b - arc_s.c * arc_e.a
+    L_e = params.L - q_s
+    return q_s * arc_s.a + L_e * e_x, q_s * arc_s.b + L_e * e_z, e_x, e_z
 
-    Returns the tip position p (..., 3) and the (p, R) pairs of both
-    subsegments: the inserted arc (the separation plane in the base frame)
-    and the empty arc (the tip in the separation-plane frame).
-    """
+
+def _tip_positions(params: RobotParams, th_s, th_e, delta, q_s):
+    """Tip positions (..., 3) of the two-arc chain at given equilibrium angles:
+    p = Rz(-delta) [x, 0, z] with (x, z) from _in_plane_tip."""
     th_s, th_e, delta, q_s = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (th_s, th_e, delta, q_s))
     )
-    p_c, R_c = _arc_pose(q_s, th_s, delta)
-    p_gc, R_gc = _arc_pose(params.L - q_s, th_e, delta)
-    p = p_c + (R_c @ p_gc[..., None])[..., 0]
-    return p, (p_c, R_c), (p_gc, R_gc)
+    x, z, _, _ = _in_plane_tip(params, _arc(th_s), _arc(th_e), q_s)
+    return np.stack([np.cos(delta) * x, -np.sin(delta) * x, z], axis=-1)
 
 
 def pose_from_phi(
     params: RobotParams, phi: EquilibriumConfig, delta: float, q_s: float
 ) -> SegmentedPose:
-    """Two-subsegment pose for given equilibrium angles (no solve)."""
+    """Two-subsegment pose for given equilibrium angles (no solve).
+
+    The tip frame is the composition of the separation and distal frames.
+    """
     if not (0.0 <= q_s <= params.L):
         raise ValidationError(f"q_s={q_s} outside [0, L]")
     if not np.isfinite(delta):
         raise ValidationError(f"delta must be finite, got {delta}")
-    p, (p_c, R_c), (p_gc, R_gc) = _pose_arrays(
-        params, phi.theta_s, phi.theta_eps, delta, q_s
-    )
+    p_c, R_c = _arc_pose(np.float64(q_s), phi.theta_s, delta)
+    p_gc, R_gc = _arc_pose(np.float64(params.L - q_s), phi.theta_eps, delta)
     return SegmentedPose(
-        tip=Pose(p=p, R=R_c @ R_gc),
+        tip=Pose(p=p_c + R_c @ p_gc, R=R_c @ R_gc),
         separation=Pose(p=p_c, R=R_c),
         distal=Pose(p=p_gc, R=R_gc),
         equilibrium=phi,
@@ -161,16 +168,6 @@ def crem_pose(
     return pose_from_phi(params, phi, psi.delta, q_s)
 
 
-def _tip_position_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams):
-    """Vectorized tip positions over broadcast (theta, delta, q_s).
-
-    Returns (positions (..., 3), theta_s, theta_prime).
-    """
-    th_s, th_p = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
-    p, _, _ = _pose_arrays(params, th_s, _theta_eps(th_s, th_p), delta, q_s)
-    return p, th_s, th_p
-
-
 def micro_trajectory(
     params: RobotParams,
     psi: ConfigState,
@@ -181,4 +178,6 @@ def micro_trajectory(
 
     Returns (positions (N, 3), theta_s (N,), theta_prime (N,)).
     """
-    return _tip_position_arrays(params, psi.theta, psi.delta, qs_schedule, k)
+    th_s, th_p = _solve_equilibrium_arrays(params, psi.theta, psi.delta, qs_schedule, k)
+    th_e = _theta_eps(th_s, th_p)
+    return _tip_positions(params, th_s, th_e, psi.delta, qs_schedule), th_s, th_p

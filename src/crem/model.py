@@ -280,7 +280,8 @@ def _solve_equilibrium_arrays(
         th_p_new = th_s_new + m_base / k1
         ds = th_s_new - th_s
         dp = th_p_new - th_p
-        step = max(float(np.max(np.abs(ds))), float(np.max(np.abs(dp))))
+        # initial=0: an empty batch converges at once, to empty angle arrays
+        step = float(max(np.max(np.abs(ds), initial=0.0), np.max(np.abs(dp), initial=0.0)))
         th_s = th_s + damp * ds
         th_p = th_p + damp * dp
         if step < _SOLVER_TOL:

@@ -4,7 +4,9 @@ The equilibrium oracle here deliberately re-derives the moment balance
 from the raw beam formulas and hands it to a general-purpose root
 finder, so that agreement with the fixed-point solver is evidence and
 not tautology.  Same idea for rotations: matrix exponentials come from
-scipy, not from the package.
+scipy, not from the package.  The two-arc pose chain and its twist
+Jacobians are composed here in 3-D, from full rotation matrices and
+cross products, as oracles for the package's planar chain.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from scipy.linalg import expm
 from scipy.optimize import root
 
 from crem import RobotParams, UncertaintyParams, projected_offsets
+from crem.kinematics import _arc, segment_rotation
 from crem.model import _arc_stiffness
 
 TH0 = np.pi / 2
@@ -109,3 +112,75 @@ def oracle_rotation(axis, alpha):
         [-a[1], a[0], 0.0],
     ])
     return expm(alpha * K)
+
+
+# ---------------------------------------------------------------------------
+# 3-D two-arc chain
+
+
+def arc_direction(theta_x, delta_x):
+    """Tip position per unit arc length, shape (..., 3)."""
+    arc = _arc(theta_x)
+    d = np.asarray(delta_x, dtype=float)
+    return np.stack([np.cos(d) * arc.a, -np.sin(d) * arc.a, arc.b], axis=-1)
+
+
+def jacobian_partitions(theta_i, delta_i, D_i):
+    """Velocity partitions of one constant-curvature subsegment.
+
+    Returns (J_v_theta, J_omega_theta, J_v_delta, J_omega_delta), each
+    shape (..., 3), for a subsegment of arc length D_i bent to angle
+    theta_i in plane delta_i.  Space-frame angular velocity.  The
+    translational partitions scale the arc ratios (a, b): J_v_theta by
+    their theta-slopes, J_v_delta by -a.
+    """
+    arc = _arc(theta_i, slopes=True)
+    d = np.asarray(delta_i, dtype=float)
+    Di = np.asarray(D_i, dtype=float)
+    sd, cd = np.sin(d), np.cos(d)
+    J_v_theta = Di[..., None] * np.stack([cd * arc.a_t, -sd * arc.a_t, arc.b_t], axis=-1)
+    J_omega_theta = np.stack([-sd, -cd, np.zeros_like(sd)], axis=-1)
+    J_v_delta = Di[..., None] * np.stack([-sd * arc.a, -cd * arc.a, np.zeros_like(sd)],
+                                         axis=-1)
+    J_omega_delta = np.stack([cd * arc.c, -sd * arc.c, arc.s - 1.0], axis=-1)
+    return J_v_theta, J_omega_theta, J_v_delta, J_omega_delta
+
+
+def pose_arrays_3d(params, th_s, th_e, delta, q_s):
+    """Tip position (..., 3) and tip rotation (..., 3, 3) of the two-arc chain,
+    composed as p = p_c + R_c p_gc and R = R_c R_gc."""
+    th_s, th_e, delta, q_s = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (th_s, th_e, delta, q_s)))
+    p_c = q_s[..., None] * arc_direction(th_s, delta)
+    R_c = segment_rotation(th_s, delta)
+    p_gc = (params.L - q_s)[..., None] * arc_direction(th_e, delta)
+    R_gc = segment_rotation(th_e, delta)
+    return p_c + (R_c @ p_gc[..., None])[..., 0], R_c @ R_gc
+
+
+def xi_jacobian_arrays_3d(params, th_s, th_e, delta, q_s):
+    """(J_xi_phi (..., 6, 2), J_xi_delta (..., 6), J_xi_qs (..., 6)) by the
+    chain rule over the 3-D composition: a perturbation of the separation
+    frame carries the distal arc with it, so its lever arm w = R_c p_gc
+    couples the inserted arc's angular partitions into the tip translation."""
+    th_s, th_e, delta, q_s = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (th_s, th_e, delta, q_s)))
+    Jvt_s, Jwt_s, Jvd_s, Jwd_s = jacobian_partitions(th_s, delta, q_s)
+    L_emp = params.L - q_s
+    Jvt_e, Jwt_e, Jvd_e, Jwd_e = jacobian_partitions(th_e, delta, L_emp)
+    R_c = segment_rotation(th_s, delta)
+    dir_e = arc_direction(th_e, delta)
+    w = (R_c @ (L_emp[..., None] * dir_e)[..., None])[..., 0]
+
+    def rotate(v):
+        return (R_c @ v[..., None])[..., 0]
+
+    J_xi_phi = np.stack([
+        np.concatenate([Jvt_s - np.cross(w, Jwt_s), Jwt_s], axis=-1),
+        np.concatenate([rotate(Jvt_e), rotate(Jwt_e)], axis=-1),
+    ], axis=-1)
+    J_xi_delta = np.concatenate([Jvd_s - np.cross(w, Jwd_s) + rotate(Jvd_e),
+                                 Jwd_s + rotate(Jwd_e)], axis=-1)
+    q_top = arc_direction(th_s, delta) - rotate(dir_e)
+    J_xi_qs = np.concatenate([q_top, np.zeros_like(q_top)], axis=-1)
+    return J_xi_phi, J_xi_delta, J_xi_qs

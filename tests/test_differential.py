@@ -15,7 +15,7 @@ from crem import (
     crem_pose,
     micro_trajectory,
     fd_discrepancies,
-    jacobian_partitions,
+    identification_jacobian,
     solve_equilibrium,
 )
 from crem import differential
@@ -23,17 +23,24 @@ from crem.differential import (
     _cond_2x2,
     _jacobian_arrays,
     _xi_jacobian_arrays,
+    _orthogonal_pinv,
     finite_difference_jacobian,
 )
 from crem.kinematics import (
     STRAIGHT_SERIES_THRESHOLD,
-    _arc_scalars,
-    _arc_slopes,
-    _tip_position_arrays,
+    _arc,
+    _tip_positions,
     pose_from_phi,
+    segment_rotation,
 )
 from crem.model import _arc_stiffness, _arc_stiffness_partials, _sigma, projected_offsets
-from conftest import backbone_lengths, equilibrium_moments
+from conftest import (
+    backbone_lengths,
+    equilibrium_moments,
+    jacobian_partitions,
+    pose_arrays_3d,
+    xi_jacobian_arrays_3d,
+)
 
 TH0 = np.pi / 2
 
@@ -43,10 +50,19 @@ TH0 = np.pi / 2
 # the arc ratios (a, b) and chi_c = -a
 
 
+def arc_ratios(theta):
+    arc = _arc(theta)
+    return arc.a, arc.b
+
+
+def arc_slopes(theta):
+    arc = _arc(theta, slopes=True)
+    return arc.a_t, arc.b_t
+
+
 def chi_abc(theta):
-    a, _ = _arc_scalars(theta)
-    a_t, b_t = _arc_slopes(theta)
-    return a_t, b_t, -a
+    arc = _arc(theta, slopes=True)
+    return arc.a_t, arc.b_t, -arc.a
 
 
 def test_chi_values_against_extended_precision():
@@ -82,7 +98,7 @@ def test_arc_ratios_continuous_across_series_switch(sign, d):
     # which divide by u, 1e-7 for the slopes, which divide by u^2)
     inside = TH0 + sign * (STRAIGHT_SERIES_THRESHOLD - d)
     outside = TH0 + sign * (STRAIGHT_SERIES_THRESHOLD + d)
-    for f, atol in ((_arc_scalars, 1e-9), (_arc_slopes, 1e-7)):
+    for f, atol in ((arc_ratios, 1e-9), (arc_slopes, 1e-7)):
         jump = np.abs(np.subtract(f(inside), f(outside)))
         assert np.all(jump <= 2.0 * d + atol), (f.__name__, jump)
 
@@ -92,8 +108,8 @@ def test_arc_slopes_are_derivatives_of_the_ratios():
     # where the closed forms' cancellation stays below the 1e-8 asked here
     theta = TH0 + np.array([-0.9, -0.05, -5e-5, 0.0, 3e-5, 0.05, 1.2])
     h = 1e-6
-    fd = (np.array(_arc_scalars(theta + h)) - np.array(_arc_scalars(theta - h))) / (2.0 * h)
-    assert_allclose(np.array(_arc_slopes(theta)), fd, rtol=0, atol=1e-8)
+    fd = (np.array(arc_ratios(theta + h)) - np.array(arc_ratios(theta - h))) / (2.0 * h)
+    assert_allclose(np.array(arc_slopes(theta)), fd, rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +252,71 @@ def test_xi_delta_in_plane_components_vanish(bench):
     assert abs(J_xi_delta[1]) > 1e-3
 
 
+# near-straight angles on both sides of the series switch, exactly straight,
+# and anywhere in the bend range
+CHAIN_ANGLES = st.one_of(
+    st.just(TH0),
+    st.floats(-2e-4, 2e-4).map(lambda u: TH0 + u),
+    st.floats(0.05, np.pi - 0.05),
+)
+CHAIN_SAMPLES = st.lists(
+    st.tuples(CHAIN_ANGLES, CHAIN_ANGLES, st.floats(-np.pi, np.pi, exclude_min=True),
+              st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+    min_size=1, max_size=8,
+)
+
+
+@given(samples=CHAIN_SAMPLES)
+@settings(max_examples=150, deadline=None)
+def test_planar_chain_matches_3d_chain(bench, samples):
+    # the planar chain and the rotation identity R_c R_gc = segment_rotation(
+    # theta_s + theta_eps - pi/2, delta) against the 3-D composition
+    th_s, th_e, delta, fq = (np.array(col) for col in zip(*samples))
+    q_s = fq * bench.L
+    planar = (_tip_positions(bench, th_s, th_e, delta, q_s),
+              segment_rotation(th_s + th_e - TH0, delta),
+              *_xi_jacobian_arrays(bench, th_s, th_e, delta, q_s))
+    oracle = (*pose_arrays_3d(bench, th_s, th_e, delta, q_s),
+              *xi_jacobian_arrays_3d(bench, th_s, th_e, delta, q_s))
+    for name, got, ref in zip(("p", "R", "J_xi_phi", "J_xi_delta", "J_xi_qs"), planar, oracle):
+        assert got.shape == ref.shape, name
+        for i in range(len(samples)):
+            assert _close(got[i], ref[i]), (name, samples[i])
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_closed_form_pinv_matches_numpy(n):
+    params = RobotParams(L=44.3, r=3.0, E_p=41000.0, E_i=41000.0, E_s=41000.0,
+                         I_p=0.0312, I_i=0.0312, I_s=0.0010, n=n)
+    rng = np.random.default_rng(n)
+    theta = np.concatenate([rng.uniform(0.05, np.pi - 0.05, 300),
+                            [TH0, TH0 - 1e-12, TH0 + 1e-12]])
+    delta = rng.uniform(-np.pi, np.pi, theta.size)
+    sig = _sigma(params, delta)
+    J_q_psi = params.r * np.stack([np.cos(sig), (TH0 - theta)[:, None] * np.sin(sig)], axis=-1)
+    ref = np.linalg.pinv(J_q_psi)
+    got = _orthogonal_pinv(J_q_psi)
+    assert got.shape == ref.shape == (theta.size, 2, n)
+    for i in range(theta.size):
+        assert _close(got[i], ref[i]), theta[i]
+    # exactly straight: the delta column of J_q_psi vanishes and its row is dropped
+    assert np.all(got[theta == TH0, 1] == 0.0) and np.all(ref[theta == TH0, 1] == 0.0)
+
+
+def test_empty_batches_return_empty_arrays(bench, k_cal):
+    empty = np.array([])
+    pos, th_s, th_p = micro_trajectory(bench, ConfigState(1.0, 0.3), empty, k_cal)
+    assert pos.shape == (0, 3) and th_s.shape == (0,) and th_p.shape == (0,)
+    core = _jacobian_arrays(bench, empty, empty, empty, k_cal)
+    assert core.th_s.shape == (0,)
+    assert core.J_M.shape == (0, 6, 3)
+    assert core.J_mu.shape == (0, 6)
+    assert core.J_k.shape == (0, 6, 3)
+    assert identification_jacobian([], bench, k_cal).shape == (0, 2)
+    all_free = ("k_lambda0", "k_lambda_theta", "k_lambda_q")
+    assert identification_jacobian([], bench, k_cal, all_free).shape == (0, 3)
+
+
 # ---------------------------------------------------------------------------
 # actuation map
 
@@ -370,8 +451,8 @@ def test_batched_core_equals_scalar_api(bench, samples, k0, kq):
     k = UncertaintyParams(k0, 0.0, kq)
     theta, delta, fq = (np.array(col) for col in zip(*samples))
     qs = fq * bench.L
-    pos, _, _ = _tip_position_arrays(bench, theta, delta, qs, k)
     core = _jacobian_arrays(bench, theta, delta, qs, k)
+    pos = _tip_positions(bench, core.th_s, core.th_e, delta, qs)
     J_M, J_mu, J_k = core.J_M, core.J_mu, core.J_k
     psi0 = ConfigState(theta[0], delta[0])
     sweep, _, _ = micro_trajectory(bench, psi0, qs, k)

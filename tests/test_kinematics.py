@@ -16,8 +16,8 @@ from crem import (
     segment_pose,
     solve_equilibrium,
 )
-from crem.kinematics import _pose_arrays, arc_direction, segment_rotation
-from conftest import assert_valid_pose
+from crem.kinematics import _tip_positions, segment_rotation
+from conftest import arc_direction, assert_valid_pose
 
 TH0 = np.pi / 2
 
@@ -123,10 +123,12 @@ def test_subdivision_identity(bench, theta, fq, delta):
     L, q_s = bench.L, bench.L * fq
     th_s = TH0 + (theta - TH0) * q_s / L
     th_eps = theta - th_s + TH0
-    p, (_, R_c), (_, R_gc) = _pose_arrays(bench, th_s, th_eps, delta, q_s)
+    p = _tip_positions(bench, th_s, th_eps, delta, q_s)
+    tip = pose_from_phi(bench, EquilibriumConfig(th_s, th_eps), delta, q_s).tip
     whole = segment_pose(L, theta, delta)
     assert np.linalg.norm(p - whole.p) < 1e-9
-    assert np.max(np.abs(R_c @ R_gc - whole.R)) < 1e-9
+    assert np.linalg.norm(tip.p - whole.p) < 1e-9
+    assert np.max(np.abs(tip.R - whole.R)) < 1e-9
 
 
 def test_crem_pose_straight(bench, k_zero):
