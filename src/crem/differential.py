@@ -339,7 +339,10 @@ def fd_discrepancies(
 
     def full_pose(x):
         kk = UncertaintyParams(float(x[3]), float(x[4]), float(x[5]))
-        sp = crem_pose(params, ConfigState(float(x[0]), float(x[1])), float(x[2]), kk)
+        # the pose is 2 pi-periodic in delta: a step across +-pi wraps back into (-pi, pi]
+        delta = float(x[1])
+        delta += 2.0 * np.pi * ((delta <= -np.pi) - (delta > np.pi))
+        sp = crem_pose(params, ConfigState(float(x[0]), delta), float(x[2]), kk)
         phis.append(sp.equilibrium.phi())
         return sp.tip
 

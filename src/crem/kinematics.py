@@ -3,14 +3,16 @@
 A subsegment of arc length L_x bending from theta0 = pi/2 down to angle
 theta_x in plane delta has tip position and orientation
 
-    p = L_x Rz(-delta) [a, 0, b],  R = Rz(-delta) Ry(pi/2 - theta_x) Rz(delta),
-    a = (sin theta_x - 1) / (theta_x - pi/2),  b = -cos theta_x / (theta_x - pi/2).
+    p = L_x Rz(-delta) [a, 0, b],  R = segment_rotation(theta_x, delta),
+    a = (sin theta_x - 1) / (theta_x - pi/2),  b = -cos theta_x / (theta_x - pi/2),
 
-Near the straight configuration both ratios and their theta_x-slopes are
-evaluated by series.  The full segment is the inserted subsegment (length
-q_s, angle theta_s) composed with the empty subsegment (length L - q_s,
-angle theta_eps) in the frame of the separation plane.  Both bend in the
-plane delta, so the batched chain is planar, p = Rz(-delta) [x, 0, z] with
+where R turns by pi/2 - theta_x about the bending-plane normal.  Near the
+straight configuration both ratios and their theta_x-slopes are evaluated
+by series.  The full segment is the inserted subsegment (length q_s,
+angle theta_s) followed by the empty subsegment (length L - q_s, angle
+theta_eps), which starts in the frame of the separation plane.  Both bend
+in the plane delta, so every tip pose, scalar or batched, comes from one
+planar chain: p = Rz(-delta) [x, 0, z] with
 (x, z) = q_s (a_s, b_s) + (L - q_s) Ry(pi/2 - theta_s) (a_e, b_e), and the
 tip rotation is segment_rotation(theta_s + theta_eps - pi/2, delta).
 """
@@ -31,7 +33,6 @@ from .model import (
     _theta_eps,
     solve_equilibrium,
 )
-from .rotations import rot_y, rot_z
 
 # |theta_x - pi/2| below which the arc ratios switch to their series forms
 STRAIGHT_SERIES_THRESHOLD = 1e-4
@@ -47,16 +48,10 @@ class Pose:
 
 @dataclass(frozen=True, eq=False)
 class SegmentedPose:
-    """Tip pose with the intermediate frames of the two-subsegment chain.
-
-    separation: separation-plane frame in the base frame
-    distal: tip frame in the separation-plane frame
-    tip: their composition, the tip frame in the base frame
-    """
+    """Tip frame of the two-subsegment chain in the base frame, with the
+    equilibrium angles it was formed at."""
 
     tip: Pose
-    separation: Pose
-    distal: Pose
     equilibrium: EquilibriumConfig
 
 
@@ -94,17 +89,24 @@ def _arc(theta_x, slopes=False) -> _Arc:
 
 
 def segment_rotation(theta_x, delta_x):
-    """R = Rz(-delta) Ry(pi/2 - theta_x) Rz(delta), shape (..., 3, 3)."""
-    t = np.asarray(theta_x, dtype=float)
-    d = np.asarray(delta_x, dtype=float)
-    return rot_z(-d) @ rot_y(np.pi / 2.0 - t) @ rot_z(d)
+    """R = Rz(-delta) Ry(pi/2 - theta_x) Rz(delta), shape (..., 3, 3), in closed
+    form: the turn by pi/2 - theta_x about n = (sin delta, cos delta, 0),
 
-
-def _arc_pose(L_x, theta_x, delta_x):
-    """Tip position (3,) and rotation (3, 3) of one constant-curvature arc."""
-    arc, d = _arc(theta_x), np.asarray(delta_x, dtype=float)
-    p = L_x * np.stack([np.cos(d) * arc.a, -np.sin(d) * arc.a, arc.b], axis=-1)
-    return p, segment_rotation(theta_x, d)
+        R = sin theta_x I + cos theta_x [n]^ + (1 - sin theta_x) n n^T.
+    """
+    t, d = np.asarray(theta_x, dtype=float), np.asarray(delta_x, dtype=float)
+    st, ct, sd, cd = np.sin(t), np.cos(t), np.sin(d), np.cos(d)
+    v = 1.0 - st
+    R = np.empty(np.broadcast_shapes(t.shape, d.shape) + (3, 3))
+    R[..., 0, 0] = st + v * sd * sd
+    R[..., 0, 1] = R[..., 1, 0] = v * sd * cd
+    R[..., 0, 2] = ct * cd
+    R[..., 1, 1] = st + v * cd * cd
+    R[..., 1, 2] = -ct * sd
+    R[..., 2, 0] = -ct * cd
+    R[..., 2, 1] = ct * sd
+    R[..., 2, 2] = st
+    return R
 
 
 def segment_pose(L_x: float, theta_x: float, delta_x: float) -> Pose:
@@ -113,7 +115,9 @@ def segment_pose(L_x: float, theta_x: float, delta_x: float) -> Pose:
         raise ValidationError(f"arc length must be finite and >= 0, got {L_x}")
     if not (np.isfinite(theta_x) and np.isfinite(delta_x)):
         raise ValidationError(f"arc angles must be finite, got ({theta_x}, {delta_x})")
-    return Pose(*_arc_pose(np.float64(L_x), np.float64(theta_x), np.float64(delta_x)))
+    arc, d = _arc(theta_x), np.float64(delta_x)
+    p = np.float64(L_x) * np.stack([np.cos(d) * arc.a, -np.sin(d) * arc.a, arc.b])
+    return Pose(p, segment_rotation(theta_x, d))
 
 
 def _in_plane_tip(params: RobotParams, arc_s: _Arc, arc_e: _Arc, q_s):
@@ -138,22 +142,16 @@ def _tip_positions(params: RobotParams, th_s, th_e, delta, q_s):
 def pose_from_phi(
     params: RobotParams, phi: EquilibriumConfig, delta: float, q_s: float
 ) -> SegmentedPose:
-    """Two-subsegment pose for given equilibrium angles (no solve).
-
-    The tip frame is the composition of the separation and distal frames.
-    """
+    """Two-subsegment tip pose for given equilibrium angles (no solve): the
+    position from the planar chain _tip_positions, the rotation
+    segment_rotation(theta_prime, delta)."""
     if not (0.0 <= q_s <= params.L):
         raise ValidationError(f"q_s={q_s} outside [0, L]")
     if not np.isfinite(delta):
         raise ValidationError(f"delta must be finite, got {delta}")
-    p_c, R_c = _arc_pose(np.float64(q_s), phi.theta_s, delta)
-    p_gc, R_gc = _arc_pose(np.float64(params.L - q_s), phi.theta_eps, delta)
-    return SegmentedPose(
-        tip=Pose(p=p_c + R_c @ p_gc, R=R_c @ R_gc),
-        separation=Pose(p=p_c, R=R_c),
-        distal=Pose(p=p_gc, R=R_gc),
-        equilibrium=phi,
-    )
+    tip = Pose(p=_tip_positions(params, phi.theta_s, phi.theta_eps, delta, q_s),
+               R=segment_rotation(phi.theta_prime, delta))
+    return SegmentedPose(tip=tip, equilibrium=phi)
 
 
 def crem_pose(
@@ -161,8 +159,8 @@ def crem_pose(
 ) -> SegmentedPose:
     """Tip pose at configuration psi and insertion depth q_s.
 
-    Solves the moment equilibrium for phi, then composes the inserted and
-    empty subsegment arcs.
+    Solves the moment equilibrium for phi, then forms the tip pose of the
+    inserted and empty subsegment arcs with pose_from_phi.
     """
     phi = solve_equilibrium(params, psi, q_s, k)
     return pose_from_phi(params, phi, psi.delta, q_s)

@@ -1,8 +1,7 @@
-"""Small rotation-matrix toolbox.
+"""Axis-angle maps of rotation matrices.
 
-All functions broadcast over leading dimensions: scalars give (3, 3),
-an array of angles of shape S gives S + (3, 3), and the axis-angle maps
-take a stack of shape S + (3, 3).
+All functions broadcast over leading dimensions: a stack of matrices of
+shape S + (3, 3) gives per-matrix results of shape S or S + (3,).
 """
 from __future__ import annotations
 
@@ -13,29 +12,6 @@ import numpy as np
 # the axis reliably and the symmetric part is used instead.
 SMALL_ANGLE = 1e-7
 NEAR_PI = 1e-4
-
-
-def _plane_rotation(angle, i, j):
-    """Right-handed rotation turning axis i toward axis j."""
-    a = np.asarray(angle, dtype=float)
-    c, s = np.cos(a), np.sin(a)
-    R = np.zeros(a.shape + (3, 3))
-    R[..., i, i] = c
-    R[..., i, j] = -s
-    R[..., j, i] = s
-    R[..., j, j] = c
-    R[..., 3 - i - j, 3 - i - j] = 1.0
-    return R
-
-
-def rot_z(angle):
-    """Right-handed rotation about +z."""
-    return _plane_rotation(angle, 0, 1)
-
-
-def rot_y(angle):
-    """Right-handed rotation about +y."""
-    return _plane_rotation(angle, 2, 0)
 
 
 def unskew(m):

@@ -5,8 +5,9 @@ from the raw beam formulas and hands it to a general-purpose root
 finder, so that agreement with the fixed-point solver is evidence and
 not tautology.  Same idea for rotations: matrix exponentials come from
 scipy, not from the package.  The two-arc pose chain and its twist
-Jacobians are composed here in 3-D, from full rotation matrices and
-cross products, as oracles for the package's planar chain.
+Jacobians are composed here in 3-D, from arc rotations built of scipy
+matrix exponentials and from cross products, as oracles for the
+package's planar chain.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.linalg import expm
 from scipy.optimize import root
 
 from crem import RobotParams, UncertaintyParams, projected_offsets
-from crem.kinematics import _arc, segment_rotation
+from crem.kinematics import _arc
 from crem.model import _arc_stiffness
 
 TH0 = np.pi / 2
@@ -146,15 +147,25 @@ def jacobian_partitions(theta_i, delta_i, D_i):
     return J_v_theta, J_omega_theta, J_v_delta, J_omega_delta
 
 
+def arc_rotation_3d(theta_x, delta_x):
+    """Rz(-delta) Ry(pi/2 - theta_x) Rz(delta) per sample, shape (..., 3, 3),
+    each factor from oracle_rotation."""
+    t, d = np.broadcast_arrays(np.asarray(theta_x, dtype=float), np.asarray(delta_x, dtype=float))
+    z, y = [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]
+    R = [oracle_rotation(z, -dd) @ oracle_rotation(y, TH0 - tt) @ oracle_rotation(z, dd)
+         for tt, dd in zip(t.ravel(), d.ravel())]
+    return np.reshape(R, t.shape + (3, 3))
+
+
 def pose_arrays_3d(params, th_s, th_e, delta, q_s):
     """Tip position (..., 3) and tip rotation (..., 3, 3) of the two-arc chain,
     composed as p = p_c + R_c p_gc and R = R_c R_gc."""
     th_s, th_e, delta, q_s = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (th_s, th_e, delta, q_s)))
     p_c = q_s[..., None] * arc_direction(th_s, delta)
-    R_c = segment_rotation(th_s, delta)
+    R_c = arc_rotation_3d(th_s, delta)
     p_gc = (params.L - q_s)[..., None] * arc_direction(th_e, delta)
-    R_gc = segment_rotation(th_e, delta)
+    R_gc = arc_rotation_3d(th_e, delta)
     return p_c + (R_c @ p_gc[..., None])[..., 0], R_c @ R_gc
 
 
@@ -168,7 +179,7 @@ def xi_jacobian_arrays_3d(params, th_s, th_e, delta, q_s):
     Jvt_s, Jwt_s, Jvd_s, Jwd_s = jacobian_partitions(th_s, delta, q_s)
     L_emp = params.L - q_s
     Jvt_e, Jwt_e, Jvd_e, Jwd_e = jacobian_partitions(th_e, delta, L_emp)
-    R_c = segment_rotation(th_s, delta)
+    R_c = arc_rotation_3d(th_s, delta)
     dir_e = arc_direction(th_e, delta)
     w = (R_c @ (L_emp[..., None] * dir_e)[..., None])[..., 0]
 

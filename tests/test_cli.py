@@ -148,18 +148,19 @@ def test_macro_columns_tangent_to_trajectory(config_path, tmp_path):
 
 
 def test_jacobian_check_passes_both_k(config_path, tmp_path):
-    for k in ("0,0,0", "0.2,0,0.025"):
-        out = tmp_path / f"jc_{k.replace(',', '_')}.csv"
-        proc = crem("jacobian-check", "--config", config_path,
-                    "--k-lambda", k, "--grid",
-                    "theta=20:70:2;delta=0:40:2;qs=0.2:0.8:2",
-                    "--out", str(out))
-        s = summary(proc)
-        assert s["pass"] is True
-        assert s["points"] == 8
-        assert max(s["max_errors"].values()) <= 1e-6
-        header, data = read_csv(out)
-        assert len(data) == 8
+    # the second grid's delta steps of the finite differences cross pi
+    for grid, points in (("theta=20:70:2;delta=0:40:2;qs=0.2:0.8:2", 8),
+                         ("theta=30:30:1;delta=180:180:1;qs=0.5:0.5:1", 1)):
+        for k in ("0,0,0", "0.2,0,0.025"):
+            out = tmp_path / f"jc_{k.replace(',', '_')}.csv"
+            proc = crem("jacobian-check", "--config", config_path,
+                        "--k-lambda", k, "--grid", grid, "--out", str(out))
+            s = summary(proc)
+            assert s["pass"] is True
+            assert s["points"] == points
+            assert max(s["max_errors"].values()) <= 1e-6
+            header, data = read_csv(out)
+            assert len(data) == points
 
 
 def test_jacobian_check_straight_boundary(config_path):
@@ -282,11 +283,15 @@ def test_version_flag():
 
 
 def test_readme_commands_run_without_scipy(config_path, tmp_path):
-    # the runtime needs numpy only: with scipy unimportable, every README
-    # command still runs in process through crem.cli.main
+    # the runtime needs numpy only: with scipy unimportable, the README
+    # Quick start snippet and every README command still run in process
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1]
+    quick_start = quick_start.split("```", 1)[0]
     code = f"""
 import sys
 sys.modules["scipy"] = None
+exec({quick_start!r})
 import crem.cli
 commands = [
     "simulate-micro --theta 30 --qs-range 0:40:200 --k-lambda 0.2,0,0.025 --out sweep.csv",

@@ -359,8 +359,9 @@ def test_macro_micro_decoupling_consistency(bench, k_cal):
     assert js.J_k.shape == (6, 3)
 
 
+# at delta = pi and -pi + 5e-7 rad the delta steps cross +-pi and wrap back
 @pytest.mark.parametrize("theta_deg,delta_deg,q_s", [
-    (30, 0, 20.0), (60, 40, 5.0), (120, -75, 35.0),
+    (30, 0, 20.0), (60, 40, 5.0), (120, -75, 35.0), (30, 180, 22.0), (30, -180 + 3e-5, 22.0),
 ])
 def test_fd_agreement_spot_checks(bench, k_zero, k_cal, theta_deg, delta_deg, q_s):
     psi = ConfigState(np.radians(theta_deg), np.radians(delta_deg))

@@ -17,7 +17,7 @@ from crem import (
     solve_equilibrium,
 )
 from crem.kinematics import _tip_positions, segment_rotation
-from conftest import arc_direction, assert_valid_pose
+from conftest import arc_direction, assert_valid_pose, pose_arrays_3d
 
 TH0 = np.pi / 2
 
@@ -47,7 +47,7 @@ def arc_oracle(L_x, theta_x, delta_x):
 def test_straight_segment():
     pose = segment_pose(44.3, TH0, 1.234)
     assert_allclose(pose.p, [0.0, 0.0, 44.3], atol=0)
-    # Rz(-d) Ry(0) Rz(d) collapses to identity only to rounding
+    # cos(pi/2) = 6e-17 leaves the identity only to rounding
     assert_allclose(pose.R, np.eye(3), atol=1e-15)
 
 
@@ -147,11 +147,15 @@ def test_crem_pose_zero_wire_neutrality(k_zero):
 
 
 def test_crem_pose_composition_consistency(bench, k_cal):
+    # the planar tip pose against the 3-D composition of the two arc frames
+    # at the solved equilibrium
     psi = ConfigState(np.radians(40), 0.5)
     sp = crem_pose(bench, psi, 17.0, k_cal)
-    sep, dist = sp.separation, sp.distal
-    assert_allclose(sp.tip.p, sep.p + sep.R @ dist.p, atol=0)
-    assert_allclose(sp.tip.R, sep.R @ dist.R, atol=0)
+    phi = sp.equilibrium
+    for got, ref in zip((sp.tip.p, sp.tip.R),
+                        pose_arrays_3d(bench, phi.theta_s, phi.theta_eps, psi.delta, 17.0)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
     assert_valid_pose(sp.tip, tol=1e-12)
 
 

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from crem.kinematics import segment_rotation
 from crem.rotations import (
     axis_angle,
     axis_angle_vector,
-    rot_y,
-    rot_z,
     unskew,
 )
-from conftest import oracle_rotation
+from conftest import arc_rotation_3d, oracle_rotation
 
 UNIT_AXES = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
@@ -20,8 +19,10 @@ UNIT_AXES = st.tuples(
 
 @pytest.mark.parametrize("angle", [0.0, 0.3, -1.2, np.pi / 2, 3.0])
 def test_elementary_rotations_match_expm(angle):
-    assert_allclose(rot_z(angle), oracle_rotation([0, 0, 1], angle), atol=1e-14)
-    assert_allclose(rot_y(angle), oracle_rotation([0, 1, 0], angle), atol=1e-14)
+    # the closed-form arc rotation at theta = angle against Rz(-delta)
+    # Ry(pi/2 - theta) Rz(delta) composed of matrix exponentials
+    for delta in (0.0, 0.7, -2.5, np.pi):
+        assert_allclose(segment_rotation(angle, delta), arc_rotation_3d(angle, delta), atol=1e-14)
 
 
 def test_skew_unskew_roundtrip():
