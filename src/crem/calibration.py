@@ -3,10 +3,13 @@
 Each measurement pairs a commanded configuration (theta, delta, q_s) with
 an observed tip position (and optionally orientation).  The residual per
 measurement is the 6-vector [x_bar - x; alpha_e m_e] of position error
-and axis-angle orientation error; a damped Gauss-Newton loop on the
-weighted cost M_lambda = c~^T W c~ / 2N updates the free components of
+and axis-angle orientation error; a Gauss-Newton loop on the weighted
+cost M_lambda = c~^T W c~ / 2N updates the free components of
 (k_lambda0, k_lambda_theta, k_lambda_q) until the relative change of
-M_lambda falls below a threshold.
+M_lambda falls below a threshold.  The initial step length eta is 1 (a
+full Gauss-Newton step) by default and halves whenever a step would
+raise the cost; the paper's damped update is eta < 1.  The result
+reports the standard errors and correlation of the free parameters.
 
 The loop is batched over the dataset, with or without observed
 orientation: the measurement arrays are stacked once per fit, and each
@@ -35,6 +38,9 @@ from .rotations import SMALL_ANGLE, axis_angle
 PARAM_NAMES = ("k_lambda0", "k_lambda_theta", "k_lambda_q")
 
 _MAX_STEP_RETRIES = 30
+# relative cost change that is float noise: a step within it counts as
+# no increase, and a fit whose cost moves by no more than it has converged
+_COST_RTOL = 1e-12
 # turning points: samples kept clear of either end, and the least swing on
 # both sides as a fraction of the total progress span
 _TURN_END_MARGIN = 2
@@ -90,7 +96,7 @@ class CalibrationConfig:
     free_params names the components of k actually updated.
     """
 
-    eta: float = 0.1
+    eta: float = 1.0
     beta_conv: float = 1e-3
     max_iter: int = 500
     w_rot: float = 10.0
@@ -128,13 +134,23 @@ class IterationRecord:
     M_lambda: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationResult:
+    """k_star with its fit trace and uncertainty.
+
+    std_errors and correlation belong to the free parameters, in
+    free_params order, from the covariance sigma^2 (J^T W J)^-1 with
+    sigma^2 = c~^T W c~ / (weighted components - free parameters);
+    std_errors are NaN when no degree of freedom is left.
+    """
+
     k_star: UncertaintyParams
     trace: list
     converged: bool
     eta_final: float
     eta_flagged: bool
+    std_errors: np.ndarray
+    correlation: np.ndarray
 
 
 def _rotation_residuals(R_bar, R):
@@ -239,14 +255,17 @@ def nls_estimate(
     config: CalibrationConfig,
     k0: UncertaintyParams,
 ) -> CalibrationResult:
-    """Damped Gauss-Newton identification of the free uncertainty parameters.
+    """Gauss-Newton identification of the free uncertainty parameters.
 
     Update per iteration: k <- k - H (eta (J^T W J)^{-1} J^T W c~) on the
-    free components.  Stops when |M_i - M_{i-1}| / M_{i-1} < beta_conv or
-    when M_i falls below the absolute floor (sub-nanometer residuals are
-    float noise and the relative test would churn on them).  A step that
-    would increase M_lambda is retried with eta halved (and the result
-    flagged); NoConvergence after max_iter accepted updates.
+    free components, where eta starts at config.eta (1 = a full
+    Gauss-Newton step).  A step that would increase M_lambda by more than
+    float noise is retried with eta halved (and the result flagged).
+    Stops when |M_i - M_{i-1}| / M_{i-1} < beta_conv, when that change is
+    float noise (_COST_RTOL), or when M_i falls below the absolute floor
+    (sub-nanometer residuals are float noise too); NoConvergence after
+    max_iter accepted updates.  The uncertainty report reuses J^T W J of
+    the last iteration.
     """
     if not measurements:
         raise ValidationError("empty dataset")
@@ -291,7 +310,7 @@ def nls_estimate(
             k_cand = k_vec.copy()
             k_cand[idx] -= (H[np.ix_(idx, idx)] @ (eta * delta_free))
             cand = evaluate(k_cand)
-            if cand[2] <= M * (1.0 + 1e-12):
+            if cand[2] <= M * (1.0 + _COST_RTOL):
                 break
             eta *= 0.5
             flagged = True
@@ -303,19 +322,25 @@ def nls_estimate(
         k_vec, (c, Wc, M, angles) = k_cand, cand
         trace.append(IterationRecord(iteration, UncertaintyParams.from_array(k_vec),
                                      _rmse_um(c, data.pos_mask), M))
-        if rel < config.beta_conv or M < _M_FLOOR:
+        if rel < config.beta_conv or rel <= _COST_RTOL or M < _M_FLOOR:
             break
     else:
         raise NoConvergence(
             f"identification not converged after {config.max_iter} iterations "
             f"(M_lambda {M:.6g})"
         )
+    inv = np.linalg.inv(JtW)
+    scale = np.sqrt(np.diag(inv))
+    dof = np.count_nonzero(np.any(W != 0.0, axis=-1)) - idx.size
+    sigma = np.sqrt(2.0 * len(measurements) * M / dof) if dof > 0 else np.nan
     return CalibrationResult(
         k_star=UncertaintyParams.from_array(k_vec),
         trace=trace,
         converged=True,
         eta_final=eta,
         eta_flagged=flagged,
+        std_errors=sigma * scale,
+        correlation=inv / np.outer(scale, scale),
     )
 
 

@@ -268,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--data", required=True, help="trajectory CSV")
     p.add_argument("--init", default="0,0,0", help="initial k0,ktheta,kq")
-    p.add_argument("--eta", type=float, default=0.1, help="step damping")
+    p.add_argument("--eta", type=float, default=1.0,
+                   help="initial step length in (0, 1]; 1 is a full Gauss-Newton step")
     p.add_argument("--conv", type=float, default=1e-3,
                    help="relative M_lambda convergence threshold")
     p.add_argument("--max-iter", type=int, default=500)

@@ -12,6 +12,7 @@ from crem import (
     crem_pose,
     default_weight_blocks,
     direction_reversals,
+    generate_synthetic,
     identification_jacobian,
     micro_trajectory,
     nls_estimate,
@@ -293,6 +294,83 @@ def test_identical_depths_are_rank_deficient(bench):
 def test_empty_dataset_rejected(bench):
     with pytest.raises(ValidationError):
         nls_estimate([], bench, CalibrationConfig(), UncertaintyParams.zero())
+
+
+@pytest.fixture(scope="module")
+def criterion_7_noisy(bench):
+    """The criterion-7 noisy sweep (382 samples, 2 um, seed 11) and its
+    96-sample subset with the true tip orientation observed."""
+    k_true = UncertaintyParams(0.2, 0.0, 0.025)
+    recs = generate_synthetic(bench, k_true, np.radians(45), 0.0,
+                              np.linspace(0.0, 40.0, 382), 0.002, seed=11)
+    noisy = [Measurement(psi=ConfigState(r.theta, r.delta), q_s=r.q_s,
+                         x_bar=np.array([r.x, r.y, r.z])) for r in recs]
+    rot = [Measurement(psi=m.psi, q_s=m.q_s, x_bar=m.x_bar,
+                       R_bar=crem_pose(bench, m.psi, m.q_s, k_true).tip.R)
+           for m in noisy[::4]]
+    return {"noisy": noisy, "rot": rot}
+
+
+@pytest.mark.parametrize("kind", ["noisy", "rot"])
+def test_default_fit_ends_at_the_minimiser(bench, criterion_7_noisy, kind):
+    ms = criterion_7_noisy[kind]
+    res = nls_estimate(ms, bench, CalibrationConfig(), UncertaintyParams.zero())
+    tight = nls_estimate(ms, bench, CalibrationConfig(beta_conv=1e-14),
+                         UncertaintyParams.zero())
+    idx = CalibrationConfig().free_indices
+    off = (res.k_star.as_array() - tight.k_star.as_array())[idx] / tight.std_errors
+    assert np.max(np.abs(off)) <= 0.01
+    assert res.trace[-1].iteration <= 5
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_stops_when_the_cost_change_is_float_noise(bench, seed):
+    # at the minimiser of a small orientation set each full step moves the
+    # cost within the 1e-12 no-increase band; a beta_conv below that band
+    # must not leave the fit churning until NoConvergence at max_iter
+    k_true = UncertaintyParams(0.2, 0.0, 0.025)
+    ms = make_measurements(bench, np.radians(45), 0.0, np.linspace(0.0, 40.0, 12), k_true,
+                           sigma=0.002, rng=np.random.default_rng(seed), with_R=True)
+    cfg = CalibrationConfig(eta=1.0, beta_conv=1e-14, max_iter=50)
+    res = nls_estimate(ms, bench, cfg, UncertaintyParams.zero())
+    assert res.trace[-1].iteration <= 5
+
+
+def test_std_errors_and_correlation_from_the_normal_equations(bench):
+    # sigma^2 (J^T W J)^-1 rebuilt at k_star from identification_jacobian
+    k_true = UncertaintyParams(0.2, 0.0, 0.025)
+    rng = np.random.default_rng(5)
+    ms = make_measurements(bench, np.radians(45), 0.0, np.linspace(0.0, 40.0, 40), k_true,
+                           sigma=0.002, rng=rng)
+    ms += make_measurements(bench, np.radians(60), 0.5, np.linspace(2.0, 38.0, 10), k_true,
+                            sigma=0.002, rng=rng, with_R=True)
+    cfg = CalibrationConfig(beta_conv=1e-14)
+    res = nls_estimate(ms, bench, cfg, UncertaintyParams.zero())
+    W = default_weight_blocks(ms, cfg.w_rot)
+    J = identification_jacobian(ms, bench, res.k_star, cfg.free_params).reshape(len(ms), 6, -1)
+    JtWJ = np.einsum("nij,nik->jk", J, W @ J)
+    c = residual_matrix(ms, bench, res.k_star)
+    observed = 3 * 40 + 6 * 10
+    sigma2 = float(np.einsum("ni,nij,nj->", c, W, c)) / (observed - 2)
+    cov = sigma2 * np.linalg.inv(JtWJ)
+    se = np.sqrt(np.diag(cov))
+    assert_allclose(res.std_errors, se, rtol=1e-6)
+    assert_allclose(res.correlation, cov / np.outer(se, se), rtol=1e-6)
+    assert_allclose(np.diag(res.correlation), 1.0, rtol=1e-12)
+    assert_allclose(res.correlation, res.correlation.T, atol=0)
+
+
+def test_std_errors_are_nan_without_degrees_of_freedom(bench):
+    # two x-only samples fix two free parameters exactly: no residual
+    # degree of freedom is left to estimate the noise from
+    k_true = UncertaintyParams(0.2, 0.0, 0.025)
+    mask = np.array([True, False, False, False, False, False])
+    ms = [Measurement(psi=m.psi, q_s=m.q_s, x_bar=m.x_bar, obs_mask=mask)
+          for m in make_measurements(bench, np.radians(45), 0.0, [10.0, 30.0], k_true,
+                                     sigma=0.002, rng=np.random.default_rng(0))]
+    res = nls_estimate(ms, bench, CalibrationConfig(), UncertaintyParams.zero())
+    assert np.all(np.isnan(res.std_errors))
+    assert_allclose(np.diag(res.correlation), 1.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.1, 1.5])

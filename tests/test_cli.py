@@ -219,6 +219,17 @@ def test_calibrate_init_at_truth_takes_one_iteration(config_path, tmp_path):
     assert s["converged"] is True
 
 
+def test_readme_calibrate_takes_few_iterations(config_path, tmp_path):
+    data = tmp_path / "data.csv"
+    summary(crem("gen-synthetic", "--config", config_path, "--theta", "30",
+                 "--qs-range", "0:40:200", "--k-lambda", "5,0,-0.1",
+                 "--noise", "0.002", "--seed", "0", "--out", str(data)))
+    s = summary(crem("calibrate", "--config", config_path, "--data", str(data),
+                     "--free", "k0,kq"))
+    assert s["converged"] is True
+    assert s["iterations"] <= 5
+
+
 def test_calibrate_identical_depths_fail_cleanly(config_path, tmp_path):
     data = tmp_path / "flat.csv"
     lines = ["# frame=base", "t,q_s,theta,delta,x,y,z"]
