@@ -34,7 +34,6 @@ from .differential import (
     JacobianSet,
     assemble_motion_jacobians,
     fd_discrepancies,
-    finite_difference_jacobian,
 )
 from .calibration import (
     CalibrationConfig,

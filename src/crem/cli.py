@@ -26,7 +26,7 @@ from .calibration import (
     split_at_turning_point,
 )
 from .dataio import generate_synthetic, load_dataset, load_robot_config
-from .differential import _jacobian_arrays, fd_discrepancies
+from .differential import _fd_discrepancy_arrays, _jacobian_arrays
 from .errors import CremError
 from .kinematics import _tip_positions, micro_trajectory
 from .model import ConfigState, UncertaintyParams
@@ -137,18 +137,13 @@ def cmd_jacobian_check(args, parser) -> int:
     deltas = axes.get("delta", np.array([0.0, 40.0, 90.0]))
     qs_fracs = axes.get("qs", np.linspace(0.1, 0.9, 5))
     keys = ["J_M", "J_mu", "J_k", "J_xi_phi", "J_xi_delta", "J_xi_qs", "d_phi"]
-    worst = {key: 0.0 for key in keys}
-    lines = []
-    for th in thetas:
-        for de in deltas:
-            for fq in qs_fracs:
-                psi = ConfigState(math.radians(th), math.radians(de))
-                errs = fd_discrepancies(cfg.params, psi, fq * cfg.params.L, k)
-                for key in keys:
-                    worst[key] = max(worst[key], errs[key])
-                lines.append(_fmt_row(
-                    [th, de, fq * cfg.params.L] + [errs[key] for key in keys]
-                ))
+    th, de, qs = (a.ravel() for a in np.meshgrid(thetas, deltas, qs_fracs * cfg.params.L,
+                                                 indexing="ij"))
+    psis = [ConfigState(math.radians(t), math.radians(d)) for t, d in zip(th, de)]
+    errs = _fd_discrepancy_arrays(cfg.params, [p.theta for p in psis],
+                                  [p.delta for p in psis], qs, k)
+    worst = {key: float(np.max(errs[key])) for key in keys}
+    lines = [_fmt_row(row) for row in np.column_stack([th, de, qs] + [errs[key] for key in keys])]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("# schema=1\n")

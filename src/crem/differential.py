@@ -16,18 +16,22 @@ the closed-form pseudo-inverse of the backbone map J_q_psi, whose two
 columns are orthogonal for evenly spaced backbones.
 
 Angular velocity follows the space-frame convention dR R^T = [omega]^.
-A generic central-difference oracle over pose-valued maps is included so
-every analytic block can be checked against finite differences.
+A batched central-difference oracle checks every analytic block against
+finite differences: one equilibrium solve covers a batch of points and
+their perturbations, and one pose pass per map forms the tip poses.  The
+solver freezes each sample where a lone solve stops, so every point scores
+as it does alone.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularGradient
-from .kinematics import _arc, _in_plane_tip, crem_pose, pose_from_phi
+from .kinematics import _arc, _in_plane_tip, _tip_positions, segment_rotation
 from .model import (
     THETA_BASE,
     ConfigState,
@@ -110,7 +114,7 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
         params, D, dD, params.L - qs_eff, C2 - C1)
     k2, k2_qs, k2_ths, k2_delta = _arc_stiffness_partials(params, D, dD, qs_eff, C1 - th0)
     ks = params.EI_s / qs_eff
-    ks_qs = -params.EI_s / qs_eff**2
+    ks_qs = -params.EI_s / (qs_eff * qs_eff)
 
     def gamma(k1_a, k2_a, ks_a, b1_a, b2_a):
         # Gamma_a = B'_a - A'_a C_phi for A'_a built from the stiffness partials
@@ -295,31 +299,71 @@ def assemble_motion_jacobians(
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 
+# per-sample uncertainty coefficients: the solver reads only these fields
+_UncertaintyArrays = namedtuple("_UncertaintyArrays", "k_lambda0 k_lambda_theta k_lambda_q")
 
-def finite_difference_jacobian(f, x) -> np.ndarray:
-    """Central-difference twist Jacobian of a pose-valued map.
 
-    f maps a parameter vector to a Pose; the rotational rows are the
-    axis-angle vector of R(x + h e_j) R(x - h e_j)^T over 2h, h = _FD_STEP,
-    matching the space-frame convention of the analytic Jacobians.
+def _central_steps(x0):
+    """Rows x0, then x0 + h e_j and x0 - h e_j for j = 0..m-1, shape (1 + 2m, N, m)
+    for (N, m) x0, h = _FD_STEP."""
+    m = x0.shape[-1]
+    steps = np.vstack([np.zeros(m), np.kron(np.eye(m), [[_FD_STEP], [-_FD_STEP]])])
+    return x0 + steps[:, None, :]
+
+
+def _central_twists(params: RobotParams, th_s, th_e, delta, q_s):
+    """Central-difference tip twists (N, 6, m) over the (+h, -h) row pairs (2m, N)
+    of _central_steps.  The tip pose is formed as pose_from_phi forms it; the
+    rotational rows are the axis-angle vector of R(x + h e_j) R(x - h e_j)^T
+    over 2h, matching the space-frame convention of the analytic Jacobians."""
+    p = _tip_positions(params, th_s, th_e, delta, q_s)
+    R = segment_rotation(th_e - (np.pi / 2.0 - th_s), delta)
+    w = axis_angle_vector(R[0::2] @ np.swapaxes(R[1::2], -1, -2))
+    return np.moveaxis(np.concatenate([p[0::2] - p[1::2], w], axis=-1) / (2.0 * _FD_STEP), 0, -1)
+
+
+def _rel_err(analytic, fd):
+    """Per-point max |analytic - fd| over a (N, ...) block stack, divided by
+    max |analytic| where that exceeds one."""
+    axes = tuple(range(1, analytic.ndim))
+    return (np.max(np.abs(analytic - fd), axis=axes)
+            / np.maximum(1.0, np.max(np.abs(analytic), axis=axes)))
+
+
+def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams):
+    """fd_discrepancies at a batch of points, each error of the inputs' broadcast shape.
+
+    One batched solve covers every point and its twelve perturbations
+    x +- h e_j of x = (theta, delta, q_s, k), with k perturbed per sample and a
+    delta step across +-pi wrapped back into (-pi, pi] (pose and equilibrium
+    are 2 pi-periodic in delta).  The kinematics-only differences step
+    (theta_s, theta_eps, delta, q_s) about the unperturbed solution.
     """
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = _FD_STEP
-        pose_p = f(x + e)
-        pose_m = f(x - e)
-        dv = (pose_p.p - pose_m.p) / (2.0 * _FD_STEP)
-        dw = axis_angle_vector(pose_p.R @ pose_m.R.T) / (2.0 * _FD_STEP)
-        cols.append(np.concatenate([dv, dw]))
-    return np.stack(cols, axis=-1)
-
-
-def _rel_err(analytic, fd) -> float:
-    a = np.asarray(analytic, dtype=float)
-    f = np.asarray(fd, dtype=float)
-    return float(np.max(np.abs(a - f)) / max(1.0, np.max(np.abs(a))))
+    samples = _broadcast_samples(theta, delta, q_s)
+    theta, delta, q_s = (a.ravel() for a in samples)
+    x = _central_steps(np.column_stack(
+        [theta, delta, q_s, np.broadcast_to(k.as_array(), (theta.size, 3))]))
+    th, de, qs, k0, kt, kq = np.moveaxis(x, -1, 0)
+    de[1:] += 2.0 * np.pi * ((de[1:] <= -np.pi) * 1.0 - (de[1:] > np.pi))
+    th_s, th_p = _solve_equilibrium_arrays(params, th, de, qs, _UncertaintyArrays(k0, kt, kq))
+    th_e = _theta_eps(th_s, th_p)
+    c = _jacobian_arrays(params, theta, delta, q_s, k, angles=(th_s[0], th_p[0]))
+    fd = _central_twists(params, th_s[1:], th_e[1:], de[1:], qs[1:])
+    phi = np.stack([th_s, th_e], axis=-1)
+    fd_phi = np.moveaxis(phi[1::2] - phi[2::2], 0, -1) / (2.0 * _FD_STEP)
+    y = _central_steps(np.column_stack([c.th_s, c.th_e, delta, q_s]))[1:]
+    fd_kin = _central_twists(params, *np.moveaxis(y, -1, 0))
+    errs = {
+        "J_M": np.maximum(_rel_err(c.J_M @ c.J_q_psi[..., 0:1], fd[..., 0:1]),
+                          _rel_err(c.J_M @ c.J_q_psi[..., 1:2], fd[..., 1:2])),
+        "J_mu": _rel_err(c.J_mu, fd[..., 2]),
+        "J_k": _rel_err(c.J_k, fd[..., 3:6]),
+        "J_xi_phi": _rel_err(c.J_xi_phi, fd_kin[..., 0:2]),
+        "J_xi_delta": _rel_err(c.J_xi_delta, fd_kin[..., 2]),
+        "J_xi_qs": _rel_err(c.J_xi_qs, fd_kin[..., 3]),
+        "d_phi": _rel_err(c.grads, fd_phi),
+    }
+    return {key: v.reshape(samples[0].shape) for key, v in errs.items()}
 
 
 def fd_discrepancies(
@@ -333,40 +377,5 @@ def fd_discrepancies(
     Keys: J_M, J_mu, J_k, J_xi_phi, J_xi_delta, J_xi_qs, d_phi.  Errors
     are absolute for magnitudes below one and relative above, per block.
     """
-    js = assemble_motion_jacobians(params, psi, q_s, k)
-    phi = js.phi
-    phis = []
-
-    def full_pose(x):
-        kk = UncertaintyParams(float(x[3]), float(x[4]), float(x[5]))
-        # the pose is 2 pi-periodic in delta: a step across +-pi wraps back into (-pi, pi]
-        delta = float(x[1])
-        delta += 2.0 * np.pi * ((delta <= -np.pi) - (delta > np.pi))
-        sp = crem_pose(params, ConfigState(float(x[0]), delta), float(x[2]), kk)
-        phis.append(sp.equilibrium.phi())
-        return sp.tip
-
-    x0 = np.array([psi.theta, psi.delta, q_s, k.k_lambda0, k.k_lambda_theta, k.k_lambda_q])
-    fd_full = finite_difference_jacobian(full_pose, x0)
-    # full_pose saw x0 + h e_j, then x0 - h e_j, for j = 0..5
-    fd_phi = (np.array(phis[0::2]) - np.array(phis[1::2])).T / (2.0 * _FD_STEP)
-
-    def kin_only(x):
-        e = EquilibriumConfig(theta_s=float(x[0]), theta_eps=float(x[1]))
-        return pose_from_phi(params, e, float(x[2]), float(x[3])).tip
-
-    y0 = np.array([phi.theta_s, phi.theta_eps, psi.delta, q_s])
-    fd_kin = finite_difference_jacobian(kin_only, y0)
-
-    return {
-        "J_M": max(
-            _rel_err(js.J_M @ js.J_q_psi[:, 0], fd_full[:, 0]),
-            _rel_err(js.J_M @ js.J_q_psi[:, 1], fd_full[:, 1]),
-        ),
-        "J_mu": _rel_err(js.J_mu, fd_full[:, 2]),
-        "J_k": _rel_err(js.J_k, fd_full[:, 3:6]),
-        "J_xi_phi": _rel_err(js.J_xi_phi, fd_kin[:, 0:2]),
-        "J_xi_delta": _rel_err(js.J_xi_delta, fd_kin[:, 2]),
-        "J_xi_qs": _rel_err(js.J_xi_qs, fd_kin[:, 3]),
-        "d_phi": _rel_err(js.d_phi, fd_phi),
-    }
+    errs = _fd_discrepancy_arrays(params, psi.theta, psi.delta, float(q_s), k)
+    return {key: float(v) for key, v in errs.items()}

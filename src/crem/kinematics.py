@@ -147,8 +147,8 @@ def pose_from_phi(
     segment_rotation(theta_prime, delta)."""
     if not (0.0 <= q_s <= params.L):
         raise ValidationError(f"q_s={q_s} outside [0, L]")
-    if not np.isfinite(delta):
-        raise ValidationError(f"delta must be finite, got {delta}")
+    if not (-np.pi < delta <= np.pi):
+        raise ValidationError(f"delta must lie in (-pi, pi], got {delta}")
     tip = Pose(p=_tip_positions(params, phi.theta_s, phi.theta_eps, delta, q_s),
                R=segment_rotation(phi.theta_prime, delta))
     return SegmentedPose(tip=tip, equilibrium=phi)

@@ -195,10 +195,11 @@ def _arc_stiffness(params: RobotParams, D, length, bend):
 
 def _arc_stiffness_partials(params: RobotParams, D, dD, length, bend):
     """Stiffness k of one arc (_arc_stiffness) and (dk/d length, dk/d bend, dk/d delta),
-    given dD = d Delta_i / d delta, shape (..., n)."""
+    given dD = d Delta_i / d delta, shape (..., n).  Squares are products: a
+    numpy scalar's ** 2 calls pow, which can round differently from an array's."""
     L_x, k = _arc_stiffness(params, D, length, bend)
     w = params.EI_i / L_x**2
-    return (k, -params.EI_p / length**2 - np.sum(w, axis=-1), -np.sum(D * w, axis=-1),
+    return (k, -params.EI_p / (length * length) - np.sum(w, axis=-1), -np.sum(D * w, axis=-1),
             -bend * np.sum(dD * w, axis=-1))
 
 
@@ -231,12 +232,17 @@ def _solve_equilibrium_arrays(
         theta_s = theta0 + (k0 (theta - theta0) - lambda) / (k2 + ks)
         theta_prime = theta_s + (k0 / k1) (theta - theta0)
 
-    then re-evaluates the stiffnesses.  Converges when the proposed update
-    falls below _SOLVER_TOL in both components.  Returns (theta_s, theta_prime)
-    broadcast over the inputs.  Every sample must satisfy the ConfigState
-    rules and 0 <= q_s <= L; the first that does not (NaN included) is
-    rejected by its flat index before any sweep.  NoConvergence names the
-    sample with the largest last step the same way.
+    then re-evaluates the stiffnesses.  Each sample keeps its own damping
+    factor, halved when its step grows, and is frozen (damping 0) once its
+    proposed update falls below _SOLVER_TOL in both components; that last
+    update is applied as a lone solve applies it, so a sample's angles do not
+    depend on the batch it is solved in.  The sweeps stop when no sample is
+    active.  k may hold per-sample coefficient arrays (uncertainty_lambda
+    broadcasts).  Returns (theta_s, theta_prime) broadcast over the inputs.
+    Every sample must satisfy the ConfigState rules and 0 <= q_s <= L; the
+    first that does not (NaN included) is rejected by its flat index before
+    any sweep.  NoConvergence names the active sample with the largest last
+    step the same way and counts the samples still active.
     """
     theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
     ok = ((theta > 0.0) & (theta < math.pi) & (delta > -math.pi) & (delta <= math.pi)
@@ -267,7 +273,7 @@ def _solve_equilibrium_arrays(
     th_s = th0 + (theta - th0) * q_s / params.L
     th_p = theta.copy()
 
-    damp = 1.0
+    damp = np.ones(theta.shape)
     prev_step = np.inf
     for iteration in range(_SOLVER_MAX_ITER):
         L_si, k2 = _arc_stiffness(params, D, qs_eff, th_s - th0)
@@ -280,20 +286,25 @@ def _solve_equilibrium_arrays(
         th_p_new = th_s_new + m_base / k1
         ds = th_s_new - th_s
         dp = th_p_new - th_p
-        # initial=0: an empty batch converges at once, to empty angle arrays
-        step = float(max(np.max(np.abs(ds), initial=0.0), np.max(np.abs(dp), initial=0.0)))
+        step = np.maximum(np.abs(ds), np.abs(dp))
         th_s = th_s + damp * ds
         th_p = th_p + damp * dp
-        if step < _SOLVER_TOL:
+        # frozen samples stay at damp 0: x + 0 * dx == x
+        damp = np.where(step < _SOLVER_TOL, 0.0, damp)
+        if not damp.any():
             break
-        if step > prev_step:
-            damp = max(damp * 0.5, _DAMP_FLOOR)
+        grew = step > prev_step
+        if grew.any():
+            # min(damp, floor) keeps a frozen sample at 0
+            damp = np.where(grew, np.maximum(damp * 0.5, np.minimum(damp, _DAMP_FLOOR)), damp)
         prev_step = step
     else:
-        worst = int(np.argmax(np.maximum(np.abs(ds), np.abs(dp))))
+        active = damp > 0.0
+        worst = int(np.argmax(np.where(active, step, -1.0)))
         raise NoConvergence(
             f"{sample(worst)}: equilibrium fixed point not converged after {_SOLVER_MAX_ITER} "
-            f"iterations (last step {step:.3g} rad)"
+            f"iterations (last step {step.flat[worst]:.3g} rad); "
+            f"{np.count_nonzero(active)} of {active.size} samples still active"
         )
 
     # analytic limit for vanishing insertion: the inserted side stiffens

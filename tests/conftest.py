@@ -7,7 +7,8 @@ not tautology.  Same idea for rotations: matrix exponentials come from
 scipy, not from the package.  The two-arc pose chain and its twist
 Jacobians are composed here in 3-D, from arc rotations built of scipy
 matrix exponentials and from cross products, as oracles for the
-package's planar chain.
+package's planar chain.  The per-point finite-difference oracle is the
+scalar reference for the package's batched one.
 """
 
 import numpy as np
@@ -15,9 +16,20 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import root
 
-from crem import RobotParams, UncertaintyParams, projected_offsets
-from crem.kinematics import _arc
+from crem import (
+    ConfigState,
+    EquilibriumConfig,
+    Pose,
+    RobotParams,
+    UncertaintyParams,
+    assemble_motion_jacobians,
+    crem_pose,
+    projected_offsets,
+)
+from crem.differential import _FD_STEP
+from crem.kinematics import _arc, _tip_positions, segment_rotation
 from crem.model import _arc_stiffness
+from crem.rotations import axis_angle_vector
 
 TH0 = np.pi / 2
 
@@ -195,3 +207,79 @@ def xi_jacobian_arrays_3d(params, th_s, th_e, delta, q_s):
     q_top = arc_direction(th_s, delta) - rotate(dir_e)
     J_xi_qs = np.concatenate([q_top, np.zeros_like(q_top)], axis=-1)
     return J_xi_phi, J_xi_delta, J_xi_qs
+
+
+# ---------------------------------------------------------------------------
+# per-point finite differences
+
+
+def finite_difference_jacobian(f, x) -> np.ndarray:
+    """Central-difference twist Jacobian of a pose-valued map.
+
+    f maps a parameter vector to a Pose; the rotational rows are the
+    axis-angle vector of R(x + h e_j) R(x - h e_j)^T over 2h, h = _FD_STEP,
+    matching the space-frame convention of the analytic Jacobians.
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = _FD_STEP
+        pose_p = f(x + e)
+        pose_m = f(x - e)
+        dv = (pose_p.p - pose_m.p) / (2.0 * _FD_STEP)
+        dw = axis_angle_vector(pose_p.R @ pose_m.R.T) / (2.0 * _FD_STEP)
+        cols.append(np.concatenate([dv, dw]))
+    return np.stack(cols, axis=-1)
+
+
+def _rel_err(analytic, fd) -> float:
+    a = np.asarray(analytic, dtype=float)
+    f = np.asarray(fd, dtype=float)
+    return float(np.max(np.abs(a - f)) / max(1.0, np.max(np.abs(a))))
+
+
+def fd_discrepancies_per_point(params, psi, q_s, k) -> dict:
+    """fd_discrepancies one point at a time: one crem_pose per perturbed
+    (theta, delta, q_s, k), a delta step across +-pi wrapped back into
+    (-pi, pi], and kinematics-only steps of (theta_s, theta_eps, delta, q_s)
+    about the solved equilibrium."""
+    js = assemble_motion_jacobians(params, psi, q_s, k)
+    phi = js.phi
+    phis = []
+
+    def full_pose(x):
+        kk = UncertaintyParams(float(x[3]), float(x[4]), float(x[5]))
+        delta = float(x[1])
+        delta += 2.0 * np.pi * ((delta <= -np.pi) - (delta > np.pi))
+        sp = crem_pose(params, ConfigState(float(x[0]), delta), float(x[2]), kk)
+        phis.append(sp.equilibrium.phi())
+        return sp.tip
+
+    x0 = np.array([psi.theta, psi.delta, q_s, k.k_lambda0, k.k_lambda_theta, k.k_lambda_q])
+    fd_full = finite_difference_jacobian(full_pose, x0)
+    # full_pose saw x0 + h e_j, then x0 - h e_j, for j = 0..5
+    fd_phi = (np.array(phis[0::2]) - np.array(phis[1::2])).T / (2.0 * _FD_STEP)
+
+    def kin_only(y):
+        # pose_from_phi's pose without its delta range check: these delta
+        # steps are not wrapped, so near +-pi they leave (-pi, pi]
+        e = EquilibriumConfig(theta_s=float(y[0]), theta_eps=float(y[1]))
+        return Pose(_tip_positions(params, e.theta_s, e.theta_eps, float(y[2]), float(y[3])),
+                    segment_rotation(e.theta_prime, float(y[2])))
+
+    y0 = np.array([phi.theta_s, phi.theta_eps, psi.delta, q_s])
+    fd_kin = finite_difference_jacobian(kin_only, y0)
+
+    return {
+        "J_M": max(
+            _rel_err(js.J_M @ js.J_q_psi[:, 0], fd_full[:, 0]),
+            _rel_err(js.J_M @ js.J_q_psi[:, 1], fd_full[:, 1]),
+        ),
+        "J_mu": _rel_err(js.J_mu, fd_full[:, 2]),
+        "J_k": _rel_err(js.J_k, fd_full[:, 3:6]),
+        "J_xi_phi": _rel_err(js.J_xi_phi, fd_kin[:, 0:2]),
+        "J_xi_delta": _rel_err(js.J_xi_delta, fd_kin[:, 2]),
+        "J_xi_qs": _rel_err(js.J_xi_qs, fd_kin[:, 3]),
+        "d_phi": _rel_err(js.d_phi, fd_phi),
+    }

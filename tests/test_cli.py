@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crem import ConfigState, UncertaintyParams, fd_discrepancies, load_robot_config
 from crem import cli as crem_cli
 
 CONFIG_TEXT = """\
@@ -161,6 +162,27 @@ def test_jacobian_check_passes_both_k(config_path, tmp_path):
             assert max(s["max_errors"].values()) <= 1e-6
             header, data = read_csv(out)
             assert len(data) == points
+
+
+def test_jacobian_check_rows_equal_per_point_fd(config_path, tmp_path):
+    out = tmp_path / "fd.csv"
+    assert crem_cli.main(["jacobian-check", "--config", config_path,
+                          "--k-lambda", "0.2,0.01,0.025", "--out", str(out),
+                          "--grid", "theta=20:120:3;delta=-90:180:4;qs=0.1:0.9:2"]) == 0
+    header, data = read_csv(out)
+    params = load_robot_config(config_path).params
+    k = UncertaintyParams(0.2, 0.01, 0.025)
+    assert len(data) == 24
+    for th, de, q_s, *errs in data:
+        ref = fd_discrepancies(params, ConfigState(np.radians(th), np.radians(de)), q_s, k)
+        assert errs == [ref[key] for key in header[3:]]
+
+
+def test_jacobian_check_delta_outside_range_fails(config_path):
+    proc = crem("jacobian-check", "--config", config_path,
+                "--grid", "theta=30:30:1;delta=0:-200:3;qs=0.5:0.5:1")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: delta must lie in (-pi, pi], got -3.490658503988659\n"
 
 
 def test_jacobian_check_straight_boundary(config_path):

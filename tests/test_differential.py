@@ -24,7 +24,6 @@ from crem.differential import (
     _jacobian_arrays,
     _xi_jacobian_arrays,
     _orthogonal_pinv,
-    finite_difference_jacobian,
 )
 from crem.kinematics import (
     STRAIGHT_SERIES_THRESHOLD,
@@ -37,6 +36,8 @@ from crem.model import _arc_stiffness, _arc_stiffness_partials, _sigma, projecte
 from conftest import (
     backbone_lengths,
     equilibrium_moments,
+    fd_discrepancies_per_point,
+    finite_difference_jacobian,
     jacobian_partitions,
     pose_arrays_3d,
     xi_jacobian_arrays_3d,
@@ -380,8 +381,9 @@ def test_fd_agreement_at_straight_boundary(bench, k_zero):
 
 
 def test_fd_discrepancies_solves_each_point_once(bench, k_cal, monkeypatch):
-    # one solve for the analytic Jacobians and one per perturbed point
-    # (+h and -h in each of the six inputs); the d_phi differences reuse them
+    # one batched solve covers the point and its twelve perturbations (+h and
+    # -h in each of the six inputs); the analytic Jacobians and the d_phi
+    # differences reuse it
     import crem.kinematics
     import crem.model
 
@@ -395,7 +397,19 @@ def test_fd_discrepancies_solves_each_point_once(bench, k_cal, monkeypatch):
     for module in (differential, crem.kinematics, crem.model):
         monkeypatch.setattr(module, "_solve_equilibrium_arrays", counting)
     fd_discrepancies(bench, ConfigState(np.radians(40), 0.3), 15.0, k_cal)
-    assert len(calls) == 1 + 12
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fd_discrepancies_equal_per_point_oracle(bench, seed):
+    rng = np.random.default_rng(seed)
+    deltas = np.concatenate([[np.pi, -np.pi + 5e-7], rng.uniform(-np.pi, np.pi, 10)])
+    for delta in deltas:
+        psi = ConfigState(rng.uniform(np.radians(15), np.radians(165)), delta)
+        q_s = rng.uniform(0.02, 0.98) * bench.L
+        k = UncertaintyParams(*rng.uniform(-0.05, 0.05, 3))
+        assert fd_discrepancies(bench, psi, q_s, k) == fd_discrepancies_per_point(
+            bench, psi, q_s, k)
 
 
 def test_fd_helper_on_known_map():
@@ -425,11 +439,14 @@ def test_depth_gradient_tracks_differences(bench, k_cal, theta, delta, fq):
     assert np.max(np.abs(g[:, 2] - (fp - fm) / (2.0 * h))) < 1e-5
 
 
+# distance from either end of [0, L], log-uniform over 1e-7 L .. L
+END_DISTANCE = st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e)
 SAMPLES = st.lists(
     st.tuples(
         st.one_of(st.just(TH0), st.floats(np.radians(15), np.radians(165))),
         st.floats(-np.pi, np.pi, exclude_min=True),
-        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), END_DISTANCE,
+                  END_DISTANCE.map(lambda d: 1.0 - d)),
     ),
     min_size=1, max_size=6,
 )
@@ -442,13 +459,7 @@ def _close(a, b):
 @given(samples=SAMPLES, k0=st.floats(-0.5, 0.5), kq=st.floats(-0.05, 0.05))
 @settings(max_examples=40, deadline=None)
 def test_batched_core_equals_scalar_api(bench, samples, k0, kq):
-    # Straight samples and the q_s = 0 and q_s = L boundaries are drawn on
-    # purpose.  A batch sweeps until its slowest sample converges, so a
-    # sample's angles may move ~1e-15 rad further than when solved alone.
-    # Within 1e-2 L of either end the short subsegment's stiffness makes the
-    # Jacobians amplify that (to ~1e-4 relative at q_s = L), so they are
-    # compared at q_s = 0 (exact limit) and on [0.01 L, 0.99 L]; positions
-    # are compared everywhere.
+    # straight samples and the q_s = 0 and q_s = L boundaries are drawn on purpose
     k = UncertaintyParams(k0, 0.0, kq)
     theta, delta, fq = (np.array(col) for col in zip(*samples))
     qs = fq * bench.L
@@ -461,12 +472,25 @@ def test_batched_core_equals_scalar_api(bench, samples, k0, kq):
         psi = ConfigState(theta[i], delta[i])
         assert _close(pos[i], crem_pose(bench, psi, qs[i], k).tip.p)
         assert _close(sweep[i], crem_pose(bench, psi0, qs[i], k).tip.p)
-        if 0.0 < qs[i] < 0.01 * bench.L or qs[i] > 0.99 * bench.L:
-            continue
         js = assemble_motion_jacobians(bench, psi, qs[i], k)
         assert _close(J_M[i], js.J_M)
         assert _close(J_mu[i], js.J_mu)
         assert _close(J_k[i], js.J_k)
+
+
+@given(samples=SAMPLES, k0=st.floats(-0.5, 0.5), kq=st.floats(-0.05, 0.05))
+@settings(max_examples=60, deadline=None)
+def test_sample_is_bit_identical_alone_and_in_batch(bench, samples, k0, kq):
+    # th_s and th_p are the solver's angles; every other field is formed from them
+    k = UncertaintyParams(k0, 0.0, kq)
+    theta, delta, fq = (np.array(col) for col in zip(*samples))
+    qs = fq * bench.L
+    batch = _jacobian_arrays(bench, theta, delta, qs, k)
+    for i in range(len(samples)):
+        alone = _jacobian_arrays(bench, theta[i], delta[i], qs[i], k)
+        for name in ("th_s", "th_p", "th_e", "grads", "J_xi_phi", "J_xi_delta", "J_xi_qs",
+                     "J_q_psi", "J_M", "J_mu", "J_k"):
+            assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)), (i, name)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,8 @@ def test_pose_from_phi_validates_range(bench):
         pose_from_phi(bench, phi, 0.0, -0.1)
     with pytest.raises(ValidationError):
         pose_from_phi(bench, phi, 0.0, bench.L + 0.1)
-    for delta in (np.nan, np.inf):
+    # the ConfigState rule: delta in (-pi, pi]
+    for delta in (np.nan, np.inf, 10.0, -np.pi):
         with pytest.raises(ValidationError, match="delta"):
             pose_from_phi(bench, phi, delta, 10.0)
     for angles in ((np.nan, 1.3), (1.2, np.inf), (-np.inf, np.nan)):

@@ -226,6 +226,16 @@ def test_batched_solve_no_convergence_names_the_sample(bench, k_zero, monkeypatc
         _solve_equilibrium_arrays(bench, theta, 0.2, 15.0, k_zero)
 
 
+def test_batched_solve_no_convergence_counts_active_samples(bench, k_zero, monkeypatch):
+    # the straight samples freeze after their zero first step; the worst of
+    # the two bent ones is named
+    theta = np.full(5, TH0)
+    theta[1], theta[3] = np.radians(60), np.radians(40)
+    monkeypatch.setattr(model, "_SOLVER_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match=r"sample 3: .*; 2 of 5 samples still active"):
+        _solve_equilibrium_arrays(bench, theta, 0.2, 15.0, k_zero)
+
+
 def test_solver_matches_bruteforce_oracle(bench, k_cal, k_zero):
     for k in (k_zero, k_cal):
         for theta in np.radians([20, 45, 70]):
