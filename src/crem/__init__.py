@@ -9,7 +9,6 @@ from .errors import (
     NoConvergence,
     NonPhysicalLength,
     ParseError,
-    SingularGradient,
     SingularNormalEquations,
     ValidationError,
 )

@@ -13,7 +13,7 @@ reports the standard errors and correlation of the free parameters.
 
 The loop is batched over the dataset, with or without observed
 orientation: the measurement arrays are stacked once per fit, and each
-evaluated k costs one batched equilibrium solve whose angles give the
+evaluated k costs one batched equilibrium solve whose curvatures give the
 residuals and, once k is accepted, the next identification Jacobian.
 """
 from __future__ import annotations
@@ -29,14 +29,17 @@ from .model import (
     ConfigState,
     RobotParams,
     UncertaintyParams,
+    _equilibrium_angles,
     _solve_equilibrium_arrays,
-    _theta_eps,
+    uncertainty_lambda,
 )
-from .differential import _COND_LIMIT, _jacobian_arrays
+from .differential import _jacobian_arrays
 from .rotations import SMALL_ANGLE, axis_angle
 
 PARAM_NAMES = ("k_lambda0", "k_lambda_theta", "k_lambda_q")
 
+# condition number above which the normal equations are refused
+_COND_LIMIT = 1e12
 _MAX_STEP_RETRIES = 30
 # relative cost change that is float noise: a step within it counts as
 # no increase, and a fit whose cost moves by no more than it has converged
@@ -214,16 +217,17 @@ def _stack(measurements) -> _Dataset:
 
 
 def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
-    """(N, 6) residuals and the equilibrium angles (theta_s, theta_prime) they rest on."""
+    """(N, 6) residuals and the solved curvatures kappa they rest on."""
     theta, delta, q_s = data.commands
-    th_s, th_p = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
+    kappa = _solve_equilibrium_arrays(params, theta, delta, q_s, uncertainty_lambda(k, q_s, theta))
+    th_s, th_p, th_e = _equilibrium_angles(params, theta, q_s, kappa)
     c = np.zeros((len(theta), 6))
-    c[:, :3] = data.x_bar - _tip_positions(params, th_s, _theta_eps(th_s, th_p), delta, q_s)
+    c[:, :3] = data.x_bar - _tip_positions(params, th_s, th_e, delta, q_s)
     if data.rot.size:
         # the tip frame turns by pi/2 - theta_prime in the plane delta
         R = segment_rotation(th_p[data.rot], delta[data.rot])
         c[data.rot, 3:] = _rotation_residuals(data.R_bar, R)
-    return c, (th_s, th_p)
+    return c, kappa
 
 
 def _rmse_um(c, pos_mask) -> float:
@@ -282,19 +286,19 @@ def nls_estimate(
     k_vec = k0.as_array().astype(float)
 
     def evaluate(kv):
-        c, angles = _residuals(data, params, UncertaintyParams.from_array(kv))
-        return (c, *_weighted_cost(c, W), angles)
+        c, kappa = _residuals(data, params, UncertaintyParams.from_array(kv))
+        return (c, *_weighted_cost(c, W), kappa)
 
-    c, Wc, M, angles = evaluate(k_vec)
+    c, Wc, M, kappa = evaluate(k_vec)
     trace = [IterationRecord(0, UncertaintyParams.from_array(k_vec),
                              _rmse_um(c, data.pos_mask), M)]
     eta = config.eta
     flagged = False
 
     for iteration in range(1, config.max_iter + 1):
-        # J_k at the angles of the residuals at k_vec: no second solve
+        # J_k at the equilibria of the residuals at k_vec: no second solve
         J_k = _jacobian_arrays(params, *data.commands, UncertaintyParams.from_array(k_vec),
-                               angles).J_k
+                               kappa).J_k
         Jb = -J_k[:, :, idx]
         JtW = np.einsum("nij,nik->jk", Jb, W @ Jb)
         JtWc = np.einsum("nij,ni->j", Jb, Wc)
@@ -316,10 +320,10 @@ def nls_estimate(
             flagged = True
         else:
             # cost cannot be reduced further along this direction
-            k_cand, cand = k_vec, (c, Wc, M, angles)
+            k_cand, cand = k_vec, (c, Wc, M, kappa)
 
         rel = abs(cand[2] - M) / max(M, np.finfo(float).tiny)
-        k_vec, (c, Wc, M, angles) = k_cand, cand
+        k_vec, (c, Wc, M, kappa) = k_cand, cand
         trace.append(IterationRecord(iteration, UncertaintyParams.from_array(k_vec),
                                      _rmse_um(c, data.pos_mask), M))
         if rel < config.beta_conv or rel <= _COST_RTOL or M < _M_FLOOR:

@@ -255,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--grid",
                    help="axes as theta=lo:hi:n;delta=lo:hi:n;qs=lo:hi:n "
-                        "(theta/delta deg, qs fraction of L); default standard grid")
+                        "(theta/delta deg, qs fraction of L); default standard grid. "
+                        "Every point needs q_s in [h, L - h] and theta more than h "
+                        "from 0 and pi, h = 1e-6 the difference step")
     p.add_argument("--out", help="per-point error CSV")
     p.set_defaults(func=cmd_jacobian_check)
 

@@ -2,9 +2,10 @@
 
 Two layers:
 
-* equilibrium sensitivities d phi / d(theta, delta, q_s, k_lambda) from
-  implicit differentiation of the moment balance A(x) C_phi = B(x),
-  where x collects the length-dependent stiffnesses;
+* equilibrium sensitivities d phi / d(theta, delta, q_s, k_lambda): the
+  inserted arc's curvature kappa solves the scalar balance G(kappa) = 0 of
+  the model, so d kappa / d a = -(dG/da) / G', and the empty arc's angle
+  theta_eps = pi/2 + (L - q_s) kappa0 has a closed-form row;
 * pose Jacobians of the two-subsegment chain: the tip twist per
   (theta_s, theta_eps), delta and q_s at fixed equilibrium
   (J_xi_phi / J_xi_delta / J_xi_qs), and the assembled macro / micro /
@@ -24,13 +25,12 @@ as it does alone.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularGradient
+from .errors import ValidationError
 from .kinematics import _arc, _in_plane_tip, _tip_positions, segment_rotation
 from .model import (
     THETA_BASE,
@@ -38,17 +38,17 @@ from .model import (
     EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
-    _arc_stiffness_partials,
+    _arc_moment,
     _broadcast_samples,
+    _equilibrium_angles,
     _sigma,
     _solve_equilibrium_arrays,
-    _theta_eps,
+    _theta_prime,
     projected_offsets,
+    uncertainty_lambda,
 )
 from .rotations import axis_angle_vector
 
-# condition number above which a 2x2 or normal-equation solve is refused
-_COND_LIMIT = 1e12
 # relative singular-value cutoff of numpy's pinv, which J_M reproduces
 _PINV_RCOND = 1e-15
 # central-difference step of the finite-difference oracle
@@ -75,87 +75,36 @@ class JacobianSet:
 # equilibrium sensitivities
 
 
-def _cond_2x2(M):
-    """Spectral condition numbers sigma_max^2 / |det M| of (..., 2, 2) M; inf if singular."""
-    # sigma_max^2 + sigma_min^2 = |M|_F^2 = F and sigma_max sigma_min = |det M|
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    F = np.sum(M * M, axis=(-2, -1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (F + np.sqrt(np.maximum(F * F - 4.0 * det * det, 0.0))) / (2.0 * np.abs(det))
-
-
-def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams,
-                         th_s, th_p):
+def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, kappa):
     """Vectorized d phi / d(theta, delta, q_s, k), stacked as (..., 2, 6).
 
-    Implicit differentiation of A(x) C_phi - B(x) = 0 with
-    C_phi = S0 phi - C0 = [theta_s, theta_prime].  The balance matrix
-    depends on phi both through theta_s (inserted-side lengths) and
-    through theta_prime (empty-side lengths), so the system matrix is
+    kappa solves G(kappa) = M(kappa) + EI_s kappa - M(kappa0) + lambda = 0
+    (model._solve_equilibrium_arrays), so d kappa / d a = -(dG/da) / G' with
+    G' = dM/dkappa + EI_s and
 
-        M = A S0 - Gamma_ths [1 0] - Gamma_thp [1 1]
+        dG/d(theta, delta, q_s, k) = (k_lambda_theta - M'(kappa0) / L,
+            M_delta(kappa) - M_delta(kappa0), k_lambda_q, 1, theta, q_s).
 
-    with Gamma_a = B'_a - A'_a C_phi, and d phi / d a = M^{-1} Gamma_a.
+    The theta_s = theta0 + q_s kappa row is q_s d kappa / d a plus kappa in
+    the q_s column; the theta_eps = pi/2 + (L - q_s) kappa0 row is
+    ((L - q_s) / L, 0, -kappa0, 0, 0, 0).
     """
-    theta = np.asarray(theta, dtype=float)
-    q_s = np.asarray(q_s, dtype=float)
-    th0 = THETA_BASE
-    # same boundary clamp as the solver: stiffness lengths saturate at q_min
-    # while lambda keeps the raw depth, so boundary samples get their finite
-    # limit sensitivities instead of a division by zero
-    qs_eff = np.clip(q_s, params.q_min, params.L - params.q_min)
-    C1, C2 = np.asarray(th_s, dtype=float), np.asarray(th_p, dtype=float)
+    theta, delta, q_s, kappa = _broadcast_samples(theta, delta, q_s, kappa)
     D = projected_offsets(params, delta)
     dD = -params.r * np.sin(_sigma(params, delta))  # d Delta_i / d delta
-    # the whole segment, the empty arc (L - q_s long, bent theta_prime -
-    # theta_s) and the inserted arc (q_s long, bent theta_s - theta0)
-    k0, _, k0_theta, k0_delta = _arc_stiffness_partials(params, D, dD, params.L, theta - th0)
-    k1, k1_len, k1_thp, k1_delta = _arc_stiffness_partials(
-        params, D, dD, params.L - qs_eff, C2 - C1)
-    k2, k2_qs, k2_ths, k2_delta = _arc_stiffness_partials(params, D, dD, qs_eff, C1 - th0)
-    ks = params.EI_s / qs_eff
-    ks_qs = -params.EI_s / (qs_eff * qs_eff)
-
-    def gamma(k1_a, k2_a, ks_a, b1_a, b2_a):
-        # Gamma_a = B'_a - A'_a C_phi for A'_a built from the stiffness partials
-        g1 = b1_a - ((k1_a + k2_a + ks_a) * C1 - k1_a * C2)
-        g2 = b2_a - k1_a * (C1 - C2)
-        return g1, g2
-
-    zero = np.zeros_like(k0)
-    g_th = gamma(zero, zero, zero, -k.k_lambda_theta + zero, k0_theta * (th0 - theta) - k0)
-    g_de = gamma(k1_delta, k2_delta, zero, k2_delta * th0, k0_delta * (th0 - theta))
-    g_qs = gamma(-k1_len, k2_qs, ks_qs, (k2_qs + ks_qs) * th0 - k.k_lambda_q, zero)
-    g_ths = gamma(-k1_thp, k2_ths, zero, k2_ths * th0, zero)
-    g_thp = gamma(k1_thp, zero, zero, zero, zero)
-
-    # A S0 = [[k2 + ks, -k1], [0, -k1]]
-    M = np.empty(np.shape(k0) + (2, 2))
-    M[..., 0, 0] = (k2 + ks) - g_ths[0] - g_thp[0]
-    M[..., 0, 1] = -k1 - g_thp[0]
-    M[..., 1, 0] = -g_ths[1] - g_thp[1]
-    M[..., 1, 1] = -k1 - g_thp[1]
-
-    cond = _cond_2x2(M)
-    if np.any(~np.isfinite(cond)) or np.any(cond > _COND_LIMIT):
-        raise SingularGradient(
-            f"equilibrium sensitivity matrix condition {np.max(cond):.3g} exceeds {_COND_LIMIT:.0e}"
-        )
-
-    rhs = np.stack([
-        np.stack([g_th[0], g_de[0], g_qs[0],
-                  -np.ones_like(k0), -theta, -q_s + zero], axis=-1),
-        np.stack([g_th[1], g_de[1], g_qs[1],
-                  zero, zero, zero], axis=-1),
-    ], axis=-2)  # (..., 2, 6)
-
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    sol = np.empty_like(rhs)
-    sol[..., 0, :] = (M[..., 1, 1, None] * rhs[..., 0, :]
-                      - M[..., 0, 1, None] * rhs[..., 1, :]) / det[..., None]
-    sol[..., 1, :] = (-M[..., 1, 0, None] * rhs[..., 0, :]
-                      + M[..., 0, 0, None] * rhs[..., 1, :]) / det[..., None]
-    return sol
+    kappa0 = (theta - THETA_BASE) / params.L
+    _, _, M0_k, M0_d = _arc_moment(params, D, kappa0, dD)
+    _, _, M_k, M_d = _arc_moment(params, D, kappa, dD)
+    dG = np.stack([k.k_lambda_theta - M0_k / params.L, M_d - M0_d,
+                   np.full(theta.shape, k.k_lambda_q), np.ones(theta.shape), theta, q_s],
+                  axis=-1)
+    d_kappa = -dG / (M_k + params.EI_s)[..., None]
+    grads = np.zeros(theta.shape + (2, 6))
+    grads[..., 0, :] = q_s[..., None] * d_kappa
+    grads[..., 0, 2] += kappa
+    grads[..., 1, 0] = (params.L - q_s) / params.L
+    grads[..., 1, 2] = -kappa0
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +207,15 @@ class _JacobianArrays(NamedTuple):
         return self.J_xi_phi @ self.grads[..., 3:6]
 
 
-def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, angles=None):
-    """Differentiate the equilibria at the solved angles (theta_s, theta_prime),
-    solving for them first when angles is None; see _JacobianArrays."""
-    if angles is None:
-        angles = _solve_equilibrium_arrays(params, theta, delta, q_s, k)
-    th_s, th_p = angles
+def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, kappa=None):
+    """Differentiate the equilibria at the solved curvature kappa, solving for
+    it first when kappa is None; see _JacobianArrays."""
     theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
-    th_e = _theta_eps(th_s, th_p)
-    grads = _phi_gradient_arrays(params, theta, delta, q_s, k, th_s, th_p)
+    if kappa is None:
+        kappa = _solve_equilibrium_arrays(params, theta, delta, q_s,
+                                          uncertainty_lambda(k, q_s, theta))
+    th_s, th_p, th_e = _equilibrium_angles(params, theta, q_s, kappa)
+    grads = _phi_gradient_arrays(params, theta, delta, q_s, k, kappa)
     xi = _xi_jacobian_arrays(params, th_s, th_e, delta, q_s)
     return _JacobianArrays(params, theta, delta, th_s, th_p, th_e, grads, *xi)
 
@@ -291,17 +240,13 @@ def assemble_motion_jacobians(
         J_xi_delta=c.J_xi_delta,
         J_xi_qs=c.J_xi_qs,
         J_q_psi=c.J_q_psi,
-        phi=EquilibriumConfig.from_tip_angle(float(c.th_s), float(c.th_p)),
+        phi=EquilibriumConfig(float(c.th_s), float(c.th_e)),
         d_phi=c.grads,
     )
 
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle
-
-# per-sample uncertainty coefficients: the solver reads only these fields
-_UncertaintyArrays = namedtuple("_UncertaintyArrays", "k_lambda0 k_lambda_theta k_lambda_q")
-
 
 def _central_steps(x0):
     """Rows x0, then x0 + h e_j and x0 - h e_j for j = 0..m-1, shape (1 + 2m, N, m)
@@ -317,7 +262,7 @@ def _central_twists(params: RobotParams, th_s, th_e, delta, q_s):
     rotational rows are the axis-angle vector of R(x + h e_j) R(x - h e_j)^T
     over 2h, matching the space-frame convention of the analytic Jacobians."""
     p = _tip_positions(params, th_s, th_e, delta, q_s)
-    R = segment_rotation(th_e - (np.pi / 2.0 - th_s), delta)
+    R = segment_rotation(_theta_prime(th_s, th_e), delta)
     w = axis_angle_vector(R[0::2] @ np.swapaxes(R[1::2], -1, -2))
     return np.moveaxis(np.concatenate([p[0::2] - p[1::2], w], axis=-1) / (2.0 * _FD_STEP), 0, -1)
 
@@ -337,17 +282,28 @@ def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: Uncertaint
     x +- h e_j of x = (theta, delta, q_s, k), with k perturbed per sample and a
     delta step across +-pi wrapped back into (-pi, pi] (pose and equilibrium
     are 2 pi-periodic in delta).  The kinematics-only differences step
-    (theta_s, theta_eps, delta, q_s) about the unperturbed solution.
+    (theta_s, theta_eps, delta, q_s) about the unperturbed solution.  Before
+    any solve, the first point whose steps would leave the solver's domain
+    (q_s outside [h, L - h], theta within h of 0 or pi) is rejected by its
+    index.
     """
     samples = _broadcast_samples(theta, delta, q_s)
     theta, delta, q_s = (a.ravel() for a in samples)
     x = _central_steps(np.column_stack(
         [theta, delta, q_s, np.broadcast_to(k.as_array(), (theta.size, 3))]))
     th, de, qs, k0, kt, kq = np.moveaxis(x, -1, 0)
+    inside = np.all((th > 0.0) & (th < np.pi) & (qs >= 0.0) & (qs <= params.L), axis=0)
+    if not np.all(inside):
+        i = int(np.argmin(inside))
+        raise ValidationError(
+            f"point {i}: (theta, delta, q_s) = ({theta[i]:.6g}, {delta[i]:.6g}, {q_s[i]:.6g}) "
+            f"is not in theta (h, pi - h), q_s [h, L - h] for the finite-difference step "
+            f"h = {_FD_STEP:g}")
     de[1:] += 2.0 * np.pi * ((de[1:] <= -np.pi) * 1.0 - (de[1:] > np.pi))
-    th_s, th_p = _solve_equilibrium_arrays(params, th, de, qs, _UncertaintyArrays(k0, kt, kq))
-    th_e = _theta_eps(th_s, th_p)
-    c = _jacobian_arrays(params, theta, delta, q_s, k, angles=(th_s[0], th_p[0]))
+    # uncertainty_lambda with k perturbed per sample
+    kappa = _solve_equilibrium_arrays(params, th, de, qs, k0 + kt * th + kq * qs)
+    th_s, _, th_e = _equilibrium_angles(params, th, qs, kappa)
+    c = _jacobian_arrays(params, theta, delta, q_s, k, kappa=kappa[0])
     fd = _central_twists(params, th_s[1:], th_e[1:], de[1:], qs[1:])
     phi = np.stack([th_s, th_e], axis=-1)
     fd_phi = np.moveaxis(phi[1::2] - phi[2::2], 0, -1) / (2.0 * _FD_STEP)
@@ -376,6 +332,8 @@ def fd_discrepancies(
 
     Keys: J_M, J_mu, J_k, J_xi_phi, J_xi_delta, J_xi_qs, d_phi.  Errors
     are absolute for magnitudes below one and relative above, per block.
+    The central steps h = 1e-6 must stay in the domain: q_s in [h, L - h]
+    and theta in (h, pi - h), else ValidationError.
     """
     errs = _fd_discrepancy_arrays(params, psi.theta, psi.delta, float(q_s), k)
     return {key: float(v) for key, v in errs.items()}

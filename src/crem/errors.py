@@ -10,15 +10,11 @@ class ValidationError(CremError):
 
 
 class NonPhysicalLength(CremError):
-    """A backbone or subsegment length came out non-positive."""
+    """A secondary-backbone length of the whole segment is non-positive."""
 
 
 class NoConvergence(CremError):
     """An iterative solve exhausted its iteration budget."""
-
-
-class SingularGradient(CremError):
-    """The equilibrium sensitivity system is numerically singular."""
 
 
 class SingularNormalEquations(CremError):

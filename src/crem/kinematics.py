@@ -29,9 +29,10 @@ from .model import (
     EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
+    _equilibrium_angles,
     _solve_equilibrium_arrays,
-    _theta_eps,
     solve_equilibrium,
+    uncertainty_lambda,
 )
 
 # |theta_x - pi/2| below which the arc ratios switch to their series forms
@@ -176,6 +177,7 @@ def micro_trajectory(
 
     Returns (positions (N, 3), theta_s (N,), theta_prime (N,)).
     """
-    th_s, th_p = _solve_equilibrium_arrays(params, psi.theta, psi.delta, qs_schedule, k)
-    th_e = _theta_eps(th_s, th_p)
+    kappa = _solve_equilibrium_arrays(params, psi.theta, psi.delta, qs_schedule,
+                                      uncertainty_lambda(k, qs_schedule, psi.theta))
+    th_s, th_p, th_e = _equilibrium_angles(params, psi.theta, qs_schedule, kappa)
     return _tip_positions(params, th_s, th_e, psi.delta, qs_schedule), th_s, th_p

@@ -7,7 +7,10 @@ q_s into the central backbone.  The wire splits the segment at a
 separation plane into an inserted subsegment (base angle theta0 to
 theta_s) and an empty subsegment (theta_s to theta_prime).  Bending
 moments carried across the separation plane plus an empirical actuation
-uncertainty moment lambda determine (theta_s, theta_prime).
+uncertainty moment lambda determine (theta_s, theta_prime).  The empty
+subsegment keeps the whole segment's curvature, so the balance is one
+increasing scalar equation in the inserted subsegment's curvature kappa,
+solved per sample by safeguarded Newton.
 
 Units: mm, N, rad; moduli in MPa so E*I is N*mm^2 and stiffnesses are
 N*mm/rad.  Angles follow the convention that the base angle
@@ -25,14 +28,8 @@ from .errors import NoConvergence, NonPhysicalLength, ValidationError
 # base-disk angle of every segment: the straight configuration
 THETA_BASE = math.pi / 2.0
 
-# Insertion depths within this fraction of L from either end are treated as
-# boundary cases: below q_min the analytic limit phi = (THETA_BASE, theta) is
-# returned, above L - q_min the empty-side lengths are clamped at q_min.
-Q_MIN_FRACTION = 1e-6
-
 _SOLVER_TOL = 1e-12
 _SOLVER_MAX_ITER = 200
-_DAMP_FLOOR = 1.0 / 64.0
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,6 @@ class RobotParams:
     @property
     def EI_s(self) -> float:
         return self.E_s * self.I_s
-
-    @property
-    def q_min(self) -> float:
-        return Q_MIN_FRACTION * self.L
 
 
 @dataclass(frozen=True)
@@ -153,19 +146,19 @@ class EquilibriumConfig:
 
     @property
     def theta_prime(self) -> float:
-        return self.theta_eps - (math.pi / 2.0 - self.theta_s)
+        return _theta_prime(self.theta_s, self.theta_eps)
 
     @classmethod
     def from_tip_angle(cls, theta_s: float, theta_prime: float) -> "EquilibriumConfig":
-        return cls(theta_s, _theta_eps(theta_s, theta_prime))
+        return cls(theta_s, theta_prime + (math.pi / 2.0 - theta_s))
 
     def phi(self) -> np.ndarray:
         return np.array([self.theta_s, self.theta_eps])
 
 
-def _theta_eps(theta_s, theta_prime):
-    """Empty-subsegment bend angle theta_eps = theta_prime + (pi/2 - theta_s)."""
-    return theta_prime + (np.pi / 2.0 - theta_s)
+def _theta_prime(theta_s, theta_eps):
+    """End-disk angle theta_prime = theta_eps - (pi/2 - theta_s)."""
+    return theta_eps - (np.pi / 2.0 - theta_s)
 
 
 def _sigma(params: RobotParams, delta):
@@ -179,28 +172,27 @@ def projected_offsets(params: RobotParams, delta):
     return params.r * np.cos(_sigma(params, delta))
 
 
-def _arc_stiffness(params: RobotParams, D, length, bend):
-    """Secondary-backbone lengths and angular stiffness of one arc.
+def _arc_moment(params: RobotParams, D, kappa, dD=None):
+    """Backbone stretches, bending moment and its partials of an arc of curvature kappa.
 
-    An arc whose central backbone has length `length` and bends by `bend`
-    rad has secondary backbones L_x,i = length + Delta_i * bend, shape
-    (..., n), and stiffness EI_p / length + sum_i EI_i / L_x,i (N*mm/rad).
-    The balance has three such arcs: the whole segment (L, theta - theta0)
-    gives k0, the empty subsegment (L - q_s, theta_prime - theta_s) k1 and
-    the inserted one (q_s, theta_s - theta0) k2.  Lengths are not checked.
+    An arc of length l bent at curvature kappa (rad/mm) has secondary
+    backbones l x_i with stretches x_i = 1 + Delta_i kappa, shape (..., n),
+    and stiffness EI_p / l + sum_i EI_i / (l x_i) (N*mm/rad).  Times its bend
+    l kappa that is the moment M = (EI_p + sum_i EI_i / x_i) kappa (N*mm),
+    free of l.  Returns (x, M, dM/dkappa) with
+    dM/dkappa = EI_p + sum_i EI_i / x_i^2, and with dD = d Delta_i / d delta
+    also dM/d delta = -kappa^2 sum_i EI_i dD_i / x_i^2.  Stretches are not
+    checked.
     """
-    L_x = np.asarray(length, dtype=float)[..., None] + D * np.asarray(bend)[..., None]
-    return L_x, params.EI_p / length + np.sum(params.EI_i / L_x, axis=-1)
-
-
-def _arc_stiffness_partials(params: RobotParams, D, dD, length, bend):
-    """Stiffness k of one arc (_arc_stiffness) and (dk/d length, dk/d bend, dk/d delta),
-    given dD = d Delta_i / d delta, shape (..., n).  Squares are products: a
-    numpy scalar's ** 2 calls pow, which can round differently from an array's."""
-    L_x, k = _arc_stiffness(params, D, length, bend)
-    w = params.EI_i / L_x**2
-    return (k, -params.EI_p / (length * length) - np.sum(w, axis=-1), -np.sum(D * w, axis=-1),
-            -bend * np.sum(dD * w, axis=-1))
+    kappa = np.asarray(kappa, dtype=float)
+    x = 1.0 + D * kappa[..., None]
+    w = params.EI_i / x
+    wx = w / x
+    M = (params.EI_p + np.sum(w, axis=-1)) * kappa
+    M_k = params.EI_p + np.sum(wx, axis=-1)
+    if dD is None:
+        return x, M, M_k
+    return x, M, M_k, -kappa * kappa * np.sum(dD * wx, axis=-1)
 
 
 def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
@@ -212,39 +204,35 @@ def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
         + k.k_lambda_q * np.asarray(q_s, dtype=float)
 
 
-def _broadcast_samples(theta, delta, q_s):
-    """(theta, delta, q_s) as float arrays of one broadcast shape."""
-    return np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (theta, delta, q_s)))
+def _broadcast_samples(*arrays):
+    """The arrays (theta, delta, q_s, ...) as floats of one broadcast shape."""
+    return np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
 
 
-def _solve_equilibrium_arrays(
-    params: RobotParams,
-    theta,
-    delta,
-    q_s,
-    k: UncertaintyParams,
-):
-    """Vectorized fixed-point solve of the two moment equations.
+def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
+    """Vectorized solve of the moment balance for the inserted arc's curvature.
 
-    Each sweep freezes the length-dependent stiffnesses at the current
-    iterate and solves the frozen system exactly:
+    The empty arc carries the base moment of the whole segment, so it has the
+    whole segment's curvature kappa0 = (theta - theta0) / L, and the balance
+    reduces to one equation for the inserted arc's curvature kappa:
 
-        theta_s = theta0 + (k0 (theta - theta0) - lambda) / (k2 + ks)
-        theta_prime = theta_s + (k0 / k1) (theta - theta0)
+        G(kappa) = M(kappa) + EI_s kappa - M(kappa0) + lambda = 0
 
-    then re-evaluates the stiffnesses.  Each sample keeps its own damping
-    factor, halved when its step grows, and is frozen (damping 0) once its
-    proposed update falls below _SOLVER_TOL in both components; that last
-    update is applied as a lone solve applies it, so a sample's angles do not
-    depend on the batch it is solved in.  The sweeps stop when no sample is
-    active.  k may hold per-sample coefficient arrays (uncertainty_lambda
-    broadcasts).  Returns (theta_s, theta_prime) broadcast over the inputs.
-    Every sample must satisfy the ConfigState rules and 0 <= q_s <= L; the
-    first that does not (NaN included) is rejected by its flat index before
-    any sweep.  NoConvergence names the active sample with the largest last
+    with M from _arc_moment.  G' = EI_p + EI_s + sum_i EI_i / x_i^2 > 0, and G
+    runs over all reals on the physical interval (every stretch x_i > 0), so
+    the root is unique.  Safeguarded Newton from kappa0: a sample's step is
+    halved while it leaves the physical interval, and the sample is frozen
+    once |step| L < _SOLVER_TOL, after that step, so its kappa does not
+    depend on the batch it is solved in.  lam is lambda per sample
+    (uncertainty_lambda).  Returns kappa broadcast over the inputs;
+    _equilibrium_angles gives the angles.  Every sample must satisfy the
+    ConfigState rules and 0 <= q_s <= L; the first that does not (NaN
+    included) is rejected by its flat index before any step, and
+    NonPhysicalLength is raised when a whole-segment backbone length is not
+    positive.  NoConvergence names the active sample with the largest last
     step the same way and counts the samples still active.
     """
-    theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
+    theta, delta, q_s, lam = _broadcast_samples(theta, delta, q_s, lam)
     ok = ((theta > 0.0) & (theta < math.pi) & (delta > -math.pi) & (delta <= math.pi)
           & (q_s >= 0.0) & (q_s <= params.L))
 
@@ -254,64 +242,53 @@ def _solve_equilibrium_arrays(
 
     if not np.all(ok):
         raise ValidationError(f"{sample(int(np.argmin(ok)))} outside (0, pi) x (-pi, pi] x [0, L]")
-    th0 = THETA_BASE
-    lam = np.asarray(uncertainty_lambda(k, q_s, theta), dtype=float)
-
-    small = q_s < params.q_min
-    qs_eff = np.maximum(q_s, params.q_min)
-    # near full insertion the empty side vanishes; clamp its lengths
-    Lq_eff = np.maximum(params.L - q_s, params.q_min)
-
-    D = projected_offsets(params, delta)
-    L_i, k0 = _arc_stiffness(params, D, params.L, theta - th0)
-    if np.any(L_i <= 0.0):
-        raise NonPhysicalLength(f"backbone length <= 0 (min {np.min(L_i):.6g} mm)")
-    m_base = k0 * (theta - th0)
-    ks = params.EI_s / qs_eff
-
-    # constant-curvature initialization
-    th_s = th0 + (theta - th0) * q_s / params.L
-    th_p = theta.copy()
-
-    damp = np.ones(theta.shape)
-    prev_step = np.inf
-    for iteration in range(_SOLVER_MAX_ITER):
-        L_si, k2 = _arc_stiffness(params, D, qs_eff, th_s - th0)
-        L_ei, k1 = _arc_stiffness(params, D, Lq_eff, th_p - th_s)
-        if np.any(L_si <= 0.0) or np.any(L_ei <= 0.0):
-            raise NonPhysicalLength(
-                f"subsegment length <= 0 during equilibrium iteration {iteration}"
-            )
-        th_s_new = th0 + (m_base - lam) / (k2 + ks)
-        th_p_new = th_s_new + m_base / k1
-        ds = th_s_new - th_s
-        dp = th_p_new - th_p
-        step = np.maximum(np.abs(ds), np.abs(dp))
-        th_s = th_s + damp * ds
-        th_p = th_p + damp * dp
-        # frozen samples stay at damp 0: x + 0 * dx == x
-        damp = np.where(step < _SOLVER_TOL, 0.0, damp)
-        if not damp.any():
+    D = projected_offsets(params, delta).reshape(-1, params.n)
+    kappa0 = ((theta - THETA_BASE) / params.L).ravel()
+    x0, M0, _ = _arc_moment(params, D, kappa0)
+    if np.any(x0 <= 0.0):
+        raise NonPhysicalLength(f"backbone length <= 0 (min {params.L * np.min(x0):.6g} mm)")
+    rhs = M0 - lam.ravel()
+    kappa = kappa0.copy()
+    step = np.zeros(kappa.shape)
+    active = np.arange(kappa.size)
+    for _ in range(_SOLVER_MAX_ITER):
+        Da, ka = D[active], kappa[active]
+        _, M, M_k = _arc_moment(params, Da, ka)
+        s = (rhs[active] - M - params.EI_s * ka) / (M_k + params.EI_s)
+        new = ka + s
+        while True:
+            # a non-finite step is not halved; it stays active and is reported
+            out = ~np.all(1.0 + Da * new[:, None] > 0.0, axis=-1) & np.isfinite(s)
+            if not out.any():
+                break
+            s = np.where(out, 0.5 * s, s)
+            new = ka + s
+        kappa[active] = new
+        step[active] = np.abs(s) * params.L
+        active = active[~(step[active] < _SOLVER_TOL)]
+        if not active.size:
             break
-        grew = step > prev_step
-        if grew.any():
-            # min(damp, floor) keeps a frozen sample at 0
-            damp = np.where(grew, np.maximum(damp * 0.5, np.minimum(damp, _DAMP_FLOOR)), damp)
-        prev_step = step
     else:
-        active = damp > 0.0
-        worst = int(np.argmax(np.where(active, step, -1.0)))
+        worst = int(active[np.argmax(step[active])])
         raise NoConvergence(
-            f"{sample(worst)}: equilibrium fixed point not converged after {_SOLVER_MAX_ITER} "
-            f"iterations (last step {step.flat[worst]:.3g} rad); "
-            f"{np.count_nonzero(active)} of {active.size} samples still active"
+            f"{sample(worst)}: equilibrium not converged after {_SOLVER_MAX_ITER} Newton "
+            f"steps (last step {step[worst]:.3g} rad); "
+            f"{active.size} of {kappa.size} samples still active"
         )
+    return kappa.reshape(theta.shape)
 
-    # analytic limit for vanishing insertion: the inserted side stiffens
-    # without bound, so theta_s -> theta0 and theta_prime -> theta
-    th_s = np.where(small, th0, th_s)
-    th_p = np.where(small, theta, th_p)
-    return th_s, th_p
+
+def _equilibrium_angles(params: RobotParams, theta, q_s, kappa):
+    """(theta_s, theta_prime, theta_eps) of the solved curvature kappa.
+
+    theta_s = theta0 + q_s kappa, and the empty arc bends by
+    (L - q_s) kappa0, so theta_eps = pi/2 + (L - q_s) kappa0, written so that
+    q_s = 0 gives exactly (theta0, theta) and q_s = L exactly theta_eps = pi/2.
+    """
+    theta, q_s = np.asarray(theta, dtype=float), np.asarray(q_s, dtype=float)
+    th_s = THETA_BASE + q_s * kappa
+    th_e = theta - (theta - THETA_BASE) * (q_s / params.L)
+    return th_s, _theta_prime(th_s, th_e), th_e
 
 
 def solve_equilibrium(
@@ -321,5 +298,8 @@ def solve_equilibrium(
     k: UncertaintyParams,
 ) -> EquilibriumConfig:
     """Equilibrium angles of the segment at configuration psi, depth q_s."""
-    th_s, th_p = _solve_equilibrium_arrays(params, psi.theta, psi.delta, float(q_s), k)
-    return EquilibriumConfig.from_tip_angle(float(th_s), float(th_p))
+    q_s = float(q_s)
+    kappa = _solve_equilibrium_arrays(params, psi.theta, psi.delta, q_s,
+                                      uncertainty_lambda(k, q_s, psi.theta))
+    th_s, _, th_e = _equilibrium_angles(params, psi.theta, q_s, kappa)
+    return EquilibriumConfig(float(th_s), float(th_e))

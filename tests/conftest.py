@@ -1,9 +1,11 @@
 """Shared fixtures, test helpers and independent oracles.
 
-The equilibrium oracle here deliberately re-derives the moment balance
-from the raw beam formulas and hands it to a general-purpose root
-finder, so that agreement with the fixed-point solver is evidence and
-not tautology.  Same idea for rotations: matrix exponentials come from
+The equilibrium oracles here deliberately re-derive the moment balance
+from the raw beam formulas, as two equations in (theta_s, theta_prime),
+and hand it to a general-purpose root finder (scipy in float64, mpmath
+at 40 digits, which also differentiates it implicitly), so that
+agreement with the package's scalar curvature solve is evidence and not
+tautology.  Same idea for rotations: matrix exponentials come from
 scipy, not from the package.  The two-arc pose chain and its twist
 Jacobians are composed here in 3-D, from arc rotations built of scipy
 matrix exponentials and from cross products, as oracles for the
@@ -11,6 +13,9 @@ package's planar chain.  The per-point finite-difference oracle is the
 scalar reference for the package's batched one.
 """
 
+from types import SimpleNamespace
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -28,7 +33,6 @@ from crem import (
 )
 from crem.differential import _FD_STEP
 from crem.kinematics import _arc, _tip_positions, segment_rotation
-from crem.model import _arc_stiffness
 from crem.rotations import axis_angle_vector
 
 TH0 = np.pi / 2
@@ -56,30 +60,28 @@ def k_zero() -> UncertaintyParams:
 
 
 def backbone_lengths(params, theta, delta):
-    """Secondary backbone lengths L_i = L + Delta_i (theta - theta0) from the arc kernel."""
-    L_i, _ = _arc_stiffness(params, projected_offsets(params, delta), params.L, theta - TH0)
-    return L_i
+    """Secondary backbone lengths L_i = L + Delta_i (theta - theta0)."""
+    return params.L + projected_offsets(params, delta) * (theta - TH0)
 
 
-def equilibrium_moments(params, theta, delta, q_s, k, th_s, th_p):
+def equilibrium_moments(params, theta, delta, q_s, k, th_s, th_p, cos=np.cos, pi=np.pi):
     """Moments (m1, m1p, m2, ms, lambda) at a candidate (theta_s, theta_prime).
 
     Written from the beam formulas directly (EI/length stiffnesses at the
     candidate angles) with no calls into the package.  m1 is carried
     across the base by the whole segment, m1p by the empty subsegment,
     m2 and ms resist bending of the inserted subsegment; at equilibrium
-    m1 = m1p and m1p + m2 + ms = lambda.
+    m1 = m1p and m1p + m2 + ms = lambda.  cos and pi default to float64;
+    mpmath's carry the same formulas at its working precision.
     """
     EIp = params.E_p * params.I_p
     EIi = params.E_i * params.I_i
     EIs = params.E_s * params.I_s
-    offsets = params.r * np.cos(delta + 2.0 * np.pi / params.n * np.arange(params.n))
-    L_i = params.L + offsets * (theta - TH0)
-    L_si = q_s + offsets * (th_s - TH0)
-    L_ei = (params.L - q_s) + offsets * (th_p - th_s)
-    k0 = EIp / params.L + np.sum(EIi / L_i)
-    k1 = EIp / (params.L - q_s) + np.sum(EIi / L_ei)
-    k2 = EIp / q_s + np.sum(EIi / L_si)
+    offsets = [params.r * cos(delta + 2 * pi / params.n * i) for i in range(params.n)]
+    k0 = EIp / params.L + sum(EIi / (params.L + d * (theta - TH0)) for d in offsets)
+    k1 = EIp / (params.L - q_s) + sum(EIi / ((params.L - q_s) + d * (th_p - th_s))
+                                      for d in offsets)
+    k2 = EIp / q_s + sum(EIi / (q_s + d * (th_s - TH0)) for d in offsets)
     ks = EIs / q_s
     lam = k.k_lambda0 + k.k_lambda_theta * theta + k.k_lambda_q * q_s
     m1 = k0 * (theta - TH0)
@@ -106,6 +108,35 @@ def oracle_equilibrium(params, theta, delta, q_s, k, tol=1e-12):
     # moments are O(100) N mm; 1e-8 here means the root is at float depth
     assert np.max(np.abs(residuals(sol.x))) < 1e-8, (sol.message, sol.x)
     return float(sol.x[0]), float(sol.x[1])
+
+
+def mp_equilibrium(params, theta, delta, q_s, k, dps=40):
+    """(theta_s, theta_eps, d_phi (2, 6)) at dps digits, returned as floats.
+
+    mpmath.findroot solves the two raw residuals of equilibrium_moments for
+    (theta_s, theta_prime); d phi / d(theta, delta, q_s, k) follows by
+    implicit differentiation, -F_phi^-1 F_x, with every partial of the
+    residuals taken by mpmath.diff.  No call goes into the package.
+    """
+    with mpmath.workdps(dps):
+        def residuals(th_s, th_p, theta, delta, q_s, k0, kt, kq):
+            kk = SimpleNamespace(k_lambda0=k0, k_lambda_theta=kt, k_lambda_q=kq)
+            m1, m1p, m2, ms, lam = equilibrium_moments(params, theta, delta, q_s, kk, th_s,
+                                                       th_p, cos=mpmath.cos, pi=mpmath.pi)
+            return m1p - m1, m1p + m2 + ms - lam
+
+        x = [mpmath.mpf(v) for v in (theta, delta, q_s, *k.as_array())]
+        guess = [TH0 + (x[0] - TH0) * x[2] / params.L, x[0]]
+        phi = mpmath.findroot(lambda a, b: residuals(a, b, *x), guess)
+        point = [phi[0], phi[1], *x]
+        # J[r][j] = d residual_r / d (theta_s, theta_prime, theta, delta, q_s, k)_j
+        J = [[mpmath.diff(lambda *v: residuals(*v)[r], point,
+                          tuple(int(i == j) for i in range(8))) for j in range(8)]
+             for r in range(2)]
+        d = -(mpmath.matrix([row[:2] for row in J]) ** -1) * mpmath.matrix([row[2:] for row in J])
+        th_s, th_e = phi[0], phi[1] + (TH0 - phi[0])
+        d_phi = [[d[0, j] for j in range(6)], [d[1, j] - d[0, j] for j in range(6)]]
+        return float(th_s), float(th_e), np.array(d_phi, dtype=float)
 
 
 def assert_valid_pose(pose, tol=1e-12):

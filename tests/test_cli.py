@@ -185,6 +185,16 @@ def test_jacobian_check_delta_outside_range_fails(config_path):
     assert proc.stderr == "error: delta must lie in (-pi, pi], got -3.490658503988659\n"
 
 
+def test_jacobian_check_point_within_a_step_of_the_edge_fails(config_path):
+    # q_s = 0 would step to -h; the error names the grid point, not an internal sample
+    proc = crem("jacobian-check", "--config", config_path,
+                "--grid", "theta=30:30:1;delta=0:0:1;qs=0:0.5:2")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: point 0: (theta, delta, q_s) = (0.523599, 0, 0) ")
+    assert "q_s [h, L - h]" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_jacobian_check_straight_boundary(config_path):
     proc = crem("jacobian-check", "--config", config_path,
                 "--grid", "theta=90:90:1;delta=0:40:2;qs=0.25:0.75:3")

@@ -9,8 +9,8 @@ from crem import (
     ConfigState,
     EquilibriumConfig,
     RobotParams,
-    SingularGradient,
     UncertaintyParams,
+    ValidationError,
     assemble_motion_jacobians,
     crem_pose,
     micro_trajectory,
@@ -20,7 +20,7 @@ from crem import (
 )
 from crem import differential
 from crem.differential import (
-    _cond_2x2,
+    _FD_STEP,
     _jacobian_arrays,
     _xi_jacobian_arrays,
     _orthogonal_pinv,
@@ -32,13 +32,14 @@ from crem.kinematics import (
     pose_from_phi,
     segment_rotation,
 )
-from crem.model import _arc_stiffness, _arc_stiffness_partials, _sigma, projected_offsets
+from crem.model import _arc_moment, _sigma, projected_offsets
 from conftest import (
     backbone_lengths,
     equilibrium_moments,
     fd_discrepancies_per_point,
     finite_difference_jacobian,
     jacobian_partitions,
+    mp_equilibrium,
     pose_arrays_3d,
     xi_jacobian_arrays_3d,
 )
@@ -114,12 +115,12 @@ def test_arc_slopes_are_derivatives_of_the_ratios():
 
 
 # ---------------------------------------------------------------------------
-# converged balance in matrix form
+# converged balance
 
 
 @pytest.mark.parametrize("theta_deg,q_s", [(30, 20.0), (60, 5.0), (100, 35.0)])
 def test_solver_matrices_residual_vanishes(bench, k_cal, theta_deg, q_s):
-    # the rows of A C_phi - B are, up to sign, the two moment residuals
+    # both raw moment residuals vanish at the solved angles
     psi = ConfigState(np.radians(theta_deg), 0.4)
     phi = solve_equilibrium(bench, psi, q_s, k_cal)
     m1, m1p, m2, ms, lam = equilibrium_moments(bench, psi.theta, psi.delta, q_s, k_cal,
@@ -360,9 +361,11 @@ def test_macro_micro_decoupling_consistency(bench, k_cal):
     assert js.J_k.shape == (6, 3)
 
 
-# at delta = pi and -pi + 5e-7 rad the delta steps cross +-pi and wrap back
+# at delta = pi and -pi + 5e-7 rad the delta steps cross +-pi and wrap back; the
+# last two points sit 2 h from the ends of the insertion range
 @pytest.mark.parametrize("theta_deg,delta_deg,q_s", [
     (30, 0, 20.0), (60, 40, 5.0), (120, -75, 35.0), (30, 180, 22.0), (30, -180 + 3e-5, 22.0),
+    (30, 0, 2e-6), (30, 0, 44.3 - 2e-6),
 ])
 def test_fd_agreement_spot_checks(bench, k_zero, k_cal, theta_deg, delta_deg, q_s):
     psi = ConfigState(np.radians(theta_deg), np.radians(delta_deg))
@@ -494,55 +497,54 @@ def test_sample_is_bit_identical_alone_and_in_batch(bench, samples, k0, kq):
 
 
 # ---------------------------------------------------------------------------
-# conditioning of the sensitivity matrix
-
-
-def test_closed_form_cond_matches_numpy():
-    rng = np.random.default_rng(4)
-    M = rng.standard_normal((2000, 2, 2))
-    ref = np.linalg.cond(M)
-    # on a general matrix both sides lose ~eps * cond to cancellation in det
-    keep = ref < 1e3
-    assert_allclose(_cond_2x2(M[keep]), ref[keep], rtol=1e-12)
-    # ill-conditioned and upper triangular, like the sensitivity matrix
-    # (its [1, 0] entry cancels exactly), where both stay accurate
-    T = np.zeros((2000, 2, 2))
-    T[:, 0, 0] = 10.0 ** rng.uniform(-6, 6, 2000)
-    T[:, 0, 1] = rng.standard_normal(2000) * 10.0 ** rng.uniform(-6, 6, 2000)
-    T[:, 1, 1] = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-6, 6, 2000)
-    ref = np.linalg.cond(T)
-    assert np.max(ref) > 1e15
-    assert_allclose(_cond_2x2(T), ref, rtol=1e-12)
-
-
-def test_singular_sensitivity_matrix_raises(bench, k_cal, monkeypatch):
-    # without empty-arc stiffness the theta_prime column of M vanishes
-    q_s = 15.0
-
-    def no_empty_arc(params, D, dD, length, bend):
-        out = _arc_stiffness_partials(params, D, dD, length, bend)
-        if np.array_equal(length, params.L - q_s):
-            return tuple(np.zeros_like(a) for a in out)
-        return out
-
-    monkeypatch.setattr(differential, "_arc_stiffness_partials", no_empty_arc)
-    with pytest.raises(SingularGradient, match="condition inf"):
-        assemble_motion_jacobians(bench, ConfigState(np.radians(40), 0.2), q_s, k_cal)
+# the stiffness kernel and a 40-digit reference
 
 
 @pytest.mark.parametrize("length,bend", [(44.3, -0.8), (20.0, 0.3), (5.0, 0.0)])
 def test_arc_stiffness_partials_against_differences(bench, length, bend):
-    delta, h = 0.7, 1e-6
+    delta, h, kappa = 0.7, 1e-6, bend / length
 
-    def k_of(length, bend, delta):
-        return _arc_stiffness(bench, projected_offsets(bench, delta), length, bend)[1]
+    def M_of(kappa, delta):
+        return _arc_moment(bench, projected_offsets(bench, delta), kappa)[1]
 
     D = projected_offsets(bench, delta)
     dD = -bench.r * np.sin(_sigma(bench, delta))
-    k, k_len, k_bend, k_delta = _arc_stiffness_partials(bench, D, dD, length, bend)
-    assert k == k_of(length, bend, delta)
-    fd = [(k_of(length + h, bend, delta) - k_of(length - h, bend, delta)) / (2.0 * h),
-          (k_of(length, bend + h, delta) - k_of(length, bend - h, delta)) / (2.0 * h),
-          (k_of(length, bend, delta + h) - k_of(length, bend, delta - h)) / (2.0 * h)]
-    # k is O(100) N mm/rad: the differences carry ~1e-8 of rounding
-    assert_allclose([k_len, k_bend, k_delta], fd, rtol=1e-7, atol=1e-6)
+    x, M, M_kappa, M_delta = _arc_moment(bench, D, kappa, dD)
+    assert M == M_of(kappa, delta)
+    assert_allclose(length * x, length + D * bend, rtol=0, atol=1e-12)
+    fd = [(M_of(kappa + h, delta) - M_of(kappa - h, delta)) / (2.0 * h),
+          (M_of(kappa, delta + h) - M_of(kappa, delta - h)) / (2.0 * h)]
+    # M is O(100) N mm: the differences carry ~1e-8 of rounding
+    assert_allclose([M_kappa, M_delta], fd, rtol=1e-7, atol=1e-6)
+
+
+@pytest.mark.parametrize("theta_deg,delta,q_s", [
+    (30, 0.4, 20.0), (120, -2.0, 5.0), (60, 1.1, 1e-3), (30, 0.4, 44.3 - 1e-3),
+    (45, -0.7, 44.3 - 3.3e-3),
+])
+def test_equilibrium_and_gradient_match_40_digit_reference(bench, theta_deg, delta, q_s):
+    # mpmath solves and differentiates the raw two-equation balance
+    k = UncertaintyParams(0.2, 0.01, 0.025)
+    core = _jacobian_arrays(bench, np.radians(theta_deg), delta, q_s, k)
+    th_s, th_e, d_phi = mp_equilibrium(bench, np.radians(theta_deg), delta, q_s, k)
+    assert abs(core.th_s - th_s) <= 1e-12 * abs(th_s)
+    assert abs(core.th_e - th_e) <= 1e-12 * abs(th_e)
+    assert np.max(np.abs(core.grads - d_phi)) <= 1e-12 * np.max(np.abs(d_phi))
+
+
+@pytest.mark.parametrize("theta,q_s,index", [
+    (np.radians(30), 0.0, 0), (np.radians(30), 44.3, 0), (np.radians(30), 5e-7, 0),
+    (np.radians(30), 44.3 - 5e-7, 0), (5e-7, 20.0, 0), (np.pi - 5e-7, 20.0, 0),
+    ([1.0, 1.2, 0.8], [20.0, 1e-7, 0.0], 1),
+])
+def test_fd_oracle_rejects_points_within_a_step_of_the_edge(bench, k_cal, theta, q_s, index):
+    # every central step must stay in the solver's domain; the error names the
+    # point, not an internal perturbed sample
+    with pytest.raises(ValidationError, match=rf"^point {index}: \(theta, delta, q_s\) = "):
+        differential._fd_discrepancy_arrays(bench, theta, 0.3, q_s, k_cal)
+
+
+def test_fd_oracle_accepts_points_one_step_from_the_edge(bench, k_cal):
+    errs = differential._fd_discrepancy_arrays(bench, np.radians(30), 0.3,
+                                               [_FD_STEP, 20.0, bench.L - 2 * _FD_STEP], k_cal)
+    assert errs["d_phi"].shape == (3,)

@@ -18,7 +18,8 @@ from crem import (
     uncertainty_lambda,
 )
 from crem import model
-from crem.model import _arc_stiffness, _solve_equilibrium_arrays
+from crem.differential import _jacobian_arrays
+from crem.model import _arc_moment, _solve_equilibrium_arrays
 from conftest import backbone_lengths, equilibrium_moments, oracle_equilibrium
 
 TH0 = np.pi / 2
@@ -51,7 +52,6 @@ def test_wire_absent_params_allowed(bench):
 def test_derived_properties(bench):
     assert_allclose(bench.beta, 2 * np.pi / 3)
     assert_allclose(bench.EI_p, 41000.0 * 0.0312)
-    assert_allclose(bench.q_min, 1e-6 * 44.3)
 
 
 @pytest.mark.parametrize("theta", [0.0, np.pi, -0.1, 3.2])
@@ -71,13 +71,19 @@ def test_equilibrium_config_angle_identity():
 # geometry helpers
 
 
+def arc(params, delta, length, bend):
+    """(backbone lengths, stiffness) of an arc from the moment kernel at curvature
+    bend / length: lengths length * x_i, stiffness M / bend, or dM/dkappa / length
+    where straight."""
+    x, M, M_k = _arc_moment(params, projected_offsets(params, delta), bend / length)
+    return length * x, (M / bend if bend else M_k / length)
+
+
 def stiffness_kernel(params, delta, q_s, theta, th_s, th_p):
-    """(L_si, L_ei, k0, k1, k2) of the solver's arc kernel, unclamped."""
-    D = projected_offsets(params, delta)
-    q_s = np.float64(q_s)
-    _, k0 = _arc_stiffness(params, D, params.L, theta - TH0)
-    L_ei, k1 = _arc_stiffness(params, D, params.L - q_s, th_p - th_s)
-    L_si, k2 = _arc_stiffness(params, D, q_s, th_s - TH0)
+    """(L_si, L_ei, k0, k1, k2) of the whole segment, the empty and the inserted arc."""
+    _, k0 = arc(params, delta, params.L, theta - TH0)
+    L_ei, k1 = arc(params, delta, params.L - q_s, th_p - th_s)
+    L_si, k2 = arc(params, delta, q_s, th_s - TH0)
     return L_si, L_ei, k0, k1, k2
 
 
@@ -133,13 +139,15 @@ def test_subsegment_lengths_sum_identity(bench):
     assert_allclose(L_si + L_ei, bench.L + D * (th_p - TH0), atol=1e-12)
 
 
-def test_subsegment_lengths_boundaries(bench):
-    # the stiffnesses of a vanishing subsegment diverge; only lengths matter here
-    with np.errstate(divide="ignore"):
-        L_si, L_ei, *_ = stiffness_kernel(bench, 0.0, 0.0, 1.0, TH0, 1.0)
-        assert_allclose(L_si, 0.0, atol=0)
-        L_si, L_ei, *_ = stiffness_kernel(bench, 0.0, bench.L, 1.0, 1.0, 1.0)
-        assert_allclose(L_ei, 0.0, atol=0)
+def test_subsegment_lengths_boundaries(bench, k_cal):
+    # the solved ends collapse the vanishing subsegment exactly: q_s = 0 leaves
+    # theta_s = theta0, and q_s = L leaves theta_prime = theta_s
+    D = projected_offsets(bench, 0.3)
+    psi = ConfigState(1.0, 0.3)
+    phi = solve_equilibrium(bench, psi, 0.0, k_cal)
+    assert_allclose(0.0 + D * (phi.theta_s - TH0), 0.0, atol=0)
+    phi = solve_equilibrium(bench, psi, bench.L, k_cal)
+    assert_allclose(0.0 + D * (phi.theta_prime - phi.theta_s), 0.0, atol=0)
 
 
 def test_uncertainty_lambda_values(k_cal):
@@ -204,36 +212,45 @@ def test_batched_solve_rejects_non_finite_sample(bench, k_cal):
     with pytest.raises(ValidationError, match=r"sample 3: \(theta, delta, q_s\) = .*nan"):
         micro_trajectory(bench, ConfigState(np.radians(30), 0.0), qs, k_cal)
     with pytest.raises(ValidationError, match="sample 1"):
-        _solve_equilibrium_arrays(bench, [1.0, np.inf, np.nan], 0.0, 10.0, k_cal)
+        _solve_equilibrium_arrays(bench, [1.0, np.inf, np.nan], 0.0, 10.0, 0.45)
 
 
 @pytest.mark.parametrize("bad", [3.5, -0.2, 0.0, np.pi])
-def test_batched_solve_rejects_theta_outside_range(bench, k_cal, bad):
+def test_batched_solve_rejects_theta_outside_range(bench, bad):
     # the same rule ConfigState enforces on a single configuration
     pattern = r"sample 2: \(theta, delta, q_s\) = \(" + f"{bad:.6g}"
     with pytest.raises(ValidationError, match=pattern):
-        _solve_equilibrium_arrays(bench, [1.0, 0.5, bad, 1.2], 0.3, 10.0, k_cal)
+        _solve_equilibrium_arrays(bench, [1.0, 0.5, bad, 1.2], 0.3, 10.0, 0.45)
 
 
-def test_batched_solve_no_convergence_names_the_sample(bench, k_zero, monkeypatch):
-    # straight samples take a zero first step; the bent one cannot settle in one sweep
+def test_batched_solve_no_convergence_names_the_sample(bench, monkeypatch):
+    # straight samples take a zero first step; the bent one cannot settle in one step
     theta = np.full(5, TH0)
     theta[3] = np.radians(40)
     monkeypatch.setattr(model, "_SOLVER_MAX_ITER", 1)
     pattern = (r"sample 3: \(theta, delta, q_s\) = \(0\.698132, 0\.2, 15\): "
                r".*not converged after 1 ")
     with pytest.raises(NoConvergence, match=pattern):
-        _solve_equilibrium_arrays(bench, theta, 0.2, 15.0, k_zero)
+        _solve_equilibrium_arrays(bench, theta, 0.2, 15.0, 0.0)
 
 
-def test_batched_solve_no_convergence_counts_active_samples(bench, k_zero, monkeypatch):
+def test_batched_solve_no_convergence_counts_active_samples(bench, monkeypatch):
     # the straight samples freeze after their zero first step; the worst of
     # the two bent ones is named
     theta = np.full(5, TH0)
     theta[1], theta[3] = np.radians(60), np.radians(40)
     monkeypatch.setattr(model, "_SOLVER_MAX_ITER", 1)
     with pytest.raises(NoConvergence, match=r"sample 3: .*; 2 of 5 samples still active"):
-        _solve_equilibrium_arrays(bench, theta, 0.2, 15.0, k_zero)
+        _solve_equilibrium_arrays(bench, theta, 0.2, 15.0, 0.0)
+
+
+def test_overflowing_lambda_is_reported_not_halved_forever(bench):
+    # finite coefficients whose lambda overflows give a non-finite Newton step;
+    # it is not halved, and the sample is named once the steps run out
+    k = UncertaintyParams(1e308, 0.0, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NoConvergence, match=r"sample 0: .*last step nan"):
+            solve_equilibrium(bench, ConfigState(1.0, 0.2), 15.0, k)
 
 
 def test_solver_matches_bruteforce_oracle(bench, k_cal, k_zero):
@@ -305,3 +322,114 @@ def test_moment_balance_property(bench, theta, delta, fq, k0, kq):
     scale = max(1.0, abs(m1))
     assert abs(m1 - m1p) < 1e-9 * scale
     assert abs(m1p + m2 + ms - lam) < 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# the scalar curvature equation
+
+
+@pytest.mark.parametrize("theta", [0.05, np.radians(35), 1.3, TH0 + 0.2, np.pi - 0.05])
+@pytest.mark.parametrize("delta", [0.0, 0.9, -2.5])
+def test_equilibrium_ends_are_exact(bench, k_cal, theta, delta):
+    # q_s = 0 leaves the whole segment to the empty arc, q_s = L to the
+    # inserted one, with no special case in the solver
+    k = UncertaintyParams(0.3, -0.1, 0.02)
+    for kk in (k_cal, k):
+        phi = solve_equilibrium(bench, ConfigState(theta, delta), 0.0, kk)
+        assert (phi.theta_s, phi.theta_prime) == (TH0, theta)
+        phi = solve_equilibrium(bench, ConfigState(theta, delta), bench.L, kk)
+        assert phi.theta_eps == TH0
+        _, th_s, th_p = micro_trajectory(bench, ConfigState(theta, delta), [0.0, bench.L], kk)
+        assert (th_s[0], th_p[0]) == (TH0, theta)
+        assert _jacobian_arrays(bench, theta, delta, [0.0, bench.L], kk).th_e[1] == TH0
+
+
+def test_continuity_across_the_old_clamp(bench, k_cal):
+    # an earlier solver snapped q_s < 1e-6 L to (theta0, theta): at theta = 45 deg
+    # that jumped 7.8e-7 rad in theta_s and 1.7e-5 mm at the tip
+    q_old = 1e-6 * bench.L
+    qs = q_old + np.array([-1e-12, 0.0, 1e-12])
+    for theta in np.radians([20, 45, 70]):
+        pos, th_s, th_p = micro_trajectory(bench, ConfigState(theta, 0.4), qs, k_cal)
+        assert np.max(np.abs(np.diff(th_s))) < 1e-13
+        assert np.max(np.abs(np.diff(th_p))) < 1e-13
+        assert np.max(np.abs(np.diff(pos, axis=0))) < 1e-12
+
+
+def test_curvature_equation_increases_on_the_physical_interval(bench):
+    # G(kappa) = M(kappa) + EI_s kappa - M(kappa0) + lambda: G' > 0 and G runs
+    # from -inf to +inf between the curvatures at which a backbone vanishes
+    robot = RobotParams(L=18.6, r=14.3, E_p=3521.0, E_i=8456.0, E_s=23902.0,
+                        I_p=0.00117, I_i=0.0017, I_s=0.00115, n=3)
+    for params in (bench, robot):
+        for delta in (0.0, 0.4, 2.0):
+            D = projected_offsets(params, delta)
+            lo, hi = -1.0 / np.max(D), -1.0 / np.min(D)
+            kappa = lo + (hi - lo) * np.linspace(1e-9, 1.0 - 1e-9, 20001)
+            x, M, M_k = _arc_moment(params, D, kappa)
+            G = M + params.EI_s * kappa
+            assert np.all(x > 0.0)
+            assert np.all(M_k + params.EI_s > 0.0)
+            assert np.all(np.diff(G) > 0.0)
+            assert G[0] < -1e3 * params.EI_p and G[-1] > 1e3 * params.EI_p
+
+
+# random robots on which a damped 2-D fixed-point solve raised NonPhysicalLength
+# or NoConvergence, drawn with numpy.random.default_rng(11) in this order:
+# L ~ U(10, 100), r ~ U(0.5, 15), (E_p, E_i, E_s) = 10**U(3.5, 5.5, 3),
+# (I_p, I_i, I_s) = 10**U(-3, 0, 3), n = integers(3, 7), theta ~ U(0.05, pi - 0.05),
+# delta ~ U(-pi, pi), q_s ~ U(0, L), k = U(-5, 5, 3) * (1, 1, 1 / L), skipping
+# draws with a non-positive whole-segment backbone length.  Each case is
+# (L, r, E_p, E_i, E_s, I_p, I_i, I_s, n), (theta, delta, q_s), k.
+RANDOM_ROBOTS = [
+    ((17.929276220345763, 13.460257608301413, 3865.3216553445423, 9251.97330409119,
+      3370.422349063402, 0.002218963487619883, 0.012689065082218667, 0.011886414186344476, 6),
+     (0.6702699308139277, -0.7823177434448869, 0.6624068050177973),
+     (4.255877002167756, 2.993276267743255, -0.25699888469851273)),
+    ((13.361793849036374, 14.678435323149161, 57484.90392010404, 5535.737515777494,
+      55736.853210179164, 0.001884183593442402, 0.24738964949140835, 0.08573323493274945, 6),
+     (2.400916965147411, 0.9506446910772244, 13.214708841357952),
+     (-0.7899342369947471, 3.8035609674376065, -0.11158435305851365)),
+    ((13.598968768135801, 8.90593536236036, 148852.7059225318, 123985.86204589892,
+      13462.197805712942, 0.00988886085493284, 0.10005161265559481, 0.06650016024191178, 4),
+     (2.586773425254155, 1.564838554056502, 9.889169639725427),
+     (2.1881706990882144, 3.131328615333297, -0.02282514505857082)),
+    ((10.825775805836113, 11.471910897622054, 8473.626135091958, 5972.456900225226,
+      196247.72386088938, 0.0019973014285122924, 0.19104803327899053, 0.15837205339060353, 4),
+     (2.4913941550605965, -1.7694089871740761, 7.787764664629376),
+     (3.7368701016636265, 3.404591784997077, 0.1386065169238116)),
+    ((28.354062414033987, 14.378888087905707, 3457.436039439094, 8411.234816585991,
+      13917.198784902303, 0.01320903436700267, 0.0018008746893482992, 0.001880030984450956, 3),
+     (1.591825352985861, -1.3266318599041633, 26.591394844053113),
+     (-3.2114799386575354, -1.1215359142410533, -0.15450830370580823)),
+    ((12.799474323513698, 9.068169128576136, 45287.446862487544, 24683.09286380946,
+      258852.21001895922, 0.004307531744923252, 0.8064266988294316, 0.0011547133200882048, 5),
+     (2.5236740942845595, -1.7162041481918962, 7.627834354480234),
+     (-3.952841361408912, -0.405088408709843, -0.20483530125373264)),
+    ((12.61540147599865, 13.263792581288879, 217237.17084286088, 38907.60476086809,
+      27065.83429000544, 0.10244240291731133, 0.07880702788779569, 0.8365337102341623, 5),
+     (2.4543325252358983, -3.1273605303370036, 12.577095448538085),
+     (-0.7034488105263854, -2.3918185861361154, 0.03881432597777606)),
+    ((18.625345348698918, 14.295762796003473, 3521.024279261927, 8455.898211137024,
+      23902.103348987526, 0.0011691551363774435, 0.001695988841072099, 0.0011485506459676814, 3),
+     (1.8526436781535751, 1.3387593333859282, 2.673410359768721),
+     (3.1424387902674553, 3.8888973163449077, 0.00548284998952647)),
+    ((16.390948937306828, 14.619858254027038, 95110.40644623805, 25585.91279168599,
+      306787.29029089445, 0.03493967005830396, 0.05679571531123155, 0.004262521229134409, 5),
+     (0.38045644444794174, -2.874235348646025, 1.726843067894003),
+     (-3.4234627247093528, -0.2252962991149854, -0.17714171887279384)),
+    ((48.536153000070364, 14.170448380572797, 5888.451027369075, 6719.3857464651455,
+      3557.347151546009, 0.002276422403460164, 0.002059131595456339, 0.0014743013684271496, 5),
+     (1.7585097186085605, 2.4927905746660644, 13.78522181781081),
+     (-2.814373742038012, -1.9866215472127768, -0.039219024079442916)),
+]
+
+
+@pytest.mark.parametrize("robot,x,k", RANDOM_ROBOTS)
+def test_random_robot_regression(robot, x, k):
+    params, (theta, delta, q_s), k = RobotParams(*robot), x, UncertaintyParams(*k)
+    phi = solve_equilibrium(params, ConfigState(theta, delta), q_s, k)
+    m1, m1p, m2, ms, lam = equilibrium_moments(params, theta, delta, q_s, k,
+                                               phi.theta_s, phi.theta_prime)
+    scale = max(abs(m1), abs(m2), abs(ms), abs(lam), 1.0)
+    assert max(abs(m1p - m1), abs(m1p + m2 + ms - lam)) <= 1e-9 * scale
