@@ -243,12 +243,12 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
     if not np.all(ok):
         raise ValidationError(f"{sample(int(np.argmin(ok)))} outside (0, pi) x (-pi, pi] x [0, L]")
     D = projected_offsets(params, delta).reshape(-1, params.n)
-    kappa0 = ((theta - THETA_BASE) / params.L).ravel()
-    x0, M0, _ = _arc_moment(params, D, kappa0)
+    # Newton starts from the whole segment's curvature kappa0
+    kappa = ((theta - THETA_BASE) / params.L).ravel()
+    x0, M0, _ = _arc_moment(params, D, kappa)
     if np.any(x0 <= 0.0):
         raise NonPhysicalLength(f"backbone length <= 0 (min {params.L * np.min(x0):.6g} mm)")
     rhs = M0 - lam.ravel()
-    kappa = kappa0.copy()
     step = np.zeros(kappa.shape)
     active = np.arange(kappa.size)
     for _ in range(_SOLVER_MAX_ITER):
