@@ -34,7 +34,7 @@ from .model import (
     uncertainty_lambda,
 )
 from .differential import _jacobian_arrays
-from .rotations import SMALL_ANGLE, axis_angle
+from .rotations import axis_angle_vector
 
 PARAM_NAMES = ("k_lambda0", "k_lambda_theta", "k_lambda_q")
 
@@ -156,24 +156,19 @@ class CalibrationResult:
     correlation: np.ndarray
 
 
-def _rotation_residuals(R_bar, R):
-    """alpha_e m_e of R_e = R_bar R^T, (..., 3); exactly zero below SMALL_ANGLE."""
-    alpha, axis = axis_angle(R_bar @ np.swapaxes(R, -1, -2))
-    return np.where((alpha >= SMALL_ANGLE)[..., None], alpha[..., None] * axis, 0.0)
-
-
 def pose_error(measured: Measurement, modeled: Pose) -> np.ndarray:
     """Residual 6-vector [x_bar - x; alpha_e m_e].
 
     The orientation error rotation R_e = R_bar R^T is reduced to its
-    axis-angle vector; below SMALL_ANGLE the rotational residual is exactly
-    zero, and near pi the axis comes from the symmetric part of R_e.
-    Unobserved components are zero (and masked by the weights downstream).
+    rotation vector alpha_e m_e by axis_angle_vector, which is exact and
+    continuous through alpha_e = 0; near pi the axis comes from the
+    symmetric part of R_e.  Unobserved components are zero (and masked by
+    the weights downstream).
     """
     c = np.zeros(6)
     c[:3] = measured.x_bar - modeled.p
     if measured.R_bar is not None:
-        c[3:] = _rotation_residuals(measured.R_bar, modeled.R)
+        c[3:] = axis_angle_vector(measured.R_bar @ modeled.R.T)
     return c
 
 
@@ -226,7 +221,7 @@ def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
     if data.rot.size:
         # the tip frame turns by pi/2 - theta_prime in the plane delta
         R = segment_rotation(th_p[data.rot], delta[data.rot])
-        c[data.rot, 3:] = _rotation_residuals(data.R_bar, R)
+        c[data.rot, 3:] = axis_angle_vector(data.R_bar @ np.swapaxes(R, -1, -2))
     return c, kappa
 
 
@@ -283,6 +278,18 @@ def nls_estimate(
     idx = config.free_indices
 
     data = _stack(measurements)
+    # each J_k,i is rank one along u_i = (1, theta_i, q_s_i), so k is
+    # identifiable only if the free columns of the weighted u_i have full rank
+    theta, _, q_s = data.commands
+    u = np.column_stack([np.ones_like(theta), theta, q_s])[np.any(W != 0.0, axis=(-2, -1))]
+    if np.linalg.matrix_rank(u[:, idx]) < idx.size:
+        constant = [name for j, name in ((1, "theta"), (2, "q_s"))
+                    if j in idx and np.all(u[:, j] == u[:1, j])]
+        cause = (f"{' and '.join(constant)} {'is' if len(constant) == 1 else 'are'} constant"
+                 if constant else "(1, theta, q_s) are linearly dependent")
+        raise ValidationError(
+            f"free parameters {', '.join(config.free_params)} are not identifiable: {cause} "
+            f"across the {len(u)} weighted measurements")
     k_vec = k0.as_array().astype(float)
 
     def evaluate(kv):

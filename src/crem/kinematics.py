@@ -4,15 +4,16 @@ A subsegment of arc length L_x bending from theta0 = pi/2 down to angle
 theta_x in plane delta has tip position and orientation
 
     p = L_x Rz(-delta) [a, 0, b],  R = segment_rotation(theta_x, delta),
-    a = (sin theta_x - 1) / (theta_x - pi/2),  b = -cos theta_x / (theta_x - pi/2),
+    a = (cos u - 1) / u,  b = sin u / u,  u = theta_x - pi/2,
 
-where R turns by pi/2 - theta_x about the bending-plane normal.  Near the
-straight configuration both ratios and their theta_x-slopes are evaluated
-by series.  The full segment is the inserted subsegment (length q_s,
-angle theta_s) followed by the empty subsegment (length L - q_s, angle
-theta_eps), which starts in the frame of the separation plane.  Both bend
-in the plane delta, so every tip pose, scalar or batched, comes from one
-planar chain: p = Rz(-delta) [x, 0, z] with
+where R turns by pi/2 - theta_x about the bending-plane normal.  Both
+ratios and the theta_x-slope of a have half-angle closed forms that are
+exact at the straight configuration u = 0 and lose no digits near it; only
+the slope of b keeps a series there.  The full segment is the inserted
+subsegment (length q_s, angle theta_s) followed by the empty subsegment
+(length L - q_s, angle theta_eps), which starts in the frame of the
+separation plane.  Both bend in the plane delta, so every tip pose, scalar
+or batched, comes from one planar chain: p = Rz(-delta) [x, 0, z] with
 (x, z) = q_s (a_s, b_s) + (L - q_s) Ry(pi/2 - theta_s) (a_e, b_e), and the
 tip rotation is segment_rotation(theta_s + theta_eps - pi/2, delta).
 """
@@ -35,7 +36,7 @@ from .model import (
     uncertainty_lambda,
 )
 
-# |theta_x - pi/2| below which the arc ratios switch to their series forms
+# |theta_x - pi/2| below which the slope of b switches to its series form
 STRAIGHT_SERIES_THRESHOLD = 1e-4
 
 
@@ -61,32 +62,29 @@ _Arc = namedtuple("_Arc", "s c a b a_t b_t")
 
 
 def _arc(theta_x, slopes=False) -> _Arc:
-    """sin, cos, the ratios (a, b) above and, if asked, their theta_x-slopes
+    """sin theta_x = cos u, cos theta_x = -sin u, the ratios (a, b) above and, if
+    asked, their theta_x-slopes, u = theta_x - pi/2.  With S = sin(u/2) / (u/2),
+    1 at u = 0, the half-angle identities give, with no other division by u,
 
-        a_t = (u cos t - sin t + 1) / u^2,  b_t = (u sin t + cos t) / u^2
+        a = -sin(u/2) S,  b = cos(u/2) S,  a_t = S^2 / 2 - b,
 
-    with u = t - pi/2.  Within the straight window |u| < STRAIGHT_SERIES_THRESHOLD
-    the ratios and slopes are series, evaluated on the window's samples only.
+    exact at u = 0 and finite for every u.  b_t = (cos u - b) / u cancels near
+    u = 0: within |u| < STRAIGHT_SERIES_THRESHOLD it is a series, evaluated on
+    the window's samples only.
     """
-    t = np.asarray(theta_x, dtype=float)
-    u = t - np.pi / 2.0
-    st, ct = np.sin(t), np.cos(t)
-    near = np.abs(u) < STRAIGHT_SERIES_THRESHOLD
-    u_safe = np.where(near, 1.0, u)
-    a = np.asarray((st - 1.0) / u_safe)
-    b = np.asarray(-ct / u_safe)
+    u = np.asarray(theta_x, dtype=float) - np.pi / 2.0
+    sh, ch = np.sin(u / 2.0), np.cos(u / 2.0)
+    S = np.divide(2.0 * sh, u, out=np.ones(np.shape(u)), where=u != 0.0)
+    st, ct, b = 1.0 - 2.0 * sh * sh, -2.0 * sh * ch, ch * S
     a_t = b_t = None
     if slopes:
-        a_t = np.asarray((u * ct - st + 1.0) / u_safe**2)
-        b_t = np.asarray((u * st + ct) / u_safe**2)
-    if near.any():
-        w = u[near]
-        a[near] = -w / 2.0 + w**3 / 24.0
-        b[near] = 1.0 - w**2 / 6.0 + w**4 / 120.0
-        if slopes:
-            a_t[near] = -0.5 + w**2 / 8.0 - w**4 / 144.0
+        a_t = S * S / 2.0 - b
+        near = np.abs(u) < STRAIGHT_SERIES_THRESHOLD
+        b_t = np.divide(st - b, u, out=np.zeros(np.shape(u)), where=~near)
+        if near.any():
+            w = u[near]
             b_t[near] = -w / 3.0 + w**3 / 30.0
-    return _Arc(st, ct, a, b, a_t, b_t)
+    return _Arc(st, ct, -sh * S, b, a_t, b_t)
 
 
 def segment_rotation(theta_x, delta_x):

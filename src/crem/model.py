@@ -148,10 +148,6 @@ class EquilibriumConfig:
     def theta_prime(self) -> float:
         return _theta_prime(self.theta_s, self.theta_eps)
 
-    @classmethod
-    def from_tip_angle(cls, theta_s: float, theta_prime: float) -> "EquilibriumConfig":
-        return cls(theta_s, theta_prime + (math.pi / 2.0 - theta_s))
-
     def phi(self) -> np.ndarray:
         return np.array([self.theta_s, self.theta_eps])
 

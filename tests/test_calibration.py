@@ -23,7 +23,7 @@ from crem import (
 )
 from crem.calibration import _residuals, _rmse_um, _stack, _weighted_cost
 from crem.kinematics import Pose
-from crem.rotations import NEAR_PI, SMALL_ANGLE
+from crem.rotations import NEAR_PI
 
 from conftest import oracle_rotation
 
@@ -89,11 +89,13 @@ def test_pose_error_axis_angle_round_trip(alpha):
     assert np.max(np.abs(c[3:] - alpha * axis)) < 1e-4
 
 
-def test_pose_error_tiny_rotation_snaps_to_zero():
+def test_pose_error_is_continuous_at_tiny_rotation():
+    # a 1e-8 rad error is reported as its rotation vector, continuous through zero
+    axis = np.array([0.6, -0.48, 0.64])
     modeled = Pose(p=np.zeros(3), R=np.eye(3))
     m = Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
-                    R_bar=oracle_rotation(np.array([1.0, 0.0, 0.0]), 1e-8))
-    assert_allclose(pose_error(m, modeled)[3:], 0.0, atol=0)
+                    R_bar=oracle_rotation(axis, 1e-8))
+    assert_allclose(pose_error(m, modeled)[3:], 1e-8 * axis, rtol=1e-12, atol=0)
 
 
 def test_measurement_validation():
@@ -103,8 +105,8 @@ def test_measurement_validation():
     with pytest.raises(ValidationError):
         Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
                     obs_mask=np.zeros(6, dtype=bool))
-    # unchecked, a NaN R_bar gives an exactly zero orientation residual
-    # (nan >= SMALL_ANGLE is false) and a (2, 2) one fails in _stack
+    # unchecked, a NaN R_bar gives a NaN orientation residual and a (2, 2)
+    # one fails in _stack
     for R_bar in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]),
                   np.eye(2), np.eye(3).ravel()):
         with pytest.raises(ValidationError, match="R_bar"):
@@ -184,7 +186,7 @@ PARAMS_ALL = ("k_lambda0", "k_lambda_theta", "k_lambda_q")
 def test_identification_jacobian_matches_residual_differences(bench, k_cal):
     # position rows against the position-only residual pipeline with a
     # tight step; rotation rows against full-pose measurements with a
-    # larger step that clears the zero-rotation snap threshold
+    # larger step
     qs = np.array([5.0, 14.0, 23.0, 32.0])
     pos_rows = np.tile([True] * 3 + [False] * 3, len(qs))
 
@@ -287,8 +289,39 @@ def test_masked_components_cannot_influence_estimate(bench):
 def test_identical_depths_are_rank_deficient(bench):
     k_true = UncertaintyParams(0.2, 0.0, 0.025)
     ms = make_measurements(bench, np.radians(45), 0.0, [15.0] * 10, k_true)
-    with pytest.raises(SingularNormalEquations):
+    with pytest.raises(ValidationError, match="k_lambda0, k_lambda_q are not identifiable: "
+                                              "q_s is constant across the 10 weighted"):
         nls_estimate(ms, bench, CalibrationConfig(), UncertaintyParams.zero())
+
+
+def test_constant_theta_is_named_before_the_first_iteration(bench):
+    # every J_k,i lies along u_i = (1, theta_i, q_s_i): one theta cannot tell
+    # k_lambda0 from k_lambda_theta, whatever the depths
+    k_true = UncertaintyParams(0.2, 0.0, 0.025)
+    ms = make_measurements(bench, np.radians(30), 0.0, np.linspace(0.0, 40.0, 20), k_true)
+    # a measurement at another theta with a zero weight block adds no rank
+    ms += make_measurements(bench, np.radians(60), 0.0, [10.0], k_true)
+    W = default_weight_blocks(ms)
+    W[-1] = 0.0
+    for free in (PARAMS_ALL, ("k_lambda0", "k_lambda_theta")):
+        cfg = CalibrationConfig(free_params=free, weight_blocks=W)
+        with pytest.raises(ValidationError, match=f"{', '.join(free)} are not identifiable: "
+                                                  "theta is constant across the 20 weighted"):
+            nls_estimate(ms, bench, cfg, UncertaintyParams.zero())
+    for free in (("k_lambda_theta",), ("k_lambda_theta", "k_lambda_q")):
+        cfg = CalibrationConfig(free_params=free, weight_blocks=W)
+        assert nls_estimate(ms, bench, cfg, UncertaintyParams.zero()).converged
+
+
+def test_zero_depth_data_hit_the_condition_gate(bench):
+    # (1, theta_i) has full rank, but at q_s = 0 no moment reaches the tip:
+    # J_k = 0, and the condition gate refuses the normal equations
+    k_true = UncertaintyParams(0.2, 0.0, 0.025)
+    ms = [make_measurements(bench, theta, 0.0, [0.0], k_true)[0]
+          for theta in np.radians([30, 45, 60])]
+    cfg = CalibrationConfig(free_params=("k_lambda0", "k_lambda_theta"))
+    with pytest.raises(SingularNormalEquations, match="at iteration 1"):
+        nls_estimate(ms, bench, cfg, UncertaintyParams.zero())
 
 
 def test_empty_dataset_rejected(bench):
@@ -498,7 +531,7 @@ def test_split_at_turning_point(bench, hairpin):
 
 def test_batched_residuals_equal_per_sample_pose_error(bench, k_cal):
     # R_bar absent and present, a partial mask, and orientation errors past
-    # the near-pi switch and below the zero-rotation snap
+    # the near-pi switch and of 1e-8 rad
     rng = np.random.default_rng(11)
     axis = np.array([0.6, -0.48, 0.64])
     part = np.array([True, True, False, True, False, True])
@@ -506,7 +539,7 @@ def test_batched_residuals_equal_per_sample_pose_error(bench, k_cal):
         (np.radians(40), 0.3, 12.0, None, None),
         (np.radians(70), -1.1, 30.0, 0.3, None),
         (np.radians(25), 2.0, 21.0, np.pi - 0.1 * NEAR_PI, None),
-        (TH0, 0.0, 5.0, 0.1 * SMALL_ANGLE, None),
+        (TH0, 0.0, 5.0, 1e-8, None),
         (np.radians(55), -0.4, 40.0, 1.2, part),
         (np.radians(35), 1.0, 0.0, None, part[:3].tolist() + [False] * 3),
     ]
@@ -521,7 +554,7 @@ def test_batched_residuals_equal_per_sample_pose_error(bench, k_cal):
     ref = np.stack([pose_error(m, crem_pose(bench, m.psi, m.q_s, k_cal).tip) for m in ms])
     assert np.max(np.abs(c - ref)) <= 1e-12
     assert np.linalg.norm(c[2, 3:]) > np.pi - NEAR_PI
-    assert np.all(c[3, 3:] == 0.0)
+    assert_allclose(c[3, 3:], 1e-8 * axis, rtol=1e-6, atol=0)
 
 
 def test_one_equilibrium_solve_per_evaluated_k(bench, monkeypatch):

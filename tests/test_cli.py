@@ -270,7 +270,23 @@ def test_calibrate_identical_depths_fail_cleanly(config_path, tmp_path):
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     proc = crem("calibrate", "--config", config_path, "--data", str(data))
     assert proc.returncode == 1
-    assert "condition" in proc.stderr or "Singular" in proc.stderr
+    assert "not identifiable: q_s is constant" in proc.stderr
+
+
+def test_calibrate_names_a_constant_theta(config_path, tmp_path):
+    # the README sweep holds theta at 30 deg: k_lambda0 and k_lambda_theta
+    # cannot both be free, but k_lambda_theta alone or with k_lambda_q can
+    data = tmp_path / "data.csv"
+    crem("gen-synthetic", "--config", config_path, "--theta", "30",
+         "--qs-range", "0:40:40", "--k-lambda", "5,0,-0.1", "--noise", "0.002",
+         "--seed", "0", "--out", str(data))
+    for free in ("k0,ktheta,kq", "k0,ktheta"):
+        proc = crem("calibrate", "--config", config_path, "--data", str(data), "--free", free)
+        assert proc.returncode == 1
+        assert "not identifiable: theta is constant across the 40 weighted" in proc.stderr
+    for free in ("ktheta", "ktheta,kq"):
+        assert summary(crem("calibrate", "--config", config_path, "--data", str(data),
+                            "--free", free))["converged"] is True
 
 
 def test_calibrate_unknown_free_token(config_path, tmp_path):

@@ -48,8 +48,8 @@ TH0 = np.pi / 2
 
 
 # ---------------------------------------------------------------------------
-# arc-ratio series: the partitions scale the theta-slopes (chi_a, chi_b) of
-# the arc ratios (a, b) and chi_c = -a
+# arc ratios: the partitions scale the theta-slopes (chi_a, chi_b) of the arc
+# ratios (a, b) and chi_c = -a
 
 
 def arc_ratios(theta):
@@ -68,9 +68,9 @@ def chi_abc(theta):
 
 
 def test_chi_values_against_extended_precision():
-    # the closed forms lose eps/u^2 digits to cancellation, so an 80-bit
-    # reference resolves the series branch (|u| < 1e-4) to ~1e-11 but the
-    # float64 closed branch only carries ~8 digits of its own
+    # against an 80-bit reference on both sides of the b_t series window
+    # (|u| < 1e-4); outside it b_t = (cos u - b) / u loses eps/u to
+    # cancellation, the half-angle forms of a, b and a_t lose nothing
     for u, atol in [(-1e-3, 1e-9), (-1.1e-4, 1e-7), (-9e-5, 1e-9),
                     (9e-5, 1e-9), (1.1e-4, 1e-7), (1e-3, 1e-9)]:
         # substituting t = pi/2 + u turns the ratios into pure functions of
@@ -93,11 +93,10 @@ def test_chi_straight_limits():
 @given(sign=st.sampled_from([-1.0, 1.0]), d=st.floats(0.0, 1e-6))
 @settings(max_examples=200, deadline=None)
 def test_arc_ratios_continuous_across_series_switch(sign, d):
-    # u = +-(threshold -+ d) straddle the switch from series to closed form.
-    # Every ratio and slope has |d/du| <= 1 there, so the true change is at
-    # most 2d; the rest is the closed forms' cancellation error, bounded as
-    # in test_chi_values_against_extended_precision (1e-9 for the ratios,
-    # which divide by u, 1e-7 for the slopes, which divide by u^2)
+    # u = +-(threshold -+ d) straddle the switch of b_t from series to
+    # closed form.  Every ratio and slope has |d/du| <= 1 there, so the true
+    # change is at most 2d; the rest is rounding and the cancellation of b_t
+    # outside the window, bounded as in test_chi_values_against_extended_precision
     inside = TH0 + sign * (STRAIGHT_SERIES_THRESHOLD - d)
     outside = TH0 + sign * (STRAIGHT_SERIES_THRESHOLD + d)
     for f, atol in ((arc_ratios, 1e-9), (arc_slopes, 1e-7)):
@@ -105,9 +104,18 @@ def test_arc_ratios_continuous_across_series_switch(sign, d):
         assert np.all(jump <= 2.0 * d + atol), (f.__name__, jump)
 
 
+def test_arc_ratios_at_a_half_turn():
+    # the half-angle forms divide by u only: at u = +-pi, where 1 + cos u
+    # vanishes, a = (cos u - 1) / u, b = sin u / u and their slopes stay exact
+    for u in (np.pi, -np.pi):
+        arc = _arc(TH0 + u, slopes=True)
+        assert_allclose([arc.a, arc.b, arc.a_t, arc.b_t],
+                        [-2.0 / u, 0.0, 2.0 / u**2, -1.0 / u], rtol=0, atol=1e-15)
+
+
 def test_arc_slopes_are_derivatives_of_the_ratios():
-    # central differences of (a, b) inside the window and clear of its edge,
-    # where the closed forms' cancellation stays below the 1e-8 asked here
+    # central differences of (a, b) inside the b_t window, across straight
+    # and far from it
     theta = TH0 + np.array([-0.9, -0.05, -5e-5, 0.0, 3e-5, 0.05, 1.2])
     h = 1e-6
     fd = (np.array(arc_ratios(theta + h)) - np.array(arc_ratios(theta - h))) / (2.0 * h)
@@ -198,8 +206,8 @@ def test_partitions_zero_length_has_no_translation():
 
 @pytest.mark.parametrize("theta", [0.9, TH0 + 5e-5, TH0 - 5e-5])
 def test_partitions_match_single_arc_differences(theta):
-    # theta values inside the straight window exercise the series branch of
-    # every chi ratio against differences of series-evaluated positions
+    # theta values inside the straight window exercise the series of b_t
+    # against differences of positions near straight
     from crem.kinematics import segment_pose
 
     delta, L_x = 0.6, 23.0
@@ -362,10 +370,12 @@ def test_macro_micro_decoupling_consistency(bench, k_cal):
 
 
 # at delta = pi and -pi + 5e-7 rad the delta steps cross +-pi and wrap back; the
-# last two points sit 2 h from the ends of the insertion range
+# next two points sit 2 h from the ends of the insertion range, and the last
+# two 4e-4 and 2e-4 rad from straight, just outside the b_t series window
 @pytest.mark.parametrize("theta_deg,delta_deg,q_s", [
     (30, 0, 20.0), (60, 40, 5.0), (120, -75, 35.0), (30, 180, 22.0), (30, -180 + 3e-5, 22.0),
     (30, 0, 2e-6), (30, 0, 44.3 - 2e-6),
+    (90 + np.degrees(4e-4), np.degrees(0.3), 20.0), (90 - np.degrees(2e-4), np.degrees(1.2), 15.0),
 ])
 def test_fd_agreement_spot_checks(bench, k_zero, k_cal, theta_deg, delta_deg, q_s):
     psi = ConfigState(np.radians(theta_deg), np.radians(delta_deg))
@@ -375,12 +385,44 @@ def test_fd_agreement_spot_checks(bench, k_zero, k_cal, theta_deg, delta_deg, q_
         assert worst < 1e-6, errs
 
 
-def test_fd_agreement_at_straight_boundary(bench, k_zero):
-    # theta = pi/2 exercises every series branch.  k = 0 here: at straight
-    # the backbone-displacement map loses its delta column, so only the
-    # zero-uncertainty case keeps the actuation composition full-rank
-    errs = fd_discrepancies(bench, ConfigState(TH0, 0.5), 22.0, k_zero)
-    assert max(errs.values()) < 1e-6, errs
+def test_fd_agreement_at_straight_boundary(bench, k_zero, k_cal):
+    # theta = pi/2 exercises the series of b_t.  At straight J_q_psi loses
+    # its delta column, yet with k_cal the uncertainty moment still bends the
+    # segment, so a delta motion exists that no backbone displacement makes:
+    # the J_M entry scores J_psi, where J_M J_q_psi was off by 9.3e-2
+    for k in (k_zero, k_cal):
+        errs = fd_discrepancies(bench, ConfigState(TH0, 0.5), 22.0, k)
+        assert max(errs.values()) < 1e-6, errs
+
+
+# theta anywhere in [15, 165] deg, exactly straight, or 10^U(-9, -1.5) rad to
+# either side of it; q_s anywhere in [h, L - h] or 10^U(-6, log10(L / 2)) mm
+# from either end
+FD_THETAS = st.one_of(
+    st.floats(np.radians(15), np.radians(165)),
+    st.just(TH0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-9.0, -1.5)).map(
+        lambda se: TH0 + se[0] * 10.0 ** se[1]),
+)
+FD_END_DISTANCE = st.floats(-6.0, np.log10(44.3 / 2)).map(lambda e: 10.0 ** e)
+FD_POINTS = st.lists(
+    st.tuples(FD_THETAS, st.floats(-np.pi, np.pi, exclude_min=True),
+              st.one_of(st.floats(_FD_STEP, 44.3 - _FD_STEP), FD_END_DISTANCE,
+                        FD_END_DISTANCE.map(lambda d: 44.3 - d))),
+    min_size=1, max_size=6,
+)
+
+
+@given(points=FD_POINTS, k0=st.floats(-0.5, 0.5), kt=st.floats(-0.3, 0.3),
+       kq=st.floats(-0.05, 0.05))
+@settings(max_examples=200, deadline=None)
+def test_fd_agreement_over_the_domain(bench, points, k0, kt, kq):
+    assert bench.L == 44.3  # the depth strategies are written for the bench length
+    theta, delta, q_s = (np.array(col) for col in zip(*points))
+    errs = differential._fd_discrepancy_arrays(bench, theta, delta, q_s,
+                                               UncertaintyParams(k0, kt, kq))
+    for key, v in errs.items():
+        assert np.all(v < 1e-6), (key, v, points)
 
 
 def test_fd_discrepancies_solves_each_point_once(bench, k_cal, monkeypatch):
@@ -484,15 +526,15 @@ def test_batched_core_equals_scalar_api(bench, samples, k0, kq):
 @given(samples=SAMPLES, k0=st.floats(-0.5, 0.5), kq=st.floats(-0.05, 0.05))
 @settings(max_examples=60, deadline=None)
 def test_sample_is_bit_identical_alone_and_in_batch(bench, samples, k0, kq):
-    # th_s and th_p are the solver's angles; every other field is formed from them
+    # th_s and th_e are the solver's angles; every other field is formed from them
     k = UncertaintyParams(k0, 0.0, kq)
     theta, delta, fq = (np.array(col) for col in zip(*samples))
     qs = fq * bench.L
     batch = _jacobian_arrays(bench, theta, delta, qs, k)
     for i in range(len(samples)):
         alone = _jacobian_arrays(bench, theta[i], delta[i], qs[i], k)
-        for name in ("th_s", "th_p", "th_e", "grads", "J_xi_phi", "J_xi_delta", "J_xi_qs",
-                     "J_q_psi", "J_M", "J_mu", "J_k"):
+        for name in ("th_s", "th_e", "grads", "J_xi_phi", "J_xi_delta", "J_xi_qs",
+                     "J_q_psi", "J_psi", "J_M", "J_mu", "J_k"):
             assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)), (i, name)
 
 

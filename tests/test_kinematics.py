@@ -70,9 +70,8 @@ def test_segment_rotation_is_orthonormal(L_x, theta, delta):
 
 
 def test_series_window_continuity():
-    # the series branch (just inside the window) and the closed form (just
-    # outside) must both match the arc construction at their own angles,
-    # so the seam introduces no jump
+    # just inside and just outside the b_t series window the positions,
+    # which use no series, match the arc construction: no seam
     for sign in (+1.0, -1.0):
         for off in (0.99e-4, 1.01e-4):
             theta = TH0 + sign * off

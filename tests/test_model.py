@@ -63,8 +63,6 @@ def test_config_state_rejects_out_of_range_theta(theta):
 def test_equilibrium_config_angle_identity():
     phi = EquilibriumConfig(theta_s=1.2, theta_eps=1.4)
     assert_allclose(phi.theta_eps, phi.theta_prime + (np.pi / 2 - phi.theta_s), atol=0)
-    back = EquilibriumConfig.from_tip_angle(phi.theta_s, phi.theta_prime)
-    assert_allclose(back.theta_eps, phi.theta_eps, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
