@@ -11,10 +11,11 @@ full Gauss-Newton step) by default and halves whenever a step would
 raise the cost; the paper's damped update is eta < 1.  The result
 reports the standard errors and correlation of the free parameters.
 
-The loop is batched over the dataset, with or without observed
-orientation: the measurement arrays are stacked once per fit, and each
-evaluated k costs one batched equilibrium solve whose curvatures give the
-residuals and, once k is accepted, the next identification Jacobian.
+The loop is batched over the dataset, with or without observed orientation:
+the arrays are stacked once per fit, and each evaluated k costs one batched
+equilibrium solve whose curvatures give the residuals and the next Jacobian.
+Its blocks J_i = v_i u_i^T have rank one, u_i = (1, theta_i, q_s_i) and v_i
+along the tip twist per theta_s: J^T W J = sum_i (v_i^T W_i v_i) u_i u_i^T.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .model import (
     _solve_equilibrium_arrays,
     uncertainty_lambda,
 )
-from .differential import _jacobian_arrays
+from .differential import _k_jacobian_factors
 from .rotations import axis_angle_vector
 
 PARAM_NAMES = ("k_lambda0", "k_lambda_theta", "k_lambda_q")
@@ -231,21 +232,27 @@ def _rmse_um(c, pos_mask) -> float:
     return 1000.0 * float(np.sqrt(np.mean(sq)))
 
 
+def _normal_equations(col, krow, W, Wc):
+    """(J^T W J, J^T W c~) of blocks J_i = -col_i krow_i^T: J^T W J = sum a_i krow_i krow_i^T."""
+    a = np.einsum("ni,ni->n", col, np.einsum("nij,nj->ni", W, col))
+    return (a[:, None] * krow).T @ krow, -(np.einsum("ni,ni->n", col, Wc) @ krow)
+
+
 def identification_jacobian(
     measurements, params: RobotParams, k: UncertaintyParams,
     free_params=("k_lambda0", "k_lambda_q"),
 ) -> np.ndarray:
-    """Stacked residual Jacobian d c~ / d k_free, shape (6N, n_free).
-
-    The residual is measured-minus-modeled, so each block is the negated
-    tip Jacobian -J_k restricted to the free columns.
+    """Stacked residual Jacobian d c~ / d k_free, shape (6N, n_free): the residual is
+    measured-minus-modeled, so each block is -J_k on the free columns.  Rows 3-5 are the
+    rotational rows of -J_k for every measurement, also one without R_bar, whose
+    orientation residual is zero: only the weights mask them.
     """
     idx = np.array([PARAM_NAMES.index(n) for n in free_params], dtype=int)
-    try:
-        J_k = _jacobian_arrays(params, *_commands(measurements), k).J_k
-    except NoConvergence as e:
-        raise NoConvergence(f"while building the identification Jacobian: {e}") from e
-    return (-J_k[:, :, idx]).reshape(len(measurements) * 6, len(idx))
+    theta, delta, q_s = _commands(measurements)
+    kappa = _solve_equilibrium_arrays(params, theta, delta, q_s, uncertainty_lambda(k, q_s, theta))
+    u = np.column_stack([np.ones_like(theta), theta, q_s])
+    col, krow = _k_jacobian_factors(params, theta, delta, q_s, kappa, u)
+    return (-(col[:, :, None] * krow[:, None, idx])).reshape(len(measurements) * 6, len(idx))
 
 
 def nls_estimate(
@@ -280,16 +287,17 @@ def nls_estimate(
     data = _stack(measurements)
     # each J_k,i is rank one along u_i = (1, theta_i, q_s_i), so k is
     # identifiable only if the free columns of the weighted u_i have full rank
-    theta, _, q_s = data.commands
-    u = np.column_stack([np.ones_like(theta), theta, q_s])[np.any(W != 0.0, axis=(-2, -1))]
-    if np.linalg.matrix_rank(u[:, idx]) < idx.size:
+    theta, delta, q_s = data.commands
+    u = np.column_stack([np.ones_like(theta), theta, q_s])
+    weighted = u[np.any(W != 0.0, axis=(-2, -1))]
+    if np.linalg.matrix_rank(weighted[:, idx]) < idx.size:
         constant = [name for j, name in ((1, "theta"), (2, "q_s"))
-                    if j in idx and np.all(u[:, j] == u[:1, j])]
+                    if j in idx and np.all(weighted[:, j] == weighted[:1, j])]
         cause = (f"{' and '.join(constant)} {'is' if len(constant) == 1 else 'are'} constant"
                  if constant else "(1, theta, q_s) are linearly dependent")
         raise ValidationError(
             f"free parameters {', '.join(config.free_params)} are not identifiable: {cause} "
-            f"across the {len(u)} weighted measurements")
+            f"across the {len(weighted)} weighted measurements")
     k_vec = k0.as_array().astype(float)
 
     def evaluate(kv):
@@ -304,11 +312,8 @@ def nls_estimate(
 
     for iteration in range(1, config.max_iter + 1):
         # J_k at the equilibria of the residuals at k_vec: no second solve
-        J_k = _jacobian_arrays(params, *data.commands, UncertaintyParams.from_array(k_vec),
-                               kappa).J_k
-        Jb = -J_k[:, :, idx]
-        JtW = np.einsum("nij,nik->jk", Jb, W @ Jb)
-        JtWc = np.einsum("nij,ni->j", Jb, Wc)
+        col, krow = _k_jacobian_factors(params, theta, delta, q_s, kappa, u)
+        JtW, JtWc = _normal_equations(col, krow[:, idx], W, Wc)
         cond = np.linalg.cond(JtW)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularNormalEquations(

@@ -75,6 +75,11 @@ class JacobianSet:
 # equilibrium sensitivities
 
 
+def _theta_s_row(q_s, dG, G_k):
+    """d theta_s / d a = q_s d kappa / d a = -q_s (dG/da) / G' at fixed q_s, (..., m)."""
+    return q_s[..., None] * (-dG / G_k[..., None])
+
+
 def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, kappa):
     """Vectorized d phi / d(theta, delta, q_s, k), stacked as (..., 2, 6).
 
@@ -98,9 +103,8 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     dG = np.stack([k.k_lambda_theta - M0_k / params.L, M_d - M0_d,
                    np.full(theta.shape, k.k_lambda_q), np.ones(theta.shape), theta, q_s],
                   axis=-1)
-    d_kappa = -dG / (M_k + params.EI_s)[..., None]
     grads = np.zeros(theta.shape + (2, 6))
-    grads[..., 0, :] = q_s[..., None] * d_kappa
+    grads[..., 0, :] = _theta_s_row(q_s, dG, M_k + params.EI_s)
     grads[..., 0, 2] += kappa
     grads[..., 1, 0] = (params.L - q_s) / params.L
     grads[..., 1, 2] = -kappa0
@@ -109,6 +113,12 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
 
 # ---------------------------------------------------------------------------
 # pose Jacobians
+
+
+def _theta_s_twist(params: RobotParams, s, e_x, e_z, sd, cd, q_s):
+    """The tip twist (..., 6) per theta_s, J_xi_phi[..., :, 0]; sd, cd = sin, cos delta."""
+    v_x, v_z = q_s * s.a_t - (params.L - q_s) * e_z, q_s * s.b_t + (params.L - q_s) * e_x
+    return np.stack([cd * v_x, -sd * v_x, v_z, -sd, -cd, np.zeros_like(sd)], axis=-1)
 
 
 def _xi_jacobian_arrays(params: RobotParams, th_s, th_e, delta, q_s):
@@ -122,25 +132,20 @@ def _xi_jacobian_arrays(params: RobotParams, th_s, th_e, delta, q_s):
     in-plane distance x from the axis, and rotates the frame about
     Rz(-delta)(sin, 0, cos - 1) of the tip bend pi/2 - theta_prime.
     """
-    th_s, th_e, delta, q_s = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (th_s, th_e, delta, q_s))
-    )
+    th_s, th_e, delta, q_s = _broadcast_samples(th_s, th_e, delta, q_s)
     s, e = _arc(th_s, slopes=True), _arc(th_e, slopes=True)
     x, _, e_x, e_z = _in_plane_tip(params, s, e, q_s)
     L_e = params.L - q_s
     sd, cd = np.sin(delta), np.cos(delta)
 
-    def in_plane(v_x, v_z):
-        """Rz(-delta) [v_x, 0, v_z]."""
+    def in_plane(v_x, v_z):  # Rz(-delta) [v_x, 0, v_z]
         return np.stack([cd * v_x, -sd * v_x, v_z], axis=-1)
 
-    axis = np.stack([-sd, -cd, np.zeros_like(sd)], axis=-1)  # Rz(-delta) [0, -1, 0]
-    J_xi_phi = np.stack([
-        np.concatenate([in_plane(q_s * s.a_t - L_e * e_z, q_s * s.b_t + L_e * e_x), axis],
-                       axis=-1),
-        np.concatenate([in_plane(L_e * (s.s * e.a_t + s.c * e.b_t),
-                                 L_e * (s.s * e.b_t - s.c * e.a_t)), axis], axis=-1),
-    ], axis=-1)
+    col_s = _theta_s_twist(params, s, e_x, e_z, sd, cd, q_s)
+    axis = col_s[..., 3:]
+    J_xi_phi = np.stack([col_s, np.concatenate([in_plane(L_e * (s.s * e.a_t + s.c * e.b_t),
+                                                         L_e * (s.s * e.b_t - s.c * e.a_t)),
+                                                axis], axis=-1)], axis=-1)
     # sin and cos of theta_s + theta_eps = theta_prime + pi/2
     J_xi_delta = np.concatenate([
         x[..., None] * axis,
@@ -148,6 +153,17 @@ def _xi_jacobian_arrays(params: RobotParams, th_s, th_e, delta, q_s):
     ], axis=-1)
     J_xi_qs = np.concatenate([in_plane(s.a - e_x, s.b - e_z), np.zeros_like(axis)], axis=-1)
     return J_xi_phi, J_xi_delta, J_xi_qs
+
+
+def _k_jacobian_factors(params: RobotParams, theta, delta, q_s, kappa, u):
+    """(col, krow), J_k = col krow^T at the solved kappa: theta_s alone depends on k, through
+    lambda = u . k, u = (1, theta, q_s), so col is J_xi_phi[..., :, 0], krow -(q_s / G') u."""
+    th_s, _, th_e = _equilibrium_angles(params, theta, q_s, kappa)
+    s = _arc(th_s, slopes=True)
+    _, _, e_x, e_z = _in_plane_tip(params, s, _arc(th_e), q_s)
+    _, _, M_k = _arc_moment(params, projected_offsets(params, delta), kappa)
+    return (_theta_s_twist(params, s, e_x, e_z, np.sin(delta), np.cos(delta), q_s),
+            _theta_s_row(q_s, u, M_k + params.EI_s))
 
 
 def _orthogonal_pinv(J):
@@ -164,8 +180,7 @@ class _JacobianArrays(NamedTuple):
 
     grads stacks d phi / d(theta, delta, q_s, k_lambda0, k_lambda_theta,
     k_lambda_q) as (..., 2, 6).  J_q_psi and the assembled Jacobians are
-    formed on access, so a caller that needs only J_k forms neither J_q_psi
-    nor J_M.
+    formed on access; a caller of J_k alone uses _k_jacobian_factors.
     """
 
     params: RobotParams

@@ -110,6 +110,21 @@ def oracle_equilibrium(params, theta, delta, q_s, k, tol=1e-12):
     return float(sol.x[0]), float(sol.x[1])
 
 
+def _mp_residuals(params, th_s, th_p, theta, delta, q_s, k0, kt, kq):
+    """The two raw balance residuals of equilibrium_moments in mpmath."""
+    kk = SimpleNamespace(k_lambda0=k0, k_lambda_theta=kt, k_lambda_q=kq)
+    m1, m1p, m2, ms, lam = equilibrium_moments(params, theta, delta, q_s, kk, th_s, th_p,
+                                               cos=mpmath.cos, pi=mpmath.pi)
+    return m1p - m1, m1p + m2 + ms - lam
+
+
+def _mp_solve(params, x):
+    """(theta_s, theta_prime) by mpmath.findroot at the working precision, for
+    x = (theta, delta, q_s, k_lambda0, k_lambda_theta, k_lambda_q)."""
+    guess = [TH0 + (x[0] - TH0) * x[2] / params.L, x[0]]
+    return mpmath.findroot(lambda a, b: _mp_residuals(params, a, b, *x), guess)
+
+
 def mp_equilibrium(params, theta, delta, q_s, k, dps=40):
     """(theta_s, theta_eps, d_phi (2, 6)) at dps digits, returned as floats.
 
@@ -119,24 +134,52 @@ def mp_equilibrium(params, theta, delta, q_s, k, dps=40):
     residuals taken by mpmath.diff.  No call goes into the package.
     """
     with mpmath.workdps(dps):
-        def residuals(th_s, th_p, theta, delta, q_s, k0, kt, kq):
-            kk = SimpleNamespace(k_lambda0=k0, k_lambda_theta=kt, k_lambda_q=kq)
-            m1, m1p, m2, ms, lam = equilibrium_moments(params, theta, delta, q_s, kk, th_s,
-                                                       th_p, cos=mpmath.cos, pi=mpmath.pi)
-            return m1p - m1, m1p + m2 + ms - lam
-
         x = [mpmath.mpf(v) for v in (theta, delta, q_s, *k.as_array())]
-        guess = [TH0 + (x[0] - TH0) * x[2] / params.L, x[0]]
-        phi = mpmath.findroot(lambda a, b: residuals(a, b, *x), guess)
+        phi = _mp_solve(params, x)
         point = [phi[0], phi[1], *x]
         # J[r][j] = d residual_r / d (theta_s, theta_prime, theta, delta, q_s, k)_j
-        J = [[mpmath.diff(lambda *v: residuals(*v)[r], point,
+        J = [[mpmath.diff(lambda *v: _mp_residuals(params, *v)[r], point,
                           tuple(int(i == j) for i in range(8))) for j in range(8)]
              for r in range(2)]
         d = -(mpmath.matrix([row[:2] for row in J]) ** -1) * mpmath.matrix([row[2:] for row in J])
         th_s, th_e = phi[0], phi[1] + (TH0 - phi[0])
         d_phi = [[d[0, j] for j in range(6)], [d[1, j] - d[0, j] for j in range(6)]]
         return float(th_s), float(th_e), np.array(d_phi, dtype=float)
+
+
+def mp_tip_position(params, th_s, th_e, delta, q_s):
+    """Tip position [x, y, z] of the planar two-arc chain in mpmath:
+    p = Rz(-delta) [x, 0, z] with (x, z) = q_s (a_s, b_s) +
+    (L - q_s) Ry(pi/2 - theta_s) (a_e, b_e), a = (cos u - 1) / u and
+    b = sin u / u of each arc's u = theta_x - pi/2 (neither arc straight)."""
+    def ratios(theta_x):
+        u = theta_x - TH0
+        return (mpmath.cos(u) - 1) / u, mpmath.sin(u) / u
+
+    (a_s, b_s), (a_e, b_e) = ratios(th_s), ratios(th_e)
+    c, s = mpmath.cos(TH0 - th_s), mpmath.sin(TH0 - th_s)
+    x = q_s * a_s + (params.L - q_s) * (c * a_e + s * b_e)
+    z = q_s * b_s + (params.L - q_s) * (-s * a_e + c * b_e)
+    return [mpmath.cos(delta) * x, -mpmath.sin(delta) * x, z]
+
+
+def mp_tip_position_k_jacobian(params, theta, delta, q_s, k, dps=40):
+    """d p / d(k_lambda0, k_lambda_theta, k_lambda_q), (3, 3) floats: mpmath.diff in k
+    of mp_tip_position at the dps-digit equilibrium, solved anew at every k."""
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(v) for v in (theta, delta, q_s)]
+        tips = {}
+
+        def tip(*kk):
+            if kk not in tips:
+                th_s, th_p = _mp_solve(params, [*x, *kk])
+                tips[kk] = mp_tip_position(params, th_s, th_p + (TH0 - th_s), x[1], x[2])
+            return tips[kk]
+
+        kv = [mpmath.mpf(v) for v in k.as_array()]
+        return np.array([[mpmath.diff(lambda *kk: tip(*kk)[r], kv,
+                                      tuple(int(i == j) for i in range(3))) for j in range(3)]
+                         for r in range(3)], dtype=float)
 
 
 def assert_valid_pose(pose, tol=1e-12):

@@ -21,7 +21,15 @@ from crem import (
     split_at_turning_point,
     turning_point_index,
 )
-from crem.calibration import _residuals, _rmse_um, _stack, _weighted_cost
+from crem.calibration import (
+    PARAM_NAMES,
+    _normal_equations,
+    _residuals,
+    _rmse_um,
+    _stack,
+    _weighted_cost,
+)
+from crem.differential import _k_jacobian_factors
 from crem.kinematics import Pose
 from crem.rotations import NEAR_PI
 
@@ -393,6 +401,33 @@ def test_std_errors_and_correlation_from_the_normal_equations(bench):
     assert_allclose(res.correlation, res.correlation.T, atol=0)
 
 
+def test_rank_one_normal_equations_with_general_weights(bench):
+    # full, non-diagonal SPD weight blocks and observed orientations: the
+    # rank-one sums equal the einsum over the identification_jacobian rows
+    k_true = UncertaintyParams(0.2, 0.01, 0.025)
+    rng = np.random.default_rng(7)
+    ms = make_measurements(bench, np.radians(45), 0.3, np.linspace(0.0, 40.0, 20), k_true,
+                           sigma=0.002, rng=rng)
+    ms += make_measurements(bench, np.radians(70), -1.0, np.linspace(2.0, 38.0, 10), k_true,
+                            sigma=0.002, rng=rng, with_R=True)
+    A = rng.standard_normal((len(ms), 6, 6))
+    W = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(6)
+    k = UncertaintyParams(0.15, 0.0, 0.02)
+    data = _stack(ms)
+    c, kappa = _residuals(data, bench, k)
+    Wc, _ = _weighted_cost(c, W)
+    theta, delta, q_s = data.commands
+    u = np.column_stack([np.ones_like(theta), theta, q_s])
+    col, krow = _k_jacobian_factors(bench, theta, delta, q_s, kappa, u)
+    for free in (PARAM_NAMES, ("k_lambda0", "k_lambda_q"), ("k_lambda_theta",)):
+        idx = [PARAM_NAMES.index(name) for name in free]
+        JtWJ, JtWc = _normal_equations(col, krow[:, idx], W, Wc)
+        J = identification_jacobian(ms, bench, k, free).reshape(len(ms), 6, -1)
+        for got, ref in ((JtWJ, np.einsum("nij,nik->jk", J, W @ J)),
+                         (JtWc, np.einsum("nij,ni->j", J, Wc))):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_std_errors_are_nan_without_degrees_of_freedom(bench):
     # two x-only samples fix two free parameters exactly: no residual
     # degree of freedom is left to estimate the noise from
@@ -589,3 +624,25 @@ def test_one_equilibrium_solve_per_evaluated_k(bench, monkeypatch):
     assert res.converged and rejected > 0
     # the start, every accepted step and every rejected candidate
     assert len(calls) == len(res.trace) + rejected
+
+
+def test_rank_one_jacobian_forms_no_full_jacobian(bench, monkeypatch):
+    # J_k comes from the theta_s column and d theta_s / d k alone: neither
+    # consumer forms the full sensitivity and twist blocks
+    import crem.calibration
+    import crem.differential
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full Jacobian formed for J_k")
+
+    for name in ("_phi_gradient_arrays", "_xi_jacobian_arrays", "_jacobian_arrays"):
+        monkeypatch.setattr(crem.differential, name, forbidden)
+    monkeypatch.setattr(crem.calibration, "_jacobian_arrays", forbidden, raising=False)
+    k_true = UncertaintyParams(0.2, 0.0, 0.025)
+    ms = make_measurements(bench, np.radians(45), 0.0, np.linspace(0.0, 40.0, 24), k_true,
+                           sigma=0.002, rng=np.random.default_rng(3))
+    ms += make_measurements(bench, np.radians(60), 0.5, np.linspace(2.0, 38.0, 8), k_true,
+                            with_R=True)
+    assert identification_jacobian(ms, bench, k_true, PARAM_NAMES).shape == (6 * len(ms), 3)
+    res = nls_estimate(ms, bench, CalibrationConfig(), UncertaintyParams.zero())
+    assert res.converged and np.all(np.isfinite(res.std_errors))

@@ -8,6 +8,7 @@ from scipy.spatial.transform import Rotation
 from crem import (
     ConfigState,
     EquilibriumConfig,
+    Measurement,
     RobotParams,
     UncertaintyParams,
     ValidationError,
@@ -32,6 +33,7 @@ from crem.kinematics import (
     pose_from_phi,
     segment_rotation,
 )
+from crem.calibration import PARAM_NAMES
 from crem.model import _arc_moment, _sigma, projected_offsets
 from conftest import (
     backbone_lengths,
@@ -40,6 +42,7 @@ from conftest import (
     finite_difference_jacobian,
     jacobian_partitions,
     mp_equilibrium,
+    mp_tip_position_k_jacobian,
     pose_arrays_3d,
     xi_jacobian_arrays_3d,
 )
@@ -538,6 +541,23 @@ def test_sample_is_bit_identical_alone_and_in_batch(bench, samples, k0, kq):
             assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)), (i, name)
 
 
+@given(samples=SAMPLES, k=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.2, 0.2),
+                                    st.floats(-0.05, 0.05)),
+       free=st.permutations(PARAM_NAMES).flatmap(
+           lambda names: st.integers(1, 3).map(lambda n: tuple(names[:n]))))
+@settings(max_examples=40, deadline=None)
+def test_identification_jacobian_blocks_equal_scalar_J_k(bench, samples, k, free):
+    # the rank-one blocks are -J_k of the full scalar Jacobians, bit for bit
+    k = UncertaintyParams(*k)
+    ms = [Measurement(psi=ConfigState(theta, delta), q_s=fq * bench.L, x_bar=np.zeros(3))
+          for theta, delta, fq in samples]
+    J = identification_jacobian(ms, bench, k, free)
+    idx = [PARAM_NAMES.index(name) for name in free]
+    for i, m in enumerate(ms):
+        J_k = assemble_motion_jacobians(bench, m.psi, m.q_s, k).J_k
+        assert np.array_equal(J[6 * i:6 * i + 6], -J_k[:, idx]), i
+
+
 # ---------------------------------------------------------------------------
 # the stiffness kernel and a 40-digit reference
 
@@ -560,10 +580,14 @@ def test_arc_stiffness_partials_against_differences(bench, length, bend):
     assert_allclose([M_kappa, M_delta], fd, rtol=1e-7, atol=1e-6)
 
 
-@pytest.mark.parametrize("theta_deg,delta,q_s", [
+# interior points and points within 1e-3 and 3.3e-3 mm of either end
+REFERENCE_POINTS = [
     (30, 0.4, 20.0), (120, -2.0, 5.0), (60, 1.1, 1e-3), (30, 0.4, 44.3 - 1e-3),
     (45, -0.7, 44.3 - 3.3e-3),
-])
+]
+
+
+@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS)
 def test_equilibrium_and_gradient_match_40_digit_reference(bench, theta_deg, delta, q_s):
     # mpmath solves and differentiates the raw two-equation balance
     k = UncertaintyParams(0.2, 0.01, 0.025)
@@ -572,6 +596,21 @@ def test_equilibrium_and_gradient_match_40_digit_reference(bench, theta_deg, del
     assert abs(core.th_s - th_s) <= 1e-12 * abs(th_s)
     assert abs(core.th_e - th_e) <= 1e-12 * abs(th_e)
     assert np.max(np.abs(core.grads - d_phi)) <= 1e-12 * np.max(np.abs(d_phi))
+
+
+@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS)
+def test_identification_jacobian_matches_40_digit_reference(bench, theta_deg, delta, q_s):
+    # position rows: mpmath.diff in k of the 40-digit tip position; rotation
+    # rows: d theta_s / d k about the plane normal Rz(-delta)(0, -1, 0)
+    k = UncertaintyParams(0.2, 0.01, 0.025)
+    theta = np.radians(theta_deg)
+    m = Measurement(psi=ConfigState(theta, delta), q_s=q_s, x_bar=np.zeros(3))
+    J_k = -identification_jacobian([m], bench, k, PARAM_NAMES)
+    dp_dk = mp_tip_position_k_jacobian(bench, theta, delta, q_s, k)
+    _, _, d_phi = mp_equilibrium(bench, theta, delta, q_s, k)
+    dw_dk = np.outer([-np.sin(delta), -np.cos(delta), 0.0], d_phi[0, 3:])
+    assert np.max(np.abs(J_k[:3] - dp_dk)) <= 1e-12 * np.max(np.abs(dp_dk))
+    assert np.max(np.abs(J_k[3:] - dw_dk)) <= 1e-12 * np.max(np.abs(dw_dk))
 
 
 @pytest.mark.parametrize("theta,q_s,index", [
