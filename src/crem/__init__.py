@@ -27,7 +27,6 @@ from .kinematics import (
     crem_pose,
     micro_trajectory,
     pose_from_phi,
-    segment_pose,
 )
 from .differential import (
     JacobianSet,

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .kinematics import _arc, _in_plane_tip, _tip_positions, segment_rotation
+from .kinematics import _arc, _columns, _in_plane_tip, _tip_positions, segment_rotation
 from .model import (
     THETA_BASE,
     ConfigState,
@@ -92,18 +92,20 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
 
     The theta_s = theta0 + q_s kappa row is q_s d kappa / d a plus kappa in
     the q_s column; the theta_eps = pi/2 + (L - q_s) kappa0 row is
-    ((L - q_s) / L, 0, -kappa0, 0, 0, 0).
+    ((L - q_s) / L, 0, -kappa0, 0, 0, 0).  The arguments broadcast against
+    each other.
     """
-    theta, delta, q_s, kappa = _broadcast_samples(theta, delta, q_s, kappa)
-    D = projected_offsets(params, delta)
-    dD = -params.r * np.sin(_sigma(params, delta))  # d Delta_i / d delta
+    theta, q_s, kappa = (np.asarray(a, dtype=float) for a in (theta, q_s, kappa))
+    shape = np.broadcast(theta, delta, q_s, kappa).shape
+    sig = _sigma(params, delta)
+    # Delta_i (projected_offsets) and d Delta_i / d delta
+    D, dD = params.r * np.cos(sig), -params.r * np.sin(sig)
     kappa0 = (theta - THETA_BASE) / params.L
     _, _, M0_k, M0_d = _arc_moment(params, D, kappa0, dD)
     _, _, M_k, M_d = _arc_moment(params, D, kappa, dD)
-    dG = np.stack([k.k_lambda_theta - M0_k / params.L, M_d - M0_d,
-                   np.full(theta.shape, k.k_lambda_q), np.ones(theta.shape), theta, q_s],
-                  axis=-1)
-    grads = np.zeros(theta.shape + (2, 6))
+    dG = _columns(shape, k.k_lambda_theta - M0_k / params.L, M_d - M0_d,
+                  k.k_lambda_q, 1.0, theta, q_s)
+    grads = np.zeros(shape + (2, 6))
     grads[..., 0, :] = _theta_s_row(q_s, dG, M_k + params.EI_s)
     grads[..., 0, 2] += kappa
     grads[..., 1, 0] = (params.L - q_s) / params.L
@@ -118,7 +120,8 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
 def _theta_s_twist(params: RobotParams, s, e_x, e_z, sd, cd, q_s):
     """The tip twist (..., 6) per theta_s, J_xi_phi[..., :, 0]; sd, cd = sin, cos delta."""
     v_x, v_z = q_s * s.a_t - (params.L - q_s) * e_z, q_s * s.b_t + (params.L - q_s) * e_x
-    return np.stack([cd * v_x, -sd * v_x, v_z, -sd, -cd, np.zeros_like(sd)], axis=-1)
+    p_x = cd * v_x
+    return _columns(p_x.shape, p_x, -sd * v_x, v_z, -sd, -cd, 0.0)
 
 
 def _xi_jacobian_arrays(params: RobotParams, th_s, th_e, delta, q_s):
@@ -130,28 +133,24 @@ def _xi_jacobian_arrays(params: RobotParams, th_s, th_e, delta, q_s):
     theta_s change also swings the empty arc, w = (L - q_s)(e_x, e_z), about
     that axis.  Turning the plane by delta moves the tip along -y by its
     in-plane distance x from the axis, and rotates the frame about
-    Rz(-delta)(sin, 0, cos - 1) of the tip bend pi/2 - theta_prime.
+    Rz(-delta)(sin, 0, cos - 1) of the tip bend pi/2 - theta_prime.  The
+    arguments broadcast against each other.
     """
-    th_s, th_e, delta, q_s = _broadcast_samples(th_s, th_e, delta, q_s)
+    q_s = np.asarray(q_s, dtype=float)
     s, e = _arc(th_s, slopes=True), _arc(th_e, slopes=True)
     x, _, e_x, e_z = _in_plane_tip(params, s, e, q_s)
     L_e = params.L - q_s
     sd, cd = np.sin(delta), np.cos(delta)
-
-    def in_plane(v_x, v_z):  # Rz(-delta) [v_x, 0, v_z]
-        return np.stack([cd * v_x, -sd * v_x, v_z], axis=-1)
-
     col_s = _theta_s_twist(params, s, e_x, e_z, sd, cd, q_s)
-    axis = col_s[..., 3:]
-    J_xi_phi = np.stack([col_s, np.concatenate([in_plane(L_e * (s.s * e.a_t + s.c * e.b_t),
-                                                         L_e * (s.s * e.b_t - s.c * e.a_t)),
-                                                axis], axis=-1)], axis=-1)
+    shape = col_s.shape[:-1]
+    axis = (-sd, -cd, 0.0)
+    w_x, w_z = L_e * (s.s * e.a_t + s.c * e.b_t), L_e * (s.s * e.b_t - s.c * e.a_t)
+    J_xi_phi = _columns(shape + (6,), col_s, _columns(shape, cd * w_x, -sd * w_x, w_z, *axis))
     # sin and cos of theta_s + theta_eps = theta_prime + pi/2
-    J_xi_delta = np.concatenate([
-        x[..., None] * axis,
-        in_plane(s.s * e.c + s.c * e.s, -1.0 - (s.c * e.c - s.s * e.s)),
-    ], axis=-1)
-    J_xi_qs = np.concatenate([in_plane(s.a - e_x, s.b - e_z), np.zeros_like(axis)], axis=-1)
+    t_x, t_z = s.s * e.c + s.c * e.s, -1.0 - (s.c * e.c - s.s * e.s)
+    J_xi_delta = _columns(shape, *(x * a for a in axis), cd * t_x, -sd * t_x, t_z)
+    q_x = s.a - e_x
+    J_xi_qs = _columns(shape, cd * q_x, -sd * q_x, s.b - e_z, 0.0, 0.0, 0.0)
     return J_xi_phi, J_xi_delta, J_xi_qs
 
 
@@ -170,8 +169,8 @@ def _orthogonal_pinv(J):
     """Minimum-norm pseudo-inverse (..., m, n) of (..., n, m) J with orthogonal
     columns, diag(1 / |J_j|^2) J^T.  A column is dropped where numpy's pinv
     drops its singular value: |J_j| <= 1e-15 max_j |J_j| (rcond)."""
-    sq = np.sum(J * J, axis=-2)
-    keep = sq > _PINV_RCOND**2 * np.max(sq, axis=-1, keepdims=True)
+    sq = (J * J).sum(axis=-2)
+    keep = sq > _PINV_RCOND**2 * sq.max(axis=-1, keepdims=True)
     return np.where(keep, 1.0 / np.where(keep, sq, 1.0), 0.0)[..., None] * np.swapaxes(J, -1, -2)
 
 
@@ -179,34 +178,25 @@ class _JacobianArrays(NamedTuple):
     """Vectorized constituents of the tip Jacobians at solved equilibria.
 
     grads stacks d phi / d(theta, delta, q_s, k_lambda0, k_lambda_theta,
-    k_lambda_q) as (..., 2, 6).  J_q_psi and the assembled Jacobians are
-    formed on access; a caller of J_k alone uses _k_jacobian_factors.
+    k_lambda_q) as (..., 2, 6).  J_q_psi (..., n, 2) is the secondary-backbone
+    displacement per unit (theta, delta).  The assembled Jacobians are formed
+    on access; a caller of J_k alone uses _k_jacobian_factors.
     """
 
-    params: RobotParams
-    theta: np.ndarray
-    delta: np.ndarray
     th_s: np.ndarray
     th_e: np.ndarray
     grads: np.ndarray
     J_xi_phi: np.ndarray
     J_xi_delta: np.ndarray
     J_xi_qs: np.ndarray
-
-    @property
-    def J_q_psi(self) -> np.ndarray:
-        """(..., n, 2) secondary-backbone displacement per unit (theta, delta),
-        row i differentiating q_i = Delta_i (theta - theta0)."""
-        sig = _sigma(self.params, self.delta)
-        return self.params.r * np.stack([
-            np.cos(sig), (THETA_BASE - self.theta)[..., None] * np.sin(sig)], axis=-1)
+    J_q_psi: np.ndarray
 
     @property
     def J_psi(self) -> np.ndarray:
         """(..., 6, 2) tip twist per unit (theta, delta)."""
         col_theta = (self.J_xi_phi @ self.grads[..., 0:1])[..., 0]
         col_delta = (self.J_xi_phi @ self.grads[..., 1:2])[..., 0] + self.J_xi_delta
-        return np.stack([col_theta, col_delta], axis=-1)
+        return _columns(col_theta.shape, col_theta, col_delta)
 
     @property
     def J_M(self) -> np.ndarray:
@@ -235,7 +225,11 @@ def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParam
     th_s, _, th_e = _equilibrium_angles(params, theta, q_s, kappa)
     grads = _phi_gradient_arrays(params, theta, delta, q_s, k, kappa)
     xi = _xi_jacobian_arrays(params, th_s, th_e, delta, q_s)
-    return _JacobianArrays(params, theta, delta, th_s, th_e, grads, *xi)
+    # J_q_psi: row i differentiates q_i = Delta_i (theta - theta0)
+    sig = _sigma(params, delta)
+    J_q_psi = params.r * _columns(sig.shape, np.cos(sig),
+                                  (THETA_BASE - theta)[..., None] * np.sin(sig))
+    return _JacobianArrays(th_s, th_e, grads, *xi, J_q_psi)
 
 
 def assemble_motion_jacobians(

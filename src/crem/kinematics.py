@@ -73,14 +73,15 @@ def _arc(theta_x, slopes=False) -> _Arc:
     the window's samples only.
     """
     u = np.asarray(theta_x, dtype=float) - np.pi / 2.0
-    sh, ch = np.sin(u / 2.0), np.cos(u / 2.0)
-    S = np.divide(2.0 * sh, u, out=np.ones(np.shape(u)), where=u != 0.0)
+    h = u / 2.0
+    sh, ch = np.sin(h), np.cos(h)
+    S = np.divide(2.0 * sh, u, out=np.ones(u.shape), where=u != 0.0)
     st, ct, b = 1.0 - 2.0 * sh * sh, -2.0 * sh * ch, ch * S
     a_t = b_t = None
     if slopes:
         a_t = S * S / 2.0 - b
         near = np.abs(u) < STRAIGHT_SERIES_THRESHOLD
-        b_t = np.divide(st - b, u, out=np.zeros(np.shape(u)), where=~near)
+        b_t = np.divide(st - b, u, out=np.zeros(u.shape), where=~near)
         if near.any():
             w = u[near]
             b_t[near] = -w / 3.0 + w**3 / 30.0
@@ -108,17 +109,6 @@ def segment_rotation(theta_x, delta_x):
     return R
 
 
-def segment_pose(L_x: float, theta_x: float, delta_x: float) -> Pose:
-    """Pose of a single constant-curvature arc (scalar arguments)."""
-    if not (L_x >= 0.0 and np.isfinite(L_x)):
-        raise ValidationError(f"arc length must be finite and >= 0, got {L_x}")
-    if not (np.isfinite(theta_x) and np.isfinite(delta_x)):
-        raise ValidationError(f"arc angles must be finite, got ({theta_x}, {delta_x})")
-    arc, d = _arc(theta_x), np.float64(delta_x)
-    p = np.float64(L_x) * np.stack([np.cos(d) * arc.a, -np.sin(d) * arc.a, arc.b])
-    return Pose(p, segment_rotation(theta_x, d))
-
-
 def _in_plane_tip(params: RobotParams, arc_s: _Arc, arc_e: _Arc, q_s):
     """Tip (x, z) in the bending plane, and (e_x, e_z) = Ry(pi/2 - theta_s)(a_e, b_e),
     the empty arc's direction turned by the inserted arc."""
@@ -128,14 +118,22 @@ def _in_plane_tip(params: RobotParams, arc_s: _Arc, arc_e: _Arc, q_s):
     return q_s * arc_s.a + L_e * e_x, q_s * arc_s.b + L_e * e_z, e_x, e_z
 
 
+def _columns(shape, *cols):
+    """np.stack(cols, axis=-1) of columns that broadcast to shape, filled into one
+    preallocated array of shape + (len(cols),)."""
+    out = np.empty(shape + (len(cols),))
+    for j, col in enumerate(cols):
+        out[..., j] = col
+    return out
+
+
 def _tip_positions(params: RobotParams, th_s, th_e, delta, q_s):
     """Tip positions (..., 3) of the two-arc chain at given equilibrium angles:
-    p = Rz(-delta) [x, 0, z] with (x, z) from _in_plane_tip."""
-    th_s, th_e, delta, q_s = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (th_s, th_e, delta, q_s))
-    )
-    x, z, _, _ = _in_plane_tip(params, _arc(th_s), _arc(th_e), q_s)
-    return np.stack([np.cos(delta) * x, -np.sin(delta) * x, z], axis=-1)
+    p = Rz(-delta) [x, 0, z] with (x, z) from _in_plane_tip.  The arguments
+    broadcast against each other."""
+    x, z, _, _ = _in_plane_tip(params, _arc(th_s), _arc(th_e), np.asarray(q_s, dtype=float))
+    p_x = np.cos(delta) * x
+    return _columns(p_x.shape, p_x, -np.sin(delta) * x, z)
 
 
 def pose_from_phi(

@@ -182,13 +182,18 @@ def _arc_moment(params: RobotParams, D, kappa, dD=None):
     """
     kappa = np.asarray(kappa, dtype=float)
     x = 1.0 + D * kappa[..., None]
-    w = params.EI_i / x
-    wx = w / x
-    M = (params.EI_p + np.sum(w, axis=-1)) * kappa
-    M_k = params.EI_p + np.sum(wx, axis=-1)
+    M, M_k, wx = _stretched_moment(params, x, kappa)
     if dD is None:
         return x, M, M_k
-    return x, M, M_k, -kappa * kappa * np.sum(dD * wx, axis=-1)
+    return x, M, M_k, -kappa * kappa * np.add.reduce(dD * wx, axis=-1)
+
+
+def _stretched_moment(params: RobotParams, x, kappa):
+    """(M, dM/dkappa, EI_i / x_i^2) of _arc_moment from the stretches x = 1 + Delta_i kappa."""
+    w = params.EI_i / x
+    wx = w / x
+    M = (params.EI_p + np.add.reduce(w, axis=-1)) * kappa
+    return M, params.EI_p + np.add.reduce(wx, axis=-1), wx
 
 
 def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
@@ -202,7 +207,9 @@ def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
 
 def _broadcast_samples(*arrays):
     """The arrays (theta, delta, q_s, ...) as floats of one broadcast shape."""
-    return np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    shape = np.broadcast(*arrays).shape
+    return [a if a.shape == shape else np.broadcast_to(a, shape) for a in arrays]
 
 
 def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
@@ -219,7 +226,10 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
     the root is unique.  Safeguarded Newton from kappa0: a sample's step is
     halved while it leaves the physical interval, and the sample is frozen
     once |step| L < _SOLVER_TOL, after that step, so its kappa does not
-    depend on the batch it is solved in.  lam is lambda per sample
+    depend on the batch it is solved in.  Each step forms the stretches
+    x_i = 1 + Delta_i kappa once, for the safeguard and for the next step's
+    moment, and works on the shrinking active set: arrays of the active
+    samples, compacted only when samples freeze.  lam is lambda per sample
     (uncertainty_lambda).  Returns kappa broadcast over the inputs;
     _equilibrium_angles gives the angles.  Every sample must satisfy the
     ConfigState rules and 0 <= q_s <= L; the first that does not (NaN
@@ -236,39 +246,43 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
         return (f"sample {i}: (theta, delta, q_s) = ({theta.flat[i]:.6g}, "
                 f"{delta.flat[i]:.6g}, {q_s.flat[i]:.6g})")
 
-    if not np.all(ok):
+    if not ok.all():
         raise ValidationError(f"{sample(int(np.argmin(ok)))} outside (0, pi) x (-pi, pi] x [0, L]")
     D = projected_offsets(params, delta).reshape(-1, params.n)
     # Newton starts from the whole segment's curvature kappa0
     kappa = ((theta - THETA_BASE) / params.L).ravel()
-    x0, M0, _ = _arc_moment(params, D, kappa)
-    if np.any(x0 <= 0.0):
-        raise NonPhysicalLength(f"backbone length <= 0 (min {params.L * np.min(x0):.6g} mm)")
-    rhs = M0 - lam.ravel()
-    step = np.zeros(kappa.shape)
-    active = np.arange(kappa.size)
+    x, M, M_k = _arc_moment(params, D, kappa)
+    if (x <= 0.0).any():
+        raise NonPhysicalLength(f"backbone length <= 0 (min {params.L * np.min(x):.6g} mm)")
+    # the active samples' working arrays, compacted only when samples freeze
+    active, Da, ka, rhs = np.arange(kappa.size), D, kappa, M - lam.ravel()
     for _ in range(_SOLVER_MAX_ITER):
-        Da, ka = D[active], kappa[active]
-        _, M, M_k = _arc_moment(params, Da, ka)
-        s = (rhs[active] - M - params.EI_s * ka) / (M_k + params.EI_s)
+        s = (rhs - M - params.EI_s * ka) / (M_k + params.EI_s)
         new = ka + s
-        while True:
+        x = 1.0 + Da * new[:, None]
+        while not (x > 0.0).all():
             # a non-finite step is not halved; it stays active and is reported
-            out = ~np.all(1.0 + Da * new[:, None] > 0.0, axis=-1) & np.isfinite(s)
+            out = ~(x > 0.0).all(axis=-1) & np.isfinite(s)
             if not out.any():
                 break
             s = np.where(out, 0.5 * s, s)
             new = ka + s
-        kappa[active] = new
-        step[active] = np.abs(s) * params.L
-        active = active[~(step[active] < _SOLVER_TOL)]
+            x = 1.0 + Da * new[:, None]
+        ka, step = new, np.abs(s) * params.L
+        done = step < _SOLVER_TOL
+        if done.any():
+            kappa[active[done]] = ka[done]
+            keep = ~done
+            active, Da, ka, rhs, x = (a[keep] for a in (active, Da, ka, rhs, x))
         if not active.size:
             break
+        M, M_k, _ = _stretched_moment(params, x, ka)
     else:
-        worst = int(active[np.argmax(step[active])])
+        step = step[~done]
+        worst = int(np.argmax(step))
         raise NoConvergence(
-            f"{sample(worst)}: equilibrium not converged after {_SOLVER_MAX_ITER} Newton "
-            f"steps (last step {step[worst]:.3g} rad); "
+            f"{sample(int(active[worst]))}: equilibrium not converged after "
+            f"{_SOLVER_MAX_ITER} Newton steps (last step {step[worst]:.3g} rad); "
             f"{active.size} of {kappa.size} samples still active"
         )
     return kappa.reshape(theta.shape)

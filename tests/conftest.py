@@ -9,7 +9,8 @@ tautology.  Same idea for rotations: matrix exponentials come from
 scipy, not from the package.  The two-arc pose chain and its twist
 Jacobians are composed here in 3-D, from arc rotations built of scipy
 matrix exponentials and from cross products, as oracles for the
-package's planar chain.  The per-point finite-difference oracle is the
+package's planar chain; `segment_pose`, the pose of one arc, is the
+reference for the arc ratios.  The per-point finite-difference oracle is the
 scalar reference for the package's batched one.
 """
 
@@ -27,6 +28,7 @@ from crem import (
     Pose,
     RobotParams,
     UncertaintyParams,
+    ValidationError,
     assemble_motion_jacobians,
     crem_pose,
     projected_offsets,
@@ -187,6 +189,19 @@ def assert_valid_pose(pose, tol=1e-12):
     assert pose.p.shape == (3,) and pose.R.shape == (3, 3)
     assert np.max(np.abs(pose.R.T @ pose.R - np.eye(3))) <= tol
     assert abs(np.linalg.det(pose.R) - 1.0) <= tol
+
+
+def segment_pose(L_x: float, theta_x: float, delta_x: float) -> Pose:
+    """Pose of a single constant-curvature arc of length L_x bent to theta_x in the
+    plane delta_x (scalar arguments): p = L_x Rz(-delta) [a, 0, b] from the
+    package's arc ratios, R = segment_rotation(theta_x, delta_x)."""
+    if not (L_x >= 0.0 and np.isfinite(L_x)):
+        raise ValidationError(f"arc length must be finite and >= 0, got {L_x}")
+    if not (np.isfinite(theta_x) and np.isfinite(delta_x)):
+        raise ValidationError(f"arc angles must be finite, got ({theta_x}, {delta_x})")
+    arc, d = _arc(theta_x), np.float64(delta_x)
+    p = np.float64(L_x) * np.stack([np.cos(d) * arc.a, -np.sin(d) * arc.a, arc.b])
+    return Pose(p, segment_rotation(theta_x, d))
 
 
 def oracle_rotation(axis, alpha):

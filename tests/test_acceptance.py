@@ -25,13 +25,12 @@ from crem import (
     load_dataset,
     micro_trajectory,
     nls_estimate,
-    segment_pose,
     solve_equilibrium,
 )
 from crem.dataio import RobotConfig, write_robot_config
 from crem.kinematics import pose_from_phi
 
-from conftest import oracle_equilibrium
+from conftest import oracle_equilibrium, segment_pose
 
 TH0 = np.pi / 2
 K_CAL = UncertaintyParams(0.2, 0.0, 0.025)

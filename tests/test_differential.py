@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,9 @@ from crem import differential
 from crem.differential import (
     _FD_STEP,
     _jacobian_arrays,
-    _xi_jacobian_arrays,
     _orthogonal_pinv,
+    _phi_gradient_arrays,
+    _xi_jacobian_arrays,
 )
 from crem.kinematics import (
     STRAIGHT_SERIES_THRESHOLD,
@@ -34,7 +37,14 @@ from crem.kinematics import (
     segment_rotation,
 )
 from crem.calibration import PARAM_NAMES
-from crem.model import _arc_moment, _sigma, projected_offsets
+from crem.model import (
+    _arc_moment,
+    _equilibrium_angles,
+    _sigma,
+    _solve_equilibrium_arrays,
+    projected_offsets,
+    uncertainty_lambda,
+)
 from conftest import (
     backbone_lengths,
     equilibrium_moments,
@@ -44,6 +54,7 @@ from conftest import (
     mp_equilibrium,
     mp_tip_position_k_jacobian,
     pose_arrays_3d,
+    segment_pose,
     xi_jacobian_arrays_3d,
 )
 
@@ -211,8 +222,6 @@ def test_partitions_zero_length_has_no_translation():
 def test_partitions_match_single_arc_differences(theta):
     # theta values inside the straight window exercise the series of b_t
     # against differences of positions near straight
-    from crem.kinematics import segment_pose
-
     delta, L_x = 0.6, 23.0
     Jvt, Jwt, Jvd, Jwd = jacobian_partitions(theta, delta, L_x)
     h = 1e-7
@@ -328,6 +337,48 @@ def test_empty_batches_return_empty_arrays(bench, k_cal):
     assert identification_jacobian([], bench, k_cal).shape == (0, 2)
     all_free = ("k_lambda0", "k_lambda_theta", "k_lambda_q")
     assert identification_jacobian([], bench, k_cal, all_free).shape == (0, 3)
+
+
+# an argument given as a float, a 0-d array, a (5,) row, a (2, 1) column or
+# the whole (2, 5) array, or as an empty (0,) batch, all cut from a (2, 5) array
+ARGUMENT_FORMS = {
+    "float": lambda a: float(a[0, 0]),
+    "0-d": lambda a: a[0, 0, ...],
+    "row": lambda a: a[0],
+    "column": lambda a: a[:, :1],
+    "whole": lambda a: a,
+    "empty": lambda a: a[0, :0],
+}
+
+
+@pytest.mark.parametrize("kernel", ["tip", "xi", "grad"])
+def test_kernels_broadcast_mixed_arguments(bench, k_cal, kernel):
+    # the kernels below the batched entry points broadcast nothing up front;
+    # any mix of scalars and arrays, as simulate-macro and the scalar paths
+    # pass them, gives the shapes and bits of broadcasting the arguments first
+    rng = np.random.default_rng(21)
+    theta = rng.uniform(0.3, 2.8, (2, 5))
+    theta[1, 0] = TH0
+    delta = rng.uniform(-np.pi, np.pi, (2, 5))
+    q_s = rng.uniform(0.0, bench.L, (2, 5))
+    kappa = _solve_equilibrium_arrays(bench, theta, delta, q_s,
+                                      uncertainty_lambda(k_cal, q_s, theta))
+    th_s, _, th_e = _equilibrium_angles(bench, theta, q_s, kappa)
+    f, full = {
+        "tip": (lambda *a: (_tip_positions(bench, *a),), (th_s, th_e, delta, q_s)),
+        "xi": (lambda *a: _xi_jacobian_arrays(bench, *a), (th_s, th_e, delta, q_s)),
+        "grad": (lambda th, de, qs, ka: (_phi_gradient_arrays(bench, th, de, qs, k_cal, ka),),
+                 (theta, delta, q_s, kappa)),
+    }[kernel]
+    mixed = itertools.product(("float", "0-d", "row", "column", "whole"), repeat=4)
+    empty = (forms for forms in itertools.product(("float", "column", "empty"), repeat=4)
+             if "empty" in forms)
+    for forms in itertools.chain(mixed, empty):
+        args = [ARGUMENT_FORMS[form](a) for form, a in zip(forms, full)]
+        got = f(*args)
+        ref = f(*np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args)))
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes(), forms
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from crem import (
     crem_pose,
     micro_trajectory,
     pose_from_phi,
-    segment_pose,
     solve_equilibrium,
 )
 from crem.kinematics import _tip_positions, segment_rotation
-from conftest import arc_direction, assert_valid_pose, pose_arrays_3d
+from conftest import arc_direction, assert_valid_pose, pose_arrays_3d, segment_pose
 
 TH0 = np.pi / 2
 

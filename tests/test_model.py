@@ -431,3 +431,58 @@ def test_random_robot_regression(robot, x, k):
                                                phi.theta_s, phi.theta_prime)
     scale = max(abs(m1), abs(m2), abs(ms), abs(lam), 1.0)
     assert max(abs(m1p - m1), abs(m1p + m2 + ms - lam)) <= 1e-9 * scale
+
+
+def _newton_replay(params, theta, delta, q_s, lam):
+    """The solver's safeguarded Newton on one sample, one scalar step at a time:
+    (kappa, number of halved steps)."""
+    D = projected_offsets(params, delta)
+    kappa = (theta - TH0) / params.L
+    rhs = _arc_moment(params, D, kappa)[1] - lam
+    halved = 0
+    for _ in range(200):
+        _, M, M_k = _arc_moment(params, D, kappa)
+        s = (rhs - M - params.EI_s * kappa) / (M_k + params.EI_s)
+        while np.any(1.0 + D * (kappa + s) <= 0.0):
+            s, halved = 0.5 * s, halved + 1
+        kappa = kappa + s
+        if abs(s) * params.L < 1e-12:
+            return kappa, halved
+    raise AssertionError("the replay did not converge")
+
+
+def _rr_lambda(i):
+    _, (theta, _, q_s), k = RANDOM_ROBOTS[i]
+    return float(uncertainty_lambda(UncertaintyParams(*k), q_s, theta))
+
+
+# samples whose Newton steps leave the physical interval:
+# (robot, (theta, delta, q_s), lambda, steps halved); None is the bench robot
+HALVING_CASES = [
+    (None, (1.0, 0.0, 30.0), 1e4, 5),
+    (None, (1.0, 0.0, 30.0), -1e4, 2),
+    (RANDOM_ROBOTS[4][0], RANDOM_ROBOTS[4][1], _rr_lambda(4), 1),
+    (RANDOM_ROBOTS[7][0], RANDOM_ROBOTS[7][1], _rr_lambda(7), 1),
+]
+
+
+@pytest.mark.parametrize("case", range(len(HALVING_CASES)))
+def test_halved_steps_are_batch_invariant(bench, case):
+    robot, (theta, delta, q_s), lam, halved = HALVING_CASES[case]
+    params = bench if robot is None else RobotParams(*robot)
+    kappa, count = _newton_replay(params, theta, delta, q_s, lam)
+    assert count == halved
+    assert _solve_equilibrium_arrays(params, theta, delta, q_s, lam) == kappa
+    # in a batch with straight samples, which freeze after one zero step, and
+    # ordinary ones; the span keeps every whole-segment backbone length positive
+    rng = np.random.default_rng(case)
+    span = 0.5 * min(1.0, params.L / params.r)
+    th = np.concatenate([[theta], np.full(3, TH0), TH0 + rng.uniform(-span, span, 6)])
+    de = np.concatenate([[delta], rng.uniform(-np.pi, np.pi, 9)])
+    qs = np.concatenate([[q_s, 0.0, params.L / 2, params.L], rng.uniform(0.0, params.L, 6)])
+    lams = np.concatenate([[lam], np.zeros(3), rng.uniform(-1.0, 1.0, 6)])
+    for order in (np.arange(10), np.arange(10)[::-1], rng.permutation(10)):
+        batch = _solve_equilibrium_arrays(params, th[order], de[order], qs[order], lams[order])
+        for got, i in zip(batch, order):
+            alone = _solve_equilibrium_arrays(params, th[i], de[i], qs[i], lams[i])
+            assert got.tobytes() == alone.tobytes()
