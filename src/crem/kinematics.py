@@ -97,7 +97,7 @@ def segment_rotation(theta_x, delta_x):
     t, d = np.asarray(theta_x, dtype=float), np.asarray(delta_x, dtype=float)
     st, ct, sd, cd = np.sin(t), np.cos(t), np.sin(d), np.cos(d)
     v = 1.0 - st
-    R = np.empty(np.broadcast_shapes(t.shape, d.shape) + (3, 3))
+    R = np.empty(np.broadcast(t, d).shape + (3, 3))
     R[..., 0, 0] = st + v * sd * sd
     R[..., 0, 1] = R[..., 1, 0] = v * sd * cd
     R[..., 0, 2] = ct * cd
