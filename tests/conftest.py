@@ -10,8 +10,8 @@ scipy, not from the package.  The two-arc pose chain and its twist
 Jacobians are composed here in 3-D, from arc rotations built of scipy
 matrix exponentials and from cross products, as oracles for the
 package's planar chain; `segment_pose`, the pose of one arc, is the
-reference for the arc ratios.  The per-point finite-difference oracle is the
-scalar reference for the package's batched one.
+reference for the arc ratios.  The per-point finite-difference oracle
+is the scalar reference for the package's batched one.
 """
 
 from types import SimpleNamespace
