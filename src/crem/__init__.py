@@ -26,7 +26,6 @@ from .kinematics import (
     SegmentedPose,
     crem_pose,
     micro_trajectory,
-    pose_from_phi,
 )
 from .differential import (
     JacobianSet,

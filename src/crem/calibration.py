@@ -31,6 +31,7 @@ from .model import (
     RobotParams,
     UncertaintyParams,
     _equilibrium_angles,
+    _integer,
     _solve_equilibrium_arrays,
     uncertainty_lambda,
 )
@@ -113,8 +114,7 @@ class CalibrationConfig:
             raise ValidationError(f"eta must lie in (0, 1], got {self.eta}")
         if not (self.beta_conv > 0.0):
             raise ValidationError("beta_conv must be positive")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be >= 1")
+        self.max_iter = _integer("max_iter", self.max_iter, 1)
         if not (self.w_rot >= 0.0 and np.isfinite(self.w_rot)):
             raise ValidationError(f"w_rot must be finite and >= 0, got {self.w_rot}")
         for name in self.free_params:
@@ -441,8 +441,11 @@ def split_at_turning_point(measurements):
     """(pre, post) subsets around the detected turning point.
 
     The turning sample itself closes the pre subset.  With no detected
-    turning point the pre subset is the whole dataset and post is empty.
+    turning point the pre subset is the whole dataset and post is empty;
+    an empty dataset has none.
     """
+    if not measurements:
+        return [], []
     pos = np.stack([m.x_bar for m in measurements])
     idx = turning_point_index(pos)
     if idx is None:

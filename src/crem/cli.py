@@ -36,8 +36,11 @@ _FD_TOL = 1e-6
 _FREE_TOKENS = {"k0": "k_lambda0", "ktheta": "k_lambda_theta", "kq": "k_lambda_q"}
 
 
-def _fmt_row(values) -> str:
-    return ",".join(_FMT % v for v in values)
+def _write_csv(path, columns, rows) -> None:
+    """A '# schema=1' CSV: the header of columns, then each row's values in _FMT."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# schema=1\n" + ",".join(columns) + "\n")
+        fh.writelines(",".join(_FMT % v for v in row) + "\n" for row in rows)
 
 
 def _parse_range(text: str, parser: argparse.ArgumentParser, flag: str) -> np.ndarray:
@@ -79,14 +82,9 @@ def cmd_simulate_micro(args, parser) -> int:
     psi = ConfigState(math.radians(args.theta), math.radians(args.delta))
     pos, th_s, th_p = micro_trajectory(cfg.params, psi, qs, k)
     reversals = set(int(i) for i in direction_reversals(pos))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# schema=1\n")
-        fh.write("q_s,x,y,z,theta_s,theta_prime,turning_point\n")
-        for i in range(len(qs)):
-            fh.write(_fmt_row([
-                qs[i], pos[i, 0], pos[i, 1], pos[i, 2],
-                math.degrees(th_s[i]), math.degrees(th_p[i]),
-            ]) + f",{1 if i in reversals else 0}\n")
+    _write_csv(args.out, ["q_s", "x", "y", "z", "theta_s", "theta_prime", "turning_point"],
+               ([qs[i], *pos[i], math.degrees(th_s[i]), math.degrees(th_p[i]),
+                 int(i in reversals)] for i in range(len(qs))))
     turning_qs = float(qs[min(reversals)]) if reversals else None
     _emit({
         "command": "simulate-micro",
@@ -104,14 +102,9 @@ def cmd_simulate_macro(args, parser) -> int:
     delta = math.radians(args.delta)
     js = _jacobian_arrays(cfg.params, np.radians(thetas), delta, args.qs, k)
     pos = _tip_positions(cfg.params, js.th_s, js.th_e, delta, args.qs)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# schema=1\n")
-        cols = ["theta", "x", "y", "z"] + [
-            f"jm{i + 1}{ax}" for i in range(3) for ax in "xyz"
-        ]
-        fh.write(",".join(cols) + "\n")
-        for th_deg, p, JM in zip(thetas, pos, js.J_M[:, :3, :]):
-            fh.write(_fmt_row([th_deg, *p, *JM.T.ravel()]) + "\n")
+    cols = ["theta", "x", "y", "z"] + [f"jm{i + 1}{ax}" for i in range(3) for ax in "xyz"]
+    _write_csv(args.out, cols, ([th_deg, *p, *JM.T.ravel()]
+                                for th_deg, p, JM in zip(thetas, pos, js.J_M[:, :3, :])))
     _emit({"command": "simulate-macro", "rows": len(thetas), "out": args.out})
     return 0
 
@@ -143,16 +136,13 @@ def cmd_jacobian_check(args, parser) -> int:
     errs = _fd_discrepancy_arrays(cfg.params, [p.theta for p in psis],
                                   [p.delta for p in psis], qs, k)
     worst = {key: float(np.max(errs[key])) for key in keys}
-    lines = [_fmt_row(row) for row in np.column_stack([th, de, qs] + [errs[key] for key in keys])]
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# schema=1\n")
-            fh.write("theta,delta,q_s," + ",".join(keys) + "\n")
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(args.out, ["theta", "delta", "q_s"] + keys,
+                   np.column_stack([th, de, qs] + [errs[key] for key in keys]))
     ok = all(v <= _FD_TOL for v in worst.values())
     _emit({
         "command": "jacobian-check",
-        "points": len(lines),
+        "points": int(th.size),
         "max_errors": {key: worst[key] for key in keys},
         "tolerance": _FD_TOL,
         "pass": ok,
@@ -181,14 +171,10 @@ def cmd_calibrate(args, parser) -> int:
     )
     result = nls_estimate(measurements, cfg.params, ccfg, k0)
     if args.out_trace:
-        with open(args.out_trace, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# schema=1\n")
-            fh.write("iteration,k_lambda0,k_lambda_q,k_lambda_theta,rmse_um,M_lambda\n")
-            for rec in result.trace:
-                fh.write(f"{rec.iteration}," + _fmt_row([
-                    rec.k.k_lambda0, rec.k.k_lambda_q, rec.k.k_lambda_theta,
-                    rec.rmse_um, rec.M_lambda,
-                ]) + "\n")
+        _write_csv(args.out_trace, ["iteration", "k_lambda0", "k_lambda_q", "k_lambda_theta",
+                                    "rmse_um", "M_lambda"],
+                   ([rec.iteration, rec.k.k_lambda0, rec.k.k_lambda_q, rec.k.k_lambda_theta,
+                     rec.rmse_um, rec.M_lambda] for rec in result.trace))
     _emit({
         "command": "calibrate",
         "samples": len(measurements),

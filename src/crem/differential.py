@@ -11,6 +11,11 @@ Two layers:
   (J_xi_phi / J_xi_delta / J_xi_qs), and the assembled macro / micro /
   identification Jacobians J_M, J_mu, J_k.
 
+Both layers land in one record, JacobianSet, of any batch shape: the
+batched core _jacobian_arrays fills it, the assembled Jacobians are formed
+from it on first access, and assemble_motion_jacobians returns the core's
+record at batch shape ().
+
 Both arcs bend in the plane delta, so each twist block is in-plane 2-D
 arithmetic turned by Rz(-delta), with no 3x3 product.  J_M maps through
 the closed-form pseudo-inverse of the backbone map J_q_psi, whose two
@@ -26,7 +31,7 @@ as it does alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +40,6 @@ from .kinematics import _arc, _columns, _in_plane_tip, _tip_positions, segment_r
 from .model import (
     THETA_BASE,
     ConfigState,
-    EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
     _arc_moment,
@@ -53,22 +57,6 @@ from .rotations import axis_angle_vector
 _PINV_RCOND = 1e-15
 # central-difference step of the finite-difference oracle
 _FD_STEP = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class JacobianSet:
-    """Assembled Jacobians at one configuration with their constituents."""
-
-    J_M: np.ndarray  # (6, n) tip twist per secondary-backbone displacement
-    J_mu: np.ndarray  # (6,) tip twist per insertion depth
-    J_k: np.ndarray  # (6, 3) tip twist per uncertainty parameter
-    J_xi_phi: np.ndarray  # (6, 2) tip twist per (theta_s, theta_eps) at fixed equilibrium
-    J_xi_delta: np.ndarray  # (6,)
-    J_xi_qs: np.ndarray  # (6,)
-    J_q_psi: np.ndarray  # (n, 2)
-    phi: EquilibriumConfig
-    # (2, 6) d phi / d(theta, delta, q_s, k_lambda0, k_lambda_theta, k_lambda_q)
-    d_phi: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +93,12 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     _, _, M_k, M_d = _arc_moment(params, D, kappa, dD)
     dG = _columns(shape, k.k_lambda_theta - M0_k / params.L, M_d - M0_d,
                   k.k_lambda_q, 1.0, theta, q_s)
-    grads = np.zeros(shape + (2, 6))
-    grads[..., 0, :] = _theta_s_row(q_s, dG, M_k + params.EI_s)
-    grads[..., 0, 2] += kappa
-    grads[..., 1, 0] = (params.L - q_s) / params.L
-    grads[..., 1, 2] = -kappa0
-    return grads
+    d_phi = np.zeros(shape + (2, 6))
+    d_phi[..., 0, :] = _theta_s_row(q_s, dG, M_k + params.EI_s)
+    d_phi[..., 0, 2] += kappa
+    d_phi[..., 1, 0] = (params.L - q_s) / params.L
+    d_phi[..., 1, 2] = -kappa0
+    return d_phi
 
 
 # ---------------------------------------------------------------------------
@@ -174,87 +162,76 @@ def _orthogonal_pinv(J):
     return np.where(keep, 1.0 / np.where(keep, sq, 1.0), 0.0)[..., None] * np.swapaxes(J, -1, -2)
 
 
-class _JacobianArrays(NamedTuple):
-    """Vectorized constituents of the tip Jacobians at solved equilibria.
+@dataclass(frozen=True, eq=False)
+class JacobianSet:
+    """Tip Jacobians and their constituents at solved equilibria, of one batch shape.
 
-    grads stacks d phi / d(theta, delta, q_s, k_lambda0, k_lambda_theta,
-    k_lambda_q) as (..., 2, 6).  J_q_psi (..., n, 2) is the secondary-backbone
-    displacement per unit (theta, delta).  The assembled Jacobians are formed
-    on access; a caller of J_k alone uses _k_jacobian_factors.
+    th_s and th_e are the equilibrium angles (theta_s, theta_eps).  d_phi
+    stacks d phi / d(theta, delta, q_s, k_lambda0, k_lambda_theta,
+    k_lambda_q) as (..., 2, 6).  J_xi_phi (..., 6, 2), J_xi_delta and
+    J_xi_qs (..., 6) are the tip twist per (theta_s, theta_eps), delta and
+    q_s at fixed equilibrium; J_q_psi (..., n, 2) is the secondary-backbone
+    displacement per unit (theta, delta).  The assembled Jacobians are
+    formed on first access; a caller of J_k alone uses _k_jacobian_factors.
     """
 
     th_s: np.ndarray
     th_e: np.ndarray
-    grads: np.ndarray
+    d_phi: np.ndarray
     J_xi_phi: np.ndarray
     J_xi_delta: np.ndarray
     J_xi_qs: np.ndarray
     J_q_psi: np.ndarray
 
-    @property
+    @cached_property
     def J_psi(self) -> np.ndarray:
         """(..., 6, 2) tip twist per unit (theta, delta)."""
-        col_theta = (self.J_xi_phi @ self.grads[..., 0:1])[..., 0]
-        col_delta = (self.J_xi_phi @ self.grads[..., 1:2])[..., 0] + self.J_xi_delta
+        col_theta = (self.J_xi_phi @ self.d_phi[..., 0:1])[..., 0]
+        col_delta = (self.J_xi_phi @ self.d_phi[..., 1:2])[..., 0] + self.J_xi_delta
         return _columns(col_theta.shape, col_theta, col_delta)
 
-    @property
+    @cached_property
     def J_M(self) -> np.ndarray:
-        """(..., 6, n) J_psi through the minimum-norm pseudo-inverse of J_q_psi,
+        """(..., 6, n) tip twist per secondary-backbone displacement (macro
+        motion): J_psi through the minimum-norm pseudo-inverse of J_q_psi,
         whose columns are orthogonal for n >= 3 evenly spaced backbones:
         J_q_psi^T J_q_psi = (n r^2 / 2) diag(1, (theta0 - theta)^2).  At
         straight the delta column vanishes and is dropped."""
         return self.J_psi @ _orthogonal_pinv(self.J_q_psi)
 
-    @property
+    @cached_property
     def J_mu(self) -> np.ndarray:
-        return (self.J_xi_phi @ self.grads[..., 2:3])[..., 0] + self.J_xi_qs
+        """(..., 6) tip twist per insertion depth (micro motion)."""
+        return (self.J_xi_phi @ self.d_phi[..., 2:3])[..., 0] + self.J_xi_qs
 
-    @property
+    @cached_property
     def J_k(self) -> np.ndarray:
-        return self.J_xi_phi @ self.grads[..., 3:6]
+        """(..., 6, 3) tip twist per (k_lambda0, k_lambda_theta, k_lambda_q)."""
+        return self.J_xi_phi @ self.d_phi[..., 3:6]
 
 
 def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, kappa=None):
     """Differentiate the equilibria at the solved curvature kappa, solving for
-    it first when kappa is None; see _JacobianArrays."""
+    it first when kappa is None; see JacobianSet."""
     theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
     if kappa is None:
         kappa = _solve_equilibrium_arrays(params, theta, delta, q_s,
                                           uncertainty_lambda(k, q_s, theta))
     th_s, _, th_e = _equilibrium_angles(params, theta, q_s, kappa)
-    grads = _phi_gradient_arrays(params, theta, delta, q_s, k, kappa)
+    d_phi = _phi_gradient_arrays(params, theta, delta, q_s, k, kappa)
     xi = _xi_jacobian_arrays(params, th_s, th_e, delta, q_s)
     # J_q_psi: row i differentiates q_i = Delta_i (theta - theta0)
     sig = _sigma(params, delta)
     J_q_psi = params.r * _columns(sig.shape, np.cos(sig),
                                   (THETA_BASE - theta)[..., None] * np.sin(sig))
-    return _JacobianArrays(th_s, th_e, grads, *xi, J_q_psi)
+    return JacobianSet(th_s, th_e, d_phi, *xi, J_q_psi)
 
 
 def assemble_motion_jacobians(
     params: RobotParams, psi: ConfigState, q_s: float, k: UncertaintyParams
 ) -> JacobianSet:
-    """All tip Jacobians at one configuration.
-
-    J_M: tip twist per secondary-backbone displacement (macro motion),
-    through the minimum-norm pseudo-inverse of J_q_psi.
-    J_mu: tip twist per insertion depth (micro motion).
-    J_k: tip twist per uncertainty parameter, columns ordered
-    (k_lambda0, k_lambda_theta, k_lambda_q).
-    """
-    c = _jacobian_arrays(params, psi.theta, psi.delta, float(q_s), k)
-    return JacobianSet(
-        J_M=c.J_M,
-        J_mu=c.J_mu,
-        J_k=c.J_k,
-        J_xi_phi=c.J_xi_phi,
-        J_xi_delta=c.J_xi_delta,
-        J_xi_qs=c.J_xi_qs,
-        J_q_psi=c.J_q_psi,
-        phi=EquilibriumConfig(float(c.th_s), float(c.th_e)),
-        d_phi=c.grads,
-    )
+    """All tip Jacobians at one configuration, a JacobianSet of batch shape ()."""
+    return _jacobian_arrays(params, psi.theta, psi.delta, float(q_s), k)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +247,7 @@ def _central_steps(x0):
 
 def _central_twists(params: RobotParams, th_s, th_e, delta, q_s):
     """Central-difference tip twists (N, 6, m) over the (+h, -h) row pairs (2m, N)
-    of _central_steps.  The tip pose is formed as pose_from_phi forms it; the
+    of _central_steps.  The tip pose is formed as crem_pose forms it; the
     rotational rows are the axis-angle vector of R(x + h e_j) R(x - h e_j)^T
     over 2h, matching the space-frame convention of the analytic Jacobians."""
     p = _tip_positions(params, th_s, th_e, delta, q_s)
@@ -328,7 +305,7 @@ def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: Uncertaint
         "J_xi_phi": _rel_err(c.J_xi_phi, fd_kin[..., 0:2]),
         "J_xi_delta": _rel_err(c.J_xi_delta, fd_kin[..., 2]),
         "J_xi_qs": _rel_err(c.J_xi_qs, fd_kin[..., 3]),
-        "d_phi": _rel_err(c.grads, fd_phi),
+        "d_phi": _rel_err(c.d_phi, fd_phi),
     }
     return {key: v.reshape(samples[0].shape) for key, v in errs.items()}
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .model import (
     ConfigState,
     EquilibriumConfig,
@@ -136,31 +135,19 @@ def _tip_positions(params: RobotParams, th_s, th_e, delta, q_s):
     return _columns(p_x.shape, p_x, -np.sin(delta) * x, z)
 
 
-def pose_from_phi(
-    params: RobotParams, phi: EquilibriumConfig, delta: float, q_s: float
-) -> SegmentedPose:
-    """Two-subsegment tip pose for given equilibrium angles (no solve): the
-    position from the planar chain _tip_positions, the rotation
-    segment_rotation(theta_prime, delta)."""
-    if not (0.0 <= q_s <= params.L):
-        raise ValidationError(f"q_s={q_s} outside [0, L]")
-    if not (-np.pi < delta <= np.pi):
-        raise ValidationError(f"delta must lie in (-pi, pi], got {delta}")
-    tip = Pose(p=_tip_positions(params, phi.theta_s, phi.theta_eps, delta, q_s),
-               R=segment_rotation(phi.theta_prime, delta))
-    return SegmentedPose(tip=tip, equilibrium=phi)
-
-
 def crem_pose(
     params: RobotParams, psi: ConfigState, q_s: float, k: UncertaintyParams
 ) -> SegmentedPose:
     """Tip pose at configuration psi and insertion depth q_s.
 
-    Solves the moment equilibrium for phi, then forms the tip pose of the
-    inserted and empty subsegment arcs with pose_from_phi.
+    Solves the moment equilibrium for phi, then forms the tip position from
+    the planar chain _tip_positions and the rotation
+    segment_rotation(theta_prime, delta).
     """
     phi = solve_equilibrium(params, psi, q_s, k)
-    return pose_from_phi(params, phi, psi.delta, q_s)
+    tip = Pose(_tip_positions(params, phi.theta_s, phi.theta_eps, psi.delta, q_s),
+               segment_rotation(phi.theta_prime, psi.delta))
+    return SegmentedPose(tip, phi)
 
 
 def micro_trajectory(

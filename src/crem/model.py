@@ -19,6 +19,7 @@ theta0 = THETA_BASE = pi/2 is straight and smaller theta means more bending.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,15 @@ THETA_BASE = math.pi / 2.0
 
 _SOLVER_TOL = 1e-12
 _SOLVER_MAX_ITER = 200
+
+
+def _integer(name: str, value, low: int) -> int:
+    """value as an int >= low; ValidationError for a bool or a non-integral or
+    non-finite number.  An integral float such as 3.0 gives its int."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value) or value < low):
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,7 @@ class RobotParams:
             raise ValidationError(f"L must be positive, got {self.L}")
         if not (self.r > 0.0 and math.isfinite(self.r)):
             raise ValidationError(f"r must be positive, got {self.r}")
-        if int(self.n) != self.n or self.n < 3:
-            raise ValidationError(f"n must be an integer >= 3, got {self.n}")
+        object.__setattr__(self, "n", _integer("n", self.n, 3))
         for name in ("E_p", "E_i", "I_p", "I_i"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):

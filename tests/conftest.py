@@ -332,10 +332,10 @@ def fd_discrepancies_per_point(params, psi, q_s, k) -> dict:
     """fd_discrepancies one point at a time: one crem_pose per perturbed
     (theta, delta, q_s, k), a delta step across +-pi wrapped back into
     (-pi, pi], and kinematics-only steps of (theta_s, theta_eps, delta, q_s)
-    about the solved equilibrium.  The J_M entry scores J_psi, assembled from
-    the JacobianSet blocks."""
+    about the solved equilibrium (th_s, th_e) of the JacobianSet.  The J_M
+    entry scores J_psi, assembled here from the JacobianSet's constituent
+    blocks."""
     js = assemble_motion_jacobians(params, psi, q_s, k)
-    phi = js.phi
     phis = []
 
     def full_pose(x):
@@ -352,13 +352,13 @@ def fd_discrepancies_per_point(params, psi, q_s, k) -> dict:
     fd_phi = (np.array(phis[0::2]) - np.array(phis[1::2])).T / (2.0 * _FD_STEP)
 
     def kin_only(y):
-        # pose_from_phi's pose without its delta range check: these delta
-        # steps are not wrapped, so near +-pi they leave (-pi, pi]
+        # crem_pose's pose at given angles, with no solve and no delta range
+        # check: these delta steps are not wrapped, so near +-pi they leave (-pi, pi]
         e = EquilibriumConfig(theta_s=float(y[0]), theta_eps=float(y[1]))
         return Pose(_tip_positions(params, e.theta_s, e.theta_eps, float(y[2]), float(y[3])),
                     segment_rotation(e.theta_prime, float(y[2])))
 
-    y0 = np.array([phi.theta_s, phi.theta_eps, psi.delta, q_s])
+    y0 = np.array([js.th_s, js.th_e, psi.delta, q_s])
     fd_kin = finite_difference_jacobian(kin_only, y0)
 
     # J_psi, the tip twist per (theta, delta) that J_M maps through pinv(J_q_psi)

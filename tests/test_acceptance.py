@@ -28,7 +28,6 @@ from crem import (
     solve_equilibrium,
 )
 from crem.dataio import RobotConfig, write_robot_config
-from crem.kinematics import pose_from_phi
 
 from conftest import oracle_equilibrium, segment_pose
 

@@ -447,6 +447,17 @@ def test_eta_validation(eta):
         CalibrationConfig(eta=eta)
 
 
+@pytest.mark.parametrize("max_iter", [0, 2.5, np.nan, np.inf, True])
+def test_max_iter_validation(max_iter):
+    # a non-integral count would fail later in range()
+    with pytest.raises(ValidationError, match="max_iter"):
+        CalibrationConfig(max_iter=max_iter)
+
+
+def test_integral_float_max_iter_is_stored_as_int():
+    assert type(CalibrationConfig(max_iter=2.0).max_iter) is int
+
+
 @pytest.mark.parametrize("w_rot", [-1.0, np.nan, np.inf])
 def test_w_rot_validation(w_rot):
     # a negative weight would make J^T W J indefinite
@@ -558,6 +569,7 @@ def test_split_at_turning_point(bench, hairpin):
     mono = ms[: i // 2]
     pre2, post2 = split_at_turning_point(mono)
     assert len(pre2) == len(mono) and post2 == []
+    assert split_at_turning_point([]) == ([], [])
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,15 @@ def test_calibrate_identical_depths_fail_cleanly(config_path, tmp_path):
     assert "not identifiable: q_s is constant" in proc.stderr
 
 
+@pytest.mark.parametrize("split", [[], ["--split-turning-point"]])
+def test_calibrate_header_only_dataset_fails_cleanly(config_path, tmp_path, capsys, split):
+    data = tmp_path / "empty.csv"
+    data.write_text("# frame=base\nt,q_s,theta,delta,x,y,z\n", encoding="utf-8")
+    code = crem_cli.main(["calibrate", "--config", config_path, "--data", str(data), *split])
+    assert code == 1
+    assert capsys.readouterr().err == "error: empty dataset\n"
+
+
 def test_calibrate_names_a_constant_theta(config_path, tmp_path):
     # the README sweep holds theta at 30 deg: k_lambda0 and k_lambda_theta
     # cannot both be free, but k_lambda_theta alone or with k_lambda_q can

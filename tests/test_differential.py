@@ -33,7 +33,6 @@ from crem.kinematics import (
     STRAIGHT_SERIES_THRESHOLD,
     _arc,
     _tip_positions,
-    pose_from_phi,
     segment_rotation,
 )
 from crem.calibration import PARAM_NAMES
@@ -252,14 +251,12 @@ def test_xi_phi_column_against_pose_differences(bench):
     J_xi_phi, _, _ = _xi_jacobian_arrays(bench, phi.theta_s, phi.theta_eps, delta, q_s)
     h = 1e-7
     for col, (dts, dte) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        pp = pose_from_phi(bench, EquilibriumConfig(phi.theta_s + h * dts,
-                                                    phi.theta_eps + h * dte),
-                           delta, q_s).tip
-        pm = pose_from_phi(bench, EquilibriumConfig(phi.theta_s - h * dts,
-                                                    phi.theta_eps - h * dte),
-                           delta, q_s).tip
-        dv = (pp.p - pm.p) / (2.0 * h)
-        dw = Rotation.from_matrix(pp.R @ pm.R.T).as_rotvec() / (2.0 * h)
+        pp, pm = (EquilibriumConfig(phi.theta_s + sgn * h * dts, phi.theta_eps + sgn * h * dte)
+                  for sgn in (1.0, -1.0))
+        dv = (_tip_positions(bench, pp.theta_s, pp.theta_eps, delta, q_s)
+              - _tip_positions(bench, pm.theta_s, pm.theta_eps, delta, q_s)) / (2.0 * h)
+        R_p, R_m = (segment_rotation(e.theta_prime, delta) for e in (pp, pm))
+        dw = Rotation.from_matrix(R_p @ R_m.T).as_rotvec() / (2.0 * h)
         assert np.max(np.abs(J_xi_phi[:3, col] - dv)) < 1e-6
         assert np.max(np.abs(J_xi_phi[3:, col] - dw)) < 1e-6
 
@@ -587,9 +584,23 @@ def test_sample_is_bit_identical_alone_and_in_batch(bench, samples, k0, kq):
     batch = _jacobian_arrays(bench, theta, delta, qs, k)
     for i in range(len(samples)):
         alone = _jacobian_arrays(bench, theta[i], delta[i], qs[i], k)
-        for name in ("th_s", "th_e", "grads", "J_xi_phi", "J_xi_delta", "J_xi_qs",
+        for name in ("th_s", "th_e", "d_phi", "J_xi_phi", "J_xi_delta", "J_xi_qs",
                      "J_q_psi", "J_psi", "J_M", "J_mu", "J_k"):
             assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)), (i, name)
+
+
+@pytest.mark.parametrize("theta,delta,q_s", [(1.0, 0.4, 20.0), (TH0, -0.3, 12.0),
+                                             (0.6, 2.0, 0.0), (2.1, -1.2, 44.3)])
+def test_scalar_jacobians_are_the_core_record(bench, k_cal, theta, delta, q_s):
+    # assemble_motion_jacobians returns the batched core's record at shape ()
+    js = assemble_motion_jacobians(bench, ConfigState(theta, delta), q_s, k_cal)
+    core = _jacobian_arrays(bench, theta, delta, q_s, k_cal)
+    assert type(js) is type(core)
+    for name in ("th_s", "th_e", "d_phi", "J_xi_phi", "J_xi_delta", "J_xi_qs",
+                 "J_q_psi", "J_psi", "J_M", "J_mu", "J_k"):
+        assert np.array_equal(getattr(js, name), getattr(core, name)), name
+    # each assembled block is formed once per record
+    assert js.J_M is js.J_M
 
 
 @given(samples=SAMPLES, k=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.2, 0.2),
@@ -646,7 +657,7 @@ def test_equilibrium_and_gradient_match_40_digit_reference(bench, theta_deg, del
     th_s, th_e, d_phi = mp_equilibrium(bench, np.radians(theta_deg), delta, q_s, k)
     assert abs(core.th_s - th_s) <= 1e-12 * abs(th_s)
     assert abs(core.th_e - th_e) <= 1e-12 * abs(th_e)
-    assert np.max(np.abs(core.grads - d_phi)) <= 1e-12 * np.max(np.abs(d_phi))
+    assert np.max(np.abs(core.d_phi - d_phi)) <= 1e-12 * np.max(np.abs(d_phi))
 
 
 @pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,6 @@ from crem import (
     ValidationError,
     crem_pose,
     micro_trajectory,
-    pose_from_phi,
-    solve_equilibrium,
 )
 from crem.kinematics import _tip_positions, segment_rotation
 from conftest import arc_direction, assert_valid_pose, pose_arrays_3d, segment_pose
@@ -122,11 +122,10 @@ def test_subdivision_identity(bench, theta, fq, delta):
     th_s = TH0 + (theta - TH0) * q_s / L
     th_eps = theta - th_s + TH0
     p = _tip_positions(bench, th_s, th_eps, delta, q_s)
-    tip = pose_from_phi(bench, EquilibriumConfig(th_s, th_eps), delta, q_s).tip
+    R = segment_rotation(EquilibriumConfig(th_s, th_eps).theta_prime, delta)
     whole = segment_pose(L, theta, delta)
     assert np.linalg.norm(p - whole.p) < 1e-9
-    assert np.linalg.norm(tip.p - whole.p) < 1e-9
-    assert np.max(np.abs(tip.R - whole.R)) < 1e-9
+    assert np.max(np.abs(R - whole.R)) < 1e-9
 
 
 def test_crem_pose_straight(bench, k_zero):
@@ -166,27 +165,19 @@ def test_planarity_of_micro_trajectory(bench, k_cal):
     assert np.max(np.abs(pos @ normal)) < 1e-9
 
 
-def test_pose_from_phi_validates_range(bench):
-    phi = EquilibriumConfig(theta_s=1.2, theta_eps=1.3)
-    with pytest.raises(ValidationError):
-        pose_from_phi(bench, phi, 0.0, -0.1)
-    with pytest.raises(ValidationError):
-        pose_from_phi(bench, phi, 0.0, bench.L + 0.1)
-    # the ConfigState rule: delta in (-pi, pi]
+def test_crem_pose_validates_range(bench, k_zero):
+    for q_s in (-0.1, bench.L + 0.1, np.nan):
+        with pytest.raises(ValidationError, match="q_s"):
+            crem_pose(bench, ConfigState(1.2, 0.0), q_s, k_zero)
+    # the ConfigState rule, delta in (-pi, pi], holds in ConfigState and in the solve
     for delta in (np.nan, np.inf, 10.0, -np.pi):
         with pytest.raises(ValidationError, match="delta"):
-            pose_from_phi(bench, phi, delta, 10.0)
+            ConfigState(1.2, delta)
+        with pytest.raises(ValidationError, match="delta"):
+            crem_pose(bench, SimpleNamespace(theta=1.2, delta=delta), 10.0, k_zero)
     for angles in ((np.nan, 1.3), (1.2, np.inf), (-np.inf, np.nan)):
         with pytest.raises(ValidationError, match="equilibrium angles"):
             EquilibriumConfig(*angles)
-
-
-def test_pose_from_phi_matches_crem_pose(bench, k_cal):
-    psi = ConfigState(np.radians(35), 0.2)
-    phi = solve_equilibrium(bench, psi, 12.0, k_cal)
-    a = pose_from_phi(bench, phi, psi.delta, 12.0)
-    b = crem_pose(bench, psi, 12.0, k_cal)
-    assert_allclose(a.tip.p, b.tip.p, atol=0)
 
 
 def test_micro_trajectory_shapes(bench, k_zero):

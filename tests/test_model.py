@@ -32,7 +32,8 @@ TH0 = np.pi / 2
 @pytest.mark.parametrize(
     "field,value",
     [("L", 0.0), ("L", -1.0), ("r", 0.0), ("E_p", -5.0), ("I_i", 0.0),
-     ("E_s", -1e-9), ("n", 2), ("n", 3.5)],
+     ("E_s", -1e-9), ("n", 2), ("n", 3.5), ("n", np.inf), ("n", np.nan),
+     ("n", True)],
 )
 def test_invalid_params_rejected(bench, field, value):
     kwargs = {n: getattr(bench, n) for n in
@@ -40,6 +41,15 @@ def test_invalid_params_rejected(bench, field, value):
     kwargs[field] = value
     with pytest.raises(ValidationError):
         RobotParams(**kwargs)
+
+
+def test_integral_float_n_is_stored_as_int(bench, k_zero):
+    kwargs = {n: getattr(bench, n) for n in
+              ("L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s")}
+    p = RobotParams(**kwargs, n=3.0)
+    assert type(p.n) is int and p.n == 3
+    assert solve_equilibrium(p, ConfigState(1.0, 0.3), 20.0, k_zero) \
+        == solve_equilibrium(bench, ConfigState(1.0, 0.3), 20.0, k_zero)
 
 
 def test_wire_absent_params_allowed(bench):
