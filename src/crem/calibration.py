@@ -32,6 +32,7 @@ from .model import (
     UncertaintyParams,
     _equilibrium_angles,
     _integer,
+    _offsets,
     _solve_equilibrium_arrays,
     uncertainty_lambda,
 )
@@ -61,7 +62,8 @@ class Measurement:
     x_bar is the tip position in the base frame (mm); R_bar the observed
     orientation or None.  obs_mask marks which of the six residual
     components (three position, three orientation) are observed; by
-    default all positions and, when R_bar is present, all orientations.
+    default all positions and, when R_bar is present, all orientations;
+    without R_bar no orientation component may be observed.
     """
 
     psi: ConfigState
@@ -86,6 +88,8 @@ class Measurement:
             mask = np.asarray(self.obs_mask, dtype=bool)
             if mask.shape != (6,):
                 raise ValidationError("obs_mask must have shape (6,)")
+            if self.R_bar is None and mask[3:].any():
+                raise ValidationError("obs_mask observes orientation components without R_bar")
         if not mask.any():
             raise ValidationError("obs_mask must observe at least one component")
         object.__setattr__(self, "obs_mask", mask)
@@ -95,9 +99,10 @@ class Measurement:
 class CalibrationConfig:
     """Settings of the identification loop.
 
-    weight_blocks: per-measurement 6x6 weights, or None for the default
-    diagonal (1 on observed positions, w_rot on observed orientations,
-    0 on masked components).  H scales the parameter step.
+    weight_blocks: per-measurement 6x6 weights, finite, symmetric and
+    positive semidefinite, or None for the default diagonal (1 on observed
+    positions, w_rot on observed orientations, 0 on masked components).
+    H scales the parameter step.
     free_params names the components of k actually updated.
     """
 
@@ -198,24 +203,27 @@ class _Dataset(NamedTuple):
     """Measurement arrays, stacked once per fit."""
 
     commands: tuple  # (theta, delta, q_s), each (N,)
+    offsets: np.ndarray  # (n, N) backbone-major Delta_i of delta, fixed for the fit
     x_bar: np.ndarray  # (N, 3)
     pos_mask: np.ndarray  # (N, 3) observed position components
     rot: np.ndarray  # indices of the measurements with an observed R_bar
     R_bar: np.ndarray  # (len(rot), 3, 3)
 
 
-def _stack(measurements) -> _Dataset:
+def _stack(measurements, params: RobotParams) -> _Dataset:
+    commands = _commands(measurements)
     rot = np.array([j for j, m in enumerate(measurements) if m.R_bar is not None], dtype=int)
-    return _Dataset(_commands(measurements),
-                    np.stack([m.x_bar for m in measurements]),
-                    np.stack([m.obs_mask[:3] for m in measurements]), rot,
+    return _Dataset(commands, _offsets(params, commands[1]),
+                    np.array([m.x_bar for m in measurements]),
+                    np.array([m.obs_mask for m in measurements])[:, :3], rot,
                     np.array([measurements[j].R_bar for j in rot], dtype=float).reshape(-1, 3, 3))
 
 
 def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
     """(N, 6) residuals and the solved curvatures kappa they rest on."""
     theta, delta, q_s = data.commands
-    kappa = _solve_equilibrium_arrays(params, theta, delta, q_s, uncertainty_lambda(k, q_s, theta))
+    kappa = _solve_equilibrium_arrays(params, theta, delta, q_s,
+                                      uncertainty_lambda(k, q_s, theta), data.offsets)
     th_s, th_p, th_e = _equilibrium_angles(params, theta, q_s, kappa)
     c = np.zeros((len(theta), 6))
     c[:, :3] = data.x_bar - _tip_positions(params, th_s, th_e, delta, q_s)
@@ -249,9 +257,10 @@ def identification_jacobian(
     """
     idx = np.array([PARAM_NAMES.index(n) for n in free_params], dtype=int)
     theta, delta, q_s = _commands(measurements)
-    kappa = _solve_equilibrium_arrays(params, theta, delta, q_s, uncertainty_lambda(k, q_s, theta))
+    D, lam = _offsets(params, delta), uncertainty_lambda(k, q_s, theta)
+    kappa = _solve_equilibrium_arrays(params, theta, delta, q_s, lam, D)
     u = np.column_stack([np.ones_like(theta), theta, q_s])
-    col, krow = _k_jacobian_factors(params, theta, delta, q_s, kappa, u)
+    col, krow = _k_jacobian_factors(params, theta, delta, q_s, kappa, u, D)
     return (-(col[:, :, None] * krow[:, None, idx])).reshape(len(measurements) * 6, len(idx))
 
 
@@ -281,10 +290,21 @@ def nls_estimate(
     W = np.asarray(W, dtype=float)
     if W.shape != (len(measurements), 6, 6):
         raise ValidationError("weight_blocks must have shape (N, 6, 6)")
+    if config.weight_blocks is not None:
+        # the defaults are valid by construction; a user block must be finite, symmetric
+        # and positive semidefinite, both to 1e-12 of its largest entry
+        ok = np.isfinite(W).all(axis=(1, 2))
+        W0 = np.where(ok[:, None, None], W, 0.0)
+        tol = 1e-12 * np.abs(W0).max(axis=(1, 2))
+        ok &= np.abs(W0 - np.swapaxes(W0, 1, 2)).max(axis=(1, 2)) <= tol
+        ok &= np.linalg.eigvalsh(W0)[:, 0] >= -tol
+        if not ok.all():
+            raise ValidationError(f"weight block of measurement {np.argmin(ok)} must be finite, "
+                                  "symmetric and positive semidefinite")
     H = np.eye(3) if config.H is None else np.asarray(config.H, dtype=float)
     idx = config.free_indices
 
-    data = _stack(measurements)
+    data = _stack(measurements, params)
     # each J_k,i is rank one along u_i = (1, theta_i, q_s_i), so k is
     # identifiable only if the free columns of the weighted u_i have full rank
     theta, delta, q_s = data.commands
@@ -312,7 +332,7 @@ def nls_estimate(
 
     for iteration in range(1, config.max_iter + 1):
         # J_k at the equilibria of the residuals at k_vec: no second solve
-        col, krow = _k_jacobian_factors(params, theta, delta, q_s, kappa, u)
+        col, krow = _k_jacobian_factors(params, theta, delta, q_s, kappa, u, data.offsets)
         JtW, JtWc = _normal_equations(col, krow[:, idx], W, Wc)
         cond = np.linalg.cond(JtW)
         if not np.isfinite(cond) or cond > _COND_LIMIT:

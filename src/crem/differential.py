@@ -48,7 +48,6 @@ from .model import (
     _sigma,
     _solve_equilibrium_arrays,
     _theta_prime,
-    projected_offsets,
     uncertainty_lambda,
 )
 from .rotations import axis_angle_vector
@@ -85,8 +84,8 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     """
     theta, q_s, kappa = (np.asarray(a, dtype=float) for a in (theta, q_s, kappa))
     shape = np.broadcast(theta, delta, q_s, kappa).shape
-    sig = _sigma(params, delta)
-    # Delta_i (projected_offsets) and d Delta_i / d delta
+    sig = _sigma(params, delta, len(shape))
+    # backbone-major Delta_i (model._offsets) and d Delta_i / d delta
     D, dD = params.r * np.cos(sig), -params.r * np.sin(sig)
     kappa0 = (theta - THETA_BASE) / params.L
     _, _, M0_k, M0_d = _arc_moment(params, D, kappa0, dD)
@@ -142,13 +141,14 @@ def _xi_jacobian_arrays(params: RobotParams, th_s, th_e, delta, q_s):
     return J_xi_phi, J_xi_delta, J_xi_qs
 
 
-def _k_jacobian_factors(params: RobotParams, theta, delta, q_s, kappa, u):
+def _k_jacobian_factors(params: RobotParams, theta, delta, q_s, kappa, u, D):
     """(col, krow), J_k = col krow^T at the solved kappa: theta_s alone depends on k, through
-    lambda = u . k, u = (1, theta, q_s), so col is J_xi_phi[..., :, 0], krow -(q_s / G') u."""
+    lambda = u . k, u = (1, theta, q_s), so col is J_xi_phi[..., :, 0], krow -(q_s / G') u.
+    D is the backbone-major model._offsets of delta, formed once by the caller."""
     th_s, _, th_e = _equilibrium_angles(params, theta, q_s, kappa)
     s = _arc(th_s, slopes=True)
     _, _, e_x, e_z = _in_plane_tip(params, s, _arc(th_e), q_s)
-    _, _, M_k = _arc_moment(params, projected_offsets(params, delta), kappa)
+    _, _, M_k = _arc_moment(params, D, kappa)
     return (_theta_s_twist(params, s, e_x, e_z, np.sin(delta), np.cos(delta), q_s),
             _theta_s_row(q_s, u, M_k + params.EI_s))
 
@@ -220,8 +220,9 @@ def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParam
     th_s, _, th_e = _equilibrium_angles(params, theta, q_s, kappa)
     d_phi = _phi_gradient_arrays(params, theta, delta, q_s, k, kappa)
     xi = _xi_jacobian_arrays(params, th_s, th_e, delta, q_s)
-    # J_q_psi: row i differentiates q_i = Delta_i (theta - theta0)
+    # J_q_psi (..., n, 2): row i differentiates q_i = Delta_i (theta - theta0)
     sig = _sigma(params, delta)
+    sig = sig.transpose(tuple(range(1, sig.ndim)) + (0,))
     J_q_psi = params.r * _columns(sig.shape, np.cos(sig),
                                   (THETA_BASE - theta)[..., None] * np.sin(sig))
     return JacobianSet(th_s, th_e, d_phi, *xi, J_q_psi)

@@ -166,43 +166,56 @@ def _theta_prime(theta_s, theta_eps):
     return theta_eps - (np.pi / 2.0 - theta_s)
 
 
-def _sigma(params: RobotParams, delta):
-    """Angular positions sigma_i = delta + (i - 1) * beta, shape (..., n)."""
+def _sigma(params: RobotParams, delta, ndim: int = 0):
+    """sigma_i = delta + (i - 1) * beta, backbone-major: (n,) + delta's shape padded to ndim."""
     d = np.asarray(delta, dtype=float)
-    return d[..., None] + params.beta * np.arange(params.n)
+    return d + params.beta * np.arange(params.n).reshape((-1,) + (1,) * max(d.ndim, ndim))
+
+
+def _offsets(params: RobotParams, delta):
+    """Delta_i = r cos(sigma_i), backbone-major: (n,) + delta's shape."""
+    return params.r * np.cos(_sigma(params, delta))
 
 
 def projected_offsets(params: RobotParams, delta):
-    """Delta_i = r cos(sigma_i): moment-arm projections onto the bending plane."""
-    return params.r * np.cos(_sigma(params, delta))
+    """Delta_i = r cos(sigma_i): moment-arm projections onto the bending plane, (..., n)."""
+    return np.moveaxis(_offsets(params, delta), 0, -1)
+
+
+def _backbone_sum(a):
+    """Sum over the leading backbone axis, row by row, so the bits do not depend on the
+    batch (np.add.reduce sums a lone column of n >= 8 numbers pairwise)."""
+    total = a[0] + a[1]
+    for i in range(2, len(a)):
+        total += a[i]
+    return total
 
 
 def _arc_moment(params: RobotParams, D, kappa, dD=None):
     """Backbone stretches, bending moment and its partials of an arc of curvature kappa.
 
     An arc of length l bent at curvature kappa (rad/mm) has secondary
-    backbones l x_i with stretches x_i = 1 + Delta_i kappa, shape (..., n),
-    and stiffness EI_p / l + sum_i EI_i / (l x_i) (N*mm/rad).  Times its bend
-    l kappa that is the moment M = (EI_p + sum_i EI_i / x_i) kappa (N*mm),
-    free of l.  Returns (x, M, dM/dkappa) with
-    dM/dkappa = EI_p + sum_i EI_i / x_i^2, and with dD = d Delta_i / d delta
-    also dM/d delta = -kappa^2 sum_i EI_i dD_i / x_i^2.  Stretches are not
-    checked.
+    backbones l x_i with stretches x_i = 1 + Delta_i kappa, and stiffness
+    EI_p / l + sum_i EI_i / (l x_i) (N*mm/rad).  Times its bend l kappa that
+    is the moment M = (EI_p + sum_i EI_i / x_i) kappa (N*mm), free of l.
+    Returns (x, M, dM/dkappa) with dM/dkappa = EI_p + sum_i EI_i / x_i^2, and
+    with dD = d Delta_i / d delta also dM/d delta = -kappa^2 sum_i EI_i dD_i /
+    x_i^2.  D, dD and x are backbone-major (_offsets).  Stretches are not checked.
     """
     kappa = np.asarray(kappa, dtype=float)
-    x = 1.0 + D * kappa[..., None]
+    x = 1.0 + D * kappa
     M, M_k, wx = _stretched_moment(params, x, kappa)
     if dD is None:
         return x, M, M_k
-    return x, M, M_k, -kappa * kappa * np.add.reduce(dD * wx, axis=-1)
+    return x, M, M_k, -kappa * kappa * _backbone_sum(dD * wx)
 
 
 def _stretched_moment(params: RobotParams, x, kappa):
-    """(M, dM/dkappa, EI_i / x_i^2) of _arc_moment from the stretches x = 1 + Delta_i kappa."""
+    """(M, dM/dkappa, EI_i / x_i^2) of _arc_moment from its stretches x = 1 + Delta_i kappa."""
     w = params.EI_i / x
     wx = w / x
-    M = (params.EI_p + np.add.reduce(w, axis=-1)) * kappa
-    return M, params.EI_p + np.add.reduce(wx, axis=-1), wx
+    M = (params.EI_p + _backbone_sum(w)) * kappa
+    return M, params.EI_p + _backbone_sum(wx), wx
 
 
 def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
@@ -221,7 +234,7 @@ def _broadcast_samples(*arrays):
     return [a if a.shape == shape else np.broadcast_to(a, shape) for a in arrays]
 
 
-def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
+def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam, D=None):
     """Vectorized solve of the moment balance for the inserted arc's curvature.
 
     The empty arc carries the base moment of the whole segment, so it has the
@@ -238,8 +251,9 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
     depend on the batch it is solved in.  Each step forms the stretches
     x_i = 1 + Delta_i kappa once, for the safeguard and for the next step's
     moment, and works on the shrinking active set: arrays of the active
-    samples, compacted only when samples freeze.  lam is lambda per sample
-    (uncertainty_lambda).  Returns kappa broadcast over the inputs;
+    samples, D and x backbone-major (n, N_active), compacted only when samples
+    freeze.  lam is lambda per sample (uncertainty_lambda); D is _offsets of
+    the broadcast delta unless given.  Returns kappa broadcast over the inputs;
     _equilibrium_angles gives the angles.  Every sample must satisfy the
     ConfigState rules and 0 <= q_s <= L; the first that does not (NaN
     included) is rejected by its flat index before any step, and
@@ -257,7 +271,7 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
 
     if not ok.all():
         raise ValidationError(f"{sample(int(np.argmin(ok)))} outside (0, pi) x (-pi, pi] x [0, L]")
-    D = projected_offsets(params, delta).reshape(-1, params.n)
+    D = (_offsets(params, delta) if D is None else D).reshape(params.n, -1)
     # Newton starts from the whole segment's curvature kappa0
     kappa = ((theta - THETA_BASE) / params.L).ravel()
     x, M, M_k = _arc_moment(params, D, kappa)
@@ -268,23 +282,24 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
     for _ in range(_SOLVER_MAX_ITER):
         s = (rhs - M - params.EI_s * ka) / (M_k + params.EI_s)
         new = ka + s
-        x = 1.0 + Da * new[:, None]
+        x = 1.0 + Da * new
         while not (x > 0.0).all():
             # a non-finite step is not halved; it stays active and is reported
-            out = ~(x > 0.0).all(axis=-1) & np.isfinite(s)
+            out = ~(x > 0.0).all(axis=0) & np.isfinite(s)
             if not out.any():
                 break
             s = np.where(out, 0.5 * s, s)
             new = ka + s
-            x = 1.0 + Da * new[:, None]
+            x = 1.0 + Da * new
         ka, step = new, np.abs(s) * params.L
         done = step < _SOLVER_TOL
+        if done.all():
+            kappa[active] = ka
+            break
         if done.any():
             kappa[active[done]] = ka[done]
             keep = ~done
-            active, Da, ka, rhs, x = (a[keep] for a in (active, Da, ka, rhs, x))
-        if not active.size:
-            break
+            active, ka, rhs, Da, x = active[keep], ka[keep], rhs[keep], Da[:, keep], x[:, keep]
         M, M_k, _ = _stretched_moment(params, x, ka)
     else:
         step = step[~done]

@@ -54,7 +54,7 @@ def make_measurements(params, theta, delta, qs, k_true, sigma=0.0, rng=None,
 
 def residual_matrix(measurements, params, k):
     """(N, 6) residuals [x_bar - x; alpha_e m_e] of the measurements at k."""
-    return _residuals(_stack(measurements), params, k)[0]
+    return _residuals(_stack(measurements, params), params, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,17 @@ def test_measurement_validation():
         with pytest.raises(ValidationError, match="R_bar"):
             Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
                         R_bar=R_bar)
+
+
+@pytest.mark.parametrize("observed", [[3, 4, 5], [4]])
+def test_measurement_rejects_orientation_observed_without_R_bar(observed):
+    # the orientation residual is zero without R_bar, so its rows would only add
+    # phantom degrees of freedom to the fit
+    mask = np.array([True] * 3 + [False] * 3)
+    mask[observed] = True
+    with pytest.raises(ValidationError,
+                       match=r"^obs_mask observes orientation components without R_bar$"):
+        Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3), obs_mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +332,38 @@ def test_constant_theta_is_named_before_the_first_iteration(bench):
         assert nls_estimate(ms, bench, cfg, UncertaintyParams.zero()).converged
 
 
+@pytest.mark.parametrize("fault", ["nan", "inf", "negative diagonal", "asymmetric",
+                                   "indefinite"])
+def test_user_weight_blocks_must_be_finite_symmetric_psd(bench, k_cal, fault):
+    # a NaN must not escape as numpy's LinAlgError, nor a negative weight reach the fit
+    ms = make_measurements(bench, np.radians(45), 0.0, np.linspace(0.0, 40.0, 8), k_cal)
+    W = default_weight_blocks(ms)
+    if fault == "nan":
+        W[5, 0, 0] = np.nan
+    elif fault == "inf":
+        W[5, 2, 1] = np.inf
+    elif fault == "negative diagonal":
+        W[5, 1, 1] = -1.0
+    elif fault == "asymmetric":
+        W[5, 0, 1] = 0.5
+    else:
+        W[5, 0, 1] = W[5, 1, 0] = 2.0
+    with pytest.raises(ValidationError, match="^weight block of measurement 5 must be finite, "
+                                              "symmetric and positive semidefinite$"):
+        nls_estimate(ms, bench, CalibrationConfig(weight_blocks=W), UncertaintyParams.zero())
+
+
+def test_user_weight_blocks_accept_dense_and_singular_psd_blocks(bench, k_cal):
+    # full A A^T blocks, symmetric only to rounding, and rank-deficient ones
+    ms = make_measurements(bench, np.radians(45), 0.0, np.linspace(0.0, 40.0, 8), k_cal)
+    A = np.random.default_rng(3).standard_normal((len(ms), 6, 6))
+    W = A @ np.swapaxes(A, -1, -2)
+    W[2] = np.outer(A[2, 0], A[2, 0])
+    W[4] = 0.0
+    res = nls_estimate(ms, bench, CalibrationConfig(weight_blocks=W), UncertaintyParams.zero())
+    assert res.converged
+
+
 def test_zero_depth_data_hit_the_condition_gate(bench):
     # (1, theta_i) has full rank, but at q_s = 0 no moment reaches the tip:
     # J_k = 0, and the condition gate refuses the normal equations
@@ -413,12 +456,12 @@ def test_rank_one_normal_equations_with_general_weights(bench):
     A = rng.standard_normal((len(ms), 6, 6))
     W = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(6)
     k = UncertaintyParams(0.15, 0.0, 0.02)
-    data = _stack(ms)
+    data = _stack(ms, bench)
     c, kappa = _residuals(data, bench, k)
     Wc, _ = _weighted_cost(c, W)
     theta, delta, q_s = data.commands
     u = np.column_stack([np.ones_like(theta), theta, q_s])
-    col, krow = _k_jacobian_factors(bench, theta, delta, q_s, kappa, u)
+    col, krow = _k_jacobian_factors(bench, theta, delta, q_s, kappa, u, data.offsets)
     for free in (PARAM_NAMES, ("k_lambda0", "k_lambda_q"), ("k_lambda_theta",)):
         idx = [PARAM_NAMES.index(name) for name in free]
         JtWJ, JtWc = _normal_equations(col, krow[:, idx], W, Wc)

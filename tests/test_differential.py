@@ -311,7 +311,7 @@ def test_closed_form_pinv_matches_numpy(n):
     theta = np.concatenate([rng.uniform(0.05, np.pi - 0.05, 300),
                             [TH0, TH0 - 1e-12, TH0 + 1e-12]])
     delta = rng.uniform(-np.pi, np.pi, theta.size)
-    sig = _sigma(params, delta)
+    sig = _sigma(params, delta).T  # backbone-major (n, N) turned to (N, n)
     J_q_psi = params.r * np.stack([np.cos(sig), (TH0 - theta)[:, None] * np.sin(sig)], axis=-1)
     ref = np.linalg.pinv(J_q_psi)
     got = _orthogonal_pinv(J_q_psi)

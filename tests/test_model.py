@@ -12,6 +12,7 @@ from crem import (
     RobotParams,
     UncertaintyParams,
     ValidationError,
+    fd_discrepancies,
     micro_trajectory,
     projected_offsets,
     solve_equilibrium,
@@ -19,7 +20,7 @@ from crem import (
 )
 from crem import model
 from crem.differential import _jacobian_arrays
-from crem.model import _arc_moment, _solve_equilibrium_arrays
+from crem.model import _arc_moment, _offsets, _solve_equilibrium_arrays
 from conftest import backbone_lengths, equilibrium_moments, oracle_equilibrium
 
 TH0 = np.pi / 2
@@ -371,7 +372,7 @@ def test_curvature_equation_increases_on_the_physical_interval(bench):
                         I_p=0.00117, I_i=0.0017, I_s=0.00115, n=3)
     for params in (bench, robot):
         for delta in (0.0, 0.4, 2.0):
-            D = projected_offsets(params, delta)
+            D = _offsets(params, delta)[:, None]  # backbone-major (n, 1) against (N,) kappa
             lo, hi = -1.0 / np.max(D), -1.0 / np.min(D)
             kappa = lo + (hi - lo) * np.linspace(1e-9, 1.0 - 1e-9, 20001)
             x, M, M_k = _arc_moment(params, D, kappa)
@@ -441,6 +442,30 @@ def test_random_robot_regression(robot, x, k):
                                                phi.theta_s, phi.theta_prime)
     scale = max(abs(m1), abs(m2), abs(ms), abs(lam), 1.0)
     assert max(abs(m1p - m1), abs(m1p + m2 + ms - lam)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_many_backbones_solve_batch_invariant_and_pass_fd(bench, k_cal, n):
+    # numpy sums a lone column of n >= 8 numbers pairwise; the moment sums add
+    # the backbone rows in order, so a sample's bits do not depend on its batch
+    params = RobotParams(**{**vars(bench), "n": n})
+    rng = np.random.default_rng(n)
+    theta = np.concatenate([[TH0, TH0], rng.uniform(0.3, np.pi - 0.3, 38)])
+    delta = rng.uniform(-np.pi, np.pi, 40)
+    q_s = np.concatenate([[0.0, 20.0, params.L, 0.0], rng.uniform(0.0, params.L, 36)])
+    lam = uncertainty_lambda(k_cal, q_s, theta)
+    for order in (np.arange(40), rng.permutation(40)):
+        batch = _solve_equilibrium_arrays(params, theta[order], delta[order], q_s[order],
+                                          lam[order])
+        for got, i in zip(batch, order):
+            alone = _solve_equilibrium_arrays(params, theta[i], delta[i], q_s[i], lam[i])
+            assert got.tobytes() == alone.tobytes()
+    # criterion-5 domain: theta 15-75 deg, q_s 0.1-0.9 L
+    for theta, delta, q_s in zip(np.radians(rng.uniform(15.0, 75.0, 4)),
+                                 rng.uniform(-np.pi, np.pi, 4),
+                                 params.L * rng.uniform(0.1, 0.9, 4)):
+        errs = fd_discrepancies(params, ConfigState(theta, delta), q_s, k_cal)
+        assert max(errs.values()) <= 1e-6, errs
 
 
 def _newton_replay(params, theta, delta, q_s, lam):
