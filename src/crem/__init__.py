@@ -17,7 +17,6 @@ from .model import (
     EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
-    projected_offsets,
     solve_equilibrium,
     uncertainty_lambda,
 )

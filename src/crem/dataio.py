@@ -1,9 +1,9 @@
 """File formats and dataset assembly.
 
 Robot config: flat key = value text, one entry per line, '#' comments.
-Lengths mm, moduli MPa, areas mm^4.  Optional rigid transforms T_WB
-(base in world), T_BI (image in base) and T_GM (marker offset) are given
-as 12 numbers, row-major 3x4.
+Lengths mm, moduli MPa, areas mm^4.  Optional rigid transforms T_BI
+(image in base) and T_GM (marker offset) are given as 12 numbers,
+row-major 3x4.
 
 Trajectory CSV: optional '# key=value' pragma lines, then a header
 't,q_s,theta,delta,x,y[,z]' and data rows.  Angles are stored in degrees
@@ -24,7 +24,7 @@ from .kinematics import micro_trajectory
 from .model import ConfigState, RobotParams, UncertaintyParams
 
 _REQUIRED_KEYS = ("L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s")
-_TRANSFORM_KEYS = ("T_WB", "T_BI", "T_GM")
+_TRANSFORM_KEYS = ("T_BI", "T_GM")
 _FMT = "%.17g"
 # sample rate of synthetic sweeps, Hz
 _SYNTHETIC_HZ = 30.0
@@ -35,7 +35,6 @@ class RobotConfig:
     """Robot parameters plus the optional rig transforms (4x4, identity default)."""
 
     params: RobotParams
-    T_WB: np.ndarray = field(default_factory=lambda: np.eye(4))
     T_BI: np.ndarray = field(default_factory=lambda: np.eye(4))
     T_GM: np.ndarray = field(default_factory=lambda: np.eye(4))
 

@@ -45,6 +45,7 @@ from .model import (
     _arc_moment,
     _broadcast_samples,
     _equilibrium_angles,
+    _scalar_kappa,
     _sigma,
     _solve_equilibrium_arrays,
     _theta_prime,
@@ -232,7 +233,8 @@ def assemble_motion_jacobians(
     params: RobotParams, psi: ConfigState, q_s: float, k: UncertaintyParams
 ) -> JacobianSet:
     """All tip Jacobians at one configuration, a JacobianSet of batch shape ()."""
-    return _jacobian_arrays(params, psi.theta, psi.delta, float(q_s), k)
+    kappa = _scalar_kappa(params, float(psi.theta), float(psi.delta), float(q_s), k)
+    return _jacobian_arrays(params, psi.theta, psi.delta, float(q_s), k, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ theta0 = THETA_BASE = pi/2 is straight and smaller theta means more bending.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -172,14 +173,9 @@ def _sigma(params: RobotParams, delta, ndim: int = 0):
     return d + params.beta * np.arange(params.n).reshape((-1,) + (1,) * max(d.ndim, ndim))
 
 
-def _offsets(params: RobotParams, delta):
-    """Delta_i = r cos(sigma_i), backbone-major: (n,) + delta's shape."""
-    return params.r * np.cos(_sigma(params, delta))
-
-
-def projected_offsets(params: RobotParams, delta):
-    """Delta_i = r cos(sigma_i): moment-arm projections onto the bending plane, (..., n)."""
-    return np.moveaxis(_offsets(params, delta), 0, -1)
+def _offsets(params: RobotParams, delta, ndim: int = 0):
+    """Delta_i = r cos(sigma_i), backbone-major: (n,) + delta's shape padded to ndim."""
+    return params.r * np.cos(_sigma(params, delta, ndim))
 
 
 def _backbone_sum(a):
@@ -253,14 +249,16 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam, D=Non
     moment, and works on the shrinking active set: arrays of the active
     samples, D and x backbone-major (n, N_active), compacted only when samples
     freeze.  lam is lambda per sample (uncertainty_lambda); D is _offsets of
-    the broadcast delta unless given.  Returns kappa broadcast over the inputs;
-    _equilibrium_angles gives the angles.  Every sample must satisfy the
-    ConfigState rules and 0 <= q_s <= L; the first that does not (NaN
-    included) is rejected by its flat index before any step, and
+    delta unless given, formed before delta is broadcast, so that a sweep at
+    one delta takes n cosines, not n per sample.  Returns kappa broadcast over
+    the inputs; _equilibrium_angles gives the angles.  Every sample must
+    satisfy the ConfigState rules and 0 <= q_s <= L; the first that does not
+    (NaN included) is rejected by its flat index before any step, and
     NonPhysicalLength is raised when a whole-segment backbone length is not
     positive.  NoConvergence names the active sample with the largest last
     step the same way and counts the samples still active.
     """
+    delta_in = delta
     theta, delta, q_s, lam = _broadcast_samples(theta, delta, q_s, lam)
     ok = ((theta > 0.0) & (theta < math.pi) & (delta > -math.pi) & (delta <= math.pi)
           & (q_s >= 0.0) & (q_s <= params.L))
@@ -271,7 +269,11 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam, D=Non
 
     if not ok.all():
         raise ValidationError(f"{sample(int(np.argmin(ok)))} outside (0, pi) x (-pi, pi] x [0, L]")
-    D = (_offsets(params, delta) if D is None else D).reshape(params.n, -1)
+    if D is None:
+        D = _offsets(params, delta_in, theta.ndim)
+        if D.shape[1:] != theta.shape:
+            D = np.broadcast_to(D, (params.n,) + theta.shape)
+    D = D.reshape(params.n, -1)
     # Newton starts from the whole segment's curvature kappa0
     kappa = ((theta - THETA_BASE) / params.L).ravel()
     x, M, M_k = _arc_moment(params, D, kappa)
@@ -325,6 +327,16 @@ def _equilibrium_angles(params: RobotParams, theta, q_s, kappa):
     return th_s, _theta_prime(th_s, th_e), th_e
 
 
+@functools.lru_cache(maxsize=1)
+def _scalar_kappa(params: RobotParams, theta: float, delta: float, q_s: float,
+                  k: UncertaintyParams) -> float:
+    """The solved curvature of one configuration, kept so that a pose and the Jacobians
+    of the same configuration share one solve.  Keyed on plain floats, as a psi need not
+    be hashable; the kept value is an immutable float."""
+    return float(_solve_equilibrium_arrays(params, theta, delta, q_s,
+                                           uncertainty_lambda(k, q_s, theta)))
+
+
 def solve_equilibrium(
     params: RobotParams,
     psi: ConfigState,
@@ -333,7 +345,6 @@ def solve_equilibrium(
 ) -> EquilibriumConfig:
     """Equilibrium angles of the segment at configuration psi, depth q_s."""
     q_s = float(q_s)
-    kappa = _solve_equilibrium_arrays(params, psi.theta, psi.delta, q_s,
-                                      uncertainty_lambda(k, q_s, psi.theta))
+    kappa = _scalar_kappa(params, float(psi.theta), float(psi.delta), q_s, k)
     th_s, _, th_e = _equilibrium_angles(params, psi.theta, q_s, kappa)
     return EquilibriumConfig(float(th_s), float(th_e))

@@ -31,10 +31,10 @@ from crem import (
     ValidationError,
     assemble_motion_jacobians,
     crem_pose,
-    projected_offsets,
 )
 from crem.differential import _FD_STEP
 from crem.kinematics import _arc, _tip_positions, segment_rotation
+from crem.model import _offsets, _scalar_kappa
 from crem.rotations import axis_angle_vector
 
 TH0 = np.pi / 2
@@ -59,6 +59,18 @@ def k_cal() -> UncertaintyParams:
 @pytest.fixture(scope="session")
 def k_zero() -> UncertaintyParams:
     return UncertaintyParams.zero()
+
+
+@pytest.fixture(autouse=True)
+def fresh_scalar_solve():
+    """Start each test without a kept scalar solve, so that a test which patches
+    the solver never reads a curvature solved before the patch."""
+    _scalar_kappa.cache_clear()
+
+
+def projected_offsets(params, delta):
+    """Delta_i = r cos(sigma_i): moment-arm projections onto the bending plane, (..., n)."""
+    return np.moveaxis(_offsets(params, delta), 0, -1)
 
 
 def backbone_lengths(params, theta, delta):

@@ -54,7 +54,6 @@ def test_bench_config_loads(tmp_path):
     assert cfg.params.n == 3
     assert_allclose(cfg.params.beta, 2.0 * np.pi / 3.0, rtol=1e-15)
     assert_allclose(cfg.T_BI, np.eye(4), atol=0)
-    assert_allclose(cfg.T_WB, np.eye(4), atol=0)
 
 
 def test_config_round_trip_is_lossless(tmp_path):
@@ -78,6 +77,8 @@ def test_config_round_trip_is_lossless(tmp_path):
     (BENCH_CFG + "bogus = 1\n", ":11:", "unknown key"),
     (BENCH_CFG.replace("I_s = 0.0010", "I_s = tiny"), ":9:", "could not convert"),
     (BENCH_CFG + "T_BI = 1 0 0\n", ":11:", "12 numbers"),
+    # the base-in-world transform T_WB was never read and is no longer a key
+    (BENCH_CFG + "T_WB = 1 0 0 0 0 1 0 0 0 0 1 0\n", ":11:", "unknown key"),
 ])
 def test_config_parse_errors_name_the_line(tmp_path, text, where, msg):
     path = write(tmp_path, "bad.cfg", text)
@@ -110,7 +111,7 @@ def test_config_rejects_nonrigid_transform(tmp_path):
     # and in the translation column alike
     for line in ("T_BI = 2 0 0 0 0 1 0 0 0 0 1 0",
                  "T_BI = nan 0 0 0 0 1 0 0 0 0 1 0",
-                 "T_WB = 1 0 0 0 0 1 0 0 0 0 inf 0",
+                 "T_BI = 1 0 0 0 0 1 0 0 0 0 inf 0",
                  "T_GM = 1 0 0 inf 0 1 0 0 0 0 1 0",
                  "T_GM = 1 0 0 0 0 1 0 -inf 0 0 1 nan"):
         key = line.split()[0]

@@ -41,7 +41,6 @@ from crem.model import (
     _equilibrium_angles,
     _sigma,
     _solve_equilibrium_arrays,
-    projected_offsets,
     uncertainty_lambda,
 )
 from conftest import (
@@ -53,6 +52,7 @@ from conftest import (
     mp_equilibrium,
     mp_tip_position_k_jacobian,
     pose_arrays_3d,
+    projected_offsets,
     segment_pose,
     xi_jacobian_arrays_3d,
 )

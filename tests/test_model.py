@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,16 +14,22 @@ from crem import (
     RobotParams,
     UncertaintyParams,
     ValidationError,
+    assemble_motion_jacobians,
+    crem_pose,
     fd_discrepancies,
     micro_trajectory,
-    projected_offsets,
     solve_equilibrium,
     uncertainty_lambda,
 )
 from crem import model
 from crem.differential import _jacobian_arrays
 from crem.model import _arc_moment, _offsets, _solve_equilibrium_arrays
-from conftest import backbone_lengths, equilibrium_moments, oracle_equilibrium
+from conftest import (
+    backbone_lengths,
+    equilibrium_moments,
+    oracle_equilibrium,
+    projected_offsets,
+)
 
 TH0 = np.pi / 2
 
@@ -521,3 +529,99 @@ def test_halved_steps_are_batch_invariant(bench, case):
         for got, i in zip(batch, order):
             alone = _solve_equilibrium_arrays(params, th[i], de[i], qs[i], lams[i])
             assert got.tobytes() == alone.tobytes()
+
+
+def test_offsets_of_an_unbroadcast_delta_give_the_same_bits(bench):
+    # the solver forms Delta_i from delta as given and broadcasts the rows after
+    rng = np.random.default_rng(5)
+    theta = TH0 + rng.uniform(-1.0, 0.5, (4, 1))
+    q_s = rng.uniform(0.0, bench.L, (4, 3))
+    for delta in (rng.uniform(-np.pi, np.pi, 3), 0.3):
+        full = np.array(np.broadcast_to(delta, q_s.shape))
+        assert (_solve_equilibrium_arrays(bench, theta, delta, q_s, 0.2).tobytes()
+                == _solve_equilibrium_arrays(bench, theta, full, q_s, 0.2).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# the kept scalar solve
+
+
+def counted_solves(monkeypatch):
+    """A list that gains one entry per equilibrium solve, from any module."""
+    import crem.differential
+    import crem.kinematics
+
+    solve, calls = model._solve_equilibrium_arrays, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    for module in (model, crem.differential, crem.kinematics):
+        monkeypatch.setattr(module, "_solve_equilibrium_arrays", counting)
+    return calls
+
+
+def test_pose_then_jacobians_solve_once(bench, k_cal, monkeypatch):
+    calls = counted_solves(monkeypatch)
+    psi = ConfigState(1.0, 0.3)
+    crem_pose(bench, psi, 15.0, k_cal)
+    assemble_motion_jacobians(bench, psi, 15.0, k_cal)
+    solve_equilibrium(bench, psi, 15.0, k_cal)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("part", ["params", "theta", "delta", "q_s",
+                                  "k_lambda0", "k_lambda_theta", "k_lambda_q"])
+def test_each_key_part_solves_again(bench, k_cal, monkeypatch, part):
+    base = {"params": bench, "theta": 1.0, "delta": 0.3, "q_s": 15.0, "k": k_cal}
+    changed = dict(base)
+    if part == "params":
+        changed[part] = dataclasses.replace(bench, E_s=2.0 * bench.E_s)
+    elif part in base:
+        changed[part] += 0.25
+    else:
+        changed["k"] = dataclasses.replace(k_cal, **{part: getattr(k_cal, part) + 0.01})
+
+    def phi(a):
+        return solve_equilibrium(a["params"], ConfigState(a["theta"], a["delta"]), a["q_s"],
+                                 a["k"])
+
+    calls = counted_solves(monkeypatch)
+    before, after = phi(base), phi(changed)
+    assert len(calls) == 2
+    assert after != before
+    model._scalar_kappa.cache_clear()
+    assert phi(changed) == after
+
+
+def test_scalar_solve_errors_are_not_kept(bench, k_zero, monkeypatch):
+    calls = counted_solves(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="q_s"):
+            crem_pose(bench, ConfigState(1.0, 0.3), bench.L + 0.1, k_zero)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("first_delta,delta", [(0.3, 0.3), (0.0, -0.0)])
+def test_kept_solve_is_bit_identical_to_a_fresh_one(bench, k_cal, monkeypatch,
+                                                    first_delta, delta):
+    # -0.0 and +0.0 are one key; the kept curvature serves both
+    psi = ConfigState(1.0, delta)
+
+    def outputs(fresh):
+        out = []
+        for call in (crem_pose, assemble_motion_jacobians):
+            if fresh:
+                model._scalar_kappa.cache_clear()
+            out.append(call(bench, psi, 15.0, k_cal))
+        pose, js = out
+        return [np.asarray(a).tobytes() for a in (
+            pose.tip.p, pose.tip.R, pose.equilibrium.phi(),
+            js.th_s, js.th_e, js.d_phi, js.J_M, js.J_mu, js.J_k)]
+
+    calls = counted_solves(monkeypatch)
+    solve_equilibrium(bench, ConfigState(1.0, first_delta), 15.0, k_cal)
+    kept = outputs(fresh=False)
+    assert len(calls) == 1
+    assert kept == outputs(fresh=True)
