@@ -21,7 +21,7 @@ from crem import (
     solve_equilibrium,
     uncertainty_lambda,
 )
-from crem import model
+from crem import differential, kinematics, model
 from crem.differential import _jacobian_arrays
 from crem.model import _arc_moment, _offsets, _solve_equilibrium_arrays
 from conftest import (
@@ -548,16 +548,13 @@ def test_offsets_of_an_unbroadcast_delta_give_the_same_bits(bench):
 
 def counted_solves(monkeypatch):
     """A list that gains one entry per equilibrium solve, from any module."""
-    import crem.differential
-    import crem.kinematics
-
     solve, calls = model._solve_equilibrium_arrays, []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    for module in (model, crem.differential, crem.kinematics):
+    for module in (model, differential, kinematics):
         monkeypatch.setattr(module, "_solve_equilibrium_arrays", counting)
     return calls
 
