@@ -95,6 +95,18 @@ class Measurement:
         object.__setattr__(self, "obs_mask", mask)
 
 
+def _free_indices(names) -> np.ndarray:
+    """Indices in PARAM_NAMES of the free parameter names; ValidationError for an
+    unknown name, a repeated name or an empty set."""
+    names = tuple(names)
+    for name in names:
+        if name not in PARAM_NAMES:
+            raise ValidationError(f"unknown free parameter {name!r}")
+    if len(set(names)) != len(names) or not names:
+        raise ValidationError("free_params must be a nonempty set of distinct names")
+    return np.array([PARAM_NAMES.index(n) for n in names], dtype=int)
+
+
 @dataclass
 class CalibrationConfig:
     """Settings of the identification loop.
@@ -122,17 +134,9 @@ class CalibrationConfig:
         self.max_iter = _integer("max_iter", self.max_iter, 1)
         if not (self.w_rot >= 0.0 and np.isfinite(self.w_rot)):
             raise ValidationError(f"w_rot must be finite and >= 0, got {self.w_rot}")
-        for name in self.free_params:
-            if name not in PARAM_NAMES:
-                raise ValidationError(f"unknown free parameter {name!r}")
-        if len(set(self.free_params)) != len(self.free_params) or not self.free_params:
-            raise ValidationError("free_params must be a nonempty set of distinct names")
+        _free_indices(self.free_params)
         if self.H is not None and not (np.shape(self.H) == (3, 3) and np.all(np.isfinite(self.H))):
             raise ValidationError("H must be a finite 3x3 matrix")
-
-    @property
-    def free_indices(self) -> np.ndarray:
-        return np.array([PARAM_NAMES.index(n) for n in self.free_params], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -255,7 +259,7 @@ def identification_jacobian(
     rotational rows of -J_k for every measurement, also one without R_bar, whose
     orientation residual is zero: only the weights mask them.
     """
-    idx = np.array([PARAM_NAMES.index(n) for n in free_params], dtype=int)
+    idx = _free_indices(free_params)
     theta, delta, q_s = _commands(measurements)
     D, lam = _offsets(params, delta), uncertainty_lambda(k, q_s, theta)
     kappa = _solve_equilibrium_arrays(params, theta, delta, q_s, lam, D)
@@ -302,7 +306,7 @@ def nls_estimate(
             raise ValidationError(f"weight block of measurement {np.argmin(ok)} must be finite, "
                                   "symmetric and positive semidefinite")
     H = np.eye(3) if config.H is None else np.asarray(config.H, dtype=float)
-    idx = config.free_indices
+    idx = _free_indices(config.free_params)
 
     data = _stack(measurements, params)
     # each J_k,i is rank one along u_i = (1, theta_i, q_s_i), so k is

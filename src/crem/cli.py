@@ -3,9 +3,11 @@
 Subcommands: simulate-micro, simulate-macro, jacobian-check, calibrate,
 gen-synthetic.  Every command reads the robot config named by --config
 (default: the CREM_CONFIG environment variable), writes CSV artifacts
-with a '# schema=1' header, and prints a one-line JSON summary to
-stdout.  Exit codes: 0 success, 1 numeric or file failure, 2 usage.
-Identical invocations produce byte-identical outputs.
+through dataio's one writer, and prints a one-line JSON summary to
+stdout.  The simulate, jacobian-check and calibrate artifacts start with
+a '# schema=1' line; gen-synthetic writes the trajectory format, which
+starts with '# frame=base'.  Exit codes: 0 success, 1 numeric or file
+failure, 2 usage.  Identical invocations produce byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -25,22 +27,14 @@ from .calibration import (
     nls_estimate,
     split_at_turning_point,
 )
-from .dataio import generate_synthetic, load_dataset, load_robot_config
+from .dataio import _write_csv, generate_synthetic, load_dataset, load_robot_config
 from .differential import _fd_discrepancy_arrays, _jacobian_arrays
 from .errors import CremError
 from .kinematics import _tip_positions, micro_trajectory
 from .model import ConfigState, UncertaintyParams
 
-_FMT = "%.17g"
 _FD_TOL = 1e-6
 _FREE_TOKENS = {"k0": "k_lambda0", "ktheta": "k_lambda_theta", "kq": "k_lambda_q"}
-
-
-def _write_csv(path, columns, rows) -> None:
-    """A '# schema=1' CSV: the header of columns, then each row's values in _FMT."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# schema=1\n" + ",".join(columns) + "\n")
-        fh.writelines(",".join(_FMT % v for v in row) + "\n" for row in rows)
 
 
 def _parse_range(text: str, parser: argparse.ArgumentParser, flag: str) -> np.ndarray:
@@ -71,10 +65,6 @@ def _load_config(args, parser: argparse.ArgumentParser):
     return load_robot_config(path)
 
 
-def _emit(summary: dict) -> None:
-    print(json.dumps(summary))
-
-
 def cmd_simulate_micro(args, parser) -> int:
     cfg = _load_config(args, parser)
     k = _parse_k(args.k_lambda, parser)
@@ -82,16 +72,17 @@ def cmd_simulate_micro(args, parser) -> int:
     psi = ConfigState(math.radians(args.theta), math.radians(args.delta))
     pos, th_s, th_p = micro_trajectory(cfg.params, psi, qs, k)
     reversals = set(int(i) for i in direction_reversals(pos))
-    _write_csv(args.out, ["q_s", "x", "y", "z", "theta_s", "theta_prime", "turning_point"],
+    _write_csv(args.out, "schema=1",
+               ["q_s", "x", "y", "z", "theta_s", "theta_prime", "turning_point"],
                ([qs[i], *pos[i], math.degrees(th_s[i]), math.degrees(th_p[i]),
                  int(i in reversals)] for i in range(len(qs))))
     turning_qs = float(qs[min(reversals)]) if reversals else None
-    _emit({
+    print(json.dumps({
         "command": "simulate-micro",
         "rows": int(len(qs)),
         "turning_point_qs": turning_qs,
         "out": args.out,
-    })
+    }))
     return 0
 
 
@@ -103,9 +94,10 @@ def cmd_simulate_macro(args, parser) -> int:
     js = _jacobian_arrays(cfg.params, np.radians(thetas), delta, args.qs, k)
     pos = _tip_positions(cfg.params, js.th_s, js.th_e, delta, args.qs)
     cols = ["theta", "x", "y", "z"] + [f"jm{i + 1}{ax}" for i in range(3) for ax in "xyz"]
-    _write_csv(args.out, cols, ([th_deg, *p, *JM.T.ravel()]
-                                for th_deg, p, JM in zip(thetas, pos, js.J_M[:, :3, :])))
-    _emit({"command": "simulate-macro", "rows": len(thetas), "out": args.out})
+    _write_csv(args.out, "schema=1", cols,
+               ([th_deg, *p, *JM.T.ravel()]
+                for th_deg, p, JM in zip(thetas, pos, js.J_M[:, :3, :])))
+    print(json.dumps({"command": "simulate-macro", "rows": len(thetas), "out": args.out}))
     return 0
 
 
@@ -129,24 +121,23 @@ def cmd_jacobian_check(args, parser) -> int:
     thetas = axes.get("theta", np.linspace(15.0, 75.0, 5))
     deltas = axes.get("delta", np.array([0.0, 40.0, 90.0]))
     qs_fracs = axes.get("qs", np.linspace(0.1, 0.9, 5))
-    keys = ["J_M", "J_mu", "J_k", "J_xi_phi", "J_xi_delta", "J_xi_qs", "d_phi"]
     th, de, qs = (a.ravel() for a in np.meshgrid(thetas, deltas, qs_fracs * cfg.params.L,
                                                  indexing="ij"))
     psis = [ConfigState(math.radians(t), math.radians(d)) for t, d in zip(th, de)]
     errs = _fd_discrepancy_arrays(cfg.params, [p.theta for p in psis],
                                   [p.delta for p in psis], qs, k)
-    worst = {key: float(np.max(errs[key])) for key in keys}
+    worst = {key: float(np.max(v)) for key, v in errs.items()}
     if args.out:
-        _write_csv(args.out, ["theta", "delta", "q_s"] + keys,
-                   np.column_stack([th, de, qs] + [errs[key] for key in keys]))
+        _write_csv(args.out, "schema=1", ["theta", "delta", "q_s", *errs],
+                   np.column_stack([th, de, qs, *errs.values()]))
     ok = all(v <= _FD_TOL for v in worst.values())
-    _emit({
+    print(json.dumps({
         "command": "jacobian-check",
         "points": int(th.size),
-        "max_errors": {key: worst[key] for key in keys},
+        "max_errors": worst,
         "tolerance": _FD_TOL,
         "pass": ok,
-    })
+    }))
     return 0 if ok else 1
 
 
@@ -171,11 +162,12 @@ def cmd_calibrate(args, parser) -> int:
     )
     result = nls_estimate(measurements, cfg.params, ccfg, k0)
     if args.out_trace:
-        _write_csv(args.out_trace, ["iteration", "k_lambda0", "k_lambda_q", "k_lambda_theta",
-                                    "rmse_um", "M_lambda"],
+        _write_csv(args.out_trace, "schema=1",
+                   ["iteration", "k_lambda0", "k_lambda_q", "k_lambda_theta", "rmse_um",
+                    "M_lambda"],
                    ([rec.iteration, rec.k.k_lambda0, rec.k.k_lambda_q, rec.k.k_lambda_theta,
                      rec.rmse_um, rec.M_lambda] for rec in result.trace))
-    _emit({
+    print(json.dumps({
         "command": "calibrate",
         "samples": len(measurements),
         "split": split_info,
@@ -185,7 +177,7 @@ def cmd_calibrate(args, parser) -> int:
         "iterations": result.trace[-1].iteration,
         "converged": result.converged,
         "eta_flagged": result.eta_flagged,
-    })
+    }))
     return 0
 
 
@@ -197,13 +189,13 @@ def cmd_gen_synthetic(args, parser) -> int:
         cfg.params, k, math.radians(args.theta), math.radians(args.delta),
         qs, args.noise, args.seed, path=args.out,
     )
-    _emit({
+    print(json.dumps({
         "command": "gen-synthetic",
         "rows": int(len(qs)),
         "noise": args.noise,
         "seed": args.seed,
         "out": args.out,
-    })
+    }))
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import FrameError, ParseError, ValidationError
 from .calibration import Measurement
 from .kinematics import micro_trajectory
-from .model import ConfigState, RobotParams, UncertaintyParams
+from .model import ConfigState, RobotParams, UncertaintyParams, _integer
 
 _REQUIRED_KEYS = ("L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s")
 _TRANSFORM_KEYS = ("T_BI", "T_GM")
@@ -87,33 +87,25 @@ def load_robot_config(path) -> RobotConfig:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             if key in values:
                 raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            if key in _TRANSFORM_KEYS:
-                parts = rhs.split()
-                if len(parts) != 12:
-                    raise ParseError(
-                        f"{path}:{lineno}: {key} needs 12 numbers (row-major 3x4)"
-                    )
-                try:
+            try:
+                if key in _TRANSFORM_KEYS:
+                    parts = rhs.split()
+                    if len(parts) != 12:
+                        raise ParseError(
+                            f"{path}:{lineno}: {key} needs 12 numbers (row-major 3x4)"
+                        )
                     values[key] = np.array([float(p) for p in parts]).reshape(3, 4)
-                except ValueError as e:
-                    raise ParseError(f"{path}:{lineno}: {e}") from e
-            elif key in _REQUIRED_KEYS + ("n",):
-                try:
+                elif key in _REQUIRED_KEYS + ("n",):
                     values[key] = int(rhs) if key == "n" else float(rhs)
-                except ValueError as e:
-                    raise ParseError(f"{path}:{lineno}: {e}") from e
-            else:
-                raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+                else:
+                    raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: {e}") from e
 
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ValidationError(f"config missing required field(s): {', '.join(missing)}")
-    params = RobotParams(
-        L=values["L"], r=values["r"],
-        E_p=values["E_p"], E_i=values["E_i"], E_s=values["E_s"],
-        I_p=values["I_p"], I_i=values["I_i"], I_s=values["I_s"],
-        n=values.get("n", 3),
-    )
+    params = RobotParams(**{k: values[k] for k in _REQUIRED_KEYS}, n=values.get("n", 3))
     transforms = {}
     for key in _TRANSFORM_KEYS:
         T = np.eye(4)
@@ -122,6 +114,13 @@ def load_robot_config(path) -> RobotConfig:
             _check_rigid(T, key)
         transforms[key] = T
     return RobotConfig(params=params, **transforms)
+
+
+def _write_csv(path, pragma, columns, rows) -> None:
+    """A CSV of one '# pragma' line, the header of columns, then each row's values in _FMT."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# {pragma}\n" + ",".join(columns) + "\n")
+        fh.writelines(",".join(_FMT % v for v in row) + "\n" for row in rows)
 
 
 def write_robot_config(path, config: RobotConfig) -> None:
@@ -184,18 +183,15 @@ def read_trajectory(path):
 
 
 def write_trajectory(path, records) -> None:
-    """Write base-frame records to CSV; angles are converted to degrees for the file."""
+    """Write base-frame records to CSV; angles are converted to degrees for the file.
+    Records that mix 2-D and 3-D samples are refused before the file is opened."""
     has_z = records[0].z is not None if records else True
+    if any((rec.z is None) == has_z for rec in records):
+        raise ValidationError("records mix 2-D and 3-D samples")
     cols = ["t", "q_s", "theta", "delta", "x", "y"] + (["z"] if has_z else [])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# frame=base\n")
-        fh.write(",".join(cols) + "\n")
-        for rec in records:
-            row = [rec.t, rec.q_s, math.degrees(rec.theta), math.degrees(rec.delta),
-                   rec.x, rec.y] + ([rec.z] if has_z else [])
-            if (rec.z is None) == has_z:
-                raise ValidationError("records mix 2-D and 3-D samples")
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+    _write_csv(path, "frame=base", cols,
+               ([rec.t, rec.q_s, math.degrees(rec.theta), math.degrees(rec.delta),
+                 rec.x, rec.y] + ([rec.z] if has_z else []) for rec in records))
 
 
 def load_dataset(path, config: RobotConfig | None = None):
@@ -215,19 +211,19 @@ def load_dataset(path, config: RobotConfig | None = None):
 
     measurements = []
     for row, rec in enumerate(records, start=1):
-        if L is not None and not (0.0 <= rec.q_s <= L):
-            raise ValidationError(f"{path}: row {row}: q_s={rec.q_s} outside [0, {L}]")
         try:
+            if L is not None and not (0.0 <= rec.q_s <= L):
+                raise ValidationError(f"q_s={rec.q_s} outside [0, {L}]")
             psi = ConfigState(rec.theta, rec.delta)
+            p = np.array([rec.x, rec.y, rec.z if rec.z is not None else 0.0])
+            if config is not None:
+                if frame == "image":
+                    p = config.T_BI[:3, :3] @ p + config.T_BI[:3, 3]
+                p = p - config.T_GM[:3, 3]
+            mask = np.array([True, True, rec.z is not None, False, False, False])
+            measurements.append(Measurement(psi=psi, q_s=rec.q_s, x_bar=p, obs_mask=mask))
         except ValidationError as e:
             raise ValidationError(f"{path}: row {row}: {e}") from e
-        p = np.array([rec.x, rec.y, rec.z if rec.z is not None else 0.0])
-        if config is not None:
-            if frame == "image":
-                p = config.T_BI[:3, :3] @ p + config.T_BI[:3, 3]
-            p = p - config.T_GM[:3, 3]
-        mask = np.array([True, True, rec.z is not None, False, False, False])
-        measurements.append(Measurement(psi=psi, q_s=rec.q_s, x_bar=p, obs_mask=mask))
     return measurements
 
 
@@ -245,8 +241,13 @@ def generate_synthetic(
 
     Positions are in the base frame, sampled at _SYNTHETIC_HZ.
     Writes the standard CSV when path is given and returns the records.
-    Identical arguments always produce identical data.
+    Identical arguments always produce identical data.  noise_sigma must be
+    finite and >= 0 and seed an integer >= 0, else ValidationError before
+    anything is written.
     """
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValidationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    seed = _integer("seed", seed, 0)
     qs = np.asarray(qs_schedule, dtype=float)
     pos, _, _ = micro_trajectory(params, ConfigState(theta, delta), qs, k_true)
     rng = np.random.default_rng(seed)

@@ -69,7 +69,7 @@ def _theta_s_row(q_s, dG, G_k):
 
 
 def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, kappa):
-    """Vectorized d phi / d(theta, delta, q_s, k), stacked as (..., 2, 6).
+    """Vectorized (d phi / d(theta, delta, q_s, k) (..., 2, 6), J_q_psi (..., n, 2)).
 
     kappa solves G(kappa) = M(kappa) + EI_s kappa - M(kappa0) + lambda = 0
     (model._solve_equilibrium_arrays), so d kappa / d a = -(dG/da) / G' with
@@ -80,14 +80,16 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
 
     The theta_s = theta0 + q_s kappa row is q_s d kappa / d a plus kappa in
     the q_s column; the theta_eps = pi/2 + (L - q_s) kappa0 row is
-    ((L - q_s) / L, 0, -kappa0, 0, 0, 0).  The arguments broadcast against
-    each other.
+    ((L - q_s) / L, 0, -kappa0, 0, 0, 0).  J_q_psi, the secondary-backbone
+    displacement per unit (theta, delta), takes the same cos and sin of sigma_i.
+    The arguments broadcast against each other.
     """
     theta, q_s, kappa = (np.asarray(a, dtype=float) for a in (theta, q_s, kappa))
     shape = np.broadcast(theta, delta, q_s, kappa).shape
     sig = _sigma(params, delta, len(shape))
+    cos_sig, sin_sig = np.cos(sig), np.sin(sig)
     # backbone-major Delta_i (model._offsets) and d Delta_i / d delta
-    D, dD = params.r * np.cos(sig), -params.r * np.sin(sig)
+    D, dD = params.r * cos_sig, -params.r * sin_sig
     kappa0 = (theta - THETA_BASE) / params.L
     _, _, M0_k, M0_d = _arc_moment(params, D, kappa0, dD)
     _, _, M_k, M_d = _arc_moment(params, D, kappa, dD)
@@ -98,7 +100,12 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     d_phi[..., 0, 2] += kappa
     d_phi[..., 1, 0] = (params.L - q_s) / params.L
     d_phi[..., 1, 2] = -kappa0
-    return d_phi
+    # J_q_psi (..., n, 2): row i differentiates q_i = Delta_i (theta - theta0)
+    backbone_last = tuple(range(1, sig.ndim)) + (0,)
+    cos_sig, sin_sig = cos_sig.transpose(backbone_last), sin_sig.transpose(backbone_last)
+    J_q_psi = params.r * _columns(shape + (params.n,), cos_sig,
+                                  (THETA_BASE - theta)[..., None] * sin_sig)
+    return d_phi, J_q_psi
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +226,8 @@ def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParam
         kappa = _solve_equilibrium_arrays(params, theta, delta, q_s,
                                           uncertainty_lambda(k, q_s, theta))
     th_s, _, th_e = _equilibrium_angles(params, theta, q_s, kappa)
-    d_phi = _phi_gradient_arrays(params, theta, delta, q_s, k, kappa)
+    d_phi, J_q_psi = _phi_gradient_arrays(params, theta, delta, q_s, k, kappa)
     xi = _xi_jacobian_arrays(params, th_s, th_e, delta, q_s)
-    # J_q_psi (..., n, 2): row i differentiates q_i = Delta_i (theta - theta0)
-    sig = _sigma(params, delta)
-    sig = sig.transpose(tuple(range(1, sig.ndim)) + (0,))
-    J_q_psi = params.r * _columns(sig.shape, np.cos(sig),
-                                  (THETA_BASE - theta)[..., None] * np.sin(sig))
     return JacobianSet(th_s, th_e, d_phi, *xi, J_q_psi)
 
 

@@ -23,6 +23,7 @@ from crem import (
 )
 from crem.calibration import (
     PARAM_NAMES,
+    _free_indices,
     _normal_equations,
     _residuals,
     _rmse_um,
@@ -401,7 +402,7 @@ def test_default_fit_ends_at_the_minimiser(bench, criterion_7_noisy, kind):
     res = nls_estimate(ms, bench, CalibrationConfig(), UncertaintyParams.zero())
     tight = nls_estimate(ms, bench, CalibrationConfig(beta_conv=1e-14),
                          UncertaintyParams.zero())
-    idx = CalibrationConfig().free_indices
+    idx = _free_indices(CalibrationConfig().free_params)
     off = (res.k_star.as_array() - tight.k_star.as_array())[idx] / tight.std_errors
     assert np.max(np.abs(off)) <= 0.01
     assert res.trace[-1].iteration <= 5
@@ -518,13 +519,14 @@ def test_H_validation(bad):
         CalibrationConfig(H=H)
 
 
-def test_free_params_validation():
-    with pytest.raises(ValidationError):
-        CalibrationConfig(free_params=("k_lambda0", "bogus"))
-    with pytest.raises(ValidationError):
-        CalibrationConfig(free_params=())
-    with pytest.raises(ValidationError):
-        CalibrationConfig(free_params=("k_lambda0", "k_lambda0"))
+def test_free_params_validation(bench, k_cal):
+    ms = make_measurements(bench, np.radians(45), 0.0, [10.0, 20.0], k_cal)
+    for free in (("k_lambda0", "bogus"), (), ("k_lambda0", "k_lambda0")):
+        with pytest.raises(ValidationError):
+            CalibrationConfig(free_params=free)
+        # the identification Jacobian applies the same rule to its free_params
+        with pytest.raises(ValidationError):
+            identification_jacobian(ms, bench, k_cal, free_params=free)
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,20 @@ def test_gen_synthetic_deterministic(config_path, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [("--noise", "nan"), ("--noise", "-0.001"),
+                                         ("--seed", "-1")])
+def test_gen_synthetic_bad_noise_or_seed_fails_cleanly(config_path, tmp_path, capsys,
+                                                       flag, value):
+    out = tmp_path / "bad.csv"
+    code = crem_cli.main(["gen-synthetic", "--config", config_path, "--theta", "30",
+                          "--qs-range", "0:40:10", flag, value, "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag[2:] in captured.err
+    assert not out.exists()
+
+
 def test_config_from_environment(config_path, tmp_path):
     out = tmp_path / "env.csv"
     proc = crem("simulate-micro", "--theta", "30", "--qs-range", "0:40:5",

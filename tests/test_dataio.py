@@ -156,6 +156,15 @@ def test_trajectory_round_trip(tmp_path, three_d):
         assert abs(b.delta - a.delta) <= 4.0 * np.finfo(float).eps
 
 
+def test_trajectory_mixed_dimensions_leave_no_file(tmp_path):
+    records = sample_records(three_d=True)
+    records[2] = TrajectoryRecord(t=9.0, q_s=1.0, theta=0.5, delta=0.0, x=0.0, y=0.0)
+    path = tmp_path / "mixed.csv"
+    with pytest.raises(ValidationError, match="mix 2-D and 3-D"):
+        write_trajectory(path, records)
+    assert not path.exists()
+
+
 def test_trajectory_angles_are_degrees_on_disk(tmp_path):
     rec = TrajectoryRecord(t=0.0, q_s=1.0, theta=np.pi / 6.0, delta=-np.pi / 2.0,
                            x=0.0, y=0.0, z=0.0)
@@ -253,6 +262,13 @@ def test_load_dataset_bad_angle_names_row(tmp_path):
         load_dataset(path, RobotConfig(params=default_params()))
 
 
+def test_load_dataset_nonfinite_position_names_row(tmp_path):
+    text = "t,q_s,theta,delta,x,y,z\n0,5,30,0,nan,0,0\n"
+    path = write(tmp_path, "nan.csv", text)
+    with pytest.raises(ValidationError, match="row 1: x_bar must be a finite 3-vector"):
+        load_dataset(path, RobotConfig(params=default_params()))
+
+
 def test_load_dataset_unknown_frame(tmp_path):
     text = "# frame=world\nt,q_s,theta,delta,x,y\n0,5,30,0,0,0\n"
     with pytest.raises(ParseError, match="frame"):
@@ -273,6 +289,21 @@ def test_synthetic_same_seed_identical_files(tmp_path, bench):
     c = tmp_path / "c.csv"
     generate_synthetic(bench, k, np.radians(30), 0.0, qs, 0.002, seed=12, path=c)
     assert a.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize("noise, seed, msg", [
+    (float("nan"), 0, "noise_sigma"),
+    (float("inf"), 0, "noise_sigma"),
+    (-0.001, 0, "noise_sigma"),
+    (0.002, -1, "seed"),
+    (0.002, 1.5, "seed"),
+])
+def test_synthetic_rejects_bad_noise_and_seed(tmp_path, bench, noise, seed, msg):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValidationError, match=msg):
+        generate_synthetic(bench, UncertaintyParams(0.2, 0.0, 0.025), np.radians(30), 0.0,
+                           np.linspace(0.0, 40.0, 10), noise, seed=seed, path=path)
+    assert not path.exists()
 
 
 def test_synthetic_zero_uncertainty_is_constant(tmp_path, k_zero):

@@ -364,7 +364,7 @@ def test_kernels_broadcast_mixed_arguments(bench, k_cal, kernel):
     f, full = {
         "tip": (lambda *a: (_tip_positions(bench, *a),), (th_s, th_e, delta, q_s)),
         "xi": (lambda *a: _xi_jacobian_arrays(bench, *a), (th_s, th_e, delta, q_s)),
-        "grad": (lambda th, de, qs, ka: (_phi_gradient_arrays(bench, th, de, qs, k_cal, ka),),
+        "grad": (lambda th, de, qs, ka: _phi_gradient_arrays(bench, th, de, qs, k_cal, ka),
                  (theta, delta, q_s, kappa)),
     }[kernel]
     mixed = itertools.product(("float", "0-d", "row", "column", "whole"), repeat=4)

@@ -1,0 +1,42 @@
+"""Static checks of the package source, made with the standard library's ast only.
+
+Every module under src/crem must use each name it imports, so that a
+deleted code path does not leave its imports behind.  The package's
+__init__ is exempt: it imports names only to re-export them.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "crem"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str):
+    """(line, name) of every name the source imports and never reads, in line order."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_checker_flags_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "import numpy.linalg\n"
+              "from .model import a, b as c\n"
+              "print(a, numpy.linalg.norm)\n")
+    assert unused_imports(source) == [(2, "os"), (4, "c")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
