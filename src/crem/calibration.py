@@ -73,6 +73,8 @@ class Measurement:
     obs_mask: np.ndarray | None = None
 
     def __post_init__(self):
+        if not 0.0 <= self.q_s < np.inf:
+            raise ValidationError(f"q_s must be finite and >= 0, got {self.q_s}")
         x = np.asarray(self.x_bar, dtype=float)
         if x.shape != (3,) or not np.all(np.isfinite(x)):
             raise ValidationError("x_bar must be a finite 3-vector")

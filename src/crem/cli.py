@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: simulate-micro, simulate-macro, jacobian-check, calibrate,
-gen-synthetic.  Every command reads the robot config named by --config
-(default: the CREM_CONFIG environment variable), writes CSV artifacts
-through dataio's one writer, and prints a one-line JSON summary to
-stdout.  The simulate, jacobian-check and calibrate artifacts start with
-a '# schema=1' line; gen-synthetic writes the trajectory format, which
-starts with '# frame=base'.  Exit codes: 0 success, 1 numeric or file
-failure, 2 usage.  Identical invocations produce byte-identical outputs.
+gen-synthetic.  argparse checks every flag, so usage errors come before
+main loads the robot config named by --config (default: the CREM_CONFIG
+environment variable).  Each command writes CSV artifacts through
+dataio's one writer and returns a summary, which main prints as one line
+of JSON on stdout.  The simulate, jacobian-check and calibrate artifacts
+start with a '# schema=1' line; gen-synthetic writes the trajectory
+format, which starts with '# frame=base'.  Exit codes: 0 success, 1
+numeric or file failure or a failed jacobian-check, 2 usage.  Identical
+invocations produce byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -37,119 +39,105 @@ _FD_TOL = 1e-6
 _FREE_TOKENS = {"k0": "k_lambda0", "ktheta": "k_lambda_theta", "kq": "k_lambda_q"}
 
 
-def _parse_range(text: str, parser: argparse.ArgumentParser, flag: str) -> np.ndarray:
+# argparse types: an ArgumentTypeError becomes a usage error that names the flag
+def _range(text: str) -> np.ndarray:
     try:
         lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
         if n < 1:
             raise ValueError("count must be >= 1")
     except ValueError as e:
-        parser.error(f"{flag} expects lo:hi:count, got {text!r} ({e})")
+        raise argparse.ArgumentTypeError(f"expects lo:hi:count, got {text!r} ({e})") from None
     return np.linspace(lo, hi, n)
 
 
-def _parse_k(text: str, parser: argparse.ArgumentParser) -> UncertaintyParams:
+def _k(text: str) -> UncertaintyParams:
     parts = text.split(",")
     if len(parts) != 3:
-        parser.error(f"--k-lambda expects three comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects three comma-separated numbers, got {text!r}")
     try:
         return UncertaintyParams(*(float(p) for p in parts))
     except (ValueError, CremError) as e:
-        parser.error(f"--k-lambda: {e}")
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _load_config(args, parser: argparse.ArgumentParser):
-    path = args.config or os.environ.get("CREM_CONFIG")
-    if not path:
-        parser.error("--config is required (or set CREM_CONFIG)")
-    return load_robot_config(path)
+def _grid(text: str) -> dict:
+    axes = {}
+    for part in text.split(";"):
+        name, _, rng = part.partition("=")
+        name = name.strip()
+        if name not in ("theta", "delta", "qs"):
+            raise argparse.ArgumentTypeError(f"unknown grid axis {name!r}")
+        if name in axes:
+            raise argparse.ArgumentTypeError(f"axis {name!r} given twice")
+        try:
+            axes[name] = _range(rng)
+        except argparse.ArgumentTypeError as e:
+            raise argparse.ArgumentTypeError(f"{name} {e}") from None
+    return axes
 
 
-def cmd_simulate_micro(args, parser) -> int:
-    cfg = _load_config(args, parser)
-    k = _parse_k(args.k_lambda, parser)
-    qs = _parse_range(args.qs_range, parser, "--qs-range")
+def _free(text: str) -> tuple:
+    free = []
+    for tok in text.split(","):
+        tok = tok.strip().lower()
+        if tok not in _FREE_TOKENS:
+            raise argparse.ArgumentTypeError(f"unknown parameter {tok!r} (use k0,ktheta,kq)")
+        free.append(_FREE_TOKENS[tok])
+    return tuple(free)
+
+
+def cmd_simulate_micro(args, cfg) -> dict:
+    qs = args.qs_range
     psi = ConfigState(math.radians(args.theta), math.radians(args.delta))
-    pos, th_s, th_p = micro_trajectory(cfg.params, psi, qs, k)
+    pos, th_s, th_p = micro_trajectory(cfg.params, psi, qs, args.k_lambda)
     reversals = set(int(i) for i in direction_reversals(pos))
     _write_csv(args.out, "schema=1",
                ["q_s", "x", "y", "z", "theta_s", "theta_prime", "turning_point"],
                ([qs[i], *pos[i], math.degrees(th_s[i]), math.degrees(th_p[i]),
                  int(i in reversals)] for i in range(len(qs))))
     turning_qs = float(qs[min(reversals)]) if reversals else None
-    print(json.dumps({
-        "command": "simulate-micro",
+    return {
         "rows": int(len(qs)),
         "turning_point_qs": turning_qs,
         "out": args.out,
-    }))
-    return 0
+    }
 
 
-def cmd_simulate_macro(args, parser) -> int:
-    cfg = _load_config(args, parser)
-    k = _parse_k(args.k_lambda, parser)
-    thetas = _parse_range(args.theta_range, parser, "--theta-range")
+def cmd_simulate_macro(args, cfg) -> dict:
+    thetas = args.theta_range
     delta = math.radians(args.delta)
-    js = _jacobian_arrays(cfg.params, np.radians(thetas), delta, args.qs, k)
+    js = _jacobian_arrays(cfg.params, np.radians(thetas), delta, args.qs, args.k_lambda)
     pos = _tip_positions(cfg.params, js.th_s, js.th_e, delta, args.qs)
     cols = ["theta", "x", "y", "z"] + [f"jm{i + 1}{ax}" for i in range(3) for ax in "xyz"]
     _write_csv(args.out, "schema=1", cols,
                ([th_deg, *p, *JM.T.ravel()]
                 for th_deg, p, JM in zip(thetas, pos, js.J_M[:, :3, :])))
-    print(json.dumps({"command": "simulate-macro", "rows": len(thetas), "out": args.out}))
-    return 0
+    return {"rows": len(thetas), "out": args.out}
 
 
-def _parse_grid(text: str, parser) -> dict:
-    axes = {}
-    for part in text.split(";"):
-        name, _, rng = part.partition("=")
-        name = name.strip()
-        if name not in ("theta", "delta", "qs"):
-            parser.error(f"--grid: unknown grid axis {name!r}")
-        if name in axes:
-            parser.error(f"--grid: axis {name!r} given twice")
-        axes[name] = _parse_range(rng, parser, f"--grid {name}")
-    return axes
-
-
-def cmd_jacobian_check(args, parser) -> int:
-    cfg = _load_config(args, parser)
-    k = _parse_k(args.k_lambda, parser)
-    axes = _parse_grid(args.grid, parser) if args.grid else {}
+def cmd_jacobian_check(args, cfg) -> dict:
+    axes = args.grid or {}
     thetas = axes.get("theta", np.linspace(15.0, 75.0, 5))
     deltas = axes.get("delta", np.array([0.0, 40.0, 90.0]))
     qs_fracs = axes.get("qs", np.linspace(0.1, 0.9, 5))
     th, de, qs = (a.ravel() for a in np.meshgrid(thetas, deltas, qs_fracs * cfg.params.L,
                                                  indexing="ij"))
-    psis = [ConfigState(math.radians(t), math.radians(d)) for t, d in zip(th, de)]
-    errs = _fd_discrepancy_arrays(cfg.params, [p.theta for p in psis],
-                                  [p.delta for p in psis], qs, k)
+    errs = _fd_discrepancy_arrays(cfg.params, np.radians(th), np.radians(de), qs,
+                                  args.k_lambda)
     worst = {key: float(np.max(v)) for key, v in errs.items()}
     if args.out:
         _write_csv(args.out, "schema=1", ["theta", "delta", "q_s", *errs],
                    np.column_stack([th, de, qs, *errs.values()]))
-    ok = all(v <= _FD_TOL for v in worst.values())
-    print(json.dumps({
-        "command": "jacobian-check",
+    return {
         "points": int(th.size),
         "max_errors": worst,
         "tolerance": _FD_TOL,
-        "pass": ok,
-    }))
-    return 0 if ok else 1
+        "pass": all(v <= _FD_TOL for v in worst.values()),
+    }
 
 
-def cmd_calibrate(args, parser) -> int:
-    cfg = _load_config(args, parser)
-    k0 = _parse_k(args.init, parser)
-    free = []
-    for tok in args.free.split(","):
-        tok = tok.strip().lower()
-        if tok not in _FREE_TOKENS:
-            parser.error(f"--free: unknown parameter {tok!r} (use k0,ktheta,kq)")
-        free.append(_FREE_TOKENS[tok])
+def cmd_calibrate(args, cfg) -> dict:
     measurements = load_dataset(args.data, cfg)
     split_info = None
     if args.split_turning_point:
@@ -158,17 +146,16 @@ def cmd_calibrate(args, parser) -> int:
         measurements = pre
     ccfg = CalibrationConfig(
         eta=args.eta, beta_conv=args.conv, max_iter=args.max_iter,
-        free_params=tuple(free),
+        free_params=args.free,
     )
-    result = nls_estimate(measurements, cfg.params, ccfg, k0)
+    result = nls_estimate(measurements, cfg.params, ccfg, args.init)
     if args.out_trace:
         _write_csv(args.out_trace, "schema=1",
                    ["iteration", "k_lambda0", "k_lambda_q", "k_lambda_theta", "rmse_um",
                     "M_lambda"],
                    ([rec.iteration, rec.k.k_lambda0, rec.k.k_lambda_q, rec.k.k_lambda_theta,
                      rec.rmse_um, rec.M_lambda] for rec in result.trace))
-    print(json.dumps({
-        "command": "calibrate",
+    return {
         "samples": len(measurements),
         "split": split_info,
         "k_star": {name: getattr(result.k_star, name) for name in PARAM_NAMES},
@@ -177,26 +164,21 @@ def cmd_calibrate(args, parser) -> int:
         "iterations": result.trace[-1].iteration,
         "converged": result.converged,
         "eta_flagged": result.eta_flagged,
-    }))
-    return 0
+    }
 
 
-def cmd_gen_synthetic(args, parser) -> int:
-    cfg = _load_config(args, parser)
-    k = _parse_k(args.k_lambda, parser)
-    qs = _parse_range(args.qs_range, parser, "--qs-range")
+def cmd_gen_synthetic(args, cfg) -> dict:
+    qs = args.qs_range
     generate_synthetic(
-        cfg.params, k, math.radians(args.theta), math.radians(args.delta),
+        cfg.params, args.k_lambda, math.radians(args.theta), math.radians(args.delta),
         qs, args.noise, args.seed, path=args.out,
     )
-    print(json.dumps({
-        "command": "gen-synthetic",
+    return {
         "rows": int(len(qs)),
         "noise": args.noise,
         "seed": args.seed,
         "out": args.out,
-    }))
-    return 0
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,58 +189,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="robot config file (default: $CREM_CONFIG)")
-        p.add_argument("--k-lambda", default="0,0,0",
-                       help="uncertainty parameters k0,ktheta,kq (default 0,0,0)")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="robot config file (default: $CREM_CONFIG)")
+    k_lambda = argparse.ArgumentParser(add_help=False)
+    k_lambda.add_argument("--k-lambda", type=_k, default="0,0,0",
+                          help="uncertainty parameters k0,ktheta,kq (default 0,0,0)")
 
-    p = sub.add_parser("simulate-micro", help="tip trajectory of an insertion sweep")
-    add_common(p)
+    p = sub.add_parser("simulate-micro", parents=[config, k_lambda],
+                       help="tip trajectory of an insertion sweep")
     p.add_argument("--theta", type=float, required=True, help="bend angle, deg")
     p.add_argument("--delta", type=float, default=0.0, help="bending plane, deg")
-    p.add_argument("--qs-range", required=True, help="insertion sweep lo:hi:count, mm")
+    p.add_argument("--qs-range", type=_range, required=True,
+                   help="insertion sweep lo:hi:count, mm")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_simulate_micro)
 
-    p = sub.add_parser("simulate-macro", help="tip pose and J_M along a theta sweep")
-    add_common(p)
+    p = sub.add_parser("simulate-macro", parents=[config, k_lambda],
+                       help="tip pose and J_M along a theta sweep")
     p.add_argument("--qs", type=float, required=True, help="insertion depth, mm")
-    p.add_argument("--theta-range", required=True, help="theta sweep lo:hi:count, deg")
+    p.add_argument("--theta-range", type=_range, required=True,
+                   help="theta sweep lo:hi:count, deg")
     p.add_argument("--delta", type=float, default=0.0, help="bending plane, deg")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_simulate_macro)
 
-    p = sub.add_parser("jacobian-check",
+    p = sub.add_parser("jacobian-check", parents=[config, k_lambda],
                        help="analytic Jacobians against finite differences on a grid")
-    add_common(p)
-    p.add_argument("--grid",
+    p.add_argument("--grid", type=_grid,
                    help="axes as theta=lo:hi:n;delta=lo:hi:n;qs=lo:hi:n "
                         "(theta/delta deg, qs fraction of L); default standard grid. "
-                        "Every point needs q_s in [h, L - h] and theta more than h "
-                        "from 0 and pi, h = 1e-6 the difference step")
+                        "Every point needs q_s in [h, L - h], theta more than h "
+                        "from 0 and pi and delta in (-180, 180], h = 1e-6 the "
+                        "difference step")
     p.add_argument("--out", help="per-point error CSV")
     p.set_defaults(func=cmd_jacobian_check)
 
-    p = sub.add_parser("calibrate", help="identify uncertainty parameters from data")
-    add_common(p)
+    p = sub.add_parser("calibrate", parents=[config],
+                       help="identify uncertainty parameters from data")
     p.add_argument("--data", required=True, help="trajectory CSV")
-    p.add_argument("--init", default="0,0,0", help="initial k0,ktheta,kq")
+    p.add_argument("--init", type=_k, default="0,0,0", help="initial k0,ktheta,kq")
     p.add_argument("--eta", type=float, default=1.0,
                    help="initial step length in (0, 1]; 1 is a full Gauss-Newton step")
     p.add_argument("--conv", type=float, default=1e-3,
                    help="relative M_lambda convergence threshold")
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--free", default="k0,kq", help="free parameters (k0,ktheta,kq)")
+    p.add_argument("--free", type=_free, default="k0,kq",
+                   help="free parameters (k0,ktheta,kq)")
     p.add_argument("--split-turning-point", action="store_true",
                    help="calibrate on the pre-turning-point subset only")
     p.add_argument("--out-trace", help="iteration trace CSV")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("gen-synthetic", help="model-generated noisy dataset")
-    add_common(p)
+    p = sub.add_parser("gen-synthetic", parents=[config, k_lambda],
+                       help="model-generated noisy dataset")
     p.add_argument("--theta", type=float, required=True, help="bend angle, deg")
     p.add_argument("--delta", type=float, default=0.0, help="bending plane, deg")
-    p.add_argument("--qs-range", required=True, help="insertion sweep lo:hi:count, mm")
+    p.add_argument("--qs-range", type=_range, required=True,
+                   help="insertion sweep lo:hi:count, mm")
     p.add_argument("--noise", type=float, default=0.0, help="position noise sigma, mm")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV")
@@ -269,11 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    path = args.config or os.environ.get("CREM_CONFIG")
+    if not path:
+        parser.error("--config is required (or set CREM_CONFIG)")
     try:
-        return args.func(args, parser)
+        summary = args.func(args, load_robot_config(path))
     except (CremError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    print(json.dumps({"command": args.command, **summary}))
+    return 0 if summary.get("pass", True) else 1
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Robot config: flat key = value text, one entry per line, '#' comments.
 Lengths mm, moduli MPa, areas mm^4.  Optional rigid transforms T_BI
 (image in base) and T_GM (marker offset) are given as 12 numbers,
-row-major 3x4.
+row-major 3x4; T_GM is a translation, its rotation block the identity.
 
 Trajectory CSV: optional '# key=value' pragma lines, then a header
 't,q_s,theta,delta,x,y[,z]' and data rows.  Angles are stored in degrees
@@ -32,11 +32,24 @@ _SYNTHETIC_HZ = 30.0
 
 @dataclass(frozen=True, eq=False)
 class RobotConfig:
-    """Robot parameters plus the optional rig transforms (4x4, identity default)."""
+    """Robot parameters plus the optional rig transforms (4x4, identity default), each
+    finite and rigid; T_GM, read only for its offset, must be a translation."""
 
     params: RobotParams
     T_BI: np.ndarray = field(default_factory=lambda: np.eye(4))
     T_GM: np.ndarray = field(default_factory=lambda: np.eye(4))
+
+    def __post_init__(self):
+        for key in _TRANSFORM_KEYS:
+            T = getattr(self, key)
+            if not np.all(np.isfinite(T)):
+                raise ValidationError(f"{key} is not a valid rigid transform: "
+                                      "entries must be finite")
+            R = T[:3, :3]
+            if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
+                raise ValidationError(f"{key} is not a valid rigid transform")
+        if np.max(np.abs(self.T_GM[:3, :3] - np.eye(3))) > 1e-9:
+            raise ValidationError("T_GM must be a translation: its rotation must be the identity")
 
 
 @dataclass
@@ -60,14 +73,6 @@ def default_params() -> RobotParams:
         I_p=0.0312, I_i=0.0312, I_s=0.0010,
         n=3,
     )
-
-
-def _check_rigid(T: np.ndarray, key: str) -> None:
-    if not np.all(np.isfinite(T)):
-        raise ValidationError(f"{key} is not a valid rigid transform: entries must be finite")
-    R = T[:3, :3]
-    if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
-        raise ValidationError(f"{key} is not a valid rigid transform")
 
 
 def load_robot_config(path) -> RobotConfig:
@@ -94,7 +99,8 @@ def load_robot_config(path) -> RobotConfig:
                         raise ParseError(
                             f"{path}:{lineno}: {key} needs 12 numbers (row-major 3x4)"
                         )
-                    values[key] = np.array([float(p) for p in parts]).reshape(3, 4)
+                    values[key] = np.vstack([np.reshape([float(p) for p in parts], (3, 4)),
+                                             [0.0, 0.0, 0.0, 1.0]])
                 elif key in _REQUIRED_KEYS + ("n",):
                     values[key] = int(rhs) if key == "n" else float(rhs)
                 else:
@@ -106,14 +112,7 @@ def load_robot_config(path) -> RobotConfig:
     if missing:
         raise ValidationError(f"config missing required field(s): {', '.join(missing)}")
     params = RobotParams(**{k: values[k] for k in _REQUIRED_KEYS}, n=values.get("n", 3))
-    transforms = {}
-    for key in _TRANSFORM_KEYS:
-        T = np.eye(4)
-        if key in values:
-            T[:3, :] = values[key]
-            _check_rigid(T, key)
-        transforms[key] = T
-    return RobotConfig(params=params, **transforms)
+    return RobotConfig(params=params, **{k: values[k] for k in _TRANSFORM_KEYS if k in values})
 
 
 def _write_csv(path, pragma, columns, rows) -> None:
@@ -169,6 +168,8 @@ def read_trajectory(path):
                 nums = [float(p) for p in parts]
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from e
+            if not math.isfinite(nums[0]):
+                raise ParseError(f"{path}:{lineno}: t must be finite")
             if not nums[0] > prev_t:
                 raise ParseError(f"{path}:{lineno}: t must increase monotonically")
             prev_t = nums[0]

@@ -277,8 +277,8 @@ def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: Uncertaint
     delta step across +-pi wrapped back into (-pi, pi] (pose and equilibrium
     are 2 pi-periodic in delta).  The kinematics-only differences step
     (theta_s, theta_eps, delta, q_s) about the unperturbed solution.  Before
-    any solve, the first point whose steps would leave the solver's domain
-    (q_s outside [h, L - h], theta within h of 0 or pi) is rejected by its
+    any solve, the first point outside the domain (q_s outside [h, L - h],
+    theta within h of 0 or pi, delta outside (-pi, pi]) is rejected by its
     index.
     """
     samples = _broadcast_samples(theta, delta, q_s)
@@ -287,12 +287,13 @@ def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: Uncertaint
         [theta, delta, q_s, np.broadcast_to(k.as_array(), (theta.size, 3))]))
     th, de, qs, k0, kt, kq = np.moveaxis(x, -1, 0)
     inside = np.all((th > 0.0) & (th < np.pi) & (qs >= 0.0) & (qs <= params.L), axis=0)
+    inside &= (delta > -np.pi) & (delta <= np.pi)
     if not np.all(inside):
         i = int(np.argmin(inside))
         raise ValidationError(
             f"point {i}: (theta, delta, q_s) = ({theta[i]:.6g}, {delta[i]:.6g}, {q_s[i]:.6g}) "
-            f"is not in theta (h, pi - h), q_s [h, L - h] for the finite-difference step "
-            f"h = {_FD_STEP:g}")
+            f"is not in theta (h, pi - h), delta (-pi, pi], q_s [h, L - h] for the "
+            f"finite-difference step h = {_FD_STEP:g}")
     de[1:] += 2.0 * np.pi * ((de[1:] <= -np.pi) * 1.0 - (de[1:] > np.pi))
     # uncertainty_lambda with k perturbed per sample
     kappa = _solve_equilibrium_arrays(params, th, de, qs, k0 + kt * th + kq * qs)

@@ -6,6 +6,7 @@ from crem import (
     CalibrationConfig,
     ConfigState,
     Measurement,
+    NoConvergence,
     SingularNormalEquations,
     UncertaintyParams,
     ValidationError,
@@ -21,6 +22,7 @@ from crem import (
     split_at_turning_point,
     turning_point_index,
 )
+from crem import calibration
 from crem.calibration import (
     PARAM_NAMES,
     _free_indices,
@@ -114,6 +116,13 @@ def test_measurement_validation():
     with pytest.raises(ValidationError):
         Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
                     obs_mask=np.zeros(6, dtype=bool))
+    with pytest.raises(ValidationError, match=r"^obs_mask must have shape \(6,\)$"):
+        Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
+                    obs_mask=np.ones(3, dtype=bool))
+    # unchecked, a NaN depth fails in the identifiability check as numpy's LinAlgError
+    for q_s in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError, match="^q_s must be finite and >= 0"):
+            Measurement(psi=ConfigState(1.0, 0.0), q_s=q_s, x_bar=np.zeros(3))
     # unchecked, a NaN R_bar gives a NaN orientation residual and a (2, 2)
     # one fails in _stack
     for R_bar in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]),
@@ -334,11 +343,12 @@ def test_constant_theta_is_named_before_the_first_iteration(bench):
 
 
 @pytest.mark.parametrize("fault", ["nan", "inf", "negative diagonal", "asymmetric",
-                                   "indefinite"])
+                                   "indefinite", "shape"])
 def test_user_weight_blocks_must_be_finite_symmetric_psd(bench, k_cal, fault):
     # a NaN must not escape as numpy's LinAlgError, nor a negative weight reach the fit
     ms = make_measurements(bench, np.radians(45), 0.0, np.linspace(0.0, 40.0, 8), k_cal)
     W = default_weight_blocks(ms)
+    msg = "^weight block of measurement 5 must be finite, symmetric and positive semidefinite$"
     if fault == "nan":
         W[5, 0, 0] = np.nan
     elif fault == "inf":
@@ -347,10 +357,11 @@ def test_user_weight_blocks_must_be_finite_symmetric_psd(bench, k_cal, fault):
         W[5, 1, 1] = -1.0
     elif fault == "asymmetric":
         W[5, 0, 1] = 0.5
-    else:
+    elif fault == "indefinite":
         W[5, 0, 1] = W[5, 1, 0] = 2.0
-    with pytest.raises(ValidationError, match="^weight block of measurement 5 must be finite, "
-                                              "symmetric and positive semidefinite$"):
+    else:
+        W, msg = W[:, :3, :3], r"^weight_blocks must have shape \(N, 6, 6\)$"
+    with pytest.raises(ValidationError, match=msg):
         nls_estimate(ms, bench, CalibrationConfig(weight_blocks=W), UncertaintyParams.zero())
 
 
@@ -406,6 +417,22 @@ def test_default_fit_ends_at_the_minimiser(bench, criterion_7_noisy, kind):
     off = (res.k_star.as_array() - tight.k_star.as_array())[idx] / tight.std_errors
     assert np.max(np.abs(off)) <= 0.01
     assert res.trace[-1].iteration <= 5
+
+
+def test_fit_stops_where_no_step_length_is_left(bench, criterion_7_noisy, monkeypatch):
+    # with no step length to try, no step is accepted: k stays at k0 and the fit stops
+    monkeypatch.setattr(calibration, "_MAX_STEP_RETRIES", 0)
+    k0 = UncertaintyParams.zero()
+    res = nls_estimate(criterion_7_noisy["noisy"], bench, CalibrationConfig(), k0)
+    assert [rec.k for rec in res.trace] == [k0, k0]
+    assert res.k_star == k0
+
+
+def test_fit_short_of_its_minimiser_raises_no_convergence(bench, criterion_7_noisy):
+    # the default fit takes two iterations on this set
+    with pytest.raises(NoConvergence, match="^identification not converged after 1 iterations"):
+        nls_estimate(criterion_7_noisy["noisy"], bench, CalibrationConfig(max_iter=1),
+                     UncertaintyParams.zero())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -489,6 +516,12 @@ def test_std_errors_are_nan_without_degrees_of_freedom(bench):
 def test_eta_validation(eta):
     with pytest.raises(ValidationError):
         CalibrationConfig(eta=eta)
+
+
+@pytest.mark.parametrize("beta_conv", [0.0, -1e-3, np.nan])
+def test_beta_conv_validation(beta_conv):
+    with pytest.raises(ValidationError, match="^beta_conv must be positive$"):
+        CalibrationConfig(beta_conv=beta_conv)
 
 
 @pytest.mark.parametrize("max_iter", [0, 2.5, np.nan, np.inf, True])

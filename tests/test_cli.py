@@ -182,7 +182,9 @@ def test_jacobian_check_delta_outside_range_fails(config_path):
     proc = crem("jacobian-check", "--config", config_path,
                 "--grid", "theta=30:30:1;delta=0:-200:3;qs=0.5:0.5:1")
     assert proc.returncode == 1
-    assert proc.stderr == "error: delta must lie in (-pi, pi], got -3.490658503988659\n"
+    assert proc.stderr == ("error: point 2: (theta, delta, q_s) = (0.523599, -3.49066, 22.15) "
+                           "is not in theta (h, pi - h), delta (-pi, pi], q_s [h, L - h] for "
+                           "the finite-difference step h = 1e-06\n")
 
 
 def test_jacobian_check_point_within_a_step_of_the_edge_fails(config_path):
@@ -305,6 +307,16 @@ def test_calibrate_unknown_free_token(config_path, tmp_path):
     proc = crem("calibrate", "--config", config_path, "--data", str(data),
                 "--free", "k0,bogus")
     assert proc.returncode == 2
+    assert "--free: unknown parameter 'bogus'" in proc.stderr
+
+
+def test_calibrate_takes_no_k_lambda(config_path, tmp_path):
+    # calibrate starts from --init; a --k-lambda it would not read is refused
+    proc = crem("calibrate", "--config", config_path, "--data", str(tmp_path / "d.csv"),
+                "--k-lambda", "1,0,0")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --k-lambda 1,0,0" in proc.stderr
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +360,21 @@ def test_missing_config_is_usage_error(tmp_path):
                 "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 2
     assert "--config" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate-micro", "--theta", "30", "--qs-range", "0:40:5", "--k-lambda", "1,2"],
+     "--k-lambda"),
+    (["gen-synthetic", "--theta", "30", "--qs-range", "0:40:5", "--k-lambda", "1,nan,0"],
+     "--k-lambda"),
+    (["calibrate", "--data", "d.csv", "--init", "1,2"], "--init"),
+], ids=["two-numbers", "nan", "init"])
+def test_bad_uncertainty_flag_is_usage_error_before_the_config(tmp_path, argv, flag):
+    # the config file does not exist: the usage error must come first and name its flag
+    proc = crem(*argv, "--config", str(tmp_path / "none.cfg"))
+    assert proc.returncode == 2
+    assert f"argument {flag}: " in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_missing_config_file_fails(tmp_path):

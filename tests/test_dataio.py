@@ -79,6 +79,8 @@ def test_config_round_trip_is_lossless(tmp_path):
     (BENCH_CFG + "T_BI = 1 0 0\n", ":11:", "12 numbers"),
     # the base-in-world transform T_WB was never read and is no longer a key
     (BENCH_CFG + "T_WB = 1 0 0 0 0 1 0 0 0 0 1 0\n", ":11:", "unknown key"),
+    (BENCH_CFG + " = 3\n", ":11:", "expected 'key = value'"),
+    (BENCH_CFG + "n =\n", ":11:", "expected 'key = value'"),
 ])
 def test_config_parse_errors_name_the_line(tmp_path, text, where, msg):
     path = write(tmp_path, "bad.cfg", text)
@@ -117,6 +119,19 @@ def test_config_rejects_nonrigid_transform(tmp_path):
         key = line.split()[0]
         with pytest.raises(ValidationError, match=f"{key} is not a valid rigid"):
             load_robot_config(write(tmp_path, "nr.cfg", BENCH_CFG + line + "\n"))
+    # only the translation of T_GM is read, so a rotation in it is refused
+    with pytest.raises(ValidationError, match="^T_GM must be a translation"):
+        load_robot_config(write(tmp_path, "nr.cfg",
+                                BENCH_CFG + "T_GM = 0 -1 0 0 1 0 0 0 0 0 1 0\n"))
+    # a RobotConfig built directly obeys the same rules
+    T = np.eye(4)
+    T[0, 3] = np.nan
+    with pytest.raises(ValidationError, match="^T_BI is not a valid rigid"):
+        RobotConfig(params=default_params(), T_BI=T)
+    T = np.eye(4)
+    T[:3, :3] = oracle_rotation(np.array([0.0, 0.0, 1.0]), 0.1)
+    with pytest.raises(ValidationError, match="^T_GM must be a translation"):
+        RobotConfig(params=default_params(), T_GM=T)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +199,20 @@ def test_trajectory_header_errors(tmp_path):
     bad_width = "t,q_s,theta,delta,x,y\n0,1,2,3,4\n"
     with pytest.raises(ParseError, match="6 fields"):
         read_trajectory(write(tmp_path, "w.csv", bad_width))
+    not_a_number = "t,q_s,theta,delta,x,y\n0,1,2,3,4,5\n1,2,3,x,4,5\n"
+    with pytest.raises(ParseError, match=":3: could not convert string to float: 'x'$"):
+        read_trajectory(write(tmp_path, "n.csv", not_a_number))
 
 
 def test_trajectory_rejects_nonmonotone_time(tmp_path):
-    # NaN compares false both ways: it must neither pass nor reset the rule
-    for rows, where in (("0,1,30,0,0,0\n0,2,30,0,0,0\n", ":3:"),
-                        ("0,1,30,0,0,0\nnan,2,30,0,0,0\n-5,3,30,0,0,0\n", ":3:"),
-                        ("nan,1,30,0,0,0\n", ":2:")):
+    # NaN compares false both ways: it is refused as non-finite, so it can
+    # neither pass nor reset the monotonic rule
+    for rows, where, msg in (("0,1,30,0,0,0\n0,2,30,0,0,0\n", ":3:", "monotonically"),
+                             ("0,1,30,0,0,0\nnan,2,30,0,0,0\n-5,3,30,0,0,0\n", ":3:",
+                              "t must be finite"),
+                             ("nan,1,30,0,0,0\n", ":2:", "t must be finite")):
         text = "t,q_s,theta,delta,x,y\n" + rows
-        with pytest.raises(ParseError, match="monotonically") as err:
+        with pytest.raises(ParseError, match=msg) as err:
             read_trajectory(write(tmp_path, "mono.csv", text))
         assert where in str(err.value)
 
@@ -267,6 +287,16 @@ def test_load_dataset_nonfinite_position_names_row(tmp_path):
     path = write(tmp_path, "nan.csv", text)
     with pytest.raises(ValidationError, match="row 1: x_bar must be a finite 3-vector"):
         load_dataset(path, RobotConfig(params=default_params()))
+
+
+def test_load_dataset_without_config_checks_depth(tmp_path):
+    # without a config there is no [0, L] check; the measurement still refuses
+    # a depth that is not finite and >= 0
+    for q_s in ("nan", "-1"):
+        path = write(tmp_path, "qs.csv", f"t,q_s,theta,delta,x,y,z\n0,5,30,0,1,0,40\n"
+                                         f"1,{q_s},30,0,1,0,40\n")
+        with pytest.raises(ValidationError, match="row 2: q_s must be finite and >= 0"):
+            load_dataset(path, None)
 
 
 def test_load_dataset_unknown_frame(tmp_path):

@@ -687,6 +687,13 @@ def test_fd_oracle_rejects_points_within_a_step_of_the_edge(bench, k_cal, theta,
         differential._fd_discrepancy_arrays(bench, theta, 0.3, q_s, k_cal)
 
 
+@pytest.mark.parametrize("delta,index", [(-np.pi, 0), (np.pi + 1e-9, 0), (np.nan, 0),
+                                         ([0.3, np.pi, -4.0], 2)])
+def test_fd_oracle_rejects_delta_outside_its_range(bench, k_cal, delta, index):
+    with pytest.raises(ValidationError, match=rf"^point {index}: .* delta \(-pi, pi\], "):
+        differential._fd_discrepancy_arrays(bench, np.radians(30), delta, 20.0, k_cal)
+
+
 def test_fd_oracle_accepts_points_one_step_from_the_edge(bench, k_cal):
     errs = differential._fd_discrepancy_arrays(bench, np.radians(30), 0.3,
                                                [_FD_STEP, 20.0, bench.L - 2 * _FD_STEP], k_cal)

@@ -52,6 +52,13 @@ def test_invalid_params_rejected(bench, field, value):
         RobotParams(**kwargs)
 
 
+@pytest.mark.parametrize("field,value", [("k_lambda0", np.nan), ("k_lambda_theta", np.inf),
+                                         ("k_lambda_q", -np.inf)])
+def test_invalid_uncertainty_params_rejected(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
+        UncertaintyParams(**{field: value})
+
+
 def test_integral_float_n_is_stored_as_int(bench, k_zero):
     kwargs = {n: getattr(bench, n) for n in
               ("L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s")}

@@ -2,12 +2,17 @@
 
 Every module under src/crem must use each name it imports, so that a
 deleted code path does not leave its imports behind.  The package's
-__init__ is exempt: it imports names only to re-export them.
+__init__ is exempt: it imports names only to re-export them.  Every
+flag of a crem subcommand must be read by that command's handler or by
+main, so that no flag is accepted and then ignored.
 """
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from crem import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crem"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -40,3 +45,25 @@ def test_checker_flags_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def args_read(function: ast.FunctionDef):
+    """Every attribute the function reads from its name ``args``."""
+    return {node.attr for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+def test_every_cli_flag_is_read():
+    # a flag that neither its command's handler nor main reads is accepted and ignored
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    unread = []
+    for name, parser in commands.choices.items():
+        read = (args_read(functions[parser.get_default("func").__name__])
+                | args_read(functions["main"]))
+        unread += [f"{name} {action.option_strings[0]}" for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction) and action.dest not in read]
+    assert unread == []
