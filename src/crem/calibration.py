@@ -19,6 +19,7 @@ along the tip twist per theta_s: J^T W J = sum_i (v_i^T W_i v_i) u_i u_i^T.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,6 +54,12 @@ _TURN_END_MARGIN = 2
 _TURN_PROMINENCE = 0.1
 # cost at sub-nanometer residual scale; below this M_lambda is float noise
 _M_FLOOR = 1e-18
+# default obs_mask of a Measurement without and with R_bar: one read-only array
+# each, shared by every measurement that takes the default
+_POSITIONS_OBSERVED = np.array([True] * 3 + [False] * 3)
+_POSE_OBSERVED = np.ones(6, dtype=bool)
+_POSITIONS_OBSERVED.flags.writeable = False
+_POSE_OBSERVED.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +70,9 @@ class Measurement:
     orientation or None.  obs_mask marks which of the six residual
     components (three position, three orientation) are observed; by
     default all positions and, when R_bar is present, all orientations;
-    without R_bar no orientation component may be observed.
+    without R_bar no orientation component may be observed.  A default
+    obs_mask is one read-only array shared by every measurement that takes
+    it: writing into it raises ValueError.
     """
 
     psi: ConfigState
@@ -76,24 +85,24 @@ class Measurement:
         if not 0.0 <= self.q_s < np.inf:
             raise ValidationError(f"q_s must be finite and >= 0, got {self.q_s}")
         x = np.asarray(self.x_bar, dtype=float)
-        if x.shape != (3,) or not np.all(np.isfinite(x)):
+        if x.shape != (3,) or not all(map(math.isfinite, x.tolist())):
             raise ValidationError("x_bar must be a finite 3-vector")
         object.__setattr__(self, "x_bar", x)
         if self.R_bar is not None:
             R = np.asarray(self.R_bar, dtype=float)
-            if R.shape != (3, 3) or not np.all(np.isfinite(R)):
+            if R.shape != (3, 3) or not all(map(math.isfinite, R.ravel().tolist())):
                 raise ValidationError("R_bar must be a finite 3x3 matrix")
             object.__setattr__(self, "R_bar", R)
         if self.obs_mask is None:
-            mask = np.array([True] * 3 + [self.R_bar is not None] * 3)
+            mask = _POSITIONS_OBSERVED if self.R_bar is None else _POSE_OBSERVED
         else:
             mask = np.asarray(self.obs_mask, dtype=bool)
             if mask.shape != (6,):
                 raise ValidationError("obs_mask must have shape (6,)")
-            if self.R_bar is None and mask[3:].any():
+            if self.R_bar is None and np.count_nonzero(mask[3:]):
                 raise ValidationError("obs_mask observes orientation components without R_bar")
-        if not mask.any():
-            raise ValidationError("obs_mask must observe at least one component")
+            if not np.count_nonzero(mask):
+                raise ValidationError("obs_mask must observe at least one component")
         object.__setattr__(self, "obs_mask", mask)
 
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate-micro, simulate-macro, jacobian-check, calibrate,
-gen-synthetic.  argparse checks every flag, so usage errors come before
-main loads the robot config named by --config (default: the CREM_CONFIG
+gen-synthetic.  argparse checks every flag, numeric ones by the rules of
+the class or function they feed, so usage errors come before main loads
+the robot config named by --config (default: the CREM_CONFIG
 environment variable).  Each command writes CSV artifacts through
 dataio's one writer and returns a summary, which main prints as one line
 of JSON on stdout.  The simulate, jacobian-check and calibrate artifacts
@@ -29,11 +30,17 @@ from .calibration import (
     nls_estimate,
     split_at_turning_point,
 )
-from .dataio import _write_csv, generate_synthetic, load_dataset, load_robot_config
+from .dataio import (
+    _check_noise_sigma,
+    _write_csv,
+    generate_synthetic,
+    load_dataset,
+    load_robot_config,
+)
 from .differential import _fd_discrepancy_arrays, _jacobian_arrays
 from .errors import CremError
 from .kinematics import _tip_positions, micro_trajectory
-from .model import ConfigState, UncertaintyParams
+from .model import ConfigState, UncertaintyParams, _integer
 
 _FD_TOL = 1e-6
 _FREE_TOKENS = {"k0": "k_lambda0", "ktheta": "k_lambda_theta", "kq": "k_lambda_q"}
@@ -75,6 +82,20 @@ def _grid(text: str) -> dict:
         except argparse.ArgumentTypeError as e:
             raise argparse.ArgumentTypeError(f"{name} {e}") from None
     return axes
+
+
+def _checked(parse, check):
+    """A type that parses the text, then applies check, the library's own rule, to the
+    value, so that a value the run would refuse is a usage error."""
+    def convert(text: str):
+        value = parse(text)
+        try:
+            check(value)
+        except CremError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return value
+    convert.__name__ = parse.__name__  # argparse reports a ValueError as "invalid float value"
+    return convert
 
 
 def _free(text: str) -> tuple:
@@ -228,11 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="identify uncertainty parameters from data")
     p.add_argument("--data", required=True, help="trajectory CSV")
     p.add_argument("--init", type=_k, default="0,0,0", help="initial k0,ktheta,kq")
-    p.add_argument("--eta", type=float, default=1.0,
+    p.add_argument("--eta", type=_checked(float, lambda v: CalibrationConfig(eta=v)), default=1.0,
                    help="initial step length in (0, 1]; 1 is a full Gauss-Newton step")
-    p.add_argument("--conv", type=float, default=1e-3,
+    p.add_argument("--conv", type=_checked(float, lambda v: CalibrationConfig(beta_conv=v)),
+                   default=1e-3,
                    help="relative M_lambda convergence threshold")
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--max-iter", type=_checked(int, lambda v: CalibrationConfig(max_iter=v)),
+                   default=500)
     p.add_argument("--free", type=_free, default="k0,kq",
                    help="free parameters (k0,ktheta,kq)")
     p.add_argument("--split-turning-point", action="store_true",
@@ -246,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0, help="bending plane, deg")
     p.add_argument("--qs-range", type=_range, required=True,
                    help="insertion sweep lo:hi:count, mm")
-    p.add_argument("--noise", type=float, default=0.0, help="position noise sigma, mm")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=_checked(float, _check_noise_sigma), default=0.0,
+                   help="position noise sigma, mm")
+    p.add_argument("--seed", type=_checked(int, lambda v: _integer("seed", v, 0)), default=0)
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_gen_synthetic)
     return parser

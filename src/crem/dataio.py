@@ -28,6 +28,9 @@ _TRANSFORM_KEYS = ("T_BI", "T_GM")
 _FMT = "%.17g"
 # sample rate of synthetic sweeps, Hz
 _SYNTHETIC_HZ = 30.0
+# obs_mask of a 2-D row (x and y observed): one read-only array shared by every such row
+_PLANAR_OBSERVED = np.array([True, True, False, False, False, False])
+_PLANAR_OBSERVED.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +202,8 @@ def load_dataset(path, config: RobotConfig | None = None):
     """Read a trajectory file into Measurement objects in the base frame.
 
     Positions in an image-frame file are mapped through T_BI; the marker
-    offset (translation of T_GM) is then removed.  2-D files observe only
+    offset (translation of T_GM) is then removed.  3-D rows take the
+    default obs_mask; 2-D rows share one read-only mask that observes only
     the first two position components.  Records are kept in file order.
     """
     records, pragmas = read_trajectory(path)
@@ -221,11 +225,17 @@ def load_dataset(path, config: RobotConfig | None = None):
                 if frame == "image":
                     p = config.T_BI[:3, :3] @ p + config.T_BI[:3, 3]
                 p = p - config.T_GM[:3, 3]
-            mask = np.array([True, True, rec.z is not None, False, False, False])
+            mask = None if rec.z is not None else _PLANAR_OBSERVED
             measurements.append(Measurement(psi=psi, q_s=rec.q_s, x_bar=p, obs_mask=mask))
         except ValidationError as e:
             raise ValidationError(f"{path}: row {row}: {e}") from e
     return measurements
+
+
+def _check_noise_sigma(value: float) -> None:
+    """ValidationError unless the noise sigma value is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValidationError(f"noise_sigma must be finite and >= 0, got {value}")
 
 
 def generate_synthetic(
@@ -246,8 +256,7 @@ def generate_synthetic(
     finite and >= 0 and seed an integer >= 0, else ValidationError before
     anything is written.
     """
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
-        raise ValidationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    _check_noise_sigma(noise_sigma)
     seed = _integer("seed", seed, 0)
     qs = np.asarray(qs_schedule, dtype=float)
     pos, _, _ = micro_trajectory(params, ConfigState(theta, delta), qs, k_true)

@@ -110,26 +110,38 @@ def test_pose_error_is_continuous_at_tiny_rotation():
 
 
 def test_measurement_validation():
-    with pytest.raises(ValidationError):
-        Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0,
-                    x_bar=np.array([1.0, np.nan, 0.0]))
-    with pytest.raises(ValidationError):
-        Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
-                    obs_mask=np.zeros(6, dtype=bool))
-    with pytest.raises(ValidationError, match=r"^obs_mask must have shape \(6,\)$"):
-        Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
-                    obs_mask=np.ones(3, dtype=bool))
-    # unchecked, a NaN depth fails in the identifiability check as numpy's LinAlgError
-    for q_s in (np.nan, np.inf, -1.0):
-        with pytest.raises(ValidationError, match="^q_s must be finite and >= 0"):
-            Measurement(psi=ConfigState(1.0, 0.0), q_s=q_s, x_bar=np.zeros(3))
+    psi = ConfigState(1.0, 0.0)
+    no_component = "^obs_mask must observe at least one component$"
+    shape = r"^obs_mask must have shape \(6,\)$"
+    faults = [
+        ({"x_bar": np.array([1.0, np.nan, 0.0])}, "^x_bar must be a finite 3-vector$"),
+        ({"x_bar": np.array([np.inf, 0.0, 0.0])}, "^x_bar must be a finite 3-vector$"),
+        ({"x_bar": np.array([0.0, 0.0, -np.inf])}, "^x_bar must be a finite 3-vector$"),
+        ({"x_bar": np.zeros(2)}, "^x_bar must be a finite 3-vector$"),
+        ({"x_bar": np.zeros((3, 1))}, "^x_bar must be a finite 3-vector$"),
+        ({"x_bar": np.zeros((1, 3))}, "^x_bar must be a finite 3-vector$"),
+        ({"obs_mask": np.zeros(6, dtype=bool)}, no_component),
+        ({"obs_mask": [False] * 6}, no_component),
+        ({"obs_mask": np.zeros(6, dtype=bool), "R_bar": np.eye(3)}, no_component),
+        ({"obs_mask": np.ones(3, dtype=bool)}, shape),
+        ({"obs_mask": [True, True, True]}, shape),
+        # unchecked, a NaN depth fails in the identifiability check as numpy's LinAlgError
+        ({"q_s": np.nan}, "^q_s must be finite and >= 0, got nan$"),
+        ({"q_s": np.inf}, "^q_s must be finite and >= 0, got inf$"),
+        ({"q_s": -1.0}, "^q_s must be finite and >= 0, got -1.0$"),
+    ]
     # unchecked, a NaN R_bar gives a NaN orientation residual and a (2, 2)
     # one fails in _stack
-    for R_bar in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]),
-                  np.eye(2), np.eye(3).ravel()):
-        with pytest.raises(ValidationError, match="R_bar"):
-            Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
-                        R_bar=R_bar)
+    faults += [({"R_bar": R_bar}, "^R_bar must be a finite 3x3 matrix$")
+               for R_bar in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]),
+                             np.eye(2), np.eye(3).ravel())]
+    for fault, message in faults:
+        with pytest.raises(ValidationError, match=message):
+            Measurement(**{"psi": psi, "q_s": 1.0, "x_bar": np.zeros(3), **fault})
+    # a valid mask given as a plain list is stored as a boolean array
+    m = Measurement(psi=psi, q_s=1.0, x_bar=np.zeros(3), obs_mask=[1, 1, 0, 0, 0, 0])
+    assert m.obs_mask.dtype == bool
+    assert m.obs_mask.tolist() == [True, True, False, False, False, False]
 
 
 @pytest.mark.parametrize("observed", [[3, 4, 5], [4]])
@@ -141,6 +153,38 @@ def test_measurement_rejects_orientation_observed_without_R_bar(observed):
     with pytest.raises(ValidationError,
                        match=r"^obs_mask observes orientation components without R_bar$"):
         Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3), obs_mask=mask)
+
+
+def test_default_obs_masks_are_shared_and_read_only():
+    psi = ConfigState(1.0, 0.0)
+    a, b = (Measurement(psi=psi, q_s=1.0, x_bar=np.zeros(3)) for _ in range(2))
+    c, d = (Measurement(psi=psi, q_s=1.0, x_bar=np.zeros(3), R_bar=np.eye(3))
+            for _ in range(2))
+    assert a.obs_mask is b.obs_mask and c.obs_mask is d.obs_mask
+    assert a.obs_mask.dtype == bool and c.obs_mask.dtype == bool
+    assert a.obs_mask.tolist() == [True, True, True, False, False, False]
+    assert c.obs_mask.tolist() == [True] * 6
+    for m in (a, c):
+        with pytest.raises(ValueError, match="read-only"):
+            m.obs_mask[0] = False
+    assert a.obs_mask.tolist() == [True, True, True, False, False, False]
+    assert c.obs_mask.tolist() == [True] * 6
+
+
+@pytest.mark.parametrize("kind", ["noisy", "rot"])
+def test_shared_default_masks_fit_bit_identically(bench, criterion_7_noisy, kind):
+    # the reference: a fresh writable mask per measurement; sharing must not move a bit
+    shared = criterion_7_noisy[kind]
+    fresh = [Measurement(psi=m.psi, q_s=m.q_s, x_bar=m.x_bar, R_bar=m.R_bar,
+                         obs_mask=np.array(m.obs_mask)) for m in shared]
+    assert all(m.obs_mask.flags.writeable for m in fresh)
+    a, b = (nls_estimate(ms, bench, CalibrationConfig(), UncertaintyParams.zero())
+            for ms in (shared, fresh))
+    assert a.k_star == b.k_star
+    assert [(r.k, r.rmse_um, r.M_lambda) for r in a.trace] == \
+        [(r.k, r.rmse_um, r.M_lambda) for r in b.trace]
+    assert np.array_equal(a.std_errors, b.std_errors)
+    assert np.array_equal(a.correlation, b.correlation)
 
 
 # ---------------------------------------------------------------------------

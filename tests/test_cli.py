@@ -335,16 +335,37 @@ def test_gen_synthetic_deterministic(config_path, tmp_path):
 
 @pytest.mark.parametrize("flag, value", [("--noise", "nan"), ("--noise", "-0.001"),
                                          ("--seed", "-1")])
-def test_gen_synthetic_bad_noise_or_seed_fails_cleanly(config_path, tmp_path, capsys,
-                                                       flag, value):
+def test_gen_synthetic_bad_noise_or_seed_fails_cleanly(tmp_path, capsys, flag, value):
+    # the config file does not exist: generate_synthetic's own rule refuses the value
+    # as a usage error that names its flag, before the config is read
     out = tmp_path / "bad.csv"
-    code = crem_cli.main(["gen-synthetic", "--config", config_path, "--theta", "30",
-                          "--qs-range", "0:40:10", flag, value, "--out", str(out)])
-    assert code == 1
+    with pytest.raises(SystemExit) as exit_:
+        crem_cli.main(["gen-synthetic", "--config", str(tmp_path / "none.cfg"),
+                       "--theta", "30", "--qs-range", "0:40:10", flag, value,
+                       "--out", str(out)])
+    assert exit_.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and flag[2:] in captured.err
+    assert f"argument {flag}: {flag[2:]}" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eta", "2", "eta must lie in (0, 1], got 2.0"),
+    ("--conv", "0", "beta_conv must be positive"),
+    ("--max-iter", "0", "max_iter must be an integer >= 1, got 0"),
+])
+def test_bad_calibration_setting_is_usage_error_before_the_files(tmp_path, capsys, flag,
+                                                                 value, message):
+    # neither the config nor the data exists: CalibrationConfig's own rule refuses the
+    # value as a usage error that names its flag, before either file is read
+    with pytest.raises(SystemExit) as exit_:
+        crem_cli.main(["calibrate", "--config", str(tmp_path / "none.cfg"),
+                       "--data", str(tmp_path / "missing.csv"), flag, value])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: {message}\n" in captured.err
 
 
 def test_config_from_environment(config_path, tmp_path):

@@ -232,6 +232,19 @@ def test_load_dataset_identity_frames(tmp_path):
     assert ms[0].psi.theta == pytest.approx(np.radians(30.0))
 
 
+@pytest.mark.parametrize("columns, row, mask", [
+    ("x,y", "1,2", [True, True, False, False, False, False]),
+    ("x,y,z", "1,2,3", [True, True, True, False, False, False]),
+], ids=["2-D", "3-D"])
+def test_load_dataset_rows_share_one_read_only_mask(tmp_path, columns, row, mask):
+    text = f"t,q_s,theta,delta,{columns}\n0,5,30,0,{row}\n1,6,30,0,{row}\n"
+    ms = load_dataset(write(tmp_path, "d.csv", text))
+    assert ms[0].obs_mask is ms[1].obs_mask
+    assert ms[0].obs_mask.dtype == bool and ms[0].obs_mask.tolist() == mask
+    with pytest.raises(ValueError, match="read-only"):
+        ms[0].obs_mask[5] = True
+
+
 def test_load_dataset_image_frame_needs_config(tmp_path):
     text = "# frame=image\nt,q_s,theta,delta,x,y\n0,5,30,0,1,2\n"
     with pytest.raises(FrameError):

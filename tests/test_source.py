@@ -1,15 +1,19 @@
-"""Static checks of the package source, made with the standard library's ast only.
+"""Checks of the package source, the static ones made with the standard library's ast only.
 
 Every module under src/crem must use each name it imports, so that a
 deleted code path does not leave its imports behind.  The package's
 __init__ is exempt: it imports names only to re-export them.  Every
 flag of a crem subcommand must be read by that command's handler or by
-main, so that no flag is accepted and then ignored.
+main, so that no flag is accepted and then ignored.  Every numpy array
+a crem module holds at module level must be read-only, so that no
+caller can change a shared default under every other caller.
 """
 import argparse
 import ast
+import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crem import cli
@@ -67,3 +71,23 @@ def test_every_cli_flag_is_read():
         unread += [f"{name} {action.option_strings[0]}" for action in parser._actions
                    if not isinstance(action, argparse._HelpAction) and action.dest not in read]
     assert unread == []
+
+
+def writeable_arrays(namespace: dict):
+    """Names of the writeable numpy arrays in the namespace, sorted."""
+    return sorted(name for name, value in namespace.items()
+                  if isinstance(value, np.ndarray) and value.flags.writeable)
+
+
+def test_checker_flags_writeable_arrays():
+    frozen = np.zeros(3)
+    frozen.flags.writeable = False
+    namespace = {"_B": np.zeros(3), "_A": np.eye(2), "_FROZEN": frozen, "_LIST": [0.0]}
+    assert writeable_arrays(namespace) == ["_A", "_B"]
+
+
+# importing crem.__main__ would run the command line
+@pytest.mark.parametrize("name", ["crem"] + [f"crem.{p.stem}" for p in MODULES
+                                             if p.stem != "__main__"])
+def test_module_level_arrays_are_read_only(name):
+    assert writeable_arrays(vars(importlib.import_module(name))) == [], name
