@@ -36,12 +36,10 @@ from .calibration import (
     CalibrationResult,
     IterationRecord,
     Measurement,
-    default_weight_blocks,
     direction_reversals,
     identification_jacobian,
     nls_estimate,
     pose_error,
-    principal_direction,
     split_at_turning_point,
     turning_point_index,
 )

@@ -54,6 +54,8 @@ _TURN_END_MARGIN = 2
 _TURN_PROMINENCE = 0.1
 # cost at sub-nanometer residual scale; below this M_lambda is float noise
 _M_FLOOR = 1e-18
+# weight of an observed orientation component; an observed position weighs 1
+_W_ROT = 10.0
 # default obs_mask of a Measurement without and with R_bar: one read-only array
 # each, shared by every measurement that takes the default
 _POSITIONS_OBSERVED = np.array([True] * 3 + [False] * 3)
@@ -118,36 +120,29 @@ def _free_indices(names) -> np.ndarray:
     return np.array([PARAM_NAMES.index(n) for n in names], dtype=int)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationConfig:
     """Settings of the identification loop.
 
-    weight_blocks: per-measurement 6x6 weights, finite, symmetric and
-    positive semidefinite, or None for the default diagonal (1 on observed
-    positions, w_rot on observed orientations, 0 on masked components).
-    H scales the parameter step.
-    free_params names the components of k actually updated.
+    free_params names the components of k actually updated.  The fit
+    weighs each observed position component 1, each observed orientation
+    component _W_ROT and each masked component 0.
     """
 
     eta: float = 1.0
     beta_conv: float = 1e-3
     max_iter: int = 500
-    w_rot: float = 10.0
     free_params: tuple = ("k_lambda0", "k_lambda_q")
-    H: np.ndarray | None = None
-    weight_blocks: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
             raise ValidationError(f"eta must lie in (0, 1], got {self.eta}")
         if not (self.beta_conv > 0.0):
             raise ValidationError("beta_conv must be positive")
-        self.max_iter = _integer("max_iter", self.max_iter, 1)
-        if not (self.w_rot >= 0.0 and np.isfinite(self.w_rot)):
-            raise ValidationError(f"w_rot must be finite and >= 0, got {self.w_rot}")
+        object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter, 1))
+        # a tuple, so that the caller's list cannot change the checked names
+        object.__setattr__(self, "free_params", tuple(self.free_params))
         _free_indices(self.free_params)
-        if self.H is not None and not (np.shape(self.H) == (3, 3) and np.all(np.isfinite(self.H))):
-            raise ValidationError("H must be a finite 3x3 matrix")
 
 
 @dataclass(frozen=True)
@@ -193,17 +188,9 @@ def pose_error(measured: Measurement, modeled: Pose) -> np.ndarray:
     return c
 
 
-def default_weight_blocks(measurements, w_rot: float = 10.0) -> np.ndarray:
-    """Diagonal per-measurement weights from the observation masks, (N, 6, 6)."""
-    mask = np.array([m.obs_mask for m in measurements], dtype=bool).reshape(-1, 6)
-    W = np.zeros((len(mask), 6, 6))
-    W[:, range(6), range(6)] = np.where(mask, np.repeat([1.0, w_rot], 3), 0.0)
-    return W
-
-
-def _weighted_cost(c, W):
-    """(W c per measurement, M_lambda = c~^T W c~ / 2N) of (N, 6) residuals."""
-    Wc = (W @ c[..., None])[..., 0]
+def _weighted_cost(c, w):
+    """(W c per measurement, M_lambda = c~^T W c~ / 2N) of (N, 6) residuals, W = diag(w)."""
+    Wc = w * c
     return Wc, float(np.sum(c * Wc) / (2.0 * c.shape[0]))
 
 
@@ -220,7 +207,7 @@ class _Dataset(NamedTuple):
     commands: tuple  # (theta, delta, q_s), each (N,)
     offsets: np.ndarray  # (n, N) backbone-major Delta_i of delta, fixed for the fit
     x_bar: np.ndarray  # (N, 3)
-    pos_mask: np.ndarray  # (N, 3) observed position components
+    w: np.ndarray  # (N, 6) weights: 1 observed position, _W_ROT observed orientation, else 0
     rot: np.ndarray  # indices of the measurements with an observed R_bar
     R_bar: np.ndarray  # (len(rot), 3, 3)
 
@@ -230,7 +217,8 @@ def _stack(measurements, params: RobotParams) -> _Dataset:
     rot = np.array([j for j, m in enumerate(measurements) if m.R_bar is not None], dtype=int)
     return _Dataset(commands, _offsets(params, commands[1]),
                     np.array([m.x_bar for m in measurements]),
-                    np.array([m.obs_mask for m in measurements])[:, :3], rot,
+                    np.where([m.obs_mask for m in measurements], np.repeat([1.0, _W_ROT], 3), 0.0),
+                    rot,
                     np.array([measurements[j].R_bar for j in rot], dtype=float).reshape(-1, 3, 3))
 
 
@@ -249,15 +237,15 @@ def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
     return c, kappa
 
 
-def _rmse_um(c, pos_mask) -> float:
-    """RMSE over the observed position components of (N, 6) residuals, micrometres."""
-    sq = np.sum(np.where(pos_mask, c[:, :3], 0.0) ** 2, axis=1)
+def _rmse_um(c, w) -> float:
+    """RMSE over the weighted position components of (N, 6) residuals, micrometres."""
+    sq = np.sum(np.where(w[:, :3] != 0.0, c[:, :3], 0.0) ** 2, axis=1)
     return 1000.0 * float(np.sqrt(np.mean(sq)))
 
 
-def _normal_equations(col, krow, W, Wc):
+def _normal_equations(col, krow, w, Wc):
     """(J^T W J, J^T W c~) of blocks J_i = -col_i krow_i^T: J^T W J = sum a_i krow_i krow_i^T."""
-    a = np.einsum("ni,ni->n", col, np.einsum("nij,nj->ni", W, col))
+    a = np.einsum("ni,ni->n", col, w * col)
     return (a[:, None] * krow).T @ krow, -(np.einsum("ni,ni->n", col, Wc) @ krow)
 
 
@@ -287,7 +275,7 @@ def nls_estimate(
 ) -> CalibrationResult:
     """Gauss-Newton identification of the free uncertainty parameters.
 
-    Update per iteration: k <- k - H (eta (J^T W J)^{-1} J^T W c~) on the
+    Update per iteration: k <- k - eta (J^T W J)^{-1} J^T W c~ on the
     free components, where eta starts at config.eta (1 = a full
     Gauss-Newton step).  A step that would increase M_lambda by more than
     float noise is retried with eta halved (and the result flagged).
@@ -299,56 +287,38 @@ def nls_estimate(
     """
     if not measurements:
         raise ValidationError("empty dataset")
-    W = config.weight_blocks
-    if W is None:
-        W = default_weight_blocks(measurements, config.w_rot)
-    W = np.asarray(W, dtype=float)
-    if W.shape != (len(measurements), 6, 6):
-        raise ValidationError("weight_blocks must have shape (N, 6, 6)")
-    if config.weight_blocks is not None:
-        # the defaults are valid by construction; a user block must be finite, symmetric
-        # and positive semidefinite, both to 1e-12 of its largest entry
-        ok = np.isfinite(W).all(axis=(1, 2))
-        W0 = np.where(ok[:, None, None], W, 0.0)
-        tol = 1e-12 * np.abs(W0).max(axis=(1, 2))
-        ok &= np.abs(W0 - np.swapaxes(W0, 1, 2)).max(axis=(1, 2)) <= tol
-        ok &= np.linalg.eigvalsh(W0)[:, 0] >= -tol
-        if not ok.all():
-            raise ValidationError(f"weight block of measurement {np.argmin(ok)} must be finite, "
-                                  "symmetric and positive semidefinite")
-    H = np.eye(3) if config.H is None else np.asarray(config.H, dtype=float)
     idx = _free_indices(config.free_params)
 
     data = _stack(measurements, params)
-    # each J_k,i is rank one along u_i = (1, theta_i, q_s_i), so k is
-    # identifiable only if the free columns of the weighted u_i have full rank
+    # each J_k,i is rank one along u_i = (1, theta_i, q_s_i), so k is identifiable
+    # only if the free columns of the u_i have full rank; every measurement
+    # observes a component of positive weight, so every u_i is weighted
     theta, delta, q_s = data.commands
     u = np.column_stack([np.ones_like(theta), theta, q_s])
-    weighted = u[np.any(W != 0.0, axis=(-2, -1))]
-    if np.linalg.matrix_rank(weighted[:, idx]) < idx.size:
+    if np.linalg.matrix_rank(u[:, idx]) < idx.size:
         constant = [name for j, name in ((1, "theta"), (2, "q_s"))
-                    if j in idx and np.all(weighted[:, j] == weighted[:1, j])]
+                    if j in idx and np.all(u[:, j] == u[:1, j])]
         cause = (f"{' and '.join(constant)} {'is' if len(constant) == 1 else 'are'} constant"
                  if constant else "(1, theta, q_s) are linearly dependent")
         raise ValidationError(
             f"free parameters {', '.join(config.free_params)} are not identifiable: {cause} "
-            f"across the {len(weighted)} weighted measurements")
+            f"across the {len(u)} weighted measurements")
     k_vec = k0.as_array().astype(float)
 
     def evaluate(kv):
         c, kappa = _residuals(data, params, UncertaintyParams.from_array(kv))
-        return (c, *_weighted_cost(c, W), kappa)
+        return (c, *_weighted_cost(c, data.w), kappa)
 
     c, Wc, M, kappa = evaluate(k_vec)
     trace = [IterationRecord(0, UncertaintyParams.from_array(k_vec),
-                             _rmse_um(c, data.pos_mask), M)]
+                             _rmse_um(c, data.w), M)]
     eta = config.eta
     flagged = False
 
     for iteration in range(1, config.max_iter + 1):
         # J_k at the equilibria of the residuals at k_vec: no second solve
         col, krow = _k_jacobian_factors(params, theta, delta, q_s, kappa, u, data.offsets)
-        JtW, JtWc = _normal_equations(col, krow[:, idx], W, Wc)
+        JtW, JtWc = _normal_equations(col, krow[:, idx], data.w, Wc)
         cond = np.linalg.cond(JtW)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularNormalEquations(
@@ -359,7 +329,7 @@ def nls_estimate(
 
         for _ in range(_MAX_STEP_RETRIES):
             k_cand = k_vec.copy()
-            k_cand[idx] -= (H[np.ix_(idx, idx)] @ (eta * delta_free))
+            k_cand[idx] -= eta * delta_free
             cand = evaluate(k_cand)
             if cand[2] <= M * (1.0 + _COST_RTOL):
                 break
@@ -372,7 +342,7 @@ def nls_estimate(
         rel = abs(cand[2] - M) / max(M, np.finfo(float).tiny)
         k_vec, (c, Wc, M, kappa) = k_cand, cand
         trace.append(IterationRecord(iteration, UncertaintyParams.from_array(k_vec),
-                                     _rmse_um(c, data.pos_mask), M))
+                                     _rmse_um(c, data.w), M))
         if rel < config.beta_conv or rel <= _COST_RTOL or M < _M_FLOOR:
             break
     else:
@@ -382,7 +352,7 @@ def nls_estimate(
         )
     inv = np.linalg.inv(JtW)
     scale = np.sqrt(np.diag(inv))
-    dof = np.count_nonzero(np.any(W != 0.0, axis=-1)) - idx.size
+    dof = np.count_nonzero(data.w) - idx.size
     sigma = np.sqrt(2.0 * len(measurements) * M / dof) if dof > 0 else np.nan
     return CalibrationResult(
         k_star=UncertaintyParams.from_array(k_vec),
@@ -399,7 +369,7 @@ def nls_estimate(
 # turning-point utilities
 
 
-def principal_direction(positions) -> np.ndarray:
+def _principal_direction(positions) -> np.ndarray:
     """Unit vector of largest positional spread (leading SVD direction).
 
     The micro-motion path is an out-and-back hairpin: close to the
@@ -430,7 +400,7 @@ def direction_reversals(positions) -> np.ndarray:
     p = np.asarray(positions, dtype=float)
     if p.ndim != 2 or p.shape[0] < 3:
         return np.array([], dtype=int)
-    e = principal_direction(p)
+    e = _principal_direction(p)
     s = np.diff(p, axis=0) @ e
     sgn = np.sign(s)
     for i in range(1, sgn.size):
@@ -454,7 +424,7 @@ def turning_point_index(positions) -> int | None:
     p = np.asarray(positions, dtype=float)
     if p.ndim != 2 or p.shape[0] < 3:
         return None
-    c = (p - p[0]) @ principal_direction(p)
+    c = (p - p[0]) @ _principal_direction(p)
     span = float(np.max(c) - np.min(c))
     if span <= 0.0:
         return None

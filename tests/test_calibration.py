@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,14 +13,12 @@ from crem import (
     UncertaintyParams,
     ValidationError,
     crem_pose,
-    default_weight_blocks,
     direction_reversals,
     generate_synthetic,
     identification_jacobian,
     micro_trajectory,
     nls_estimate,
     pose_error,
-    principal_direction,
     split_at_turning_point,
     turning_point_index,
 )
@@ -27,6 +27,7 @@ from crem.calibration import (
     PARAM_NAMES,
     _free_indices,
     _normal_equations,
+    _principal_direction,
     _residuals,
     _rmse_um,
     _stack,
@@ -191,10 +192,10 @@ def test_shared_default_masks_fit_bit_identically(bench, criterion_7_noisy, kind
 # objective
 
 
-def test_aggregate_zero_residuals():
+def test_aggregate_zero_residuals(bench):
     c = np.zeros((4, 6))
-    W = default_weight_blocks([_dummy_measurement() for _ in range(4)])
-    _, M = _weighted_cost(c, W)
+    w = _stack([_dummy_measurement() for _ in range(4)], bench).w
+    _, M = _weighted_cost(c, w)
     assert M == 0.0
 
 
@@ -205,7 +206,7 @@ def _dummy_measurement():
 def test_aggregate_single_unit_residual():
     c = np.zeros((1, 6))
     c[0, 0] = 1.0
-    _, M = _weighted_cost(c, np.eye(6)[None])
+    _, M = _weighted_cost(c, np.ones((1, 6)))
     assert M == 0.5
 
 
@@ -214,28 +215,30 @@ def test_aggregate_two_configs_hand_computed():
     c = np.zeros((2, 6))
     c[0, :3] = [1.0, 2.0, 100.0]
     c[1, :3] = [3.0, -1.0, -100.0]
-    W = np.zeros((2, 6, 6))
-    W[:, 0, 0] = 1.0
-    W[:, 1, 1] = 1.0
-    Wc, M = _weighted_cost(c, W)
+    w = np.zeros((2, 6))
+    w[:, :2] = 1.0
+    Wc, M = _weighted_cost(c, w)
     assert_allclose(Wc, np.where(np.arange(6) < 2, c, 0.0), atol=0)
     assert_allclose(M, (1.0 + 4.0 + 9.0 + 1.0) / 4.0, rtol=1e-15)
 
 
-def test_default_weight_blocks_masks_and_scales():
+def test_default_weight_blocks_masks_and_scales(bench):
     m_pos = _dummy_measurement()
     m_full = Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
                          R_bar=np.eye(3))
-    W = default_weight_blocks([m_pos, m_full], w_rot=7.0)
-    assert_allclose(np.diag(W[0]), [1, 1, 1, 0, 0, 0], atol=0)
-    assert_allclose(np.diag(W[1]), [1, 1, 1, 7, 7, 7], atol=0)
+    m_part = Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
+                         R_bar=np.eye(3), obs_mask=[1, 0, 1, 0, 1, 0])
+    w = _stack([m_pos, m_full, m_part], bench).w
+    assert_allclose(w[0], [1, 1, 1, 0, 0, 0], atol=0)
+    assert_allclose(w[1], [1, 1, 1, 10, 10, 10], atol=0)
+    assert_allclose(w[2], [1, 0, 1, 0, 10, 0], atol=0)
 
 
 def test_position_rmse_respects_mask(bench):
     m = Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
                     obs_mask=np.array([True, True, False, False, False, False]))
     c = np.array([[3.0, 4.0, 1e6, 0.0, 0.0, 0.0]])
-    assert_allclose(_rmse_um(c, m.obs_mask[None, :3]), 5000.0, rtol=1e-12)
+    assert_allclose(_rmse_um(c, _stack([m], bench).w), 5000.0, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -372,52 +375,14 @@ def test_constant_theta_is_named_before_the_first_iteration(bench):
     # k_lambda0 from k_lambda_theta, whatever the depths
     k_true = UncertaintyParams(0.2, 0.0, 0.025)
     ms = make_measurements(bench, np.radians(30), 0.0, np.linspace(0.0, 40.0, 20), k_true)
-    # a measurement at another theta with a zero weight block adds no rank
-    ms += make_measurements(bench, np.radians(60), 0.0, [10.0], k_true)
-    W = default_weight_blocks(ms)
-    W[-1] = 0.0
     for free in (PARAMS_ALL, ("k_lambda0", "k_lambda_theta")):
-        cfg = CalibrationConfig(free_params=free, weight_blocks=W)
+        cfg = CalibrationConfig(free_params=free)
         with pytest.raises(ValidationError, match=f"{', '.join(free)} are not identifiable: "
                                                   "theta is constant across the 20 weighted"):
             nls_estimate(ms, bench, cfg, UncertaintyParams.zero())
     for free in (("k_lambda_theta",), ("k_lambda_theta", "k_lambda_q")):
-        cfg = CalibrationConfig(free_params=free, weight_blocks=W)
+        cfg = CalibrationConfig(free_params=free)
         assert nls_estimate(ms, bench, cfg, UncertaintyParams.zero()).converged
-
-
-@pytest.mark.parametrize("fault", ["nan", "inf", "negative diagonal", "asymmetric",
-                                   "indefinite", "shape"])
-def test_user_weight_blocks_must_be_finite_symmetric_psd(bench, k_cal, fault):
-    # a NaN must not escape as numpy's LinAlgError, nor a negative weight reach the fit
-    ms = make_measurements(bench, np.radians(45), 0.0, np.linspace(0.0, 40.0, 8), k_cal)
-    W = default_weight_blocks(ms)
-    msg = "^weight block of measurement 5 must be finite, symmetric and positive semidefinite$"
-    if fault == "nan":
-        W[5, 0, 0] = np.nan
-    elif fault == "inf":
-        W[5, 2, 1] = np.inf
-    elif fault == "negative diagonal":
-        W[5, 1, 1] = -1.0
-    elif fault == "asymmetric":
-        W[5, 0, 1] = 0.5
-    elif fault == "indefinite":
-        W[5, 0, 1] = W[5, 1, 0] = 2.0
-    else:
-        W, msg = W[:, :3, :3], r"^weight_blocks must have shape \(N, 6, 6\)$"
-    with pytest.raises(ValidationError, match=msg):
-        nls_estimate(ms, bench, CalibrationConfig(weight_blocks=W), UncertaintyParams.zero())
-
-
-def test_user_weight_blocks_accept_dense_and_singular_psd_blocks(bench, k_cal):
-    # full A A^T blocks, symmetric only to rounding, and rank-deficient ones
-    ms = make_measurements(bench, np.radians(45), 0.0, np.linspace(0.0, 40.0, 8), k_cal)
-    A = np.random.default_rng(3).standard_normal((len(ms), 6, 6))
-    W = A @ np.swapaxes(A, -1, -2)
-    W[2] = np.outer(A[2, 0], A[2, 0])
-    W[4] = 0.0
-    res = nls_estimate(ms, bench, CalibrationConfig(weight_blocks=W), UncertaintyParams.zero())
-    assert res.converged
 
 
 def test_zero_depth_data_hit_the_condition_gate(bench):
@@ -502,12 +467,13 @@ def test_std_errors_and_correlation_from_the_normal_equations(bench):
                             sigma=0.002, rng=rng, with_R=True)
     cfg = CalibrationConfig(beta_conv=1e-14)
     res = nls_estimate(ms, bench, cfg, UncertaintyParams.zero())
-    W = default_weight_blocks(ms, cfg.w_rot)
+    # W: 1 on observed positions, 10 on observed orientations, 0 elsewhere
+    w = np.where([m.obs_mask for m in ms], np.repeat([1.0, 10.0], 3), 0.0)
     J = identification_jacobian(ms, bench, res.k_star, cfg.free_params).reshape(len(ms), 6, -1)
-    JtWJ = np.einsum("nij,nik->jk", J, W @ J)
+    JtWJ = np.einsum("nij,ni,nik->jk", J, w, J)
     c = residual_matrix(ms, bench, res.k_star)
     observed = 3 * 40 + 6 * 10
-    sigma2 = float(np.einsum("ni,nij,nj->", c, W, c)) / (observed - 2)
+    sigma2 = float(np.einsum("ni,ni,ni->", c, w, c)) / (observed - 2)
     cov = sigma2 * np.linalg.inv(JtWJ)
     se = np.sqrt(np.diag(cov))
     assert_allclose(res.std_errors, se, rtol=1e-6)
@@ -517,28 +483,27 @@ def test_std_errors_and_correlation_from_the_normal_equations(bench):
 
 
 def test_rank_one_normal_equations_with_general_weights(bench):
-    # full, non-diagonal SPD weight blocks and observed orientations: the
-    # rank-one sums equal the einsum over the identification_jacobian rows
+    # random positive weights on every component and observed orientations:
+    # the rank-one sums equal the einsum over the identification_jacobian rows
     k_true = UncertaintyParams(0.2, 0.01, 0.025)
     rng = np.random.default_rng(7)
     ms = make_measurements(bench, np.radians(45), 0.3, np.linspace(0.0, 40.0, 20), k_true,
                            sigma=0.002, rng=rng)
     ms += make_measurements(bench, np.radians(70), -1.0, np.linspace(2.0, 38.0, 10), k_true,
                             sigma=0.002, rng=rng, with_R=True)
-    A = rng.standard_normal((len(ms), 6, 6))
-    W = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(6)
+    w = rng.uniform(0.1, 10.0, (len(ms), 6))
     k = UncertaintyParams(0.15, 0.0, 0.02)
     data = _stack(ms, bench)
     c, kappa = _residuals(data, bench, k)
-    Wc, _ = _weighted_cost(c, W)
+    Wc, _ = _weighted_cost(c, w)
     theta, delta, q_s = data.commands
     u = np.column_stack([np.ones_like(theta), theta, q_s])
     col, krow = _k_jacobian_factors(bench, theta, delta, q_s, kappa, u, data.offsets)
     for free in (PARAM_NAMES, ("k_lambda0", "k_lambda_q"), ("k_lambda_theta",)):
         idx = [PARAM_NAMES.index(name) for name in free]
-        JtWJ, JtWc = _normal_equations(col, krow[:, idx], W, Wc)
+        JtWJ, JtWc = _normal_equations(col, krow[:, idx], w, Wc)
         J = identification_jacobian(ms, bench, k, free).reshape(len(ms), 6, -1)
-        for got, ref in ((JtWJ, np.einsum("nij,nik->jk", J, W @ J)),
+        for got, ref in ((JtWJ, np.einsum("nij,ni,nik->jk", J, w, J)),
                          (JtWc, np.einsum("nij,ni->j", J, Wc))):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -579,21 +544,20 @@ def test_integral_float_max_iter_is_stored_as_int():
     assert type(CalibrationConfig(max_iter=2.0).max_iter) is int
 
 
-@pytest.mark.parametrize("w_rot", [-1.0, np.nan, np.inf])
-def test_w_rot_validation(w_rot):
-    # a negative weight would make J^T W J indefinite
-    with pytest.raises(ValidationError):
-        CalibrationConfig(w_rot=w_rot)
-    CalibrationConfig(w_rot=0.0)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_H_validation(bad):
-    # caught here rather than as a non-finite k inside the first step
-    H = np.eye(3)
-    H[1, 2] = bad
-    with pytest.raises(ValidationError, match="H must be"):
-        CalibrationConfig(H=H)
+def test_calibration_config_is_frozen():
+    # a field set after the checks would reach the fit unchecked
+    cfg = CalibrationConfig()
+    for field, value in (("eta", 3.0), ("beta_conv", 0.0), ("max_iter", 0.5),
+                         ("free_params", ("bogus",))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+    assert {f.name for f in dataclasses.fields(cfg)} == {"eta", "beta_conv", "max_iter",
+                                                          "free_params"}
+    assert cfg == CalibrationConfig()
+    names = ["k_lambda0", "k_lambda_q"]
+    cfg = CalibrationConfig(free_params=names)
+    names.append("bogus")
+    assert cfg.free_params == ("k_lambda0", "k_lambda_q")
 
 
 def test_free_params_validation(bench, k_cal):
@@ -625,7 +589,7 @@ def hairpin():
 def test_principal_direction_of_a_line():
     t = np.linspace(0.0, 5.0, 40)
     d = np.array([2.0, -1.0, 2.0]) / 3.0
-    e = principal_direction(np.outer(t, d))
+    e = _principal_direction(np.outer(t, d))
     assert_allclose(np.abs(e @ d), 1.0, atol=1e-12)
     # oriented so the far end sits on the positive side
     assert e @ d > 0.0
@@ -748,11 +712,18 @@ def test_one_equilibrium_solve_per_evaluated_k(bench, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("equilibrium solved outside the residual evaluation")
 
+    normal_equations = crem.calibration._normal_equations
+
+    def overshooting(*args):
+        # four times the Gauss-Newton step: some candidates are rejected and eta halves
+        JtW, JtWc = normal_equations(*args)
+        return JtW, 4.0 * JtWc
+
     monkeypatch.setattr(crem.calibration, "_solve_equilibrium_arrays", counting)
+    monkeypatch.setattr(crem.calibration, "_normal_equations", overshooting)
     for module in (crem.differential, crem.kinematics, crem.model):
         monkeypatch.setattr(module, "_solve_equilibrium_arrays", forbidden)
-    # H = 4 overshoots: some candidate steps are rejected and eta halves
-    cfg = CalibrationConfig(eta=1.0, H=4.0 * np.eye(3))
+    cfg = CalibrationConfig(eta=1.0)
     res = nls_estimate(ms, bench, cfg, UncertaintyParams.zero())
     rejected = int(round(np.log2(cfg.eta / res.eta_final)))
     assert res.converged and rejected > 0

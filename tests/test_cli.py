@@ -124,6 +124,21 @@ def test_macro_theta_outside_range_fails(config_path, tmp_path, theta_range):
     assert "theta" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["simulate-micro", "--theta", "200", "--qs-range", "0:40:5"], "theta"),
+    (["simulate-micro", "--theta", "30", "--delta", "400", "--qs-range", "0:40:5"], "delta"),
+    (["gen-synthetic", "--theta", "0", "--qs-range", "0:40:5"], "theta"),
+], ids=["micro-theta", "micro-delta", "synthetic-theta"])
+def test_angle_outside_its_range_fails_when_the_command_runs(config_path, tmp_path, argv,
+                                                             name):
+    # an angle is parsed as any float; the model's range check refuses it at run time
+    out = tmp_path / "x.csv"
+    proc = crem(*argv, "--config", config_path, "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {name} must lie in ")
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_macro_columns_tangent_to_trajectory(config_path, tmp_path):
     out = tmp_path / "macro.csv"
     proc = crem("simulate-macro", "--config", config_path, "--qs", "13.29",

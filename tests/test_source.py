@@ -4,19 +4,22 @@ Every module under src/crem must use each name it imports, so that a
 deleted code path does not leave its imports behind.  The package's
 __init__ is exempt: it imports names only to re-export them.  Every
 flag of a crem subcommand must be read by that command's handler or by
-main, so that no flag is accepted and then ignored.  Every numpy array
+main, so that no flag is accepted and then ignored.  Every
+CalibrationConfig field must be set by crem calibrate, so that no setting
+is left that only tests reach.  Every numpy array
 a crem module holds at module level must be read-only, so that no
 caller can change a shared default under every other caller.
 """
 import argparse
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crem import cli
+from crem import CalibrationConfig, cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crem"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -71,6 +74,17 @@ def test_every_cli_flag_is_read():
         unread += [f"{name} {action.option_strings[0]}" for action in parser._actions
                    if not isinstance(action, argparse._HelpAction) and action.dest not in read]
     assert unread == []
+
+
+def test_every_calibration_setting_is_set_by_the_cli():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    handler = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "cmd_calibrate")
+    passed = {keyword.arg for node in ast.walk(handler)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "CalibrationConfig" for keyword in node.keywords}
+    fields = {field.name for field in dataclasses.fields(CalibrationConfig)}
+    assert sorted(fields - passed) == []
 
 
 def writeable_arrays(namespace: dict):
