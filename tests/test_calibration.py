@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import crem
 from crem import (
     CalibrationConfig,
     ConfigState,
@@ -544,20 +545,39 @@ def test_integral_float_max_iter_is_stored_as_int():
     assert type(CalibrationConfig(max_iter=2.0).max_iter) is int
 
 
-def test_calibration_config_is_frozen():
+@pytest.mark.parametrize("field, value", [("eta", 3.0), ("beta_conv", 0.0),
+                                          ("max_iter", 0.5), ("free_params", ("bogus",))])
+def test_calibration_config_is_frozen(field, value):
     # a field set after the checks would reach the fit unchecked
     cfg = CalibrationConfig()
-    for field, value in (("eta", 3.0), ("beta_conv", 0.0), ("max_iter", 0.5),
-                         ("free_params", ("bogus",))):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(cfg, field, value)
-    assert {f.name for f in dataclasses.fields(cfg)} == {"eta", "beta_conv", "max_iter",
-                                                          "free_params"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
     assert cfg == CalibrationConfig()
+
+
+def test_calibration_config_holds_only_the_loop_settings():
+    assert [f.name for f in dataclasses.fields(CalibrationConfig)] == [
+        "eta", "beta_conv", "max_iter", "free_params"]
+
+
+@pytest.mark.parametrize("setting", ["w_rot", "H", "weight_blocks"])
+def test_removed_weight_settings_are_refused(setting):
+    # the weights follow from the observation masks alone
+    with pytest.raises(TypeError, match=setting):
+        CalibrationConfig(**{setting: 1.0})
+
+
+def test_free_params_are_stored_as_a_tuple():
     names = ["k_lambda0", "k_lambda_q"]
     cfg = CalibrationConfig(free_params=names)
     names.append("bogus")
     assert cfg.free_params == ("k_lambda0", "k_lambda_q")
+
+
+@pytest.mark.parametrize("name", ["default_weight_blocks", "principal_direction"])
+def test_test_only_names_left_the_package(name):
+    assert not hasattr(crem, name)
+    assert not hasattr(calibration, name)
 
 
 def test_free_params_validation(bench, k_cal):
