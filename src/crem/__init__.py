@@ -45,12 +45,9 @@ from .calibration import (
 )
 from .dataio import (
     RobotConfig,
-    TrajectoryRecord,
     default_params,
     generate_synthetic,
     load_dataset,
     load_robot_config,
-    read_trajectory,
     write_robot_config,
-    write_trajectory,
 )

@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands: simulate-micro, simulate-macro, jacobian-check, calibrate,
-gen-synthetic.  argparse checks every flag, numeric ones by the rules of
-the class or function they feed, so usage errors come before main loads
-the robot config named by --config (default: the CREM_CONFIG
-environment variable).  Each command writes CSV artifacts through
-dataio's one writer and returns a summary, which main prints as one line
-of JSON on stdout.  The simulate, jacobian-check and calibrate artifacts
-start with a '# schema=1' line; gen-synthetic writes the trajectory
-format, which starts with '# frame=base'.  Exit codes: 0 success, 1
-numeric or file failure or a failed jacobian-check, 2 usage.  Identical
-invocations produce byte-identical outputs.
+gen-synthetic.  argparse parses every flag: a malformed one, or an --eta,
+--conv, --max-iter, --noise or --seed value that the rules of
+CalibrationConfig or generate_synthetic refuse, is a usage error before
+main loads the robot config named by --config (default: the CREM_CONFIG
+environment variable).  Out-of-domain --theta, --delta, --theta-range, --qs
+and --qs-range values parse and exit 1 when the command runs.  Each command
+writes CSV through dataio's one writer and returns a summary, which main
+prints as one line of JSON on stdout.  The simulate, jacobian-check and
+calibrate artifacts start with '# schema=1'; gen-synthetic writes the
+trajectory format, which starts with '# frame=base'.  Exit codes: 0
+success, 1 numeric or file failure or a failed jacobian-check, 2 usage.
+Identical invocations produce byte-identical outputs.
 """
 from __future__ import annotations
 

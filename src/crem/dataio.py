@@ -6,9 +6,10 @@ Lengths mm, moduli MPa, areas mm^4.  Optional rigid transforms T_BI
 row-major 3x4; T_GM is a translation, its rotation block the identity.
 
 Trajectory CSV: optional '# key=value' pragma lines, then a header
-'t,q_s,theta,delta,x,y[,z]' and data rows.  Angles are stored in degrees
-in files and converted to radians at this boundary; all other numbers
-pass through verbatim with 17 significant digits, so write/read
+'t,q_s,theta,delta,x,y[,z]' and data rows.  generate_synthetic is its
+one writer and load_dataset its one reader.  Angles are stored in
+degrees in files and converted to radians by load_dataset; all other
+numbers pass through verbatim with 17 significant digits, so write/read
 round-trips are lossless.
 """
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .model import ConfigState, RobotParams, UncertaintyParams, _integer
 
 _REQUIRED_KEYS = ("L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s")
 _TRANSFORM_KEYS = ("T_BI", "T_GM")
+_TRAJECTORY_COLUMNS = ("t", "q_s", "theta", "delta", "x", "y", "z")
 _FMT = "%.17g"
 # sample rate of synthetic sweeps, Hz
 _SYNTHETIC_HZ = 30.0
@@ -36,7 +38,8 @@ _PLANAR_OBSERVED.flags.writeable = False
 @dataclass(frozen=True, eq=False)
 class RobotConfig:
     """Robot parameters plus the optional rig transforms (4x4, identity default), each
-    finite and rigid; T_GM, read only for its offset, must be a translation."""
+    finite and rigid with last row [0, 0, 0, 1] and held as a read-only float copy;
+    T_GM, read only for its offset, must be a translation."""
 
     params: RobotParams
     T_BI: np.ndarray = field(default_factory=lambda: np.eye(4))
@@ -44,28 +47,20 @@ class RobotConfig:
 
     def __post_init__(self):
         for key in _TRANSFORM_KEYS:
-            T = getattr(self, key)
+            T = np.array(getattr(self, key), dtype=float)
+            if T.shape != (4, 4) or not np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0]):
+                raise ValidationError(f"{key} is not a valid rigid transform: "
+                                      "it must be 4x4 with last row [0, 0, 0, 1]")
             if not np.all(np.isfinite(T)):
                 raise ValidationError(f"{key} is not a valid rigid transform: "
                                       "entries must be finite")
             R = T[:3, :3]
             if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
                 raise ValidationError(f"{key} is not a valid rigid transform")
+            T.flags.writeable = False
+            object.__setattr__(self, key, T)
         if np.max(np.abs(self.T_GM[:3, :3] - np.eye(3))) > 1e-9:
             raise ValidationError("T_GM must be a translation: its rotation must be the identity")
-
-
-@dataclass
-class TrajectoryRecord:
-    """One trajectory sample; angles in radians, z None for 2-D data."""
-
-    t: float
-    q_s: float
-    theta: float
-    delta: float
-    x: float
-    y: float
-    z: float | None = None
 
 
 def default_params() -> RobotParams:
@@ -137,12 +132,11 @@ def write_robot_config(path, config: RobotConfig) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_trajectory(path):
-    """Returns (records, pragmas dict); records carry radians internally."""
+def _read_trajectory(path):
+    """(rows, pragmas dict); each row is its 6 or 7 floats as given, angles in degrees."""
     pragmas: dict = {}
-    records: list[TrajectoryRecord] = []
-    header: list[str] | None = None
-    has_z = False
+    rows: list[list[float]] = []
+    width = 0
     prev_t = -math.inf
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -156,17 +150,15 @@ def read_trajectory(path):
                     pragmas[k.strip()] = v.strip()
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if header is None:
-                if parts[:6] != ["t", "q_s", "theta", "delta", "x", "y"] or \
-                        parts[6:] not in ([], ["z"]):
+            if not width:
+                if tuple(parts) not in (_TRAJECTORY_COLUMNS[:6], _TRAJECTORY_COLUMNS):
                     raise ParseError(
                         f"{path}:{lineno}: header must be t,q_s,theta,delta,x,y[,z]"
                     )
-                header = parts
-                has_z = len(parts) == 7
+                width = len(parts)
                 continue
-            if len(parts) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
+            if len(parts) != width:
+                raise ParseError(f"{path}:{lineno}: expected {width} fields")
             try:
                 nums = [float(p) for p in parts]
             except ValueError as e:
@@ -176,57 +168,46 @@ def read_trajectory(path):
             if not nums[0] > prev_t:
                 raise ParseError(f"{path}:{lineno}: t must increase monotonically")
             prev_t = nums[0]
-            records.append(TrajectoryRecord(
-                t=nums[0], q_s=nums[1],
-                theta=math.radians(nums[2]), delta=math.radians(nums[3]),
-                x=nums[4], y=nums[5], z=nums[6] if has_z else None,
-            ))
-    if header is None:
+            rows.append(nums)
+    if not width:
         raise ParseError(f"{path}: no header row")
-    return records, pragmas
-
-
-def write_trajectory(path, records) -> None:
-    """Write base-frame records to CSV; angles are converted to degrees for the file.
-    Records that mix 2-D and 3-D samples are refused before the file is opened."""
-    has_z = records[0].z is not None if records else True
-    if any((rec.z is None) == has_z for rec in records):
-        raise ValidationError("records mix 2-D and 3-D samples")
-    cols = ["t", "q_s", "theta", "delta", "x", "y"] + (["z"] if has_z else [])
-    _write_csv(path, "frame=base", cols,
-               ([rec.t, rec.q_s, math.degrees(rec.theta), math.degrees(rec.delta),
-                 rec.x, rec.y] + ([rec.z] if has_z else []) for rec in records))
+    return rows, pragmas
 
 
 def load_dataset(path, config: RobotConfig | None = None):
     """Read a trajectory file into Measurement objects in the base frame.
 
     Positions in an image-frame file are mapped through T_BI; the marker
-    offset (translation of T_GM) is then removed.  3-D rows take the
-    default obs_mask; 2-D rows share one read-only mask that observes only
-    the first two position components.  Records are kept in file order.
+    offset (translation of T_GM) is then removed.  A 2-D image-frame file,
+    whose image z is taken as 0, is refused (FrameError) if T_BI carries
+    image z into base x or y.  3-D rows take the default obs_mask; 2-D rows
+    share one read-only mask that observes only x and y.  Rows keep file order.
     """
-    records, pragmas = read_trajectory(path)
+    rows, pragmas = _read_trajectory(path)
     frame = pragmas.get("frame", "base")
     if frame not in ("base", "image"):
         raise ParseError(f"{path}: unknown frame {frame!r}")
-    if frame == "image" and config is None:
-        raise FrameError(f"{path}: image-frame data needs a config with T_BI")
+    if frame == "image":
+        if config is None:
+            raise FrameError(f"{path}: image-frame data needs a config with T_BI")
+        if rows and len(rows[0]) == 6 and np.max(np.abs(config.T_BI[:2, 2])) > 1e-9:
+            raise FrameError(f"{path}: 2-D image-frame data needs a T_BI that maps "
+                             "image z into base z alone")
     L = config.params.L if config is not None else None
 
     measurements = []
-    for row, rec in enumerate(records, start=1):
+    for row, (_, q_s, theta, delta, *xyz) in enumerate(rows, start=1):
         try:
-            if L is not None and not (0.0 <= rec.q_s <= L):
-                raise ValidationError(f"q_s={rec.q_s} outside [0, {L}]")
-            psi = ConfigState(rec.theta, rec.delta)
-            p = np.array([rec.x, rec.y, rec.z if rec.z is not None else 0.0])
+            if L is not None and not (0.0 <= q_s <= L):
+                raise ValidationError(f"q_s={q_s} outside [0, {L}]")
+            psi = ConfigState(math.radians(theta), math.radians(delta))
+            p = np.array(xyz if len(xyz) == 3 else xyz + [0.0])
             if config is not None:
                 if frame == "image":
                     p = config.T_BI[:3, :3] @ p + config.T_BI[:3, 3]
                 p = p - config.T_GM[:3, 3]
-            mask = None if rec.z is not None else _PLANAR_OBSERVED
-            measurements.append(Measurement(psi=psi, q_s=rec.q_s, x_bar=p, obs_mask=mask))
+            mask = None if len(xyz) == 3 else _PLANAR_OBSERVED
+            measurements.append(Measurement(psi=psi, q_s=q_s, x_bar=p, obs_mask=mask))
         except ValidationError as e:
             raise ValidationError(f"{path}: row {row}: {e}") from e
     return measurements
@@ -250,8 +231,8 @@ def generate_synthetic(
 ):
     """Model-generated insertion sweep with seeded isotropic position noise.
 
-    Positions are in the base frame, sampled at _SYNTHETIC_HZ.
-    Writes the standard CSV when path is given and returns the records.
+    Returns the (N, 3) noisy base-frame positions, sampled at _SYNTHETIC_HZ,
+    and writes them as a base-frame trajectory CSV when path is given.
     Identical arguments always produce identical data.  noise_sigma must be
     finite and >= 0 and seed an integer >= 0, else ValidationError before
     anything is written.
@@ -262,13 +243,8 @@ def generate_synthetic(
     pos, _, _ = micro_trajectory(params, ConfigState(theta, delta), qs, k_true)
     rng = np.random.default_rng(seed)
     noisy = pos + noise_sigma * rng.standard_normal(pos.shape)
-    records = [
-        TrajectoryRecord(
-            t=i / _SYNTHETIC_HZ, q_s=float(qs[i]), theta=theta, delta=delta,
-            x=float(noisy[i, 0]), y=float(noisy[i, 1]), z=float(noisy[i, 2]),
-        )
-        for i in range(len(qs))
-    ]
     if path is not None:
-        write_trajectory(path, records)
-    return records
+        _write_csv(path, "frame=base", _TRAJECTORY_COLUMNS,
+                   ([i / _SYNTHETIC_HZ, q, math.degrees(theta), math.degrees(delta), *xyz]
+                    for i, (q, xyz) in enumerate(zip(qs.tolist(), noisy.tolist()))))
+    return noisy

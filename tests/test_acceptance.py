@@ -212,10 +212,9 @@ def test_criterion_7_calibration_recovery(bench_params):
     qs = np.linspace(0.0, 40.0, 382)
     cfg = CalibrationConfig(eta=0.1, beta_conv=1e-3)
 
-    recs = generate_synthetic(bench_params, K_CAL, np.radians(45), 0.0, qs,
-                              0.0, seed=0)
-    ms = [Measurement(psi=ConfigState(r.theta, r.delta), q_s=r.q_s,
-                      x_bar=np.array([r.x, r.y, r.z])) for r in recs]
+    psi = ConfigState(np.radians(45), 0.0)
+    pos = generate_synthetic(bench_params, K_CAL, psi.theta, psi.delta, qs, 0.0, seed=0)
+    ms = [Measurement(psi=psi, q_s=q, x_bar=p) for q, p in zip(qs, pos)]
     res = nls_estimate(ms, bench_params, cfg, K_ZERO)
     rel0 = abs(res.k_star.k_lambda0 - 0.2) / 0.2
     relq = abs(res.k_star.k_lambda_q - 0.025) / 0.025
@@ -223,10 +222,8 @@ def test_criterion_7_calibration_recovery(bench_params):
     assert rel0 < 0.01 and relq < 0.01
     assert drop >= 0.99
 
-    recs_n = generate_synthetic(bench_params, K_CAL, np.radians(45), 0.0, qs,
-                                0.002, seed=11)
-    ms_n = [Measurement(psi=ConfigState(r.theta, r.delta), q_s=r.q_s,
-                        x_bar=np.array([r.x, r.y, r.z])) for r in recs_n]
+    pos_n = generate_synthetic(bench_params, K_CAL, psi.theta, psi.delta, qs, 0.002, seed=11)
+    ms_n = [Measurement(psi=psi, q_s=q, x_bar=p) for q, p in zip(qs, pos_n)]
     res_n = nls_estimate(ms_n, bench_params, cfg, K_ZERO)
     rel0_n = abs(res_n.k_star.k_lambda0 - 0.2) / 0.2
     relq_n = abs(res_n.k_star.k_lambda_q - 0.025) / 0.025
@@ -283,12 +280,8 @@ def test_criterion_9_determinism_and_round_trip(bench_params, tmp_path):
     assert cfg_a.read_bytes() == cfg_b.read_bytes()
 
     ms = load_dataset(a, RobotConfig(params=bench_params))
-    recs = generate_synthetic(bench_params, K_CAL, np.radians(30), 0.0, qs,
-                              0.002, seed=21)
-    worst = max(
-        float(np.max(np.abs(m.x_bar - [r.x, r.y, r.z])))
-        for m, r in zip(ms, recs)
-    )
+    pos = generate_synthetic(bench_params, K_CAL, np.radians(30), 0.0, qs, 0.002, seed=21)
+    worst = float(np.max(np.abs(np.array([m.x_bar for m in ms]) - pos)))
     assert worst == 0.0  # 17-digit decimal round-trip is bitwise
     print(f"\n[PASS] criterion 9: byte-stable synthetic generation and config "
           f"writes, dataset round-trip exact")

@@ -407,10 +407,10 @@ def criterion_7_noisy(bench):
     """The criterion-7 noisy sweep (382 samples, 2 um, seed 11) and its
     96-sample subset with the true tip orientation observed."""
     k_true = UncertaintyParams(0.2, 0.0, 0.025)
-    recs = generate_synthetic(bench, k_true, np.radians(45), 0.0,
-                              np.linspace(0.0, 40.0, 382), 0.002, seed=11)
-    noisy = [Measurement(psi=ConfigState(r.theta, r.delta), q_s=r.q_s,
-                         x_bar=np.array([r.x, r.y, r.z])) for r in recs]
+    psi = ConfigState(np.radians(45), 0.0)
+    qs = np.linspace(0.0, 40.0, 382)
+    pos = generate_synthetic(bench, k_true, psi.theta, psi.delta, qs, 0.002, seed=11)
+    noisy = [Measurement(psi=psi, q_s=q, x_bar=p) for q, p in zip(qs, pos)]
     rot = [Measurement(psi=m.psi, q_s=m.q_s, x_bar=m.x_bar,
                        R_bar=crem_pose(bench, m.psi, m.q_s, k_true).tip.R)
            for m in noisy[::4]]

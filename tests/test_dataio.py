@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,6 @@ from crem import (
     FrameError,
     ParseError,
     RobotConfig,
-    TrajectoryRecord,
     UncertaintyParams,
     ValidationError,
     default_params,
@@ -15,10 +16,8 @@ from crem import (
     load_dataset,
     load_robot_config,
     micro_trajectory,
-    read_trajectory,
     turning_point_index,
     write_robot_config,
-    write_trajectory,
 )
 
 from conftest import oracle_rotation
@@ -134,74 +133,75 @@ def test_config_rejects_nonrigid_transform(tmp_path):
         RobotConfig(params=default_params(), T_GM=T)
 
 
+def last_row(values):
+    T = np.eye(4)
+    T[3] = values
+    return T
+
+
+@pytest.mark.parametrize("key", ["T_BI", "T_GM"])
+@pytest.mark.parametrize("T", [
+    np.eye(3),
+    np.eye(4)[:3],
+    last_row([1.0, 2.0, 3.0, 4.0]),
+    last_row([0.0, 0.0, 1e-12, 1.0]),
+], ids=["3x3", "3x4", "last-row-1234", "last-row-off-by-1e-12"])
+def test_robot_config_refuses_transform_that_is_not_4x4_homogeneous(key, T):
+    # a 3x3 transform would fail in load_dataset as a bare IndexError, and
+    # write_robot_config writes only the top three rows of a 4x4 one
+    with pytest.raises(ValidationError, match=f"^{key} is not a valid rigid transform: "
+                                              r"it must be 4x4 with last row \[0, 0, 0, 1\]"):
+        RobotConfig(params=default_params(), **{key: T})
+
+
+@pytest.mark.parametrize("key", ["T_BI", "T_GM"])
+def test_robot_config_holds_a_read_only_float_copy(key):
+    T = np.eye(4, dtype=int)
+    cfg = RobotConfig(params=default_params(), **{key: T})
+    held = getattr(cfg, key)
+    assert held.dtype == float and not held.flags.writeable
+    T[0, 3] = 5
+    T[3] = [1, 2, 3, 4]
+    assert np.array_equal(held, np.eye(4))
+    with pytest.raises(ValueError, match="read-only"):
+        held[0, 3] = 5.0
+
+
 # ---------------------------------------------------------------------------
 # trajectory files
 
 
-def sample_records(n=5, three_d=True):
-    rng = np.random.default_rng(42)
-    out = []
-    for i in range(n):
-        out.append(TrajectoryRecord(
-            t=i / 30.0,
-            q_s=float(rng.uniform(0.0, 40.0)),
-            theta=float(rng.uniform(0.1, 3.0)),
-            delta=float(rng.uniform(-3.1, 3.1)),
-            x=float(rng.standard_normal()),
-            y=float(rng.standard_normal()),
-            z=float(rng.standard_normal()) if three_d else None,
-        ))
-    return out
-
-
-@pytest.mark.parametrize("three_d", [True, False])
-def test_trajectory_round_trip(tmp_path, three_d):
-    records = sample_records(three_d=three_d)
+def test_synthetic_file_round_trips_through_load_dataset(tmp_path, bench):
+    # positions and depths survive the 17-digit decimal detour bitwise; angles
+    # are degrees on disk and pick up one rounding from each conversion
+    qs = np.linspace(0.0, 40.0, 25)
+    theta, delta = np.pi / 6.0, -np.pi / 2.0
     path = tmp_path / "t.csv"
-    write_trajectory(path, records)
-    back, pragmas = read_trajectory(path)
-    assert pragmas["frame"] == "base"
-    assert len(back) == len(records)
-    for a, b in zip(records, back):
-        # raw floats survive the 17-digit decimal detour bitwise; angles
-        # pick up one rounding from each degree conversion
-        assert b.t == a.t and b.q_s == a.q_s
-        assert b.x == a.x and b.y == a.y and b.z == a.z
-        assert abs(b.theta - a.theta) <= 4.0 * np.finfo(float).eps
-        assert abs(b.delta - a.delta) <= 4.0 * np.finfo(float).eps
-
-
-def test_trajectory_mixed_dimensions_leave_no_file(tmp_path):
-    records = sample_records(three_d=True)
-    records[2] = TrajectoryRecord(t=9.0, q_s=1.0, theta=0.5, delta=0.0, x=0.0, y=0.0)
-    path = tmp_path / "mixed.csv"
-    with pytest.raises(ValidationError, match="mix 2-D and 3-D"):
-        write_trajectory(path, records)
-    assert not path.exists()
-
-
-def test_trajectory_angles_are_degrees_on_disk(tmp_path):
-    rec = TrajectoryRecord(t=0.0, q_s=1.0, theta=np.pi / 6.0, delta=-np.pi / 2.0,
-                           x=0.0, y=0.0, z=0.0)
-    path = tmp_path / "deg.csv"
-    write_trajectory(path, [rec])
-    data_line = path.read_text().splitlines()[2]
-    fields = data_line.split(",")
-    assert float(fields[2]) == pytest.approx(30.0, abs=1e-12)
-    assert float(fields[3]) == pytest.approx(-90.0, abs=1e-12)
+    pos = generate_synthetic(bench, UncertaintyParams(0.2, 0.0, 0.025), theta, delta, qs,
+                             0.002, seed=42, path=path)
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# frame=base", "t,q_s,theta,delta,x,y,z"]
+    assert [float(v) for v in lines[2].split(",")[2:4]] == pytest.approx([30.0, -90.0],
+                                                                         abs=1e-12)
+    ms = load_dataset(path, None)
+    assert len(ms) == len(qs)
+    for m, q, p in zip(ms, qs, pos):
+        assert m.q_s == q and np.array_equal(m.x_bar, p)
+        assert abs(m.psi.theta - theta) <= 4.0 * np.finfo(float).eps
+        assert abs(m.psi.delta - delta) <= 4.0 * np.finfo(float).eps
 
 
 def test_trajectory_header_errors(tmp_path):
     with pytest.raises(ParseError, match="header"):
-        read_trajectory(write(tmp_path, "h.csv", "a,b,c\n1,2,3\n"))
+        load_dataset(write(tmp_path, "h.csv", "a,b,c\n1,2,3\n"), None)
     with pytest.raises(ParseError, match="no header"):
-        read_trajectory(write(tmp_path, "e.csv", "# frame=base\n"))
+        load_dataset(write(tmp_path, "e.csv", "# frame=base\n"), None)
     bad_width = "t,q_s,theta,delta,x,y\n0,1,2,3,4\n"
     with pytest.raises(ParseError, match="6 fields"):
-        read_trajectory(write(tmp_path, "w.csv", bad_width))
+        load_dataset(write(tmp_path, "w.csv", bad_width), None)
     not_a_number = "t,q_s,theta,delta,x,y\n0,1,2,3,4,5\n1,2,3,x,4,5\n"
     with pytest.raises(ParseError, match=":3: could not convert string to float: 'x'$"):
-        read_trajectory(write(tmp_path, "n.csv", not_a_number))
+        load_dataset(write(tmp_path, "n.csv", not_a_number), None)
 
 
 def test_trajectory_rejects_nonmonotone_time(tmp_path):
@@ -213,7 +213,7 @@ def test_trajectory_rejects_nonmonotone_time(tmp_path):
                              ("nan,1,30,0,0,0\n", ":2:", "t must be finite")):
         text = "t,q_s,theta,delta,x,y\n" + rows
         with pytest.raises(ParseError, match=msg) as err:
-            read_trajectory(write(tmp_path, "mono.csv", text))
+            load_dataset(write(tmp_path, "mono.csv", text), None)
         assert where in str(err.value)
 
 
@@ -269,16 +269,46 @@ def test_load_dataset_applies_image_transform(tmp_path):
         assert_allclose(b.x_bar, T_BI[:3, :3] @ a.x_bar + T_BI[:3, 3], atol=1e-12)
 
 
-def test_load_dataset_removes_marker_offset(tmp_path):
+def test_load_dataset_removes_marker_offset(tmp_path, bench):
     T_GM = np.eye(4)
     T_GM[:3, 3] = [0.1, -0.2, 0.3]
-    records = sample_records(3)
     path = tmp_path / "m.csv"
-    write_trajectory(path, records)
+    generate_synthetic(bench, UncertaintyParams(0.2, 0.0, 0.025), 0.5, 1.0,
+                       np.linspace(0.0, 40.0, 3), 1.0, seed=42, path=path)
     plain = load_dataset(path, RobotConfig(params=default_params()))
     shifted = load_dataset(path, RobotConfig(params=default_params(), T_GM=T_GM))
     for a, b in zip(plain, shifted):
         assert_allclose(b.x_bar, a.x_bar - T_GM[:3, 3], atol=1e-15)
+
+
+def tilted_image_config(angle, axis):
+    T_BI = np.eye(4)
+    T_BI[:3, :3] = oracle_rotation(np.array(axis, dtype=float), angle)
+    T_BI[:3, 3] = [4.0, -2.0, 1.5]
+    return RobotConfig(params=default_params(), T_BI=T_BI)
+
+
+def test_load_dataset_refuses_2d_image_file_through_tilted_image_frame(tmp_path):
+    # a 2-D row's unobserved image z, taken as 0, would leak into base y
+    path = write(tmp_path, "img.csv", "# frame=image\nt,q_s,theta,delta,x,y\n0,5,30,0,1,2\n")
+    with pytest.raises(FrameError, match=f"^{re.escape(str(path))}: 2-D image-frame data"):
+        load_dataset(path, tilted_image_config(0.5, [1.0, 0.0, 0.0]))
+
+
+def test_load_dataset_maps_2d_image_file_through_turn_about_z(tmp_path):
+    cfg = tilted_image_config(0.5, [0.0, 0.0, 1.0])
+    path = write(tmp_path, "img.csv", "# frame=image\nt,q_s,theta,delta,x,y\n0,5,30,0,1,2\n")
+    (m,) = load_dataset(path, cfg)
+    assert_allclose(m.x_bar, cfg.T_BI[:3, :3] @ [1.0, 2.0, 0.0] + cfg.T_BI[:3, 3], atol=1e-15)
+    assert m.obs_mask.tolist() == [True, True, False, False, False, False]
+
+
+def test_load_dataset_maps_3d_image_file_through_tilted_image_frame(tmp_path):
+    cfg = tilted_image_config(0.5, [1.0, 0.0, 0.0])
+    path = write(tmp_path, "img.csv",
+                 "# frame=image\nt,q_s,theta,delta,x,y,z\n0,5,30,0,1,2,7\n")
+    (m,) = load_dataset(path, cfg)
+    assert_allclose(m.x_bar, cfg.T_BI[:3, :3] @ [1.0, 2.0, 7.0] + cfg.T_BI[:3, 3], atol=1e-14)
 
 
 def test_load_dataset_depth_out_of_range(tmp_path):
@@ -354,17 +384,15 @@ def test_synthetic_zero_uncertainty_is_constant(tmp_path, k_zero):
 
     params = RobotParams(L=44.3, r=3.0, E_p=41000.0, E_i=41000.0, E_s=0.0,
                          I_p=0.0312, I_i=0.0312, I_s=0.0)
-    records = generate_synthetic(params, k_zero, np.radians(30), 0.0,
-                                 np.linspace(0.0, 40.0, 20), 0.0, seed=0)
-    pos = np.array([[r.x, r.y, r.z] for r in records])
+    pos = generate_synthetic(params, k_zero, np.radians(30), 0.0,
+                             np.linspace(0.0, 40.0, 20), 0.0, seed=0)
     assert np.max(np.abs(pos - pos[0])) < 1e-9
 
 
 def test_synthetic_hairpin_scale(bench):
     k = UncertaintyParams(0.2, 0.0, 0.025)
-    records = generate_synthetic(bench, k, np.radians(30), 0.0,
-                                 np.linspace(0.0, 40.0, 200), 0.0, seed=0)
-    pos = np.array([[r.x, r.y, r.z] for r in records])
+    pos = generate_synthetic(bench, k, np.radians(30), 0.0,
+                             np.linspace(0.0, 40.0, 200), 0.0, seed=0)
     assert turning_point_index(pos) is not None
     path_len = float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
     assert 0.05 < path_len < 0.5  # tens-to-hundreds of micrometres
@@ -374,15 +402,14 @@ def test_synthetic_round_trip_through_dataset(tmp_path, bench):
     k = UncertaintyParams(0.2, 0.0, 0.025)
     qs = np.linspace(0.0, 40.0, 30)
     path = tmp_path / "syn.csv"
-    records = generate_synthetic(bench, k, np.radians(30), 0.0, qs, 0.002,
-                                 seed=4, path=path)
+    pos = generate_synthetic(bench, k, np.radians(30), 0.0, qs, 0.002, seed=4, path=path)
     ms = load_dataset(path, RobotConfig(params=bench))
     assert len(ms) == 30
-    for rec, m in zip(records, ms):
-        assert_allclose(m.x_bar, [rec.x, rec.y, rec.z], atol=1e-12)
-        assert m.q_s == rec.q_s
+    for q, p, m in zip(qs, pos, ms):
+        assert_allclose(m.x_bar, p, atol=1e-12)
+        assert m.q_s == q
         assert np.array_equal(m.obs_mask, [True, True, True, False, False, False])
     # positions regenerate from the model plus the same seeded noise
     clean, _, _ = micro_trajectory(bench, ConfigState(np.radians(30), 0.0), qs, k)
-    noise = np.array([[r.x, r.y, r.z] for r in records]) - clean
+    noise = pos - clean
     assert np.max(np.abs(noise)) < 5 * 0.002 * 4.0

@@ -8,12 +8,15 @@ main, so that no flag is accepted and then ignored.  Every
 CalibrationConfig field must be set by crem calibrate, so that no setting
 is left that only tests reach.  Every numpy array
 a crem module holds at module level must be read-only, so that no
-caller can change a shared default under every other caller.
+caller can change a shared default under every other caller.  Every
+dataclass a crem module defines must be frozen, so that no record can
+be changed after its checks have run.
 """
 import argparse
 import ast
 import dataclasses
 import importlib
+import types
 from pathlib import Path
 
 import numpy as np
@@ -105,3 +108,26 @@ def test_checker_flags_writeable_arrays():
                                              if p.stem != "__main__"])
 def test_module_level_arrays_are_read_only(name):
     assert writeable_arrays(vars(importlib.import_module(name))) == [], name
+
+
+def mutable_dataclasses(module):
+    """Names of the dataclasses the module defines that are not frozen, sorted."""
+    return sorted(name for name, value in vars(module).items()
+                  if dataclasses.is_dataclass(value) and isinstance(value, type)
+                  and value.__module__ == module.__name__
+                  and not value.__dataclass_params__.frozen)
+
+
+def test_checker_flags_mutable_dataclasses():
+    module = types.ModuleType("probe")
+    for name, frozen in (("Open", False), ("Closed", True), ("Loose", False)):
+        cls = dataclasses.make_dataclass(name, [("x", float)], frozen=frozen)
+        cls.__module__ = "probe"
+        setattr(module, name, cls)
+    module.Imported = CalibrationConfig
+    assert mutable_dataclasses(module) == ["Loose", "Open"]
+
+
+@pytest.mark.parametrize("name", [f"crem.{p.stem}" for p in MODULES if p.stem != "__main__"])
+def test_every_dataclass_is_frozen(name):
+    assert mutable_dataclasses(importlib.import_module(name)) == [], name
