@@ -41,7 +41,7 @@ from .dataio import (
 )
 from .differential import _fd_discrepancy_arrays, _jacobian_arrays
 from .errors import CremError
-from .kinematics import _tip_positions, micro_trajectory
+from .kinematics import micro_trajectory
 from .model import ConfigState, UncertaintyParams, _integer
 
 _FD_TOL = 1e-6
@@ -131,11 +131,10 @@ def cmd_simulate_macro(args, cfg) -> dict:
     thetas = args.theta_range
     delta = math.radians(args.delta)
     js = _jacobian_arrays(cfg.params, np.radians(thetas), delta, args.qs, args.k_lambda)
-    pos = _tip_positions(cfg.params, js.th_s, js.th_e, delta, args.qs)
     cols = ["theta", "x", "y", "z"] + [f"jm{i + 1}{ax}" for i in range(3) for ax in "xyz"]
     _write_csv(args.out, "schema=1", cols,
                ([th_deg, *p, *JM.T.ravel()]
-                for th_deg, p, JM in zip(thetas, pos, js.J_M[:, :3, :])))
+                for th_deg, p, JM in zip(thetas, js.p, js.J_M[:, :3, :])))
     return {"rows": len(thetas), "out": args.out}
 
 

@@ -5,8 +5,9 @@ Lengths mm, moduli MPa, areas mm^4.  Optional rigid transforms T_BI
 (image in base) and T_GM (marker offset) are given as 12 numbers,
 row-major 3x4; T_GM is a translation, its rotation block the identity.
 
-Trajectory CSV: optional '# key=value' pragma lines, then a header
-'t,q_s,theta,delta,x,y[,z]' and data rows.  generate_synthetic is its
+Trajectory CSV: optional '# key=value' pragma lines, each key once, then a
+header 't,q_s,theta,delta,x,y[,z]' and data rows; a pragma after the header
+is refused, a plain '#' comment is allowed anywhere.  generate_synthetic is its
 one writer and load_dataset its one reader.  Angles are stored in
 degrees in files and converted to radians by load_dataset; all other
 numbers pass through verbatim with 17 significant digits, so write/read
@@ -146,8 +147,11 @@ def _read_trajectory(path):
             if line.startswith("#"):
                 body = line[1:].strip()
                 if "=" in body:
-                    k, _, v = body.partition("=")
-                    pragmas[k.strip()] = v.strip()
+                    k, _, v = (t.strip() for t in body.partition("="))
+                    if width or k in pragmas:
+                        raise ParseError(f"{path}:{lineno}: pragma {k!r} "
+                                         + ("after the header" if width else "repeated"))
+                    pragmas[k] = v
                 continue
             parts = [p.strip() for p in line.split(",")]
             if not width:

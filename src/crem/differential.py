@@ -11,10 +11,10 @@ Two layers:
   (J_xi_phi / J_xi_delta / J_xi_qs), and the assembled macro / micro /
   identification Jacobians J_M, J_mu, J_k.
 
-Both layers land in one record, JacobianSet, of any batch shape: the
-batched core _jacobian_arrays fills it, the assembled Jacobians are formed
-from it on first access, and assemble_motion_jacobians returns the core's
-record at batch shape ().
+Both layers land in one record, JacobianSet, of any batch shape, with
+the tip position of the same chain pass: the batched core _jacobian_arrays
+fills it, the assembled Jacobians are formed from it on first access, and
+assemble_motion_jacobians returns the core's record at batch shape ().
 
 Both arcs bend in the plane delta, so each twist block is in-plane 2-D
 arithmetic turned by Rz(-delta), with no 3x3 product.  J_M maps through
@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .kinematics import _arc, _columns, _in_plane_tip, _tip_positions, segment_rotation
+from .kinematics import (_arc, _chain, _columns, _in_plane_tip, _scalar_chain, _tip_positions,
+                         segment_rotation)
 from .model import (
     THETA_BASE,
     ConfigState,
@@ -45,7 +46,6 @@ from .model import (
     _arc_moment,
     _broadcast_samples,
     _equilibrium_angles,
-    _scalar_kappa,
     _sigma,
     _solve_equilibrium_arrays,
     _theta_prime,
@@ -119,34 +119,33 @@ def _theta_s_twist(params: RobotParams, s, e_x, e_z, sd, cd, q_s):
     return _columns(p_x.shape, p_x, -sd * v_x, v_z, -sd, -cd, 0.0)
 
 
-def _xi_jacobian_arrays(params: RobotParams, th_s, th_e, delta, q_s):
-    """Vectorized (J_xi_phi (..., 6, 2), J_xi_delta (..., 6), J_xi_qs (..., 6)).
+def _xi_jacobian_arrays(params: RobotParams, c, delta, q_s):
+    """Vectorized (p (..., 3), J_xi_phi (..., 6, 2), J_xi_delta (..., 6), J_xi_qs (..., 6))
+    of the planar chain c (kinematics._chain) at depth q_s.
 
-    Both arcs bend in the plane delta, so every block is an in-plane (x, z)
-    vector, or the plane normal y, turned by Rz(-delta).  The theta_s and
-    theta_eps columns turn about the shared axis Rz(-delta)(0, -1, 0); a
-    theta_s change also swings the empty arc, w = (L - q_s)(e_x, e_z), about
-    that axis.  Turning the plane by delta moves the tip along -y by its
-    in-plane distance x from the axis, and rotates the frame about
-    Rz(-delta)(sin, 0, cos - 1) of the tip bend pi/2 - theta_prime.  The
-    arguments broadcast against each other.
+    Both arcs bend in the plane delta, so the tip p and every block is an
+    in-plane (x, z) vector, or the plane normal y, turned by Rz(-delta).  The
+    theta_s and theta_eps columns turn about the shared axis
+    Rz(-delta)(0, -1, 0); a theta_s change also swings the empty arc,
+    w = (L - q_s)(e_x, e_z), about that axis.  Turning the plane by delta moves
+    the tip along -y by its in-plane distance x from the axis, and rotates the
+    frame about Rz(-delta)(sin, 0, cos - 1) of the tip bend pi/2 - theta_prime.
+    The arguments broadcast against each other.
     """
-    q_s = np.asarray(q_s, dtype=float)
-    s, e = _arc(th_s, slopes=True), _arc(th_e, slopes=True)
-    x, _, e_x, e_z = _in_plane_tip(params, s, e, q_s)
+    s, e = c.s, c.e
     L_e = params.L - q_s
     sd, cd = np.sin(delta), np.cos(delta)
-    col_s = _theta_s_twist(params, s, e_x, e_z, sd, cd, q_s)
+    col_s = _theta_s_twist(params, s, c.e_x, c.e_z, sd, cd, q_s)
     shape = col_s.shape[:-1]
     axis = (-sd, -cd, 0.0)
     w_x, w_z = L_e * (s.s * e.a_t + s.c * e.b_t), L_e * (s.s * e.b_t - s.c * e.a_t)
     J_xi_phi = _columns(shape + (6,), col_s, _columns(shape, cd * w_x, -sd * w_x, w_z, *axis))
     # sin and cos of theta_s + theta_eps = theta_prime + pi/2
     t_x, t_z = s.s * e.c + s.c * e.s, -1.0 - (s.c * e.c - s.s * e.s)
-    J_xi_delta = _columns(shape, *(x * a for a in axis), cd * t_x, -sd * t_x, t_z)
-    q_x = s.a - e_x
-    J_xi_qs = _columns(shape, cd * q_x, -sd * q_x, s.b - e_z, 0.0, 0.0, 0.0)
-    return J_xi_phi, J_xi_delta, J_xi_qs
+    J_xi_delta = _columns(shape, *(c.x * a for a in axis), cd * t_x, -sd * t_x, t_z)
+    q_x = s.a - c.e_x
+    J_xi_qs = _columns(shape, cd * q_x, -sd * q_x, s.b - c.e_z, 0.0, 0.0, 0.0)
+    return _columns(shape, cd * c.x, -sd * c.x, c.z), J_xi_phi, J_xi_delta, J_xi_qs
 
 
 def _k_jacobian_factors(params: RobotParams, theta, delta, q_s, kappa, u, D):
@@ -174,7 +173,8 @@ def _orthogonal_pinv(J):
 class JacobianSet:
     """Tip Jacobians and their constituents at solved equilibria, of one batch shape.
 
-    th_s and th_e are the equilibrium angles (theta_s, theta_eps).  d_phi
+    th_s and th_e are the equilibrium angles (theta_s, theta_eps), p (..., 3)
+    the tip position, bit for bit kinematics._tip_positions.  d_phi
     stacks d phi / d(theta, delta, q_s, k_lambda0, k_lambda_theta,
     k_lambda_q) as (..., 2, 6).  J_xi_phi (..., 6, 2), J_xi_delta and
     J_xi_qs (..., 6) are the tip twist per (theta_s, theta_eps), delta and
@@ -185,6 +185,7 @@ class JacobianSet:
 
     th_s: np.ndarray
     th_e: np.ndarray
+    p: np.ndarray
     d_phi: np.ndarray
     J_xi_phi: np.ndarray
     J_xi_delta: np.ndarray
@@ -218,25 +219,28 @@ class JacobianSet:
         return self.J_xi_phi @ self.d_phi[..., 3:6]
 
 
-def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, kappa=None):
-    """Differentiate the equilibria at the solved curvature kappa, solving for
-    it first when kappa is None; see JacobianSet."""
+def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, kappa=None,
+                     chain=None):
+    """Differentiate the equilibria at the solved curvature kappa and its kinematics._chain,
+    solving for kappa and forming the chain first where they are None; see JacobianSet."""
     theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
     if kappa is None:
         kappa = _solve_equilibrium_arrays(params, theta, delta, q_s,
                                           uncertainty_lambda(k, q_s, theta))
-    th_s, _, th_e = _equilibrium_angles(params, theta, q_s, kappa)
+    if chain is None:
+        chain = _chain(params, *_equilibrium_angles(params, theta, q_s, kappa), q_s)
     d_phi, J_q_psi = _phi_gradient_arrays(params, theta, delta, q_s, k, kappa)
-    xi = _xi_jacobian_arrays(params, th_s, th_e, delta, q_s)
-    return JacobianSet(th_s, th_e, d_phi, *xi, J_q_psi)
+    p, *xi = _xi_jacobian_arrays(params, chain, delta, q_s)
+    return JacobianSet(chain.th_s, chain.th_e, p, d_phi, *xi, J_q_psi)
 
 
 def assemble_motion_jacobians(
     params: RobotParams, psi: ConfigState, q_s: float, k: UncertaintyParams
 ) -> JacobianSet:
-    """All tip Jacobians at one configuration, a JacobianSet of batch shape ()."""
-    kappa = _scalar_kappa(params, float(psi.theta), float(psi.delta), float(q_s), k)
-    return _jacobian_arrays(params, psi.theta, psi.delta, float(q_s), k, kappa=kappa)
+    """All tip Jacobians at one configuration, a JacobianSet of batch shape (), from the
+    configuration's kept solve and planar chain (kinematics._scalar_chain)."""
+    kappa, chain = _scalar_chain(params, float(psi.theta), float(psi.delta), float(q_s), k)
+    return _jacobian_arrays(params, psi.theta, psi.delta, float(q_s), k, kappa, chain)
 
 
 # ---------------------------------------------------------------------------

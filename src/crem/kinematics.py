@@ -15,10 +15,13 @@ subsegment (length q_s, angle theta_s) followed by the empty subsegment
 separation plane.  Both bend in the plane delta, so every tip pose, scalar
 or batched, comes from one planar chain: p = Rz(-delta) [x, 0, z] with
 (x, z) = q_s (a_s, b_s) + (L - q_s) Ry(pi/2 - theta_s) (a_e, b_e), and the
-tip rotation is segment_rotation(theta_s + theta_eps - pi/2, delta).
+tip rotation is segment_rotation(theta_s + theta_eps - pi/2, delta).  A pose
+and the Jacobians of one configuration share one kept chain pass, arcs with
+slopes (_scalar_chain); sweeps and the fit take the plain-arc _tip_positions.
 """
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -30,8 +33,8 @@ from .model import (
     RobotParams,
     UncertaintyParams,
     _equilibrium_angles,
+    _scalar_kappa,
     _solve_equilibrium_arrays,
-    solve_equilibrium,
     uncertainty_lambda,
 )
 
@@ -135,19 +138,40 @@ def _tip_positions(params: RobotParams, th_s, th_e, delta, q_s):
     return _columns(p_x.shape, p_x, -np.sin(delta) * x, z)
 
 
+_Chain = namedtuple("_Chain", "th_s th_p th_e s e x z e_x e_z")
+
+
+def _chain(params: RobotParams, th_s, th_p, th_e, q_s) -> _Chain:
+    """The angles (theta_s, theta_prime, theta_eps), both _arcs with slopes and _in_plane_tip
+    (x, z, e_x, e_z), for a pose and its Jacobians.  Nothing in it depends on delta."""
+    s, e = _arc(th_s, slopes=True), _arc(th_e, slopes=True)
+    return _Chain(th_s, th_p, th_e, s, e, *_in_plane_tip(params, s, e, q_s))
+
+
+@functools.lru_cache(maxsize=1)
+def _scalar_chain(params: RobotParams, theta: float, delta: float, q_s: float, k):
+    """(kappa, _chain) of one configuration, kept on model._scalar_kappa's key so that a pose
+    and the Jacobians share one chain pass; the 0-d slopes of b are made read-only."""
+    kappa = _scalar_kappa(params, theta, delta, q_s, k)
+    c = _chain(params, *_equilibrium_angles(params, theta, q_s, kappa), q_s)
+    c.s.b_t.flags.writeable = c.e.b_t.flags.writeable = False
+    return kappa, c
+
+
 def crem_pose(
     params: RobotParams, psi: ConfigState, q_s: float, k: UncertaintyParams
 ) -> SegmentedPose:
     """Tip pose at configuration psi and insertion depth q_s.
 
-    Solves the moment equilibrium for phi, then forms the tip position from
-    the planar chain _tip_positions and the rotation
-    segment_rotation(theta_prime, delta).
+    Takes the kept solve and planar chain of the configuration (_scalar_chain),
+    turns its in-plane tip by delta as _tip_positions does, and forms the
+    rotation segment_rotation(theta_prime, delta).
     """
-    phi = solve_equilibrium(params, psi, q_s, k)
-    tip = Pose(_tip_positions(params, phi.theta_s, phi.theta_eps, psi.delta, q_s),
-               segment_rotation(phi.theta_prime, psi.delta))
-    return SegmentedPose(tip, phi)
+    _, c = _scalar_chain(params, float(psi.theta), float(psi.delta), float(q_s), k)
+    p_x = np.cos(psi.delta) * c.x
+    tip = Pose(_columns(p_x.shape, p_x, -np.sin(psi.delta) * c.x, c.z),
+               segment_rotation(c.th_p, psi.delta))
+    return SegmentedPose(tip, EquilibriumConfig(float(c.th_s), float(c.th_e)))
 
 
 def micro_trajectory(

@@ -267,7 +267,7 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam, D=Non
         return (f"sample {i}: (theta, delta, q_s) = ({theta.flat[i]:.6g}, "
                 f"{delta.flat[i]:.6g}, {q_s.flat[i]:.6g})")
 
-    if not ok.all():
+    if np.count_nonzero(ok) != ok.size:
         raise ValidationError(f"{sample(int(np.argmin(ok)))} outside (0, pi) x (-pi, pi] x [0, L]")
     if D is None:
         D = _offsets(params, delta_in, theta.ndim)
@@ -277,7 +277,7 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam, D=Non
     # Newton starts from the whole segment's curvature kappa0
     kappa = ((theta - THETA_BASE) / params.L).ravel()
     x, M, M_k = _arc_moment(params, D, kappa)
-    if (x <= 0.0).any():
+    if np.count_nonzero(x <= 0.0):
         raise NonPhysicalLength(f"backbone length <= 0 (min {params.L * np.min(x):.6g} mm)")
     # the active samples' working arrays, compacted only when samples freeze
     active, Da, ka, rhs = np.arange(kappa.size), D, kappa, M - lam.ravel()
@@ -285,7 +285,8 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam, D=Non
         s = (rhs - M - params.EI_s * ka) / (M_k + params.EI_s)
         new = ka + s
         x = 1.0 + Da * new
-        while not (x > 0.0).all():
+        # count_nonzero beats .all() on a few samples; a NaN stretch is not > 0
+        while np.count_nonzero(x > 0.0) != x.size:
             # a non-finite step is not halved; it stays active and is reported
             out = ~(x > 0.0).all(axis=0) & np.isfinite(s)
             if not out.any():
@@ -295,10 +296,11 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam, D=Non
             x = 1.0 + Da * new
         ka, step = new, np.abs(s) * params.L
         done = step < _SOLVER_TOL
-        if done.all():
+        n_done = np.count_nonzero(done)
+        if n_done == done.size:
             kappa[active] = ka
             break
-        if done.any():
+        if n_done:
             kappa[active[done]] = ka[done]
             keep = ~done
             active, ka, rhs, Da, x = active[keep], ka[keep], rhs[keep], Da[:, keep], x[:, keep]
@@ -330,9 +332,9 @@ def _equilibrium_angles(params: RobotParams, theta, q_s, kappa):
 @functools.lru_cache(maxsize=1)
 def _scalar_kappa(params: RobotParams, theta: float, delta: float, q_s: float,
                   k: UncertaintyParams) -> float:
-    """The solved curvature of one configuration, kept so that a pose and the Jacobians
-    of the same configuration share one solve.  Keyed on plain floats, as a psi need not
-    be hashable; the kept value is an immutable float."""
+    """The solved curvature of one configuration, kept so that solve_equilibrium and the
+    kept chain of a pose and its Jacobians (kinematics._scalar_chain) share one solve.
+    Keyed on plain floats, as a psi need not be hashable; the value is an immutable float."""
     return float(_solve_equilibrium_arrays(params, theta, delta, q_s,
                                            uncertainty_lambda(k, q_s, theta)))
 

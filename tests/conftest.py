@@ -33,7 +33,7 @@ from crem import (
     crem_pose,
 )
 from crem.differential import _FD_STEP
-from crem.kinematics import _arc, _tip_positions, segment_rotation
+from crem.kinematics import _arc, _scalar_chain, _tip_positions, segment_rotation
 from crem.model import _offsets, _scalar_kappa
 from crem.rotations import axis_angle_vector
 
@@ -61,11 +61,21 @@ def k_zero() -> UncertaintyParams:
     return UncertaintyParams.zero()
 
 
+# every value the package keeps between scalar calls; test_source checks that this
+# names each functools cache under src/crem
+KEPT_VALUES = (_scalar_kappa, _scalar_chain)
+
+
+def clear_kept_values():
+    for kept in KEPT_VALUES:
+        kept.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def fresh_scalar_solve():
-    """Start each test without a kept scalar solve, so that a test which patches
-    the solver never reads a curvature solved before the patch."""
-    _scalar_kappa.cache_clear()
+    """Start each test with no kept scalar value, so that a test which patches the
+    solver or the chain never reads a value formed before the patch."""
+    clear_kept_values()
 
 
 def projected_offsets(params, delta):

@@ -204,6 +204,25 @@ def test_trajectory_header_errors(tmp_path):
         load_dataset(write(tmp_path, "n.csv", not_a_number), None)
 
 
+@pytest.mark.parametrize("text,message", [
+    # a pragma after the data rows would otherwise turn every row image-frame
+    ("t,q_s,theta,delta,x,y\n0,1,30,0,1,2\n# frame=image\n",
+     ":3: pragma 'frame' after the header$"),
+    ("# frame=base\n# frame = image\nt,q_s,theta,delta,x,y\n0,1,30,0,1,2\n",
+     ":2: pragma 'frame' repeated$"),
+], ids=["after-header", "repeated"])
+def test_trajectory_refuses_a_stray_pragma(tmp_path, text, message):
+    with pytest.raises(ParseError, match=message):
+        load_dataset(write(tmp_path, "p.csv", text), None)
+
+
+def test_trajectory_allows_plain_comments_anywhere(tmp_path):
+    text = ("# hand-made\n# frame=base\nt,q_s,theta,delta,x,y,z\n"
+            "0,1,30,0,1,2,3\n# a note, not a pragma\n1,2,30,0,4,5,6\n")
+    ms = load_dataset(write(tmp_path, "c.csv", text), None)
+    assert [m.q_s for m in ms] == [1.0, 2.0]
+
+
 def test_trajectory_rejects_nonmonotone_time(tmp_path):
     # NaN compares false both ways: it is refused as non-finite, so it can
     # neither pass nor reset the monotonic rule

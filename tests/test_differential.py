@@ -32,6 +32,7 @@ from crem.differential import (
 from crem.kinematics import (
     STRAIGHT_SERIES_THRESHOLD,
     _arc,
+    _chain,
     _tip_positions,
     segment_rotation,
 )
@@ -41,6 +42,7 @@ from crem.model import (
     _equilibrium_angles,
     _sigma,
     _solve_equilibrium_arrays,
+    _theta_prime,
     uncertainty_lambda,
 )
 from conftest import (
@@ -240,15 +242,21 @@ def test_partitions_match_single_arc_differences(theta):
 # tip-twist assembly at fixed equilibrium
 
 
+def xi_arrays(params, th_s, th_e, delta, q_s):
+    """(p, J_xi_phi, J_xi_delta, J_xi_qs) of the planar chain at the given angles."""
+    c = _chain(params, th_s, _theta_prime(th_s, th_e), th_e, q_s)
+    return _xi_jacobian_arrays(params, c, delta, q_s)
+
+
 def test_straight_chain_depth_jacobian_vanishes(bench):
-    _, _, J_xi_qs = _xi_jacobian_arrays(bench, TH0, TH0, 0.3, 12.0)
+    _, _, _, J_xi_qs = xi_arrays(bench, TH0, TH0, 0.3, 12.0)
     assert_allclose(J_xi_qs, 0.0, atol=1e-15)
 
 
 def test_xi_phi_column_against_pose_differences(bench):
     phi = EquilibriumConfig(theta_s=1.2, theta_eps=1.45)
     delta, q_s = 0.5, 14.0
-    J_xi_phi, _, _ = _xi_jacobian_arrays(bench, phi.theta_s, phi.theta_eps, delta, q_s)
+    _, J_xi_phi, _, _ = xi_arrays(bench, phi.theta_s, phi.theta_eps, delta, q_s)
     h = 1e-7
     for col, (dts, dte) in enumerate(((1.0, 0.0), (0.0, 1.0))):
         pp, pm = (EquilibriumConfig(phi.theta_s + sgn * h * dts, phi.theta_eps + sgn * h * dte)
@@ -264,7 +272,7 @@ def test_xi_phi_column_against_pose_differences(bench):
 def test_xi_delta_in_plane_components_vanish(bench):
     # at delta = 0 the bending plane is x-z: swinging it moves the tip out
     # of plane (y) and tilts about in-plane axes only
-    _, J_xi_delta, _ = _xi_jacobian_arrays(bench, 1.1, 1.3, 0.0, 17.0)
+    _, _, J_xi_delta, _ = xi_arrays(bench, 1.1, 1.3, 0.0, 17.0)
     assert abs(J_xi_delta[0]) < 1e-12
     assert abs(J_xi_delta[2]) < 1e-12
     assert abs(J_xi_delta[4]) < 1e-12
@@ -292,9 +300,11 @@ def test_planar_chain_matches_3d_chain(bench, samples):
     # theta_s + theta_eps - pi/2, delta) against the 3-D composition
     th_s, th_e, delta, fq = (np.array(col) for col in zip(*samples))
     q_s = fq * bench.L
+    p, *xi = xi_arrays(bench, th_s, th_e, delta, q_s)
     planar = (_tip_positions(bench, th_s, th_e, delta, q_s),
-              segment_rotation(th_s + th_e - TH0, delta),
-              *_xi_jacobian_arrays(bench, th_s, th_e, delta, q_s))
+              segment_rotation(th_s + th_e - TH0, delta), *xi)
+    # the Jacobian pass's tip is the plain-arc pass's, bit for bit
+    assert p.tobytes() == planar[0].tobytes()
     oracle = (*pose_arrays_3d(bench, th_s, th_e, delta, q_s),
               *xi_jacobian_arrays_3d(bench, th_s, th_e, delta, q_s))
     for name, got, ref in zip(("p", "R", "J_xi_phi", "J_xi_delta", "J_xi_qs"), planar, oracle):
@@ -363,7 +373,7 @@ def test_kernels_broadcast_mixed_arguments(bench, k_cal, kernel):
     th_s, _, th_e = _equilibrium_angles(bench, theta, q_s, kappa)
     f, full = {
         "tip": (lambda *a: (_tip_positions(bench, *a),), (th_s, th_e, delta, q_s)),
-        "xi": (lambda *a: _xi_jacobian_arrays(bench, *a), (th_s, th_e, delta, q_s)),
+        "xi": (lambda *a: xi_arrays(bench, *a), (th_s, th_e, delta, q_s)),
         "grad": (lambda th, de, qs, ka: _phi_gradient_arrays(bench, th, de, qs, k_cal, ka),
                  (theta, delta, q_s, kappa)),
     }[kernel]
@@ -561,6 +571,7 @@ def test_batched_core_equals_scalar_api(bench, samples, k0, kq):
     qs = fq * bench.L
     core = _jacobian_arrays(bench, theta, delta, qs, k)
     pos = _tip_positions(bench, core.th_s, core.th_e, delta, qs)
+    assert core.p.tobytes() == pos.tobytes()
     J_M, J_mu, J_k = core.J_M, core.J_mu, core.J_k
     psi0 = ConfigState(theta[0], delta[0])
     sweep, _, _ = micro_trajectory(bench, psi0, qs, k)
@@ -584,7 +595,7 @@ def test_sample_is_bit_identical_alone_and_in_batch(bench, samples, k0, kq):
     batch = _jacobian_arrays(bench, theta, delta, qs, k)
     for i in range(len(samples)):
         alone = _jacobian_arrays(bench, theta[i], delta[i], qs[i], k)
-        for name in ("th_s", "th_e", "d_phi", "J_xi_phi", "J_xi_delta", "J_xi_qs",
+        for name in ("th_s", "th_e", "p", "d_phi", "J_xi_phi", "J_xi_delta", "J_xi_qs",
                      "J_q_psi", "J_psi", "J_M", "J_mu", "J_k"):
             assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)), (i, name)
 
@@ -596,7 +607,7 @@ def test_scalar_jacobians_are_the_core_record(bench, k_cal, theta, delta, q_s):
     js = assemble_motion_jacobians(bench, ConfigState(theta, delta), q_s, k_cal)
     core = _jacobian_arrays(bench, theta, delta, q_s, k_cal)
     assert type(js) is type(core)
-    for name in ("th_s", "th_e", "d_phi", "J_xi_phi", "J_xi_delta", "J_xi_qs",
+    for name in ("th_s", "th_e", "p", "d_phi", "J_xi_phi", "J_xi_delta", "J_xi_qs",
                  "J_q_psi", "J_psi", "J_M", "J_mu", "J_k"):
         assert np.array_equal(getattr(js, name), getattr(core, name)), name
     # each assembled block is formed once per record

@@ -26,6 +26,7 @@ from crem.differential import _jacobian_arrays
 from crem.model import _arc_moment, _offsets, _solve_equilibrium_arrays
 from conftest import (
     backbone_lengths,
+    clear_kept_values,
     equilibrium_moments,
     oracle_equilibrium,
     projected_offsets,
@@ -566,13 +567,63 @@ def counted_solves(monkeypatch):
     return calls
 
 
+def counted_arcs(monkeypatch):
+    """A list that gains one entry per kinematics._arc call, from any module."""
+    arc, calls = kinematics._arc, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return arc(*args, **kwargs)
+
+    for module in (kinematics, differential):
+        monkeypatch.setattr(module, "_arc", counting)
+    return calls
+
+
 def test_pose_then_jacobians_solve_once(bench, k_cal, monkeypatch):
-    calls = counted_solves(monkeypatch)
+    # and form one chain: both arcs, with slopes, once for the configuration
+    calls, arcs = counted_solves(monkeypatch), counted_arcs(monkeypatch)
     psi = ConfigState(1.0, 0.3)
     crem_pose(bench, psi, 15.0, k_cal)
     assemble_motion_jacobians(bench, psi, 15.0, k_cal)
     solve_equilibrium(bench, psi, 15.0, k_cal)
-    assert len(calls) == 1
+    assert (len(calls), len(arcs)) == (1, 2)
+
+
+def test_jacobians_then_pose_form_one_chain(bench, k_cal, monkeypatch):
+    calls, arcs = counted_solves(monkeypatch), counted_arcs(monkeypatch)
+    psi = ConfigState(1.0, 0.3)
+    assemble_motion_jacobians(bench, psi, 15.0, k_cal)
+    crem_pose(bench, psi, 15.0, k_cal)
+    assert (len(calls), len(arcs)) == (1, 2)
+
+
+def test_lone_solve_forms_no_chain(bench, k_cal, monkeypatch):
+    solves, arcs = counted_solves(monkeypatch), counted_arcs(monkeypatch)
+    psi = ConfigState(1.0, 0.3)
+    solve_equilibrium(bench, psi, 15.0, k_cal)
+    assert (len(solves), len(arcs)) == (1, 0)
+    # the pose after it reuses the solve and forms the chain
+    crem_pose(bench, psi, 15.0, k_cal)
+    assert (len(solves), len(arcs)) == (1, 2)
+
+
+@pytest.mark.parametrize("theta", [1.0, TH0 + 1e-5])
+def test_kept_chain_is_read_only(bench, k_cal, theta):
+    # near straight the slope of b comes from its series, written into a 0-d array
+    crem_pose(bench, ConfigState(theta, 0.3), 15.0, k_cal)
+    _, chain = kinematics._scalar_chain(bench, theta, 0.3, 15.0, k_cal)
+    assert kinematics._scalar_chain.cache_info().hits == 1
+    values = [*chain[:3], *chain.s, *chain.e, *chain[5:]]
+    assert [v for v in values if isinstance(v, np.ndarray) and v.flags.writeable] == []
+
+
+@pytest.mark.parametrize("theta,delta,q_s", [(1.0, 0.3, 15.0), (TH0, -0.0, 20.0),
+                                             (TH0 + 5e-5, 2.0, 0.0), (0.4, -1.7, 44.3)])
+def test_scalar_pose_is_the_sweep_row(bench, k_cal, theta, delta, q_s):
+    psi = ConfigState(theta, delta)
+    row = micro_trajectory(bench, psi, np.array([q_s]), k_cal)[0][0]
+    assert crem_pose(bench, psi, q_s, k_cal).tip.p.tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("part", ["params", "theta", "delta", "q_s",
@@ -617,15 +668,17 @@ def test_kept_solve_is_bit_identical_to_a_fresh_one(bench, k_cal, monkeypatch,
         out = []
         for call in (crem_pose, assemble_motion_jacobians):
             if fresh:
-                model._scalar_kappa.cache_clear()
+                clear_kept_values()
             out.append(call(bench, psi, 15.0, k_cal))
         pose, js = out
         return [np.asarray(a).tobytes() for a in (
             pose.tip.p, pose.tip.R, pose.equilibrium.phi(),
-            js.th_s, js.th_e, js.d_phi, js.J_M, js.J_mu, js.J_k)]
+            js.th_s, js.th_e, js.p, js.d_phi, js.J_xi_phi, js.J_xi_delta, js.J_xi_qs,
+            js.J_M, js.J_mu, js.J_k)]
 
     calls = counted_solves(monkeypatch)
-    solve_equilibrium(bench, ConfigState(1.0, first_delta), 15.0, k_cal)
+    # the first configuration's chain is kept too, at the other sign of a zero delta
+    crem_pose(bench, ConfigState(1.0, first_delta), 15.0, k_cal)
     kept = outputs(fresh=False)
     assert len(calls) == 1
     assert kept == outputs(fresh=True)

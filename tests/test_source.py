@@ -10,7 +10,9 @@ is left that only tests reach.  Every numpy array
 a crem module holds at module level must be read-only, so that no
 caller can change a shared default under every other caller.  Every
 dataclass a crem module defines must be frozen, so that no record can
-be changed after its checks have run.
+be changed after its checks have run.  Every functools cache a crem
+module defines must be cleared by the autouse fixture of conftest, so
+that no kept value leaks from one test into the next.
 """
 import argparse
 import ast
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from crem import CalibrationConfig, cli
+from conftest import KEPT_VALUES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crem"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -131,3 +134,34 @@ def test_checker_flags_mutable_dataclasses():
 @pytest.mark.parametrize("name", [f"crem.{p.stem}" for p in MODULES if p.stem != "__main__"])
 def test_every_dataclass_is_frozen(name):
     assert mutable_dataclasses(importlib.import_module(name)) == [], name
+
+
+CACHE_DECORATORS = {"functools.lru_cache", "lru_cache", "functools.cache", "cache"}
+
+
+def cached_functions(source: str):
+    """Names of the functions the source decorates with a functools cache, sorted."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(ast.unparse(dec.func if isinstance(dec, ast.Call) else dec)
+                          in CACHE_DECORATORS for dec in node.decorator_list))
+
+
+def test_checker_flags_cached_functions():
+    source = ("import functools\n"
+              "from functools import cache, cached_property, lru_cache\n"
+              "@functools.lru_cache(maxsize=1)\ndef a(x): return x\n"
+              "@lru_cache\ndef b(x): return x\n"
+              "class C:\n"
+              "    @cache\n    def c(self): return 1\n"
+              "    @cached_property\n    def d(self): return 1\n"
+              "def e(x): return x\n")
+    assert cached_functions(source) == ["a", "b", "c"]
+
+
+def test_fixture_clears_every_cache():
+    # conftest's fresh_scalar_solve clears exactly KEPT_VALUES
+    cached = sorted(f"{path.stem}.{name}" for path in MODULES
+                    for name in cached_functions(path.read_text(encoding="utf-8")))
+    kept = sorted(f"{f.__module__.removeprefix('crem.')}.{f.__name__}" for f in KEPT_VALUES)
+    assert cached == kept
