@@ -195,10 +195,10 @@ def _weighted_cost(c, w):
 
 
 def _commands(measurements):
-    """Commanded (theta, delta, q_s) of the measurements as arrays."""
-    return (np.array([m.psi.theta for m in measurements]),
-            np.array([m.psi.delta for m in measurements]),
-            np.array([m.q_s for m in measurements]))
+    """Commanded (theta, delta, q_s) of the measurements as float arrays."""
+    return (np.fromiter([m.psi.theta for m in measurements], float, len(measurements)),
+            np.fromiter([m.psi.delta for m in measurements], float, len(measurements)),
+            np.fromiter([m.q_s for m in measurements], float, len(measurements)))
 
 
 class _Dataset(NamedTuple):
@@ -264,7 +264,11 @@ def identification_jacobian(
     kappa = _solve_equilibrium_arrays(params, theta, delta, q_s, lam, D)
     u = np.column_stack([np.ones_like(theta), theta, q_s])
     col, krow = _k_jacobian_factors(params, theta, delta, q_s, kappa, u, D)
-    return (-(col[:, :, None] * krow[:, None, idx])).reshape(len(measurements) * 6, len(idx))
+    # -(col krow^T) with krow negated first: exact, signed zeros included
+    nk, J = -krow[:, idx], np.empty((len(theta), 6, len(idx)))
+    for j in range(len(idx)):
+        np.multiply(col, nk[:, j, None], out=J[:, :, j])
+    return J.reshape(len(theta) * 6, len(idx))
 
 
 def nls_estimate(
@@ -369,14 +373,14 @@ def nls_estimate(
 # turning-point utilities
 
 
-def _principal_direction(positions) -> np.ndarray:
-    """Unit vector of largest positional spread (leading SVD direction).
+def _principal_direction(positions):
+    """(e, c): the unit vector e of largest positional spread (leading SVD direction).
 
     The micro-motion path is an out-and-back hairpin: close to the
     vertex the step vectors rotate smoothly through the transverse
-    component, so local step-to-step tests miss the reversal.  Progress
-    along this global axis is the quantity whose sign flips at the
-    turning point.
+    component, so local step-to-step tests miss the reversal.  The
+    progress c = (p - p[0]) e along this global axis, returned with e,
+    is the quantity whose sign flips at the turning point.
     """
     p = np.asarray(positions, dtype=float)
     centered = p - p.mean(axis=0)
@@ -384,9 +388,7 @@ def _principal_direction(positions) -> np.ndarray:
     e = vt[0]
     # orient so the farthest-progress sample lies on the positive side
     c = (p - p[0]) @ e
-    if c[np.argmax(np.abs(c))] < 0.0:
-        e = -e
-    return e
+    return (-e, -c) if c[np.argmax(np.abs(c))] < 0.0 else (e, c)
 
 
 def direction_reversals(positions) -> np.ndarray:
@@ -400,7 +402,7 @@ def direction_reversals(positions) -> np.ndarray:
     p = np.asarray(positions, dtype=float)
     if p.ndim != 2 or p.shape[0] < 3:
         return np.array([], dtype=int)
-    e = _principal_direction(p)
+    e, _ = _principal_direction(p)
     s = np.diff(p, axis=0) @ e
     sgn = np.sign(s)
     for i in range(1, sgn.size):
@@ -424,7 +426,7 @@ def turning_point_index(positions) -> int | None:
     p = np.asarray(positions, dtype=float)
     if p.ndim != 2 or p.shape[0] < 3:
         return None
-    c = (p - p[0]) @ _principal_direction(p)
+    _, c = _principal_direction(p)
     span = float(np.max(c) - np.min(c))
     if span <= 0.0:
         return None

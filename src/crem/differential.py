@@ -24,9 +24,9 @@ columns are orthogonal for evenly spaced backbones.
 Angular velocity follows the space-frame convention dR R^T = [omega]^.
 A batched central-difference oracle checks every analytic block against
 finite differences: one equilibrium solve covers a batch of points and
-their perturbations, and one pose pass per map forms the tip poses.  The
-solver freezes each sample where a lone solve stops, so every point scores
-as it does alone.
+their perturbations, one pose pass forms the tip poses of both maps, and
+one pass scores every block.  The solver freezes each sample where a lone
+solve stops, so every point scores as it does alone.
 """
 from __future__ import annotations
 
@@ -246,31 +246,28 @@ def assemble_motion_jacobians(
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 
+# a zero row, then (+h, -h) rows per input; m inputs take the top-left (1 + 2m, m) block
+_STEPS = np.vstack([np.zeros(6), np.kron(np.eye(6), [[_FD_STEP], [-_FD_STEP]])])
+_STEPS.flags.writeable = False
+# first column of each scored block in the oracle's stacked (N, 6, 12) differences
+_BLOCKS = dict(J_M=0, J_mu=2, J_k=3, J_xi_phi=6, J_xi_delta=8, J_xi_qs=9, d_phi=10)
+
+
 def _central_steps(x0):
-    """Rows x0, then x0 + h e_j and x0 - h e_j for j = 0..m-1, shape (1 + 2m, N, m)
-    for (N, m) x0, h = _FD_STEP."""
-    m = x0.shape[-1]
-    steps = np.vstack([np.zeros(m), np.kron(np.eye(m), [[_FD_STEP], [-_FD_STEP]])])
-    return x0 + steps[:, None, :]
+    """The m <= 6 inputs x0, each (N,) or a scalar, over the rows of _STEPS: a tuple of m
+    (1 + 2m, N) arrays, row 0 the input, rows 2j + 1 and 2j + 2 input j stepped by +h, -h."""
+    return tuple(a + _STEPS[:1 + 2 * len(x0), j, None] for j, a in enumerate(x0))
 
 
 def _central_twists(params: RobotParams, th_s, th_e, delta, q_s):
-    """Central-difference tip twists (N, 6, m) over the (+h, -h) row pairs (2m, N)
-    of _central_steps.  The tip pose is formed as crem_pose forms it; the
-    rotational rows are the axis-angle vector of R(x + h e_j) R(x - h e_j)^T
+    """Central-difference tip twists (N, 6, m) over (+h, -h) row pairs (2m, N), one
+    pass for the steps of both oracle maps.  The tip pose is formed as crem_pose forms
+    it; the rotational rows are the axis-angle vector of R(x + h e_j) R(x - h e_j)^T
     over 2h, matching the space-frame convention of the analytic Jacobians."""
     p = _tip_positions(params, th_s, th_e, delta, q_s)
     R = segment_rotation(_theta_prime(th_s, th_e), delta)
     w = axis_angle_vector(R[0::2] @ np.swapaxes(R[1::2], -1, -2))
-    return np.moveaxis(np.concatenate([p[0::2] - p[1::2], w], axis=-1) / (2.0 * _FD_STEP), 0, -1)
-
-
-def _rel_err(analytic, fd):
-    """Per-point max |analytic - fd| over a (N, ...) block stack, divided by
-    max |analytic| where that exceeds one."""
-    axes = tuple(range(1, analytic.ndim))
-    return (np.max(np.abs(analytic - fd), axis=axes)
-            / np.maximum(1.0, np.max(np.abs(analytic), axis=axes)))
+    return (np.concatenate([p[0::2] - p[1::2], w], axis=-1) / (2.0 * _FD_STEP)).transpose(1, 2, 0)
 
 
 def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams):
@@ -280,16 +277,15 @@ def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: Uncertaint
     x +- h e_j of x = (theta, delta, q_s, k), with k perturbed per sample and a
     delta step across +-pi wrapped back into (-pi, pi] (pose and equilibrium
     are 2 pi-periodic in delta).  The kinematics-only differences step
-    (theta_s, theta_eps, delta, q_s) about the unperturbed solution.  Before
-    any solve, the first point outside the domain (q_s outside [h, L - h],
-    theta within h of 0 or pi, delta outside (-pi, pi]) is rejected by its
-    index.
+    (theta_s, theta_eps, delta, q_s) about the unperturbed solution; one pose
+    pass forms the tips of both maps and one pass scores every block.  Before any
+    solve, the first point outside the domain (q_s outside [h, L - h], theta within
+    h of 0 or pi, delta outside (-pi, pi]) is rejected by its index.
     """
     samples = _broadcast_samples(theta, delta, q_s)
     theta, delta, q_s = (a.ravel() for a in samples)
-    x = _central_steps(np.column_stack(
-        [theta, delta, q_s, np.broadcast_to(k.as_array(), (theta.size, 3))]))
-    th, de, qs, k0, kt, kq = np.moveaxis(x, -1, 0)
+    # the k rows are (13, 1): one k for every point
+    th, de, qs, k0, kt, kq = _central_steps((theta, delta, q_s, *k.as_array()))
     inside = np.all((th > 0.0) & (th < np.pi) & (qs >= 0.0) & (qs <= params.L), axis=0)
     inside &= (delta > -np.pi) & (delta <= np.pi)
     if not np.all(inside):
@@ -301,23 +297,24 @@ def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: Uncertaint
     de[1:] += 2.0 * np.pi * ((de[1:] <= -np.pi) * 1.0 - (de[1:] > np.pi))
     # uncertainty_lambda with k perturbed per sample
     kappa = _solve_equilibrium_arrays(params, th, de, qs, k0 + kt * th + kq * qs)
-    th_s, _, th_e = _equilibrium_angles(params, th, qs, kappa)
-    c = _jacobian_arrays(params, theta, delta, q_s, k, kappa=kappa[0])
-    fd = _central_twists(params, th_s[1:], th_e[1:], de[1:], qs[1:])
-    phi = np.stack([th_s, th_e], axis=-1)
-    fd_phi = np.moveaxis(phi[1::2] - phi[2::2], 0, -1) / (2.0 * _FD_STEP)
-    y = _central_steps(np.column_stack([c.th_s, c.th_e, delta, q_s]))[1:]
-    fd_kin = _central_twists(params, *np.moveaxis(y, -1, 0))
-    errs = {
-        "J_M": _rel_err(c.J_psi, fd[..., 0:2]),
-        "J_mu": _rel_err(c.J_mu, fd[..., 2]),
-        "J_k": _rel_err(c.J_k, fd[..., 3:6]),
-        "J_xi_phi": _rel_err(c.J_xi_phi, fd_kin[..., 0:2]),
-        "J_xi_delta": _rel_err(c.J_xi_delta, fd_kin[..., 2]),
-        "J_xi_qs": _rel_err(c.J_xi_qs, fd_kin[..., 3]),
-        "d_phi": _rel_err(c.d_phi, fd_phi),
-    }
-    return {key: v.reshape(samples[0].shape) for key, v in errs.items()}
+    th_s, th_p, th_e = _equilibrium_angles(params, th, qs, kappa)
+    c = _jacobian_arrays(params, theta, delta, q_s, k, kappa[0],
+                         _chain(params, th_s[0], th_p[0], th_e[0], q_s))
+    y = _central_steps((c.th_s, c.th_e, delta, q_s))
+    # (N, 6, 10): the six full-map columns, then the four kinematic ones
+    fd = _central_twists(params, *(np.concatenate([a[1:], b[1:]]) for a, b in
+                                   zip((th_s, th_e, de, qs), y)))
+    # (N, 6, 2) differences of phi, laid out as d_phi transposed
+    fd_phi = np.array([th_s[1::2] - th_s[2::2], th_e[1::2] - th_e[2::2]]).transpose(2, 1, 0)
+    fd = np.concatenate([fd, fd_phi / (2.0 * _FD_STEP)], axis=-1)
+    an = np.concatenate([c.J_psi, c.J_mu[..., None], c.J_k, c.J_xi_phi, c.J_xi_delta[..., None],
+                         c.J_xi_qs[..., None], np.swapaxes(c.d_phi, -1, -2)], axis=-1)
+    # per-point max |an - fd| and max |an| of each block, (N, 7) each: the max of the
+    # column maxima is the block max exactly
+    err, mag = np.maximum.reduceat(np.abs(np.array([an - fd, an])).max(axis=2),
+                                   tuple(_BLOCKS.values()), axis=-1)
+    errs = err / np.maximum(1.0, mag)
+    return {key: errs[:, j].reshape(samples[0].shape) for j, key in enumerate(_BLOCKS)}
 
 
 def fd_discrepancies(

@@ -609,10 +609,24 @@ def hairpin():
 def test_principal_direction_of_a_line():
     t = np.linspace(0.0, 5.0, 40)
     d = np.array([2.0, -1.0, 2.0]) / 3.0
-    e = _principal_direction(np.outer(t, d))
+    e, _ = _principal_direction(np.outer(t, d))
     assert_allclose(np.abs(e @ d), 1.0, atol=1e-12)
     # oriented so the far end sits on the positive side
     assert e @ d > 0.0
+
+
+def test_principal_direction_returns_the_progress_along_it():
+    # ten random clouds: LAPACK's sign of the leading direction leaves some to flip
+    rng = np.random.default_rng(0)
+    flipped = []
+    for _ in range(10):
+        p = rng.normal(size=(10, 3))
+        e, c = _principal_direction(p)
+        # equal in value: a flip negates c, so the first sample's progress is -0.0
+        assert np.array_equal(c, (p - p[0]) @ e)
+        assert c[np.argmax(np.abs(c))] > 0.0
+        flipped.append(np.array_equal(e, -np.linalg.svd(p - p.mean(axis=0))[2][0]))
+    assert any(flipped) and not all(flipped)
 
 
 def test_clean_hairpin_has_one_reversal(hairpin):

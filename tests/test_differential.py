@@ -25,6 +25,7 @@ from crem import differential
 from crem.differential import (
     _FD_STEP,
     _jacobian_arrays,
+    _k_jacobian_factors,
     _orthogonal_pinv,
     _phi_gradient_arrays,
     _xi_jacobian_arrays,
@@ -40,6 +41,7 @@ from crem.calibration import PARAM_NAMES
 from crem.model import (
     _arc_moment,
     _equilibrium_angles,
+    _offsets,
     _sigma,
     _solve_equilibrium_arrays,
     _theta_prime,
@@ -506,6 +508,22 @@ def test_fd_discrepancies_solves_each_point_once(bench, k_cal, monkeypatch):
     assert len(calls) == 1
 
 
+def test_fd_discrepancies_form_every_pose_in_one_pass(bench, k_cal, monkeypatch):
+    # the perturbed equilibria and the kinematics-only steps share one pose pass
+    twists = differential._central_twists
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return twists(*args, **kwargs)
+
+    monkeypatch.setattr(differential, "_central_twists", counting)
+    fd_discrepancies(bench, ConfigState(np.radians(40), 0.3), 15.0, k_cal)
+    assert calls == [(20, 1)]
+    differential._fd_discrepancy_arrays(bench, np.full(3, 0.7), np.zeros(3), 20.0, k_cal)
+    assert calls == [(20, 1), (20, 3)]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fd_discrepancies_equal_per_point_oracle(bench, seed):
     rng = np.random.default_rng(seed)
@@ -620,7 +638,8 @@ def test_scalar_jacobians_are_the_core_record(bench, k_cal, theta, delta, q_s):
            lambda names: st.integers(1, 3).map(lambda n: tuple(names[:n]))))
 @settings(max_examples=40, deadline=None)
 def test_identification_jacobian_blocks_equal_scalar_J_k(bench, samples, k, free):
-    # the rank-one blocks are -J_k of the full scalar Jacobians, bit for bit
+    # the rank-one blocks equal -J_k of the full scalar Jacobians in value; the
+    # signs of zeros may differ, as J_k's matmul adds +0.0
     k = UncertaintyParams(*k)
     ms = [Measurement(psi=ConfigState(theta, delta), q_s=fq * bench.L, x_bar=np.zeros(3))
           for theta, delta, fq in samples]
@@ -629,6 +648,28 @@ def test_identification_jacobian_blocks_equal_scalar_J_k(bench, samples, k, free
     for i, m in enumerate(ms):
         J_k = assemble_motion_jacobians(bench, m.psi, m.q_s, k).J_k
         assert np.array_equal(J[6 * i:6 * i + 6], -J_k[:, idx]), i
+
+
+@pytest.mark.parametrize("case", ["mixed", "ends", "straight", "one free"])
+def test_identification_jacobian_is_the_negated_rank_one_product(bench, k_cal, case):
+    # -(col krow^T) on the free columns, byte for byte, signed zeros included
+    rng = np.random.default_rng(3)
+    theta, delta = rng.uniform(0.3, 2.8, 40), rng.uniform(-np.pi, np.pi, 40)
+    q_s = rng.uniform(0.0, bench.L, 40)
+    if case == "ends":
+        q_s[:20], q_s[20:] = 0.0, bench.L
+    if case == "straight":
+        theta[:] = TH0
+    free = ("k_lambda_q",) if case == "one free" else PARAM_NAMES
+    ms = [Measurement(psi=ConfigState(*psi), q_s=qs, x_bar=np.zeros(3))
+          for *psi, qs in zip(theta, delta, q_s)]
+    D, lam = _offsets(bench, delta), uncertainty_lambda(k_cal, q_s, theta)
+    kappa = _solve_equilibrium_arrays(bench, theta, delta, q_s, lam, D)
+    u = np.column_stack([np.ones_like(theta), theta, q_s])
+    col, krow = _k_jacobian_factors(bench, theta, delta, q_s, kappa, u, D)
+    idx = [PARAM_NAMES.index(name) for name in free]
+    ref = (-(col[:, :, None] * krow[:, None, idx])).reshape(-1, len(idx))
+    assert identification_jacobian(ms, bench, k_cal, free).tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ caller can change a shared default under every other caller.  Every
 dataclass a crem module defines must be frozen, so that no record can
 be changed after its checks have run.  Every functools cache a crem
 module defines must be cleared by the autouse fixture of conftest, so
-that no kept value leaks from one test into the next.
+that no kept value leaks from one test into the next.  Every private
+function or class a crem module defines at module level must be read
+somewhere in the package, so that code only tests reach does not stay.
 """
 import argparse
 import ast
@@ -165,3 +167,40 @@ def test_fixture_clears_every_cache():
                     for name in cached_functions(path.read_text(encoding="utf-8")))
     kept = sorted(f"{f.__module__.removeprefix('crem.')}.{f.__name__}" for f in KEPT_VALUES)
     assert cached == kept
+
+
+def private_definitions(source: str):
+    """Names of the private functions and classes the source defines at module level, sorted."""
+    return sorted(node.name for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and not node.name.startswith("__"))
+
+
+def names_read(source: str):
+    """Every name the source loads, bare or as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({node.id for node in nodes
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+
+
+def test_checker_flags_private_definitions():
+    source = ("import numpy as np\n"
+              "def _a(x): return x\n"
+              "class _B: pass\n"
+              "def public(): return _a(1)\n"
+              "def __getattr__(name): pass\n"
+              "class C:\n"
+              "    def _method(self): pass\n")
+    assert private_definitions(source) == ["_B", "_a"]
+    assert {"_a", "np", "_umath"} <= names_read(source + "np.linalg._umath\n")
+    assert "_B" not in names_read(source)
+
+
+def test_every_private_definition_is_read_in_the_package():
+    # a helper that only tests call is dead code in the package
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    read = set().union(*(names_read(source) for source in sources.values()))
+    unread = sorted(f"{stem}.{name}" for stem, source in sources.items()
+                    for name in private_definitions(source) if name not in read)
+    assert unread == []
