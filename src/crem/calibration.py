@@ -109,8 +109,10 @@ class Measurement:
 
 
 def _free_indices(names) -> np.ndarray:
-    """Indices in PARAM_NAMES of the free parameter names; ValidationError for an
-    unknown name, a repeated name or an empty set."""
+    """Indices in PARAM_NAMES of the free parameter names; ValidationError for a bare
+    string, an unknown name, a repeated name or an empty set."""
+    if isinstance(names, str):
+        raise ValidationError(f"free_params must be a sequence of names, got the string {names!r}")
     names = tuple(names)
     for name in names:
         if name not in PARAM_NAMES:
@@ -140,9 +142,9 @@ class CalibrationConfig:
         if not (self.beta_conv > 0.0):
             raise ValidationError("beta_conv must be positive")
         object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter, 1))
-        # a tuple, so that the caller's list cannot change the checked names
-        object.__setattr__(self, "free_params", tuple(self.free_params))
-        _free_indices(self.free_params)
+        # a tuple of the checked names, so that the caller's list cannot change them
+        object.__setattr__(self, "free_params",
+                           tuple(PARAM_NAMES[i] for i in _free_indices(self.free_params)))
 
 
 @dataclass(frozen=True)
@@ -250,13 +252,12 @@ def _normal_equations(col, krow, w, Wc):
 
 
 def identification_jacobian(
-    measurements, params: RobotParams, k: UncertaintyParams,
-    free_params=("k_lambda0", "k_lambda_q"),
+    measurements, params: RobotParams, k: UncertaintyParams, free_params,
 ) -> np.ndarray:
-    """Stacked residual Jacobian d c~ / d k_free, shape (6N, n_free): the residual is
-    measured-minus-modeled, so each block is -J_k on the free columns.  Rows 3-5 are the
-    rotational rows of -J_k for every measurement, also one without R_bar, whose
-    orientation residual is zero: only the weights mask them.
+    """Stacked residual Jacobian d c~ / d k_free, shape (6N, n_free), one column per name of
+    free_params (no default): the residual is measured-minus-modeled, so each block is -J_k
+    on the free columns.  Rows 3-5 are the rotational rows of -J_k for every measurement, also
+    one without R_bar, whose orientation residual is zero: only the weights mask them.
     """
     idx = _free_indices(free_params)
     theta, delta, q_s = _commands(measurements)

@@ -2,7 +2,7 @@
 
 Subcommands: simulate-micro, simulate-macro, jacobian-check, calibrate,
 gen-synthetic.  argparse parses every flag: a malformed one, or an --eta,
---conv, --max-iter, --noise or --seed value that the rules of
+--conv, --max-iter, --free, --noise or --seed value that the rules of
 CalibrationConfig or generate_synthetic refuse, is a usage error before
 main loads the robot config named by --config (default: the CREM_CONFIG
 environment variable).  Out-of-domain --theta, --delta, --theta-range, --qs
@@ -257,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative M_lambda convergence threshold")
     p.add_argument("--max-iter", type=_checked(int, lambda v: CalibrationConfig(max_iter=v)),
                    default=500)
-    p.add_argument("--free", type=_free, default="k0,kq",
-                   help="free parameters (k0,ktheta,kq)")
+    p.add_argument("--free", type=_checked(_free, lambda v: CalibrationConfig(free_params=v)),
+                   default="k0,kq", help="free parameters (k0,ktheta,kq)")
     p.add_argument("--split-turning-point", action="store_true",
                    help="calibrate on the pre-turning-point subset only")
     p.add_argument("--out-trace", help="iteration trace CSV")

@@ -75,7 +75,7 @@ def default_params() -> RobotParams:
 
 
 def load_robot_config(path) -> RobotConfig:
-    """Parse a key = value robot config file."""
+    """Parse a key = value robot config file; every error names the file."""
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -109,9 +109,12 @@ def load_robot_config(path) -> RobotConfig:
 
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
-        raise ValidationError(f"config missing required field(s): {', '.join(missing)}")
-    params = RobotParams(**{k: values[k] for k in _REQUIRED_KEYS}, n=values.get("n", 3))
-    return RobotConfig(params=params, **{k: values[k] for k in _TRANSFORM_KEYS if k in values})
+        raise ValidationError(f"{path}: config missing required field(s): {', '.join(missing)}")
+    try:
+        params = RobotParams(**{k: values[k] for k in _REQUIRED_KEYS}, n=values.get("n", 3))
+        return RobotConfig(params=params, **{k: values[k] for k in _TRANSFORM_KEYS if k in values})
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from e
 
 
 def _write_csv(path, pragma, columns, rows) -> None:
@@ -178,38 +181,35 @@ def _read_trajectory(path):
     return rows, pragmas
 
 
-def load_dataset(path, config: RobotConfig | None = None):
-    """Read a trajectory file into Measurement objects in the base frame.
+def load_dataset(path, config: RobotConfig):
+    """Read a trajectory file into Measurement objects in the base frame of config's robot.
 
-    Positions in an image-frame file are mapped through T_BI; the marker
-    offset (translation of T_GM) is then removed.  A 2-D image-frame file,
-    whose image z is taken as 0, is refused (FrameError) if T_BI carries
-    image z into base x or y.  3-D rows take the default obs_mask; 2-D rows
-    share one read-only mask that observes only x and y.  Rows keep file order.
+    Each row's q_s must lie in [0, L].  Image-frame positions are mapped through T_BI; the
+    marker offset (translation of T_GM) is then removed.  A 2-D image-frame file, whose image
+    z is taken as 0, is refused (FrameError) if T_BI carries image z into base x or y.  3-D
+    rows take the default obs_mask; 2-D rows share one read-only mask that observes only x
+    and y.  Rows keep file order.
     """
     rows, pragmas = _read_trajectory(path)
     frame = pragmas.get("frame", "base")
     if frame not in ("base", "image"):
         raise ParseError(f"{path}: unknown frame {frame!r}")
-    if frame == "image":
-        if config is None:
-            raise FrameError(f"{path}: image-frame data needs a config with T_BI")
-        if rows and len(rows[0]) == 6 and np.max(np.abs(config.T_BI[:2, 2])) > 1e-9:
-            raise FrameError(f"{path}: 2-D image-frame data needs a T_BI that maps "
-                             "image z into base z alone")
-    L = config.params.L if config is not None else None
+    if (frame == "image" and rows and len(rows[0]) == 6
+            and np.max(np.abs(config.T_BI[:2, 2])) > 1e-9):
+        raise FrameError(f"{path}: 2-D image-frame data needs a T_BI that maps "
+                         "image z into base z alone")
+    L = config.params.L
 
     measurements = []
     for row, (_, q_s, theta, delta, *xyz) in enumerate(rows, start=1):
         try:
-            if L is not None and not (0.0 <= q_s <= L):
+            if not (0.0 <= q_s <= L):
                 raise ValidationError(f"q_s={q_s} outside [0, {L}]")
             psi = ConfigState(math.radians(theta), math.radians(delta))
             p = np.array(xyz if len(xyz) == 3 else xyz + [0.0])
-            if config is not None:
-                if frame == "image":
-                    p = config.T_BI[:3, :3] @ p + config.T_BI[:3, 3]
-                p = p - config.T_GM[:3, 3]
+            if frame == "image":
+                p = config.T_BI[:3, :3] @ p + config.T_BI[:3, 3]
+            p = p - config.T_GM[:3, 3]
             mask = None if len(xyz) == 3 else _PLANAR_OBSERVED
             measurements.append(Measurement(psi=psi, q_s=q_s, x_bar=p, obs_mask=mask))
         except ValidationError as e:

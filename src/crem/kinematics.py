@@ -33,7 +33,6 @@ from .model import (
     RobotParams,
     UncertaintyParams,
     _equilibrium_angles,
-    _scalar_kappa,
     _solve_equilibrium_arrays,
     uncertainty_lambda,
 )
@@ -150,9 +149,10 @@ def _chain(params: RobotParams, th_s, th_p, th_e, q_s) -> _Chain:
 
 @functools.lru_cache(maxsize=1)
 def _scalar_chain(params: RobotParams, theta: float, delta: float, q_s: float, k):
-    """(kappa, _chain) of one configuration, kept on model._scalar_kappa's key so that a pose
-    and the Jacobians share one chain pass; the 0-d slopes of b are made read-only."""
-    kappa = _scalar_kappa(params, theta, delta, q_s, k)
+    """(kappa, _chain) of one configuration, the one value kept between scalar calls, so that a
+    pose and the Jacobians share one solve and one chain pass; b's 0-d slopes are read-only."""
+    kappa = float(_solve_equilibrium_arrays(params, theta, delta, q_s,
+                                            uncertainty_lambda(k, q_s, theta)))
     c = _chain(params, *_equilibrium_angles(params, theta, q_s, kappa), q_s)
     c.s.b_t.flags.writeable = c.e.b_t.flags.writeable = False
     return kappa, c

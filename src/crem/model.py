@@ -18,7 +18,6 @@ theta0 = THETA_BASE = pi/2 is straight and smaller theta means more bending.
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -152,14 +151,12 @@ class EquilibriumConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.theta_s) and math.isfinite(self.theta_eps)):
-            raise ValidationError(f"equilibrium angles must be finite, got {self.phi()}")
+            raise ValidationError("equilibrium angles must be finite, got "
+                                  f"({self.theta_s}, {self.theta_eps})")
 
     @property
     def theta_prime(self) -> float:
         return _theta_prime(self.theta_s, self.theta_eps)
-
-    def phi(self) -> np.ndarray:
-        return np.array([self.theta_s, self.theta_eps])
 
 
 def _theta_prime(theta_s, theta_eps):
@@ -329,24 +326,15 @@ def _equilibrium_angles(params: RobotParams, theta, q_s, kappa):
     return th_s, _theta_prime(th_s, th_e), th_e
 
 
-@functools.lru_cache(maxsize=1)
-def _scalar_kappa(params: RobotParams, theta: float, delta: float, q_s: float,
-                  k: UncertaintyParams) -> float:
-    """The solved curvature of one configuration, kept so that solve_equilibrium and the
-    kept chain of a pose and its Jacobians (kinematics._scalar_chain) share one solve.
-    Keyed on plain floats, as a psi need not be hashable; the value is an immutable float."""
-    return float(_solve_equilibrium_arrays(params, theta, delta, q_s,
-                                           uncertainty_lambda(k, q_s, theta)))
-
-
 def solve_equilibrium(
     params: RobotParams,
     psi: ConfigState,
     q_s: float,
     k: UncertaintyParams,
 ) -> EquilibriumConfig:
-    """Equilibrium angles of the segment at configuration psi, depth q_s."""
+    """Equilibrium angles of the segment at configuration psi, depth q_s; nothing is kept."""
     q_s = float(q_s)
-    kappa = _scalar_kappa(params, float(psi.theta), float(psi.delta), q_s, k)
+    kappa = float(_solve_equilibrium_arrays(params, psi.theta, psi.delta, q_s,
+                                            uncertainty_lambda(k, q_s, psi.theta)))
     th_s, _, th_e = _equilibrium_angles(params, psi.theta, q_s, kappa)
     return EquilibriumConfig(float(th_s), float(th_e))

@@ -34,7 +34,7 @@ from crem import (
 )
 from crem.differential import _FD_STEP
 from crem.kinematics import _arc, _scalar_chain, _tip_positions, segment_rotation
-from crem.model import _offsets, _scalar_kappa
+from crem.model import _offsets
 from crem.rotations import axis_angle_vector
 
 TH0 = np.pi / 2
@@ -63,7 +63,7 @@ def k_zero() -> UncertaintyParams:
 
 # every value the package keeps between scalar calls; test_source checks that this
 # names each functools cache under src/crem
-KEPT_VALUES = (_scalar_kappa, _scalar_chain)
+KEPT_VALUES = (_scalar_chain,)
 
 
 def clear_kept_values():
@@ -365,7 +365,7 @@ def fd_discrepancies_per_point(params, psi, q_s, k) -> dict:
         delta = float(x[1])
         delta += 2.0 * np.pi * ((delta <= -np.pi) - (delta > np.pi))
         sp = crem_pose(params, ConfigState(float(x[0]), delta), float(x[2]), kk)
-        phis.append(sp.equilibrium.phi())
+        phis.append((sp.equilibrium.theta_s, sp.equilibrium.theta_eps))
         return sp.tip
 
     x0 = np.array([psi.theta, psi.delta, q_s, k.k_lambda0, k.k_lambda_theta, k.k_lambda_q])

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -286,7 +287,7 @@ def test_identification_jacobian_nonzero_at_straight(bench, k_cal):
     # lambda bends even the nominally straight robot, so the straight
     # dataset still carries information about k
     ms = make_measurements(bench, TH0, 0.0, [10.0, 25.0], k_cal)
-    J = identification_jacobian(ms, bench, k_cal)
+    J = identification_jacobian(ms, bench, k_cal, ("k_lambda0", "k_lambda_q"))
     assert np.max(np.abs(J)) > 1e-4
 
 
@@ -582,11 +583,16 @@ def test_test_only_names_left_the_package(name):
 
 def test_free_params_validation(bench, k_cal):
     ms = make_measurements(bench, np.radians(45), 0.0, [10.0, 20.0], k_cal)
-    for free in (("k_lambda0", "bogus"), (), ("k_lambda0", "k_lambda0")):
-        with pytest.raises(ValidationError):
+    distinct = "free_params must be a nonempty set of distinct names"
+    for free, message in ((("k_lambda0", "bogus"), "unknown free parameter 'bogus'"),
+                          ((), distinct), (("k_lambda0", "k_lambda0"), distinct),
+                          # a string is a sequence of one-letter names: refused as a whole
+                          ("k_lambda0", "free_params must be a sequence of names, "
+                                        "got the string 'k_lambda0'")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             CalibrationConfig(free_params=free)
         # the identification Jacobian applies the same rule to its free_params
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             identification_jacobian(ms, bench, k_cal, free_params=free)
 
 

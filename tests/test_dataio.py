@@ -35,6 +35,8 @@ I_i = 0.0312
 I_s = 0.0010
 n = 3
 """
+# the bench robot of BENCH_CFG, built in code
+BENCH_ROBOT = RobotConfig(params=default_params())
 
 
 def write(tmp_path, name, text):
@@ -97,14 +99,18 @@ def test_config_duplicate_key(tmp_path):
 
 def test_config_missing_required_field(tmp_path):
     text = "\n".join(l for l in BENCH_CFG.splitlines() if not l.startswith("E_s"))
-    with pytest.raises(ValidationError, match="E_s"):
-        load_robot_config(write(tmp_path, "m.cfg", text))
+    path = write(tmp_path, "m.cfg", text)
+    message = f"{path}: config missing required field(s): E_s"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_robot_config(path)
 
 
 def test_config_invalid_length(tmp_path):
-    text = BENCH_CFG.replace("L = 44.3", "L = -1")
-    with pytest.raises(ValidationError):
-        load_robot_config(write(tmp_path, "neg.cfg", text))
+    # a rule error of RobotParams names the file, as a parse error names its line
+    path = write(tmp_path, "neg.cfg", BENCH_CFG.replace("L = 44.3", "L = -1"))
+    message = f"{path}: L must be positive, got -1.0"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_robot_config(path)
 
 
 def test_config_rejects_nonrigid_transform(tmp_path):
@@ -116,12 +122,15 @@ def test_config_rejects_nonrigid_transform(tmp_path):
                  "T_GM = 1 0 0 inf 0 1 0 0 0 0 1 0",
                  "T_GM = 1 0 0 0 0 1 0 -inf 0 0 1 nan"):
         key = line.split()[0]
-        with pytest.raises(ValidationError, match=f"{key} is not a valid rigid"):
-            load_robot_config(write(tmp_path, "nr.cfg", BENCH_CFG + line + "\n"))
+        path = write(tmp_path, "nr.cfg", BENCH_CFG + line + "\n")
+        message = f"^{re.escape(str(path))}: {key} is not a valid rigid"
+        with pytest.raises(ValidationError, match=message):
+            load_robot_config(path)
     # only the translation of T_GM is read, so a rotation in it is refused
-    with pytest.raises(ValidationError, match="^T_GM must be a translation"):
-        load_robot_config(write(tmp_path, "nr.cfg",
-                                BENCH_CFG + "T_GM = 0 -1 0 0 1 0 0 0 0 0 1 0\n"))
+    path = write(tmp_path, "nr.cfg", BENCH_CFG + "T_GM = 0 -1 0 0 1 0 0 0 0 0 1 0\n")
+    message = f"^{re.escape(str(path))}: T_GM must be a translation"
+    with pytest.raises(ValidationError, match=message):
+        load_robot_config(path)
     # a RobotConfig built directly obeys the same rules
     T = np.eye(4)
     T[0, 3] = np.nan
@@ -183,7 +192,7 @@ def test_synthetic_file_round_trips_through_load_dataset(tmp_path, bench):
     assert lines[:2] == ["# frame=base", "t,q_s,theta,delta,x,y,z"]
     assert [float(v) for v in lines[2].split(",")[2:4]] == pytest.approx([30.0, -90.0],
                                                                          abs=1e-12)
-    ms = load_dataset(path, None)
+    ms = load_dataset(path, BENCH_ROBOT)
     assert len(ms) == len(qs)
     for m, q, p in zip(ms, qs, pos):
         assert m.q_s == q and np.array_equal(m.x_bar, p)
@@ -193,15 +202,15 @@ def test_synthetic_file_round_trips_through_load_dataset(tmp_path, bench):
 
 def test_trajectory_header_errors(tmp_path):
     with pytest.raises(ParseError, match="header"):
-        load_dataset(write(tmp_path, "h.csv", "a,b,c\n1,2,3\n"), None)
+        load_dataset(write(tmp_path, "h.csv", "a,b,c\n1,2,3\n"), BENCH_ROBOT)
     with pytest.raises(ParseError, match="no header"):
-        load_dataset(write(tmp_path, "e.csv", "# frame=base\n"), None)
+        load_dataset(write(tmp_path, "e.csv", "# frame=base\n"), BENCH_ROBOT)
     bad_width = "t,q_s,theta,delta,x,y\n0,1,2,3,4\n"
     with pytest.raises(ParseError, match="6 fields"):
-        load_dataset(write(tmp_path, "w.csv", bad_width), None)
+        load_dataset(write(tmp_path, "w.csv", bad_width), BENCH_ROBOT)
     not_a_number = "t,q_s,theta,delta,x,y\n0,1,2,3,4,5\n1,2,3,x,4,5\n"
     with pytest.raises(ParseError, match=":3: could not convert string to float: 'x'$"):
-        load_dataset(write(tmp_path, "n.csv", not_a_number), None)
+        load_dataset(write(tmp_path, "n.csv", not_a_number), BENCH_ROBOT)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -213,13 +222,13 @@ def test_trajectory_header_errors(tmp_path):
 ], ids=["after-header", "repeated"])
 def test_trajectory_refuses_a_stray_pragma(tmp_path, text, message):
     with pytest.raises(ParseError, match=message):
-        load_dataset(write(tmp_path, "p.csv", text), None)
+        load_dataset(write(tmp_path, "p.csv", text), BENCH_ROBOT)
 
 
 def test_trajectory_allows_plain_comments_anywhere(tmp_path):
     text = ("# hand-made\n# frame=base\nt,q_s,theta,delta,x,y,z\n"
             "0,1,30,0,1,2,3\n# a note, not a pragma\n1,2,30,0,4,5,6\n")
-    ms = load_dataset(write(tmp_path, "c.csv", text), None)
+    ms = load_dataset(write(tmp_path, "c.csv", text), BENCH_ROBOT)
     assert [m.q_s for m in ms] == [1.0, 2.0]
 
 
@@ -232,7 +241,7 @@ def test_trajectory_rejects_nonmonotone_time(tmp_path):
                              ("nan,1,30,0,0,0\n", ":2:", "t must be finite")):
         text = "t,q_s,theta,delta,x,y\n" + rows
         with pytest.raises(ParseError, match=msg) as err:
-            load_dataset(write(tmp_path, "mono.csv", text), None)
+            load_dataset(write(tmp_path, "mono.csv", text), BENCH_ROBOT)
         assert where in str(err.value)
 
 
@@ -257,17 +266,11 @@ def test_load_dataset_identity_frames(tmp_path):
 ], ids=["2-D", "3-D"])
 def test_load_dataset_rows_share_one_read_only_mask(tmp_path, columns, row, mask):
     text = f"t,q_s,theta,delta,{columns}\n0,5,30,0,{row}\n1,6,30,0,{row}\n"
-    ms = load_dataset(write(tmp_path, "d.csv", text))
+    ms = load_dataset(write(tmp_path, "d.csv", text), BENCH_ROBOT)
     assert ms[0].obs_mask is ms[1].obs_mask
     assert ms[0].obs_mask.dtype == bool and ms[0].obs_mask.tolist() == mask
     with pytest.raises(ValueError, match="read-only"):
         ms[0].obs_mask[5] = True
-
-
-def test_load_dataset_image_frame_needs_config(tmp_path):
-    text = "# frame=image\nt,q_s,theta,delta,x,y\n0,5,30,0,1,2\n"
-    with pytest.raises(FrameError):
-        load_dataset(write(tmp_path, "img.csv", text), None)
 
 
 def test_load_dataset_applies_image_transform(tmp_path):
@@ -351,20 +354,20 @@ def test_load_dataset_nonfinite_position_names_row(tmp_path):
         load_dataset(path, RobotConfig(params=default_params()))
 
 
-def test_load_dataset_without_config_checks_depth(tmp_path):
-    # without a config there is no [0, L] check; the measurement still refuses
-    # a depth that is not finite and >= 0
-    for q_s in ("nan", "-1"):
+def test_load_dataset_checks_every_depth_against_L(tmp_path):
+    # a dataset is always read against its robot, so every row gets the [0, L] check
+    for q_s in ("nan", "-1", "inf", "44.300000000000004"):
         path = write(tmp_path, "qs.csv", f"t,q_s,theta,delta,x,y,z\n0,5,30,0,1,0,40\n"
                                          f"1,{q_s},30,0,1,0,40\n")
-        with pytest.raises(ValidationError, match="row 2: q_s must be finite and >= 0"):
-            load_dataset(path, None)
+        message = f"{path}: row 2: q_s={float(q_s)} outside [0, 44.3]"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_dataset(path, BENCH_ROBOT)
 
 
 def test_load_dataset_unknown_frame(tmp_path):
     text = "# frame=world\nt,q_s,theta,delta,x,y\n0,5,30,0,0,0\n"
     with pytest.raises(ParseError, match="frame"):
-        load_dataset(write(tmp_path, "f.csv", text), None)
+        load_dataset(write(tmp_path, "f.csv", text), BENCH_ROBOT)
 
 
 # ---------------------------------------------------------------------------

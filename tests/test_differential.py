@@ -177,7 +177,7 @@ def test_phi_gradients_match_finite_differences(bench, k_cal):
     def phi_of(theta, delta, qs, k0, kt, kq):
         e = solve_equilibrium(bench, ConfigState(theta, delta), qs,
                               UncertaintyParams(k0, kt, kq))
-        return np.array(e.phi())
+        return np.array([e.theta_s, e.theta_eps])
 
     x0 = [psi.theta, psi.delta, q_s, k_cal.k_lambda0, k_cal.k_lambda_theta,
           k_cal.k_lambda_q]
@@ -343,7 +343,7 @@ def test_empty_batches_return_empty_arrays(bench, k_cal):
     assert core.J_M.shape == (0, 6, 3)
     assert core.J_mu.shape == (0, 6)
     assert core.J_k.shape == (0, 6, 3)
-    assert identification_jacobian([], bench, k_cal).shape == (0, 2)
+    assert identification_jacobian([], bench, k_cal, ("k_lambda0", "k_lambda_q")).shape == (0, 2)
     all_free = ("k_lambda0", "k_lambda_theta", "k_lambda_q")
     assert identification_jacobian([], bench, k_cal, all_free).shape == (0, 3)
 
@@ -558,8 +558,8 @@ def test_depth_gradient_tracks_differences(bench, k_cal, theta, delta, fq):
     psi = ConfigState(theta, delta)
     g = assemble_motion_jacobians(bench, psi, q_s, k_cal).d_phi
     h = 1e-6
-    fp = np.array(solve_equilibrium(bench, psi, q_s + h, k_cal).phi())
-    fm = np.array(solve_equilibrium(bench, psi, q_s - h, k_cal).phi())
+    ep, em = (solve_equilibrium(bench, psi, q_s + s, k_cal) for s in (h, -h))
+    fp, fm = np.array([ep.theta_s, ep.theta_eps]), np.array([em.theta_s, em.theta_eps])
     assert np.max(np.abs(g[:, 2] - (fp - fm) / (2.0 * h))) < 1e-5
 
 

@@ -586,7 +586,6 @@ def test_pose_then_jacobians_solve_once(bench, k_cal, monkeypatch):
     psi = ConfigState(1.0, 0.3)
     crem_pose(bench, psi, 15.0, k_cal)
     assemble_motion_jacobians(bench, psi, 15.0, k_cal)
-    solve_equilibrium(bench, psi, 15.0, k_cal)
     assert (len(calls), len(arcs)) == (1, 2)
 
 
@@ -603,9 +602,9 @@ def test_lone_solve_forms_no_chain(bench, k_cal, monkeypatch):
     psi = ConfigState(1.0, 0.3)
     solve_equilibrium(bench, psi, 15.0, k_cal)
     assert (len(solves), len(arcs)) == (1, 0)
-    # the pose after it reuses the solve and forms the chain
+    # a lone solve keeps nothing: the pose after it solves again and forms the chain
     crem_pose(bench, psi, 15.0, k_cal)
-    assert (len(solves), len(arcs)) == (1, 2)
+    assert (len(solves), len(arcs)) == (2, 2)
 
 
 @pytest.mark.parametrize("theta", [1.0, TH0 + 1e-5])
@@ -639,14 +638,14 @@ def test_each_key_part_solves_again(bench, k_cal, monkeypatch, part):
         changed["k"] = dataclasses.replace(k_cal, **{part: getattr(k_cal, part) + 0.01})
 
     def phi(a):
-        return solve_equilibrium(a["params"], ConfigState(a["theta"], a["delta"]), a["q_s"],
-                                 a["k"])
+        return crem_pose(a["params"], ConfigState(a["theta"], a["delta"]), a["q_s"],
+                         a["k"]).equilibrium
 
     calls = counted_solves(monkeypatch)
     before, after = phi(base), phi(changed)
     assert len(calls) == 2
     assert after != before
-    model._scalar_kappa.cache_clear()
+    kinematics._scalar_chain.cache_clear()
     assert phi(changed) == after
 
 
@@ -672,7 +671,7 @@ def test_kept_solve_is_bit_identical_to_a_fresh_one(bench, k_cal, monkeypatch,
             out.append(call(bench, psi, 15.0, k_cal))
         pose, js = out
         return [np.asarray(a).tobytes() for a in (
-            pose.tip.p, pose.tip.R, pose.equilibrium.phi(),
+            pose.tip.p, pose.tip.R, (pose.equilibrium.theta_s, pose.equilibrium.theta_eps),
             js.th_s, js.th_e, js.p, js.d_phi, js.J_xi_phi, js.J_xi_delta, js.J_xi_qs,
             js.J_M, js.J_mu, js.J_k)]
 

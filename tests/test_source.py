@@ -15,6 +15,10 @@ module defines must be cleared by the autouse fixture of conftest, so
 that no kept value leaks from one test into the next.  Every private
 function or class a crem module defines at module level must be read
 somewhere in the package, so that code only tests reach does not stay.
+The package's settable values, its defaulted function parameters plus its
+defaulted dataclass fields, are pinned at one count, so that a change which
+adds a setting raises the pin in its own diff and one which removes a
+setting lowers it.
 """
 import argparse
 import ast
@@ -204,3 +208,41 @@ def test_every_private_definition_is_read_in_the_package():
     unread = sorted(f"{stem}.{name}" for stem, source in sources.items()
                     for name in private_definitions(source) if name not in read)
     assert unread == []
+
+
+# defaulted function parameters plus defaulted dataclass fields under src/crem
+SETTABLE_VALUES = 21
+DATACLASS_DECORATORS = {"dataclass", "dataclasses.dataclass"}
+
+
+def settable_values(source: str) -> int:
+    """Defaulted parameters of every function and lambda, plus fields with a default of
+    every dataclass, that the source defines."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                ast.unparse(dec.func if isinstance(dec, ast.Call) else dec)
+                in DATACLASS_DECORATORS for dec in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_checker_counts_settable_values():
+    source = ("import dataclasses\n"
+              "from dataclasses import dataclass, field\n"
+              "def a(x, y=1, *args, z=2, w, **kw): return lambda v=0: v\n"
+              "@dataclass(frozen=True)\nclass B:\n"
+              "    x: int\n    y: int = 1\n    z: list = field(default_factory=list)\n"
+              "    def m(self, k=3): return k\n"
+              "@dataclasses.dataclass\nclass C:\n    x: int = 0\n"
+              "class D:\n    x: int = 0\n")
+    # a: y, z and the lambda's v; B: y, z and m's k; C: x; D is no dataclass
+    assert settable_values(source) == 7
+
+
+def test_settable_values_are_pinned():
+    # a new setting raises this pin in the diff that adds it, and says why
+    count = sum(settable_values(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py"))
+    assert count == SETTABLE_VALUES
