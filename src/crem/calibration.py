@@ -11,9 +11,13 @@ full Gauss-Newton step) by default and halves whenever a step would
 raise the cost; the paper's damped update is eta < 1.  The result
 reports the standard errors and correlation of the free parameters.
 
-The loop is batched over the dataset, with or without observed orientation:
-the arrays are stacked once per fit, and each evaluated k costs one batched
-equilibrium solve whose curvatures give the residuals and the next Jacobian.
+The loop is batched over the dataset, with or without observed orientation.
+What k does not move is formed once per fit (_stack): the commands, u, sin
+and cos delta, theta_eps and its arc, L - q_s, the solver's start with its
+domain and stretch checks, and the position mask of the RMSE.  Each
+evaluated k costs one Newton solve from that start, one theta_s arc with
+slopes and the in-plane tip (_chain_at); the residuals rest on this chain,
+and the next Jacobian reads the chain of the accepted residuals.
 Its blocks J_i = v_i u_i^T have rank one, u_i = (1, theta_i, q_s_i) and v_i
 along the tip twist per theta_s: J^T W J = sum_i (v_i^T W_i v_i) u_i u_i^T.
 """
@@ -26,15 +30,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, SingularNormalEquations, ValidationError
-from .kinematics import Pose, _tip_positions, segment_rotation
+from .kinematics import Pose, _Arc, _arc, _in_plane_tip, _turn, segment_rotation
 from .model import (
+    THETA_BASE,
     ConfigState,
     RobotParams,
     UncertaintyParams,
-    _equilibrium_angles,
     _integer,
-    _offsets,
-    _solve_equilibrium_arrays,
+    _SolverStart,
+    _newton,
+    _solver_start,
+    _theta_eps,
+    _theta_prime,
     uncertainty_lambda,
 )
 from .differential import _k_jacobian_factors
@@ -203,45 +210,94 @@ def _commands(measurements):
             np.fromiter([m.q_s for m in measurements], float, len(measurements)))
 
 
+class _Fit(NamedTuple):
+    """The arrays of a set of commands that k does not move, formed once per fit (_fit)."""
+
+    theta: np.ndarray  # (N,) commanded theta
+    delta: np.ndarray  # (N,)
+    q_s: np.ndarray  # (N,)
+    u: np.ndarray  # (N, 3) u_i = (1, theta_i, q_s_i): lambda_i = u_i . k
+    sd: np.ndarray  # (N,) sin delta
+    cd: np.ndarray  # (N,) cos delta
+    L_e: np.ndarray  # (N,) L - q_s, the empty arc's length
+    th_e: np.ndarray  # (N,) theta_eps, the empty arc's angle
+    arc_e: _Arc  # _arc of theta_eps
+    start: _SolverStart  # _solver_start of the commands, its offsets D included
+
+
+def _fit(params: RobotParams, theta, delta, q_s) -> _Fit:
+    """The k-free arrays of the commands; the solver's domain and stretch checks run here,
+    once, naming the first sample that fails."""
+    start = _solver_start(params, theta, delta, q_s)
+    th_e = _theta_eps(params, theta, q_s)
+    return _Fit(theta, delta, q_s, np.column_stack([np.ones_like(theta), theta, q_s]),
+                np.sin(delta), np.cos(delta), params.L - q_s, th_e, _arc(th_e), start)
+
+
 class _Dataset(NamedTuple):
     """Measurement arrays, stacked once per fit."""
 
-    commands: tuple  # (theta, delta, q_s), each (N,)
-    offsets: np.ndarray  # (n, N) backbone-major Delta_i of delta, fixed for the fit
+    fit: _Fit  # the commands and their k-free arrays
     x_bar: np.ndarray  # (N, 3)
     w: np.ndarray  # (N, 6) weights: 1 observed position, _W_ROT observed orientation, else 0
+    pos: np.ndarray  # (N, 3) the weighted position components, which _rmse_um counts
     rot: np.ndarray  # indices of the measurements with an observed R_bar
     R_bar: np.ndarray  # (len(rot), 3, 3)
 
 
 def _stack(measurements, params: RobotParams) -> _Dataset:
-    commands = _commands(measurements)
+    fit = _fit(params, *_commands(measurements))
+    w = np.where([m.obs_mask for m in measurements], np.repeat([1.0, _W_ROT], 3), 0.0)
     rot = np.array([j for j, m in enumerate(measurements) if m.R_bar is not None], dtype=int)
-    return _Dataset(commands, _offsets(params, commands[1]),
-                    np.array([m.x_bar for m in measurements]),
-                    np.where([m.obs_mask for m in measurements], np.repeat([1.0, _W_ROT], 3), 0.0),
-                    rot,
+    return _Dataset(fit, np.array([m.x_bar for m in measurements]), w, w[:, :3] != 0.0, rot,
                     np.array([measurements[j].R_bar for j in rot], dtype=float).reshape(-1, 3, 3))
 
 
+class _ChainAtK(NamedTuple):
+    """The planar chain at one k (_chain_at): what the residuals rest on and J_k reads."""
+
+    kappa: np.ndarray  # (N,) solved curvature of the inserted arc
+    th_s: np.ndarray  # (N,) theta_s
+    s: _Arc  # _arc of theta_s, with slopes
+    x: np.ndarray  # (N,) in-plane tip, _in_plane_tip
+    z: np.ndarray
+    e_x: np.ndarray  # (N,) turned empty-arc direction
+    e_z: np.ndarray
+
+
+def _chain_at(fit: _Fit, params: RobotParams, k: UncertaintyParams) -> _ChainAtK:
+    """One Newton solve from the fit's start, then theta_s, its arc and the in-plane tip."""
+    kappa = _newton(params, fit.start, uncertainty_lambda(k, fit.q_s, fit.theta))
+    # theta_s = theta0 + q_s kappa, as model._equilibrium_angles forms it
+    th_s = THETA_BASE + fit.q_s * kappa
+    s = _arc(th_s, slopes=True)
+    return _ChainAtK(kappa, th_s, s, *_in_plane_tip(s, fit.arc_e, fit.q_s, fit.L_e))
+
+
+def _jacobian_factors(params: RobotParams, fit: _Fit, chain: _ChainAtK):
+    """(col, krow) of J_k = col krow^T at the chain of the residuals: no solve, no arc."""
+    return _k_jacobian_factors(params, chain.kappa, chain.s, chain.e_x, chain.e_z, fit.sd,
+                               fit.cd, fit.q_s, fit.L_e, fit.u, fit.start.D)
+
+
 def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
-    """(N, 6) residuals and the solved curvatures kappa they rest on."""
-    theta, delta, q_s = data.commands
-    kappa = _solve_equilibrium_arrays(params, theta, delta, q_s,
-                                      uncertainty_lambda(k, q_s, theta), data.offsets)
-    th_s, th_p, th_e = _equilibrium_angles(params, theta, q_s, kappa)
-    c = np.zeros((len(theta), 6))
-    c[:, :3] = data.x_bar - _tip_positions(params, th_s, th_e, delta, q_s)
+    """(N, 6) residuals at k and the _ChainAtK they rest on, which the next Jacobian reads."""
+    fit = data.fit
+    chain = _chain_at(fit, params, k)
+    c = np.zeros((len(fit.theta), 6))
+    c[:, :3] = data.x_bar - _turn(chain.x, chain.z, fit.sd, fit.cd)
     if data.rot.size:
+        rot = data.rot
         # the tip frame turns by pi/2 - theta_prime in the plane delta
-        R = segment_rotation(th_p[data.rot], delta[data.rot])
-        c[data.rot, 3:] = axis_angle_vector(data.R_bar @ np.swapaxes(R, -1, -2))
-    return c, kappa
+        R = segment_rotation(_theta_prime(chain.th_s[rot], fit.th_e[rot]), fit.delta[rot])
+        c[rot, 3:] = axis_angle_vector(data.R_bar @ np.swapaxes(R, -1, -2))
+    return c, chain
 
 
-def _rmse_um(c, w) -> float:
-    """RMSE over the weighted position components of (N, 6) residuals, micrometres."""
-    sq = np.sum(np.where(w[:, :3] != 0.0, c[:, :3], 0.0) ** 2, axis=1)
+def _rmse_um(c, pos) -> float:
+    """RMSE over the weighted position components pos (N, 3) of (N, 6) residuals,
+    micrometres."""
+    sq = np.sum(np.where(pos, c[:, :3], 0.0) ** 2, axis=1)
     return 1000.0 * float(np.sqrt(np.mean(sq)))
 
 
@@ -260,16 +316,13 @@ def identification_jacobian(
     one without R_bar, whose orientation residual is zero: only the weights mask them.
     """
     idx = _free_indices(free_params)
-    theta, delta, q_s = _commands(measurements)
-    D, lam = _offsets(params, delta), uncertainty_lambda(k, q_s, theta)
-    kappa = _solve_equilibrium_arrays(params, theta, delta, q_s, lam, D)
-    u = np.column_stack([np.ones_like(theta), theta, q_s])
-    col, krow = _k_jacobian_factors(params, theta, delta, q_s, kappa, u, D)
+    fit = _fit(params, *_commands(measurements))
+    col, krow = _jacobian_factors(params, fit, _chain_at(fit, params, k))
     # -(col krow^T) with krow negated first: exact, signed zeros included
-    nk, J = -krow[:, idx], np.empty((len(theta), 6, len(idx)))
+    nk, J = -krow[:, idx], np.empty((len(col), 6, len(idx)))
     for j in range(len(idx)):
         np.multiply(col, nk[:, j, None], out=J[:, :, j])
-    return J.reshape(len(theta) * 6, len(idx))
+    return J.reshape(-1, len(idx))
 
 
 def nls_estimate(
@@ -298,8 +351,7 @@ def nls_estimate(
     # each J_k,i is rank one along u_i = (1, theta_i, q_s_i), so k is identifiable
     # only if the free columns of the u_i have full rank; every measurement
     # observes a component of positive weight, so every u_i is weighted
-    theta, delta, q_s = data.commands
-    u = np.column_stack([np.ones_like(theta), theta, q_s])
+    u = data.fit.u
     if np.linalg.matrix_rank(u[:, idx]) < idx.size:
         constant = [name for j, name in ((1, "theta"), (2, "q_s"))
                     if j in idx and np.all(u[:, j] == u[:1, j])]
@@ -311,18 +363,18 @@ def nls_estimate(
     k_vec = k0.as_array().astype(float)
 
     def evaluate(kv):
-        c, kappa = _residuals(data, params, UncertaintyParams.from_array(kv))
-        return (c, *_weighted_cost(c, data.w), kappa)
+        c, chain = _residuals(data, params, UncertaintyParams.from_array(kv))
+        return (c, *_weighted_cost(c, data.w), chain)
 
-    c, Wc, M, kappa = evaluate(k_vec)
+    c, Wc, M, chain = evaluate(k_vec)
     trace = [IterationRecord(0, UncertaintyParams.from_array(k_vec),
-                             _rmse_um(c, data.w), M)]
+                             _rmse_um(c, data.pos), M)]
     eta = config.eta
     flagged = False
 
     for iteration in range(1, config.max_iter + 1):
-        # J_k at the equilibria of the residuals at k_vec: no second solve
-        col, krow = _k_jacobian_factors(params, theta, delta, q_s, kappa, u, data.offsets)
+        # J_k on the chain of the residuals at k_vec: no second solve, no arc
+        col, krow = _jacobian_factors(params, data.fit, chain)
         JtW, JtWc = _normal_equations(col, krow[:, idx], data.w, Wc)
         cond = np.linalg.cond(JtW)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -342,12 +394,12 @@ def nls_estimate(
             flagged = True
         else:
             # cost cannot be reduced further along this direction
-            k_cand, cand = k_vec, (c, Wc, M, kappa)
+            k_cand, cand = k_vec, (c, Wc, M, chain)
 
         rel = abs(cand[2] - M) / max(M, np.finfo(float).tiny)
-        k_vec, (c, Wc, M, kappa) = k_cand, cand
+        k_vec, (c, Wc, M, chain) = k_cand, cand
         trace.append(IterationRecord(iteration, UncertaintyParams.from_array(k_vec),
-                                     _rmse_um(c, data.w), M))
+                                     _rmse_um(c, data.pos), M))
         if rel < config.beta_conv or rel <= _COST_RTOL or M < _M_FLOOR:
             break
     else:

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .kinematics import (_arc, _chain, _columns, _in_plane_tip, _scalar_chain, _tip_positions,
+from .kinematics import (_chain, _columns, _scalar_chain, _tip_positions, _turn,
                          segment_rotation)
 from .model import (
     THETA_BASE,
@@ -112,9 +112,10 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
 # pose Jacobians
 
 
-def _theta_s_twist(params: RobotParams, s, e_x, e_z, sd, cd, q_s):
-    """The tip twist (..., 6) per theta_s, J_xi_phi[..., :, 0]; sd, cd = sin, cos delta."""
-    v_x, v_z = q_s * s.a_t - (params.L - q_s) * e_z, q_s * s.b_t + (params.L - q_s) * e_x
+def _theta_s_twist(s, e_x, e_z, sd, cd, q_s, L_e):
+    """The tip twist (..., 6) per theta_s, J_xi_phi[..., :, 0]; sd, cd = sin, cos delta and
+    L_e = L - q_s."""
+    v_x, v_z = q_s * s.a_t - L_e * e_z, q_s * s.b_t + L_e * e_x
     p_x = cd * v_x
     return _columns(p_x.shape, p_x, -sd * v_x, v_z, -sd, -cd, 0.0)
 
@@ -135,7 +136,7 @@ def _xi_jacobian_arrays(params: RobotParams, c, delta, q_s):
     s, e = c.s, c.e
     L_e = params.L - q_s
     sd, cd = np.sin(delta), np.cos(delta)
-    col_s = _theta_s_twist(params, s, c.e_x, c.e_z, sd, cd, q_s)
+    col_s = _theta_s_twist(s, c.e_x, c.e_z, sd, cd, q_s, L_e)
     shape = col_s.shape[:-1]
     axis = (-sd, -cd, 0.0)
     w_x, w_z = L_e * (s.s * e.a_t + s.c * e.b_t), L_e * (s.s * e.b_t - s.c * e.a_t)
@@ -145,18 +146,20 @@ def _xi_jacobian_arrays(params: RobotParams, c, delta, q_s):
     J_xi_delta = _columns(shape, *(c.x * a for a in axis), cd * t_x, -sd * t_x, t_z)
     q_x = s.a - c.e_x
     J_xi_qs = _columns(shape, cd * q_x, -sd * q_x, s.b - c.e_z, 0.0, 0.0, 0.0)
-    return _columns(shape, cd * c.x, -sd * c.x, c.z), J_xi_phi, J_xi_delta, J_xi_qs
+    return _turn(c.x, c.z, sd, cd), J_xi_phi, J_xi_delta, J_xi_qs
 
 
-def _k_jacobian_factors(params: RobotParams, theta, delta, q_s, kappa, u, D):
+def _k_jacobian_factors(params: RobotParams, kappa, s, e_x, e_z, sd, cd, q_s, L_e, u, D):
     """(col, krow), J_k = col krow^T at the solved kappa: theta_s alone depends on k, through
     lambda = u . k, u = (1, theta, q_s), so col is J_xi_phi[..., :, 0], krow -(q_s / G') u.
-    D is the backbone-major model._offsets of delta, formed once by the caller."""
-    th_s, _, th_e = _equilibrium_angles(params, theta, q_s, kappa)
-    s = _arc(th_s, slopes=True)
-    _, _, e_x, e_z = _in_plane_tip(params, s, _arc(th_e), q_s)
+
+    The chain pieces are those the residuals at the same k formed: kappa, the theta_s
+    _arc s with slopes and the turned empty-arc direction (e_x, e_z) of _in_plane_tip.
+    sd, cd = sin, cos delta, L_e = L - q_s, u and D, the backbone-major model._offsets
+    of delta, are formed once per fit.  Only G' = dM/dkappa + EI_s is formed here.
+    """
     _, _, M_k = _arc_moment(params, D, kappa)
-    return (_theta_s_twist(params, s, e_x, e_z, np.sin(delta), np.cos(delta), q_s),
+    return (_theta_s_twist(s, e_x, e_z, sd, cd, q_s, L_e),
             _theta_s_row(q_s, u, M_k + params.EI_s))
 
 

@@ -17,7 +17,8 @@ or batched, comes from one planar chain: p = Rz(-delta) [x, 0, z] with
 (x, z) = q_s (a_s, b_s) + (L - q_s) Ry(pi/2 - theta_s) (a_e, b_e), and the
 tip rotation is segment_rotation(theta_s + theta_eps - pi/2, delta).  A pose
 and the Jacobians of one configuration share one kept chain pass, arcs with
-slopes (_scalar_chain); sweeps and the fit take the plain-arc _tip_positions.
+slopes (_scalar_chain); sweeps take the plain-arc _tip_positions.  One helper,
+_turn, turns an in-plane tip by delta for sweeps, poses, Jacobians and the fit.
 """
 from __future__ import annotations
 
@@ -110,12 +111,11 @@ def segment_rotation(theta_x, delta_x):
     return R
 
 
-def _in_plane_tip(params: RobotParams, arc_s: _Arc, arc_e: _Arc, q_s):
+def _in_plane_tip(arc_s: _Arc, arc_e: _Arc, q_s, L_e):
     """Tip (x, z) in the bending plane, and (e_x, e_z) = Ry(pi/2 - theta_s)(a_e, b_e),
-    the empty arc's direction turned by the inserted arc."""
+    the empty arc's direction turned by the inserted arc; L_e = L - q_s."""
     e_x = arc_s.s * arc_e.a + arc_s.c * arc_e.b
     e_z = arc_s.s * arc_e.b - arc_s.c * arc_e.a
-    L_e = params.L - q_s
     return q_s * arc_s.a + L_e * e_x, q_s * arc_s.b + L_e * e_z, e_x, e_z
 
 
@@ -128,13 +128,19 @@ def _columns(shape, *cols):
     return out
 
 
+def _turn(x, z, sd, cd):
+    """Rz(-delta) [x, 0, z], shape (..., 3), of in-plane (x, z); sd, cd = sin, cos delta."""
+    p_x = cd * x
+    return _columns(p_x.shape, p_x, -sd * x, z)
+
+
 def _tip_positions(params: RobotParams, th_s, th_e, delta, q_s):
     """Tip positions (..., 3) of the two-arc chain at given equilibrium angles:
     p = Rz(-delta) [x, 0, z] with (x, z) from _in_plane_tip.  The arguments
     broadcast against each other."""
-    x, z, _, _ = _in_plane_tip(params, _arc(th_s), _arc(th_e), np.asarray(q_s, dtype=float))
-    p_x = np.cos(delta) * x
-    return _columns(p_x.shape, p_x, -np.sin(delta) * x, z)
+    q_s = np.asarray(q_s, dtype=float)
+    x, z, _, _ = _in_plane_tip(_arc(th_s), _arc(th_e), q_s, params.L - q_s)
+    return _turn(x, z, np.sin(delta), np.cos(delta))
 
 
 _Chain = namedtuple("_Chain", "th_s th_p th_e s e x z e_x e_z")
@@ -144,7 +150,7 @@ def _chain(params: RobotParams, th_s, th_p, th_e, q_s) -> _Chain:
     """The angles (theta_s, theta_prime, theta_eps), both _arcs with slopes and _in_plane_tip
     (x, z, e_x, e_z), for a pose and its Jacobians.  Nothing in it depends on delta."""
     s, e = _arc(th_s, slopes=True), _arc(th_e, slopes=True)
-    return _Chain(th_s, th_p, th_e, s, e, *_in_plane_tip(params, s, e, q_s))
+    return _Chain(th_s, th_p, th_e, s, e, *_in_plane_tip(s, e, q_s, params.L - q_s))
 
 
 @functools.lru_cache(maxsize=1)
@@ -164,12 +170,11 @@ def crem_pose(
     """Tip pose at configuration psi and insertion depth q_s.
 
     Takes the kept solve and planar chain of the configuration (_scalar_chain),
-    turns its in-plane tip by delta as _tip_positions does, and forms the
+    turns its in-plane tip by delta (_turn), and forms the
     rotation segment_rotation(theta_prime, delta).
     """
     _, c = _scalar_chain(params, float(psi.theta), float(psi.delta), float(q_s), k)
-    p_x = np.cos(psi.delta) * c.x
-    tip = Pose(_columns(p_x.shape, p_x, -np.sin(psi.delta) * c.x, c.z),
+    tip = Pose(_turn(c.x, c.z, np.sin(psi.delta), np.cos(psi.delta)),
                segment_rotation(c.th_p, psi.delta))
     return SegmentedPose(tip, EquilibriumConfig(float(c.th_s), float(c.th_e)))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,7 +228,54 @@ def _broadcast_samples(*arrays):
     return [a if a.shape == shape else np.broadcast_to(a, shape) for a in arrays]
 
 
-def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam, D=None):
+def _sample(samples, i):
+    """The text 'sample i: (theta, delta, q_s) = (...)' of flat index i of broadcast samples."""
+    theta, delta, q_s = samples
+    return (f"sample {i}: (theta, delta, q_s) = ({theta.flat[i]:.6g}, "
+            f"{delta.flat[i]:.6g}, {q_s.flat[i]:.6g})")
+
+
+class _SolverStart(NamedTuple):
+    """The lambda-free part of a solve, formed once by _solver_start for any number of
+    _newton solves of the same samples."""
+
+    samples: tuple  # (theta, delta, q_s) of one broadcast shape, for the messages
+    D: np.ndarray  # (n, N) backbone-major Delta_i of delta
+    kappa0: np.ndarray  # (N,) the whole segment's curvature, where Newton starts
+    M0: np.ndarray  # (N,) M(kappa0)
+    M0_k: np.ndarray  # (N,) dM/dkappa at kappa0
+
+
+def _solver_start(params: RobotParams, theta, delta, q_s) -> _SolverStart:
+    """Broadcast and check the samples and form what _newton needs at every lambda.
+
+    Every sample must satisfy the ConfigState rules and 0 <= q_s <= L; the
+    first that does not (NaN included) is rejected by its flat index.  The
+    offsets D are _offsets of delta formed before delta is broadcast, so that
+    a sweep at one delta takes n cosines, not n per sample.  Newton starts
+    from the whole segment's curvature kappa0 = (theta - theta0) / L with
+    M(kappa0) and its slope; NonPhysicalLength is raised when a whole-segment
+    backbone length is not positive.
+    """
+    delta_in = delta
+    samples = theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
+    ok = ((theta > 0.0) & (theta < math.pi) & (delta > -math.pi) & (delta <= math.pi)
+          & (q_s >= 0.0) & (q_s <= params.L))
+    if np.count_nonzero(ok) != ok.size:
+        raise ValidationError(
+            f"{_sample(samples, int(np.argmin(ok)))} outside (0, pi) x (-pi, pi] x [0, L]")
+    D = _offsets(params, delta_in, theta.ndim)
+    if D.shape[1:] != theta.shape:
+        D = np.broadcast_to(D, (params.n,) + theta.shape)
+    D = D.reshape(params.n, -1)
+    kappa0 = ((theta - THETA_BASE) / params.L).ravel()
+    x, M0, M0_k = _arc_moment(params, D, kappa0)
+    if np.count_nonzero(x <= 0.0):
+        raise NonPhysicalLength(f"backbone length <= 0 (min {params.L * np.min(x):.6g} mm)")
+    return _SolverStart(samples, D, kappa0, M0, M0_k)
+
+
+def _newton(params: RobotParams, start: _SolverStart, lam):
     """Vectorized solve of the moment balance for the inserted arc's curvature.
 
     The empty arc carries the base moment of the whole segment, so it has the
@@ -238,46 +286,28 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam, D=Non
 
     with M from _arc_moment.  G' = EI_p + EI_s + sum_i EI_i / x_i^2 > 0, and G
     runs over all reals on the physical interval (every stretch x_i > 0), so
-    the root is unique.  Safeguarded Newton from kappa0: a sample's step is
-    halved while it leaves the physical interval, and the sample is frozen
-    once |step| L < _SOLVER_TOL, after that step, so its kappa does not
-    depend on the batch it is solved in.  Each step forms the stretches
-    x_i = 1 + Delta_i kappa once, for the safeguard and for the next step's
-    moment, and works on the shrinking active set: arrays of the active
-    samples, D and x backbone-major (n, N_active), compacted only when samples
-    freeze.  lam is lambda per sample (uncertainty_lambda); D is _offsets of
-    delta unless given, formed before delta is broadcast, so that a sweep at
-    one delta takes n cosines, not n per sample.  Returns kappa broadcast over
-    the inputs; _equilibrium_angles gives the angles.  Every sample must
-    satisfy the ConfigState rules and 0 <= q_s <= L; the first that does not
-    (NaN included) is rejected by its flat index before any step, and
-    NonPhysicalLength is raised when a whole-segment backbone length is not
-    positive.  NoConvergence names the active sample with the largest last
-    step the same way and counts the samples still active.
+    the root is unique.  Safeguarded Newton from kappa0 of the start
+    (_solver_start): a sample's step is halved while it leaves the physical
+    interval, and the sample is frozen once |step| L < _SOLVER_TOL, after that
+    step, so its kappa does not depend on the batch it is solved in.  Each
+    step forms the stretches x_i = 1 + Delta_i kappa once, for the safeguard
+    and for the next step's moment, and works on the shrinking active set:
+    arrays of the active samples, D and x backbone-major (n, N_active),
+    compacted only when samples freeze.  lam is lambda per sample
+    (uncertainty_lambda), broadcast to the samples' shape; the start is not
+    changed.  Returns kappa of the samples' shape; _equilibrium_angles gives
+    the angles.  NoConvergence names the active sample with the largest last
+    step by its flat index and counts the samples still active.
     """
-    delta_in = delta
-    theta, delta, q_s, lam = _broadcast_samples(theta, delta, q_s, lam)
-    ok = ((theta > 0.0) & (theta < math.pi) & (delta > -math.pi) & (delta <= math.pi)
-          & (q_s >= 0.0) & (q_s <= params.L))
-
-    def sample(i):
-        return (f"sample {i}: (theta, delta, q_s) = ({theta.flat[i]:.6g}, "
-                f"{delta.flat[i]:.6g}, {q_s.flat[i]:.6g})")
-
-    if np.count_nonzero(ok) != ok.size:
-        raise ValidationError(f"{sample(int(np.argmin(ok)))} outside (0, pi) x (-pi, pi] x [0, L]")
-    if D is None:
-        D = _offsets(params, delta_in, theta.ndim)
-        if D.shape[1:] != theta.shape:
-            D = np.broadcast_to(D, (params.n,) + theta.shape)
-    D = D.reshape(params.n, -1)
-    # Newton starts from the whole segment's curvature kappa0
-    kappa = ((theta - THETA_BASE) / params.L).ravel()
-    x, M, M_k = _arc_moment(params, D, kappa)
-    if np.count_nonzero(x <= 0.0):
-        raise NonPhysicalLength(f"backbone length <= 0 (min {params.L * np.min(x):.6g} mm)")
+    shape = start.samples[0].shape
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != shape:
+        lam = np.broadcast_to(lam, shape)
+    kappa = np.empty_like(start.kappa0)
     # the active samples' working arrays, compacted only when samples freeze
-    active, Da, ka, rhs = np.arange(kappa.size), D, kappa, M - lam.ravel()
+    active, Da, ka, M, M_k = (np.arange(kappa.size), start.D, start.kappa0, start.M0,
+                              start.M0_k)
+    rhs = M - lam.ravel()
     for _ in range(_SOLVER_MAX_ITER):
         s = (rhs - M - params.EI_s * ka) / (M_k + params.EI_s)
         new = ka + s
@@ -306,11 +336,18 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam, D=Non
         step = step[~done]
         worst = int(np.argmax(step))
         raise NoConvergence(
-            f"{sample(int(active[worst]))}: equilibrium not converged after "
+            f"{_sample(start.samples, int(active[worst]))}: equilibrium not converged after "
             f"{_SOLVER_MAX_ITER} Newton steps (last step {step[worst]:.3g} rad); "
             f"{active.size} of {kappa.size} samples still active"
         )
-    return kappa.reshape(theta.shape)
+    return kappa.reshape(shape)
+
+
+def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
+    """kappa of one solve at lambda per sample lam: _newton from _solver_start.  A caller
+    that solves the same samples at many lambda, as the calibration fit does once per
+    evaluated k, forms the start once and calls _newton for each."""
+    return _newton(params, _solver_start(params, theta, delta, q_s), lam)
 
 
 def _equilibrium_angles(params: RobotParams, theta, q_s, kappa):
@@ -322,8 +359,14 @@ def _equilibrium_angles(params: RobotParams, theta, q_s, kappa):
     """
     theta, q_s = np.asarray(theta, dtype=float), np.asarray(q_s, dtype=float)
     th_s = THETA_BASE + q_s * kappa
-    th_e = theta - (theta - THETA_BASE) * (q_s / params.L)
+    th_e = _theta_eps(params, theta, q_s)
     return th_s, _theta_prime(th_s, th_e), th_e
+
+
+def _theta_eps(params: RobotParams, theta, q_s):
+    """theta_eps = pi/2 + (L - q_s) kappa0 of float arrays theta and q_s, which lambda does not
+    move: exactly theta at q_s = 0 and exactly pi/2 at q_s = L."""
+    return theta - (theta - THETA_BASE) * (q_s / params.L)
 
 
 def solve_equilibrium(

@@ -28,6 +28,7 @@ from crem import calibration
 from crem.calibration import (
     PARAM_NAMES,
     _free_indices,
+    _jacobian_factors,
     _normal_equations,
     _principal_direction,
     _residuals,
@@ -35,7 +36,6 @@ from crem.calibration import (
     _stack,
     _weighted_cost,
 )
-from crem.differential import _k_jacobian_factors
 from crem.kinematics import Pose
 from crem.rotations import NEAR_PI
 
@@ -240,7 +240,7 @@ def test_position_rmse_respects_mask(bench):
     m = Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3),
                     obs_mask=np.array([True, True, False, False, False, False]))
     c = np.array([[3.0, 4.0, 1e6, 0.0, 0.0, 0.0]])
-    assert_allclose(_rmse_um(c, _stack([m], bench).w), 5000.0, rtol=1e-12)
+    assert_allclose(_rmse_um(c, _stack([m], bench).pos), 5000.0, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +496,9 @@ def test_rank_one_normal_equations_with_general_weights(bench):
     w = rng.uniform(0.1, 10.0, (len(ms), 6))
     k = UncertaintyParams(0.15, 0.0, 0.02)
     data = _stack(ms, bench)
-    c, kappa = _residuals(data, bench, k)
+    c, chain = _residuals(data, bench, k)
     Wc, _ = _weighted_cost(c, w)
-    theta, delta, q_s = data.commands
-    u = np.column_stack([np.ones_like(theta), theta, q_s])
-    col, krow = _k_jacobian_factors(bench, theta, delta, q_s, kappa, u, data.offsets)
+    col, krow = _jacobian_factors(bench, data.fit, chain)
     for free in (PARAM_NAMES, ("k_lambda0", "k_lambda_q"), ("k_lambda_theta",)):
         idx = [PARAM_NAMES.index(name) for name in free]
         JtWJ, JtWc = _normal_equations(col, krow[:, idx], w, Wc)
@@ -731,6 +729,8 @@ def test_batched_residuals_equal_per_sample_pose_error(bench, k_cal):
 
 
 def test_one_equilibrium_solve_per_evaluated_k(bench, monkeypatch):
+    # one solver start and one empty arc per fit; one Newton solve and one theta_s arc per
+    # evaluated k, which the next Jacobian reuses
     import crem.calibration
     import crem.differential
     import crem.kinematics
@@ -742,12 +742,15 @@ def test_one_equilibrium_solve_per_evaluated_k(bench, monkeypatch):
                            sigma=0.002, rng=rng)
     ms += make_measurements(bench, np.radians(60), 0.5, np.linspace(2.0, 38.0, 8), k_true,
                             with_R=True)
-    solve = crem.calibration._solve_equilibrium_arrays
-    calls = []
+    calls = {"_solver_start": [], "_newton": [], "_arc": []}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counting(name):
+        function = getattr(crem.calibration, name)
+
+        def count(*args, **kwargs):
+            calls[name].append(1)
+            return function(*args, **kwargs)
+        return count
 
     def forbidden(*args, **kwargs):
         raise AssertionError("equilibrium solved outside the residual evaluation")
@@ -759,7 +762,8 @@ def test_one_equilibrium_solve_per_evaluated_k(bench, monkeypatch):
         JtW, JtWc = normal_equations(*args)
         return JtW, 4.0 * JtWc
 
-    monkeypatch.setattr(crem.calibration, "_solve_equilibrium_arrays", counting)
+    for name in calls:
+        monkeypatch.setattr(crem.calibration, name, counting(name))
     monkeypatch.setattr(crem.calibration, "_normal_equations", overshooting)
     for module in (crem.differential, crem.kinematics, crem.model):
         monkeypatch.setattr(module, "_solve_equilibrium_arrays", forbidden)
@@ -768,7 +772,29 @@ def test_one_equilibrium_solve_per_evaluated_k(bench, monkeypatch):
     rejected = int(round(np.log2(cfg.eta / res.eta_final)))
     assert res.converged and rejected > 0
     # the start, every accepted step and every rejected candidate
-    assert len(calls) == len(res.trace) + rejected
+    evaluations = len(res.trace) + rejected
+    assert ({name: len(c) for name, c in calls.items()}
+            == {"_solver_start": 1, "_newton": evaluations, "_arc": 1 + evaluations})
+
+
+def test_depth_beyond_L_is_refused_before_any_step(bench, monkeypatch):
+    # Measurement checks only q_s >= 0: the solver start of the fit refuses q_s > L, once,
+    # naming the sample, before any Newton step
+    import crem.calibration
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Newton step taken")
+
+    monkeypatch.setattr(crem.calibration, "_newton", forbidden)
+    k_true = UncertaintyParams(0.2, 0.0, 0.025)
+    ms = make_measurements(bench, np.radians(45), 0.0, np.linspace(0.0, 40.0, 6), k_true)
+    ms[3] = Measurement(psi=ms[3].psi, q_s=bench.L + 1.0, x_bar=ms[3].x_bar)
+    message = (r"^sample 3: \(theta, delta, q_s\) = \(0\.785398, 0, 45\.3\) "
+               r"outside \(0, pi\) x \(-pi, pi\] x \[0, L\]$")
+    with pytest.raises(ValidationError, match=message):
+        nls_estimate(ms, bench, CalibrationConfig(), UncertaintyParams.zero())
+    with pytest.raises(ValidationError, match=message):
+        identification_jacobian(ms, bench, k_true, PARAM_NAMES)
 
 
 def test_rank_one_jacobian_forms_no_full_jacobian(bench, monkeypatch):

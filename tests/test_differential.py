@@ -34,6 +34,7 @@ from crem.kinematics import (
     STRAIGHT_SERIES_THRESHOLD,
     _arc,
     _chain,
+    _in_plane_tip,
     _tip_positions,
     segment_rotation,
 )
@@ -663,10 +664,15 @@ def test_identification_jacobian_is_the_negated_rank_one_product(bench, k_cal, c
     free = ("k_lambda_q",) if case == "one free" else PARAM_NAMES
     ms = [Measurement(psi=ConfigState(*psi), q_s=qs, x_bar=np.zeros(3))
           for *psi, qs in zip(theta, delta, q_s)]
+    # the chain formed afresh, not from the fit's once-per-fit arrays
     D, lam = _offsets(bench, delta), uncertainty_lambda(k_cal, q_s, theta)
-    kappa = _solve_equilibrium_arrays(bench, theta, delta, q_s, lam, D)
+    kappa = _solve_equilibrium_arrays(bench, theta, delta, q_s, lam)
+    th_s, _, th_e = _equilibrium_angles(bench, theta, q_s, kappa)
+    s = _arc(th_s, slopes=True)
+    _, _, e_x, e_z = _in_plane_tip(s, _arc(th_e), q_s, bench.L - q_s)
     u = np.column_stack([np.ones_like(theta), theta, q_s])
-    col, krow = _k_jacobian_factors(bench, theta, delta, q_s, kappa, u, D)
+    col, krow = _k_jacobian_factors(bench, kappa, s, e_x, e_z, np.sin(delta), np.cos(delta),
+                                    q_s, bench.L - q_s, u, D)
     idx = [PARAM_NAMES.index(name) for name in free]
     ref = (-(col[:, :, None] * krow[:, None, idx])).reshape(-1, len(idx))
     assert identification_jacobian(ms, bench, k_cal, free).tobytes() == ref.tobytes()

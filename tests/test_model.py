@@ -21,9 +21,10 @@ from crem import (
     solve_equilibrium,
     uncertainty_lambda,
 )
-from crem import differential, kinematics, model
+from crem import calibration, differential, kinematics, model
 from crem.differential import _jacobian_arrays
-from crem.model import _arc_moment, _offsets, _solve_equilibrium_arrays
+from crem.model import (_arc_moment, _newton, _offsets, _solve_equilibrium_arrays,
+                        _solver_start)
 from conftest import (
     backbone_lengths,
     clear_kept_values,
@@ -550,6 +551,30 @@ def test_offsets_of_an_unbroadcast_delta_give_the_same_bits(bench):
                 == _solve_equilibrium_arrays(bench, theta, full, q_s, 0.2).tobytes())
 
 
+# a batch of 40 with q_s = 0, q_s = L and exactly straight theta among it, each of those
+# alone, and one generic sample of batch shape ()
+START_ROWS = [slice(None), [0], [4], [8], [9], 20]
+
+
+@pytest.mark.parametrize("rows", START_ROWS, ids=["N", "q_s=0", "q_s=L", "straight q_s=0",
+                                                   "straight q_s=L", "scalar"])
+def test_one_start_solves_each_lambda_as_a_fresh_solve(bench, rows):
+    rng = np.random.default_rng(17)
+    theta, delta = rng.uniform(0.3, 2.8, 40), rng.uniform(-np.pi, np.pi, 40)
+    q_s = rng.uniform(0.0, bench.L, 40)
+    q_s[:4], q_s[4:8], theta[8:12] = 0.0, bench.L, TH0
+    q_s[8], q_s[9] = 0.0, bench.L
+    th, de, qs = theta[rows], delta[rows], q_s[rows]
+    start = _solver_start(bench, th, de, qs)
+    kept = [a.copy() for a in start[1:]]
+    for lam in (0.0, 0.45, -0.3, rng.uniform(-0.5, 0.5, 40)[rows], 0.45):
+        got = _newton(bench, start, lam)
+        fresh = _solve_equilibrium_arrays(bench, th, de, qs, lam)
+        assert got.shape == np.shape(th) and got.tobytes() == fresh.tobytes()
+    # no solve writes into the start it shares with the next
+    assert [a.tobytes() for a in start[1:]] == [a.tobytes() for a in kept]
+
+
 # ---------------------------------------------------------------------------
 # the kept scalar solve
 
@@ -575,7 +600,7 @@ def counted_arcs(monkeypatch):
         calls.append(1)
         return arc(*args, **kwargs)
 
-    for module in (kinematics, differential):
+    for module in (kinematics, calibration):
         monkeypatch.setattr(module, "_arc", counting)
     return calls
 

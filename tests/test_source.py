@@ -211,7 +211,7 @@ def test_every_private_definition_is_read_in_the_package():
 
 
 # defaulted function parameters plus defaulted dataclass fields under src/crem
-SETTABLE_VALUES = 21
+SETTABLE_VALUES = 20
 DATACLASS_DECORATORS = {"dataclass", "dataclasses.dataclass"}
 
 
