@@ -303,10 +303,10 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
     lam = np.asarray(lam, dtype=float)
     if lam.shape != shape:
         lam = np.broadcast_to(lam, shape)
-    kappa = np.empty_like(start.kappa0)
-    # the active samples' working arrays, compacted only when samples freeze
-    active, Da, ka, M, M_k = (np.arange(kappa.size), start.D, start.kappa0, start.M0,
-                              start.M0_k)
+    # kappa is formed when part of the batch freezes; until then the active samples are all
+    # of them, in order.  The active samples' working arrays are compacted only then
+    kappa, n = None, start.kappa0.size
+    active, Da, ka, M, M_k = np.arange(n), start.D, start.kappa0, start.M0, start.M0_k
     rhs = M - lam.ravel()
     for _ in range(_SOLVER_MAX_ITER):
         s = (rhs - M - params.EI_s * ka) / (M_k + params.EI_s)
@@ -325,9 +325,13 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
         done = step < _SOLVER_TOL
         n_done = np.count_nonzero(done)
         if n_done == done.size:
+            if kappa is None:
+                return ka.reshape(shape)
             kappa[active] = ka
             break
         if n_done:
+            if kappa is None:
+                kappa = np.empty(n)
             kappa[active[done]] = ka[done]
             keep = ~done
             active, ka, rhs, Da, x = active[keep], ka[keep], rhs[keep], Da[:, keep], x[:, keep]
@@ -338,7 +342,7 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
         raise NoConvergence(
             f"{_sample(start.samples, int(active[worst]))}: equilibrium not converged after "
             f"{_SOLVER_MAX_ITER} Newton steps (last step {step[worst]:.3g} rad); "
-            f"{active.size} of {kappa.size} samples still active"
+            f"{active.size} of {n} samples still active"
         )
     return kappa.reshape(shape)
 
