@@ -219,7 +219,6 @@ class _Fit(NamedTuple):
     u: np.ndarray  # (N, 3) u_i = (1, theta_i, q_s_i): lambda_i = u_i . k
     sd: np.ndarray  # (N,) sin delta
     cd: np.ndarray  # (N,) cos delta
-    L_e: np.ndarray  # (N,) L - q_s, the empty arc's length
     th_e: np.ndarray  # (N,) theta_eps, the empty arc's angle
     arc_e: _Arc  # _arc of theta_eps
     start: _SolverStart  # _solver_start of the commands, its offsets D included
@@ -231,7 +230,7 @@ def _fit(params: RobotParams, theta, delta, q_s) -> _Fit:
     start = _solver_start(params, theta, delta, q_s)
     th_e = _theta_eps(params, theta, q_s)
     return _Fit(theta, delta, q_s, np.column_stack([np.ones_like(theta), theta, q_s]),
-                np.sin(delta), np.cos(delta), params.L - q_s, th_e, _arc(th_e), start)
+                np.sin(delta), np.cos(delta), th_e, _arc(th_e), start)
 
 
 class _Dataset(NamedTuple):
@@ -271,13 +270,13 @@ def _chain_at(fit: _Fit, params: RobotParams, k: UncertaintyParams) -> _ChainAtK
     # theta_s = theta0 + q_s kappa, as model._equilibrium_angles forms it
     th_s = THETA_BASE + fit.q_s * kappa
     s = _arc(th_s, slopes=True)
-    return _ChainAtK(kappa, th_s, s, *_in_plane_tip(s, fit.arc_e, fit.q_s, fit.L_e))
+    return _ChainAtK(kappa, th_s, s, *_in_plane_tip(params, s, fit.arc_e, fit.q_s))
 
 
 def _jacobian_factors(params: RobotParams, fit: _Fit, chain: _ChainAtK):
     """(col, krow) of J_k = col krow^T at the chain of the residuals: no solve, no arc."""
     return _k_jacobian_factors(params, chain.kappa, chain.s, chain.e_x, chain.e_z, fit.sd,
-                               fit.cd, fit.q_s, fit.L_e, fit.u, fit.start.D)
+                               fit.cd, fit.q_s, fit.u, fit.start.D)
 
 
 def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
@@ -318,6 +317,7 @@ def identification_jacobian(
     idx = _free_indices(free_params)
     fit = _fit(params, *_commands(measurements))
     col, krow = _jacobian_factors(params, fit, _chain_at(fit, params, k))
+    del fit  # one k: free its arrays before J, which is the largest
     # -(col krow^T) with krow negated first: exact, signed zeros included
     nk, J = -krow[:, idx], np.empty((len(col), 6, len(idx)))
     for j in range(len(idx)):

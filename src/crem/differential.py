@@ -149,17 +149,17 @@ def _xi_jacobian_arrays(params: RobotParams, c, delta, q_s):
     return _turn(c.x, c.z, sd, cd), J_xi_phi, J_xi_delta, J_xi_qs
 
 
-def _k_jacobian_factors(params: RobotParams, kappa, s, e_x, e_z, sd, cd, q_s, L_e, u, D):
+def _k_jacobian_factors(params: RobotParams, kappa, s, e_x, e_z, sd, cd, q_s, u, D):
     """(col, krow), J_k = col krow^T at the solved kappa: theta_s alone depends on k, through
     lambda = u . k, u = (1, theta, q_s), so col is J_xi_phi[..., :, 0], krow -(q_s / G') u.
 
     The chain pieces are those the residuals at the same k formed: kappa, the theta_s
     _arc s with slopes and the turned empty-arc direction (e_x, e_z) of _in_plane_tip.
-    sd, cd = sin, cos delta, L_e = L - q_s, u and D, the backbone-major model._offsets
-    of delta, are formed once per fit.  Only G' = dM/dkappa + EI_s is formed here.
+    sd, cd = sin, cos delta, u and D, the backbone-major model._offsets of delta, are
+    formed once per fit.  Only L - q_s and G' = dM/dkappa + EI_s are formed here.
     """
     _, _, M_k = _arc_moment(params, D, kappa)
-    return (_theta_s_twist(s, e_x, e_z, sd, cd, q_s, L_e),
+    return (_theta_s_twist(s, e_x, e_z, sd, cd, q_s, params.L - q_s),
             _theta_s_row(q_s, u, M_k + params.EI_s))
 
 

@@ -669,10 +669,10 @@ def test_identification_jacobian_is_the_negated_rank_one_product(bench, k_cal, c
     kappa = _solve_equilibrium_arrays(bench, theta, delta, q_s, lam)
     th_s, _, th_e = _equilibrium_angles(bench, theta, q_s, kappa)
     s = _arc(th_s, slopes=True)
-    _, _, e_x, e_z = _in_plane_tip(s, _arc(th_e), q_s, bench.L - q_s)
+    _, _, e_x, e_z = _in_plane_tip(bench, s, _arc(th_e), q_s)
     u = np.column_stack([np.ones_like(theta), theta, q_s])
     col, krow = _k_jacobian_factors(bench, kappa, s, e_x, e_z, np.sin(delta), np.cos(delta),
-                                    q_s, bench.L - q_s, u, D)
+                                    q_s, u, D)
     idx = [PARAM_NAMES.index(name) for name in free]
     ref = (-(col[:, :, None] * krow[:, None, idx])).reshape(-1, len(idx))
     assert identification_jacobian(ms, bench, k_cal, free).tobytes() == ref.tobytes()
