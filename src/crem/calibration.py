@@ -13,8 +13,8 @@ reports the standard errors and correlation of the free parameters.
 
 The loop is batched over the dataset, with or without observed orientation.
 What k does not move is formed once per fit (_stack): the commands, u, sin
-and cos delta, theta_eps and its arc, L - q_s, the solver's start with its
-domain and stretch checks, and the position mask of the RMSE.  Each
+and cos delta, theta_eps and its arc, the solver's start with its domain
+and stretch checks, and the position mask of the RMSE.  Each
 evaluated k costs one Newton solve from that start, one theta_s arc with
 slopes and the in-plane tip (_chain_at); the residuals rest on this chain,
 and the next Jacobian reads the chain of the accepted residuals.
