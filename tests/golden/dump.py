@@ -7,14 +7,20 @@ k_star, every IterationRecord, std_errors, correlation, eta_final,
 eta_flagged and converged; then identification_jacobian on a seeded mixed set
 that takes in q_s = 0, q_s = L and exactly straight samples.  golden.json
 beside this file holds the arrays, one SHA-256 over their names and bytes,
-and the numpy version and platform they were made on.  Regenerate it from
+and the numpy version and platform they were made on.  It also holds a
+SHA-256 of the stdout and of each CSV of the six README commands, run in
+order in one temporary directory through crem.cli.main.  Regenerate it from
 the root of a checkout with
 
     PYTHONPATH=src python tests/golden/dump.py
 """
+import contextlib
 import hashlib
+import io
 import json
+import os
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +36,22 @@ from crem import (
     identification_jacobian,
     nls_estimate,
 )
+from crem import cli
 from crem.calibration import PARAM_NAMES
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
+CONFIG = Path(__file__).resolve().parents[2] / "configs" / "default_robot.cfg"
+# the six commands of the README's command-line section, in order: the calibrations read
+# the data.csv that gen-synthetic writes
+README_COMMANDS = (
+    "simulate-micro --theta 30 --qs-range 0:40:200 --k-lambda 0.2,0,0.025 --out sweep.csv",
+    "simulate-macro --theta-range 15:75:41 --qs 13.3 --out macro.csv",
+    "jacobian-check --out fd.csv",
+    "gen-synthetic --theta 30 --qs-range 0:40:200 --k-lambda 5,0,-0.1 --noise 0.002 "
+    "--seed 0 --out data.csv",
+    "calibrate --data data.csv --free k0,kq --out-trace trace.csv",
+    "calibrate --data data.csv --split-turning-point",
+)
 K_TRUE = UncertaintyParams(0.2, 0.0, 0.025)
 # the k at which the mixed set's identification Jacobian is formed
 K_JACOBIAN = UncertaintyParams(0.15, 0.01, 0.02)
@@ -93,9 +112,36 @@ def digest(arrays: dict) -> str:
     return h.hexdigest()
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def readme_outputs() -> dict:
+    """SHA-256 of the stdout of each README command and of every CSV the commands write,
+    keyed 'stdout <n>: <command>' and by file name; each command must exit 0."""
+    out = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for n, command in enumerate(README_COMMANDS, start=1):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    status = cli.main([*command.split(), "--config", str(CONFIG)])
+                if status != 0:
+                    raise RuntimeError(f"crem {command} exited {status}")
+                out[f"stdout {n}: {command}"] = sha256(stdout.getvalue().encode())
+            for name in sorted(os.listdir(tmp)):
+                out[name] = sha256(Path(tmp, name).read_bytes())
+        finally:
+            os.chdir(cwd)
+    return out
+
+
 def write(path=GOLDEN):
     arrays = build()
     record = {"numpy": np.__version__, "platform": platform_name(), "sha256": digest(arrays),
+              "readme": readme_outputs(),
               "arrays": {name: a.tolist() for name, a in arrays.items()}}
     Path(path).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
