@@ -240,9 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid,
                    help="axes as theta=lo:hi:n;delta=lo:hi:n;qs=lo:hi:n "
                         "(theta/delta deg, qs fraction of L); default standard grid. "
-                        "Every point needs q_s in [h, L - h], theta more than h "
-                        "from 0 and pi and delta in (-180, 180], h = 1e-6 the "
-                        "difference step")
+                        "Every point must lie h = 1e-6, the difference step, inside "
+                        "the model's domain")
     p.add_argument("--out", help="per-point error CSV")
     p.set_defaults(func=cmd_jacobian_check)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import FrameError, ParseError, ValidationError
 from .calibration import Measurement
 from .kinematics import micro_trajectory
-from .model import ConfigState, RobotParams, UncertaintyParams, _integer
+from .model import ConfigState, RobotParams, UncertaintyParams, _check_domain, _integer
 
 _REQUIRED_KEYS = ("L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s")
 _TRANSFORM_KEYS = ("T_BI", "T_GM")
@@ -184,11 +184,12 @@ def _read_trajectory(path):
 def load_dataset(path, config: RobotConfig):
     """Read a trajectory file into Measurement objects in the base frame of config's robot.
 
-    Each row's q_s must lie in [0, L].  Image-frame positions are mapped through T_BI; the
-    marker offset (translation of T_GM) is then removed.  A 2-D image-frame file, whose image
-    z is taken as 0, is refused (FrameError) if T_BI carries image z into base x or y.  3-D
-    rows take the default obs_mask; 2-D rows share one read-only mask that observes only x
-    and y.  Rows keep file order.
+    Rows must lie in the model's domain (_check_domain, h = 0); the first bad row, whatever
+    its fault, is named '<path>: row <row>'.  Image-frame positions are mapped through T_BI;
+    the marker offset (translation of T_GM) is then removed.  A 2-D image-frame file, whose
+    image z is taken as 0, is refused (FrameError) if T_BI carries image z into base x or y.
+    3-D rows take the default obs_mask; 2-D rows share one read-only mask that observes only
+    x and y.  Rows keep file order.
     """
     rows, pragmas = _read_trajectory(path)
     frame = pragmas.get("frame", "base")
@@ -198,13 +199,9 @@ def load_dataset(path, config: RobotConfig):
             and np.max(np.abs(config.T_BI[:2, 2])) > 1e-9):
         raise FrameError(f"{path}: 2-D image-frame data needs a T_BI that maps "
                          "image z into base z alone")
-    L = config.params.L
-
-    measurements = []
+    measurements, fault = [], None
     for row, (_, q_s, theta, delta, *xyz) in enumerate(rows, start=1):
         try:
-            if not (0.0 <= q_s <= L):
-                raise ValidationError(f"q_s={q_s} outside [0, {L}]")
             psi = ConfigState(math.radians(theta), math.radians(delta))
             p = np.array(xyz if len(xyz) == 3 else xyz + [0.0])
             if frame == "image":
@@ -213,7 +210,13 @@ def load_dataset(path, config: RobotConfig):
             mask = None if len(xyz) == 3 else _PLANAR_OBSERVED
             measurements.append(Measurement(psi=psi, q_s=q_s, x_bar=p, obs_mask=mask))
         except ValidationError as e:
-            raise ValidationError(f"{path}: row {row}: {e}") from e
+            fault = e
+            break
+    # one check of the rows read, the failed one included: its domain fault comes first
+    q_s, *angles = np.array([r[1:4] for r in rows[:len(measurements) + 1]]).reshape(-1, 3).T
+    _check_domain((*np.radians(angles), q_s), 0.0, config.params.L, f"{path}: row", 1)
+    if fault is not None:
+        raise ValidationError(f"{path}: row {row}: {fault}") from fault
     return measurements
 
 

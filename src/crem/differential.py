@@ -35,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
 from .kinematics import (_chain, _columns, _scalar_chain, _tip_positions, _turn,
                          segment_rotation)
 from .model import (
@@ -45,6 +44,7 @@ from .model import (
     UncertaintyParams,
     _arc_moment,
     _broadcast_samples,
+    _check_domain,
     _equilibrium_angles,
     _sigma,
     _solve_equilibrium_arrays,
@@ -278,25 +278,17 @@ def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: Uncertaint
 
     One batched solve covers every point and its twelve perturbations
     x +- h e_j of x = (theta, delta, q_s, k), with k perturbed per sample and a
-    delta step across +-pi wrapped back into (-pi, pi] (pose and equilibrium
+    delta step across +-pi wrapped back into the domain (pose and equilibrium
     are 2 pi-periodic in delta).  The kinematics-only differences step
     (theta_s, theta_eps, delta, q_s) about the unperturbed solution; one pose
     pass forms the tips of both maps and one pass scores every block.  Before any
-    solve, the first point outside the domain (q_s outside [h, L - h], theta within
-    h of 0 or pi, delta outside (-pi, pi]) is rejected by its index.
+    solve, the first point not h inside the domain (_check_domain) is rejected.
     """
     samples = _broadcast_samples(theta, delta, q_s)
+    _check_domain(samples, _FD_STEP, params.L, "sample", 0)
     theta, delta, q_s = (a.ravel() for a in samples)
     # the k rows are (13, 1): one k for every point
     th, de, qs, k0, kt, kq = _central_steps((theta, delta, q_s, *k.as_array()))
-    inside = np.all((th > 0.0) & (th < np.pi) & (qs >= 0.0) & (qs <= params.L), axis=0)
-    inside &= (delta > -np.pi) & (delta <= np.pi)
-    if not np.all(inside):
-        i = int(np.argmin(inside))
-        raise ValidationError(
-            f"point {i}: (theta, delta, q_s) = ({theta[i]:.6g}, {delta[i]:.6g}, {q_s[i]:.6g}) "
-            f"is not in theta (h, pi - h), delta (-pi, pi], q_s [h, L - h] for the "
-            f"finite-difference step h = {_FD_STEP:g}")
     de[1:] += 2.0 * np.pi * ((de[1:] <= -np.pi) * 1.0 - (de[1:] > np.pi))
     # uncertainty_lambda with k perturbed per sample
     kappa = _solve_equilibrium_arrays(params, th, de, qs, k0 + kt * th + kq * qs)
@@ -334,8 +326,8 @@ def fd_discrepancies(
     maps through the pseudo-inverse of J_q_psi: at straight J_q_psi loses
     its delta column, so J_M J_q_psi cannot reproduce the delta motion that
     an uncertainty moment still makes.
-    The central steps h = 1e-6 must stay in the domain: q_s in [h, L - h]
-    and theta in (h, pi - h), else ValidationError.
+    The point must lie h = 1e-6 inside the domain, theta in (h, pi - h) and q_s in
+    [h, L - h] (_check_domain), else ValidationError.
     """
     errs = _fd_discrepancy_arrays(params, psi.theta, psi.delta, float(q_s), k)
     return {key: float(v) for key, v in errs.items()}

@@ -66,15 +66,11 @@ class RobotParams:
     n: int = 3
 
     def __post_init__(self):
-        if not (self.L > 0.0 and math.isfinite(self.L)):
-            raise ValidationError(f"L must be positive, got {self.L}")
-        if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise ValidationError(f"r must be positive, got {self.r}")
-        object.__setattr__(self, "n", _integer("n", self.n, 3))
-        for name in ("E_p", "E_i", "I_p", "I_i"):
+        for name in ("L", "r", "E_p", "E_i", "I_p", "I_i"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValidationError(f"{name} must be positive, got {v}")
+        object.__setattr__(self, "n", _integer("n", self.n, 3))
         for name in ("E_s", "I_s"):
             v = getattr(self, name)
             if not (v >= 0.0 and math.isfinite(v)):
@@ -100,16 +96,13 @@ class RobotParams:
 
 @dataclass(frozen=True)
 class ConfigState:
-    """Nominal bend angle theta and bending-plane angle delta, rad."""
+    """Nominal bend angle theta and bending-plane angle delta, rad (_check_domain)."""
 
     theta: float
     delta: float
 
     def __post_init__(self):
-        if not (0.0 < self.theta < math.pi):
-            raise ValidationError(f"theta must lie in (0, pi), got {self.theta}")
-        if not (-math.pi < self.delta <= math.pi):
-            raise ValidationError(f"delta must lie in (-pi, pi], got {self.delta}")
+        _check_domain((self.theta, self.delta), 0.0, None, "sample", 0)
 
 
 @dataclass(frozen=True)
@@ -229,10 +222,26 @@ def _broadcast_samples(*arrays):
 
 
 def _sample(samples, i):
-    """The text 'sample i: (theta, delta, q_s) = (...)' of flat index i of broadcast samples."""
-    theta, delta, q_s = samples
-    return (f"sample {i}: (theta, delta, q_s) = ({theta.flat[i]:.6g}, "
-            f"{delta.flat[i]:.6g}, {q_s.flat[i]:.6g})")
+    """'(theta, delta[, q_s]) = (...)' of flat index i of the broadcast samples."""
+    values = ", ".join(f"{a.flat[i]:.6g}" for a in np.broadcast_arrays(*samples))
+    return f"({', '.join(('theta', 'delta', 'q_s')[:len(samples)])}) = ({values})"
+
+
+def _check_domain(samples, h, L, label, first):
+    """ValidationError naming the first of the samples (theta, delta, q_s), or (theta, delta)
+    without L, not h inside the domain, NaN included: '<label> <i + first>: ' and _sample of
+    its flat index i.  The upper bounds compare samples stepped by +h, as the solver sees a
+    finite-difference point's steps.  Floats that pass give True, with no numpy call."""
+    theta, delta, *q_s = samples
+    ok = (theta > h) & (theta + h < math.pi) & (delta > -math.pi) & (delta <= math.pi)
+    if q_s:
+        ok = ok & (q_s[0] >= h) & (q_s[0] + h <= L)
+    if ok is not True and np.count_nonzero(ok) != np.size(ok):
+        i = int(np.argmin(ok))
+        lo, hi = (f"{h:g}", f" - {h:g}") if h else ("0", "")
+        domain = (f"({lo}, pi{hi})", "(-pi, pi]", f"[{lo}, L{hi}]")[:len(samples)]
+        raise ValidationError(f"{label} {i + first}: {_sample(samples, i)} outside "
+                              + " x ".join(domain))
 
 
 class _SolverStart(NamedTuple):
@@ -249,21 +258,15 @@ class _SolverStart(NamedTuple):
 def _solver_start(params: RobotParams, theta, delta, q_s) -> _SolverStart:
     """Broadcast and check the samples and form what _newton needs at every lambda.
 
-    Every sample must satisfy the ConfigState rules and 0 <= q_s <= L; the
-    first that does not (NaN included) is rejected by its flat index.  The
-    offsets D are _offsets of delta formed before delta is broadcast, so that
-    a sweep at one delta takes n cosines, not n per sample.  Newton starts
-    from the whole segment's curvature kappa0 = (theta - theta0) / L with
-    M(kappa0) and its slope; NonPhysicalLength is raised when a whole-segment
-    backbone length is not positive.
+    The first sample outside the domain (_check_domain, h = 0) is rejected.  The offsets D
+    are _offsets of delta formed before delta is broadcast, so that a sweep at one delta
+    takes n cosines, not n per sample.  Newton starts from the whole segment's curvature
+    kappa0 = (theta - theta0) / L with M(kappa0) and its slope; NonPhysicalLength names the
+    first sample with a whole-segment backbone length that is not positive.
     """
     delta_in = delta
     samples = theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
-    ok = ((theta > 0.0) & (theta < math.pi) & (delta > -math.pi) & (delta <= math.pi)
-          & (q_s >= 0.0) & (q_s <= params.L))
-    if np.count_nonzero(ok) != ok.size:
-        raise ValidationError(
-            f"{_sample(samples, int(np.argmin(ok)))} outside (0, pi) x (-pi, pi] x [0, L]")
+    _check_domain(samples, 0.0, params.L, "sample", 0)
     D = _offsets(params, delta_in, theta.ndim)
     if D.shape[1:] != theta.shape:
         D = np.broadcast_to(D, (params.n,) + theta.shape)
@@ -271,7 +274,9 @@ def _solver_start(params: RobotParams, theta, delta, q_s) -> _SolverStart:
     kappa0 = ((theta - THETA_BASE) / params.L).ravel()
     x, M0, M0_k = _arc_moment(params, D, kappa0)
     if np.count_nonzero(x <= 0.0):
-        raise NonPhysicalLength(f"backbone length <= 0 (min {params.L * np.min(x):.6g} mm)")
+        i = int(np.argmax(np.min(x, axis=0) <= 0.0))
+        raise NonPhysicalLength(f"sample {i}: {_sample(samples, i)}: backbone length <= 0 "
+                                f"(min {params.L * np.min(x[:, i]):.6g} mm)")
     return _SolverStart(samples, D, kappa0, M0, M0_k)
 
 
@@ -345,8 +350,8 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
         step = step[~done]
         worst = int(np.argmax(step))
         raise NoConvergence(
-            f"{_sample(samples, int(active[worst]))}: equilibrium not converged after "
-            f"{_SOLVER_MAX_ITER} Newton steps (last step {step[worst]:.3g} rad); "
+            f"sample {active[worst]}: {_sample(samples, active[worst])}: equilibrium not "
+            f"converged after {_SOLVER_MAX_ITER} Newton steps (last step {step[worst]:.3g} rad); "
             f"{active.size} of {n} samples still active"
         )
     return kappa.reshape(shape)

@@ -14,6 +14,7 @@ reference for the arc ratios.  The per-point finite-difference oracle
 is the scalar reference for the package's batched one.
 """
 
+import re
 from types import SimpleNamespace
 
 import mpmath
@@ -76,6 +77,34 @@ def fresh_scalar_solve():
     """Start each test with no kept scalar value, so that a test which patches the
     solver or the chain never reads a value formed before the patch."""
     clear_kept_values()
+
+
+# the domain rule's message text: the solver's domain, the finite-difference oracle's (its
+# step as the margin) and ConfigState's, which has no q_s
+DOMAIN = "(0, pi) x (-pi, pi] x [0, L]"
+FD_DOMAIN = "(1e-06, pi - 1e-06) x (-pi, pi] x [1e-06, L - 1e-06]"
+CONFIG_DOMAIN = "(0, pi) x (-pi, pi]"
+
+# the edges of the solver's domain on the 44.3 mm bench robot, each (theta, delta, q_s,
+# inside): one coordinate of the inner point (1, 0.3, 20) moved onto or past an edge.  The
+# first eight move an angle
+DOMAIN_EDGES = [
+    (0.0, 0.3, 20.0, False), (np.pi, 0.3, 20.0, False), (np.nan, 0.3, 20.0, False),
+    (np.inf, 0.3, 20.0, False), (-np.inf, 0.3, 20.0, False),
+    (1.0, -np.pi, 20.0, False), (1.0, np.pi, 20.0, True), (1.0, np.nan, 20.0, False),
+    (1.0, 0.3, 0.0, True), (1.0, 0.3, 44.3, True),
+    (1.0, 0.3, float(np.nextafter(44.3, np.inf)), False), (1.0, 0.3, -1.0, False),
+    (1.0, 0.3, np.nan, False), (1.0, 0.3, np.inf, False),
+]
+ANGLE_EDGES = DOMAIN_EDGES[:8]
+
+
+def outside(name, values, domain) -> str:
+    """The anchored pattern of the domain rule's message for the sample called name (as
+    'sample 1') with values (theta, delta[, q_s]) outside domain."""
+    names = ", ".join(("theta", "delta", "q_s")[:len(values)])
+    shown = ", ".join(f"{v:.6g}" for v in values)
+    return f"^{re.escape(f'{name}: ({names}) = ({shown}) outside {domain}')}$"
 
 
 def projected_offsets(params, delta):

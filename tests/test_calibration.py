@@ -128,7 +128,7 @@ def test_measurement_validation():
         ({"obs_mask": np.zeros(6, dtype=bool), "R_bar": np.eye(3)}, no_component),
         ({"obs_mask": np.ones(3, dtype=bool)}, shape),
         ({"obs_mask": [True, True, True]}, shape),
-        # unchecked, a NaN depth fails in the identifiability check as numpy's LinAlgError
+        # unchecked, a NaN depth is refused by the fit's solver start, which names the sample
         ({"q_s": np.nan}, "^q_s must be finite and >= 0, got nan$"),
         ({"q_s": np.inf}, "^q_s must be finite and >= 0, got inf$"),
         ({"q_s": -1.0}, "^q_s must be finite and >= 0, got -1.0$"),

@@ -20,7 +20,7 @@ from crem import (
     write_robot_config,
 )
 
-from conftest import oracle_rotation
+from conftest import DOMAIN, DOMAIN_EDGES, oracle_rotation, outside
 
 
 BENCH_CFG = """\
@@ -359,9 +359,42 @@ def test_load_dataset_checks_every_depth_against_L(tmp_path):
     for q_s in ("nan", "-1", "inf", "44.300000000000004"):
         path = write(tmp_path, "qs.csv", f"t,q_s,theta,delta,x,y,z\n0,5,30,0,1,0,40\n"
                                          f"1,{q_s},30,0,1,0,40\n")
-        message = f"{path}: row 2: q_s={float(q_s)} outside [0, 44.3]"
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        message = outside(f"{path}: row 2", (np.radians(30), 0.0, float(q_s)), DOMAIN)
+        with pytest.raises(ValidationError, match=message):
             load_dataset(path, BENCH_ROBOT)
+
+
+@pytest.mark.parametrize("theta,delta,q_s,inside", DOMAIN_EDGES)
+def test_load_dataset_applies_the_domain_rule(tmp_path, theta, delta, q_s, inside):
+    # each row of the domain table as the second row of a file, its angles in degrees;
+    # every edge angle converts back to itself
+    theta_deg, delta_deg = float(np.degrees(theta)), float(np.degrees(delta))
+    assert np.array_equal(np.radians([theta_deg, delta_deg]), [theta, delta], equal_nan=True)
+    path = write(tmp_path, "edge.csv", "t,q_s,theta,delta,x,y,z\n0,20,57.3,17.2,1,0,40\n"
+                                       f"1,{q_s!r},{theta_deg!r},{delta_deg!r},1,0,40\n")
+    if inside:
+        assert len(load_dataset(path, BENCH_ROBOT)) == 2
+    else:
+        with pytest.raises(ValidationError,
+                           match=outside(f"{path}: row 2", (theta, delta, q_s), DOMAIN)):
+            load_dataset(path, BENCH_ROBOT)
+
+
+@pytest.mark.parametrize("rows,message", [
+    # a bad position before a depth outside the domain
+    (["1,5,30,0,nan,0,0", "2,99,30,0,1,0,40"], "row 2: x_bar must be a finite 3-vector"),
+    # a depth outside the domain before a bad position
+    (["1,99,30,0,1,0,40", "2,5,30,0,nan,0,0"],
+     "row 2: (theta, delta, q_s) = (0.523599, 0, 99) outside (0, pi) x (-pi, pi] x [0, L]"),
+    # one row with a bad angle and a bad position: the domain is named
+    (["1,5,190,0,nan,0,0", "2,99,30,0,1,0,40"],
+     "row 2: (theta, delta, q_s) = (3.31613, 0, 5) outside (0, pi) x (-pi, pi] x [0, L]"),
+])
+def test_load_dataset_names_the_first_bad_row_whatever_its_fault(tmp_path, rows, message):
+    path = write(tmp_path, "bad.csv", "\n".join(["t,q_s,theta,delta,x,y,z", "0,5,30,0,1,0,40",
+                                                   *rows]) + "\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_dataset(path, BENCH_ROBOT)
 
 
 def test_load_dataset_unknown_frame(tmp_path):

@@ -49,6 +49,8 @@ from crem.model import (
     uncertainty_lambda,
 )
 from conftest import (
+    DOMAIN_EDGES,
+    FD_DOMAIN,
     backbone_lengths,
     equilibrium_moments,
     fd_discrepancies_per_point,
@@ -56,6 +58,7 @@ from conftest import (
     jacobian_partitions,
     mp_equilibrium,
     mp_tip_position_k_jacobian,
+    outside,
     pose_arrays_3d,
     projected_offsets,
     segment_pose,
@@ -741,15 +744,51 @@ def test_identification_jacobian_matches_40_digit_reference(bench, theta_deg, de
 def test_fd_oracle_rejects_points_within_a_step_of_the_edge(bench, k_cal, theta, q_s, index):
     # every central step must stay in the solver's domain; the error names the
     # point, not an internal perturbed sample
-    with pytest.raises(ValidationError, match=rf"^point {index}: \(theta, delta, q_s\) = "):
+    values = (np.ravel(theta)[index], 0.3, np.ravel(q_s)[index])
+    with pytest.raises(ValidationError, match=outside(f"sample {index}", values, FD_DOMAIN)):
         differential._fd_discrepancy_arrays(bench, theta, 0.3, q_s, k_cal)
 
 
 @pytest.mark.parametrize("delta,index", [(-np.pi, 0), (np.pi + 1e-9, 0), (np.nan, 0),
                                          ([0.3, np.pi, -4.0], 2)])
 def test_fd_oracle_rejects_delta_outside_its_range(bench, k_cal, delta, index):
-    with pytest.raises(ValidationError, match=rf"^point {index}: .* delta \(-pi, pi\], "):
+    values = (np.radians(30), np.ravel(delta)[index], 20.0)
+    with pytest.raises(ValidationError, match=outside(f"sample {index}", values, FD_DOMAIN)):
         differential._fd_discrepancy_arrays(bench, np.radians(30), delta, 20.0, k_cal)
+
+
+def ulps(x):
+    """x and its two one-ulp neighbours."""
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
+# the domain table, then the edges of the oracle's own domain: theta = h and pi - h and
+# q_s = L - h (q_s = h is test_fd_oracle_accepts_points_one_step_from_the_edge's), each with
+# its one-ulp neighbours
+FD_EDGES = ([(theta, delta, q_s) for theta, delta, q_s, _ in DOMAIN_EDGES]
+            + [(theta, 0.3, 20.0) for theta in ulps(_FD_STEP) + ulps(np.pi - _FD_STEP)]
+            + [(1.0, 0.3, q_s) for q_s in ulps(44.3 - _FD_STEP)])
+
+
+@pytest.mark.parametrize("theta,delta,q_s", FD_EDGES)
+def test_fd_oracle_applies_the_domain_rule(bench, k_cal, theta, delta, q_s):
+    # a point passes exactly when the solver passes its copies stepped by +-h in theta
+    # and q_s, so no error names an internal perturbed sample
+    h = _FD_STEP
+    stepped = ([theta, theta + h, theta - h, theta, theta], delta,
+               [q_s, q_s, q_s, q_s + h, q_s - h])
+    try:
+        _solve_equilibrium_arrays(bench, *stepped, 0.0)
+        inside = True
+    except ValidationError:
+        inside = False
+    args = (bench, [1.0, theta], [0.3, delta], [20.0, q_s], k_cal)
+    if inside:
+        assert differential._fd_discrepancy_arrays(*args)["d_phi"].shape == (2,)
+    else:
+        with pytest.raises(ValidationError, match=outside("sample 1", (theta, delta, q_s),
+                                                          FD_DOMAIN)):
+            differential._fd_discrepancy_arrays(*args)
 
 
 def test_fd_oracle_accepts_points_one_step_from_the_edge(bench, k_cal):

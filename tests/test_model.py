@@ -26,10 +26,15 @@ from crem.differential import _jacobian_arrays
 from crem.model import (_arc_moment, _newton, _offsets, _solve_equilibrium_arrays,
                         _solver_start)
 from conftest import (
+    ANGLE_EDGES,
+    CONFIG_DOMAIN,
+    DOMAIN,
+    DOMAIN_EDGES,
     backbone_lengths,
     clear_kept_values,
     equilibrium_moments,
     oracle_equilibrium,
+    outside,
     projected_offsets,
 )
 
@@ -86,6 +91,17 @@ def test_derived_properties(bench):
 def test_config_state_rejects_out_of_range_theta(theta):
     with pytest.raises(ValidationError):
         ConfigState(theta, 0.0)
+
+
+@pytest.mark.parametrize("theta,delta,_,inside", ANGLE_EDGES)
+def test_config_state_applies_the_domain_rule(theta, delta, _, inside):
+    # the angle rows of the domain table: ConfigState has no q_s
+    if inside:
+        assert ConfigState(theta, delta).delta == delta
+    else:
+        with pytest.raises(ValidationError,
+                           match=outside("sample 0", (theta, delta), CONFIG_DOMAIN)):
+            ConfigState(theta, delta)
 
 
 def test_equilibrium_config_angle_identity():
@@ -145,10 +161,16 @@ def test_backbone_lengths_nonphysical(bench, k_zero):
     short = RobotParams(L=1.0, r=3.0, E_p=bench.E_p, E_i=bench.E_i, E_s=bench.E_s,
                         I_p=bench.I_p, I_i=bench.I_i, I_s=bench.I_s)
     psi = ConfigState(0.2, 0.0)
-    with pytest.raises(NonPhysicalLength):
+    with pytest.raises(NonPhysicalLength, match=r"^sample 0: \(theta, delta, q_s\) = "
+                                                 r"\(0\.2, 0, 0\.5\): backbone length <= 0 "):
         solve_equilibrium(short, psi, 0.5, k_zero)
     with pytest.raises(NonPhysicalLength):
         micro_trajectory(short, psi, np.linspace(0.0, 1.0, 5), k_zero)
+    # the first sample at fault is named, with the least length of its own backbones
+    message = (r"^sample 2: \(theta, delta, q_s\) = \(0\.2, 0, 0\.5\): "
+               r"backbone length <= 0 \(min -3\.11239 mm\)$")
+    with pytest.raises(NonPhysicalLength, match=message):
+        _solve_equilibrium_arrays(short, [1.5, 1.4, 0.2, 0.1], 0.0, 0.5, 0.0)
 
 
 def test_subsegment_lengths_direct(bench):
@@ -239,6 +261,18 @@ def test_batched_solve_rejects_non_finite_sample(bench, k_cal):
         micro_trajectory(bench, ConfigState(np.radians(30), 0.0), qs, k_cal)
     with pytest.raises(ValidationError, match="sample 1"):
         _solve_equilibrium_arrays(bench, [1.0, np.inf, np.nan], 0.0, 10.0, 0.45)
+
+
+@pytest.mark.parametrize("theta,delta,q_s,inside", DOMAIN_EDGES)
+def test_solver_applies_the_domain_rule(bench, theta, delta, q_s, inside):
+    # each row of the domain table as the second sample of a batch
+    args = (bench, [1.0, theta], [0.3, delta], [20.0, q_s], 0.45)
+    if inside:
+        assert np.all(np.isfinite(_solve_equilibrium_arrays(*args)))
+    else:
+        with pytest.raises(ValidationError, match=outside("sample 1", (theta, delta, q_s),
+                                                          DOMAIN)):
+            _solve_equilibrium_arrays(*args)
 
 
 @pytest.mark.parametrize("bad", [3.5, -0.2, 0.0, np.pi])

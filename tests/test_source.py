@@ -18,7 +18,8 @@ somewhere in the package, so that code only tests reach does not stay.
 The package's settable values, its defaulted function parameters plus its
 defaulted dataclass fields, are pinned at one count, so that a change which
 adds a setting raises the pin in its own diff and one which removes a
-setting lowers it.
+setting lowers it.  The model's domain of (theta, delta, q_s) is written
+once, so that no second copy of the rule can drift from it.
 """
 import argparse
 import ast
@@ -246,3 +247,10 @@ def test_settable_values_are_pinned():
     # a new setting raises this pin in the diff that adds it, and says why
     count = sum(settable_values(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py"))
     assert count == SETTABLE_VALUES
+
+
+def test_domain_is_written_once():
+    # model._check_domain holds the one copy of the rule and its message
+    copies = {path.name: count for path in SRC.glob("*.py")
+              if (count := path.read_text(encoding="utf-8").count("(-pi, pi]"))}
+    assert copies == {"model.py": 1}
