@@ -5,7 +5,11 @@ default CalibrationConfig on the criterion-7 sweep (noiseless, 2 um noise,
 and every fourth noisy sample with its observed orientation), each fit's
 k_star, every IterationRecord, std_errors, correlation, eta_final,
 eta_flagged and converged; then identification_jacobian on a seeded mixed set
-that takes in q_s = 0, q_s = L and exactly straight samples.  golden.json
+that takes in q_s = 0, q_s = L and exactly straight samples; then, at eight
+configurations of that set (two each at q_s = 0, at q_s = L, exactly straight
+and interior), crem_pose's p, R and angles, every field and assembled block of
+assemble_motion_jacobians, fd_discrepancies where the point lies its step inside
+the domain, and micro_trajectory's three arrays on a sweep over [0, L].  golden.json
 beside this file holds the arrays, one SHA-256 over their names and bytes,
 and the numpy version and platform they were made on.  It also holds a
 SHA-256 of the stdout and of each CSV of the six README commands, run in
@@ -15,6 +19,7 @@ the root of a checkout with
     PYTHONPATH=src python tests/golden/dump.py
 """
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -28,16 +33,21 @@ import numpy as np
 from crem import (
     CalibrationConfig,
     ConfigState,
+    JacobianSet,
     Measurement,
     UncertaintyParams,
+    assemble_motion_jacobians,
     crem_pose,
     default_params,
+    fd_discrepancies,
     generate_synthetic,
     identification_jacobian,
+    micro_trajectory,
     nls_estimate,
 )
 from crem import cli
 from crem.calibration import PARAM_NAMES
+from crem.differential import _FD_STEP
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 CONFIG = Path(__file__).resolve().parents[2] / "configs" / "default_robot.cfg"
@@ -55,6 +65,12 @@ README_COMMANDS = (
 K_TRUE = UncertaintyParams(0.2, 0.0, 0.025)
 # the k at which the mixed set's identification Jacobian is formed
 K_JACOBIAN = UncertaintyParams(0.15, 0.01, 0.02)
+# the mixed set's configurations whose poses, Jacobians, FD errors and sweeps are dumped:
+# two at q_s = 0, two at q_s = L, two exactly straight and two interior
+POINTS = (0, 1, 8, 9, 16, 17, 24, 25)
+# every JacobianSet field, then the assembled blocks
+JACOBIANS = tuple(f.name for f in dataclasses.fields(JacobianSet)) + ("J_psi", "J_M", "J_mu",
+                                                                       "J_k")
 
 
 def platform_name() -> str:
@@ -75,14 +91,42 @@ def fit_sets(params):
     return sets
 
 
-def mixed_set(params):
-    """48 seeded configurations; eight at q_s = 0, eight at q_s = L, eight exactly straight."""
+def mixed_configurations(params):
+    """(theta, delta, q_s) of 48 seeded configurations; eight at q_s = 0, eight at q_s = L,
+    eight exactly straight."""
     rng = np.random.default_rng(2026)
     theta, delta = rng.uniform(0.3, 2.8, 48), rng.uniform(-np.pi, np.pi, 48)
     q_s = rng.uniform(0.0, params.L, 48)
     q_s[:8], q_s[8:16], theta[16:24] = 0.0, params.L, np.pi / 2.0
+    return theta, delta, q_s
+
+
+def mixed_set(params):
     return [Measurement(psi=ConfigState(t, d), q_s=q, x_bar=np.zeros(3))
-            for t, d, q in zip(theta, delta, q_s)]
+            for t, d, q in zip(*mixed_configurations(params))]
+
+
+def configuration_outputs(params) -> dict:
+    """Pose, Jacobians, FD errors (where the point lies _FD_STEP inside the domain) and
+    insertion sweep at each of the POINTS of the mixed set, named by its index."""
+    out = {}
+    sweep = np.linspace(0.0, params.L, 9)
+    theta, delta, q_s = mixed_configurations(params)
+    for i in POINTS:
+        psi, q, key = ConfigState(theta[i], delta[i]), float(q_s[i]), f"config{i}"
+        pose = crem_pose(params, psi, q, K_JACOBIAN)
+        phi = pose.equilibrium
+        out[f"{key}.pose.p"], out[f"{key}.pose.R"] = pose.tip.p, pose.tip.R
+        out[f"{key}.pose.angles"] = np.array([phi.theta_s, phi.theta_eps, phi.theta_prime])
+        js = assemble_motion_jacobians(params, psi, q, K_JACOBIAN)
+        for name in JACOBIANS:
+            out[f"{key}.jacobians.{name}"] = getattr(js, name)
+        if _FD_STEP <= q <= params.L - _FD_STEP:
+            out[f"{key}.fd"] = np.array(list(fd_discrepancies(params, psi, q, K_JACOBIAN).values()))
+        for name, a in zip(("positions", "theta_s", "theta_prime"),
+                           micro_trajectory(params, psi, sweep, K_JACOBIAN)):
+            out[f"{key}.sweep.{name}"] = a
+    return {name: np.asarray(a, dtype=float) for name, a in out.items()}
 
 
 def build() -> dict:
@@ -99,6 +143,7 @@ def build() -> dict:
         out[f"{kind}.eta"] = np.array([res.eta_final, res.eta_flagged, res.converged], dtype=float)
     out["mixed.identification_jacobian"] = identification_jacobian(
         mixed_set(params), params, K_JACOBIAN, PARAM_NAMES)
+    out.update(configuration_outputs(params))
     return out
 
 

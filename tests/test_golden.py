@@ -1,5 +1,7 @@
 """The golden dump of tests/golden/: the calibration fits, the identification
-Jacobian and the outputs of the README commands must rebuild to the recorded bytes.
+Jacobian, the poses, Jacobians, finite-difference errors and sweeps at eight
+configurations, and the outputs of the README commands must rebuild to the
+recorded bytes.
 
 On the numpy version and platform the dump was recorded on, every array must
 equal its record bit for bit and the whole dump must hash to the recorded
