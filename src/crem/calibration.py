@@ -14,10 +14,10 @@ reports the standard errors and correlation of the free parameters.
 The loop is batched over the dataset, with or without observed orientation.
 What k does not move is formed once per fit (_stack): the commands, u, sin
 and cos delta, theta_eps and its arc, the solver's start with its domain
-and stretch checks, and the position mask of the RMSE.  Each
-evaluated k costs one Newton solve from that start, one theta_s arc with
-slopes and the in-plane tip (_chain_at); the residuals rest on this chain,
-and the next Jacobian reads the chain of the accepted residuals.
+and stretch checks, and the position mask of the RMSE.  Each evaluated k
+costs one Newton solve from that start and one kinematics._chain, the chain
+record of poses and Jacobians, on the fit's empty arc (_chain_at); the residuals
+rest on it, and the next Jacobian (_jacobian_factors) reads that of the accepted ones.
 Its blocks J_i = v_i u_i^T have rank one, u_i = (1, theta_i, q_s_i) and v_i
 along the tip twist per theta_s: J^T W J = sum_i (v_i^T W_i v_i) u_i u_i^T.
 """
@@ -30,12 +30,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, SingularNormalEquations, ValidationError
-from .kinematics import Pose, _Arc, _arc, _in_plane_tip, _turn, segment_rotation
+from .kinematics import Pose, _Arc, _arc, _chain, _Chain, _turn, segment_rotation
 from .model import (
     THETA_BASE,
     ConfigState,
     RobotParams,
     UncertaintyParams,
+    _arc_moment,
     _integer,
     _SolverStart,
     _newton,
@@ -44,7 +45,7 @@ from .model import (
     _theta_prime,
     uncertainty_lambda,
 )
-from .differential import _k_jacobian_factors
+from .differential import _theta_s_row, _theta_s_twist
 from .rotations import axis_angle_vector
 
 PARAM_NAMES = ("k_lambda0", "k_lambda_theta", "k_lambda_q")
@@ -252,37 +253,29 @@ def _stack(measurements, params: RobotParams) -> _Dataset:
                     np.array([measurements[j].R_bar for j in rot], dtype=float).reshape(-1, 3, 3))
 
 
-class _ChainAtK(NamedTuple):
-    """The planar chain at one k (_chain_at): what the residuals rest on and J_k reads."""
-
-    kappa: np.ndarray  # (N,) solved curvature of the inserted arc
-    th_s: np.ndarray  # (N,) theta_s
-    s: _Arc  # _arc of theta_s, with slopes
-    x: np.ndarray  # (N,) in-plane tip, _in_plane_tip
-    z: np.ndarray
-    e_x: np.ndarray  # (N,) turned empty-arc direction
-    e_z: np.ndarray
-
-
-def _chain_at(fit: _Fit, params: RobotParams, k: UncertaintyParams) -> _ChainAtK:
-    """One Newton solve from the fit's start, then theta_s, its arc and the in-plane tip."""
+def _chain_at(fit: _Fit, params: RobotParams, k: UncertaintyParams):
+    """(kappa, kinematics._chain) at k: one Newton solve from the fit's start, then the
+    chain on the fit's empty arc."""
     kappa = _newton(params, fit.start, uncertainty_lambda(k, fit.q_s, fit.theta))
     # theta_s = theta0 + q_s kappa, as model._equilibrium_angles forms it
-    th_s = THETA_BASE + fit.q_s * kappa
-    s = _arc(th_s, slopes=True)
-    return _ChainAtK(kappa, th_s, s, *_in_plane_tip(params, s, fit.arc_e, fit.q_s))
+    return kappa, _chain(params, THETA_BASE + fit.q_s * kappa, fit.th_e, fit.arc_e, fit.q_s)
 
 
-def _jacobian_factors(params: RobotParams, fit: _Fit, chain: _ChainAtK):
-    """(col, krow) of J_k = col krow^T at the chain of the residuals: no solve, no arc."""
-    return _k_jacobian_factors(params, chain.kappa, chain.s, chain.e_x, chain.e_z, fit.sd,
-                               fit.cd, fit.q_s, fit.u, fit.start.D)
+def _jacobian_factors(params: RobotParams, fit: _Fit, kappa, chain: _Chain):
+    """(col, krow), J_k = col krow^T at the solved kappa and its chain, those of the
+    residuals at the same k: theta_s alone depends on k, through lambda = u . k,
+    u = (1, theta, q_s), so col is J_xi_phi[..., :, 0] and krow -(q_s / G') u.  No solve and
+    no arc: only L - q_s and G' = dM/dkappa + EI_s are formed here."""
+    _, _, M_k = _arc_moment(params, fit.start.D, kappa)
+    return (_theta_s_twist(chain, fit.sd, fit.cd, fit.q_s, params.L - fit.q_s),
+            _theta_s_row(fit.q_s, fit.u, M_k + params.EI_s))
 
 
 def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
-    """(N, 6) residuals at k and the _ChainAtK they rest on, which the next Jacobian reads."""
+    """(N, 6) residuals at k and the (kappa, chain) of _chain_at they rest on, which the
+    next Jacobian reads."""
     fit = data.fit
-    chain = _chain_at(fit, params, k)
+    kappa, chain = _chain_at(fit, params, k)
     c = np.zeros((len(fit.theta), 6))
     c[:, :3] = data.x_bar - _turn(chain.x, chain.z, fit.sd, fit.cd)
     if data.rot.size:
@@ -290,7 +283,7 @@ def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
         # the tip frame turns by pi/2 - theta_prime in the plane delta
         R = segment_rotation(_theta_prime(chain.th_s[rot], fit.th_e[rot]), fit.delta[rot])
         c[rot, 3:] = axis_angle_vector(data.R_bar @ np.swapaxes(R, -1, -2))
-    return c, chain
+    return c, (kappa, chain)
 
 
 def _rmse_um(c, pos) -> float:
@@ -316,7 +309,7 @@ def identification_jacobian(
     """
     idx = _free_indices(free_params)
     fit = _fit(params, *_commands(measurements))
-    col, krow = _jacobian_factors(params, fit, _chain_at(fit, params, k))
+    col, krow = _jacobian_factors(params, fit, *_chain_at(fit, params, k))
     del fit  # one k: free its arrays before J, which is the largest
     # -(col krow^T) with krow negated first: exact, signed zeros included
     nk, J = -krow[:, idx], np.empty((len(col), 6, len(idx)))
@@ -363,10 +356,10 @@ def nls_estimate(
     k_vec = k0.as_array().astype(float)
 
     def evaluate(kv):
-        c, chain = _residuals(data, params, UncertaintyParams.from_array(kv))
-        return (c, *_weighted_cost(c, data.w), chain)
+        c, solved = _residuals(data, params, UncertaintyParams.from_array(kv))
+        return (c, *_weighted_cost(c, data.w), solved)
 
-    c, Wc, M, chain = evaluate(k_vec)
+    c, Wc, M, solved = evaluate(k_vec)
     trace = [IterationRecord(0, UncertaintyParams.from_array(k_vec),
                              _rmse_um(c, data.pos), M)]
     eta = config.eta
@@ -374,7 +367,7 @@ def nls_estimate(
 
     for iteration in range(1, config.max_iter + 1):
         # J_k on the chain of the residuals at k_vec: no second solve, no arc
-        col, krow = _jacobian_factors(params, data.fit, chain)
+        col, krow = _jacobian_factors(params, data.fit, *solved)
         JtW, JtWc = _normal_equations(col, krow[:, idx], data.w, Wc)
         cond = np.linalg.cond(JtW)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -394,10 +387,10 @@ def nls_estimate(
             flagged = True
         else:
             # cost cannot be reduced further along this direction
-            k_cand, cand = k_vec, (c, Wc, M, chain)
+            k_cand, cand = k_vec, (c, Wc, M, solved)
 
         rel = abs(cand[2] - M) / max(M, np.finfo(float).tiny)
-        k_vec, (c, Wc, M, chain) = k_cand, cand
+        k_vec, (c, Wc, M, solved) = k_cand, cand
         trace.append(IterationRecord(iteration, UncertaintyParams.from_array(k_vec),
                                      _rmse_um(c, data.pos), M))
         if rel < config.beta_conv or rel <= _COST_RTOL or M < _M_FLOOR:

@@ -41,7 +41,7 @@ from .dataio import (
 )
 from .differential import _fd_discrepancy_arrays, _jacobian_arrays
 from .errors import CremError
-from .kinematics import micro_trajectory
+from .kinematics import _solved_chain, micro_trajectory
 from .model import ConfigState, UncertaintyParams, _integer
 
 _FD_TOL = 1e-6
@@ -129,8 +129,9 @@ def cmd_simulate_micro(args, cfg) -> dict:
 
 def cmd_simulate_macro(args, cfg) -> dict:
     thetas = args.theta_range
-    delta = math.radians(args.delta)
-    js = _jacobian_arrays(cfg.params, np.radians(thetas), delta, args.qs, args.k_lambda)
+    samples = np.radians(thetas), math.radians(args.delta), args.qs
+    js = _jacobian_arrays(cfg.params, *samples, args.k_lambda,
+                          *_solved_chain(cfg.params, *samples, args.k_lambda))
     cols = ["theta", "x", "y", "z"] + [f"jm{i + 1}{ax}" for i in range(3) for ax in "xyz"]
     _write_csv(args.out, "schema=1", cols,
                ([th_deg, *p, *JM.T.ravel()]

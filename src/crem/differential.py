@@ -11,10 +11,10 @@ Two layers:
   (J_xi_phi / J_xi_delta / J_xi_qs), and the assembled macro / micro /
   identification Jacobians J_M, J_mu, J_k.
 
-Both layers land in one record, JacobianSet, of any batch shape, with
-the tip position of the same chain pass: the batched core _jacobian_arrays
-fills it, the assembled Jacobians are formed from it on first access, and
-assemble_motion_jacobians returns the core's record at batch shape ().
+Both layers land in one record, JacobianSet, of any batch shape, with the tip
+position of the same chain pass: the batched core _jacobian_arrays fills it from
+a solved kappa and its kinematics._chain, the assembled Jacobians are formed on
+first access, and assemble_motion_jacobians returns the core's record at shape ().
 
 Both arcs bend in the plane delta, so each twist block is in-plane 2-D
 arithmetic turned by Rz(-delta), with no 3x3 product.  J_M maps through
@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kinematics import (_chain, _columns, _scalar_chain, _tip_positions, _turn,
+from .kinematics import (_arc, _chain, _columns, _scalar_chain, _tip_positions, _turn,
                          segment_rotation)
 from .model import (
     THETA_BASE,
@@ -49,7 +49,6 @@ from .model import (
     _sigma,
     _solve_equilibrium_arrays,
     _theta_prime,
-    uncertainty_lambda,
 )
 from .rotations import axis_angle_vector
 
@@ -112,10 +111,10 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
 # pose Jacobians
 
 
-def _theta_s_twist(s, e_x, e_z, sd, cd, q_s, L_e):
-    """The tip twist (..., 6) per theta_s, J_xi_phi[..., :, 0]; sd, cd = sin, cos delta and
-    L_e = L - q_s."""
-    v_x, v_z = q_s * s.a_t - L_e * e_z, q_s * s.b_t + L_e * e_x
+def _theta_s_twist(c, sd, cd, q_s, L_e):
+    """The tip twist (..., 6) per theta_s, J_xi_phi[..., :, 0], of the planar chain c
+    (kinematics._chain); sd, cd = sin, cos delta and L_e = L - q_s."""
+    v_x, v_z = q_s * c.s.a_t - L_e * c.e_z, q_s * c.s.b_t + L_e * c.e_x
     p_x = cd * v_x
     return _columns(p_x.shape, p_x, -sd * v_x, v_z, -sd, -cd, 0.0)
 
@@ -136,7 +135,7 @@ def _xi_jacobian_arrays(params: RobotParams, c, delta, q_s):
     s, e = c.s, c.e
     L_e = params.L - q_s
     sd, cd = np.sin(delta), np.cos(delta)
-    col_s = _theta_s_twist(s, c.e_x, c.e_z, sd, cd, q_s, L_e)
+    col_s = _theta_s_twist(c, sd, cd, q_s, L_e)
     shape = col_s.shape[:-1]
     axis = (-sd, -cd, 0.0)
     w_x, w_z = L_e * (s.s * e.a_t + s.c * e.b_t), L_e * (s.s * e.b_t - s.c * e.a_t)
@@ -147,20 +146,6 @@ def _xi_jacobian_arrays(params: RobotParams, c, delta, q_s):
     q_x = s.a - c.e_x
     J_xi_qs = _columns(shape, cd * q_x, -sd * q_x, s.b - c.e_z, 0.0, 0.0, 0.0)
     return _turn(c.x, c.z, sd, cd), J_xi_phi, J_xi_delta, J_xi_qs
-
-
-def _k_jacobian_factors(params: RobotParams, kappa, s, e_x, e_z, sd, cd, q_s, u, D):
-    """(col, krow), J_k = col krow^T at the solved kappa: theta_s alone depends on k, through
-    lambda = u . k, u = (1, theta, q_s), so col is J_xi_phi[..., :, 0], krow -(q_s / G') u.
-
-    The chain pieces are those the residuals at the same k formed: kappa, the theta_s
-    _arc s with slopes and the turned empty-arc direction (e_x, e_z) of _in_plane_tip.
-    sd, cd = sin, cos delta, u and D, the backbone-major model._offsets of delta, are
-    formed once per fit.  Only L - q_s and G' = dM/dkappa + EI_s are formed here.
-    """
-    _, _, M_k = _arc_moment(params, D, kappa)
-    return (_theta_s_twist(s, e_x, e_z, sd, cd, q_s, params.L - q_s),
-            _theta_s_row(q_s, u, M_k + params.EI_s))
 
 
 def _orthogonal_pinv(J):
@@ -183,7 +168,7 @@ class JacobianSet:
     J_xi_qs (..., 6) are the tip twist per (theta_s, theta_eps), delta and
     q_s at fixed equilibrium; J_q_psi (..., n, 2) is the secondary-backbone
     displacement per unit (theta, delta).  The assembled Jacobians are
-    formed on first access; a caller of J_k alone uses _k_jacobian_factors.
+    formed on first access; the fit forms J_k alone (calibration._jacobian_factors).
     """
 
     th_s: np.ndarray
@@ -222,16 +207,10 @@ class JacobianSet:
         return self.J_xi_phi @ self.d_phi[..., 3:6]
 
 
-def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, kappa=None,
-                     chain=None):
+def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, kappa, chain):
     """Differentiate the equilibria at the solved curvature kappa and its kinematics._chain,
-    solving for kappa and forming the chain first where they are None; see JacobianSet."""
+    with the empty arc's slopes (kinematics._solved_chain); see JacobianSet."""
     theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
-    if kappa is None:
-        kappa = _solve_equilibrium_arrays(params, theta, delta, q_s,
-                                          uncertainty_lambda(k, q_s, theta))
-    if chain is None:
-        chain = _chain(params, *_equilibrium_angles(params, theta, q_s, kappa), q_s)
     d_phi, J_q_psi = _phi_gradient_arrays(params, theta, delta, q_s, k, kappa)
     p, *xi = _xi_jacobian_arrays(params, chain, delta, q_s)
     return JacobianSet(chain.th_s, chain.th_e, p, d_phi, *xi, J_q_psi)
@@ -292,9 +271,9 @@ def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: Uncertaint
     de[1:] += 2.0 * np.pi * ((de[1:] <= -np.pi) * 1.0 - (de[1:] > np.pi))
     # uncertainty_lambda with k perturbed per sample
     kappa = _solve_equilibrium_arrays(params, th, de, qs, k0 + kt * th + kq * qs)
-    th_s, th_p, th_e = _equilibrium_angles(params, th, qs, kappa)
+    th_s, th_e = _equilibrium_angles(params, th, qs, kappa)
     c = _jacobian_arrays(params, theta, delta, q_s, k, kappa[0],
-                         _chain(params, th_s[0], th_p[0], th_e[0], q_s))
+                         _chain(params, th_s[0], th_e[0], _arc(th_e[0], slopes=True), q_s))
     y = _central_steps((c.th_s, c.th_e, delta, q_s))
     # (N, 6, 10): the six full-map columns, then the four kinematic ones
     fd = _central_twists(params, *(np.concatenate([a[1:], b[1:]]) for a, b in

@@ -15,10 +15,10 @@ subsegment (length q_s, angle theta_s) followed by the empty subsegment
 separation plane.  Both bend in the plane delta, so every tip pose, scalar
 or batched, comes from one planar chain: p = Rz(-delta) [x, 0, z] with
 (x, z) = q_s (a_s, b_s) + (L - q_s) Ry(pi/2 - theta_s) (a_e, b_e), and the
-tip rotation is segment_rotation(theta_s + theta_eps - pi/2, delta).  A pose
-and the Jacobians of one configuration share one kept chain pass, arcs with
-slopes (_scalar_chain); sweeps take the plain-arc _tip_positions.  One helper,
-_turn, turns an in-plane tip by delta for sweeps, poses, Jacobians and the fit.
+tip rotation is segment_rotation(theta_s + theta_eps - pi/2, delta).  Poses,
+Jacobians and the calibration fit read one chain record, _Chain; _solved_chain is
+the one solve-then-chain sequence, kept for a pose and its Jacobians (_scalar_chain).
+Sweeps take the plain-arc _tip_positions; _turn turns every in-plane tip by delta.
 """
 from __future__ import annotations
 
@@ -33,8 +33,10 @@ from .model import (
     EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
+    _broadcast_samples,
     _equilibrium_angles,
     _solve_equilibrium_arrays,
+    _theta_prime,
     uncertainty_lambda,
 )
 
@@ -145,25 +147,37 @@ def _tip_positions(params: RobotParams, th_s, th_e, delta, q_s):
     return _turn(x, z, np.sin(delta), np.cos(delta))
 
 
-_Chain = namedtuple("_Chain", "th_s th_p th_e s e x z e_x e_z")
+# the planar chain of one set of equilibria, see _chain
+_Chain = namedtuple("_Chain", "th_s th_e s e x z e_x e_z")
 
 
-def _chain(params: RobotParams, th_s, th_p, th_e, q_s) -> _Chain:
-    """The angles (theta_s, theta_prime, theta_eps), both _arcs with slopes and _in_plane_tip
-    (x, z, e_x, e_z), for a pose and its Jacobians.  Nothing in it depends on delta."""
-    s, e = _arc(th_s, slopes=True), _arc(th_e, slopes=True)
-    return _Chain(th_s, th_p, th_e, s, e, *_in_plane_tip(params, s, e, q_s))
+def _chain(params: RobotParams, th_s, th_e, e: _Arc, q_s) -> _Chain:
+    """The angles (theta_s, theta_eps), the theta_s _arc with slopes, the empty arc e of
+    theta_eps and _in_plane_tip (x, z, e_x, e_z): what a pose, its Jacobians and the fit's
+    residuals and J_k read.  e has slopes where J_xi is formed; the fit forms it without, once.
+    Nothing in it depends on delta."""
+    s = _arc(th_s, slopes=True)
+    return _Chain(th_s, th_e, s, e, *_in_plane_tip(params, s, e, q_s))
+
+
+def _solved_chain(params: RobotParams, theta, delta, q_s, k):
+    """(kappa, _chain) of one solve at k, the samples broadcast first and the empty arc with
+    slopes: the one solve-then-chain sequence of the Jacobians (_scalar_chain, simulate-macro)."""
+    theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
+    kappa = _solve_equilibrium_arrays(params, theta, delta, q_s,
+                                      uncertainty_lambda(k, q_s, theta))
+    th_s, th_e = _equilibrium_angles(params, theta, q_s, kappa)
+    return kappa, _chain(params, th_s, th_e, _arc(th_e, slopes=True), q_s)
 
 
 @functools.lru_cache(maxsize=1)
 def _scalar_chain(params: RobotParams, theta: float, delta: float, q_s: float, k):
-    """(kappa, _chain) of one configuration, the one value kept between scalar calls, so that a
-    pose and the Jacobians share one solve and one chain pass; b's 0-d slopes are read-only."""
-    kappa = float(_solve_equilibrium_arrays(params, theta, delta, q_s,
-                                            uncertainty_lambda(k, q_s, theta)))
-    c = _chain(params, *_equilibrium_angles(params, theta, q_s, kappa), q_s)
+    """_solved_chain of one configuration, kappa a float, the one value kept between scalar
+    calls, so that a pose and the Jacobians share one solve and one chain pass; b's 0-d slopes
+    are read-only."""
+    kappa, c = _solved_chain(params, theta, delta, q_s, k)
     c.s.b_t.flags.writeable = c.e.b_t.flags.writeable = False
-    return kappa, c
+    return float(kappa), c
 
 
 def crem_pose(
@@ -177,7 +191,7 @@ def crem_pose(
     """
     _, c = _scalar_chain(params, float(psi.theta), float(psi.delta), float(q_s), k)
     tip = Pose(_turn(c.x, c.z, np.sin(psi.delta), np.cos(psi.delta)),
-               segment_rotation(c.th_p, psi.delta))
+               segment_rotation(_theta_prime(c.th_s, c.th_e), psi.delta))
     return SegmentedPose(tip, EquilibriumConfig(float(c.th_s), float(c.th_e)))
 
 
@@ -193,5 +207,6 @@ def micro_trajectory(
     """
     kappa = _solve_equilibrium_arrays(params, psi.theta, psi.delta, qs_schedule,
                                       uncertainty_lambda(k, qs_schedule, psi.theta))
-    th_s, th_p, th_e = _equilibrium_angles(params, psi.theta, qs_schedule, kappa)
-    return _tip_positions(params, th_s, th_e, psi.delta, qs_schedule), th_s, th_p
+    th_s, th_e = _equilibrium_angles(params, psi.theta, qs_schedule, kappa)
+    return (_tip_positions(params, th_s, th_e, psi.delta, qs_schedule), th_s,
+            _theta_prime(th_s, th_e))

@@ -365,16 +365,11 @@ def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
 
 
 def _equilibrium_angles(params: RobotParams, theta, q_s, kappa):
-    """(theta_s, theta_prime, theta_eps) of the solved curvature kappa.
-
-    theta_s = theta0 + q_s kappa, and the empty arc bends by
-    (L - q_s) kappa0, so theta_eps = pi/2 + (L - q_s) kappa0, written so that
-    q_s = 0 gives exactly (theta0, theta) and q_s = L exactly theta_eps = pi/2.
-    """
+    """(theta_s, theta_eps) of the solved curvature kappa: theta_s = theta0 + q_s kappa, and
+    the empty arc bends by (L - q_s) kappa0 (_theta_eps).  q_s = 0 gives exactly
+    (theta0, theta).  theta_prime is formed only where it is read (_theta_prime)."""
     theta, q_s = np.asarray(theta, dtype=float), np.asarray(q_s, dtype=float)
-    th_s = THETA_BASE + q_s * kappa
-    th_e = _theta_eps(params, theta, q_s)
-    return th_s, _theta_prime(th_s, th_e), th_e
+    return THETA_BASE + q_s * kappa, _theta_eps(params, theta, q_s)
 
 
 def _theta_eps(params: RobotParams, theta, q_s):
@@ -393,5 +388,5 @@ def solve_equilibrium(
     q_s = float(q_s)
     kappa = float(_solve_equilibrium_arrays(params, psi.theta, psi.delta, q_s,
                                             uncertainty_lambda(k, q_s, psi.theta)))
-    th_s, _, th_e = _equilibrium_angles(params, psi.theta, q_s, kappa)
+    th_s, th_e = _equilibrium_angles(params, psi.theta, q_s, kappa)
     return EquilibriumConfig(float(th_s), float(th_e))

@@ -33,8 +33,8 @@ from crem import (
     assemble_motion_jacobians,
     crem_pose,
 )
-from crem.differential import _FD_STEP
-from crem.kinematics import _arc, _scalar_chain, _tip_positions, segment_rotation
+from crem.differential import _FD_STEP, _jacobian_arrays
+from crem.kinematics import _arc, _scalar_chain, _solved_chain, _tip_positions, segment_rotation
 from crem.model import _offsets
 from crem.rotations import axis_angle_vector
 
@@ -105,6 +105,13 @@ def outside(name, values, domain) -> str:
     names = ", ".join(("theta", "delta", "q_s")[:len(values)])
     shown = ", ".join(f"{v:.6g}" for v in values)
     return f"^{re.escape(f'{name}: ({names}) = ({shown}) outside {domain}')}$"
+
+
+def jacobian_arrays(params, theta, delta, q_s, k):
+    """The batched core _jacobian_arrays at its solve and chain (_solved_chain), as
+    crem simulate-macro forms them."""
+    return _jacobian_arrays(params, theta, delta, q_s, k,
+                            *_solved_chain(params, theta, delta, q_s, k))
 
 
 def projected_offsets(params, delta):

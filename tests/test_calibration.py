@@ -496,9 +496,9 @@ def test_rank_one_normal_equations_with_general_weights(bench):
     w = rng.uniform(0.1, 10.0, (len(ms), 6))
     k = UncertaintyParams(0.15, 0.0, 0.02)
     data = _stack(ms, bench)
-    c, chain = _residuals(data, bench, k)
+    c, solved = _residuals(data, bench, k)
     Wc, _ = _weighted_cost(c, w)
-    col, krow = _jacobian_factors(bench, data.fit, chain)
+    col, krow = _jacobian_factors(bench, data.fit, *solved)
     for free in (PARAM_NAMES, ("k_lambda0", "k_lambda_q"), ("k_lambda_theta",)):
         idx = [PARAM_NAMES.index(name) for name in free]
         JtWJ, JtWc = _normal_equations(col, krow[:, idx], w, Wc)
@@ -744,8 +744,8 @@ def test_one_equilibrium_solve_per_evaluated_k(bench, monkeypatch):
                             with_R=True)
     calls = {"_solver_start": [], "_newton": [], "_arc": []}
 
-    def counting(name):
-        function = getattr(crem.calibration, name)
+    def counting(module, name):
+        function = getattr(module, name)
 
         def count(*args, **kwargs):
             calls[name].append(1)
@@ -762,8 +762,10 @@ def test_one_equilibrium_solve_per_evaluated_k(bench, monkeypatch):
         JtW, JtWc = normal_equations(*args)
         return JtW, 4.0 * JtWc
 
-    for name in calls:
-        monkeypatch.setattr(crem.calibration, name, counting(name))
+    # the fit forms its empty arc in calibration, and kinematics._chain each theta_s arc
+    for module, name in ((crem.calibration, "_solver_start"), (crem.calibration, "_newton"),
+                         (crem.calibration, "_arc"), (crem.kinematics, "_arc")):
+        monkeypatch.setattr(module, name, counting(module, name))
     monkeypatch.setattr(crem.calibration, "_normal_equations", overshooting)
     for module in (crem.differential, crem.kinematics, crem.model):
         monkeypatch.setattr(module, "_solve_equilibrium_arrays", forbidden)

@@ -24,8 +24,6 @@ from crem import (
 from crem import differential
 from crem.differential import (
     _FD_STEP,
-    _jacobian_arrays,
-    _k_jacobian_factors,
     _orthogonal_pinv,
     _phi_gradient_arrays,
     _xi_jacobian_arrays,
@@ -34,18 +32,16 @@ from crem.kinematics import (
     STRAIGHT_SERIES_THRESHOLD,
     _arc,
     _chain,
-    _in_plane_tip,
+    _solved_chain,
     _tip_positions,
     segment_rotation,
 )
-from crem.calibration import PARAM_NAMES
+from crem.calibration import PARAM_NAMES, _fit, _jacobian_factors
 from crem.model import (
     _arc_moment,
     _equilibrium_angles,
-    _offsets,
     _sigma,
     _solve_equilibrium_arrays,
-    _theta_prime,
     uncertainty_lambda,
 )
 from conftest import (
@@ -55,6 +51,7 @@ from conftest import (
     equilibrium_moments,
     fd_discrepancies_per_point,
     finite_difference_jacobian,
+    jacobian_arrays,
     jacobian_partitions,
     mp_equilibrium,
     mp_tip_position_k_jacobian,
@@ -250,7 +247,7 @@ def test_partitions_match_single_arc_differences(theta):
 
 def xi_arrays(params, th_s, th_e, delta, q_s):
     """(p, J_xi_phi, J_xi_delta, J_xi_qs) of the planar chain at the given angles."""
-    c = _chain(params, th_s, _theta_prime(th_s, th_e), th_e, q_s)
+    c = _chain(params, th_s, th_e, _arc(th_e, slopes=True), q_s)
     return _xi_jacobian_arrays(params, c, delta, q_s)
 
 
@@ -342,7 +339,7 @@ def test_empty_batches_return_empty_arrays(bench, k_cal):
     empty = np.array([])
     pos, th_s, th_p = micro_trajectory(bench, ConfigState(1.0, 0.3), empty, k_cal)
     assert pos.shape == (0, 3) and th_s.shape == (0,) and th_p.shape == (0,)
-    core = _jacobian_arrays(bench, empty, empty, empty, k_cal)
+    core = jacobian_arrays(bench, empty, empty, empty, k_cal)
     assert core.th_s.shape == (0,)
     assert core.J_M.shape == (0, 6, 3)
     assert core.J_mu.shape == (0, 6)
@@ -376,7 +373,7 @@ def test_kernels_broadcast_mixed_arguments(bench, k_cal, kernel):
     q_s = rng.uniform(0.0, bench.L, (2, 5))
     kappa = _solve_equilibrium_arrays(bench, theta, delta, q_s,
                                       uncertainty_lambda(k_cal, q_s, theta))
-    th_s, _, th_e = _equilibrium_angles(bench, theta, q_s, kappa)
+    th_s, th_e = _equilibrium_angles(bench, theta, q_s, kappa)
     f, full = {
         "tip": (lambda *a: (_tip_positions(bench, *a),), (th_s, th_e, delta, q_s)),
         "xi": (lambda *a: xi_arrays(bench, *a), (th_s, th_e, delta, q_s)),
@@ -591,7 +588,7 @@ def test_batched_core_equals_scalar_api(bench, samples, k0, kq):
     k = UncertaintyParams(k0, 0.0, kq)
     theta, delta, fq = (np.array(col) for col in zip(*samples))
     qs = fq * bench.L
-    core = _jacobian_arrays(bench, theta, delta, qs, k)
+    core = jacobian_arrays(bench, theta, delta, qs, k)
     pos = _tip_positions(bench, core.th_s, core.th_e, delta, qs)
     assert core.p.tobytes() == pos.tobytes()
     J_M, J_mu, J_k = core.J_M, core.J_mu, core.J_k
@@ -614,9 +611,9 @@ def test_sample_is_bit_identical_alone_and_in_batch(bench, samples, k0, kq):
     k = UncertaintyParams(k0, 0.0, kq)
     theta, delta, fq = (np.array(col) for col in zip(*samples))
     qs = fq * bench.L
-    batch = _jacobian_arrays(bench, theta, delta, qs, k)
+    batch = jacobian_arrays(bench, theta, delta, qs, k)
     for i in range(len(samples)):
-        alone = _jacobian_arrays(bench, theta[i], delta[i], qs[i], k)
+        alone = jacobian_arrays(bench, theta[i], delta[i], qs[i], k)
         for name in ("th_s", "th_e", "p", "d_phi", "J_xi_phi", "J_xi_delta", "J_xi_qs",
                      "J_q_psi", "J_psi", "J_M", "J_mu", "J_k"):
             assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)), (i, name)
@@ -627,7 +624,7 @@ def test_sample_is_bit_identical_alone_and_in_batch(bench, samples, k0, kq):
 def test_scalar_jacobians_are_the_core_record(bench, k_cal, theta, delta, q_s):
     # assemble_motion_jacobians returns the batched core's record at shape ()
     js = assemble_motion_jacobians(bench, ConfigState(theta, delta), q_s, k_cal)
-    core = _jacobian_arrays(bench, theta, delta, q_s, k_cal)
+    core = jacobian_arrays(bench, theta, delta, q_s, k_cal)
     assert type(js) is type(core)
     for name in ("th_s", "th_e", "p", "d_phi", "J_xi_phi", "J_xi_delta", "J_xi_qs",
                  "J_q_psi", "J_psi", "J_M", "J_mu", "J_k"):
@@ -667,15 +664,9 @@ def test_identification_jacobian_is_the_negated_rank_one_product(bench, k_cal, c
     free = ("k_lambda_q",) if case == "one free" else PARAM_NAMES
     ms = [Measurement(psi=ConfigState(*psi), q_s=qs, x_bar=np.zeros(3))
           for *psi, qs in zip(theta, delta, q_s)]
-    # the chain formed afresh, not from the fit's once-per-fit arrays
-    D, lam = _offsets(bench, delta), uncertainty_lambda(k_cal, q_s, theta)
-    kappa = _solve_equilibrium_arrays(bench, theta, delta, q_s, lam)
-    th_s, _, th_e = _equilibrium_angles(bench, theta, q_s, kappa)
-    s = _arc(th_s, slopes=True)
-    _, _, e_x, e_z = _in_plane_tip(bench, s, _arc(th_e), q_s)
-    u = np.column_stack([np.ones_like(theta), theta, q_s])
-    col, krow = _k_jacobian_factors(bench, kappa, s, e_x, e_z, np.sin(delta), np.cos(delta),
-                                    q_s, u, D)
+    # the solve and chain formed afresh (_solved_chain), not by the fit's Newton solve
+    col, krow = _jacobian_factors(bench, _fit(bench, theta, delta, q_s),
+                                  *_solved_chain(bench, theta, delta, q_s, k_cal))
     idx = [PARAM_NAMES.index(name) for name in free]
     ref = (-(col[:, :, None] * krow[:, None, idx])).reshape(-1, len(idx))
     assert identification_jacobian(ms, bench, k_cal, free).tobytes() == ref.tobytes()
@@ -714,7 +705,7 @@ REFERENCE_POINTS = [
 def test_equilibrium_and_gradient_match_40_digit_reference(bench, theta_deg, delta, q_s):
     # mpmath solves and differentiates the raw two-equation balance
     k = UncertaintyParams(0.2, 0.01, 0.025)
-    core = _jacobian_arrays(bench, np.radians(theta_deg), delta, q_s, k)
+    core = jacobian_arrays(bench, np.radians(theta_deg), delta, q_s, k)
     th_s, th_e, d_phi = mp_equilibrium(bench, np.radians(theta_deg), delta, q_s, k)
     assert abs(core.th_s - th_s) <= 1e-12 * abs(th_s)
     assert abs(core.th_e - th_e) <= 1e-12 * abs(th_e)
