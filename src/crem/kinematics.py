@@ -147,15 +147,13 @@ def _tip_positions(params: RobotParams, th_s, th_e, delta, q_s):
     return _turn(x, z, np.sin(delta), np.cos(delta))
 
 
-# the planar chain of one set of equilibria, see _chain
 _Chain = namedtuple("_Chain", "th_s th_e s e x z e_x e_z")
 
 
 def _chain(params: RobotParams, th_s, th_e, e: _Arc, q_s) -> _Chain:
-    """The angles (theta_s, theta_eps), the theta_s _arc with slopes, the empty arc e of
-    theta_eps and _in_plane_tip (x, z, e_x, e_z): what a pose, its Jacobians and the fit's
-    residuals and J_k read.  e has slopes where J_xi is formed; the fit forms it without, once.
-    Nothing in it depends on delta."""
+    """The angles (theta_s, theta_eps), the theta_s _arc with slopes, the empty arc e and
+    _in_plane_tip (x, z, e_x, e_z), which poses, Jacobians and the fit read; nothing depends on
+    delta.  e has slopes where J_xi is formed; the fit forms it without, once per fit."""
     s = _arc(th_s, slopes=True)
     return _Chain(th_s, th_e, s, e, *_in_plane_tip(params, s, e, q_s))
 
@@ -172,9 +170,8 @@ def _solved_chain(params: RobotParams, theta, delta, q_s, k):
 
 @functools.lru_cache(maxsize=1)
 def _scalar_chain(params: RobotParams, theta: float, delta: float, q_s: float, k):
-    """_solved_chain of one configuration, kappa a float, the one value kept between scalar
-    calls, so that a pose and the Jacobians share one solve and one chain pass; b's 0-d slopes
-    are read-only."""
+    """_solved_chain of one configuration, the one value kept between scalar calls, so that a
+    pose and the Jacobians share one solve and one chain pass; b's 0-d slopes are read-only."""
     kappa, c = _solved_chain(params, theta, delta, q_s, k)
     c.s.b_t.flags.writeable = c.e.b_t.flags.writeable = False
     return float(kappa), c
