@@ -96,12 +96,15 @@ class RobotParams:
 
 @dataclass(frozen=True)
 class ConfigState:
-    """Nominal bend angle theta and bending-plane angle delta, rad (_check_domain)."""
+    """Nominal bend angle theta and bending-plane angle delta, rad: real scalars, not bools."""
 
     theta: float
     delta: float
 
     def __post_init__(self):
+        for name, v in (("theta", self.theta), ("delta", self.delta)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {v!r}")
         _check_domain((self.theta, self.delta), 0.0, None, "sample", 0)
 
 

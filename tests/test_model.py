@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,41 @@ def test_config_state_applies_the_domain_rule(theta, delta, _, inside):
         with pytest.raises(ValidationError,
                            match=outside("sample 0", (theta, delta), CONFIG_DOMAIN)):
             ConfigState(theta, delta)
+
+
+# (theta, delta, message or None): the type rule of ConfigState, which runs before the
+# domain rule; a real scalar is stored as given
+CONFIG_TYPES = [
+    (np.array([1.0, 1.2]), 0.3, "theta must be a real number, got array([1. , 1.2])"),
+    (np.array(1.0), 0.3, "theta must be a real number, got array(1.)"),
+    (True, 0.3, "theta must be a real number, got True"),
+    ("1.0", 0.3, "theta must be a real number, got '1.0'"),
+    (None, 0.3, "theta must be a real number, got None"),
+    (1.0, np.array([0.3, 0.4]), "delta must be a real number, got array([0.3, 0.4])"),
+    (1.0, np.array(0.3), "delta must be a real number, got array(0.3)"),
+    (1.0, False, "delta must be a real number, got False"),
+    (1.0, "0.3", "delta must be a real number, got '0.3'"),
+    (1.0, None, "delta must be a real number, got None"),
+    (1, 0, None),
+    (1.0, -0.5, None),
+    (np.float64(1.2), np.float64(0.3), None),
+]
+
+
+@pytest.mark.parametrize("theta,delta,message", CONFIG_TYPES)
+def test_config_state_takes_real_scalars_only(theta, delta, message, monkeypatch):
+    if message is None:
+        psi = ConfigState(theta, delta)
+        assert (type(psi.theta), psi.theta, type(psi.delta), psi.delta) \
+            == (type(theta), theta, type(delta), delta)
+        return
+
+    def domain_checked(*args):
+        raise AssertionError("domain checked before the type")
+
+    monkeypatch.setattr(model, "_check_domain", domain_checked)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ConfigState(theta, delta)
 
 
 def test_equilibrium_config_angle_identity():
