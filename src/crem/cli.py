@@ -42,7 +42,7 @@ from .dataio import (
 from .differential import _fd_discrepancy_arrays, _jacobian_arrays
 from .errors import CremError
 from .kinematics import _solved_chain, micro_trajectory
-from .model import ConfigState, UncertaintyParams, _integer
+from .model import ConfigState, UncertaintyParams, _broadcast_samples, _integer
 
 _FD_TOL = 1e-6
 _FREE_TOKENS = {"k0": "k_lambda0", "ktheta": "k_lambda_theta", "kq": "k_lambda_q"}
@@ -129,7 +129,7 @@ def cmd_simulate_micro(args, cfg) -> dict:
 
 def cmd_simulate_macro(args, cfg) -> dict:
     thetas = args.theta_range
-    samples = np.radians(thetas), math.radians(args.delta), args.qs
+    samples = _broadcast_samples(np.radians(thetas), math.radians(args.delta), args.qs)
     js = _jacobian_arrays(cfg.params, *samples, args.k_lambda,
                           *_solved_chain(cfg.params, *samples, args.k_lambda))
     cols = ["theta", "x", "y", "z"] + [f"jm{i + 1}{ax}" for i in range(3) for ax in "xyz"]

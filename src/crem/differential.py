@@ -208,9 +208,9 @@ class JacobianSet:
 
 
 def _jacobian_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams, kappa, chain):
-    """Differentiate the equilibria at the solved curvature kappa and its kinematics._chain,
-    with the empty arc's slopes (kinematics._solved_chain); see JacobianSet."""
-    theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
+    """Differentiate the equilibria of samples (theta, delta, q_s) at the solved curvature
+    kappa and its kinematics._chain, with the empty arc's slopes (kinematics._solved_chain);
+    see JacobianSet.  The samples are floats or arrays of the chain's shape."""
     d_phi, J_q_psi = _phi_gradient_arrays(params, theta, delta, q_s, k, kappa)
     p, *xi = _xi_jacobian_arrays(params, chain, delta, q_s)
     return JacobianSet(chain.th_s, chain.th_e, p, d_phi, *xi, J_q_psi)

@@ -33,7 +33,6 @@ from .model import (
     EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
-    _broadcast_samples,
     _equilibrium_angles,
     _solve_equilibrium_arrays,
     _theta_prime,
@@ -159,9 +158,9 @@ def _chain(params: RobotParams, th_s, th_e, e: _Arc, q_s) -> _Chain:
 
 
 def _solved_chain(params: RobotParams, theta, delta, q_s, k):
-    """(kappa, _chain) of one solve at k, the samples broadcast first and the empty arc with
-    slopes: the one solve-then-chain sequence of the Jacobians (_scalar_chain, simulate-macro)."""
-    theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
+    """(kappa, _chain) of one solve at k of samples of one shape (floats, or broadcast by
+    model._broadcast_samples), the empty arc with slopes: the one solve-then-chain sequence
+    of the Jacobians (_scalar_chain, simulate-macro)."""
     kappa = _solve_equilibrium_arrays(params, theta, delta, q_s,
                                       uncertainty_lambda(k, q_s, theta))
     th_s, th_e = _equilibrium_angles(params, theta, q_s, kappa)

@@ -96,7 +96,7 @@ class RobotParams:
 
 @dataclass(frozen=True)
 class ConfigState:
-    """Nominal bend angle theta and bending-plane angle delta, rad: real scalars, not bools."""
+    """Nominal bend angle theta and bending-plane angle delta, rad: real scalars (_check_domain)."""
 
     theta: float
     delta: float

@@ -35,7 +35,7 @@ from crem import (
 )
 from crem.differential import _FD_STEP, _jacobian_arrays
 from crem.kinematics import _arc, _scalar_chain, _solved_chain, _tip_positions, segment_rotation
-from crem.model import _offsets
+from crem.model import _broadcast_samples, _offsets
 from crem.rotations import axis_angle_vector
 
 TH0 = np.pi / 2
@@ -108,10 +108,10 @@ def outside(name, values, domain) -> str:
 
 
 def jacobian_arrays(params, theta, delta, q_s, k):
-    """The batched core _jacobian_arrays at its solve and chain (_solved_chain), as
-    crem simulate-macro forms them."""
-    return _jacobian_arrays(params, theta, delta, q_s, k,
-                            *_solved_chain(params, theta, delta, q_s, k))
+    """The batched core _jacobian_arrays at its solve and chain (_solved_chain) of the
+    broadcast samples, as crem simulate-macro forms them."""
+    samples = _broadcast_samples(theta, delta, q_s)
+    return _jacobian_arrays(params, *samples, k, *_solved_chain(params, *samples, k))
 
 
 def projected_offsets(params, delta):
