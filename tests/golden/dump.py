@@ -69,8 +69,7 @@ K_JACOBIAN = UncertaintyParams(0.15, 0.01, 0.02)
 # two at q_s = 0, two at q_s = L, two exactly straight and two interior
 POINTS = (0, 1, 8, 9, 16, 17, 24, 25)
 # every JacobianSet field, then the assembled blocks
-JACOBIANS = tuple(f.name for f in dataclasses.fields(JacobianSet)) + ("J_psi", "J_M", "J_mu",
-                                                                       "J_k")
+JACOBIANS = (*(f.name for f in dataclasses.fields(JacobianSet)), "J_psi", "J_M", "J_mu", "J_k")
 
 
 def platform_name() -> str:
