@@ -37,7 +37,9 @@ from .model import (
     RobotParams,
     UncertaintyParams,
     _arc_moment,
+    _blocks,
     _integer,
+    _real,
     _SolverStart,
     _newton,
     _solver_start,
@@ -92,6 +94,7 @@ class Measurement:
     obs_mask: np.ndarray | None = None
 
     def __post_init__(self):
+        _real("q_s", self.q_s)
         if not 0.0 <= self.q_s < np.inf:
             raise ValidationError(f"q_s must be finite and >= 0, got {self.q_s}")
         x = np.asarray(self.x_bar, dtype=float)
@@ -225,10 +228,11 @@ class _Fit(NamedTuple):
     start: _SolverStart  # _solver_start of the commands, its offsets D included
 
 
-def _fit(params: RobotParams, theta, delta, q_s) -> _Fit:
-    """The k-free arrays of the commands; the solver's domain and stretch checks run here,
-    once, naming the first sample that fails."""
-    start = _solver_start(params, theta, delta, q_s)
+def _fit(params: RobotParams, theta, delta, q_s, first: int) -> _Fit:
+    """The k-free arrays of the commands, one block of a batch from its index first there (0
+    for a whole batch); the solver's domain and stretch checks run here, once, naming the
+    first sample that fails by its index in the batch."""
+    start = _solver_start(params, theta, delta, q_s, first)
     th_e = _theta_eps(params, theta, q_s)
     return _Fit(theta, delta, q_s, np.column_stack([np.ones_like(theta), theta, q_s]),
                 np.sin(delta), np.cos(delta), th_e, _arc(th_e), start)
@@ -246,7 +250,7 @@ class _Dataset(NamedTuple):
 
 
 def _stack(measurements, params: RobotParams) -> _Dataset:
-    fit = _fit(params, *_commands(measurements))
+    fit = _fit(params, *_commands(measurements), 0)
     w = np.where([m.obs_mask for m in measurements], np.repeat([1.0, _W_ROT], 3), 0.0)
     rot = np.array([j for j, m in enumerate(measurements) if m.R_bar is not None], dtype=int)
     return _Dataset(fit, np.array([m.x_bar for m in measurements]), w, w[:, :3] != 0.0, rot,
@@ -303,18 +307,28 @@ def identification_jacobian(
     measurements, params: RobotParams, k: UncertaintyParams, free_params,
 ) -> np.ndarray:
     """Stacked residual Jacobian d c~ / d k_free, shape (6N, n_free), one column per name of
-    free_params (no default): the residual is measured-minus-modeled, so each block is -J_k
-    on the free columns.  Rows 3-5 are the rotational rows of -J_k for every measurement, also
-    one without R_bar, whose orientation residual is zero: only the weights mask them.
+    free_params (no default): the residual is measured-minus-modeled, so each measurement's six
+    rows are -J_k on the free columns.  Rows 3-5 are the rotational rows of -J_k for every
+    measurement, also one without R_bar, whose orientation residual is zero: only the weights
+    mask them.
+
+    The commands are read once; the fit, the solve and the chain then run over blocks of the
+    measurements (model._blocks), each filling its rows of J, so that besides J and the
+    commands the working set is one block's whatever N is.  The bits are those of a
+    one-measurement call.  An error names a measurement by its index in the list;
+    NoConvergence's count of samples still active covers the block the measurement is in.
     """
     idx = _free_indices(free_params)
-    fit = _fit(params, *_commands(measurements))
-    col, krow = _jacobian_factors(params, fit, *_chain_at(fit, params, k))
-    del fit  # one k: free its arrays before J, which is the largest
-    # -(col krow^T) with krow negated first: exact, signed zeros included
-    nk, J = -krow[:, idx], np.empty((len(col), 6, len(idx)))
-    for j in range(len(idx)):
-        np.multiply(col, nk[:, j, None], out=J[:, :, j])
+    theta, delta, q_s = _commands(measurements)
+    J = np.empty((len(q_s), 6, len(idx)))
+    for b in _blocks(len(q_s)):
+        fit = _fit(params, theta[b], delta[b], q_s[b], b.start)
+        col, krow = _jacobian_factors(params, fit, *_chain_at(fit, params, k))
+        # -(col krow^T) with krow negated first: exact, signed zeros included
+        nk = -krow[:, idx]
+        for j in range(len(idx)):
+            np.multiply(col, nk[:, j, None], out=J[b, :, j])
+        del fit, col, krow, nk  # the next block's arrays are formed without this block's
     return J.reshape(-1, len(idx))
 
 

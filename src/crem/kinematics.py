@@ -33,8 +33,11 @@ from .model import (
     EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
+    _blocks,
     _equilibrium_angles,
+    _newton,
     _solve_equilibrium_arrays,
+    _solver_start,
     _theta_prime,
     uncertainty_lambda,
 )
@@ -199,10 +202,21 @@ def micro_trajectory(
 ):
     """Tip positions along an insertion sweep at fixed psi.
 
-    Returns (positions (N, 3), theta_s (N,), theta_prime (N,)).
+    Returns (positions (N, 3), theta_s (N,), theta_prime (N,)).  The depths are solved and
+    mapped over blocks of the schedule (model._blocks), each written into the outputs, so
+    that besides them the working set is one block's whatever N is.  The bits are those of
+    a one-depth call.  An error names a depth by its index in the schedule; NoConvergence's
+    count of samples still active covers the block the depth is in.
     """
-    kappa = _solve_equilibrium_arrays(params, psi.theta, psi.delta, qs_schedule,
-                                      uncertainty_lambda(k, qs_schedule, psi.theta))
-    th_s, th_e = _equilibrium_angles(params, psi.theta, qs_schedule, kappa)
-    return (_tip_positions(params, th_s, th_e, psi.delta, qs_schedule), th_s,
-            _theta_prime(th_s, th_e))
+    q = np.asarray(qs_schedule, dtype=float)
+    flat = q.ravel()
+    pos, th_s, th_p = np.empty((q.size, 3)), np.empty(q.size), np.empty(q.size)
+    for b in _blocks(q.size):
+        q_b = flat[b]
+        kappa = _newton(params, _solver_start(params, psi.theta, psi.delta, q_b, b.start),
+                        uncertainty_lambda(k, q_b, psi.theta))
+        th_s[b], th_e = _equilibrium_angles(params, psi.theta, q_b, kappa)
+        pos[b] = _tip_positions(params, th_s[b], th_e, psi.delta, q_b)
+        th_p[b] = _theta_prime(th_s[b], th_e)
+        del kappa, th_e  # the next block's arrays are formed without this block's
+    return pos.reshape(q.shape + (3,)), th_s.reshape(q.shape), th_p.reshape(q.shape)

@@ -32,6 +32,11 @@ THETA_BASE = math.pi / 2.0
 
 _SOLVER_TOL = 1e-12
 _SOLVER_MAX_ITER = 200
+# samples per block of a batch (_blocks).  Temporaries of a whole batch of 20,000 are
+# handed back to the kernel when freed and faulted in again on the next call; a block's are
+# reused from the heap block after block.  4,096 by measurement on the sweep workload:
+# 2,048 reads slower, 8,192 no faster
+_BLOCK = 4096
 
 
 def _integer(name: str, value, low: int) -> int:
@@ -41,6 +46,21 @@ def _integer(name: str, value, low: int) -> int:
             or not math.isfinite(value) or value != int(value) or value < low):
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value):
+    """ValidationError naming the field unless value is a real scalar: a bool, an array (a
+    0-d one too), a string or None is refused.  A float passes on its type alone."""
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
+def _blocks(n: int):
+    """Slices of the consecutive blocks of at most _BLOCK of n samples, none for n = 0: the one
+    place a batch is split.  A sample's bits are the same in any block; slice.start is the
+    batch index of the block's first sample."""
+    return [slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -96,21 +116,22 @@ class RobotParams:
 
 @dataclass(frozen=True)
 class ConfigState:
-    """Nominal bend angle theta and bending-plane angle delta, rad: real scalars (_check_domain)."""
+    """Nominal bend angle theta and bending-plane angle delta, rad: real scalars (_real) in
+    the domain (_check_domain)."""
 
     theta: float
     delta: float
 
     def __post_init__(self):
-        for name, v in (("theta", self.theta), ("delta", self.delta)):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValidationError(f"{name} must be a real number, got {v!r}")
+        _real("theta", self.theta)
+        _real("delta", self.delta)
         _check_domain((self.theta, self.delta), 0.0, None, "sample", 0)
 
 
 @dataclass(frozen=True)
 class UncertaintyParams:
-    """Affine actuation-uncertainty moment lambda = k0 + k_theta*theta + k_q*q_s."""
+    """Affine actuation-uncertainty moment lambda = k0 + k_theta*theta + k_q*q_s, of finite
+    real scalars (_real)."""
 
     k_lambda0: float = 0.0
     k_lambda_theta: float = 0.0
@@ -118,7 +139,9 @@ class UncertaintyParams:
 
     def __post_init__(self):
         for name in ("k_lambda0", "k_lambda_theta", "k_lambda_q"):
-            if not math.isfinite(getattr(self, name)):
+            v = getattr(self, name)
+            _real(name, v)
+            if not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -252,16 +275,19 @@ class _SolverStart(NamedTuple):
     _newton solves of the same samples."""
 
     samples: tuple  # (theta, delta, q_s) of one broadcast shape, for the messages
+    first: int  # index in the whole batch of the first sample, for the messages
     D: np.ndarray  # (n, N) backbone-major Delta_i of delta
     kappa0: np.ndarray  # (N,) the whole segment's curvature, where Newton starts
     M0: np.ndarray  # (N,) M(kappa0)
     M0_k: np.ndarray  # (N,) dM/dkappa at kappa0
 
 
-def _solver_start(params: RobotParams, theta, delta, q_s) -> _SolverStart:
+def _solver_start(params: RobotParams, theta, delta, q_s, first: int) -> _SolverStart:
     """Broadcast and check the samples and form what _newton needs at every lambda.
 
-    The first sample outside the domain (_check_domain, h = 0) is rejected.  The offsets D
+    The samples are one block of a batch from its index first (0 for a whole batch), and each
+    message names a sample by its index in the batch.  The first sample outside the domain
+    (_check_domain, h = 0) is rejected.  The offsets D
     are _offsets of delta formed before delta is broadcast, so that a sweep at one delta
     takes n cosines, not n per sample.  Newton starts from the whole segment's curvature
     kappa0 = (theta - theta0) / L with M(kappa0) and its slope; NonPhysicalLength names the
@@ -269,7 +295,7 @@ def _solver_start(params: RobotParams, theta, delta, q_s) -> _SolverStart:
     """
     delta_in = delta
     samples = theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
-    _check_domain(samples, 0.0, params.L, "sample", 0)
+    _check_domain(samples, 0.0, params.L, "sample", first)
     D = _offsets(params, delta_in, theta.ndim)
     if D.shape[1:] != theta.shape:
         D = np.broadcast_to(D, (params.n,) + theta.shape)
@@ -278,9 +304,9 @@ def _solver_start(params: RobotParams, theta, delta, q_s) -> _SolverStart:
     x, M0, M0_k = _arc_moment(params, D, kappa0)
     if np.count_nonzero(x <= 0.0):
         i = int(np.argmax(np.min(x, axis=0) <= 0.0))
-        raise NonPhysicalLength(f"sample {i}: {_sample(samples, i)}: backbone length <= 0 "
-                                f"(min {params.L * np.min(x[:, i]):.6g} mm)")
-    return _SolverStart(samples, D, kappa0, M0, M0_k)
+        raise NonPhysicalLength(f"sample {i + first}: {_sample(samples, i)}: backbone length "
+                                f"<= 0 (min {params.L * np.min(x[:, i]):.6g} mm)")
+    return _SolverStart(samples, first, D, kappa0, M0, M0_k)
 
 
 def _newton(params: RobotParams, start: _SolverStart, lam):
@@ -305,7 +331,8 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
     (uncertainty_lambda), broadcast to the samples' shape; the start is not
     changed.  Returns kappa of the samples' shape; _equilibrium_angles gives
     the angles.  NoConvergence names the active sample with the largest last
-    step by its flat index and counts the samples still active.
+    step by its index in the batch and counts the samples of the start still active: of
+    one block, in a batch longer than _BLOCK.
     """
     shape = start.samples[0].shape
     lam = np.asarray(lam, dtype=float)
@@ -314,7 +341,7 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
     # kappa is formed when part of the batch freezes; until then the active samples are all
     # of them, in order.  The active samples' working arrays are compacted only then
     kappa, n = None, start.kappa0.size
-    samples, Da, ka, M, M_k = start
+    samples, first, Da, ka, M, M_k = start
     active = np.arange(n)
     # a one-shot solve holds its start nowhere else: dropping it frees kappa0 and M(kappa0)
     # at the first step, as large batches need (at N = 20,000 a sweep is 10% slower with
@@ -353,18 +380,18 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
         step = step[~done]
         worst = int(np.argmax(step))
         raise NoConvergence(
-            f"sample {active[worst]}: {_sample(samples, active[worst])}: equilibrium not "
-            f"converged after {_SOLVER_MAX_ITER} Newton steps (last step {step[worst]:.3g} rad); "
-            f"{active.size} of {n} samples still active"
+            f"sample {first + active[worst]}: {_sample(samples, active[worst])}: equilibrium "
+            f"not converged after {_SOLVER_MAX_ITER} Newton steps (last step "
+            f"{step[worst]:.3g} rad); {active.size} of {n} samples still active"
         )
     return kappa.reshape(shape)
 
 
 def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
-    """kappa of one solve at lambda per sample lam: _newton from _solver_start.  A caller
-    that solves the same samples at many lambda, as the calibration fit does once per
-    evaluated k, forms the start once and calls _newton for each."""
-    return _newton(params, _solver_start(params, theta, delta, q_s), lam)
+    """kappa of one solve of a whole batch at lambda per sample lam: _newton from
+    _solver_start.  A caller that solves the same samples at many lambda, as the calibration
+    fit does once per evaluated k, forms the start once and calls _newton for each."""
+    return _newton(params, _solver_start(params, theta, delta, q_s, 0), lam)
 
 
 def _equilibrium_angles(params: RobotParams, theta, q_s, kappa):

@@ -99,6 +99,16 @@ DOMAIN_EDGES = [
 ANGLE_EDGES = DOMAIN_EDGES[:8]
 
 
+# (value, its repr in the message) of each kind of value the real-scalar rule refuses
+NOT_REAL = [
+    (np.array([1.0, 2.0]), "array([1., 2.])"),
+    (np.array(0.5), "array(0.5)"),
+    (True, "True"),
+    ("1.0", "'1.0'"),
+    (None, "None"),
+]
+
+
 def outside(name, values, domain) -> str:
     """The anchored pattern of the domain rule's message for the sample called name (as
     'sample 1') with values (theta, delta[, q_s]) outside domain."""

@@ -39,7 +39,7 @@ from crem.calibration import (
 from crem.kinematics import Pose
 from crem.rotations import NEAR_PI
 
-from conftest import oracle_rotation
+from conftest import NOT_REAL, oracle_rotation
 
 TH0 = np.pi / 2
 
@@ -133,6 +133,9 @@ def test_measurement_validation():
         ({"q_s": np.inf}, "^q_s must be finite and >= 0, got inf$"),
         ({"q_s": -1.0}, "^q_s must be finite and >= 0, got -1.0$"),
     ]
+    # ConfigState's type rule: an array or a bool would fail only later, in the fit
+    faults += [({"q_s": q_s}, f"^q_s must be a real number, got {re.escape(shown)}$")
+               for q_s, shown in NOT_REAL]
     # unchecked, a NaN R_bar gives a NaN orientation residual and a (2, 2)
     # one fails in _stack
     faults += [({"R_bar": R_bar}, "^R_bar must be a finite 3x3 matrix$")

@@ -665,7 +665,7 @@ def test_identification_jacobian_is_the_negated_rank_one_product(bench, k_cal, c
     ms = [Measurement(psi=ConfigState(*psi), q_s=qs, x_bar=np.zeros(3))
           for *psi, qs in zip(theta, delta, q_s)]
     # the solve and chain formed afresh (_solved_chain), not by the fit's Newton solve
-    col, krow = _jacobian_factors(bench, _fit(bench, theta, delta, q_s),
+    col, krow = _jacobian_factors(bench, _fit(bench, theta, delta, q_s, 0),
                                   *_solved_chain(bench, theta, delta, q_s, k_cal))
     idx = [PARAM_NAMES.index(name) for name in free]
     ref = (-(col[:, :, None] * krow[:, None, idx])).reshape(-1, len(idx))

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from crem import (
     ConfigState,
     EquilibriumConfig,
+    Measurement,
     NoConvergence,
     NonPhysicalLength,
     RobotParams,
@@ -18,11 +20,13 @@ from crem import (
     assemble_motion_jacobians,
     crem_pose,
     fd_discrepancies,
+    identification_jacobian,
     micro_trajectory,
     solve_equilibrium,
     uncertainty_lambda,
 )
 from crem import calibration, differential, kinematics, model
+from crem.calibration import PARAM_NAMES
 from crem.model import (_arc_moment, _newton, _offsets, _solve_equilibrium_arrays,
                         _solver_start)
 from conftest import (
@@ -30,6 +34,7 @@ from conftest import (
     CONFIG_DOMAIN,
     DOMAIN,
     DOMAIN_EDGES,
+    NOT_REAL,
     backbone_lengths,
     clear_kept_values,
     equilibrium_moments,
@@ -138,6 +143,21 @@ def test_config_state_takes_real_scalars_only(theta, delta, message, monkeypatch
     monkeypatch.setattr(model, "_check_domain", domain_checked)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ConfigState(theta, delta)
+
+
+@pytest.mark.parametrize("field", ["k_lambda0", "k_lambda_theta", "k_lambda_q"])
+@pytest.mark.parametrize("value,shown", NOT_REAL)
+def test_uncertainty_params_take_real_scalars_only(field, value, shown):
+    # ConfigState's rule: an array or a bool would fail only later, in the kept chain's key
+    with pytest.raises(ValidationError, match=f"^{field} must be a real number, got "
+                                              f"{re.escape(shown)}$"):
+        UncertaintyParams(**{field: value})
+
+
+def test_uncertainty_params_store_real_scalars_as_given():
+    k = UncertaintyParams(1, np.float64(0.5), -0.25)
+    assert [(type(v), v) for v in (k.k_lambda0, k.k_lambda_theta, k.k_lambda_q)] \
+        == [(int, 1), (np.float64, 0.5), (float, -0.25)]
 
 
 def test_equilibrium_config_angle_identity():
@@ -635,14 +655,15 @@ def test_one_start_solves_each_lambda_as_a_fresh_solve(bench, rows):
     q_s[:4], q_s[4:8], theta[8:12] = 0.0, bench.L, TH0
     q_s[8], q_s[9] = 0.0, bench.L
     th, de, qs = theta[rows], delta[rows], q_s[rows]
-    start = _solver_start(bench, th, de, qs)
-    kept = [a.copy() for a in start[1:]]
+    start = _solver_start(bench, th, de, qs, 0)
+    arrays = start.D, start.kappa0, start.M0, start.M0_k
+    kept = [a.copy() for a in arrays]
     for lam in (0.0, 0.45, -0.3, rng.uniform(-0.5, 0.5, 40)[rows], 0.45):
         got = _newton(bench, start, lam)
         fresh = _solve_equilibrium_arrays(bench, th, de, qs, lam)
         assert got.shape == np.shape(th) and got.tobytes() == fresh.tobytes()
     # no solve writes into the start it shares with the next
-    assert [a.tobytes() for a in start[1:]] == [a.tobytes() for a in kept]
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -776,3 +797,118 @@ def test_kept_solve_is_bit_identical_to_a_fresh_one(bench, k_cal, monkeypatch,
     kept = outputs(fresh=False)
     assert len(calls) == 1
     assert kept == outputs(fresh=True)
+
+
+# ---------------------------------------------------------------------------
+# blocks of a large batch (model._blocks)
+
+
+def block_measurements(theta, delta, q_s):
+    return [Measurement(psi=ConfigState(t, d), q_s=q, x_bar=np.zeros(3))
+            for t, d, q in zip(theta.tolist(), delta.tolist(), q_s.tolist())]
+
+
+def test_blocks_split_a_batch_in_order():
+    B = model._BLOCK
+    assert model._blocks(0) == []
+    assert model._blocks(B) == [slice(0, B)]
+    assert model._blocks(2 * B + 17) == [slice(0, B), slice(B, 2 * B), slice(2 * B, 2 * B + 17)]
+
+
+def test_blocks_change_no_bit(bench, k_cal):
+    # the first, last and edge rows of three blocks equal a call on that sample alone
+    B = model._BLOCK
+    n = 2 * B + 17
+    rng = np.random.default_rng(29)
+    theta, delta = rng.uniform(0.3, 2.8, n), rng.uniform(-np.pi, np.pi, n)
+    q_s = rng.uniform(0.0, bench.L, n)
+    rows = [0, B - 1, B, B + 1, 2 * B, n - 1]
+    theta[[0, B, n - 1]] = TH0
+    q_s[[0, B + 1]], q_s[[B - 1, 2 * B]] = 0.0, bench.L
+    ms = block_measurements(theta, delta, q_s)
+    J = identification_jacobian(ms, bench, k_cal, PARAM_NAMES).reshape(n, 6, 3)
+    for i in rows:
+        alone = identification_jacobian([ms[i]], bench, k_cal, PARAM_NAMES)
+        assert J[i].tobytes() == alone.tobytes(), i
+    for psi in (ConfigState(TH0, 0.3), ConfigState(1.0, -2.0)):
+        sweep = micro_trajectory(bench, psi, q_s, k_cal)
+        for i in rows:
+            alone = micro_trajectory(bench, psi, q_s[i:i + 1], k_cal)
+            assert [a[i].tobytes() for a in sweep] == [a[0].tobytes() for a in alone], i
+
+
+def test_block_errors_name_the_sample_in_the_batch(bench, k_cal):
+    B = model._BLOCK
+    n = B + 10
+    q_s = np.linspace(0.0, bench.L, n)
+    psi = ConfigState(1.0, 0.3)
+    q_s[B + 3] = np.nan
+    with pytest.raises(ValidationError, match=rf"^sample {B + 3}: \(theta, delta, q_s\) = "
+                                              r"\(1, 0\.3, nan\) outside "):
+        micro_trajectory(bench, psi, q_s, k_cal)
+    # a Measurement refuses a NaN depth itself; one deeper than L reaches the solver start
+    q_s[B + 3] = 2.0 * bench.L
+    with pytest.raises(ValidationError, match=rf"^sample {B + 3}: \(theta, delta, q_s\) = "
+                                              r"\(1, 0\.3, 88\.6\) outside "):
+        identification_jacobian(block_measurements(np.full(n, 1.0), np.full(n, 0.3), q_s),
+                                bench, k_cal, PARAM_NAMES)
+
+
+def test_block_non_physical_length_names_the_sample_in_the_batch(bench, k_zero):
+    # the short robot of test_non_physical_lengths_rejected; a sweep shares one psi, so
+    # there every sample fails and sample 0 is named: only the Jacobian's measurements
+    # can fail past the first block
+    short = RobotParams(L=1.0, r=3.0, E_p=bench.E_p, E_i=bench.E_i, E_s=bench.E_s,
+                        I_p=bench.I_p, I_i=bench.I_i, I_s=bench.I_s)
+    B = model._BLOCK
+    n = B + 10
+    theta = np.full(n, 1.5)
+    theta[B + 5] = 0.2
+    ms = block_measurements(theta, np.zeros(n), np.full(n, 0.5))
+    with pytest.raises(NonPhysicalLength, match=rf"^sample {B + 5}: \(theta, delta, q_s\) = "
+                                                r"\(0\.2, 0, 0\.5\): backbone length <= 0 "):
+        identification_jacobian(ms, short, k_zero, PARAM_NAMES)
+
+
+def test_block_no_convergence_names_the_sample_and_counts_its_block(bench, monkeypatch):
+    # straight at depth 0, lambda = k_q q_s is 0 and the first step is zero; the one deeper
+    # sample cannot settle in one step.  The count of active samples is of its block
+    B = model._BLOCK
+    n = B + 10
+    q_s = np.zeros(n)
+    q_s[B + 7] = 15.0
+    k = UncertaintyParams(0.0, 0.0, 0.01)
+    monkeypatch.setattr(model, "_SOLVER_MAX_ITER", 1)
+    pattern = (rf"^sample {B + 7}: \(theta, delta, q_s\) = \(1\.5708, 0\.2, 15\): "
+               rf"equilibrium not converged after 1 .*; 1 of {n - B} samples still active$")
+    with pytest.raises(NoConvergence, match=pattern):
+        micro_trajectory(bench, ConfigState(TH0, 0.2), q_s, k)
+    with pytest.raises(NoConvergence, match=pattern):
+        identification_jacobian(block_measurements(np.full(n, TH0), np.full(n, 0.2), q_s),
+                                bench, k, PARAM_NAMES)
+
+
+def temporaries(call):
+    """Peak bytes the call allocates (tracemalloc) less the bytes of the arrays it returns."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+
+
+def test_block_working_set_is_bounded(bench, k_cal):
+    # from N = B to N = 4B the temporaries grow by no more than the Jacobian's three (N,)
+    # command arrays at 4B: one block's arrays, none kept while the next block's are formed
+    B = model._BLOCK
+    psi = ConfigState(1.0, 0.3)
+    used = {}
+    for n in (B, 4 * B):
+        q_s = np.linspace(0.0, bench.L, n)
+        ms = block_measurements(np.full(n, 1.0), np.full(n, 0.3), q_s)
+        used[n] = (temporaries(lambda: micro_trajectory(bench, psi, q_s, k_cal)),
+                   temporaries(lambda: identification_jacobian(ms, bench, k_cal, PARAM_NAMES)))
+    commands = 3 * 8 * 4 * B
+    assert all(grown <= commands for grown in np.subtract(used[4 * B], used[B])), used

@@ -21,7 +21,8 @@ adds a setting raises the pin in its own diff and one which removes a
 setting lowers it.  The model's domain of (theta, delta, q_s) is written
 once, so that no second copy of the rule can drift from it.  The planar
 chain has one record, the one namedtuple with the field e_x, so that no
-second chain record can drift from it.
+second chain record can drift from it.  A batch is split into blocks in one
+place, so that no second block loop can drift from it.
 """
 import argparse
 import ast
@@ -292,3 +293,32 @@ def test_planar_chain_has_one_record():
     records = [f"{path.stem}.{name}" for path in SRC.glob("*.py")
                for name in records_with_field(path.read_text(encoding="utf-8"), "e_x")]
     assert records == ["kinematics._Chain"]
+
+
+def block_splitters(source: str):
+    """Names of the functions the source defines that read _BLOCK or call range with a step,
+    sorted: each one forms the slices of a batch's blocks."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                (isinstance(n, ast.Name) and n.id == "_BLOCK")
+                or (isinstance(n, ast.Call) and ast.unparse(n.func) == "range"
+                    and len(n.args) == 3) for n in ast.walk(node)):
+            names.append(node.name)
+    return sorted(names)
+
+
+def test_checker_finds_block_splitters():
+    source = ("_BLOCK = 4\n"
+              "def a(n): return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]\n"
+              "def b(n): return [slice(i, i + 4) for i in range(0, n, 4)]\n"
+              "def c(n):\n    for i in range(n): pass\n"
+              "def d(x): return x[:_BLOCK]\n")
+    assert block_splitters(source) == ["a", "b", "d"]
+
+
+def test_batches_are_split_in_one_place():
+    # model._blocks forms the block slices of micro_trajectory and identification_jacobian
+    splitters = [f"{path.stem}.{name}" for path in SRC.glob("*.py")
+                 for name in block_splitters(path.read_text(encoding="utf-8"))]
+    assert splitters == ["model._blocks"]
