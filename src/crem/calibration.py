@@ -229,9 +229,9 @@ class _Fit(NamedTuple):
 
 
 def _fit(params: RobotParams, theta, delta, q_s, first: int) -> _Fit:
-    """The k-free arrays of the commands, one block of a batch from its index first there (0
-    for a whole batch); the solver's domain and stretch checks run here, once, naming the
-    first sample that fails by its index in the batch."""
+    """The k-free arrays of the commands, one block of a batch starting at index first (0 for
+    a whole batch); the solver's domain and stretch checks run here, once, naming the first
+    sample that fails by its index in the batch."""
     start = _solver_start(params, theta, delta, q_s, first)
     th_e = _theta_eps(params, theta, q_s)
     return _Fit(theta, delta, q_s, np.column_stack([np.ones_like(theta), theta, q_s]),

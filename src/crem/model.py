@@ -285,8 +285,8 @@ class _SolverStart(NamedTuple):
 def _solver_start(params: RobotParams, theta, delta, q_s, first: int) -> _SolverStart:
     """Broadcast and check the samples and form what _newton needs at every lambda.
 
-    The samples are one block of a batch from its index first (0 for a whole batch), and each
-    message names a sample by its index in the batch.  The first sample outside the domain
+    The samples are one block of a batch starting at index first (0 for a whole batch), and
+    each message names a sample by its index in the batch.  The first sample outside the domain
     (_check_domain, h = 0) is rejected.  The offsets D
     are _offsets of delta formed before delta is broadcast, so that a sweep at one delta
     takes n cosines, not n per sample.  Newton starts from the whole segment's curvature

@@ -133,7 +133,8 @@ def test_measurement_validation():
         ({"q_s": np.inf}, "^q_s must be finite and >= 0, got inf$"),
         ({"q_s": -1.0}, "^q_s must be finite and >= 0, got -1.0$"),
     ]
-    # ConfigState's type rule: an array or a bool would fail only later, in the fit
+    # ConfigState's type rule, before the range check: without it an array raised numpy's
+    # ambiguous-truth ValueError, and a bool or a 0-d array passed
     faults += [({"q_s": q_s}, f"^q_s must be a real number, got {re.escape(shown)}$")
                for q_s, shown in NOT_REAL]
     # unchecked, a NaN R_bar gives a NaN orientation residual and a (2, 2)

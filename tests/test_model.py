@@ -148,7 +148,8 @@ def test_config_state_takes_real_scalars_only(theta, delta, message, monkeypatch
 @pytest.mark.parametrize("field", ["k_lambda0", "k_lambda_theta", "k_lambda_q"])
 @pytest.mark.parametrize("value,shown", NOT_REAL)
 def test_uncertainty_params_take_real_scalars_only(field, value, shown):
-    # ConfigState's rule: an array or a bool would fail only later, in the kept chain's key
+    # ConfigState's rule: without it an array raised TypeError, and a bool or a 0-d array
+    # passed, a 0-d one to fail later in the kept chain's key
     with pytest.raises(ValidationError, match=f"^{field} must be a real number, got "
                                               f"{re.escape(shown)}$"):
         UncertaintyParams(**{field: value})
