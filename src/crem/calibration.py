@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, SingularNormalEquations, ValidationError
-from .kinematics import Pose, _Arc, _arc, _chain, _Chain, _turn, segment_rotation
+from .kinematics import Pose, _Arc, _arc, _chain, _Chain, _columns, _turn, segment_rotation
 from .model import (
     THETA_BASE,
     ConfigState,
@@ -208,21 +208,32 @@ def _weighted_cost(c, w):
 
 
 def _commands(measurements):
-    """Commanded (theta, delta, q_s) of the measurements as float arrays."""
-    return (np.fromiter([m.psi.theta for m in measurements], float, len(measurements)),
-            np.fromiter([m.psi.delta for m in measurements], float, len(measurements)),
-            np.fromiter([m.q_s for m in measurements], float, len(measurements)))
+    """Commanded (theta, delta, q_s) of the measurements as float arrays, the one place the
+    package reads them.  theta or delta is one float when every measurement's has the same
+    bits, so that a set at one psi forms its psi-only terms once (model._solver_start, _fit);
+    the test is bitwise because -0.0 and 0.0 differ, as sin(-0.0) = -0.0 does."""
+    n = len(measurements)
+    theta = np.fromiter([m.psi.theta for m in measurements], float, n)
+    delta = np.fromiter([m.psi.delta for m in measurements], float, n)
+    return (_one_value(theta), _one_value(delta),
+            np.fromiter([m.q_s for m in measurements], float, n))
+
+
+def _one_value(a):
+    """a[0] when every element of the nonempty a has its bits, else a."""
+    bits = a.view(np.int64)
+    return a[0] if a.size and np.count_nonzero(bits != bits[0]) == 0 else a
 
 
 class _Fit(NamedTuple):
     """The arrays of a set of commands that k does not move, formed once per fit (_fit)."""
 
-    theta: np.ndarray  # (N,) commanded theta
-    delta: np.ndarray  # (N,)
+    theta: np.ndarray  # (N,) commanded theta, or one float for every sample (_commands)
+    delta: np.ndarray  # (N,) or one float, as theta
     q_s: np.ndarray  # (N,)
     u: np.ndarray  # (N, 3) u_i = (1, theta_i, q_s_i): lambda_i = u_i . k
-    sd: np.ndarray  # (N,) sin delta
-    cd: np.ndarray  # (N,) cos delta
+    sd: np.ndarray  # sin delta, of delta's shape
+    cd: np.ndarray  # cos delta, of delta's shape
     th_e: np.ndarray  # (N,) theta_eps, the empty arc's angle
     arc_e: _Arc  # _arc of theta_eps
     start: _SolverStart  # _solver_start of the commands, its offsets D included
@@ -234,7 +245,7 @@ def _fit(params: RobotParams, theta, delta, q_s, first: int) -> _Fit:
     sample that fails by its index in the batch."""
     start = _solver_start(params, theta, delta, q_s, first)
     th_e = _theta_eps(params, theta, q_s)
-    return _Fit(theta, delta, q_s, np.column_stack([np.ones_like(theta), theta, q_s]),
+    return _Fit(theta, delta, q_s, _columns(q_s.shape, 1.0, theta, q_s),
                 np.sin(delta), np.cos(delta), th_e, _arc(th_e), start)
 
 
@@ -280,12 +291,13 @@ def _residuals(data: _Dataset, params: RobotParams, k: UncertaintyParams):
     next Jacobian reads."""
     fit = data.fit
     kappa, chain = _chain_at(fit, params, k)
-    c = np.zeros((len(fit.theta), 6))
+    c = np.zeros((len(fit.q_s), 6))
     c[:, :3] = data.x_bar - _turn(chain.x, chain.z, fit.sd, fit.cd)
     if data.rot.size:
         rot = data.rot
         # the tip frame turns by pi/2 - theta_prime in the plane delta
-        R = segment_rotation(_theta_prime(chain.th_s[rot], fit.th_e[rot]), fit.delta[rot])
+        R = segment_rotation(_theta_prime(chain.th_s[rot], fit.th_e[rot]),
+                             fit.delta[rot] if np.ndim(fit.delta) else fit.delta)
         c[rot, 3:] = axis_angle_vector(data.R_bar @ np.swapaxes(R, -1, -2))
     return c, (kappa, chain)
 
@@ -322,7 +334,7 @@ def identification_jacobian(
     theta, delta, q_s = _commands(measurements)
     J = np.empty((len(q_s), 6, len(idx)))
     for b in _blocks(len(q_s)):
-        fit = _fit(params, theta[b], delta[b], q_s[b], b.start)
+        fit = _fit(params, *(a[b] if np.ndim(a) else a for a in (theta, delta, q_s)), b.start)
         col, krow = _jacobian_factors(params, fit, *_chain_at(fit, params, k))
         # -(col krow^T) with krow negated first: exact, signed zeros included
         nk = -krow[:, idx]
@@ -434,20 +446,25 @@ def nls_estimate(
 
 
 def _principal_direction(positions):
-    """(e, c): the unit vector e of largest positional spread (leading SVD direction).
+    """(e, c): the unit vector e of largest positional spread and the progress c along it.
 
     The micro-motion path is an out-and-back hairpin: close to the
     vertex the step vectors rotate smoothly through the transverse
     component, so local step-to-step tests miss the reversal.  The
-    progress c = (p - p[0]) e along this global axis, returned with e,
-    is the quantity whose sign flips at the turning point.
+    progress c = (p - p[0]) e along this global axis is the quantity whose
+    sign flips at the turning point.  p - p[0] is formed once, as a contiguous
+    (3, N) array q; e is the leading eigenvector (np.linalg.eigh) of its 3x3
+    scatter about the mean m, q q^T - N m m^T, so no tall SVD and no centred
+    copy.  The shift by p[0] keeps m within the path's extent, so the
+    subtraction loses few digits.
     """
     p = np.asarray(positions, dtype=float)
-    centered = p - p.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    e = vt[0]
+    q = np.subtract(p.T, p[0, :, None], out=np.empty(p.shape[::-1]))
+    m = q.mean(axis=1)
+    scatter = np.einsum("ik,jk->ij", q, q) - len(p) * np.outer(m, m)
+    e = np.linalg.eigh(scatter)[1][:, -1]
+    c = e @ q
     # orient so the farthest-progress sample lies on the positive side
-    c = (p - p[0]) @ e
     return (-e, -c) if c[np.argmax(np.abs(c))] < 0.0 else (e, c)
 
 
@@ -455,20 +472,19 @@ def direction_reversals(positions) -> np.ndarray:
     """Sample indices where progress along the principal axis reverses.
 
     For each step the displacement is projected onto the principal
-    direction of the whole path; a sign change between consecutive
-    projections marks the vertex sample.  Intended for clean
-    trajectories where every sign change is structural.
+    direction of the whole path; a step's sign that is opposite to that of
+    the last nonzero step before it marks the vertex sample, so a zero step
+    carries the sign before it.  Intended for clean trajectories where every
+    sign change is structural.
     """
     p = np.asarray(positions, dtype=float)
     if p.ndim != 2 or p.shape[0] < 3:
         return np.array([], dtype=int)
     e, _ = _principal_direction(p)
-    s = np.diff(p, axis=0) @ e
-    sgn = np.sign(s)
-    for i in range(1, sgn.size):
-        if sgn[i] == 0.0:
-            sgn[i] = sgn[i - 1]
-    return np.nonzero(sgn[1:] * sgn[:-1] < 0.0)[0] + 1
+    sgn = np.sign(np.diff(p, axis=0) @ e)
+    moved = np.flatnonzero(sgn)
+    # step i leaves sample i, so a step against the one before it turns at its own index
+    return moved[1:][sgn[moved[1:]] * sgn[moved[:-1]] < 0.0]
 
 
 def turning_point_index(positions) -> int | None:

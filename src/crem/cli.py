@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: simulate-micro, simulate-macro, jacobian-check, calibrate,
-gen-synthetic.  argparse parses every flag: a malformed one, or an --eta,
+gen-synthetic.  argparse parses every flag: a malformed one, an --eta,
 --conv, --max-iter, --free, --noise or --seed value that the rules of
-CalibrationConfig or generate_synthetic refuse, is a usage error before
-main loads the robot config named by --config (default: the CREM_CONFIG
-environment variable).  Out-of-domain --theta, --delta, --theta-range, --qs
-and --qs-range values parse and exit 1 when the command runs.  Each command
+CalibrationConfig or generate_synthetic refuse, or a --theta, --delta or
+--theta-range angle outside the model's domain (model._check_domain), is a
+usage error before main loads the robot config named by --config (default:
+the CREM_CONFIG environment variable).  --qs and --qs-range depths need the
+config's L: out of range, they exit 1 when the command runs.  Each command
 writes CSV through dataio's one writer and returns a summary, which main
 prints as one line of JSON on stdout.  The simulate, jacobian-check and
 calibrate artifacts start with '# schema=1'; gen-synthetic writes the
@@ -42,7 +43,8 @@ from .dataio import (
 from .differential import _fd_discrepancy_arrays, _jacobian_arrays
 from .errors import CremError
 from .kinematics import _solved_chain, micro_trajectory
-from .model import ConfigState, UncertaintyParams, _broadcast_samples, _integer
+from .model import (THETA_BASE, ConfigState, UncertaintyParams, _broadcast_samples,
+                    _check_domain, _integer)
 
 _FD_TOL = 1e-6
 _FREE_TOKENS = {"k0": "k_lambda0", "ktheta": "k_lambda_theta", "kq": "k_lambda_q"}
@@ -98,6 +100,19 @@ def _checked(parse, check):
         return value
     convert.__name__ = parse.__name__  # argparse reports a ValueError as "invalid float value"
     return convert
+
+
+def _in_domain(axis: int):
+    """A check for _checked of an angle flag in degrees, or of a range of them: their radians
+    as theta (axis 0) or delta (axis 1) of model._check_domain, the other angle held inside
+    the domain at the straight theta or delta = 0; the error names the first bad sample."""
+    def check(degrees):
+        angle = np.radians(degrees)
+        _check_domain((angle, 0.0) if axis == 0 else (THETA_BASE, angle), 0.0, None, "sample", 0)
+    return check
+
+
+_THETA, _DELTA = _checked(float, _in_domain(0)), _checked(float, _in_domain(1))
 
 
 def _free(text: str) -> tuple:
@@ -220,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-micro", parents=[config, k_lambda],
                        help="tip trajectory of an insertion sweep")
-    p.add_argument("--theta", type=float, required=True, help="bend angle, deg")
-    p.add_argument("--delta", type=float, default=0.0, help="bending plane, deg")
+    p.add_argument("--theta", type=_THETA, required=True, help="bend angle, deg")
+    p.add_argument("--delta", type=_DELTA, default=0.0, help="bending plane, deg")
     p.add_argument("--qs-range", type=_range, required=True,
                    help="insertion sweep lo:hi:count, mm")
     p.add_argument("--out", required=True, help="output CSV")
@@ -230,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-macro", parents=[config, k_lambda],
                        help="tip pose and J_M along a theta sweep")
     p.add_argument("--qs", type=float, required=True, help="insertion depth, mm")
-    p.add_argument("--theta-range", type=_range, required=True,
+    p.add_argument("--theta-range", type=_checked(_range, _in_domain(0)), required=True,
                    help="theta sweep lo:hi:count, deg")
-    p.add_argument("--delta", type=float, default=0.0, help="bending plane, deg")
+    p.add_argument("--delta", type=_DELTA, default=0.0, help="bending plane, deg")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_simulate_macro)
 
@@ -266,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", parents=[config, k_lambda],
                        help="model-generated noisy dataset")
-    p.add_argument("--theta", type=float, required=True, help="bend angle, deg")
-    p.add_argument("--delta", type=float, default=0.0, help="bending plane, deg")
+    p.add_argument("--theta", type=_THETA, required=True, help="bend angle, deg")
+    p.add_argument("--delta", type=_DELTA, default=0.0, help="bending plane, deg")
     p.add_argument("--qs-range", type=_range, required=True,
                    help="insertion sweep lo:hi:count, mm")
     p.add_argument("--noise", type=_checked(float, _check_noise_sigma), default=0.0,

@@ -274,39 +274,52 @@ class _SolverStart(NamedTuple):
     """The lambda-free part of a solve, formed once by _solver_start for any number of
     _newton solves of the same samples."""
 
-    samples: tuple  # (theta, delta, q_s) of one broadcast shape, for the messages
+    samples: tuple  # (theta, delta, q_s) as float arrays of their own shapes, for the messages
+    shape: tuple  # the samples' broadcast shape
     first: int  # index in the whole batch of the first sample, for the messages
-    D: np.ndarray  # (n, N) backbone-major Delta_i of delta
-    kappa0: np.ndarray  # (N,) the whole segment's curvature, where Newton starts
-    M0: np.ndarray  # (N,) M(kappa0)
-    M0_k: np.ndarray  # (N,) dM/dkappa at kappa0
+    D: np.ndarray  # (n, N) backbone-major Delta_i of delta, or (n, 1) of one delta
+    kappa0: np.ndarray  # (N,) the whole segment's curvature, where Newton starts; 0-d of one
+    M0: np.ndarray  # (N,) or 0-d, as kappa0: M(kappa0)
+    M0_k: np.ndarray  # (N,) or 0-d, as kappa0: dM/dkappa at kappa0
 
 
 def _solver_start(params: RobotParams, theta, delta, q_s, first: int) -> _SolverStart:
-    """Broadcast and check the samples and form what _newton needs at every lambda.
+    """Check the samples and form what _newton needs at every lambda.
 
     The samples are one block of a batch starting at index first (0 for a whole batch), and
     each message names a sample by its index in the batch.  The first sample outside the domain
-    (_check_domain, h = 0) is rejected.  The offsets D
-    are _offsets of delta formed before delta is broadcast, so that a sweep at one delta
-    takes n cosines, not n per sample.  Newton starts from the whole segment's curvature
+    (_check_domain, h = 0) is rejected.  Newton starts from the whole segment's curvature
     kappa0 = (theta - theta0) / L with M(kappa0) and its slope; NonPhysicalLength names the
-    first sample with a whole-segment backbone length that is not positive.
+    first sample with a whole-segment backbone length that is not positive.  The check, the
+    offsets D = _offsets of delta, kappa0, M(kappa0), its slope and the stretches are formed
+    at the inputs' own shapes, so that a sweep at one psi = (theta, delta) takes them once,
+    not once per sample; they are broadcast to the batch only afterwards, and a term of one
+    value stays one (D as (n, 1), the others 0-d), which broadcasts against the batch as it is.
     """
-    delta_in = delta
-    samples = theta, delta, q_s = _broadcast_samples(theta, delta, q_s)
+    samples = theta, delta, q_s = [np.asarray(a, dtype=float) for a in (theta, delta, q_s)]
+    shape = np.broadcast(*samples).shape
     _check_domain(samples, 0.0, params.L, "sample", first)
-    D = _offsets(params, delta_in, theta.ndim)
-    if D.shape[1:] != theta.shape:
-        D = np.broadcast_to(D, (params.n,) + theta.shape)
-    D = D.reshape(params.n, -1)
-    kappa0 = ((theta - THETA_BASE) / params.L).ravel()
+    D = _offsets(params, delta, len(shape))
+    kappa0 = (theta - THETA_BASE) / params.L
     x, M0, M0_k = _arc_moment(params, D, kappa0)
     if np.count_nonzero(x <= 0.0):
-        i = int(np.argmax(np.min(x, axis=0) <= 0.0))
-        raise NonPhysicalLength(f"sample {i + first}: {_sample(samples, i)}: backbone length "
-                                f"<= 0 (min {params.L * np.min(x[:, i]):.6g} mm)")
-    return _SolverStart(samples, first, D, kappa0, M0, M0_k)
+        x = np.broadcast_to(x, (params.n,) + shape).reshape(params.n, -1)
+        bad = np.min(x, axis=0) <= 0.0
+        if bad.any():  # an empty batch has no sample to fail
+            i = int(np.argmax(bad))
+            raise NonPhysicalLength(f"sample {i + first}: {_sample(samples, i)}: backbone "
+                                    f"length <= 0 (min {params.L * np.min(x[:, i]):.6g} mm)")
+    # each term as it broadcasts against the flat batch: one value, or one per sample, as it
+    # is; a term of some other shape (theta on a grid of theta by q_s) broadcast to the batch
+    size = math.prod(shape)
+    if D.size != params.n and D.size != params.n * size:
+        D = np.broadcast_to(D, (params.n,) + shape)
+    if M0.ndim:  # else all three are of one psi
+        kappa0, M0, M0_k = [a if a.ndim == 0 else (
+            a if a.size == 1 or a.size == size else np.broadcast_to(a, shape)).ravel()
+            for a in (kappa0, M0, M0_k)]
+    return _SolverStart((theta, delta, q_s), shape, first, D.reshape(params.n, -1), kappa0,
+                        M0, M0_k)
 
 
 def _newton(params: RobotParams, start: _SolverStart, lam):
@@ -327,27 +340,28 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
     step forms the stretches x_i = 1 + Delta_i kappa once, for the safeguard
     and for the next step's moment, and works on the shrinking active set:
     arrays of the active samples, D and x backbone-major (n, N_active),
-    compacted only when samples freeze.  lam is lambda per sample
+    compacted only when samples freeze; the start's terms of one psi enter the
+    first step as they are, and D of one delta stays (n, 1).  lam is lambda per sample
     (uncertainty_lambda), broadcast to the samples' shape; the start is not
     changed.  Returns kappa of the samples' shape; _equilibrium_angles gives
     the angles.  NoConvergence names the active sample with the largest last
     step by its index in the batch and counts the samples of the start still active: of
     one block, in a batch longer than _BLOCK.
     """
-    shape = start.samples[0].shape
+    shape = start.shape
     lam = np.asarray(lam, dtype=float)
     if lam.shape != shape:
         lam = np.broadcast_to(lam, shape)
-    # kappa is formed when part of the batch freezes; until then the active samples are all
-    # of them, in order.  The active samples' working arrays are compacted only then
-    kappa, n = None, start.kappa0.size
-    samples, first, Da, ka, M, M_k = start
-    active = np.arange(n)
+    samples, _, first, Da, ka, M, M_k = start
     # a one-shot solve holds its start nowhere else: dropping it frees kappa0 and M(kappa0)
     # at the first step, as large batches need (at N = 20,000 a sweep is 10% slower with
     # them kept)
     del start
     rhs = M - lam.ravel()
+    # kappa is formed when part of the batch freezes; until then the active samples are all
+    # of them, in order.  The active samples' working arrays are compacted only then
+    kappa, n = None, rhs.size
+    active = np.arange(n)
     for _ in range(_SOLVER_MAX_ITER):
         s = (rhs - M - params.EI_s * ka) / (M_k + params.EI_s)
         new = ka + s
@@ -374,7 +388,9 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
                 kappa = np.empty(n)
             kappa[active[done]] = ka[done]
             keep = ~done
-            active, ka, rhs, Da, x = active[keep], ka[keep], rhs[keep], Da[:, keep], x[:, keep]
+            active, ka, rhs, x = active[keep], ka[keep], rhs[keep], x[:, keep]
+            if Da.shape[1] > 1:  # the offsets of one delta serve every sample as they are
+                Da = Da[:, keep]
         M, M_k, _ = _stretched_moment(params, x, ka)
     else:
         step = step[~done]

@@ -624,17 +624,66 @@ def test_principal_direction_of_a_line():
 
 
 def test_principal_direction_returns_the_progress_along_it():
-    # ten random clouds: LAPACK's sign of the leading direction leaves some to flip
+    # ten random clouds: the sign of the raw eigh vector leaves some to flip, so both
+    # orientation branches run
     rng = np.random.default_rng(0)
     flipped = []
     for _ in range(10):
         p = rng.normal(size=(10, 3))
         e, c = _principal_direction(p)
-        # equal in value: a flip negates c, so the first sample's progress is -0.0
-        assert np.array_equal(c, (p - p[0]) @ e)
-        assert c[np.argmax(np.abs(c))] > 0.0
-        flipped.append(np.array_equal(e, -np.linalg.svd(p - p.mean(axis=0))[2][0]))
+        assert_allclose(c, (p - p[0]) @ e, rtol=0.0, atol=1e-14)
+        assert c[0] == 0.0 and c[np.argmax(np.abs(c))] > 0.0
+        centred = p - p.mean(axis=0)
+        raw = np.linalg.eigh(centred.T @ centred)[1][:, -1]
+        assert_allclose(np.abs(e @ raw), 1.0, rtol=0.0, atol=1e-14)
+        flipped.append(e @ raw < 0.0)
     assert any(flipped) and not all(flipped)
+
+
+def svd_direction(p):
+    """_principal_direction by the leading right singular vector of the centred positions."""
+    e = np.linalg.svd(p - p.mean(axis=0), full_matrices=False)[2][0]
+    c = (p - p[0]) @ e
+    return (-e, -c) if c[np.argmax(np.abs(c))] < 0.0 else (e, c)
+
+
+def loop_reversals(p, e):
+    """direction_reversals along e, a zero step carrying the sign before it by a loop."""
+    sgn = np.sign(np.diff(p, axis=0) @ e)
+    for i in range(1, sgn.size):
+        if sgn[i] == 0.0:
+            sgn[i] = sgn[i - 1]
+    return np.nonzero(sgn[1:] * sgn[:-1] < 0.0)[0] + 1
+
+
+def test_turning_point_agrees_with_an_svd_reference(bench, monkeypatch):
+    # seeded sweeps, clean and noisy, of 3 to 20,000 samples: the scatter's eigenvector
+    # finds the same turning sample and the same reversals as the tall SVD
+    rng = np.random.default_rng(30)
+    lengths = [3, 4, 5, 20_000, *np.geomspace(3, 20_000, 120).astype(int)]
+    for i, n in enumerate(lengths):
+        psi = ConfigState(rng.uniform(0.3, TH0) if i % 8 else TH0, rng.uniform(-np.pi, np.pi))
+        k = UncertaintyParams(rng.uniform(-0.5, 0.5), 0.0, rng.uniform(-0.05, 0.05))
+        pos, _, _ = micro_trajectory(bench, psi, np.linspace(0.0, bench.L, n), k)
+        for p in (pos, pos + 0.002 * rng.standard_normal(pos.shape)):
+            got = turning_point_index(p), direction_reversals(p)
+            with monkeypatch.context() as patch:
+                patch.setattr(calibration, "_principal_direction", svd_direction)
+                assert got[0] == turning_point_index(p)
+            assert np.array_equal(got[1], loop_reversals(p, svd_direction(p)[0]))
+
+
+def test_reversals_carry_the_sign_over_zero_steps():
+    # a path along x with repeated samples: leading, interior and trailing zero steps
+    x = np.array([0, 0, 0, 1, 2, 2, 2, 1, 1, 0, 0, 1, 3, 3], dtype=float)
+    p = np.column_stack([x, 0.0 * x, 0.0 * x])
+    e, _ = _principal_direction(p)
+    expected = loop_reversals(p, e)
+    assert np.array_equal(expected, [6, 10])
+    assert np.array_equal(direction_reversals(p), expected)
+    # only zero steps before the first move, and a path that never moves
+    assert np.array_equal(direction_reversals(p[:5]), [])
+    assert direction_reversals(np.zeros((6, 3))).size == 0
 
 
 def test_clean_hairpin_has_one_reversal(hairpin):

@@ -118,27 +118,49 @@ def test_macro_bad_range_is_usage_error(config_path, tmp_path):
 
 @pytest.mark.parametrize("theta_range", ["0:60:4", "30:180:4", "30:200:2"])
 def test_macro_theta_outside_range_fails(config_path, tmp_path, theta_range):
+    # refused as a usage error, naming the first angle outside the domain
     proc = crem("simulate-macro", "--config", config_path, "--qs", "13.29",
                 "--theta-range", theta_range, "--out", str(tmp_path / "x.csv"))
-    assert proc.returncode == 1
-    assert "theta" in proc.stderr
+    assert proc.returncode == 2
+    assert "argument --theta-range: sample " in proc.stderr
+    assert "outside (0, pi) x (-pi, pi]" in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("argv, values", [
-    (["simulate-micro", "--theta", "200", "--qs-range", "0:40:5"], "3.49066, 0"),
+@pytest.mark.parametrize("argv, message", [
+    (["simulate-micro", "--theta", "200", "--qs-range", "0:40:5"],
+     "argument --theta: sample 0: (theta, delta) = (3.49066, 0)"),
     (["simulate-micro", "--theta", "30", "--delta", "400", "--qs-range", "0:40:5"],
-     "0.523599, 6.98132"),
-    (["gen-synthetic", "--theta", "0", "--qs-range", "0:40:5"], "0, 0"),
-], ids=["micro-theta", "micro-delta", "synthetic-theta"])
-def test_angle_outside_its_range_fails_when_the_command_runs(config_path, tmp_path, argv,
-                                                             values):
-    # an angle is parsed as any float; the model's range check refuses it at run time
+     "argument --delta: sample 0: (theta, delta) = (1.5708, 6.98132)"),
+    (["simulate-macro", "--qs", "10", "--theta-range", "30:30:1", "--delta", "-180"],
+     "argument --delta: sample 0: (theta, delta) = (1.5708, -3.14159)"),
+    (["gen-synthetic", "--theta", "0", "--qs-range", "0:40:5"],
+     "argument --theta: sample 0: (theta, delta) = (0, 0)"),
+    (["gen-synthetic", "--theta", "nan", "--qs-range", "0:40:5"],
+     "argument --theta: sample 0: (theta, delta) = (nan, 0)"),
+    (["simulate-macro", "--qs", "10", "--theta-range", "150:190:5"],
+     "argument --theta-range: sample 3: (theta, delta) = (3.14159, 0)"),
+], ids=["micro-theta", "micro-delta", "macro-delta", "synthetic-theta", "synthetic-nan",
+        "macro-theta-range"])
+def test_angle_outside_its_range_is_a_usage_error(tmp_path, capsys, argv, message):
+    # the model's domain rule refuses the angle, its radians checked with the other angle
+    # held inside the domain, before the config (here missing) is read
     out = tmp_path / "x.csv"
-    proc = crem(*argv, "--config", config_path, "--out", str(out))
-    assert proc.returncode == 1
-    assert proc.stderr == (f"error: sample 0: (theta, delta) = ({values}) "
-                           "outside (0, pi) x (-pi, pi]\n")
-    assert proc.stdout == "" and not out.exists()
+    with pytest.raises(SystemExit) as exit_:
+        crem_cli.main([*argv, "--config", str(tmp_path / "none.cfg"), "--out", str(out)])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"{message} outside (0, pi) x (-pi, pi]\n" in captured.err
+
+
+def test_angles_at_the_domain_edges_parse(config_path, tmp_path):
+    # delta = 180 deg is pi, inside (-pi, pi]; theta just inside (0, 180) deg
+    out = tmp_path / "edge.csv"
+    summary(crem("simulate-micro", "--config", config_path, "--theta", "179.9",
+                 "--delta", "180", "--qs-range", "0:40:3", "--out", str(out)))
+    summary(crem("simulate-macro", "--config", config_path, "--qs", "10",
+                 "--theta-range", "0.1:179.9:3", "--delta", "180", "--out", str(out)))
 
 
 def test_macro_columns_tangent_to_trajectory(config_path, tmp_path):

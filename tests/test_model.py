@@ -913,3 +913,101 @@ def test_block_working_set_is_bounded(bench, k_cal):
                    temporaries(lambda: identification_jacobian(ms, bench, k_cal, PARAM_NAMES)))
     commands = 3 * 8 * 4 * B
     assert all(grown <= commands for grown in np.subtract(used[4 * B], used[B])), used
+
+
+# ---------------------------------------------------------------------------
+# a set at one psi (calibration._commands, model._solver_start)
+
+
+def test_one_psi_commands_are_one_value():
+    q_s = np.linspace(0.0, 40.0, 4)
+    theta, delta, q = calibration._commands(block_measurements(np.full(4, 0.9), np.full(4, 0.3),
+                                                               q_s))
+    assert np.ndim(theta) == np.ndim(delta) == 0 and (theta, delta) == (0.9, 0.3)
+    assert np.array_equal(q, q_s)
+    # one theta and two deltas: theta alone is one value
+    theta, delta, _ = calibration._commands(
+        block_measurements(np.full(4, 0.9), np.array([0.3, 0.3, 0.3, 0.4]), q_s))
+    assert np.ndim(theta) == 0 and np.array_equal(delta, [0.3, 0.3, 0.3, 0.4])
+    assert [np.ndim(a) for a in calibration._commands([])] == [1, 1, 1]
+
+
+def test_signed_zero_deltas_stay_on_the_array_path(bench, k_cal):
+    # -0.0 == 0.0, but sin(-0.0) is -0.0: a set of both keeps each sample's own delta
+    delta = np.array([0.0, -0.0, 0.0, -0.0])
+    ms = block_measurements(np.full(4, 0.9), delta, np.linspace(5.0, 40.0, 4))
+    _, got, _ = calibration._commands(ms)
+    assert np.array_equal(np.signbit(got), np.signbit(delta))
+    J = identification_jacobian(ms, bench, k_cal, PARAM_NAMES)
+    for i, m in enumerate(ms):
+        assert (J[6 * i:6 * i + 6].tobytes()
+                == identification_jacobian([m], bench, k_cal, PARAM_NAMES).tobytes())
+    # the signs show in the rows
+    assert J[:6].tobytes() != J[6:12].tobytes()
+    _, one, _ = calibration._commands(ms[1::2])
+    assert np.ndim(one) == 0 and np.signbit(one)
+
+
+@pytest.mark.parametrize("theta, delta", [(0.9, 0.3), (TH0, -0.0), (2.5, np.pi)],
+                         ids=["bent", "straight", "delta=pi"])
+def test_one_psi_rows_keep_their_bits_beside_another_psi(bench, k_cal, theta, delta):
+    # the measurements of one psi take the one-value path alone and the array path with one
+    # measurement at another psi after them: the same bits either way
+    n = 37
+    ms = block_measurements(np.full(n, theta), np.full(n, delta), np.linspace(0.0, bench.L, n))
+    R = crem_pose(bench, ConfigState(theta, delta), 25.0, k_cal).tip.R
+    ms[5] = Measurement(psi=ms[5].psi, q_s=20.0, x_bar=np.ones(3), R_bar=R)
+    mixed = ms + block_measurements(np.array([1.0]), np.array([0.5]), np.array([10.0]))
+    assert np.ndim(calibration._commands(mixed)[0]) == 1
+    one = identification_jacobian(ms, bench, k_cal, PARAM_NAMES)
+    assert one.tobytes() == identification_jacobian(mixed, bench, k_cal,
+                                                    PARAM_NAMES)[:6 * n].tobytes()
+    # the residuals, the orientation row of sample 5 included
+    c = calibration._residuals(calibration._stack(ms, bench), bench, k_cal)[0]
+    c_mixed = calibration._residuals(calibration._stack(mixed, bench), bench, k_cal)[0]
+    assert np.count_nonzero(c[5, 3:]) and c.tobytes() == c_mixed[:n].tobytes()
+
+
+def test_one_psi_errors_name_the_same_sample_on_both_paths(bench, k_zero):
+    short = RobotParams(L=1.0, r=3.0, E_p=bench.E_p, E_i=bench.E_i, E_s=bench.E_s,
+                        I_p=bench.I_p, I_i=bench.I_i, I_s=bench.I_s)
+    q_s = np.linspace(0.0, bench.L, 9)
+    past_L = q_s.copy()
+    past_L[5] = 2.0 * bench.L
+    nan_theta = np.full(9, 0.9)
+    nan_theta[3] = np.nan
+    # at theta = pi/2 - 0.5 the short robot's backbones reach length 0 at delta = 0, not at
+    # delta = pi/3
+    deltas = np.full(9, np.pi / 3)
+    deltas[2] = 0.0
+    for params, theta, delta, q, error, sample in (
+            (bench, 0.9, 0.3, past_L, ValidationError, 5),
+            (bench, np.nan, 0.3, q_s, ValidationError, 0),
+            (bench, nan_theta, 0.3, q_s, ValidationError, 3),
+            (short, 0.2, 0.0, q_s / 50.0, NonPhysicalLength, 0),
+            (short, TH0 - 0.5, deltas, q_s / 50.0, NonPhysicalLength, 2)):
+        messages = []
+        for args in ((theta, delta, q), np.broadcast_arrays(theta, delta, q)):
+            with pytest.raises(error, match=rf"^sample {sample}: ") as caught:
+                _solver_start(params, *args, 0)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+    # and through the measurements: one psi alone, and beside a measurement at another psi
+    for params, q, error, sample in ((bench, past_L, ValidationError, 5),
+                                     (short, q_s / 50.0, NonPhysicalLength, 0)):
+        ms = block_measurements(np.full(9, 0.2), np.zeros(9), q)
+        messages = []
+        for batch in (ms, ms + block_measurements(np.array([1.5]), np.array([0.5]),
+                                                  np.array([0.5]))):
+            with pytest.raises(error, match=rf"^sample {sample}: ") as caught:
+                identification_jacobian(batch, params, k_zero, PARAM_NAMES)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+
+def test_empty_sweep_at_a_non_physical_psi_has_no_sample_to_fail(bench, k_zero):
+    # the stretch check runs on the one psi, but names only a sample of the batch
+    short = RobotParams(L=1.0, r=3.0, E_p=bench.E_p, E_i=bench.E_i, E_s=bench.E_s,
+                        I_p=bench.I_p, I_i=bench.I_i, I_s=bench.I_s)
+    pos, th_s, th_p = micro_trajectory(short, ConfigState(0.2, 0.0), [], k_zero)
+    assert pos.shape == (0, 3) and th_s.shape == th_p.shape == (0,)

@@ -22,7 +22,8 @@ setting lowers it.  The model's domain of (theta, delta, q_s) is written
 once, so that no second copy of the rule can drift from it.  The planar
 chain has one record, the one namedtuple with the field e_x, so that no
 second chain record can drift from it.  A batch is split into blocks in one
-place, so that no second block loop can drift from it.
+place, so that no second block loop can drift from it.  A measurement's commands
+are read in one place, so that the one-psi rule there is the only one.
 """
 import argparse
 import ast
@@ -322,3 +323,35 @@ def test_batches_are_split_in_one_place():
     splitters = [f"{path.stem}.{name}" for path in SRC.glob("*.py")
                  for name in block_splitters(path.read_text(encoding="utf-8"))]
     assert splitters == ["model._blocks"]
+
+
+def command_readers(source: str):
+    """Names of the functions the source defines that read a measurement's commands, sorted:
+    any .psi, or .q_s of a name other than self (a record's own check) and fit (the
+    calibration._Fit arrays)."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(n, ast.Attribute) and (n.attr == "psi" or (
+                    n.attr == "q_s" and not (isinstance(n.value, ast.Name)
+                                             and n.value.id in ("self", "fit"))))
+                for n in ast.walk(node)):
+            names.append(node.name)
+    return sorted(names)
+
+
+def test_checker_finds_command_readers():
+    source = ("def a(ms): return [m.psi.theta for m in ms]\n"
+              "def b(ms): return [m.q_s for m in ms]\n"
+              "def c(fit): return fit.q_s\n"
+              "class M:\n    def check(self): return self.q_s\n"
+              "def d(psi): return psi.theta\n"
+              "def e(data): return data.fit.q_s\n")
+    assert command_readers(source) == ["a", "b", "e"]
+
+
+def test_commands_are_read_in_one_place():
+    # calibration._commands reads (theta, delta, q_s) and gives one value for one psi
+    readers = [f"{path.stem}.{name}" for path in SRC.glob("*.py")
+               for name in command_readers(path.read_text(encoding="utf-8"))]
+    assert readers == ["calibration._commands"]
