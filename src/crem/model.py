@@ -278,9 +278,9 @@ class _SolverStart(NamedTuple):
     shape: tuple  # the samples' broadcast shape
     first: int  # index in the whole batch of the first sample, for the messages
     D: np.ndarray  # (n, N) backbone-major Delta_i of delta, or (n, 1) of one delta
-    kappa0: np.ndarray  # (N,) the whole segment's curvature, where Newton starts; 0-d of one
-    M0: np.ndarray  # (N,) or 0-d, as kappa0: M(kappa0)
-    M0_k: np.ndarray  # (N,) or 0-d, as kappa0: dM/dkappa at kappa0
+    kappa0: np.ndarray  # (N,) the whole segment's curvature, where Newton starts; one theta: 0-d
+    M0: np.ndarray  # (N,) M(kappa0); one psi: 0-d
+    M0_k: np.ndarray  # (N,) dM/dkappa at kappa0; one psi: 0-d
 
 
 def _solver_start(params: RobotParams, theta, delta, q_s, first: int) -> _SolverStart:
