@@ -137,7 +137,8 @@ def _free_indices(names) -> np.ndarray:
 class CalibrationConfig:
     """Settings of the identification loop.
 
-    free_params names the components of k actually updated.  The fit
+    eta and beta_conv are real scalars (model._real); beta_conv must be finite and
+    positive.  free_params names the components of k actually updated.  The fit
     weighs each observed position component 1, each observed orientation
     component _W_ROT and each masked component 0.
     """
@@ -148,10 +149,15 @@ class CalibrationConfig:
     free_params: tuple = ("k_lambda0", "k_lambda_q")
 
     def __post_init__(self):
+        _real("eta", self.eta)
+        _real("beta_conv", self.beta_conv)
         if not (0.0 < self.eta <= 1.0):
             raise ValidationError(f"eta must lie in (0, 1], got {self.eta}")
         if not (self.beta_conv > 0.0):
             raise ValidationError("beta_conv must be positive")
+        # an infinite threshold would stop every fit after one step as converged
+        if not math.isfinite(self.beta_conv):
+            raise ValidationError(f"beta_conv must be finite, got {self.beta_conv}")
         object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter, 1))
         # a tuple of the checked names, so that the caller's list cannot change them
         object.__setattr__(self, "free_params",
@@ -209,14 +215,19 @@ def _weighted_cost(c, w):
 
 def _commands(measurements):
     """Commanded (theta, delta, q_s) of the measurements as float arrays, the one place the
-    package reads them.  theta or delta is one float when every measurement's has the same
-    bits, so that a set at one psi forms its psi-only terms once (model._solver_start, _fit);
-    the test is bitwise because -0.0 and 0.0 differ, as sin(-0.0) = -0.0 does."""
+    package reads them, one pass per field.  theta or delta is one float when every
+    measurement's has the same bits, so that a set at one psi forms its psi-only terms once
+    (model._solver_start, _fit); the test is bitwise because -0.0 and 0.0 differ, as
+    sin(-0.0) = -0.0 does.  When every measurement holds the same ConfigState object (as a
+    run of load_dataset rows does), theta and delta are its values, and neither is walked."""
     n = len(measurements)
+    q_s = np.fromiter([m.q_s for m in measurements], float, n)
+    psi = measurements[0].psi if n else None
+    if n and next((m for m in measurements if m.psi is not psi), None) is None:
+        return np.float64(psi.theta), np.float64(psi.delta), q_s
     theta = np.fromiter([m.psi.theta for m in measurements], float, n)
     delta = np.fromiter([m.psi.delta for m in measurements], float, n)
-    return (_one_value(theta), _one_value(delta),
-            np.fromiter([m.q_s for m in measurements], float, n))
+    return _one_value(theta), _one_value(delta), q_s
 
 
 def _one_value(a):
@@ -261,8 +272,14 @@ class _Dataset(NamedTuple):
 
 
 def _stack(measurements, params: RobotParams) -> _Dataset:
+    """The measurements' arrays, one pass per field.  When every measurement holds the same
+    obs_mask object (a default one, or load_dataset's planar one), w is its one weight row
+    broadcast to (N, 6), read-only; w still has a row per measurement, so dof counts all."""
     fit = _fit(params, *_commands(measurements), 0)
-    w = np.where([m.obs_mask for m in measurements], np.repeat([1.0, _W_ROT], 3), 0.0)
+    mask = measurements[0].obs_mask
+    if next((m for m in measurements if m.obs_mask is not mask), None) is not None:
+        mask = [m.obs_mask for m in measurements]
+    w = np.broadcast_to(np.where(mask, np.repeat([1.0, _W_ROT], 3), 0.0), (len(fit.q_s), 6))
     rot = np.array([j for j, m in enumerate(measurements) if m.R_bar is not None], dtype=int)
     return _Dataset(fit, np.array([m.x_bar for m in measurements]), w, w[:, :3] != 0.0, rot,
                     np.array([measurements[j].R_bar for j in rot], dtype=float).reshape(-1, 3, 3))
@@ -445,6 +462,18 @@ def nls_estimate(
 # turning-point utilities
 
 
+def _positions(positions) -> np.ndarray:
+    """positions as a float (N, 3) array; ValidationError for another shape, or naming the
+    first sample with a non-finite coordinate."""
+    p = np.asarray(positions, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise ValidationError(f"positions must have shape (N, 3), got {p.shape}")
+    if not np.isfinite(p).all():
+        i = int(np.argmin(np.isfinite(p).all(axis=1)))
+        raise ValidationError(f"sample {i}: position must be finite, got {p[i].tolist()}")
+    return p
+
+
 def _principal_direction(positions):
     """(e, c): the unit vector e of largest positional spread and the progress c along it.
 
@@ -475,10 +504,10 @@ def direction_reversals(positions) -> np.ndarray:
     direction of the whole path; a step's sign that is opposite to that of
     the last nonzero step before it marks the vertex sample, so a zero step
     carries the sign before it.  Intended for clean trajectories where every
-    sign change is structural.
+    sign change is structural.  positions must be finite and (N, 3) (_positions).
     """
-    p = np.asarray(positions, dtype=float)
-    if p.ndim != 2 or p.shape[0] < 3:
+    p = _positions(positions)
+    if p.shape[0] < 3:
         return np.array([], dtype=int)
     e, _ = _principal_direction(p)
     sgn = np.sign(np.diff(p, axis=0) @ e)
@@ -497,10 +526,11 @@ def turning_point_index(positions) -> int | None:
     clear of either end and the progress swings by at least
     _TURN_PROMINENCE of the total progress span on both sides, which
     rejects the near-end argmax wobble that noise produces on monotone
-    trajectories.  Returns None when no candidate qualifies.
+    trajectories.  Returns None when no candidate qualifies.  positions must be
+    finite and (N, 3) (_positions).
     """
-    p = np.asarray(positions, dtype=float)
-    if p.ndim != 2 or p.shape[0] < 3:
+    p = _positions(positions)
+    if p.shape[0] < 3:
         return None
     _, c = _principal_direction(p)
     span = float(np.max(c) - np.min(c))

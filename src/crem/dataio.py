@@ -189,7 +189,9 @@ def load_dataset(path, config: RobotConfig):
     the marker offset (translation of T_GM) is then removed.  A 2-D image-frame file, whose
     image z is taken as 0, is refused (FrameError) if T_BI carries image z into base x or y.
     3-D rows take the default obs_mask; 2-D rows share one read-only mask that observes only
-    x and y.  Rows keep file order.
+    x and y.  Each run of consecutive rows with the same (theta, delta) bits shares one
+    ConfigState, so that calibration._commands reads a one-psi file's angles once.  Rows keep
+    file order.
     """
     rows, pragmas = _read_trajectory(path)
     frame = pragmas.get("frame", "base")
@@ -199,10 +201,14 @@ def load_dataset(path, config: RobotConfig):
             and np.max(np.abs(config.T_BI[:2, 2])) > 1e-9):
         raise FrameError(f"{path}: 2-D image-frame data needs a T_BI that maps "
                          "image z into base z alone")
-    measurements, fault = [], None
+    measurements, fault, key = [], None, None
     for row, (_, q_s, theta, delta, *xyz) in enumerate(rows, start=1):
         try:
-            psi = ConfigState(math.radians(theta), math.radians(delta))
+            # a run of rows at one (theta, delta) shares one ConfigState; the sign of delta is
+            # in the key, because -0.0 == 0.0 but their sines differ (theta = 0 is refused)
+            row_key = (theta, delta, math.copysign(1.0, delta))
+            if row_key != key:
+                key, psi = row_key, ConfigState(math.radians(theta), math.radians(delta))
             p = np.array(xyz if len(xyz) == 3 else xyz + [0.0])
             if frame == "image":
                 p = config.T_BI[:3, :3] @ p + config.T_BI[:3, 3]

@@ -24,7 +24,7 @@ from crem import (
     split_at_turning_point,
     turning_point_index,
 )
-from crem import calibration
+from crem import calibration, dataio
 from crem.calibration import (
     PARAM_NAMES,
     _free_indices,
@@ -39,7 +39,7 @@ from crem.calibration import (
 from crem.kinematics import Pose
 from crem.rotations import NEAR_PI
 
-from conftest import NOT_REAL, oracle_rotation
+from conftest import NOT_REAL, jacobian_arrays, oracle_rotation
 
 TH0 = np.pi / 2
 
@@ -178,20 +178,31 @@ def test_default_obs_masks_are_shared_and_read_only():
     assert c.obs_mask.tolist() == [True] * 6
 
 
-@pytest.mark.parametrize("kind", ["noisy", "rot"])
+def fit_bytes(result):
+    """The bytes of every number a CalibrationResult reports."""
+    trace = [(r.iteration, r.k.as_array().tobytes(), r.rmse_um, r.M_lambda)
+             for r in result.trace]
+    return (result.k_star.as_array().tobytes(), trace, result.converged, result.eta_final,
+            result.eta_flagged, result.std_errors.tobytes(), result.correlation.tobytes())
+
+
+@pytest.mark.parametrize("kind", ["noisy", "rot", "planar"])
 def test_shared_default_masks_fit_bit_identically(bench, criterion_7_noisy, kind):
-    # the reference: a fresh writable mask per measurement; sharing must not move a bit
-    shared = criterion_7_noisy[kind]
+    # the reference: a fresh writable mask per measurement; sharing must not move a bit.  A
+    # shared mask is one weight row broadcast to every measurement, and dof counts them all
+    shared = criterion_7_noisy["noisy" if kind == "planar" else kind]
+    if kind == "planar":  # load_dataset's mask of 2-D rows
+        shared = [Measurement(psi=m.psi, q_s=m.q_s, x_bar=m.x_bar,
+                              obs_mask=dataio._PLANAR_OBSERVED) for m in shared]
     fresh = [Measurement(psi=m.psi, q_s=m.q_s, x_bar=m.x_bar, R_bar=m.R_bar,
                          obs_mask=np.array(m.obs_mask)) for m in shared]
     assert all(m.obs_mask.flags.writeable for m in fresh)
+    w, w_fresh = _stack(shared, bench).w, _stack(fresh, bench).w
+    assert w.strides[0] == 0 != w_fresh.strides[0] and w.tobytes() == w_fresh.tobytes()
+    assert np.count_nonzero(w) == len(shared) * np.count_nonzero(shared[0].obs_mask)
     a, b = (nls_estimate(ms, bench, CalibrationConfig(), UncertaintyParams.zero())
             for ms in (shared, fresh))
-    assert a.k_star == b.k_star
-    assert [(r.k, r.rmse_um, r.M_lambda) for r in a.trace] == \
-        [(r.k, r.rmse_um, r.M_lambda) for r in b.trace]
-    assert np.array_equal(a.std_errors, b.std_errors)
-    assert np.array_equal(a.correlation, b.correlation)
+    assert a.converged and fit_bytes(a) == fit_bytes(b)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +548,19 @@ def test_beta_conv_validation(beta_conv):
         CalibrationConfig(beta_conv=beta_conv)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"beta_conv": np.inf}, "beta_conv must be finite, got inf"),
+    *(({"eta": value}, f"eta must be a real number, got {shown}") for value, shown in NOT_REAL),
+    *(({"beta_conv": value}, f"beta_conv must be a real number, got {shown}")
+      for value, shown in NOT_REAL),
+])
+def test_calibration_config_refuses_what_no_fit_can_use(fields, message):
+    # an infinite beta_conv stopped every fit after one step as converged, and an array eta
+    # raised numpy's ambiguous-truth ValueError
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        CalibrationConfig(**fields)
+
+
 @pytest.mark.parametrize("max_iter", [0, 2.5, np.nan, np.inf, True])
 def test_max_iter_validation(max_iter):
     # a non-integral count would fail later in range()
@@ -686,6 +710,30 @@ def test_reversals_carry_the_sign_over_zero_steps():
     assert direction_reversals(np.zeros((6, 3))).size == 0
 
 
+def test_reversals_sit_at_sign_changes_of_the_micro_jacobian(bench):
+    # on clean sweeps the progress rate along e, d c / d q_s = J_mu[:3] . e, changes sign
+    # within one sample of each reversal of the sampled path, and as often: the analytic
+    # micro Jacobian and the sample-based detector find the same turns, with no finite
+    # differences
+    rng = np.random.default_rng(11)
+    q_s = np.linspace(0.0, bench.L, 400)
+    turned = 0
+    for _ in range(300):
+        theta, delta = np.radians(rng.uniform(15.0, 89.0)), np.radians(rng.uniform(-90.0, 90.0))
+        k = UncertaintyParams(rng.uniform(-0.5, 0.5), 0.0, rng.uniform(-0.05, 0.05))
+        pos, _, _ = micro_trajectory(bench, ConfigState(theta, delta), q_s, k)
+        e, _ = _principal_direction(pos)
+        rate = np.sign(jacobian_arrays(bench, theta, delta, q_s, k).J_mu[:, :3] @ e)
+        # a change at j lies between samples j and j + 1; a reversal at i between the steps
+        # into and out of sample i
+        changes = np.flatnonzero(rate[1:] * rate[:-1] < 0.0)
+        reversals = direction_reversals(pos)
+        assert reversals.size == changes.size
+        assert all(np.min(np.abs(changes - i)) <= 1 for i in reversals)
+        turned += reversals.size > 0
+    assert turned > 100  # about half the sweeps turn
+
+
 def test_clean_hairpin_has_one_reversal(hairpin):
     pos, qs = hairpin
     rev = direction_reversals(pos)
@@ -723,6 +771,28 @@ def test_turning_point_none_on_monotone_noisy_data(bench, k_zero):
     for _ in range(5):
         noisy = pos + 0.002 * rng.standard_normal(pos.shape)
         assert turning_point_index(noisy) is None
+
+
+@pytest.mark.parametrize("shape", [(20,), (20, 4), (20, 3, 1), (3, 20), ()])
+def test_turning_point_utilities_refuse_positions_that_are_not_n_by_3(shape):
+    message = f"^{re.escape(f'positions must have shape (N, 3), got {shape}')}$"
+    for find in (turning_point_index, direction_reversals):
+        with pytest.raises(ValidationError, match=message):
+            find(np.zeros(shape))
+
+
+@pytest.mark.parametrize("n, row, value", [(10, 4, np.nan), (10, 0, np.inf), (10, 9, -np.inf),
+                                           (2, 1, np.nan)])
+def test_turning_point_utilities_name_the_first_non_finite_sample(hairpin, n, row, value):
+    # numpy's LinAlgError ("Eigenvalues did not converge") came out of the scatter before
+    p = hairpin[0][:n].copy()
+    p[row, 1] = value
+    p[-1, 2] = np.nan  # the last sample is bad too: the first bad one is named
+    bad = p[row].tolist()
+    message = f"^{re.escape(f'sample {row}: position must be finite, got {bad}')}$"
+    for find in (turning_point_index, direction_reversals):
+        with pytest.raises(ValidationError, match=message):
+            find(p)
 
 
 def test_turning_point_degenerate_inputs():
@@ -872,3 +942,58 @@ def test_rank_one_jacobian_forms_no_full_jacobian(bench, monkeypatch):
     assert identification_jacobian(ms, bench, k_true, PARAM_NAMES).shape == (6 * len(ms), 3)
     res = nls_estimate(ms, bench, CalibrationConfig(), UncertaintyParams.zero())
     assert res.converged and np.all(np.isfinite(res.std_errors))
+
+
+# ---------------------------------------------------------------------------
+# a set whose measurements share one psi or one obs_mask object (_commands, _stack)
+
+
+@pytest.mark.parametrize("theta, delta", [(1, 0.3), (np.float32(0.9), 0.3), (1.2, -0.0)],
+                         ids=["int-theta", "float32-theta", "delta=-0.0"])
+def test_a_shared_psi_gives_the_bits_of_distinct_equal_ones(bench, monkeypatch, theta, delta):
+    k_true = UncertaintyParams(0.2, 0.0, 0.025)
+    psi = ConfigState(theta, delta)
+    qs = np.linspace(0.0, 40.0, 30)
+    x = make_measurements(bench, float(theta), delta, qs, k_true, sigma=0.002,
+                          rng=np.random.default_rng(31), with_R=True)
+    # every fifth measurement observes its orientation
+    shared = [Measurement(psi=psi, q_s=m.q_s, x_bar=m.x_bar, R_bar=m.R_bar if i % 5 else None)
+              for i, m in enumerate(x)]
+    distinct = [Measurement(psi=ConfigState(theta, delta), q_s=m.q_s, x_bar=m.x_bar,
+                            R_bar=m.R_bar) for m in shared]
+
+    def forbidden(a):
+        raise AssertionError("an angle walked per measurement")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calibration, "_one_value", forbidden)
+        one = calibration._commands(shared)
+    for a, b in zip(one[:2], calibration._commands(distinct)[:2]):
+        assert type(a) is np.float64 and np.ndim(b) == 0 and a.tobytes() == b.tobytes()
+    assert np.signbit(one[1]) == np.signbit(delta)
+    k = UncertaintyParams(0.1, 0.01, 0.02)
+    assert (identification_jacobian(shared, bench, k, PARAM_NAMES).tobytes()
+            == identification_jacobian(distinct, bench, k, PARAM_NAMES).tobytes())
+    c = residual_matrix(shared, bench, k)
+    assert np.count_nonzero(c[1, 3:]) and c.tobytes() == residual_matrix(distinct, bench,
+                                                                           k).tobytes()
+    fits = [nls_estimate(ms, bench, CalibrationConfig(), UncertaintyParams.zero())
+            for ms in (shared, distinct)]
+    assert fits[0].converged and fit_bytes(fits[0]) == fit_bytes(fits[1])
+
+
+def test_shared_psis_of_both_zero_deltas_stay_on_the_array_path(bench, k_cal):
+    # two objects that compare equal, one at delta = 0.0 and one at -0.0: each sample keeps
+    # its own sign, as sin(delta) does
+    plus, minus = ConfigState(0.9, 0.0), ConfigState(0.9, -0.0)
+    ms = [Measurement(psi=psi, q_s=q, x_bar=np.zeros(3))
+          for psi, q in zip((plus, plus, minus, minus, plus), (5.0, 10.0, 15.0, 20.0, 25.0))]
+    theta, delta, _ = calibration._commands(ms)
+    assert np.ndim(theta) == 0 and theta == 0.9
+    assert np.ndim(delta) == 1 and np.signbit(delta).tolist() == [False, False, True, True,
+                                                                  False]
+    J = identification_jacobian(ms, bench, k_cal, PARAM_NAMES)
+    assert J[12:18].tobytes() == identification_jacobian(ms[2:3], bench, k_cal,
+                                                         PARAM_NAMES).tobytes()
+    _, one, _ = calibration._commands(ms[2:4])
+    assert np.ndim(one) == 0 and np.signbit(one)

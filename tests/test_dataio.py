@@ -19,6 +19,7 @@ from crem import (
     turning_point_index,
     write_robot_config,
 )
+from crem import calibration
 
 from conftest import DOMAIN, DOMAIN_EDGES, oracle_rotation, outside
 
@@ -271,6 +272,26 @@ def test_load_dataset_rows_share_one_read_only_mask(tmp_path, columns, row, mask
     assert ms[0].obs_mask.dtype == bool and ms[0].obs_mask.tolist() == mask
     with pytest.raises(ValueError, match="read-only"):
         ms[0].obs_mask[5] = True
+
+
+def test_load_dataset_shares_one_config_state_per_run_of_rows(tmp_path, bench):
+    # runs start at rows 0, 2 (delta turns -0.0), 4 (back to 0.0), 5 (theta) and 6 (theta)
+    rows = ["0,5,30,0", "1,6,30,0", "2,7,30,-0", "3,8,30,-0.0", "4,9,30,0", "5,10,40,0",
+            "6,11,30,0"]
+    text = "t,q_s,theta,delta,x,y,z\n" + "".join(f"{row},1,2,3\n" for row in rows)
+    psis = [m.psi for m in load_dataset(write(tmp_path, "d.csv", text), BENCH_ROBOT)]
+    starts = [i for i in range(len(psis)) if i == 0 or psis[i] is not psis[i - 1]]
+    assert starts == [0, 2, 4, 5, 6]
+    assert np.signbit([psi.delta for psi in psis]).tolist() == [False, False, True, True,
+                                                                False, False, False]
+    # a one-psi file holds one object, so calibration._commands reads its angles once
+    path = tmp_path / "s.csv"
+    generate_synthetic(bench, UncertaintyParams(), np.radians(40.0), -0.0,
+                       np.linspace(0.0, 40.0, 9), 0.0, 0, path=path)
+    ms = load_dataset(path, BENCH_ROBOT)
+    assert all(m.psi is ms[0].psi for m in ms) and np.signbit(ms[0].psi.delta)
+    theta, delta, _ = calibration._commands(ms)
+    assert type(theta) is type(delta) is np.float64 and np.signbit(delta)
 
 
 def test_load_dataset_applies_image_transform(tmp_path):

@@ -23,7 +23,9 @@ once, so that no second copy of the rule can drift from it.  The planar
 chain has one record, the one namedtuple with the field e_x, so that no
 second chain record can drift from it.  A batch is split into blocks in one
 place, so that no second block loop can drift from it.  A measurement's commands
-are read in one place, so that the one-psi rule there is the only one.
+are read in one place, so that the one-psi rule there is the only one, and its
+obs_mask only where it is checked and where it is weighed, so that the shared-mask
+rule there is the only one.
 """
 import argparse
 import ast
@@ -355,3 +357,33 @@ def test_commands_are_read_in_one_place():
     readers = [f"{path.stem}.{name}" for path in SRC.glob("*.py")
                for name in command_readers(path.read_text(encoding="utf-8"))]
     assert readers == ["calibration._commands"]
+
+
+def mask_readers(source: str):
+    """Names of the functions the source defines that read an .obs_mask attribute, a method
+    as Class.method, sorted."""
+    tree = ast.parse(source)
+    owner = {id(f): f"{c.name}." for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body}
+    return sorted(owner.get(id(node), "") + node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(isinstance(n, ast.Attribute) and n.attr == "obs_mask"
+                          for n in ast.walk(node)))
+
+
+def test_checker_finds_mask_readers():
+    source = ("class M:\n"
+              "    def __post_init__(self): return self.obs_mask\n"
+              "    def other(self): return 1\n"
+              "def a(ms): return [m.obs_mask for m in ms]\n"
+              "def b(obs_mask): return obs_mask\n"
+              "def c(m): return getattr(m, 'R_bar')\n")
+    assert mask_readers(source) == ["M.__post_init__", "a"]
+
+
+def test_masks_are_read_in_one_place():
+    # Measurement checks its obs_mask, and calibration._stack alone weighs it: the shared-mask
+    # rule there is the only one
+    readers = [f"{path.stem}.{name}" for path in SRC.glob("*.py")
+               for name in mask_readers(path.read_text(encoding="utf-8"))]
+    assert readers == ["calibration.Measurement.__post_init__", "calibration._stack"]
