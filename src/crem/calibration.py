@@ -474,8 +474,9 @@ def _positions(positions) -> np.ndarray:
     return p
 
 
-def _principal_direction(positions):
-    """(e, c): the unit vector e of largest positional spread and the progress c along it.
+def _principal_direction(p):
+    """(e, c): the unit vector e of largest spread of the float (N, 3) positions p and the
+    progress c along it.
 
     The micro-motion path is an out-and-back hairpin: close to the
     vertex the step vectors rotate smoothly through the transverse
@@ -487,7 +488,6 @@ def _principal_direction(positions):
     copy.  The shift by p[0] keeps m within the path's extent, so the
     subtraction loses few digits.
     """
-    p = np.asarray(positions, dtype=float)
     q = np.subtract(p.T, p[0, :, None], out=np.empty(p.shape[::-1]))
     m = q.mean(axis=1)
     scatter = np.einsum("ik,jk->ij", q, q) - len(p) * np.outer(m, m)
