@@ -44,8 +44,10 @@ from .model import (
     UncertaintyParams,
     _arc_moment,
     _broadcast_samples,
+    _check_call,
     _check_domain,
     _equilibrium_angles,
+    _float,
     _sigma,
     _solve_equilibrium_arrays,
     _theta_prime,
@@ -83,7 +85,7 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     displacement per unit (theta, delta), takes the same cos and sin of sigma_i.
     The arguments broadcast against each other.
     """
-    theta, q_s, kappa = (np.asarray(a, dtype=float) for a in (theta, q_s, kappa))
+    theta, q_s, kappa = (_float(a) for a in (theta, q_s, kappa))
     shape = np.broadcast(theta, delta, q_s, kappa).shape
     sig = _sigma(params, delta, len(shape))
     cos_sig, sin_sig = np.cos(sig), np.sin(sig)
@@ -220,7 +222,9 @@ def assemble_motion_jacobians(
     params: RobotParams, psi: ConfigState, q_s: float, k: UncertaintyParams
 ) -> JacobianSet:
     """All tip Jacobians at one configuration, a JacobianSet of batch shape (), from the
-    configuration's kept solve and planar chain (kinematics._scalar_chain)."""
+    configuration's kept solve and planar chain (kinematics._scalar_chain).  Arguments of the
+    wrong type raise ValidationError (model._check_call)."""
+    _check_call(params, psi, q_s, k)
     kappa, chain = _scalar_chain(params, float(psi.theta), float(psi.delta), float(q_s), k)
     return _jacobian_arrays(params, psi.theta, psi.delta, float(q_s), k, kappa, chain)
 
@@ -306,7 +310,9 @@ def fd_discrepancies(
     its delta column, so J_M J_q_psi cannot reproduce the delta motion that
     an uncertainty moment still makes.
     The point must lie h = 1e-6 inside the domain, theta in (h, pi - h) and q_s in
-    [h, L - h] (_check_domain), else ValidationError.
+    [h, L - h] (_check_domain), else ValidationError; so do arguments of the wrong type
+    (model._check_call).
     """
+    _check_call(params, psi, q_s, k)
     errs = _fd_discrepancy_arrays(params, psi.theta, psi.delta, float(q_s), k)
     return {key: float(v) for key, v in errs.items()}

@@ -34,7 +34,9 @@ from .model import (
     RobotParams,
     UncertaintyParams,
     _blocks,
+    _check_call,
     _equilibrium_angles,
+    _float,
     _newton,
     _solve_equilibrium_arrays,
     _solver_start,
@@ -78,19 +80,24 @@ def _arc(theta_x, slopes=False) -> _Arc:
     u = 0: within |u| < STRAIGHT_SERIES_THRESHOLD it is a series, evaluated on
     the window's samples only.
     """
-    u = np.asarray(theta_x, dtype=float) - np.pi / 2.0
+    u = _float(theta_x) - np.pi / 2.0
     h = u / 2.0
     sh, ch = np.sin(h), np.cos(h)
-    S = np.divide(2.0 * sh, u, out=np.ones(u.shape), where=u != 0.0)
+    # at u = 0, where sh = 0, divide by 1 and add the 1 after
+    zero = u == 0.0
+    S = 2.0 * sh / (u + zero) + zero
     st, ct, b = 1.0 - 2.0 * sh * sh, -2.0 * sh * ch, ch * S
     a_t = b_t = None
     if slopes:
         a_t = S * S / 2.0 - b
         near = np.abs(u) < STRAIGHT_SERIES_THRESHOLD
-        b_t = np.divide(st - b, u, out=np.zeros(u.shape), where=~near)
-        if near.any():
+        # the window's samples, divided by u + 1 here, take the series in place, a numpy
+        # scalar through a 0-d copy
+        b_t = np.asarray((st - b) / (u + near))
+        if np.count_nonzero(near):
             w = u[near]
             b_t[near] = -w / 3.0 + w**3 / 30.0
+        b_t = b_t[()]
     return _Arc(st, ct, -sh * S, b, a_t, b_t)
 
 
@@ -100,7 +107,7 @@ def segment_rotation(theta_x, delta_x):
 
         R = sin theta_x I + cos theta_x [n]^ + (1 - sin theta_x) n n^T.
     """
-    t, d = np.asarray(theta_x, dtype=float), np.asarray(delta_x, dtype=float)
+    t, d = _float(theta_x), _float(delta_x)
     st, ct, sd, cd = np.sin(t), np.cos(t), np.sin(d), np.cos(d)
     v = 1.0 - st
     R = np.empty(np.broadcast(t, d).shape + (3, 3))
@@ -145,7 +152,7 @@ def _tip_positions(params: RobotParams, th_s, th_e, delta, q_s):
     """Tip positions (..., 3) of the two-arc chain at given equilibrium angles:
     p = Rz(-delta) [x, 0, z] with (x, z) from _in_plane_tip.  The arguments
     broadcast against each other."""
-    x, z, _, _ = _in_plane_tip(params, _arc(th_s), _arc(th_e), np.asarray(q_s, dtype=float))
+    x, z, _, _ = _in_plane_tip(params, _arc(th_s), _arc(th_e), _float(q_s))
     return _turn(x, z, np.sin(delta), np.cos(delta))
 
 
@@ -173,10 +180,9 @@ def _solved_chain(params: RobotParams, theta, delta, q_s, k):
 @functools.lru_cache(maxsize=1)
 def _scalar_chain(params: RobotParams, theta: float, delta: float, q_s: float, k):
     """_solved_chain of one configuration, the one value kept between scalar calls, so that a
-    pose and the Jacobians share one solve and one chain pass; b's 0-d slopes are read-only."""
-    kappa, c = _solved_chain(params, theta, delta, q_s, k)
-    c.s.b_t.flags.writeable = c.e.b_t.flags.writeable = False
-    return float(kappa), c
+    pose and the Jacobians share one solve and one chain pass.  Every value in it is a numpy
+    scalar, so no caller can change it."""
+    return _solved_chain(params, theta, delta, q_s, k)
 
 
 def crem_pose(
@@ -186,8 +192,10 @@ def crem_pose(
 
     Takes the kept solve and planar chain of the configuration (_scalar_chain),
     turns its in-plane tip by delta (_turn), and forms the
-    rotation segment_rotation(theta_prime, delta).
+    rotation segment_rotation(theta_prime, delta).  Arguments of the wrong type raise
+    ValidationError (model._check_call).
     """
+    _check_call(params, psi, q_s, k)
     _, c = _scalar_chain(params, float(psi.theta), float(psi.delta), float(q_s), k)
     tip = Pose(_turn(c.x, c.z, np.sin(psi.delta), np.cos(psi.delta)),
                segment_rotation(_theta_prime(c.th_s, c.th_e), psi.delta))
@@ -208,7 +216,7 @@ def micro_trajectory(
     a one-depth call.  An error names a depth by its index in the schedule; NoConvergence's
     count of samples still active covers the block the depth is in.
     """
-    q = np.asarray(qs_schedule, dtype=float)
+    q = _float(qs_schedule)
     flat = q.ravel()
     pos, th_s, th_p = np.empty((q.size, 3)), np.empty(q.size), np.empty(q.size)
     for b in _blocks(q.size):

@@ -56,6 +56,13 @@ def _real(name: str, value):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
+def _float(a):
+    """a as floats: a numpy scalar for a scalar, an array otherwise.  The one conversion of
+    sample values in the core, so that a scalar sample is not a 0-d array, on which each
+    numpy operation costs about ten times what it costs on a numpy scalar."""
+    return np.asarray(a, dtype=float)[()]
+
+
 def _blocks(n: int):
     """Slices of the consecutive blocks of at most _BLOCK of n samples, none for n = 0: the one
     place a batch is split.  A sample's bits are the same in any block; slice.start is the
@@ -73,6 +80,7 @@ class RobotParams:
     E_i, I_i: same for each secondary backbone
     E_s, I_s: same for the insertable wire; zero allowed (wire absent)
     n: number of secondary backbones, evenly spaced
+    Each real field is a real scalar (_real) before its range is checked.
     """
 
     L: float
@@ -88,11 +96,13 @@ class RobotParams:
     def __post_init__(self):
         for name in ("L", "r", "E_p", "E_i", "I_p", "I_i"):
             v = getattr(self, name)
+            _real(name, v)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValidationError(f"{name} must be positive, got {v}")
         object.__setattr__(self, "n", _integer("n", self.n, 3))
         for name in ("E_s", "I_s"):
             v = getattr(self, name)
+            _real(name, v)
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValidationError(f"{name} must be >= 0, got {v}")
 
@@ -179,6 +189,17 @@ class EquilibriumConfig:
         return _theta_prime(self.theta_s, self.theta_eps)
 
 
+def _check_call(params, psi, q_s, k):
+    """ValidationError naming the first of params, psi and k of a scalar call (crem_pose,
+    assemble_motion_jacobians, solve_equilibrium, fd_discrepancies) not of its type, then q_s
+    if it is not a real scalar (_real)."""
+    for name, value, cls in (("params", params, RobotParams), ("psi", psi, ConfigState),
+                             ("k", k, UncertaintyParams)):
+        if not isinstance(value, cls):
+            raise ValidationError(f"{name} must be of type {cls.__name__}, got {value!r}")
+    _real("q_s", q_s)
+
+
 def _theta_prime(theta_s, theta_eps):
     """End-disk angle theta_prime = theta_eps - (pi/2 - theta_s)."""
     return theta_eps - (np.pi / 2.0 - theta_s)
@@ -186,7 +207,7 @@ def _theta_prime(theta_s, theta_eps):
 
 def _sigma(params: RobotParams, delta, ndim: int = 0):
     """sigma_i = delta + (i - 1) * beta, backbone-major: (n,) + delta's shape padded to ndim."""
-    d = np.asarray(delta, dtype=float)
+    d = _float(delta)
     return d + params.beta * np.arange(params.n).reshape((-1,) + (1,) * max(d.ndim, ndim))
 
 
@@ -215,7 +236,7 @@ def _arc_moment(params: RobotParams, D, kappa, dD=None):
     with dD = d Delta_i / d delta also dM/d delta = -kappa^2 sum_i EI_i dD_i /
     x_i^2.  D, dD and x are backbone-major (_offsets).  Stretches are not checked.
     """
-    kappa = np.asarray(kappa, dtype=float)
+    kappa = _float(kappa)
     x = 1.0 + D * kappa
     M, M_k, wx = _stretched_moment(params, x, kappa)
     if dD is None:
@@ -236,8 +257,7 @@ def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
 
     theta is the nominal configuration angle, not an equilibrium angle.
     """
-    return k.k_lambda0 + k.k_lambda_theta * np.asarray(theta, dtype=float) \
-        + k.k_lambda_q * np.asarray(q_s, dtype=float)
+    return k.k_lambda0 + k.k_lambda_theta * _float(theta) + k.k_lambda_q * _float(q_s)
 
 
 def _broadcast_samples(*arrays):
@@ -257,12 +277,13 @@ def _check_domain(samples, h, L, label, first):
     """ValidationError naming the first of the samples (theta, delta, q_s), or (theta, delta)
     without L, not h inside the domain, NaN included: '<label> <i + first>: ' and _sample of
     its flat index i.  The upper bounds compare samples stepped by +h, as the solver sees a
-    finite-difference point's steps.  Floats that pass give True, with no numpy call."""
+    finite-difference point's steps.  Scalars that pass give True, or numpy's True of numpy
+    scalars, and count nothing."""
     theta, delta, *q_s = samples
     ok = (theta > h) & (theta + h < math.pi) & (delta > -math.pi) & (delta <= math.pi)
     if q_s:
         ok = ok & (q_s[0] >= h) & (q_s[0] + h <= L)
-    if ok is not True and np.count_nonzero(ok) != np.size(ok):
+    if ok is not True and ok is not np.True_ and np.count_nonzero(ok) != np.size(ok):
         i = int(np.argmin(ok))
         lo, hi = (f"{h:g}", f" - {h:g}") if h else ("0", "")
         domain = (f"({lo}, pi{hi})", "(-pi, pi]", f"[{lo}, L{hi}]")[:len(samples)]
@@ -274,13 +295,13 @@ class _SolverStart(NamedTuple):
     """The lambda-free part of a solve, formed once by _solver_start for any number of
     _newton solves of the same samples."""
 
-    samples: tuple  # (theta, delta, q_s) as float arrays of their own shapes, for the messages
+    samples: tuple  # (theta, delta, q_s) as _float of their own shapes, for the messages
     shape: tuple  # the samples' broadcast shape
     first: int  # index in the whole batch of the first sample, for the messages
-    D: np.ndarray  # (n, N) backbone-major Delta_i of delta, or (n, 1) of one delta
-    kappa0: np.ndarray  # (N,) the whole segment's curvature, where Newton starts; one theta: 0-d
-    M0: np.ndarray  # (N,) M(kappa0); one psi: 0-d
-    M0_k: np.ndarray  # (N,) dM/dkappa at kappa0; one psi: 0-d
+    D: np.ndarray  # (n, N) backbone-major Delta_i of delta, (n, 1) of one delta; shape (): (n,)
+    kappa0: np.ndarray  # (N,) whole-segment curvature, Newton's start; one theta: numpy scalar
+    M0: np.ndarray  # (N,) M(kappa0); one psi: numpy scalar
+    M0_k: np.ndarray  # (N,) dM/dkappa at kappa0; one psi: numpy scalar
 
 
 def _solver_start(params: RobotParams, theta, delta, q_s, first: int) -> _SolverStart:
@@ -294,9 +315,10 @@ def _solver_start(params: RobotParams, theta, delta, q_s, first: int) -> _Solver
     offsets D = _offsets of delta, kappa0, M(kappa0), its slope and the stretches are formed
     at the inputs' own shapes, so that a sweep at one psi = (theta, delta) takes them once,
     not once per sample; they are broadcast to the batch only afterwards, and a term of one
-    value stays one (D as (n, 1), the others 0-d), which broadcasts against the batch as it is.
+    value stays one (D as (n, 1), the others numpy scalars), which broadcasts against the batch
+    as it is.  Samples of shape () are a batch of one with no batch axis: D is (n,).
     """
-    samples = theta, delta, q_s = [np.asarray(a, dtype=float) for a in (theta, delta, q_s)]
+    samples = theta, delta, q_s = [_float(a) for a in (theta, delta, q_s)]
     shape = np.broadcast(*samples).shape
     _check_domain(samples, 0.0, params.L, "sample", first)
     D = _offsets(params, delta, len(shape))
@@ -318,8 +340,8 @@ def _solver_start(params: RobotParams, theta, delta, q_s, first: int) -> _Solver
         kappa0, M0, M0_k = [a if a.ndim == 0 else (
             a if a.size == 1 or a.size == size else np.broadcast_to(a, shape)).ravel()
             for a in (kappa0, M0, M0_k)]
-    return _SolverStart((theta, delta, q_s), shape, first, D.reshape(params.n, -1), kappa0,
-                        M0, M0_k)
+    return _SolverStart((theta, delta, q_s), shape, first,
+                        D.reshape(params.n, -1) if shape else D, kappa0, M0, M0_k)
 
 
 def _newton(params: RobotParams, start: _SolverStart, lam):
@@ -341,15 +363,16 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
     and for the next step's moment, and works on the shrinking active set:
     arrays of the active samples, D and x backbone-major (n, N_active),
     compacted only when samples freeze; the start's terms of one psi enter the
-    first step as they are, and D of one delta stays (n, 1).  lam is lambda per sample
-    (uncertainty_lambda), broadcast to the samples' shape; the start is not
+    first step as they are, and D of one delta stays (n, 1).  Samples of shape () run the
+    same loop on numpy scalars and D's (n,) backbone row; one sample never compacts.  lam is
+    lambda per sample (uncertainty_lambda), broadcast to the samples' shape; the start is not
     changed.  Returns kappa of the samples' shape; _equilibrium_angles gives
     the angles.  NoConvergence names the active sample with the largest last
     step by its index in the batch and counts the samples of the start still active: of
     one block, in a batch longer than _BLOCK.
     """
     shape = start.shape
-    lam = np.asarray(lam, dtype=float)
+    lam = _float(lam)
     if lam.shape != shape:
         lam = np.broadcast_to(lam, shape)
     samples, _, first, Da, ka, M, M_k = start
@@ -357,7 +380,7 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
     # at the first step, as large batches need (at N = 20,000 a sweep is 10% slower with
     # them kept)
     del start
-    rhs = M - lam.ravel()
+    rhs = M - (lam.ravel() if shape else lam)
     # kappa is formed when part of the batch freezes; until then the active samples are all
     # of them, in order.  The active samples' working arrays are compacted only then
     kappa, n = None, rhs.size
@@ -414,7 +437,7 @@ def _equilibrium_angles(params: RobotParams, theta, q_s, kappa):
     """(theta_s, theta_eps) of the solved curvature kappa: theta_s = theta0 + q_s kappa, and
     the empty arc bends by (L - q_s) kappa0 (_theta_eps).  q_s = 0 gives exactly
     (theta0, theta).  theta_prime is formed only where it is read (_theta_prime)."""
-    theta, q_s = np.asarray(theta, dtype=float), np.asarray(q_s, dtype=float)
+    theta, q_s = _float(theta), _float(q_s)
     return THETA_BASE + q_s * kappa, _theta_eps(params, theta, q_s)
 
 
@@ -431,6 +454,7 @@ def solve_equilibrium(
     k: UncertaintyParams,
 ) -> EquilibriumConfig:
     """Equilibrium angles of the segment at configuration psi, depth q_s; nothing is kept."""
+    _check_call(params, psi, q_s, k)
     q_s = float(q_s)
     kappa = float(_solve_equilibrium_arrays(params, psi.theta, psi.delta, q_s,
                                             uncertainty_lambda(k, q_s, psi.theta)))

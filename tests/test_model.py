@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import re
 import tracemalloc
 
@@ -159,6 +160,46 @@ def test_uncertainty_params_store_real_scalars_as_given():
     k = UncertaintyParams(1, np.float64(0.5), -0.25)
     assert [(type(v), v) for v in (k.k_lambda0, k.k_lambda_theta, k.k_lambda_q)] \
         == [(int, 1), (np.float64, 0.5), (float, -0.25)]
+
+
+@pytest.mark.parametrize("field", ["L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s"])
+@pytest.mark.parametrize("value,shown", NOT_REAL)
+def test_robot_params_take_real_scalars_only(bench, field, value, shown):
+    # without the rule L=True constructed, and a string or an array raised TypeError
+    kwargs = {**vars(bench), field: value}
+    with pytest.raises(ValidationError, match=f"^{field} must be a real number, got "
+                                              f"{re.escape(shown)}$"):
+        RobotParams(**kwargs)
+
+
+SCALAR_CALLS = [crem_pose, assemble_motion_jacobians, solve_equilibrium, fd_discrepancies]
+# (argument, value, message): the type rule of every scalar call (model._check_call); without
+# it q_s went through float(), which took True and '3', and a tuple psi or k raised
+# AttributeError
+CALL_FAULTS = [
+    *(("q_s", value, f"q_s must be a real number, got {shown}") for value, shown in NOT_REAL),
+    ("q_s", "3", "q_s must be a real number, got '3'"),
+    ("q_s", (1.0,), "q_s must be a real number, got (1.0,)"),
+    ("params", (44.3, 3.0), "params must be of type RobotParams, got (44.3, 3.0)"),
+    ("psi", (1.0, 0.3), "psi must be of type ConfigState, got (1.0, 0.3)"),
+    ("k", (0.0, 0.0, 0.0), "k must be of type UncertaintyParams, got (0.0, 0.0, 0.0)"),
+]
+
+
+@pytest.mark.parametrize("call", SCALAR_CALLS, ids=lambda call: call.__name__)
+@pytest.mark.parametrize("argument,value,message", CALL_FAULTS)
+def test_scalar_calls_take_their_types_only(bench, k_cal, call, argument, value, message):
+    args = {"params": bench, "psi": ConfigState(1.0, 0.3), "q_s": 15.0, "k": k_cal}
+    args[argument] = value
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(**args)
+
+
+@pytest.mark.parametrize("call", SCALAR_CALLS, ids=lambda call: call.__name__)
+def test_scalar_calls_take_any_real_depth(bench, k_cal, call):
+    psi = ConfigState(1.0, 0.3)
+    assert [pickle.dumps(call(bench, psi, q_s, k_cal)) for q_s in (15, np.float64(15.0))] \
+        == [pickle.dumps(call(bench, psi, 15.0, k_cal))] * 2
 
 
 def test_equilibrium_config_angle_identity():
@@ -726,12 +767,45 @@ def test_lone_solve_forms_no_chain(bench, k_cal, monkeypatch):
 
 @pytest.mark.parametrize("theta", [1.0, TH0 + 1e-5])
 def test_kept_chain_is_read_only(bench, k_cal, theta):
-    # near straight the slope of b comes from its series, written into a 0-d array
+    # near straight the slope of b comes from its series, written into a 0-d buffer
     crem_pose(bench, ConfigState(theta, 0.3), 15.0, k_cal)
     _, chain = kinematics._scalar_chain(bench, theta, 0.3, 15.0, k_cal)
     assert kinematics._scalar_chain.cache_info().hits == 1
     values = [*chain[:2], *chain.s, *chain.e, *chain[4:]]
     assert [v for v in values if isinstance(v, np.ndarray) and v.flags.writeable] == []
+
+
+@pytest.mark.parametrize("theta", [1.0, TH0, TH0 + 1e-5])
+def test_a_scalar_sample_stays_a_numpy_scalar(bench, k_cal, theta):
+    # a 0-d array costs each numpy operation about ten times what a numpy scalar does:
+    # float samples solve and chain on numpy scalars, and D is one (n,) backbone row
+    start = _solver_start(bench, theta, 0.3, 15.0, 0)
+    assert start.D.shape == (bench.n,)
+    assert [type(v) for v in (*start.samples, start.kappa0, start.M0, start.M0_k)] \
+        == [np.float64] * 6
+    assert type(_newton(bench, start, uncertainty_lambda(k_cal, 15.0, theta))) is np.float64
+    kappa, chain = kinematics._scalar_chain(bench, theta, 0.3, 15.0, k_cal)
+    values = [kappa, *chain[:2], *chain.s, *chain.e, *chain[4:]]
+    assert [type(v) for v in values] == [np.float64] * len(values)
+
+
+def test_one_sample_fails_as_a_batch_of_one(bench, monkeypatch):
+    # shape () runs the batch loop on numpy scalars: the messages of shape (1,), index included
+    short = RobotParams(L=1.0, r=3.0, E_p=bench.E_p, E_i=bench.E_i, E_s=bench.E_s,
+                        I_p=bench.I_p, I_i=bench.I_i, I_s=bench.I_s)
+    for one in (float, lambda v: np.array([v])):
+        with pytest.raises(NonPhysicalLength, match=r"^sample 7: \(theta, delta, q_s\) = "
+                                                     r"\(0\.2, 0, 0\.5\): backbone length "
+                                                     r"<= 0 \(min -3\.11239 mm\)$"):
+            _solver_start(short, one(0.2), one(0.0), one(0.5), 7)
+    monkeypatch.setattr(model, "_SOLVER_MAX_ITER", 1)
+    for one in (float, lambda v: np.array([v])):
+        start = _solver_start(bench, one(np.radians(40)), one(0.2), one(15.0), 7)
+        with pytest.raises(NoConvergence, match=r"^sample 7: \(theta, delta, q_s\) = "
+                                                 r"\(0\.698132, 0\.2, 15\): equilibrium not "
+                                                 r"converged after 1 Newton steps \(last step "
+                                                 r"0\.00691 rad\); 1 of 1 samples still active$"):
+            _newton(bench, start, 0.0)
 
 
 @pytest.mark.parametrize("theta,delta,q_s", [(1.0, 0.3, 15.0), (TH0, -0.0, 20.0),

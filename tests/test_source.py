@@ -25,7 +25,8 @@ second chain record can drift from it.  A batch is split into blocks in one
 place, so that no second block loop can drift from it.  A measurement's commands
 are read in one place, so that the one-psi rule there is the only one, and its
 obs_mask only where it is checked and where it is weighed, so that the shared-mask
-rule there is the only one.
+rule there is the only one.  The core converts sample values to floats in one helper,
+so that no second conversion makes a scalar sample a 0-d array again.
 """
 import argparse
 import ast
@@ -387,3 +388,45 @@ def test_masks_are_read_in_one_place():
     readers = [f"{path.stem}.{name}" for path in SRC.glob("*.py")
                for name in mask_readers(path.read_text(encoding="utf-8"))]
     assert readers == ["calibration.Measurement.__post_init__", "calibration._stack"]
+
+
+def float_conversions(source: str):
+    """Names of the functions the source defines that call np.asarray with dtype float, a
+    method as Class.method, sorted."""
+    tree = ast.parse(source)
+    owner = {id(f): f"{c.name}." for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body}
+
+    def converts(n):
+        return (isinstance(n, ast.Call) and ast.unparse(n.func) in ("np.asarray", "numpy.asarray")
+                and any(ast.unparse(d) in ("float", "np.float64") for d in
+                        n.args[1:2] + [kw.value for kw in n.keywords if kw.arg == "dtype"]))
+    return sorted(owner.get(id(node), "") + node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(converts(n) for n in ast.walk(node)))
+
+
+def test_checker_finds_float_conversions():
+    source = ("import numpy as np\n"
+              "def a(x): return np.asarray(x, dtype=float)[()]\n"
+              "def b(x): return np.asarray(x, float)\n"
+              "def c(x): return np.asarray(x, dtype=bool)\n"
+              "def d(x): return np.asarray(x)\n"
+              "class E:\n    def f(self, x): return np.asarray(x, dtype=np.float64)\n")
+    assert float_conversions(source) == ["E.f", "a", "b"]
+
+
+# callers besides model._float that convert with np.asarray(..., dtype=float), and why each
+# may: they convert no sample of a solve
+FLOAT_CONVERSIONS_ALLOWED = {
+    "model._broadcast_samples": "gives arrays of one broadcast shape, for a batch",
+    "model.UncertaintyParams.from_array": "reads the three coefficients of a k vector",
+}
+
+
+def test_samples_are_converted_in_one_place():
+    # model._float makes a scalar a numpy scalar; np.asarray alone makes a 0-d array, on
+    # which each numpy operation of a scalar solve costs about ten times as much
+    found = [f"{stem}.{name}" for stem in ("model", "kinematics", "differential")
+             for name in float_conversions((SRC / f"{stem}.py").read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(["model._float", *FLOAT_CONVERSIONS_ALLOWED])
