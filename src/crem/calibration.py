@@ -38,6 +38,7 @@ from .model import (
     UncertaintyParams,
     _arc_moment,
     _blocks,
+    _check_types,
     _integer,
     _real,
     _SolverStart,
@@ -78,6 +79,7 @@ _POSE_OBSERVED.flags.writeable = False
 class Measurement:
     """One observed configuration.
 
+    psi is a ConfigState (model._check_types) and q_s a real scalar (model._real).
     x_bar is the tip position in the base frame (mm); R_bar the observed
     orientation or None.  obs_mask marks which of the six residual
     components (three position, three orientation) are observed; by
@@ -94,6 +96,8 @@ class Measurement:
     obs_mask: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.psi, ConfigState):  # the common path costs one isinstance
+            _check_types(psi=self.psi)
         _real("q_s", self.q_s)
         if not 0.0 <= self.q_s < np.inf:
             raise ValidationError(f"q_s must be finite and >= 0, got {self.q_s}")
@@ -215,25 +219,17 @@ def _weighted_cost(c, w):
 
 def _commands(measurements):
     """Commanded (theta, delta, q_s) of the measurements as float arrays, the one place the
-    package reads them, one pass per field.  theta or delta is one float when every
-    measurement's has the same bits, so that a set at one psi forms its psi-only terms once
-    (model._solver_start, _fit); the test is bitwise because -0.0 and 0.0 differ, as
-    sin(-0.0) = -0.0 does.  When every measurement holds the same ConfigState object (as a
-    run of load_dataset rows does), theta and delta are its values, and neither is walked."""
+    package reads them, one pass per field.  When every measurement holds the same
+    ConfigState object (as a run of load_dataset rows does), the set is at one psi: theta and
+    delta are its values as numpy scalars, neither is walked, and the psi-only terms are formed
+    once (model._solver_start, _fit).  Any other set, of equal psis too, takes arrays."""
     n = len(measurements)
     q_s = np.fromiter([m.q_s for m in measurements], float, n)
     psi = measurements[0].psi if n else None
     if n and next((m for m in measurements if m.psi is not psi), None) is None:
         return np.float64(psi.theta), np.float64(psi.delta), q_s
     theta = np.fromiter([m.psi.theta for m in measurements], float, n)
-    delta = np.fromiter([m.psi.delta for m in measurements], float, n)
-    return _one_value(theta), _one_value(delta), q_s
-
-
-def _one_value(a):
-    """a[0] when every element of the nonempty a has its bits, else a."""
-    bits = a.view(np.int64)
-    return a[0] if a.size and np.count_nonzero(bits != bits[0]) == 0 else a
+    return theta, np.fromiter([m.psi.delta for m in measurements], float, n), q_s
 
 
 class _Fit(NamedTuple):
@@ -346,7 +342,9 @@ def identification_jacobian(
     commands the working set is one block's whatever N is.  The bits are those of a
     one-measurement call.  An error names a measurement by its index in the list;
     NoConvergence's count of samples still active covers the block the measurement is in.
+    params and k are checked by type (model._check_types), each psi by its Measurement.
     """
+    _check_types(params=params, k=k)
     idx = _free_indices(free_params)
     theta, delta, q_s = _commands(measurements)
     J = np.empty((len(q_s), 6, len(idx)))

@@ -44,12 +44,13 @@ from .model import (
     UncertaintyParams,
     _arc_moment,
     _broadcast_samples,
-    _check_call,
     _check_domain,
+    _check_types,
     _equilibrium_angles,
     _float,
+    _newton,
     _sigma,
-    _solve_equilibrium_arrays,
+    _solver_start,
     _theta_prime,
 )
 from .rotations import axis_angle_vector
@@ -73,7 +74,7 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     """Vectorized (d phi / d(theta, delta, q_s, k) (..., 2, 6), J_q_psi (..., n, 2)).
 
     kappa solves G(kappa) = M(kappa) + EI_s kappa - M(kappa0) + lambda = 0
-    (model._solve_equilibrium_arrays), so d kappa / d a = -(dG/da) / G' with
+    (model._newton), so d kappa / d a = -(dG/da) / G' with
     G' = dM/dkappa + EI_s and
 
         dG/d(theta, delta, q_s, k) = (k_lambda_theta - M'(kappa0) / L,
@@ -223,8 +224,8 @@ def assemble_motion_jacobians(
 ) -> JacobianSet:
     """All tip Jacobians at one configuration, a JacobianSet of batch shape (), from the
     configuration's kept solve and planar chain (kinematics._scalar_chain).  Arguments of the
-    wrong type raise ValidationError (model._check_call)."""
-    _check_call(params, psi, q_s, k)
+    wrong type raise ValidationError (model._check_types)."""
+    _check_types(params=params, psi=psi, k=k, q_s=q_s)
     kappa, chain = _scalar_chain(params, float(psi.theta), float(psi.delta), float(q_s), k)
     return _jacobian_arrays(params, psi.theta, psi.delta, float(q_s), k, kappa, chain)
 
@@ -274,7 +275,7 @@ def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: Uncertaint
     th, de, qs, k0, kt, kq = _central_steps((theta, delta, q_s, *k.as_array()))
     de[1:] += 2.0 * np.pi * ((de[1:] <= -np.pi) * 1.0 - (de[1:] > np.pi))
     # uncertainty_lambda with k perturbed per sample
-    kappa = _solve_equilibrium_arrays(params, th, de, qs, k0 + kt * th + kq * qs)
+    kappa = _newton(params, _solver_start(params, th, de, qs, 0), k0 + kt * th + kq * qs)
     th_s, th_e = _equilibrium_angles(params, th, qs, kappa)
     c = _jacobian_arrays(params, theta, delta, q_s, k, kappa[0],
                          _chain(params, th_s[0], th_e[0], _arc(th_e[0], slopes=True), q_s))
@@ -311,8 +312,8 @@ def fd_discrepancies(
     an uncertainty moment still makes.
     The point must lie h = 1e-6 inside the domain, theta in (h, pi - h) and q_s in
     [h, L - h] (_check_domain), else ValidationError; so do arguments of the wrong type
-    (model._check_call).
+    (model._check_types).
     """
-    _check_call(params, psi, q_s, k)
+    _check_types(params=params, psi=psi, k=k, q_s=q_s)
     errs = _fd_discrepancy_arrays(params, psi.theta, psi.delta, float(q_s), k)
     return {key: float(v) for key, v in errs.items()}

@@ -28,17 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .model import (
     ConfigState,
     EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
     _blocks,
-    _check_call,
+    _check_types,
     _equilibrium_angles,
     _float,
     _newton,
-    _solve_equilibrium_arrays,
     _solver_start,
     _theta_prime,
     uncertainty_lambda,
@@ -171,8 +171,8 @@ def _solved_chain(params: RobotParams, theta, delta, q_s, k):
     """(kappa, _chain) of one solve at k of samples of one shape (floats, or broadcast by
     model._broadcast_samples), the empty arc with slopes: the one solve-then-chain sequence
     of the Jacobians (_scalar_chain, simulate-macro)."""
-    kappa = _solve_equilibrium_arrays(params, theta, delta, q_s,
-                                      uncertainty_lambda(k, q_s, theta))
+    kappa = _newton(params, _solver_start(params, theta, delta, q_s, 0),
+                    uncertainty_lambda(k, q_s, theta))
     th_s, th_e = _equilibrium_angles(params, theta, q_s, kappa)
     return kappa, _chain(params, th_s, th_e, _arc(th_e, slopes=True), q_s)
 
@@ -193,9 +193,9 @@ def crem_pose(
     Takes the kept solve and planar chain of the configuration (_scalar_chain),
     turns its in-plane tip by delta (_turn), and forms the
     rotation segment_rotation(theta_prime, delta).  Arguments of the wrong type raise
-    ValidationError (model._check_call).
+    ValidationError (model._check_types).
     """
-    _check_call(params, psi, q_s, k)
+    _check_types(params=params, psi=psi, k=k, q_s=q_s)
     _, c = _scalar_chain(params, float(psi.theta), float(psi.delta), float(q_s), k)
     tip = Pose(_turn(c.x, c.z, np.sin(psi.delta), np.cos(psi.delta)),
                segment_rotation(_theta_prime(c.th_s, c.th_e), psi.delta))
@@ -214,9 +214,13 @@ def micro_trajectory(
     mapped over blocks of the schedule (model._blocks), each written into the outputs, so
     that besides them the working set is one block's whatever N is.  The bits are those of
     a one-depth call.  An error names a depth by its index in the schedule; NoConvergence's
-    count of samples still active covers the block the depth is in.
+    count of samples still active covers the block the depth is in.  Arguments of the wrong
+    type (model._check_types) and a schedule of other than real numbers raise ValidationError.
     """
-    q = _float(qs_schedule)
+    _check_types(params=params, psi=psi, k=k)
+    if (q := np.asarray(qs_schedule)).dtype.kind not in "iuf":
+        raise ValidationError(f"qs_schedule must hold real numbers, got {qs_schedule!r}")
+    q = _float(q)
     flat = q.ravel()
     pos, th_s, th_p = np.empty((q.size, 3)), np.empty(q.size), np.empty(q.size)
     for b in _blocks(q.size):

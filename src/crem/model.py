@@ -189,15 +189,17 @@ class EquilibriumConfig:
         return _theta_prime(self.theta_s, self.theta_eps)
 
 
-def _check_call(params, psi, q_s, k):
-    """ValidationError naming the first of params, psi and k of a scalar call (crem_pose,
-    assemble_motion_jacobians, solve_equilibrium, fd_discrepancies) not of its type, then q_s
-    if it is not a real scalar (_real)."""
-    for name, value, cls in (("params", params, RobotParams), ("psi", psi, ConfigState),
-                             ("k", k, UncertaintyParams)):
-        if not isinstance(value, cls):
+_ARG_TYPES = {"params": RobotParams, "psi": ConfigState, "k": UncertaintyParams}
+
+
+def _check_types(**args):
+    """ValidationError naming the first of the arguments, in their order, not of its type:
+    params, psi and k of _ARG_TYPES, q_s a real scalar.  The one type rule of the calls."""
+    for name, value in args.items():
+        if name == "q_s":
+            _real(name, value)
+        elif not isinstance(value, cls := _ARG_TYPES[name]):
             raise ValidationError(f"{name} must be of type {cls.__name__}, got {value!r}")
-    _real("q_s", q_s)
 
 
 def _theta_prime(theta_s, theta_eps):
@@ -205,13 +207,13 @@ def _theta_prime(theta_s, theta_eps):
     return theta_eps - (np.pi / 2.0 - theta_s)
 
 
-def _sigma(params: RobotParams, delta, ndim: int = 0):
+def _sigma(params: RobotParams, delta, ndim: int):
     """sigma_i = delta + (i - 1) * beta, backbone-major: (n,) + delta's shape padded to ndim."""
     d = _float(delta)
     return d + params.beta * np.arange(params.n).reshape((-1,) + (1,) * max(d.ndim, ndim))
 
 
-def _offsets(params: RobotParams, delta, ndim: int = 0):
+def _offsets(params: RobotParams, delta, ndim: int):
     """Delta_i = r cos(sigma_i), backbone-major: (n,) + delta's shape padded to ndim."""
     return params.r * np.cos(_sigma(params, delta, ndim))
 
@@ -295,7 +297,7 @@ class _SolverStart(NamedTuple):
     """The lambda-free part of a solve, formed once by _solver_start for any number of
     _newton solves of the same samples."""
 
-    samples: tuple  # (theta, delta, q_s) as _float of their own shapes, for the messages
+    samples: tuple  # (theta, delta, q_s) as _float, for the messages
     shape: tuple  # the samples' broadcast shape
     first: int  # index in the whole batch of the first sample, for the messages
     D: np.ndarray  # (n, N) backbone-major Delta_i of delta, (n, 1) of one delta; shape (): (n,)
@@ -307,16 +309,16 @@ class _SolverStart(NamedTuple):
 def _solver_start(params: RobotParams, theta, delta, q_s, first: int) -> _SolverStart:
     """Check the samples and form what _newton needs at every lambda.
 
-    The samples are one block of a batch starting at index first (0 for a whole batch), and
-    each message names a sample by its index in the batch.  The first sample outside the domain
-    (_check_domain, h = 0) is rejected.  Newton starts from the whole segment's curvature
-    kappa0 = (theta - theta0) / L with M(kappa0) and its slope; NonPhysicalLength names the
-    first sample with a whole-segment backbone length that is not positive.  The check, the
-    offsets D = _offsets of delta, kappa0, M(kappa0), its slope and the stretches are formed
-    at the inputs' own shapes, so that a sweep at one psi = (theta, delta) takes them once,
-    not once per sample; they are broadcast to the batch only afterwards, and a term of one
-    value stays one (D as (n, 1), the others numpy scalars), which broadcasts against the batch
-    as it is.  Samples of shape () are a batch of one with no batch axis: D is (n,).
+    Each sample (theta, delta, q_s) is one value or of the batch's shape, a block of a batch
+    starting at index first (0 for a whole batch); each message names a sample by its index in
+    the batch.  The first sample outside the domain (_check_domain, h = 0) is rejected.
+    Newton starts from the whole segment's curvature kappa0 = (theta - theta0) / L with
+    M(kappa0) and its slope; NonPhysicalLength names the first sample with a whole-segment
+    backbone length that is not positive.  The check, the offsets D = _offsets of delta,
+    kappa0, M(kappa0), its slope and the stretches are formed at the inputs' own shapes, so
+    that a sweep at one psi = (theta, delta) takes them once: a term of one value stays one
+    (D as (n, 1), the others numpy scalars) and broadcasts against the flat batch as it is.
+    Samples of shape () are a batch of one with no batch axis: D is (n,).
     """
     samples = theta, delta, q_s = [_float(a) for a in (theta, delta, q_s)]
     shape = np.broadcast(*samples).shape
@@ -331,15 +333,7 @@ def _solver_start(params: RobotParams, theta, delta, q_s, first: int) -> _Solver
             i = int(np.argmax(bad))
             raise NonPhysicalLength(f"sample {i + first}: {_sample(samples, i)}: backbone "
                                     f"length <= 0 (min {params.L * np.min(x[:, i]):.6g} mm)")
-    # each term as it broadcasts against the flat batch: one value, or one per sample, as it
-    # is; a term of some other shape (theta on a grid of theta by q_s) broadcast to the batch
-    size = math.prod(shape)
-    if D.size != params.n and D.size != params.n * size:
-        D = np.broadcast_to(D, (params.n,) + shape)
-    if M0.ndim:  # else all three are of one psi
-        kappa0, M0, M0_k = [a if a.ndim == 0 else (
-            a if a.size == 1 or a.size == size else np.broadcast_to(a, shape)).ravel()
-            for a in (kappa0, M0, M0_k)]
+    kappa0, M0, M0_k = [a.ravel() if a.ndim else a for a in (kappa0, M0, M0_k)]
     return _SolverStart((theta, delta, q_s), shape, first,
                         D.reshape(params.n, -1) if shape else D, kappa0, M0, M0_k)
 
@@ -365,7 +359,7 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
     compacted only when samples freeze; the start's terms of one psi enter the
     first step as they are, and D of one delta stays (n, 1).  Samples of shape () run the
     same loop on numpy scalars and D's (n,) backbone row; one sample never compacts.  lam is
-    lambda per sample (uncertainty_lambda), broadcast to the samples' shape; the start is not
+    lambda per sample (uncertainty_lambda), of the samples' shape; the start is not
     changed.  Returns kappa of the samples' shape; _equilibrium_angles gives
     the angles.  NoConvergence names the active sample with the largest last
     step by its index in the batch and counts the samples of the start still active: of
@@ -373,8 +367,6 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
     """
     shape = start.shape
     lam = _float(lam)
-    if lam.shape != shape:
-        lam = np.broadcast_to(lam, shape)
     samples, _, first, Da, ka, M, M_k = start
     # a one-shot solve holds its start nowhere else: dropping it frees kappa0 and M(kappa0)
     # at the first step, as large batches need (at N = 20,000 a sweep is 10% slower with
@@ -426,13 +418,6 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
     return kappa.reshape(shape)
 
 
-def _solve_equilibrium_arrays(params: RobotParams, theta, delta, q_s, lam):
-    """kappa of one solve of a whole batch at lambda per sample lam: _newton from
-    _solver_start.  A caller that solves the same samples at many lambda, as the calibration
-    fit does once per evaluated k, forms the start once and calls _newton for each."""
-    return _newton(params, _solver_start(params, theta, delta, q_s, 0), lam)
-
-
 def _equilibrium_angles(params: RobotParams, theta, q_s, kappa):
     """(theta_s, theta_eps) of the solved curvature kappa: theta_s = theta0 + q_s kappa, and
     the empty arc bends by (L - q_s) kappa0 (_theta_eps).  q_s = 0 gives exactly
@@ -454,9 +439,9 @@ def solve_equilibrium(
     k: UncertaintyParams,
 ) -> EquilibriumConfig:
     """Equilibrium angles of the segment at configuration psi, depth q_s; nothing is kept."""
-    _check_call(params, psi, q_s, k)
+    _check_types(params=params, psi=psi, k=k, q_s=q_s)
     q_s = float(q_s)
-    kappa = float(_solve_equilibrium_arrays(params, psi.theta, psi.delta, q_s,
-                                            uncertainty_lambda(k, q_s, psi.theta)))
+    kappa = float(_newton(params, _solver_start(params, psi.theta, psi.delta, q_s, 0),
+                          uncertainty_lambda(k, q_s, psi.theta)))
     th_s, th_e = _equilibrium_angles(params, psi.theta, q_s, kappa)
     return EquilibriumConfig(float(th_s), float(th_e))

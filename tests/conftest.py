@@ -35,7 +35,7 @@ from crem import (
 )
 from crem.differential import _FD_STEP, _jacobian_arrays
 from crem.kinematics import _arc, _scalar_chain, _solved_chain, _tip_positions, segment_rotation
-from crem.model import _broadcast_samples, _offsets
+from crem.model import _broadcast_samples, _newton, _offsets, _solver_start
 from crem.rotations import axis_angle_vector
 
 TH0 = np.pi / 2
@@ -124,9 +124,20 @@ def jacobian_arrays(params, theta, delta, q_s, k):
     return _jacobian_arrays(params, *samples, k, *_solved_chain(params, *samples, k))
 
 
+def solve_kappa(params, theta, delta, q_s, lam):
+    """kappa of samples (theta, delta, q_s) and lambda lam that broadcast against each other,
+    a grid too: model._newton from model._solver_start, after each sample of more than one
+    value and lam are broadcast to the batch, for the solver takes a sample of one value or
+    of the batch's shape, and lambda of the batch's shape."""
+    samples = [np.asarray(a, dtype=float) for a in (theta, delta, q_s)]
+    shape = np.broadcast(*samples, lam).shape
+    samples = [a if a.ndim == 0 else np.broadcast_to(a, shape) for a in samples]
+    return _newton(params, _solver_start(params, *samples, 0), np.broadcast_to(lam, shape))
+
+
 def projected_offsets(params, delta):
     """Delta_i = r cos(sigma_i): moment-arm projections onto the bending plane, (..., n)."""
-    return np.moveaxis(_offsets(params, delta), 0, -1)
+    return np.moveaxis(_offsets(params, delta, 0), 0, -1)
 
 
 def backbone_lengths(params, theta, delta):

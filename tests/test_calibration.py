@@ -132,6 +132,8 @@ def test_measurement_validation():
         ({"q_s": np.nan}, "^q_s must be finite and >= 0, got nan$"),
         ({"q_s": np.inf}, "^q_s must be finite and >= 0, got inf$"),
         ({"q_s": -1.0}, "^q_s must be finite and >= 0, got -1.0$"),
+        # unchecked, a tuple psi failed only in the fit, with AttributeError
+        ({"psi": (1.0, 0.2)}, r"^psi must be of type ConfigState, got \(1\.0, 0\.2\)$"),
     ]
     # ConfigState's type rule, before the range check: without it an array raised numpy's
     # ambiguous-truth ValueError, and a bool or a 0-d array passed
@@ -891,7 +893,7 @@ def test_one_equilibrium_solve_per_evaluated_k(bench, monkeypatch):
         monkeypatch.setattr(module, name, counting(module, name))
     monkeypatch.setattr(crem.calibration, "_normal_equations", overshooting)
     for module in (crem.differential, crem.kinematics, crem.model):
-        monkeypatch.setattr(module, "_solve_equilibrium_arrays", forbidden)
+        monkeypatch.setattr(module, "_newton", forbidden)
     cfg = CalibrationConfig(eta=1.0)
     res = nls_estimate(ms, bench, cfg, UncertaintyParams.zero())
     rejected = int(round(np.log2(cfg.eta / res.eta_final)))
@@ -950,7 +952,7 @@ def test_rank_one_jacobian_forms_no_full_jacobian(bench, monkeypatch):
 
 @pytest.mark.parametrize("theta, delta", [(1, 0.3), (np.float32(0.9), 0.3), (1.2, -0.0)],
                          ids=["int-theta", "float32-theta", "delta=-0.0"])
-def test_a_shared_psi_gives_the_bits_of_distinct_equal_ones(bench, monkeypatch, theta, delta):
+def test_a_shared_psi_gives_the_bits_of_distinct_equal_ones(bench, theta, delta):
     k_true = UncertaintyParams(0.2, 0.0, 0.025)
     psi = ConfigState(theta, delta)
     qs = np.linspace(0.0, 40.0, 30)
@@ -962,14 +964,10 @@ def test_a_shared_psi_gives_the_bits_of_distinct_equal_ones(bench, monkeypatch, 
     distinct = [Measurement(psi=ConfigState(theta, delta), q_s=m.q_s, x_bar=m.x_bar,
                             R_bar=m.R_bar) for m in shared]
 
-    def forbidden(a):
-        raise AssertionError("an angle walked per measurement")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(calibration, "_one_value", forbidden)
-        one = calibration._commands(shared)
+    # the shared psi gives one value, distinct ones an array of it
+    one = calibration._commands(shared)
     for a, b in zip(one[:2], calibration._commands(distinct)[:2]):
-        assert type(a) is np.float64 and np.ndim(b) == 0 and a.tobytes() == b.tobytes()
+        assert type(a) is np.float64 and np.full(len(x), a).tobytes() == b.tobytes()
     assert np.signbit(one[1]) == np.signbit(delta)
     k = UncertaintyParams(0.1, 0.01, 0.02)
     assert (identification_jacobian(shared, bench, k, PARAM_NAMES).tobytes()
@@ -989,7 +987,7 @@ def test_shared_psis_of_both_zero_deltas_stay_on_the_array_path(bench, k_cal):
     ms = [Measurement(psi=psi, q_s=q, x_bar=np.zeros(3))
           for psi, q in zip((plus, plus, minus, minus, plus), (5.0, 10.0, 15.0, 20.0, 25.0))]
     theta, delta, _ = calibration._commands(ms)
-    assert np.ndim(theta) == 0 and theta == 0.9
+    assert np.all(theta == 0.9)
     assert np.ndim(delta) == 1 and np.signbit(delta).tolist() == [False, False, True, True,
                                                                   False]
     J = identification_jacobian(ms, bench, k_cal, PARAM_NAMES)

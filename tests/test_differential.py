@@ -41,7 +41,6 @@ from crem.model import (
     _arc_moment,
     _equilibrium_angles,
     _sigma,
-    _solve_equilibrium_arrays,
     uncertainty_lambda,
 )
 from conftest import (
@@ -59,6 +58,7 @@ from conftest import (
     pose_arrays_3d,
     projected_offsets,
     segment_pose,
+    solve_kappa,
     xi_jacobian_arrays_3d,
 )
 
@@ -324,7 +324,7 @@ def test_closed_form_pinv_matches_numpy(n):
     theta = np.concatenate([rng.uniform(0.05, np.pi - 0.05, 300),
                             [TH0, TH0 - 1e-12, TH0 + 1e-12]])
     delta = rng.uniform(-np.pi, np.pi, theta.size)
-    sig = _sigma(params, delta).T  # backbone-major (n, N) turned to (N, n)
+    sig = _sigma(params, delta, 0).T  # backbone-major (n, N) turned to (N, n)
     J_q_psi = params.r * np.stack([np.cos(sig), (TH0 - theta)[:, None] * np.sin(sig)], axis=-1)
     ref = np.linalg.pinv(J_q_psi)
     got = _orthogonal_pinv(J_q_psi)
@@ -371,8 +371,7 @@ def test_kernels_broadcast_mixed_arguments(bench, k_cal, kernel):
     theta[1, 0] = TH0
     delta = rng.uniform(-np.pi, np.pi, (2, 5))
     q_s = rng.uniform(0.0, bench.L, (2, 5))
-    kappa = _solve_equilibrium_arrays(bench, theta, delta, q_s,
-                                      uncertainty_lambda(k_cal, q_s, theta))
+    kappa = solve_kappa(bench, theta, delta, q_s, uncertainty_lambda(k_cal, q_s, theta))
     th_s, th_e = _equilibrium_angles(bench, theta, q_s, kappa)
     f, full = {
         "tip": (lambda *a: (_tip_positions(bench, *a),), (th_s, th_e, delta, q_s)),
@@ -496,7 +495,7 @@ def test_fd_discrepancies_solves_each_point_once(bench, k_cal, monkeypatch):
     import crem.kinematics
     import crem.model
 
-    solve = crem.model._solve_equilibrium_arrays
+    solve = crem.model._newton
     calls = []
 
     def counting(*args, **kwargs):
@@ -504,7 +503,7 @@ def test_fd_discrepancies_solves_each_point_once(bench, k_cal, monkeypatch):
         return solve(*args, **kwargs)
 
     for module in (differential, crem.kinematics, crem.model):
-        monkeypatch.setattr(module, "_solve_equilibrium_arrays", counting)
+        monkeypatch.setattr(module, "_newton", counting)
     fd_discrepancies(bench, ConfigState(np.radians(40), 0.3), 15.0, k_cal)
     assert len(calls) == 1
 
@@ -684,7 +683,7 @@ def test_arc_stiffness_partials_against_differences(bench, length, bend):
         return _arc_moment(bench, projected_offsets(bench, delta), kappa)[1]
 
     D = projected_offsets(bench, delta)
-    dD = -bench.r * np.sin(_sigma(bench, delta))
+    dD = -bench.r * np.sin(_sigma(bench, delta, 0))
     x, M, M_kappa, M_delta = _arc_moment(bench, D, kappa, dD)
     assert M == M_of(kappa, delta)
     assert_allclose(length * x, length + D * bend, rtol=0, atol=1e-12)
@@ -769,7 +768,7 @@ def test_fd_oracle_applies_the_domain_rule(bench, k_cal, theta, delta, q_s):
     stepped = ([theta, theta + h, theta - h, theta, theta], delta,
                [q_s, q_s, q_s, q_s + h, q_s - h])
     try:
-        _solve_equilibrium_arrays(bench, *stepped, 0.0)
+        solve_kappa(bench, *stepped, 0.0)
         inside = True
     except ValidationError:
         inside = False

@@ -28,8 +28,7 @@ from crem import (
 )
 from crem import calibration, differential, kinematics, model
 from crem.calibration import PARAM_NAMES
-from crem.model import (_arc_moment, _newton, _offsets, _solve_equilibrium_arrays,
-                        _solver_start)
+from crem.model import _arc_moment, _newton, _offsets, _solver_start
 from conftest import (
     ANGLE_EDGES,
     CONFIG_DOMAIN,
@@ -43,6 +42,7 @@ from conftest import (
     oracle_equilibrium,
     outside,
     projected_offsets,
+    solve_kappa,
 )
 
 TH0 = np.pi / 2
@@ -173,7 +173,7 @@ def test_robot_params_take_real_scalars_only(bench, field, value, shown):
 
 
 SCALAR_CALLS = [crem_pose, assemble_motion_jacobians, solve_equilibrium, fd_discrepancies]
-# (argument, value, message): the type rule of every scalar call (model._check_call); without
+# (argument, value, message): the type rule of every scalar call (model._check_types); without
 # it q_s went through float(), which took True and '3', and a tuple psi or k raised
 # AttributeError
 CALL_FAULTS = [
@@ -193,6 +193,38 @@ def test_scalar_calls_take_their_types_only(bench, k_cal, call, argument, value,
     args[argument] = value
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call(**args)
+
+
+@pytest.mark.parametrize("call", [micro_trajectory, identification_jacobian],
+                         ids=lambda call: call.__name__)
+@pytest.mark.parametrize("argument,value,message", CALL_FAULTS[-3:],
+                         ids=[f[0] for f in CALL_FAULTS[-3:]])
+def test_batch_calls_take_their_types_only(bench, k_cal, call, argument, value, message):
+    # the rule of the scalar calls (model._check_types); a tuple psi or k raised AttributeError.
+    # identification_jacobian's psi is each Measurement's, checked when it is made
+    args = {"params": bench, "psi": ConfigState(1.0, 0.3), "k": k_cal}
+    args[argument] = value
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        if call is micro_trajectory:
+            micro_trajectory(args["params"], args["psi"], [5.0, 15.0], args["k"])
+        else:
+            ms = [Measurement(psi=args["psi"], q_s=q, x_bar=np.zeros(3)) for q in (5.0, 15.0)]
+            identification_jacobian(ms, args["params"], args["k"], PARAM_NAMES)
+
+
+@pytest.mark.parametrize("schedule,shown", [(["1", "2"], "['1', '2']"),
+                                            (np.array(["1.5"]), "array(['1.5'], dtype='<U3')"),
+                                            ([True, False], "[True, False]"),
+                                            ([None], "[None]")])
+def test_micro_trajectory_takes_real_depths_only(bench, k_cal, schedule, shown):
+    # np.asarray(..., dtype=float) parsed the strings and took the bools
+    psi = ConfigState(1.0, 0.3)
+    with pytest.raises(ValidationError, match="^qs_schedule must hold real numbers, got "
+                                              f"{re.escape(shown)}$"):
+        micro_trajectory(bench, psi, schedule, k_cal)
+    # integers are real numbers: the bits of their floats
+    assert ([a.tobytes() for a in micro_trajectory(bench, psi, [5, 15], k_cal)]
+            == [a.tobytes() for a in micro_trajectory(bench, psi, [5.0, 15.0], k_cal)])
 
 
 @pytest.mark.parametrize("call", SCALAR_CALLS, ids=lambda call: call.__name__)
@@ -268,7 +300,7 @@ def test_backbone_lengths_nonphysical(bench, k_zero):
     message = (r"^sample 2: \(theta, delta, q_s\) = \(0\.2, 0, 0\.5\): "
                r"backbone length <= 0 \(min -3\.11239 mm\)$")
     with pytest.raises(NonPhysicalLength, match=message):
-        _solve_equilibrium_arrays(short, [1.5, 1.4, 0.2, 0.1], 0.0, 0.5, 0.0)
+        solve_kappa(short, [1.5, 1.4, 0.2, 0.1], 0.0, 0.5, 0.0)
 
 
 def test_subsegment_lengths_direct(bench):
@@ -358,7 +390,7 @@ def test_batched_solve_rejects_non_finite_sample(bench, k_cal):
     with pytest.raises(ValidationError, match=r"sample 3: \(theta, delta, q_s\) = .*nan"):
         micro_trajectory(bench, ConfigState(np.radians(30), 0.0), qs, k_cal)
     with pytest.raises(ValidationError, match="sample 1"):
-        _solve_equilibrium_arrays(bench, [1.0, np.inf, np.nan], 0.0, 10.0, 0.45)
+        solve_kappa(bench, [1.0, np.inf, np.nan], 0.0, 10.0, 0.45)
 
 
 @pytest.mark.parametrize("theta,delta,q_s,inside", DOMAIN_EDGES)
@@ -366,11 +398,11 @@ def test_solver_applies_the_domain_rule(bench, theta, delta, q_s, inside):
     # each row of the domain table as the second sample of a batch
     args = (bench, [1.0, theta], [0.3, delta], [20.0, q_s], 0.45)
     if inside:
-        assert np.all(np.isfinite(_solve_equilibrium_arrays(*args)))
+        assert np.all(np.isfinite(solve_kappa(*args)))
     else:
         with pytest.raises(ValidationError, match=outside("sample 1", (theta, delta, q_s),
                                                           DOMAIN)):
-            _solve_equilibrium_arrays(*args)
+            solve_kappa(*args)
 
 
 @pytest.mark.parametrize("bad", [3.5, -0.2, 0.0, np.pi])
@@ -378,7 +410,7 @@ def test_batched_solve_rejects_theta_outside_range(bench, bad):
     # the same rule ConfigState enforces on a single configuration
     pattern = r"sample 2: \(theta, delta, q_s\) = \(" + f"{bad:.6g}"
     with pytest.raises(ValidationError, match=pattern):
-        _solve_equilibrium_arrays(bench, [1.0, 0.5, bad, 1.2], 0.3, 10.0, 0.45)
+        solve_kappa(bench, [1.0, 0.5, bad, 1.2], 0.3, 10.0, 0.45)
 
 
 def test_batched_solve_no_convergence_names_the_sample(bench, monkeypatch):
@@ -389,7 +421,7 @@ def test_batched_solve_no_convergence_names_the_sample(bench, monkeypatch):
     pattern = (r"sample 3: \(theta, delta, q_s\) = \(0\.698132, 0\.2, 15\): "
                r".*not converged after 1 ")
     with pytest.raises(NoConvergence, match=pattern):
-        _solve_equilibrium_arrays(bench, theta, 0.2, 15.0, 0.0)
+        solve_kappa(bench, theta, 0.2, 15.0, 0.0)
 
 
 def test_batched_solve_no_convergence_counts_active_samples(bench, monkeypatch):
@@ -399,7 +431,7 @@ def test_batched_solve_no_convergence_counts_active_samples(bench, monkeypatch):
     theta[1], theta[3] = np.radians(60), np.radians(40)
     monkeypatch.setattr(model, "_SOLVER_MAX_ITER", 1)
     with pytest.raises(NoConvergence, match=r"sample 3: .*; 2 of 5 samples still active"):
-        _solve_equilibrium_arrays(bench, theta, 0.2, 15.0, 0.0)
+        solve_kappa(bench, theta, 0.2, 15.0, 0.0)
 
 
 def test_overflowing_lambda_is_reported_not_halved_forever(bench):
@@ -521,7 +553,7 @@ def test_curvature_equation_increases_on_the_physical_interval(bench):
                         I_p=0.00117, I_i=0.0017, I_s=0.00115, n=3)
     for params in (bench, robot):
         for delta in (0.0, 0.4, 2.0):
-            D = _offsets(params, delta)[:, None]  # backbone-major (n, 1) against (N,) kappa
+            D = _offsets(params, delta, 0)[:, None]  # backbone-major (n, 1) against (N,) kappa
             lo, hi = -1.0 / np.max(D), -1.0 / np.min(D)
             kappa = lo + (hi - lo) * np.linspace(1e-9, 1.0 - 1e-9, 20001)
             x, M, M_k = _arc_moment(params, D, kappa)
@@ -604,10 +636,9 @@ def test_many_backbones_solve_batch_invariant_and_pass_fd(bench, k_cal, n):
     q_s = np.concatenate([[0.0, 20.0, params.L, 0.0], rng.uniform(0.0, params.L, 36)])
     lam = uncertainty_lambda(k_cal, q_s, theta)
     for order in (np.arange(40), rng.permutation(40)):
-        batch = _solve_equilibrium_arrays(params, theta[order], delta[order], q_s[order],
-                                          lam[order])
+        batch = solve_kappa(params, theta[order], delta[order], q_s[order], lam[order])
         for got, i in zip(batch, order):
-            alone = _solve_equilibrium_arrays(params, theta[i], delta[i], q_s[i], lam[i])
+            alone = solve_kappa(params, theta[i], delta[i], q_s[i], lam[i])
             assert got.tobytes() == alone.tobytes()
     # criterion-5 domain: theta 15-75 deg, q_s 0.1-0.9 L
     for theta, delta, q_s in zip(np.radians(rng.uniform(15.0, 75.0, 4)),
@@ -656,7 +687,7 @@ def test_halved_steps_are_batch_invariant(bench, case):
     params = bench if robot is None else RobotParams(*robot)
     kappa, count = _newton_replay(params, theta, delta, q_s, lam)
     assert count == halved
-    assert _solve_equilibrium_arrays(params, theta, delta, q_s, lam) == kappa
+    assert solve_kappa(params, theta, delta, q_s, lam) == kappa
     # in a batch with straight samples, which freeze after one zero step, and
     # ordinary ones; the span keeps every whole-segment backbone length positive
     rng = np.random.default_rng(case)
@@ -666,21 +697,21 @@ def test_halved_steps_are_batch_invariant(bench, case):
     qs = np.concatenate([[q_s, 0.0, params.L / 2, params.L], rng.uniform(0.0, params.L, 6)])
     lams = np.concatenate([[lam], np.zeros(3), rng.uniform(-1.0, 1.0, 6)])
     for order in (np.arange(10), np.arange(10)[::-1], rng.permutation(10)):
-        batch = _solve_equilibrium_arrays(params, th[order], de[order], qs[order], lams[order])
+        batch = solve_kappa(params, th[order], de[order], qs[order], lams[order])
         for got, i in zip(batch, order):
-            alone = _solve_equilibrium_arrays(params, th[i], de[i], qs[i], lams[i])
+            alone = solve_kappa(params, th[i], de[i], qs[i], lams[i])
             assert got.tobytes() == alone.tobytes()
 
 
 def test_offsets_of_an_unbroadcast_delta_give_the_same_bits(bench):
-    # the solver forms Delta_i from delta as given and broadcasts the rows after
+    # the solver forms Delta_i of one delta once, as an (n, 1) row that Newton broadcasts
     rng = np.random.default_rng(5)
     theta = TH0 + rng.uniform(-1.0, 0.5, (4, 1))
     q_s = rng.uniform(0.0, bench.L, (4, 3))
-    for delta in (rng.uniform(-np.pi, np.pi, 3), 0.3):
-        full = np.array(np.broadcast_to(delta, q_s.shape))
-        assert (_solve_equilibrium_arrays(bench, theta, delta, q_s, 0.2).tobytes()
-                == _solve_equilibrium_arrays(bench, theta, full, q_s, 0.2).tobytes())
+    for delta in (0.3, -0.0):
+        full = np.full(q_s.shape, delta)
+        assert (solve_kappa(bench, theta, delta, q_s, 0.2).tobytes()
+                == solve_kappa(bench, theta, full, q_s, 0.2).tobytes())
 
 
 # a batch of 40 with q_s = 0, q_s = L and exactly straight theta among it, each of those
@@ -701,8 +732,8 @@ def test_one_start_solves_each_lambda_as_a_fresh_solve(bench, rows):
     arrays = start.D, start.kappa0, start.M0, start.M0_k
     kept = [a.copy() for a in arrays]
     for lam in (0.0, 0.45, -0.3, rng.uniform(-0.5, 0.5, 40)[rows], 0.45):
-        got = _newton(bench, start, lam)
-        fresh = _solve_equilibrium_arrays(bench, th, de, qs, lam)
+        got = _newton(bench, start, np.broadcast_to(lam, start.shape))
+        fresh = solve_kappa(bench, th, de, qs, lam)
         assert got.shape == np.shape(th) and got.tobytes() == fresh.tobytes()
     # no solve writes into the start it shares with the next
     assert [a.tobytes() for a in arrays] == [a.tobytes() for a in kept]
@@ -713,15 +744,15 @@ def test_one_start_solves_each_lambda_as_a_fresh_solve(bench, rows):
 
 
 def counted_solves(monkeypatch):
-    """A list that gains one entry per equilibrium solve, from any module."""
-    solve, calls = model._solve_equilibrium_arrays, []
+    """A list that gains one entry per equilibrium solve (model._newton), from any module."""
+    solve, calls = model._newton, []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
     for module in (model, differential, kinematics):
-        monkeypatch.setattr(module, "_solve_equilibrium_arrays", counting)
+        monkeypatch.setattr(module, "_newton", counting)
     return calls
 
 
@@ -805,7 +836,7 @@ def test_one_sample_fails_as_a_batch_of_one(bench, monkeypatch):
                                                  r"\(0\.698132, 0\.2, 15\): equilibrium not "
                                                  r"converged after 1 Newton steps \(last step "
                                                  r"0\.00691 rad\); 1 of 1 samples still active$"):
-            _newton(bench, start, 0.0)
+            _newton(bench, start, one(0.0))
 
 
 @pytest.mark.parametrize("theta,delta,q_s", [(1.0, 0.3, 15.0), (TH0, -0.0, 20.0),
@@ -841,10 +872,16 @@ def test_each_key_part_solves_again(bench, k_cal, monkeypatch, part):
 
 
 def test_scalar_solve_errors_are_not_kept(bench, k_zero, monkeypatch):
-    calls = counted_solves(monkeypatch)
     for _ in range(2):
         with pytest.raises(ValidationError, match="q_s"):
             crem_pose(bench, ConfigState(1.0, 0.3), bench.L + 0.1, k_zero)
+    assert kinematics._scalar_chain.cache_info().currsize == 0
+    # a solve that fails in Newton is solved again by the next call
+    calls = counted_solves(monkeypatch)
+    monkeypatch.setattr(model, "_SOLVER_MAX_ITER", 1)
+    for _ in range(2):
+        with pytest.raises(NoConvergence):
+            crem_pose(bench, ConfigState(np.radians(40), 0.2), 15.0, k_zero)
     assert len(calls) == 2
 
 
@@ -881,6 +918,12 @@ def test_kept_solve_is_bit_identical_to_a_fresh_one(bench, k_cal, monkeypatch,
 def block_measurements(theta, delta, q_s):
     return [Measurement(psi=ConfigState(t, d), q_s=q, x_bar=np.zeros(3))
             for t, d, q in zip(theta.tolist(), delta.tolist(), q_s.tolist())]
+
+
+def one_psi_measurements(theta, delta, q_s):
+    """Measurements that hold one ConfigState object: the one signal of a set at one psi."""
+    psi = ConfigState(theta, delta)
+    return [Measurement(psi=psi, q_s=q, x_bar=np.zeros(3)) for q in q_s.tolist()]
 
 
 def test_blocks_split_a_batch_in_order():
@@ -995,14 +1038,17 @@ def test_block_working_set_is_bounded(bench, k_cal):
 
 def test_one_psi_commands_are_one_value():
     q_s = np.linspace(0.0, 40.0, 4)
-    theta, delta, q = calibration._commands(block_measurements(np.full(4, 0.9), np.full(4, 0.3),
-                                                               q_s))
+    theta, delta, q = calibration._commands(one_psi_measurements(0.9, 0.3, q_s))
     assert np.ndim(theta) == np.ndim(delta) == 0 and (theta, delta) == (0.9, 0.3)
     assert np.array_equal(q, q_s)
-    # one theta and two deltas: theta alone is one value
+    # equal psis that are distinct objects, and one theta with two deltas, take arrays
+    theta, delta, _ = calibration._commands(block_measurements(np.full(4, 0.9),
+                                                               np.full(4, 0.3), q_s))
+    assert np.array_equal(theta, np.full(4, 0.9)) and np.array_equal(delta, np.full(4, 0.3))
     theta, delta, _ = calibration._commands(
         block_measurements(np.full(4, 0.9), np.array([0.3, 0.3, 0.3, 0.4]), q_s))
-    assert np.ndim(theta) == 0 and np.array_equal(delta, [0.3, 0.3, 0.3, 0.4])
+    assert np.array_equal(theta, np.full(4, 0.9))
+    assert np.array_equal(delta, [0.3, 0.3, 0.3, 0.4])
     assert [np.ndim(a) for a in calibration._commands([])] == [1, 1, 1]
 
 
@@ -1018,8 +1064,8 @@ def test_signed_zero_deltas_stay_on_the_array_path(bench, k_cal):
                 == identification_jacobian([m], bench, k_cal, PARAM_NAMES).tobytes())
     # the signs show in the rows
     assert J[:6].tobytes() != J[6:12].tobytes()
-    _, one, _ = calibration._commands(ms[1::2])
-    assert np.ndim(one) == 0 and np.signbit(one)
+    _, minus, _ = calibration._commands(ms[1::2])
+    assert np.signbit(minus).all()
 
 
 @pytest.mark.parametrize("theta, delta", [(0.9, 0.3), (TH0, -0.0), (2.5, np.pi)],
@@ -1028,10 +1074,11 @@ def test_one_psi_rows_keep_their_bits_beside_another_psi(bench, k_cal, theta, de
     # the measurements of one psi take the one-value path alone and the array path with one
     # measurement at another psi after them: the same bits either way
     n = 37
-    ms = block_measurements(np.full(n, theta), np.full(n, delta), np.linspace(0.0, bench.L, n))
+    ms = one_psi_measurements(theta, delta, np.linspace(0.0, bench.L, n))
     R = crem_pose(bench, ConfigState(theta, delta), 25.0, k_cal).tip.R
     ms[5] = Measurement(psi=ms[5].psi, q_s=20.0, x_bar=np.ones(3), R_bar=R)
     mixed = ms + block_measurements(np.array([1.0]), np.array([0.5]), np.array([10.0]))
+    assert np.ndim(calibration._commands(ms)[0]) == 0
     assert np.ndim(calibration._commands(mixed)[0]) == 1
     one = identification_jacobian(ms, bench, k_cal, PARAM_NAMES)
     assert one.tobytes() == identification_jacobian(mixed, bench, k_cal,
@@ -1069,7 +1116,7 @@ def test_one_psi_errors_name_the_same_sample_on_both_paths(bench, k_zero):
     # and through the measurements: one psi alone, and beside a measurement at another psi
     for params, q, error, sample in ((bench, past_L, ValidationError, 5),
                                      (short, q_s / 50.0, NonPhysicalLength, 0)):
-        ms = block_measurements(np.full(9, 0.2), np.zeros(9), q)
+        ms = one_psi_measurements(0.2, 0.0, q)
         messages = []
         for batch in (ms, ms + block_measurements(np.array([1.5]), np.array([0.5]),
                                                   np.array([0.5]))):

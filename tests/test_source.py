@@ -14,8 +14,10 @@ be changed after its checks have run.  Every functools cache a crem
 module defines must be cleared by the autouse fixture of conftest, so
 that no kept value leaks from one test into the next.  Every private
 function or class a crem module defines at module level must be read
-somewhere in the package, so that code only tests reach does not stay.
-The package's settable values, its defaulted function parameters plus its
+somewhere in the package, so that code only tests reach does not stay, and no
+default of a private function may be one that every call in the package
+passes, so that no default stays that only tests omit.  The package's
+settable values, its defaulted function parameters plus its
 defaulted dataclass fields, are pinned at one count, so that a change which
 adds a setting raises the pin in its own diff and one which removes a
 setting lowers it.  The model's domain of (theta, delta, q_s) is written
@@ -218,8 +220,68 @@ def test_every_private_definition_is_read_in_the_package():
     assert unread == []
 
 
+def passes(call: ast.Call, index, name: str) -> bool:
+    """Whether the call surely passes the parameter name, by keyword or, if index is not None,
+    at that position; a call with *args or **kwargs may not."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            kw.arg is None for kw in call.keywords):
+        return False
+    return any(kw.arg == name for kw in call.keywords) or (
+        index is not None and len(call.args) > index)
+
+
+def defaults_always_passed(sources: dict):
+    """'module.function(parameter)' of every defaulted parameter of a private module-level
+    function that each call of the function in the sources passes, sorted.  Calls are matched
+    by name, bare or as an attribute; a function that no source calls is left to
+    test_every_private_definition_is_read_in_the_package."""
+    trees = {stem: ast.parse(source) for stem, source in sources.items()}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    found = []
+    for stem, tree in trees.items():
+        for f in tree.body:
+            if not (isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and f.name.startswith("_") and not f.name.startswith("__")):
+                continue
+            positional = f.args.posonlyargs + f.args.args
+            first = len(positional) - len(f.args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
+                          if d is not None]
+            sites = calls.get(f.name, [])
+            found += [f"{stem}.{f.name}({name})" for i, name in defaulted
+                      if sites and all(passes(call, i, name) for call in sites)]
+    return sorted(found)
+
+
+def test_checker_flags_defaults_every_call_passes():
+    sources = {"a": ("def _f(x, n=0, *, m=1): return x\n"
+                     "def _g(x, y=2): return x\n"
+                     "def _h(x, z=3): return x\n"
+                     "def _unused(x, v=5): return x\n"
+                     "def public(x, w=4): return x\n"),
+               "b": ("import a\n"
+                     "from a import _f, _g, _h, public\n"
+                     "_f(1, 2, m=3)\na._f(1, n=0, m=1)\n"
+                     "_g(1, 2)\n_g(1)\n"
+                     "_h(*[1, 2])\n"
+                     "public(1, 4)\n")}
+    assert defaults_always_passed(sources) == ["a._f(m)", "a._f(n)"]
+
+
+def test_no_private_default_is_passed_by_every_call():
+    # a default that every call in the package overrides serves only the tests that omit it
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert defaults_always_passed(sources) == []
+
+
 # defaulted function parameters plus defaulted dataclass fields under src/crem
-SETTABLE_VALUES = 18
+SETTABLE_VALUES = 16
 DATACLASS_DECORATORS = {"dataclass", "dataclasses.dataclass"}
 
 
@@ -330,14 +392,13 @@ def test_batches_are_split_in_one_place():
 
 def command_readers(source: str):
     """Names of the functions the source defines that read a measurement's commands, sorted:
-    any .psi, or .q_s of a name other than self (a record's own check) and fit (the
+    .psi or .q_s of a name other than self (a record's own check) and fit (the
     calibration._Fit arrays)."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                isinstance(n, ast.Attribute) and (n.attr == "psi" or (
-                    n.attr == "q_s" and not (isinstance(n.value, ast.Name)
-                                             and n.value.id in ("self", "fit"))))
+                isinstance(n, ast.Attribute) and n.attr in ("psi", "q_s")
+                and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "fit"))
                 for n in ast.walk(node)):
             names.append(node.name)
     return sorted(names)
@@ -347,7 +408,7 @@ def test_checker_finds_command_readers():
     source = ("def a(ms): return [m.psi.theta for m in ms]\n"
               "def b(ms): return [m.q_s for m in ms]\n"
               "def c(fit): return fit.q_s\n"
-              "class M:\n    def check(self): return self.q_s\n"
+              "class M:\n    def check(self): return self.psi, self.q_s\n"
               "def d(psi): return psi.theta\n"
               "def e(data): return data.fit.q_s\n")
     assert command_readers(source) == ["a", "b", "e"]
