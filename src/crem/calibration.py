@@ -375,8 +375,12 @@ def nls_estimate(
     float noise (_COST_RTOL), or when M_i falls below the absolute floor
     (sub-nanometer residuals are float noise too); NoConvergence after
     max_iter accepted updates.  The uncertainty report reuses J^T W J of
-    the last iteration.
+    the last iteration.  params and k0 are checked by type (model._check_types), and a config
+    that is not a CalibrationConfig raises ValidationError too.
     """
+    _check_types(params=params, k0=k0)
+    if not isinstance(config, CalibrationConfig):
+        raise ValidationError(f"config must be of type CalibrationConfig, got {config!r}")
     if not measurements:
         raise ValidationError("empty dataset")
     idx = _free_indices(config.free_params)

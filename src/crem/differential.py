@@ -241,37 +241,39 @@ _BLOCKS = dict(J_M=0, J_mu=2, J_k=3, J_xi_phi=6, J_xi_delta=8, J_xi_qs=9, d_phi=
 
 
 def _central_steps(x0):
-    """The m <= 6 inputs x0, each (N,) or a scalar, over the rows of _STEPS: a tuple of m
-    (1 + 2m, N) arrays, row 0 the input, rows 2j + 1 and 2j + 2 input j stepped by +h, -h."""
-    return tuple(a + _STEPS[:1 + 2 * len(x0), j, None] for j, a in enumerate(x0))
+    """The m <= 6 inputs x0, numpy scalars of one point or arrays of a batch, over the rows of
+    _STEPS: m arrays (1 + 2m,) + the batch's shape, row 0 the input, rows 2j + 1, 2j + 2 x_j +-h."""
+    steps = _STEPS[:1 + 2 * len(x0)].reshape((-1, 6) + (1,) * max(map(np.ndim, x0)))
+    return tuple(a + steps[:, j] for j, a in enumerate(x0))
 
 
 def _central_twists(params: RobotParams, th_s, th_e, delta, q_s):
-    """Central-difference tip twists (N, 6, m) over (+h, -h) row pairs (2m, N), one
-    pass for the steps of both oracle maps.  The tip pose is formed as crem_pose forms
-    it; the rotational rows are the axis-angle vector of R(x + h e_j) R(x - h e_j)^T
-    over 2h, matching the space-frame convention of the analytic Jacobians."""
+    """Central-difference tip twists (..., 6, m) over (+h, -h) row pairs (2m, ...), one pass for
+    the steps of both oracle maps.  The tip pose is formed as crem_pose forms it; the rotational
+    rows are the axis-angle vector of R(x + h e_j) R(x - h e_j)^T over 2h, matching the
+    space-frame convention of the analytic Jacobians."""
     p = _tip_positions(params, th_s, th_e, delta, q_s)
     R = segment_rotation(_theta_prime(th_s, th_e), delta)
     w = axis_angle_vector(R[0::2] @ np.swapaxes(R[1::2], -1, -2))
-    return (np.concatenate([p[0::2] - p[1::2], w], axis=-1) / (2.0 * _FD_STEP)).transpose(1, 2, 0)
+    return np.moveaxis(np.concatenate([p[0::2] - p[1::2], w], axis=-1) / (2.0 * _FD_STEP), 0, -1)
 
 
 def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams):
-    """fd_discrepancies at a batch of points, each error of the inputs' broadcast shape.
+    """fd_discrepancies at points of any shape, each error of their broadcast shape.
 
     One batched solve covers every point and its twelve perturbations
     x +- h e_j of x = (theta, delta, q_s, k), with k perturbed per sample and a
     delta step across +-pi wrapped back into the domain (pose and equilibrium
     are 2 pi-periodic in delta).  The kinematics-only differences step
     (theta_s, theta_eps, delta, q_s) about the unperturbed solution; one pose
-    pass forms the tips of both maps and one pass scores every block.  Before any
-    solve, the first point not h inside the domain (_check_domain) is rejected.
+    pass forms the tips of both maps and one pass scores every block.  The steps lead
+    every array (_central_steps), so one point runs its analytic Jacobians at shape ().  Before
+    any solve, the first point not h inside the domain (_check_domain) is rejected.
     """
     samples = _broadcast_samples(theta, delta, q_s)
     _check_domain(samples, _FD_STEP, params.L, "sample", 0)
-    theta, delta, q_s = (a.ravel() for a in samples)
-    # the k rows are (13, 1): one k for every point
+    theta, delta, q_s = (_float(a) for a in samples)
+    # the k rows are (13,) + (1,) * ndim: one k for every point
     th, de, qs, k0, kt, kq = _central_steps((theta, delta, q_s, *k.as_array()))
     de[1:] += 2.0 * np.pi * ((de[1:] <= -np.pi) * 1.0 - (de[1:] > np.pi))
     # uncertainty_lambda with k perturbed per sample
@@ -280,20 +282,20 @@ def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: Uncertaint
     c = _jacobian_arrays(params, theta, delta, q_s, k, kappa[0],
                          _chain(params, th_s[0], th_e[0], _arc(th_e[0], slopes=True), q_s))
     y = _central_steps((c.th_s, c.th_e, delta, q_s))
-    # (N, 6, 10): the six full-map columns, then the four kinematic ones
+    # (..., 6, 10): the six full-map columns, then the four kinematic ones
     fd = _central_twists(params, *(np.concatenate([a[1:], b[1:]]) for a, b in
                                    zip((th_s, th_e, de, qs), y)))
-    # (N, 6, 2) differences of phi, laid out as d_phi transposed
-    fd_phi = np.array([th_s[1::2] - th_s[2::2], th_e[1::2] - th_e[2::2]]).transpose(2, 1, 0)
+    # (..., 6, 2) differences of phi, laid out as d_phi transposed
+    fd_phi = np.moveaxis(np.stack([th_s[1::2] - th_s[2::2], th_e[1::2] - th_e[2::2]], -1), 0, -2)
     fd = np.concatenate([fd, fd_phi / (2.0 * _FD_STEP)], axis=-1)
     an = np.concatenate([c.J_psi, c.J_mu[..., None], c.J_k, c.J_xi_phi, c.J_xi_delta[..., None],
                          c.J_xi_qs[..., None], np.swapaxes(c.d_phi, -1, -2)], axis=-1)
-    # per-point max |an - fd| and max |an| of each block, (N, 7) each: the max of the
+    # per-point max |an - fd| and max |an| of each block, (..., 7) each: the max of the
     # column maxima is the block max exactly
-    err, mag = np.maximum.reduceat(np.abs(np.array([an - fd, an])).max(axis=2),
+    err, mag = np.maximum.reduceat(np.abs(np.array([an - fd, an])).max(axis=-2),
                                    tuple(_BLOCKS.values()), axis=-1)
     errs = err / np.maximum(1.0, mag)
-    return {key: errs[:, j].reshape(samples[0].shape) for j, key in enumerate(_BLOCKS)}
+    return {key: errs[..., j] for j, key in enumerate(_BLOCKS)}
 
 
 def fd_discrepancies(

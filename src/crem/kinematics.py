@@ -135,7 +135,9 @@ def _in_plane_tip(params: RobotParams, arc_s: _Arc, arc_e: _Arc, q_s):
 
 def _columns(shape, *cols):
     """np.stack(cols, axis=-1) of columns that broadcast to shape, filled into one
-    preallocated array of shape + (len(cols),)."""
+    preallocated array of shape + (len(cols),); at shape (), one np.array of the scalars."""
+    if shape == ():
+        return np.array(cols)
     out = np.empty(shape + (len(cols),))
     for j, col in enumerate(cols):
         out[..., j] = col

@@ -189,12 +189,13 @@ class EquilibriumConfig:
         return _theta_prime(self.theta_s, self.theta_eps)
 
 
-_ARG_TYPES = {"params": RobotParams, "psi": ConfigState, "k": UncertaintyParams}
+_ARG_TYPES = {"params": RobotParams, "psi": ConfigState, "k": UncertaintyParams,
+              "k0": UncertaintyParams}
 
 
 def _check_types(**args):
     """ValidationError naming the first of the arguments, in their order, not of its type:
-    params, psi and k of _ARG_TYPES, q_s a real scalar.  The one type rule of the calls."""
+    params, psi, k and k0 of _ARG_TYPES, q_s a real scalar.  The one type rule of the calls."""
     for name, value in args.items():
         if name == "q_s":
             _real(name, value)

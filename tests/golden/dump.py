@@ -17,7 +17,12 @@ order in one temporary directory through crem.cli.main.  Regenerate it from
 the root of a checkout with
 
     PYTHONPATH=src python tests/golden/dump.py
+
+With --diff the dump is rebuilt and nothing is written: each array whose bytes moved from
+the record is listed with its shape and largest absolute and relative difference, then each
+README output whose hash moved, and the exit status is 1 if anything moved.
 """
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -25,6 +30,7 @@ import io
 import json
 import os
 import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -190,5 +196,43 @@ def write(path=GOLDEN):
     Path(path).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
 
+def diff(arrays: dict, readme: dict, record: dict) -> list:
+    """One line per array of the rebuilt dump whose bytes differ from the record, signed zeros
+    included: its name, shape, and largest absolute difference and that difference relative to
+    the record's largest entry (test_golden's off-platform measure); then one per README
+    output whose hash moved.  Empty when nothing moved."""
+    lines = []
+    recorded = record["arrays"]
+    for name in [*arrays, *(name for name in recorded if name not in arrays)]:
+        if name not in arrays or name not in recorded:
+            lines.append(f"{name}: {'not in the record' if name in arrays else 'not rebuilt'}")
+            continue
+        got, ref = arrays[name], np.array(recorded[name], dtype=float)
+        if got.shape != ref.shape:
+            lines.append(f"{name}: shape {got.shape}, recorded {ref.shape}")
+        elif got.tobytes() != ref.tobytes():
+            err, scale = (np.max(np.abs(a), initial=0.0) for a in (got - ref, ref))
+            rel = err / scale if scale > 0.0 else (np.inf if err > 0.0 else 0.0)
+            lines.append(f"{name}: shape {got.shape}, max abs diff {err:.3g}, "
+                         f"max rel diff {rel:.3g}")
+    for key in [*readme, *(key for key in record["readme"] if key not in readme)]:
+        if readme.get(key) != record["readme"].get(key):
+            lines.append(f"README output moved: {key}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write the golden dump to golden.json.")
+    parser.add_argument("--diff", action="store_true",
+                        help="rebuild the dump, write nothing, and list what moved from the "
+                             "record; exit 1 if anything did")
+    if not parser.parse_args(argv).diff:
+        write()
+        return 0
+    moved = diff(build(), readme_outputs(), json.loads(GOLDEN.read_text(encoding="utf-8")))
+    print("\n".join(moved) or "nothing moved")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
-    write()
+    sys.exit(main())

@@ -16,6 +16,7 @@ from crem import (
     ValidationError,
     assemble_motion_jacobians,
     crem_pose,
+    default_params,
     micro_trajectory,
     fd_discrepancies,
     identification_jacobian,
@@ -41,8 +42,10 @@ from crem.model import (
     _arc_moment,
     _equilibrium_angles,
     _sigma,
+    _theta_prime,
     uncertainty_lambda,
 )
+from golden.dump import K_JACOBIAN, POINTS, mixed_configurations
 from conftest import (
     DOMAIN_EDGES,
     FD_DOMAIN,
@@ -519,9 +522,48 @@ def test_fd_discrepancies_form_every_pose_in_one_pass(bench, k_cal, monkeypatch)
 
     monkeypatch.setattr(differential, "_central_twists", counting)
     fd_discrepancies(bench, ConfigState(np.radians(40), 0.3), 15.0, k_cal)
-    assert calls == [(20, 1)]
+    assert calls == [(20,)]
     differential._fd_discrepancy_arrays(bench, np.full(3, 0.7), np.zeros(3), 20.0, k_cal)
-    assert calls == [(20, 1), (20, 3)]
+    assert calls == [(20,), (20, 3)]
+
+
+def test_one_fd_point_differentiates_numpy_scalars(bench, k_cal, monkeypatch):
+    # the point's analytic Jacobians run at shape (), as assemble_motion_jacobians' do, not on
+    # a batch of one
+    core = differential._jacobian_arrays
+    seen = []
+
+    def recording(params, theta, delta, q_s, k, kappa, chain):
+        seen.append([type(a) for a in (theta, delta, q_s, kappa, *chain[:2], *chain[4:])])
+        return core(params, theta, delta, q_s, k, kappa, chain)
+
+    monkeypatch.setattr(differential, "_jacobian_arrays", recording)
+    fd_discrepancies(bench, ConfigState(np.radians(40), 0.3), 15.0, k_cal)
+    assert seen == [[np.float64] * 10]
+
+
+def one_point_oracle_points():
+    """(theta, delta, q_s) of the golden dump's four finite-difference points, an exactly
+    straight point, and deltas within 1e-6 of +-pi, whose +-h steps wrap."""
+    theta, delta, q_s = mixed_configurations(default_params())
+    golden = [(theta[i], delta[i], q_s[i]) for i in POINTS
+              if _FD_STEP <= q_s[i] <= default_params().L - _FD_STEP]
+    assert len(golden) == 4
+    return golden + [(TH0, 0.7, 20.0), (1.0, np.pi, 20.0), (1.2, np.pi - 5e-7, 30.0),
+                     (0.8, -np.pi + 5e-7, 10.0), (TH0, -np.pi + 1e-6, 5.0)]
+
+
+@pytest.mark.parametrize("k", [K_JACOBIAN, UncertaintyParams(-0.3, 0.1, -0.04)])
+def test_one_fd_point_is_its_row_of_a_batch(k):
+    # one point runs at shape (), a batch keeps its axis: the errors are the same bits
+    params, points = default_params(), one_point_oracle_points()
+    theta, delta, q_s = (np.array(col) for col in zip(*points))
+    batch = differential._fd_discrepancy_arrays(params, theta, delta, q_s, k)
+    for i, (t, d, q) in enumerate(points):
+        alone = fd_discrepancies(params, ConfigState(t, d), q, k)
+        assert list(alone) == list(batch)
+        for key, v in alone.items():
+            assert np.float64(v).tobytes() == batch[key][i].tobytes(), (i, key)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -616,6 +658,38 @@ def test_sample_is_bit_identical_alone_and_in_batch(bench, samples, k0, kq):
         for name in ("th_s", "th_e", "p", "d_phi", "J_xi_phi", "J_xi_delta", "J_xi_qs",
                      "J_q_psi", "J_psi", "J_M", "J_mu", "J_k"):
             assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)), (i, name)
+
+
+# each JacobianSet field and assembled block of one configuration, with its shape on the
+# bench robot (n = 3)
+SCALAR_FIELDS = dict(th_s=(), th_e=(), p=(3,), d_phi=(2, 6), J_xi_phi=(6, 2), J_xi_delta=(6,),
+                     J_xi_qs=(6,), J_q_psi=(3, 2), J_psi=(6, 2), J_M=(6, 3), J_mu=(6,),
+                     J_k=(6, 3))
+
+
+def test_scalar_outputs_are_the_bits_of_their_batch_row(bench, k_cal):
+    # the scalar calls fill each shape-() column set in one np.array call
+    # (kinematics._columns), a batch column by column: the bytes, signed zeros included, agree
+    configs = [(1.0, 0.4, 20.0), (TH0, -0.3, 12.0), (0.6, 2.0, 0.0), (2.1, -1.2, 44.3),
+               (0.7, -0.0, 10.0), (TH0, 0.0, 30.0), (1.3, np.pi, 5.0)]
+    theta, delta, q_s = (np.array(col) for col in zip(*configs))
+    batch = jacobian_arrays(bench, theta, delta, q_s, k_cal)
+    R = segment_rotation(_theta_prime(batch.th_s, batch.th_e), delta)
+    for i, (t, d, q) in enumerate(configs):
+        psi = ConfigState(t, d)
+        pose, js = crem_pose(bench, psi, q, k_cal), assemble_motion_jacobians(bench, psi, q, k_cal)
+        got = {**{name: getattr(js, name) for name in SCALAR_FIELDS},
+               "pose.p": pose.tip.p, "pose.R": pose.tip.R}
+        rows = {**{name: getattr(batch, name)[i] for name in SCALAR_FIELDS},
+                "pose.p": batch.p[i], "pose.R": R[i]}
+        shapes = {**SCALAR_FIELDS, "pose.p": (3,), "pose.R": (3, 3)}
+        for name, a in got.items():
+            if shapes[name]:
+                assert type(a) is np.ndarray and a.flags.c_contiguous, (i, name)
+            else:
+                assert type(a) is np.float64, (i, name)
+            assert (a.dtype, a.shape) == (np.float64, shapes[name]), (i, name)
+            assert a.tobytes() == rows[name].tobytes(), (i, name)
 
 
 @pytest.mark.parametrize("theta,delta,q_s", [(1.0, 0.4, 20.0), (TH0, -0.3, 12.0),

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from golden.dump import GOLDEN, build, digest, platform_name, readme_outputs
+from golden.dump import GOLDEN, build, diff, digest, main, platform_name, readme_outputs
 
 RECORD = json.loads(GOLDEN.read_text(encoding="utf-8"))
 SAME_PLATFORM = (RECORD["numpy"], RECORD["platform"]) == (np.__version__, platform_name())
@@ -48,3 +48,30 @@ def test_golden_dump_rebuilds(mode):
                     f"text written on numpy {RECORD['numpy']} {RECORD['platform']}")
 def test_readme_command_outputs_rebuild():
     assert readme_outputs() == RECORD["readme"]
+
+
+@pytest.mark.skipif(not SAME_PLATFORM, reason="the record's bytes and hashes are those of "
+                    f"numpy {RECORD['numpy']} {RECORD['platform']}")
+def test_diff_reports_nothing_moved(capsys):
+    before = GOLDEN.read_bytes()
+    assert main(["--diff"]) == 0
+    assert capsys.readouterr().out == "nothing moved\n"
+    assert GOLDEN.read_bytes() == before
+
+
+def test_diff_names_each_moved_array_and_hash():
+    arrays = {name: np.array(a, dtype=float) for name, a in RECORD["arrays"].items()}
+    readme = dict(RECORD["readme"])
+    name, other, zero = "exact.k_star", "noisy.k_star", "exact.eta"
+    arrays[name] = arrays[name] + [0.0, 1e-12, 0.0]
+    arrays[other] = arrays[other][:2]
+    assert arrays[zero][1] == 0.0  # eta_flagged, 0 on the noiseless fit
+    arrays[zero][1] = -0.0
+    readme["fd.csv"] = "0" * 64
+    scale = np.max(np.abs(RECORD["arrays"][name]))
+    assert diff(arrays, readme, RECORD) == [
+        f"{name}: shape (3,), max abs diff {1e-12:.3g}, max rel diff {1e-12 / scale:.3g}",
+        f"{zero}: shape (3,), max abs diff 0, max rel diff 0",
+        f"{other}: shape (2,), recorded (3,)",
+        "README output moved: fd.csv",
+    ]

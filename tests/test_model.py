@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from crem import (
+    CalibrationConfig,
     ConfigState,
     EquilibriumConfig,
     Measurement,
@@ -23,6 +24,7 @@ from crem import (
     fd_discrepancies,
     identification_jacobian,
     micro_trajectory,
+    nls_estimate,
     solve_equilibrium,
     uncertainty_lambda,
 )
@@ -210,6 +212,27 @@ def test_batch_calls_take_their_types_only(bench, k_cal, call, argument, value, 
         else:
             ms = [Measurement(psi=args["psi"], q_s=q, x_bar=np.zeros(3)) for q in (5.0, 15.0)]
             identification_jacobian(ms, args["params"], args["k"], PARAM_NAMES)
+
+
+# (argument, value, message): the fit's params and k0 by the same rule, and its config; each
+# raised AttributeError
+FIT_FAULTS = [
+    CALL_FAULTS[-3],
+    ("k0", (0.0, 0.0, 0.0), "k0 must be of type UncertaintyParams, got (0.0, 0.0, 0.0)"),
+    ("config", {"free_params": ("k_lambda0",)},
+     "config must be of type CalibrationConfig, got {'free_params': ('k_lambda0',)}"),
+    ("config", None, "config must be of type CalibrationConfig, got None"),
+]
+
+
+@pytest.mark.parametrize("argument,value,message", FIT_FAULTS,
+                         ids=[f"{f[0]}-{type(f[1]).__name__}" for f in FIT_FAULTS])
+def test_nls_estimate_takes_its_types_only(bench, k_cal, argument, value, message):
+    args = {"params": bench, "config": CalibrationConfig(), "k0": k_cal}
+    args[argument] = value
+    ms = [Measurement(psi=ConfigState(1.0, 0.3), q_s=q, x_bar=np.zeros(3)) for q in (5.0, 15.0)]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        nls_estimate(ms, **args)
 
 
 @pytest.mark.parametrize("schedule,shown", [(["1", "2"], "['1', '2']"),
