@@ -17,7 +17,6 @@ from .model import (
     EquilibriumConfig,
     RobotParams,
     UncertaintyParams,
-    solve_equilibrium,
     uncertainty_lambda,
 )
 from .kinematics import (
@@ -25,6 +24,7 @@ from .kinematics import (
     SegmentedPose,
     crem_pose,
     micro_trajectory,
+    solve_equilibrium,
 )
 from .differential import (
     JacobianSet,

@@ -80,13 +80,13 @@ class Measurement:
     """One observed configuration.
 
     psi is a ConfigState (model._check_types) and q_s a real scalar (model._real).
-    x_bar is the tip position in the base frame (mm); R_bar the observed
-    orientation or None.  obs_mask marks which of the six residual
-    components (three position, three orientation) are observed; by
-    default all positions and, when R_bar is present, all orientations;
-    without R_bar no orientation component may be observed.  A default
-    obs_mask is one read-only array shared by every measurement that takes
-    it: writing into it raises ValueError.
+    x_bar is the tip position in the base frame (mm); R_bar the observed orientation or
+    None, any finite 3x3 and not held to be a rotation: tracker data may miss RobotConfig's
+    1e-9, and axis_angle_vector takes approximate rotations.  obs_mask marks which of the
+    six residual components (three position, three orientation) are observed; by default
+    all positions and, when R_bar is present, all orientations; without R_bar no
+    orientation component may be observed.  A default obs_mask is one read-only array
+    shared by every measurement that takes it: writing into it raises ValueError.
     """
 
     psi: ConfigState

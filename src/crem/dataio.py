@@ -125,6 +125,8 @@ def _write_csv(path, pragma, columns, rows) -> None:
 
 
 def write_robot_config(path, config: RobotConfig) -> None:
+    if not isinstance(config, RobotConfig):  # worded as model._check_types
+        raise ValidationError(f"config must be of type RobotConfig, got {config!r}")
     p = config.params
     lines = [f"{k} = {_FMT % getattr(p, k)}" for k in _REQUIRED_KEYS]
     lines.append(f"n = {p.n}")
@@ -184,15 +186,17 @@ def _read_trajectory(path):
 def load_dataset(path, config: RobotConfig):
     """Read a trajectory file into Measurement objects in the base frame of config's robot.
 
-    Rows must lie in the model's domain (_check_domain, h = 0); the first bad row, whatever
-    its fault, is named '<path>: row <row>'.  Image-frame positions are mapped through T_BI;
-    the marker offset (translation of T_GM) is then removed.  A 2-D image-frame file, whose
-    image z is taken as 0, is refused (FrameError) if T_BI carries image z into base x or y.
-    3-D rows take the default obs_mask; 2-D rows share one read-only mask that observes only
-    x and y.  Each run of consecutive rows with the same (theta, delta) bits shares one
-    ConfigState, so that calibration._commands reads a one-psi file's angles once.  Rows keep
-    file order.
+    config must be a RobotConfig.  Each row is checked as it is read, its domain
+    (_check_domain, h = 0) before its Measurement, so the first bad row, whatever its fault,
+    is named '<path>: row <row>'.  Image-frame positions are mapped through T_BI; the marker
+    offset (translation of T_GM) is then removed.  A 2-D image-frame file, whose image z is
+    taken as 0, is refused (FrameError) if T_BI carries image z into base x or y.  3-D rows
+    take the default obs_mask; 2-D rows share one read-only mask that observes only x and y.
+    Each run of consecutive rows with the same (theta, delta) bits shares one ConfigState, so
+    that calibration._commands reads a one-psi file's angles once.  Rows keep file order.
     """
+    if not isinstance(config, RobotConfig):  # worded as model._check_types
+        raise ValidationError(f"config must be of type RobotConfig, got {config!r}")
     rows, pragmas = _read_trajectory(path)
     frame = pragmas.get("frame", "base")
     if frame not in ("base", "image"):
@@ -201,28 +205,25 @@ def load_dataset(path, config: RobotConfig):
             and np.max(np.abs(config.T_BI[:2, 2])) > 1e-9):
         raise FrameError(f"{path}: 2-D image-frame data needs a T_BI that maps "
                          "image z into base z alone")
-    measurements, fault, key = [], None, None
+    measurements, key = [], None
     for row, (_, q_s, theta, delta, *xyz) in enumerate(rows, start=1):
+        # Python floats, so that a row inside the domain takes the check's scalar shortcut
+        angles = math.radians(theta), math.radians(delta)
+        _check_domain((*angles, q_s), 0.0, config.params.L, f"{path}: row", row)
+        # a run of rows at one (theta, delta) shares one ConfigState; the sign of delta is
+        # in the key, because -0.0 == 0.0 but their sines differ (theta = 0 is refused)
+        row_key = (theta, delta, math.copysign(1.0, delta))
+        if row_key != key:
+            key, psi = row_key, ConfigState(*angles)
+        p = np.array(xyz if len(xyz) == 3 else xyz + [0.0])
+        if frame == "image":
+            p = config.T_BI[:3, :3] @ p + config.T_BI[:3, 3]
+        p = p - config.T_GM[:3, 3]
+        mask = None if len(xyz) == 3 else _PLANAR_OBSERVED
         try:
-            # a run of rows at one (theta, delta) shares one ConfigState; the sign of delta is
-            # in the key, because -0.0 == 0.0 but their sines differ (theta = 0 is refused)
-            row_key = (theta, delta, math.copysign(1.0, delta))
-            if row_key != key:
-                key, psi = row_key, ConfigState(math.radians(theta), math.radians(delta))
-            p = np.array(xyz if len(xyz) == 3 else xyz + [0.0])
-            if frame == "image":
-                p = config.T_BI[:3, :3] @ p + config.T_BI[:3, 3]
-            p = p - config.T_GM[:3, 3]
-            mask = None if len(xyz) == 3 else _PLANAR_OBSERVED
             measurements.append(Measurement(psi=psi, q_s=q_s, x_bar=p, obs_mask=mask))
         except ValidationError as e:
-            fault = e
-            break
-    # one check of the rows read, the failed one included: its domain fault comes first
-    q_s, *angles = np.array([r[1:4] for r in rows[:len(measurements) + 1]]).reshape(-1, 3).T
-    _check_domain((*np.radians(angles), q_s), 0.0, config.params.L, f"{path}: row", 1)
-    if fault is not None:
-        raise ValidationError(f"{path}: row {row}: {fault}") from fault
+            raise ValidationError(f"{path}: row {row}: {e}") from e
     return measurements
 
 
@@ -252,11 +253,11 @@ def generate_synthetic(
     """
     _check_noise_sigma(noise_sigma)
     seed = _integer("seed", seed, 0)
-    qs = np.asarray(qs_schedule, dtype=float)
-    pos, _, _ = micro_trajectory(params, ConfigState(theta, delta), qs, k_true)
+    pos, _, _ = micro_trajectory(params, ConfigState(theta, delta), qs_schedule, k_true)
     rng = np.random.default_rng(seed)
     noisy = pos + noise_sigma * rng.standard_normal(pos.shape)
     if path is not None:
+        qs = np.asarray(qs_schedule, dtype=float)
         _write_csv(path, "frame=base", _TRAJECTORY_COLUMNS,
                    ([i / _SYNTHETIC_HZ, q, math.degrees(theta), math.degrees(delta), *xyz]
                     for i, (q, xyz) in enumerate(zip(qs.tolist(), noisy.tolist()))))

@@ -43,7 +43,6 @@ from .model import (
     RobotParams,
     UncertaintyParams,
     _arc_moment,
-    _broadcast_samples,
     _check_domain,
     _check_types,
     _equilibrium_angles,
@@ -261,18 +260,17 @@ def _central_twists(params: RobotParams, th_s, th_e, delta, q_s):
 def _fd_discrepancy_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyParams):
     """fd_discrepancies at points of any shape, each error of their broadcast shape.
 
-    One batched solve covers every point and its twelve perturbations
-    x +- h e_j of x = (theta, delta, q_s, k), with k perturbed per sample and a
-    delta step across +-pi wrapped back into the domain (pose and equilibrium
-    are 2 pi-periodic in delta).  The kinematics-only differences step
-    (theta_s, theta_eps, delta, q_s) about the unperturbed solution; one pose
-    pass forms the tips of both maps and one pass scores every block.  The steps lead
-    every array (_central_steps), so one point runs its analytic Jacobians at shape ().  Before
-    any solve, the first point not h inside the domain (_check_domain) is rejected.
+    One batched solve covers every point and its twelve perturbations x +- h e_j of
+    x = (theta, delta, q_s, k), with k perturbed per sample and a delta step across +-pi
+    wrapped back into the domain (pose and equilibrium are 2 pi-periodic in delta).  The
+    kinematics-only differences step (theta_s, theta_eps, delta, q_s) about the unperturbed
+    solution; one pose pass forms the tips of both maps and one pass scores every block.  The
+    points are broadcast to one shape, as the steps lead every array (_central_steps); one
+    point runs its analytic Jacobians at shape ().  Before any solve, the first point not h
+    inside the domain (_check_domain) is rejected.
     """
-    samples = _broadcast_samples(theta, delta, q_s)
+    samples = theta, delta, q_s = [_float(a) for a in np.broadcast_arrays(theta, delta, q_s)]
     _check_domain(samples, _FD_STEP, params.L, "sample", 0)
-    theta, delta, q_s = (_float(a) for a in samples)
     # the k rows are (13,) + (1,) * ndim: one k for every point
     th, de, qs, k0, kt, kq = _central_steps((theta, delta, q_s, *k.as_array()))
     de[1:] += 2.0 * np.pi * ((de[1:] <= -np.pi) * 1.0 - (de[1:] > np.pi))

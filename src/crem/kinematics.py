@@ -17,7 +17,7 @@ or batched, comes from one planar chain: p = Rz(-delta) [x, 0, z] with
 (x, z) = q_s (a_s, b_s) + (L - q_s) Ry(pi/2 - theta_s) (a_e, b_e), and the
 tip rotation is segment_rotation(theta_s + theta_eps - pi/2, delta).  Poses,
 Jacobians and the calibration fit read one chain record, _Chain; _solved_chain is
-the one solve-then-chain sequence, kept for a pose and its Jacobians (_scalar_chain).
+the one solve-then-chain sequence, kept for the angles, a pose and its Jacobians (_scalar_chain).
 Sweeps take the plain-arc _tip_positions; _turn turns every in-plane tip by delta.
 """
 from __future__ import annotations
@@ -170,9 +170,9 @@ def _chain(params: RobotParams, th_s, th_e, e: _Arc, q_s) -> _Chain:
 
 
 def _solved_chain(params: RobotParams, theta, delta, q_s, k):
-    """(kappa, _chain) of one solve at k of samples of one shape (floats, or broadcast by
-    model._broadcast_samples), the empty arc with slopes: the one solve-then-chain sequence
-    of the Jacobians (_scalar_chain, simulate-macro)."""
+    """(kappa, _chain) of one solve at k of samples each of one value or of the batch's shape
+    (model._solver_start), the empty arc with slopes: the one solve-then-chain sequence of the
+    scalar calls (_scalar_chain) and of simulate-macro."""
     kappa = _newton(params, _solver_start(params, theta, delta, q_s, 0),
                     uncertainty_lambda(k, q_s, theta))
     th_s, th_e = _equilibrium_angles(params, theta, q_s, kappa)
@@ -185,6 +185,17 @@ def _scalar_chain(params: RobotParams, theta: float, delta: float, q_s: float, k
     pose and the Jacobians share one solve and one chain pass.  Every value in it is a numpy
     scalar, so no caller can change it."""
     return _solved_chain(params, theta, delta, q_s, k)
+
+
+def solve_equilibrium(
+    params: RobotParams, psi: ConfigState, q_s: float, k: UncertaintyParams
+) -> EquilibriumConfig:
+    """Equilibrium angles of the segment at configuration psi and depth q_s: those of the kept
+    solve of the configuration (_scalar_chain), so a pose or the Jacobians after it do not
+    solve again.  Arguments of the wrong type raise ValidationError (model._check_types)."""
+    _check_types(params=params, psi=psi, k=k, q_s=q_s)
+    _, c = _scalar_chain(params, float(psi.theta), float(psi.delta), float(q_s), k)
+    return EquilibriumConfig(float(c.th_s), float(c.th_e))
 
 
 def crem_pose(

@@ -263,13 +263,6 @@ def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
     return k.k_lambda0 + k.k_lambda_theta * _float(theta) + k.k_lambda_q * _float(q_s)
 
 
-def _broadcast_samples(*arrays):
-    """The arrays (theta, delta, q_s, ...) as floats of one broadcast shape."""
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    shape = np.broadcast(*arrays).shape
-    return [a if a.shape == shape else np.broadcast_to(a, shape) for a in arrays]
-
-
 def _sample(samples, i):
     """'(theta, delta[, q_s]) = (...)' of flat index i of the broadcast samples."""
     values = ", ".join(f"{a.flat[i]:.6g}" for a in np.broadcast_arrays(*samples))
@@ -432,17 +425,3 @@ def _theta_eps(params: RobotParams, theta, q_s):
     move: exactly theta at q_s = 0 and exactly pi/2 at q_s = L."""
     return theta - (theta - THETA_BASE) * (q_s / params.L)
 
-
-def solve_equilibrium(
-    params: RobotParams,
-    psi: ConfigState,
-    q_s: float,
-    k: UncertaintyParams,
-) -> EquilibriumConfig:
-    """Equilibrium angles of the segment at configuration psi, depth q_s; nothing is kept."""
-    _check_types(params=params, psi=psi, k=k, q_s=q_s)
-    q_s = float(q_s)
-    kappa = float(_newton(params, _solver_start(params, psi.theta, psi.delta, q_s, 0),
-                          uncertainty_lambda(k, q_s, psi.theta)))
-    th_s, th_e = _equilibrium_angles(params, psi.theta, q_s, kappa)
-    return EquilibriumConfig(float(th_s), float(th_e))

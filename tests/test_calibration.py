@@ -153,6 +153,14 @@ def test_measurement_validation():
     assert m.obs_mask.tolist() == [True, True, False, False, False, False]
 
 
+def test_measurement_takes_any_finite_R_bar(bench, k_cal):
+    # R_bar is not held to be a rotation: tracker data may miss RobotConfig's 1e-9
+    m = Measurement(psi=ConfigState(1.0, 0.3), q_s=15.0, x_bar=np.zeros(3),
+                    R_bar=2.0 * np.ones((3, 3)))
+    assert m.R_bar.tolist() == [[2.0] * 3] * 3
+    assert np.isfinite(residual_matrix([m], bench, k_cal)).all()
+
+
 @pytest.mark.parametrize("observed", [[3, 4, 5], [4]])
 def test_measurement_rejects_orientation_observed_without_R_bar(observed):
     # the orientation residual is zero without R_bar, so its rows would only add

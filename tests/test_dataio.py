@@ -418,6 +418,18 @@ def test_load_dataset_names_the_first_bad_row_whatever_its_fault(tmp_path, rows,
         load_dataset(path, BENCH_ROBOT)
 
 
+@pytest.mark.parametrize("config", [default_params(), None, "bench.cfg"])
+def test_robot_config_calls_refuse_another_type(tmp_path, config):
+    # unchecked, a RobotParams failed with AttributeError on T_GM or params
+    message = f"^{re.escape(f'config must be of type RobotConfig, got {config!r}')}$"
+    path = write(tmp_path, "d.csv", "t,q_s,theta,delta,x,y,z\n0,5,30,0,1,0,40\n")
+    with pytest.raises(ValidationError, match=message):
+        load_dataset(path, config)
+    with pytest.raises(ValidationError, match=message):
+        write_robot_config(tmp_path / "robot.cfg", config)
+    assert not (tmp_path / "robot.cfg").exists()
+
+
 def test_load_dataset_unknown_frame(tmp_path):
     text = "# frame=world\nt,q_s,theta,delta,x,y\n0,5,30,0,0,0\n"
     with pytest.raises(ParseError, match="frame"):
@@ -452,6 +464,17 @@ def test_synthetic_rejects_bad_noise_and_seed(tmp_path, bench, noise, seed, msg)
     with pytest.raises(ValidationError, match=msg):
         generate_synthetic(bench, UncertaintyParams(0.2, 0.0, 0.025), np.radians(30), 0.0,
                            np.linspace(0.0, 40.0, 10), noise, seed=seed, path=path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("schedule", [["1", "2"], [True, False], np.array([b"1"])])
+def test_synthetic_refuses_a_schedule_micro_trajectory_refuses(tmp_path, bench, schedule):
+    # converted to floats first, strings and bools were accepted
+    path = tmp_path / "bad.csv"
+    message = f"^{re.escape(f'qs_schedule must hold real numbers, got {schedule!r}')}$"
+    with pytest.raises(ValidationError, match=message):
+        generate_synthetic(bench, UncertaintyParams(0.2, 0.0, 0.025), np.radians(30), 0.0,
+                           schedule, 0.002, seed=0, path=path)
     assert not path.exists()
 
 

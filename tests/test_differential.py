@@ -393,6 +393,20 @@ def test_kernels_broadcast_mixed_arguments(bench, k_cal, kernel):
             assert g.shape == r.shape and g.tobytes() == r.tobytes(), forms
 
 
+def test_theta_batch_at_one_delta_and_depth_is_the_broadcast_call(bench, k_cal):
+    # simulate-macro passes its theta range with one delta and one q_s as they are
+    theta = np.radians(np.linspace(15.0, 90.0, 7))
+    delta, q_s = np.radians(40.0), 20.0
+    got = differential._jacobian_arrays(bench, theta, delta, q_s, k_cal,
+                                        *_solved_chain(bench, theta, delta, q_s, k_cal))
+    ref = jacobian_arrays(bench, theta, delta, q_s, k_cal)
+    # every JacobianSet field and assembled block
+    for name in ("th_s", "th_e", "p", "d_phi", "J_xi_phi", "J_xi_delta", "J_xi_qs", "J_q_psi",
+                 "J_psi", "J_M", "J_mu", "J_k"):
+        g, r = getattr(got, name), getattr(ref, name)
+        assert g.shape == r.shape and g.tobytes() == r.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # actuation map
 

@@ -809,14 +809,24 @@ def test_jacobians_then_pose_form_one_chain(bench, k_cal, monkeypatch):
     assert (len(calls), len(arcs)) == (1, 2)
 
 
-def test_lone_solve_forms_no_chain(bench, k_cal, monkeypatch):
+def test_solve_then_pose_solve_once(bench, k_cal, monkeypatch):
+    # solve_equilibrium reads the kept solve, so the pose after it solves nothing again
     solves, arcs = counted_solves(monkeypatch), counted_arcs(monkeypatch)
     psi = ConfigState(1.0, 0.3)
     solve_equilibrium(bench, psi, 15.0, k_cal)
-    assert (len(solves), len(arcs)) == (1, 0)
-    # a lone solve keeps nothing: the pose after it solves again and forms the chain
     crem_pose(bench, psi, 15.0, k_cal)
-    assert (len(solves), len(arcs)) == (2, 2)
+    assert (len(solves), len(arcs)) == (1, 2)
+
+
+@pytest.mark.parametrize("theta,q_frac", [(1.0, 0.4), (TH0, 0.4), (1.0, 0.0), (1.0, 1.0)])
+def test_solve_equilibrium_is_the_pose_equilibrium(bench, k_cal, theta, q_frac):
+    # bent, straight theta, q_s = 0 and q_s = L, each solved afresh by each call
+    psi, q_s = ConfigState(theta, 0.3), q_frac * bench.L
+    phi = solve_equilibrium(bench, psi, q_s, k_cal)
+    clear_kept_values()
+    ref = crem_pose(bench, psi, q_s, k_cal).equilibrium
+    assert np.array([phi.theta_s, phi.theta_eps]).tobytes() \
+        == np.array([ref.theta_s, ref.theta_eps]).tobytes()
 
 
 @pytest.mark.parametrize("theta", [1.0, TH0 + 1e-5])

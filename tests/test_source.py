@@ -28,18 +28,21 @@ place, so that no second block loop can drift from it.  A measurement's commands
 are read in one place, so that the one-psi rule there is the only one, and its
 obs_mask only where it is checked and where it is weighed, so that the shared-mask
 rule there is the only one.  The core converts sample values to floats in one helper,
-so that no second conversion makes a scalar sample a 0-d array again.
+so that no second conversion makes a scalar sample a 0-d array again.  crem.__version__
+is the [project] version of pyproject.toml, so that the two cannot drift apart.
 """
 import argparse
 import ast
 import dataclasses
 import importlib
+import re
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crem
 from crem import CalibrationConfig, cli
 from conftest import KEPT_VALUES
 
@@ -480,7 +483,6 @@ def test_checker_finds_float_conversions():
 # callers besides model._float that convert with np.asarray(..., dtype=float), and why each
 # may: they convert no sample of a solve
 FLOAT_CONVERSIONS_ALLOWED = {
-    "model._broadcast_samples": "gives arrays of one broadcast shape, for a batch",
     "model.UncertaintyParams.from_array": "reads the three coefficients of a k vector",
 }
 
@@ -491,3 +493,10 @@ def test_samples_are_converted_in_one_place():
     found = [f"{stem}.{name}" for stem in ("model", "kinematics", "differential")
              for name in float_conversions((SRC / f"{stem}.py").read_text(encoding="utf-8"))]
     assert sorted(found) == sorted(["model._float", *FLOAT_CONVERSIONS_ALLOWED])
+
+
+def test_version_is_the_project_version():
+    # a regex, for tomllib is missing on Python 3.10
+    text = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert crem.__version__ == re.search(r'^version = "([^"]+)"$', project, re.M).group(1)
