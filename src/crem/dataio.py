@@ -16,6 +16,7 @@ round-trips are lossless.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import FrameError, ParseError, ValidationError
 from .calibration import Measurement
 from .kinematics import micro_trajectory
-from .model import ConfigState, RobotParams, UncertaintyParams, _check_domain, _integer
+from .model import ConfigState, RobotParams, UncertaintyParams, _check_domain, _integer, _real
 
 _REQUIRED_KEYS = ("L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s")
 _TRANSFORM_KEYS = ("T_BI", "T_GM")
@@ -74,8 +75,17 @@ def default_params() -> RobotParams:
     )
 
 
+def _check_path(path) -> None:
+    """ValidationError unless path is a str or an os.PathLike: open() takes an int or a bool
+    as a file descriptor, which it would read or write and then close."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValidationError(f"path must be a str or os.PathLike, got {path!r}")
+
+
 def load_robot_config(path) -> RobotConfig:
-    """Parse a key = value robot config file; every error names the file."""
+    """Parse a key = value robot config file; every error names the file.  path must be a str
+    or an os.PathLike (_check_path), as for every file this module reads or writes."""
+    _check_path(path)
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -125,6 +135,7 @@ def _write_csv(path, pragma, columns, rows) -> None:
 
 
 def write_robot_config(path, config: RobotConfig) -> None:
+    _check_path(path)
     if not isinstance(config, RobotConfig):  # worded as model._check_types
         raise ValidationError(f"config must be of type RobotConfig, got {config!r}")
     p = config.params
@@ -195,6 +206,7 @@ def load_dataset(path, config: RobotConfig):
     Each run of consecutive rows with the same (theta, delta) bits shares one ConfigState, so
     that calibration._commands reads a one-psi file's angles once.  Rows keep file order.
     """
+    _check_path(path)
     if not isinstance(config, RobotConfig):  # worded as model._check_types
         raise ValidationError(f"config must be of type RobotConfig, got {config!r}")
     rows, pragmas = _read_trajectory(path)
@@ -206,6 +218,7 @@ def load_dataset(path, config: RobotConfig):
         raise FrameError(f"{path}: 2-D image-frame data needs a T_BI that maps "
                          "image z into base z alone")
     measurements, key = [], None
+    R_BI, p_BI, offset = config.T_BI[:3, :3], config.T_BI[:3, 3], config.T_GM[:3, 3]
     for row, (_, q_s, theta, delta, *xyz) in enumerate(rows, start=1):
         # Python floats, so that a row inside the domain takes the check's scalar shortcut
         angles = math.radians(theta), math.radians(delta)
@@ -217,8 +230,8 @@ def load_dataset(path, config: RobotConfig):
             key, psi = row_key, ConfigState(*angles)
         p = np.array(xyz if len(xyz) == 3 else xyz + [0.0])
         if frame == "image":
-            p = config.T_BI[:3, :3] @ p + config.T_BI[:3, 3]
-        p = p - config.T_GM[:3, 3]
+            p = R_BI @ p + p_BI
+        p = p - offset
         mask = None if len(xyz) == 3 else _PLANAR_OBSERVED
         try:
             measurements.append(Measurement(psi=psi, q_s=q_s, x_bar=p, obs_mask=mask))
@@ -228,7 +241,9 @@ def load_dataset(path, config: RobotConfig):
 
 
 def _check_noise_sigma(value: float) -> None:
-    """ValidationError unless the noise sigma value is finite and >= 0."""
+    """ValidationError unless the noise sigma value is a real number (model._real), finite
+    and >= 0."""
+    _real("noise_sigma", value)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValidationError(f"noise_sigma must be finite and >= 0, got {value}")
 
@@ -247,13 +262,18 @@ def generate_synthetic(
 
     Returns the (N, 3) noisy base-frame positions, sampled at _SYNTHETIC_HZ,
     and writes them as a base-frame trajectory CSV when path is given.
-    Identical arguments always produce identical data.  noise_sigma must be
-    finite and >= 0 and seed an integer >= 0, else ValidationError before
-    anything is written.
+    Identical arguments always produce identical data.  noise_sigma must be a
+    real number, finite and >= 0, seed an integer >= 0, path None, a str or an
+    os.PathLike, and qs_schedule 1-D and of real numbers (micro_trajectory's
+    rule), else ValidationError before anything is written.
     """
     _check_noise_sigma(noise_sigma)
     seed = _integer("seed", seed, 0)
+    if path is not None:
+        _check_path(path)
     pos, _, _ = micro_trajectory(params, ConfigState(theta, delta), qs_schedule, k_true)
+    if pos.ndim != 2:
+        raise ValidationError(f"qs_schedule must be 1-D, got shape {pos.shape[:-1]}")
     rng = np.random.default_rng(seed)
     noisy = pos + noise_sigma * rng.standard_normal(pos.shape)
     if path is not None:

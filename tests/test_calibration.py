@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -170,6 +171,38 @@ def test_measurement_rejects_orientation_observed_without_R_bar(observed):
     with pytest.raises(ValidationError,
                        match=r"^obs_mask observes orientation components without R_bar$"):
         Measurement(psi=ConfigState(1.0, 0.0), q_s=1.0, x_bar=np.zeros(3), obs_mask=mask)
+
+
+def test_measurement_record_contract():
+    # one checked __init__ on a slotted frozen record: the fields, their order and repr stay,
+    # replace checks again, no attribute can be set and pickling keeps every field
+    psi = ConfigState(1.0, 0.3)
+    m = Measurement(psi, 2.0, [1, 2, 3], np.eye(3), [1, 1, 1, 0, 0, 1])
+    assert [f.name for f in dataclasses.fields(Measurement)] == [
+        "psi", "q_s", "x_bar", "R_bar", "obs_mask"]
+    assert repr(m) == (f"Measurement(psi={psi!r}, q_s=2.0, x_bar={m.x_bar!r}, "
+                       f"R_bar={m.R_bar!r}, obs_mask={m.obs_mask!r})")
+    assert repr(Measurement(psi, 2.0, np.zeros(3))).endswith(
+        "R_bar=None, obs_mask=array([ True,  True,  True, False, False, False]))")
+    moved = dataclasses.replace(m, q_s=3.0)
+    assert moved.q_s == 3.0 and moved.psi is psi and moved.x_bar is m.x_bar
+    with pytest.raises(ValidationError, match=r"^q_s must be finite and >= 0, got -1\.0$"):
+        dataclasses.replace(m, q_s=-1.0)
+    with pytest.raises(ValidationError, match=r"^q_s must be a real number, got '1'$"):
+        dataclasses.replace(m, q_s="1")
+    for name in ("q_s", "obs_mask"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, None)
+    # another name has no slot; the frozen __setattr__ of a slotted dataclass refuses it with
+    # TypeError on Python 3.11 (its super() call names the class before slots were added)
+    with pytest.raises((AttributeError, TypeError)):
+        m.other = 1
+    assert not hasattr(m, "__dict__") and m.q_s == 2.0
+    back = pickle.loads(pickle.dumps(m))
+    assert type(back) is Measurement and back.psi == psi and back.q_s == 2.0
+    for name in ("x_bar", "R_bar", "obs_mask"):
+        assert getattr(back, name).tobytes() == getattr(m, name).tobytes()
+        assert getattr(back, name).dtype == getattr(m, name).dtype
 
 
 def test_default_obs_masks_are_shared_and_read_only():
@@ -789,6 +822,17 @@ def test_turning_point_utilities_refuse_positions_that_are_not_n_by_3(shape):
     for find in (turning_point_index, direction_reversals):
         with pytest.raises(ValidationError, match=message):
             find(np.zeros(shape))
+
+
+@pytest.mark.parametrize("positions", ["x", [["1", "2", "3"]] * 4, np.ones((4, 3), dtype=bool),
+                                       [[0.0, 0.0, 0.0], [1.0, 2.0]], None])
+def test_turning_point_utilities_refuse_positions_that_are_not_real_numbers(positions):
+    # unchecked, a string failed with numpy's ValueError, and strings of digits, bools and
+    # None were taken as floats
+    message = f"^{re.escape(f'positions must hold real numbers, got {positions!r}')}$"
+    for find in (turning_point_index, direction_reversals):
+        with pytest.raises(ValidationError, match=message):
+            find(positions)
 
 
 @pytest.mark.parametrize("n, row, value", [(10, 4, np.nan), (10, 0, np.inf), (10, 9, -np.inf),

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -430,6 +431,31 @@ def test_robot_config_calls_refuse_another_type(tmp_path, config):
     assert not (tmp_path / "robot.cfg").exists()
 
 
+@pytest.mark.parametrize("bad", ["descriptor", True, False, None, 3.5, b"robot.cfg"])
+def test_file_calls_refuse_a_path_that_is_not_a_path(tmp_path, bench, bad):
+    # open() takes an int or a bool as a file descriptor: write_robot_config wrote into the
+    # caller's descriptor and closed it, and load_robot_config(True) closed stdout
+    held = tmp_path / "held.txt"
+    fd = os.open(held, os.O_RDWR | os.O_CREAT)
+    try:
+        path = fd if bad == "descriptor" else bad
+        message = f"^{re.escape(f'path must be a str or os.PathLike, got {path!r}')}$"
+        calls = [lambda: load_robot_config(path), lambda: write_robot_config(path, BENCH_ROBOT),
+                 lambda: load_dataset(path, BENCH_ROBOT)]
+        if path is not None:  # generate_synthetic's default, which writes no file
+            calls.append(lambda: generate_synthetic(
+                bench, UncertaintyParams(0.2, 0.0, 0.025), np.radians(30), 0.0,
+                np.linspace(0.0, 40.0, 10), 0.002, seed=0, path=path))
+        for call in calls:
+            with pytest.raises(ValidationError, match=message):
+                call()
+        os.fstat(fd)  # the descriptor is still open, and nothing was written into it
+        assert held.stat().st_size == 0
+    finally:
+        os.close(fd)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["held.txt"]
+
+
 def test_load_dataset_unknown_frame(tmp_path):
     text = "# frame=world\nt,q_s,theta,delta,x,y\n0,5,30,0,0,0\n"
     with pytest.raises(ParseError, match="frame"):
@@ -458,6 +484,9 @@ def test_synthetic_same_seed_identical_files(tmp_path, bench):
     (-0.001, 0, "noise_sigma"),
     (0.002, -1, "seed"),
     (0.002, 1.5, "seed"),
+    # unchecked, a string failed with TypeError from math.isfinite
+    ("a", 0, "^noise_sigma must be a real number, got 'a'$"),
+    (None, 0, "^noise_sigma must be a real number, got None$"),
 ])
 def test_synthetic_rejects_bad_noise_and_seed(tmp_path, bench, noise, seed, msg):
     path = tmp_path / "bad.csv"
@@ -475,6 +504,19 @@ def test_synthetic_refuses_a_schedule_micro_trajectory_refuses(tmp_path, bench, 
     with pytest.raises(ValidationError, match=message):
         generate_synthetic(bench, UncertaintyParams(0.2, 0.0, 0.025), np.radians(30), 0.0,
                            schedule, 0.002, seed=0, path=path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("schedule, shape", [(np.linspace(0.0, 40.0, 6).reshape(2, 3), (2, 3)),
+                                             (5.0, ()), ([[5.0]], (1, 1))])
+def test_synthetic_refuses_a_schedule_that_is_not_1d(tmp_path, bench, schedule, shape):
+    # unchecked, a 2-D schedule left a file of the header alone and a 0-d one raised TypeError
+    path = tmp_path / "bad.csv"
+    message = f"^{re.escape(f'qs_schedule must be 1-D, got shape {shape}')}$"
+    for out in (None, path):
+        with pytest.raises(ValidationError, match=message):
+            generate_synthetic(bench, UncertaintyParams(0.2, 0.0, 0.025), np.radians(30), 0.0,
+                               schedule, 0.002, seed=0, path=out)
     assert not path.exists()
 
 

@@ -26,10 +26,11 @@ chain has one record, the one namedtuple with the field e_x, so that no
 second chain record can drift from it.  A batch is split into blocks in one
 place, so that no second block loop can drift from it.  A measurement's commands
 are read in one place, so that the one-psi rule there is the only one, and its
-obs_mask only where it is checked and where it is weighed, so that the shared-mask
-rule there is the only one.  The core converts sample values to floats in one helper,
-so that no second conversion makes a scalar sample a 0-d array again.  crem.__version__
-is the [project] version of pyproject.toml, so that the two cannot drift apart.
+obs_mask only where it is checked and where it is weighed, so that the shared-mask rule
+there is the only one.  A Measurement is checked in its __init__ alone, so that no second
+check can drift from it.  The core converts sample values to floats in one helper, so that
+no second conversion makes a scalar sample a 0-d array again.  crem.__version__ is the
+[project] version of pyproject.toml, so that the two cannot drift apart.
 """
 import argparse
 import ast
@@ -425,14 +426,16 @@ def test_commands_are_read_in_one_place():
 
 
 def mask_readers(source: str):
-    """Names of the functions the source defines that read an .obs_mask attribute, a method
-    as Class.method, sorted."""
+    """Names of the functions the source defines that touch a record's obs_mask, a method as
+    Class.method, sorted: they read an .obs_mask attribute or name the field as a string, as
+    getattr, object.__setattr__ and a lookup in calibration._store do."""
     tree = ast.parse(source)
     owner = {id(f): f"{c.name}." for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
              for f in c.body}
     return sorted(owner.get(id(node), "") + node.name for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and any(isinstance(n, ast.Attribute) and n.attr == "obs_mask"
+                          or isinstance(n, ast.Constant) and n.value == "obs_mask"
                           for n in ast.walk(node)))
 
 
@@ -442,16 +445,28 @@ def test_checker_finds_mask_readers():
               "    def other(self): return 1\n"
               "def a(ms): return [m.obs_mask for m in ms]\n"
               "def b(obs_mask): return obs_mask\n"
-              "def c(m): return getattr(m, 'R_bar')\n")
-    assert mask_readers(source) == ["M.__post_init__", "a"]
+              "def c(m): return getattr(m, 'R_bar')\n"
+              "def d(m, mask): object.__setattr__(m, 'obs_mask', mask)\n")
+    assert mask_readers(source) == ["M.__post_init__", "a", "d"]
 
 
 def test_masks_are_read_in_one_place():
-    # Measurement checks its obs_mask, and calibration._stack alone weighs it: the shared-mask
-    # rule there is the only one
+    # Measurement.__init__ checks its obs_mask, and calibration._stack alone weighs it: the
+    # shared-mask rule there is the only one
     readers = [f"{path.stem}.{name}" for path in SRC.glob("*.py")
                for name in mask_readers(path.read_text(encoding="utf-8"))]
-    assert readers == ["calibration.Measurement.__post_init__", "calibration._stack"]
+    assert readers == ["calibration.Measurement.__init__", "calibration._stack"]
+
+
+def test_measurement_is_checked_in_one_place():
+    # Measurement.__init__ checks a record and stores each field once; a __post_init__ would
+    # be a second place that checks it, and would store its fields again
+    tree = ast.parse((SRC / "calibration.py").read_text(encoding="utf-8"))
+    record = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Measurement")
+    methods = [node.name for node in record.body if isinstance(node, ast.FunctionDef)]
+    assert "__init__" in methods and "__post_init__" not in methods
+    assert not hasattr(crem.Measurement, "__post_init__")
 
 
 def float_conversions(source: str):
