@@ -24,7 +24,7 @@ along the tip twist per theta_s: J^T W J = sum_i (v_i^T W_i v_i) u_i u_i^T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,13 +40,14 @@ from .model import (
     _blocks,
     _check_types,
     _integer,
+    _lambda,
     _real,
+    _reals,
     _SolverStart,
     _newton,
     _solver_start,
     _theta_eps,
     _theta_prime,
-    uncertainty_lambda,
 )
 from .differential import _theta_s_row, _theta_s_twist
 from .rotations import axis_angle_vector
@@ -134,6 +135,18 @@ class Measurement:
 # object.__setattr__(record, name, value) does, in about 0.07 against 0.12 us (Python 3.11,
 # x86-64)
 _store = {name: Measurement.__dict__[name].__set__ for name in Measurement.__slots__}
+
+
+def _refuse(action):
+    """A frozen __setattr__ or __delattr__ that refuses every name with FrozenInstanceError:
+    on Python 3.11 the ones dataclass generates call super() with the class from before
+    slots=True rebuilt it, a TypeError for a name that is not a field."""
+    def refuse(self, name, *value):
+        raise FrozenInstanceError(f"cannot {action} field {name!r}")
+    return refuse
+
+
+Measurement.__setattr__, Measurement.__delattr__ = _refuse("assign to"), _refuse("delete")
 
 
 def _free_indices(names) -> np.ndarray:
@@ -297,7 +310,7 @@ def _stack(measurements, params: RobotParams) -> _Dataset:
 def _chain_at(fit: _Fit, params: RobotParams, k: UncertaintyParams):
     """(kappa, kinematics._chain) at k: one Newton solve from the fit's start, then the
     chain on the fit's empty arc."""
-    kappa = _newton(params, fit.start, uncertainty_lambda(k, fit.q_s, fit.theta))
+    kappa = _newton(params, fit.start, _lambda(k, fit.q_s, fit.theta))
     # theta_s = theta0 + q_s kappa, as model._equilibrium_angles forms it
     return kappa, _chain(params, THETA_BASE + fit.q_s * kappa, fit.th_e, fit.arc_e, fit.q_s)
 
@@ -478,16 +491,10 @@ def nls_estimate(
 
 
 def _positions(positions) -> np.ndarray:
-    """positions as a float (N, 3) array; ValidationError for other than real numbers (the
-    rule of kinematics.micro_trajectory's schedule), for another shape, or naming the first
-    sample with a non-finite coordinate."""
-    try:
-        p = np.asarray(positions)
-    except ValueError:  # a ragged nesting
-        p = None
-    if p is None or p.dtype.kind not in "iuf":
-        raise ValidationError(f"positions must hold real numbers, got {positions!r}")
-    p = np.asarray(p, dtype=float)
+    """positions as a float (N, 3) array; ValidationError for other than real numbers
+    (model._reals), for another shape, or naming the first sample with a non-finite
+    coordinate."""
+    p = _reals("positions", positions)
     if p.ndim != 2 or p.shape[1] != 3:
         raise ValidationError(f"positions must have shape (N, 3), got {p.shape}")
     if not np.isfinite(p).all():

@@ -65,7 +65,10 @@ _FD_STEP = 1e-6
 
 
 def _theta_s_row(q_s, dG, G_k):
-    """d theta_s / d a = q_s d kappa / d a = -q_s (dG/da) / G' at fixed q_s, (..., m)."""
+    """d theta_s / d a = q_s d kappa / d a = -q_s (dG/da) / G' at fixed q_s, (..., m); at
+    shape (), where q_s and G' are numpy scalars, without their padding."""
+    if dG.ndim == 1:
+        return q_s * (-dG / G_k)
     return q_s[..., None] * (-dG / G_k[..., None])
 
 
@@ -83,10 +86,12 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     the q_s column; the theta_eps = pi/2 + (L - q_s) kappa0 row is
     ((L - q_s) / L, 0, -kappa0, 0, 0, 0).  J_q_psi, the secondary-backbone
     displacement per unit (theta, delta), takes the same cos and sin of sigma_i.
-    The arguments broadcast against each other.
+    The arguments broadcast against each other; at shape () J_q_psi is filled without the
+    batch's transposes.
     """
-    theta, q_s, kappa = (_float(a) for a in (theta, q_s, kappa))
-    shape = np.broadcast(theta, delta, q_s, kappa).shape
+    theta, delta, q_s, kappa = [_float(a) for a in (theta, delta, q_s, kappa)]
+    shape = (np.broadcast(theta, delta, q_s, kappa).shape
+             if theta.ndim or delta.ndim or q_s.ndim or kappa.ndim else ())
     sig = _sigma(params, delta, len(shape))
     cos_sig, sin_sig = np.cos(sig), np.sin(sig)
     # backbone-major Delta_i (model._offsets) and d Delta_i / d delta
@@ -102,6 +107,11 @@ def _phi_gradient_arrays(params: RobotParams, theta, delta, q_s, k: UncertaintyP
     d_phi[..., 1, 0] = (params.L - q_s) / params.L
     d_phi[..., 1, 2] = -kappa0
     # J_q_psi (..., n, 2): row i differentiates q_i = Delta_i (theta - theta0)
+    if not shape:
+        J_q_psi = np.empty((params.n, 2))
+        J_q_psi[:, 0] = D
+        J_q_psi[:, 1] = params.r * ((THETA_BASE - theta) * sin_sig)
+        return d_phi, J_q_psi
     backbone_last = tuple(range(1, sig.ndim)) + (0,)
     cos_sig, sin_sig = cos_sig.transpose(backbone_last), sin_sig.transpose(backbone_last)
     J_q_psi = params.r * _columns(shape + (params.n,), cos_sig,

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .model import (
     ConfigState,
     EquilibriumConfig,
@@ -38,10 +37,11 @@ from .model import (
     _check_types,
     _equilibrium_angles,
     _float,
+    _lambda,
     _newton,
+    _reals,
     _solver_start,
     _theta_prime,
-    uncertainty_lambda,
 )
 
 # |theta_x - pi/2| below which the slope of b switches to its series form
@@ -174,7 +174,7 @@ def _solved_chain(params: RobotParams, theta, delta, q_s, k):
     (model._solver_start), the empty arc with slopes: the one solve-then-chain sequence of the
     scalar calls (_scalar_chain) and of simulate-macro."""
     kappa = _newton(params, _solver_start(params, theta, delta, q_s, 0),
-                    uncertainty_lambda(k, q_s, theta))
+                    _lambda(k, q_s, theta))
     th_s, th_e = _equilibrium_angles(params, theta, q_s, kappa)
     return kappa, _chain(params, th_s, th_e, _arc(th_e, slopes=True), q_s)
 
@@ -228,18 +228,17 @@ def micro_trajectory(
     that besides them the working set is one block's whatever N is.  The bits are those of
     a one-depth call.  An error names a depth by its index in the schedule; NoConvergence's
     count of samples still active covers the block the depth is in.  Arguments of the wrong
-    type (model._check_types) and a schedule of other than real numbers raise ValidationError.
+    type (model._check_types) and a schedule of other than real numbers (model._reals), a
+    ragged one too, raise ValidationError.
     """
     _check_types(params=params, psi=psi, k=k)
-    if (q := np.asarray(qs_schedule)).dtype.kind not in "iuf":
-        raise ValidationError(f"qs_schedule must hold real numbers, got {qs_schedule!r}")
-    q = _float(q)
+    q = _reals("qs_schedule", qs_schedule)
     flat = q.ravel()
     pos, th_s, th_p = np.empty((q.size, 3)), np.empty(q.size), np.empty(q.size)
     for b in _blocks(q.size):
         q_b = flat[b]
         kappa = _newton(params, _solver_start(params, psi.theta, psi.delta, q_b, b.start),
-                        uncertainty_lambda(k, q_b, psi.theta))
+                        _lambda(k, q_b, psi.theta))
         th_s[b], th_e = _equilibrium_angles(params, psi.theta, q_b, kappa)
         pos[b] = _tip_positions(params, th_s[b], th_e, psi.delta, q_b)
         th_p[b] = _theta_prime(th_s[b], th_e)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -59,8 +60,27 @@ def _real(name: str, value):
 def _float(a):
     """a as floats: a numpy scalar for a scalar, an array otherwise.  The one conversion of
     sample values in the core, so that a scalar sample is not a 0-d array, on which each
-    numpy operation costs about ten times what it costs on a numpy scalar."""
+    numpy operation costs about ten times what it costs on a numpy scalar.  A float or an
+    np.float64, the values of a scalar call, skip the array round trip, which costs them two
+    to five times as much; an np.float64 is returned as it is."""
+    t = type(a)
+    if t is float:
+        return np.float64(a)
+    if t is np.float64:
+        return a
     return np.asarray(a, dtype=float)[()]
+
+
+def _reals(name: str, value):
+    """value as floats (_float); ValidationError naming the argument unless it holds real
+    numbers only: a bool, a string, None or a ragged nesting is refused."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must hold real numbers, got {value!r}")
+    return _float(a)
 
 
 def _blocks(n: int):
@@ -80,7 +100,10 @@ class RobotParams:
     E_i, I_i: same for each secondary backbone
     E_s, I_s: same for the insertable wire; zero allowed (wire absent)
     n: number of secondary backbones, evenly spaced
-    Each real field is a real scalar (_real) before its range is checked.
+    Each real field is a real scalar (_real) before its range is checked.  The derived
+    constants (beta, the EI products and the backbone angles) are formed on first read and
+    kept in the instance's __dict__, so vars() lists those read so far; fields, repr, ==,
+    hash, replace and pickles hold the fields alone.
     """
 
     L: float
@@ -106,22 +129,33 @@ class RobotParams:
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValidationError(f"{name} must be >= 0, got {v}")
 
-    @property
+    def __getstate__(self):
+        # the fields alone: a pickle does not depend on which constants were read
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
     def beta(self) -> float:
         """Angular pitch 2 pi / n between secondary backbones."""
         return 2.0 * math.pi / self.n
 
-    @property
+    @cached_property
     def EI_p(self) -> float:
         return self.E_p * self.I_p
 
-    @property
+    @cached_property
     def EI_i(self) -> float:
         return self.E_i * self.I_i
 
-    @property
+    @cached_property
     def EI_s(self) -> float:
         return self.E_s * self.I_s
+
+    @cached_property
+    def _angles(self) -> np.ndarray:
+        """Read-only (n,) backbone angles beta * (0, ..., n - 1) from the bending plane."""
+        a = self.beta * np.arange(self.n)
+        a.flags.writeable = False
+        return a
 
 
 @dataclass(frozen=True)
@@ -211,7 +245,9 @@ def _theta_prime(theta_s, theta_eps):
 def _sigma(params: RobotParams, delta, ndim: int):
     """sigma_i = delta + (i - 1) * beta, backbone-major: (n,) + delta's shape padded to ndim."""
     d = _float(delta)
-    return d + params.beta * np.arange(params.n).reshape((-1,) + (1,) * max(d.ndim, ndim))
+    if not (ndim or d.ndim):
+        return d + params._angles
+    return d + params._angles.reshape((-1,) + (1,) * max(d.ndim, ndim))
 
 
 def _offsets(params: RobotParams, delta, ndim: int):
@@ -258,8 +294,32 @@ def _stretched_moment(params: RobotParams, x, kappa):
 def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
     """lambda = k_lambda0 + k_lambda_theta * theta + k_lambda_q * q_s.
 
-    theta is the nominal configuration angle, not an equilibrium angle.
+    theta is the nominal configuration angle, not an equilibrium angle.  q_s and theta are
+    real scalars or arrays that broadcast against each other.  ValidationError for a k that
+    is not UncertaintyParams (_check_types), for a q_s or theta of other than real numbers
+    (_reals), for a value that is not finite and for a negative q_s, naming the first such
+    sample of an array.  The solver's callers take the kernel, _lambda, unchecked.
     """
+    _check_types(k=k)
+    q_s, theta = _reals("q_s", q_s), _reals("theta", theta)
+    try:
+        np.broadcast(q_s, theta)
+    except ValueError:
+        raise ValidationError("q_s and theta must broadcast against each other, got shapes "
+                              f"{q_s.shape} and {theta.shape}") from None
+    for name, a, ok, rule in (("q_s", q_s, (q_s >= 0.0) & (q_s < math.inf), " and >= 0"),
+                              ("theta", theta, np.isfinite(theta), "")):
+        if np.count_nonzero(ok) != np.size(ok):
+            i = int(np.argmin(ok))
+            where = f"sample {i}: " if np.ndim(a) else ""
+            raise ValidationError(f"{where}{name} must be finite{rule}, got "
+                                  f"{float(np.ravel(a)[i])}")
+    return _lambda(k, q_s, theta)
+
+
+def _lambda(k: UncertaintyParams, q_s, theta):
+    """uncertainty_lambda without its checks, for the solver's callers, which have checked
+    their samples' domain."""
     return k.k_lambda0 + k.k_lambda_theta * _float(theta) + k.k_lambda_q * _float(q_s)
 
 
@@ -315,7 +375,7 @@ def _solver_start(params: RobotParams, theta, delta, q_s, first: int) -> _Solver
     Samples of shape () are a batch of one with no batch axis: D is (n,).
     """
     samples = theta, delta, q_s = [_float(a) for a in (theta, delta, q_s)]
-    shape = np.broadcast(*samples).shape
+    shape = np.broadcast(*samples).shape if theta.ndim or delta.ndim or q_s.ndim else ()
     _check_domain(samples, 0.0, params.L, "sample", first)
     D = _offsets(params, delta, len(shape))
     kappa0 = (theta - THETA_BASE) / params.L
@@ -386,7 +446,8 @@ def _newton(params: RobotParams, start: _SolverStart, lam):
             x = 1.0 + Da * new
         ka, step = new, np.abs(s) * params.L
         done = step < _SOLVER_TOL
-        n_done = np.count_nonzero(done)
+        # one sample's done is a numpy bool, which count_nonzero reads slowly
+        n_done = np.count_nonzero(done) if shape else int(done)
         if n_done == done.size:
             if kappa is None:
                 return ka.reshape(shape)

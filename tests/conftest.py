@@ -244,22 +244,22 @@ def mp_tip_position(params, th_s, th_e, delta, q_s):
     return [mpmath.cos(delta) * x, -mpmath.sin(delta) * x, z]
 
 
-def mp_tip_position_k_jacobian(params, theta, delta, q_s, k, dps=40):
-    """d p / d(k_lambda0, k_lambda_theta, k_lambda_q), (3, 3) floats: mpmath.diff in k
-    of mp_tip_position at the dps-digit equilibrium, solved anew at every k."""
+def mp_tip_position_jacobian(params, theta, delta, q_s, k, cols, dps=40):
+    """d p / d x_j for j in cols of x = (theta, delta, q_s, k_lambda0, k_lambda_theta,
+    k_lambda_q), (3, len(cols)) floats: mpmath.diff of mp_tip_position at the dps-digit
+    equilibrium, solved anew at every x."""
     with mpmath.workdps(dps):
-        x = [mpmath.mpf(v) for v in (theta, delta, q_s)]
+        x0 = [mpmath.mpf(v) for v in (theta, delta, q_s, *k.as_array())]
         tips = {}
 
-        def tip(*kk):
-            if kk not in tips:
-                th_s, th_p = _mp_solve(params, [*x, *kk])
-                tips[kk] = mp_tip_position(params, th_s, th_p + (TH0 - th_s), x[1], x[2])
-            return tips[kk]
+        def tip(*x):
+            if x not in tips:
+                th_s, th_p = _mp_solve(params, list(x))
+                tips[x] = mp_tip_position(params, th_s, th_p + (TH0 - th_s), x[1], x[2])
+            return tips[x]
 
-        kv = [mpmath.mpf(v) for v in k.as_array()]
-        return np.array([[mpmath.diff(lambda *kk: tip(*kk)[r], kv,
-                                      tuple(int(i == j) for i in range(3))) for j in range(3)]
+        return np.array([[mpmath.diff(lambda *x: tip(*x)[r], x0,
+                                      tuple(int(i == j) for i in range(6))) for j in cols]
                          for r in range(3)], dtype=float)
 
 

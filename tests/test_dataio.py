@@ -496,7 +496,8 @@ def test_synthetic_rejects_bad_noise_and_seed(tmp_path, bench, noise, seed, msg)
     assert not path.exists()
 
 
-@pytest.mark.parametrize("schedule", [["1", "2"], [True, False], np.array([b"1"])])
+@pytest.mark.parametrize("schedule", [["1", "2"], [True, False], np.array([b"1"]),
+                                      [[1.0], [2.0, 3.0]]])
 def test_synthetic_refuses_a_schedule_micro_trajectory_refuses(tmp_path, bench, schedule):
     # converted to floats first, strings and bools were accepted
     path = tmp_path / "bad.csv"

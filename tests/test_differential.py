@@ -56,7 +56,7 @@ from conftest import (
     jacobian_arrays,
     jacobian_partitions,
     mp_equilibrium,
-    mp_tip_position_k_jacobian,
+    mp_tip_position_jacobian,
     outside,
     pose_arrays_3d,
     projected_offsets,
@@ -807,11 +807,23 @@ def test_identification_jacobian_matches_40_digit_reference(bench, theta_deg, de
     theta = np.radians(theta_deg)
     m = Measurement(psi=ConfigState(theta, delta), q_s=q_s, x_bar=np.zeros(3))
     J_k = -identification_jacobian([m], bench, k, PARAM_NAMES)
-    dp_dk = mp_tip_position_k_jacobian(bench, theta, delta, q_s, k)
+    dp_dk = mp_tip_position_jacobian(bench, theta, delta, q_s, k, (3, 4, 5))
     _, _, d_phi = mp_equilibrium(bench, theta, delta, q_s, k)
     dw_dk = np.outer([-np.sin(delta), -np.cos(delta), 0.0], d_phi[0, 3:])
     assert np.max(np.abs(J_k[:3] - dp_dk)) <= 1e-12 * np.max(np.abs(dp_dk))
     assert np.max(np.abs(J_k[3:] - dw_dk)) <= 1e-12 * np.max(np.abs(dw_dk))
+
+
+@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS)
+def test_motion_jacobian_positions_match_40_digit_reference(bench, theta_deg, delta, q_s):
+    # position rows of J_psi and J_mu: mpmath.diff in (theta, delta, q_s) of the 40-digit tip
+    # position, solved anew at every point
+    k = UncertaintyParams(0.2, 0.01, 0.025)
+    theta = np.radians(theta_deg)
+    js = assemble_motion_jacobians(bench, ConfigState(theta, delta), q_s, k)
+    dp = mp_tip_position_jacobian(bench, theta, delta, q_s, k, (0, 1, 2))
+    for got, want in ((js.J_psi[:3], dp[:, :2]), (js.J_mu[:3], dp[:, 2])):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("theta,q_s,index", [

@@ -168,10 +168,9 @@ def test_uncertainty_params_store_real_scalars_as_given():
 @pytest.mark.parametrize("value,shown", NOT_REAL)
 def test_robot_params_take_real_scalars_only(bench, field, value, shown):
     # without the rule L=True constructed, and a string or an array raised TypeError
-    kwargs = {**vars(bench), field: value}
     with pytest.raises(ValidationError, match=f"^{field} must be a real number, got "
                                               f"{re.escape(shown)}$"):
-        RobotParams(**kwargs)
+        dataclasses.replace(bench, **{field: value})
 
 
 SCALAR_CALLS = [crem_pose, assemble_motion_jacobians, solve_equilibrium, fd_discrepancies]
@@ -238,7 +237,8 @@ def test_nls_estimate_takes_its_types_only(bench, k_cal, argument, value, messag
 @pytest.mark.parametrize("schedule,shown", [(["1", "2"], "['1', '2']"),
                                             (np.array(["1.5"]), "array(['1.5'], dtype='<U3')"),
                                             ([True, False], "[True, False]"),
-                                            ([None], "[None]")])
+                                            ([None], "[None]"),
+                                            ([[1.0], [2.0, 3.0]], "[[1.0], [2.0, 3.0]]")])
 def test_micro_trajectory_takes_real_depths_only(bench, k_cal, schedule, shown):
     # np.asarray(..., dtype=float) parsed the strings and took the bools
     psi = ConfigState(1.0, 0.3)
@@ -355,6 +355,83 @@ def test_uncertainty_lambda_values(k_cal):
     assert uncertainty_lambda(UncertaintyParams.zero(), 10.0, 1.0) == 0.0
     assert_allclose(uncertainty_lambda(k_cal, 10.0, 0.5), 0.45, atol=1e-15)
     assert_allclose(uncertainty_lambda(UncertaintyParams(1, 1, 1), 2.0, 3.0), 6.0)
+
+
+K = UncertaintyParams(0.2, 0.0, 0.025)  # the k_cal fixture's value, for a parametrize table
+# (k, q_s, theta, message): without the checks a tuple k raised AttributeError, a string
+# ValueError, and a NaN or negative depth passed
+UNCERTAINTY_LAMBDA_REFUSED = [
+    ((1, 2, 3), 10.0, 0.5, "k must be of type UncertaintyParams, got (1, 2, 3)"),
+    (None, 10.0, 0.5, "k must be of type UncertaintyParams, got None"),
+    (K, "x", 0.5, "q_s must hold real numbers, got 'x'"),
+    (K, 10.0, "x", "theta must hold real numbers, got 'x'"),
+    (K, True, 0.5, "q_s must hold real numbers, got True"),
+    (K, 10.0, None, "theta must hold real numbers, got None"),
+    (K, [[1.0], [2.0, 3.0]], 0.5, "q_s must hold real numbers, got [[1.0], [2.0, 3.0]]"),
+    (K, [1.0, 2.0, 3.0], [0.5, 0.6],
+     "q_s and theta must broadcast against each other, got shapes (3,) and (2,)"),
+    (K, np.nan, 0.5, "q_s must be finite and >= 0, got nan"),
+    (K, -1.0, 0.5, "q_s must be finite and >= 0, got -1.0"),
+    (K, np.inf, 0.5, "q_s must be finite and >= 0, got inf"),
+    (K, 10.0, np.nan, "theta must be finite, got nan"),
+    (K, 10.0, -np.inf, "theta must be finite, got -inf"),
+    (K, [1.0, -2.0, np.nan], 0.5, "sample 1: q_s must be finite and >= 0, got -2.0"),
+    (K, 1.0, np.array([0.5, 0.6, np.inf]), "sample 2: theta must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("k,q_s,theta,message", UNCERTAINTY_LAMBDA_REFUSED)
+def test_uncertainty_lambda_refuses_bad_arguments(k, q_s, theta, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        uncertainty_lambda(k, q_s, theta)
+
+
+def test_uncertainty_lambda_is_its_kernel(k_cal):
+    # the checks return the kernel's bits, which the solver's callers take unchecked;
+    # integers, q_s = 0 and arrays that broadcast pass
+    q_s, theta = np.array([0.0, 12.5, 44.3]), np.array([[0.3], [2.9]])
+    for args in ((q_s, theta), (0, 1), (12.5, np.float64(0.7)), (q_s, 0.4)):
+        got, want = uncertainty_lambda(k_cal, *args), model._lambda(k_cal, *args)
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("a", [1.25, -0.0, np.float64(-2.5), np.float64(np.nan), 3, True,
+                               np.float32(0.1), np.array(0.7), [1.0, 2.0], np.arange(3),
+                               np.array([[1.0], [2.0]])],
+                         ids=["float", "neg-zero", "float64", "float64-nan", "int", "bool",
+                              "float32", "0-d", "list", "int-array", "2-d"])
+def test_float_is_the_array_conversion(a):
+    # a float or an np.float64 skips the array round trip with the same type and bits
+    got, want = model._float(a), np.asarray(a, dtype=float)[()]
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.float64 and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_robot_params_form_their_constants_once(bench, n):
+    # beta, the EI products and the backbone angles are kept on first read, bit for bit the
+    # products; the record's fields, repr, ==, hash, replace and pickle do not see them
+    params = dataclasses.replace(bench, n=n)
+    fresh = dataclasses.replace(bench, n=n)
+    before = (repr(params), hash(params), pickle.dumps(params))
+    assert set(vars(params)) == {f.name for f in dataclasses.fields(RobotParams)}
+    for name, want in (("beta", 2.0 * np.pi / n), ("EI_p", params.E_p * params.I_p),
+                       ("EI_i", params.E_i * params.I_i), ("EI_s", params.E_s * params.I_s)):
+        got = getattr(params, name)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert getattr(params, name) is got
+    angles = params._angles
+    assert angles.tobytes() == (params.beta * np.arange(n)).tobytes()
+    assert angles.shape == (n,) and not angles.flags.writeable and params._angles is angles
+    assert [f.name for f in dataclasses.fields(params)] == [
+        "L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s", "n"]
+    assert (repr(params), hash(params), pickle.dumps(params)) == before
+    assert params == fresh and hash(params) == hash(fresh)
+    back = pickle.loads(pickle.dumps(params))
+    assert back == params and set(vars(back)) == set(vars(fresh))
+    moved = dataclasses.replace(params, n=n + 1)
+    assert moved._angles.shape == (n + 1,) and moved.beta == 2.0 * np.pi / (n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +729,7 @@ def test_random_robot_regression(robot, x, k):
 def test_many_backbones_solve_batch_invariant_and_pass_fd(bench, k_cal, n):
     # numpy sums a lone column of n >= 8 numbers pairwise; the moment sums add
     # the backbone rows in order, so a sample's bits do not depend on its batch
-    params = RobotParams(**{**vars(bench), "n": n})
+    params = dataclasses.replace(bench, n=n)
     rng = np.random.default_rng(n)
     theta = np.concatenate([[TH0, TH0], rng.uniform(0.3, np.pi - 0.3, 38)])
     delta = rng.uniform(-np.pi, np.pi, 40)
