@@ -24,7 +24,6 @@ from .kinematics import (
     SegmentedPose,
     crem_pose,
     micro_trajectory,
-    solve_equilibrium,
 )
 from .differential import (
     JacobianSet,

@@ -80,7 +80,7 @@ _POSE_OBSERVED.flags.writeable = False
 class Measurement:
     """One observed configuration.
 
-    psi is a ConfigState (model._check_types) and q_s a real scalar (model._real).
+    psi is a ConfigState (model._check_types) and q_s a finite real scalar >= 0 (model._real).
     x_bar is the tip position in the base frame (mm); R_bar the observed orientation or
     None, any finite 3x3 and not held to be a rotation: tracker data may miss RobotConfig's
     1e-9, and axis_angle_vector takes approximate rotations.  obs_mask marks which of the
@@ -101,10 +101,8 @@ class Measurement:
     def __init__(self, psi, q_s, x_bar, R_bar=None, obs_mask=None):
         if not isinstance(psi, ConfigState):  # the common path costs one isinstance
             _check_types(psi=psi)
-        _real("q_s", q_s)
-        if not 0.0 <= q_s < math.inf:
-            raise ValidationError(f"q_s must be finite and >= 0, got {q_s}")
-        x_bar = np.asarray(x_bar, dtype=float)
+        _real("q_s", q_s, "be finite and >= 0")
+        x_bar = np.asarray(x_bar, float)  # dtype by keyword costs about 2% of a record
         if x_bar.shape != (3,):
             raise ValidationError("x_bar must be a finite 3-vector")
         a, b, c = x_bar.tolist()
@@ -167,10 +165,10 @@ def _free_indices(names) -> np.ndarray:
 class CalibrationConfig:
     """Settings of the identification loop.
 
-    eta and beta_conv are real scalars (model._real); beta_conv must be finite and
-    positive.  free_params names the components of k actually updated.  The fit
-    weighs each observed position component 1, each observed orientation
-    component _W_ROT and each masked component 0.
+    eta in (0, 1] and beta_conv are real scalars (model._real); beta_conv is positive and
+    finite, for an infinite one would stop every fit after one step as converged.  free_params
+    names the components of k actually updated.  The fit weighs each observed position
+    component 1, each observed orientation component _W_ROT and each masked component 0.
     """
 
     eta: float = 1.0
@@ -179,15 +177,8 @@ class CalibrationConfig:
     free_params: tuple = ("k_lambda0", "k_lambda_q")
 
     def __post_init__(self):
-        _real("eta", self.eta)
-        _real("beta_conv", self.beta_conv)
-        if not (0.0 < self.eta <= 1.0):
-            raise ValidationError(f"eta must lie in (0, 1], got {self.eta}")
-        if not (self.beta_conv > 0.0):
-            raise ValidationError("beta_conv must be positive")
-        # an infinite threshold would stop every fit after one step as converged
-        if not math.isfinite(self.beta_conv):
-            raise ValidationError(f"beta_conv must be finite, got {self.beta_conv}")
+        _real("eta", self.eta, "lie in (0, 1]")
+        _real("beta_conv", self.beta_conv, "be positive")
         object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter, 1))
         # a tuple of the checked names, so that the caller's list cannot change them
         object.__setattr__(self, "free_params",
@@ -243,15 +234,33 @@ def _weighted_cost(c, w):
     return Wc, float(np.sum(c * Wc) / (2.0 * c.shape[0]))
 
 
+def _dataset_fault(measurements):
+    """ValidationError, once a read of the dataset failed, naming the argument unless it has
+    len() and indexing (a generator has not), else its first entry that is not a Measurement;
+    nothing if neither, and the caller re-raises.  A dataset that reads pays no such check."""
+    if not (hasattr(measurements, "__len__") and hasattr(measurements, "__getitem__")):
+        raise ValidationError("measurements must be a sequence of Measurement, got "
+                              f"{measurements!r}") from None
+    for i, m in enumerate(measurements):
+        if not isinstance(m, Measurement):
+            raise ValidationError(f"measurement {i} must be of type Measurement, got {m!r}") \
+                from None
+
+
 def _commands(measurements):
     """Commanded (theta, delta, q_s) of the measurements as float arrays, the one place the
     package reads them, one pass per field.  When every measurement holds the same
     ConfigState object (as a run of load_dataset rows does), the set is at one psi: theta and
     delta are its values as numpy scalars, neither is walked, and the psi-only terms are formed
-    once (model._solver_start, _fit).  Any other set, of equal psis too, takes arrays."""
-    n = len(measurements)
-    q_s = np.fromiter([m.q_s for m in measurements], float, n)
-    psi = measurements[0].psi if n else None
+    once (model._solver_start, _fit).  Any other set, of equal psis too, takes arrays.  A
+    dataset that does not read raises _dataset_fault's ValidationError."""
+    try:
+        n = len(measurements)
+        q_s = np.fromiter([m.q_s for m in measurements], float, n)
+        psi = measurements[0].psi if n else None
+    except (AttributeError, TypeError):
+        _dataset_fault(measurements)
+        raise
     if n and next((m for m in measurements if m.psi is not psi), None) is None:
         return np.float64(psi.theta), np.float64(psi.delta), q_s
     theta = np.fromiter([m.psi.theta for m in measurements], float, n)
@@ -584,11 +593,16 @@ def split_at_turning_point(measurements):
 
     The turning sample itself closes the pre subset.  With no detected
     turning point the pre subset is the whole dataset and post is empty;
-    an empty dataset has none.
+    an empty dataset has none.  A dataset that does not read raises _dataset_fault's
+    ValidationError.
     """
-    if not measurements:
-        return [], []
-    pos = np.stack([m.x_bar for m in measurements])
+    try:
+        if not len(measurements):
+            return [], []
+        pos = np.stack([m.x_bar for m in measurements])
+    except (AttributeError, TypeError):
+        _dataset_fault(measurements)
+        raise
     idx = turning_point_index(pos)
     if idx is None:
         return list(measurements), []

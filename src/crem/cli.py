@@ -34,7 +34,6 @@ from .calibration import (
     split_at_turning_point,
 )
 from .dataio import (
-    _check_noise_sigma,
     _write_csv,
     generate_synthetic,
     load_dataset,
@@ -43,7 +42,7 @@ from .dataio import (
 from .differential import _fd_discrepancy_arrays, _jacobian_arrays
 from .errors import CremError
 from .kinematics import _solved_chain, micro_trajectory
-from .model import THETA_BASE, ConfigState, UncertaintyParams, _check_domain, _integer
+from .model import THETA_BASE, ConfigState, UncertaintyParams, _check_domain, _integer, _real
 
 _FD_TOL = 1e-6
 _FREE_TOKENS = {"k0": "k_lambda0", "ktheta": "k_lambda_theta", "kq": "k_lambda_q"}
@@ -284,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_DELTA, default=0.0, help="bending plane, deg")
     p.add_argument("--qs-range", type=_range, required=True,
                    help="insertion sweep lo:hi:count, mm")
-    p.add_argument("--noise", type=_checked(float, _check_noise_sigma), default=0.0,
-                   help="position noise sigma, mm")
+    p.add_argument("--noise", default=0.0, help="position noise sigma, mm",
+                   type=_checked(float, lambda v: _real("noise_sigma", v, "be finite and >= 0")))
     p.add_argument("--seed", type=_checked(int, lambda v: _integer("seed", v, 0)), default=0)
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_gen_synthetic)

@@ -240,14 +240,6 @@ def load_dataset(path, config: RobotConfig):
     return measurements
 
 
-def _check_noise_sigma(value: float) -> None:
-    """ValidationError unless the noise sigma value is a real number (model._real), finite
-    and >= 0."""
-    _real("noise_sigma", value)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValidationError(f"noise_sigma must be finite and >= 0, got {value}")
-
-
 def generate_synthetic(
     params: RobotParams,
     k_true: UncertaintyParams,
@@ -263,11 +255,11 @@ def generate_synthetic(
     Returns the (N, 3) noisy base-frame positions, sampled at _SYNTHETIC_HZ,
     and writes them as a base-frame trajectory CSV when path is given.
     Identical arguments always produce identical data.  noise_sigma must be a
-    real number, finite and >= 0, seed an integer >= 0, path None, a str or an
+    real number, finite and >= 0 (model._real), seed an integer >= 0, path None, a str or an
     os.PathLike, and qs_schedule 1-D and of real numbers (micro_trajectory's
     rule), else ValidationError before anything is written.
     """
-    _check_noise_sigma(noise_sigma)
+    _real("noise_sigma", noise_sigma, "be finite and >= 0")
     seed = _integer("seed", seed, 0)
     if path is not None:
         _check_path(path)

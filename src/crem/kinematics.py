@@ -17,8 +17,9 @@ or batched, comes from one planar chain: p = Rz(-delta) [x, 0, z] with
 (x, z) = q_s (a_s, b_s) + (L - q_s) Ry(pi/2 - theta_s) (a_e, b_e), and the
 tip rotation is segment_rotation(theta_s + theta_eps - pi/2, delta).  Poses,
 Jacobians and the calibration fit read one chain record, _Chain; _solved_chain is
-the one solve-then-chain sequence, kept for the angles, a pose and its Jacobians (_scalar_chain).
-Sweeps take the plain-arc _tip_positions; _turn turns every in-plane tip by delta.
+the one solve-then-chain sequence, kept (_scalar_chain) for crem_pose, which returns the
+angles with the pose, and the Jacobians of one configuration.  Sweeps take the plain-arc
+_tip_positions; _turn turns every in-plane tip by delta.
 """
 from __future__ import annotations
 
@@ -187,21 +188,11 @@ def _scalar_chain(params: RobotParams, theta: float, delta: float, q_s: float, k
     return _solved_chain(params, theta, delta, q_s, k)
 
 
-def solve_equilibrium(
-    params: RobotParams, psi: ConfigState, q_s: float, k: UncertaintyParams
-) -> EquilibriumConfig:
-    """Equilibrium angles of the segment at configuration psi and depth q_s: those of the kept
-    solve of the configuration (_scalar_chain), so a pose or the Jacobians after it do not
-    solve again.  Arguments of the wrong type raise ValidationError (model._check_types)."""
-    _check_types(params=params, psi=psi, k=k, q_s=q_s)
-    _, c = _scalar_chain(params, float(psi.theta), float(psi.delta), float(q_s), k)
-    return EquilibriumConfig(float(c.th_s), float(c.th_e))
-
-
 def crem_pose(
     params: RobotParams, psi: ConfigState, q_s: float, k: UncertaintyParams
 ) -> SegmentedPose:
-    """Tip pose at configuration psi and insertion depth q_s.
+    """Tip pose at configuration psi and insertion depth q_s, with the equilibrium angles
+    (theta_s, theta_eps) of the segment there.
 
     Takes the kept solve and planar chain of the configuration (_scalar_chain),
     turns its in-plane tip by delta (_turn), and forms the

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -49,12 +50,24 @@ def _integer(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _real(name: str, value):
-    """ValidationError naming the field unless value is a real scalar: a bool, an array (a
-    0-d one too), a string or None is refused.  A float passes on its type alone."""
+# range rules of real scalars (_real): the rule as its message reads it -> the closed interval
+# [lo, hi] it admits, an open bound as the nearest float inside it; no NaN passes lo <= v <= hi
+_MAX, _TINY = sys.float_info.max, math.nextafter(0.0, 1.0)
+_RULES = {"be finite": (-_MAX, _MAX), "be positive": (_TINY, _MAX),
+          "be finite and >= 0": (0.0, _MAX), "lie in (0, 1]": (_TINY, 1.0)}
+
+
+def _real(name: str, value, rule):
+    """ValidationError naming the argument unless value is a real scalar (a float passes on
+    its type alone; a bool, an array, 0-d too, a string or None does not) inside rule, a key
+    of _RULES, or None for the type check alone: '<name> must <rule>, got <value>'."""
     if type(value) is not float and (isinstance(value, bool)
                                      or not isinstance(value, numbers.Real)):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if rule is not None:
+        lo, hi = _RULES[rule]
+        if not lo <= value <= hi:
+            raise ValidationError(f"{name} must {rule}, got {value}")
 
 
 def _float(a):
@@ -100,7 +113,7 @@ class RobotParams:
     E_i, I_i: same for each secondary backbone
     E_s, I_s: same for the insertable wire; zero allowed (wire absent)
     n: number of secondary backbones, evenly spaced
-    Each real field is a real scalar (_real) before its range is checked.  The derived
+    Each real field is a real scalar in its range (_real).  The derived
     constants (beta, the EI products and the backbone angles) are formed on first read and
     kept in the instance's __dict__, so vars() lists those read so far; fields, repr, ==,
     hash, replace and pickles hold the fields alone.
@@ -118,16 +131,10 @@ class RobotParams:
 
     def __post_init__(self):
         for name in ("L", "r", "E_p", "E_i", "I_p", "I_i"):
-            v = getattr(self, name)
-            _real(name, v)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValidationError(f"{name} must be positive, got {v}")
+            _real(name, getattr(self, name), "be positive")
         object.__setattr__(self, "n", _integer("n", self.n, 3))
         for name in ("E_s", "I_s"):
-            v = getattr(self, name)
-            _real(name, v)
-            if not (v >= 0.0 and math.isfinite(v)):
-                raise ValidationError(f"{name} must be >= 0, got {v}")
+            _real(name, getattr(self, name), "be finite and >= 0")
 
     def __getstate__(self):
         # the fields alone: a pickle does not depend on which constants were read
@@ -167,8 +174,8 @@ class ConfigState:
     delta: float
 
     def __post_init__(self):
-        _real("theta", self.theta)
-        _real("delta", self.delta)
+        _real("theta", self.theta, None)
+        _real("delta", self.delta, None)
         _check_domain((self.theta, self.delta), 0.0, None, "sample", 0)
 
 
@@ -183,18 +190,18 @@ class UncertaintyParams:
 
     def __post_init__(self):
         for name in ("k_lambda0", "k_lambda_theta", "k_lambda_q"):
-            v = getattr(self, name)
-            _real(name, v)
-            if not math.isfinite(v):
-                raise ValidationError(f"{name} must be finite")
+            _real(name, getattr(self, name), "be finite")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.k_lambda0, self.k_lambda_theta, self.k_lambda_q])
 
     @classmethod
-    def from_array(cls, a) -> "UncertaintyParams":
-        a = np.asarray(a, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
+    def from_array(cls, k) -> "UncertaintyParams":
+        """The parameters of k = (k_lambda0, k_lambda_theta, k_lambda_q), real numbers (_reals)."""
+        k = _reals("k", k)
+        if k.shape != (3,):
+            raise ValidationError(f"k must have shape (3,), got {k.shape}")
+        return cls(*k.tolist())
 
     @classmethod
     def zero(cls) -> "UncertaintyParams":
@@ -207,16 +214,15 @@ class EquilibriumConfig:
 
     theta_s is the separation-plane angle, theta_eps the empty-subsegment
     equivalent bend angle; the end-disk angle is
-    theta_prime = theta_eps - (pi/2 - theta_s) by construction.
+    theta_prime = theta_eps - (pi/2 - theta_s) by construction.  Both are finite (_real).
     """
 
     theta_s: float
     theta_eps: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta_s) and math.isfinite(self.theta_eps)):
-            raise ValidationError("equilibrium angles must be finite, got "
-                                  f"({self.theta_s}, {self.theta_eps})")
+        _real("theta_s", self.theta_s, "be finite")
+        _real("theta_eps", self.theta_eps, "be finite")
 
     @property
     def theta_prime(self) -> float:
@@ -232,7 +238,7 @@ def _check_types(**args):
     params, psi, k and k0 of _ARG_TYPES, q_s a real scalar.  The one type rule of the calls."""
     for name, value in args.items():
         if name == "q_s":
-            _real(name, value)
+            _real(name, value, None)
         elif not isinstance(value, cls := _ARG_TYPES[name]):
             raise ValidationError(f"{name} must be of type {cls.__name__}, got {value!r}")
 
@@ -307,13 +313,13 @@ def uncertainty_lambda(k: UncertaintyParams, q_s, theta):
     except ValueError:
         raise ValidationError("q_s and theta must broadcast against each other, got shapes "
                               f"{q_s.shape} and {theta.shape}") from None
-    for name, a, ok, rule in (("q_s", q_s, (q_s >= 0.0) & (q_s < math.inf), " and >= 0"),
-                              ("theta", theta, np.isfinite(theta), "")):
+    for name, a, rule in (("q_s", q_s, "be finite and >= 0"), ("theta", theta, "be finite")):
+        lo, hi = _RULES[rule]
+        ok = (lo <= a) & (a <= hi)
         if np.count_nonzero(ok) != np.size(ok):
             i = int(np.argmin(ok))
             where = f"sample {i}: " if np.ndim(a) else ""
-            raise ValidationError(f"{where}{name} must be finite{rule}, got "
-                                  f"{float(np.ravel(a)[i])}")
+            raise ValidationError(f"{where}{name} must {rule}, got {float(np.ravel(a)[i])}")
     return _lambda(k, q_s, theta)
 
 

@@ -14,6 +14,7 @@ reference for the arc ratios.  The per-point finite-difference oracle
 is the scalar reference for the package's batched one.
 """
 
+import functools
 import re
 from types import SimpleNamespace
 
@@ -244,23 +245,60 @@ def mp_tip_position(params, th_s, th_e, delta, q_s):
     return [mpmath.cos(delta) * x, -mpmath.sin(delta) * x, z]
 
 
+def mp_tip_rotation(th_s, th_e, delta):
+    """The nine entries, row by row, of the tip rotation Rz(-delta) Ry(pi/2 - theta') Rz(delta),
+    theta' = theta_s + theta_eps - pi/2, in mpmath: the product of the three turns, not the
+    package's closed form."""
+    def rz(a):
+        c, s = mpmath.cos(a), mpmath.sin(a)
+        return mpmath.matrix([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+
+    c, s = mpmath.cos(2 * TH0 - th_s - th_e), mpmath.sin(2 * TH0 - th_s - th_e)
+    R = rz(-delta) * mpmath.matrix([[c, 0, s], [0, 1, 0], [-s, 0, c]]) * rz(delta)
+    return [R[i, j] for i in range(3) for j in range(3)]
+
+
+def _mp_pose_partials(params, theta, delta, q_s, k, cols, pose):
+    """(pose at x, [[d pose_r / d x_j for j in cols] for each entry r]) in mpmath at the working
+    precision, for x = (theta, delta, q_s, k_lambda0, k_lambda_theta, k_lambda_q): mpmath.diff
+    of pose(theta_s, theta_eps, delta, q_s), a list of entries, at the equilibrium solved anew
+    at every x."""
+    x0 = [mpmath.mpf(v) for v in (theta, delta, q_s, *k.as_array())]
+    poses = {}
+
+    def at(*x):
+        if x not in poses:
+            th_s, th_p = _mp_solve(params, list(x))
+            poses[x] = pose(th_s, th_p + (TH0 - th_s), x[1], x[2])
+        return poses[x]
+
+    return at(*x0), [[mpmath.diff(lambda *x: at(*x)[r], x0, tuple(int(i == j) for i in range(6)))
+                      for j in cols] for r in range(len(at(*x0)))]
+
+
 def mp_tip_position_jacobian(params, theta, delta, q_s, k, cols, dps=40):
     """d p / d x_j for j in cols of x = (theta, delta, q_s, k_lambda0, k_lambda_theta,
     k_lambda_q), (3, len(cols)) floats: mpmath.diff of mp_tip_position at the dps-digit
     equilibrium, solved anew at every x."""
     with mpmath.workdps(dps):
-        x0 = [mpmath.mpf(v) for v in (theta, delta, q_s, *k.as_array())]
-        tips = {}
+        _, dp = _mp_pose_partials(params, theta, delta, q_s, k, cols,
+                                  functools.partial(mp_tip_position, params))
+        return np.array(dp, dtype=float)
 
-        def tip(*x):
-            if x not in tips:
-                th_s, th_p = _mp_solve(params, list(x))
-                tips[x] = mp_tip_position(params, th_s, th_p + (TH0 - th_s), x[1], x[2])
-            return tips[x]
 
-        return np.array([[mpmath.diff(lambda *x: tip(*x)[r], x0,
-                                      tuple(int(i == j) for i in range(6))) for j in cols]
-                         for r in range(3)], dtype=float)
+def mp_tip_rotation_jacobian(params, theta, delta, q_s, k, cols, dps=40):
+    """The space-frame angular velocity omega_j = vee(dR/dx_j R^T) per x_j for j in cols of x as
+    in mp_tip_position_jacobian, (3, len(cols)) floats: mpmath.diff of mp_tip_rotation at the
+    dps-digit equilibrium, solved anew at every x."""
+    with mpmath.workdps(dps):
+        R, dR = _mp_pose_partials(params, theta, delta, q_s, k, cols,
+                                  lambda th_s, th_e, d, _: mp_tip_rotation(th_s, th_e, d))
+        Rt = mpmath.matrix([[R[3 * c + r] for c in range(3)] for r in range(3)])
+        omega = []
+        for j in range(len(dR[0])):
+            W = mpmath.matrix([[dR[3 * r + c][j] for c in range(3)] for r in range(3)]) * Rt
+            omega.append([W[2, 1], W[0, 2], W[1, 0]])
+        return np.array(omega, dtype=float).T
 
 
 def assert_valid_pose(pose, tol=1e-12):

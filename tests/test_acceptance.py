@@ -25,7 +25,6 @@ from crem import (
     load_dataset,
     micro_trajectory,
     nls_estimate,
-    solve_equilibrium,
 )
 from crem.dataio import RobotConfig, write_robot_config
 
@@ -54,7 +53,7 @@ def test_criterion_1_straightness_fixed_point(bench_params):
     worst_angle = 0.0
     worst_pos = 0.0
     for q_s in rng.uniform(0.0, bench_params.L, size=50):
-        phi = solve_equilibrium(bench_params, ConfigState(TH0, 0.7), float(q_s), K_ZERO)
+        phi = crem_pose(bench_params, ConfigState(TH0, 0.7), float(q_s), K_ZERO).equilibrium
         worst_angle = max(worst_angle, abs(phi.theta_s - TH0),
                           abs(phi.theta_prime - TH0))
         tip = crem_pose(bench_params, ConfigState(TH0, 0.7), float(q_s), K_ZERO).tip
@@ -78,7 +77,7 @@ def test_criterion_2_zero_stiffness_neutrality():
             ref = segment_pose(params.L, theta, delta)
             for fq in np.linspace(0.05, 0.95, 9):
                 q_s = params.L * fq
-                phi = solve_equilibrium(params, ConfigState(theta, delta), q_s, K_ZERO)
+                phi = crem_pose(params, ConfigState(theta, delta), q_s, K_ZERO).equilibrium
                 th_s_exact = TH0 + (theta - TH0) * q_s / params.L
                 worst_angle = max(worst_angle, abs(phi.theta_prime - theta),
                                   abs(phi.theta_s - th_s_exact))
@@ -99,8 +98,7 @@ def test_criterion_3_equilibrium_oracle_equivalence(bench_params):
             for delta in np.radians(np.linspace(-90.0, 90.0, 5)):
                 for fq in np.linspace(0.05, 0.95, 5):
                     q_s = bench_params.L * fq
-                    phi = solve_equilibrium(bench_params, ConfigState(theta, delta),
-                                            q_s, k)
+                    phi = crem_pose(bench_params, ConfigState(theta, delta), q_s, k).equilibrium
                     th_s, th_p = oracle_equilibrium(bench_params, theta, delta, q_s, k)
                     worst = max(worst, abs(phi.theta_s - th_s),
                                 abs(phi.theta_prime - th_p))

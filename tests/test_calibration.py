@@ -464,6 +464,29 @@ def test_empty_dataset_rejected(bench):
         nls_estimate([], bench, CalibrationConfig(), UncertaintyParams.zero())
 
 
+ENTRY = "^measurement 2 must be of type Measurement, got {}$"
+SEQUENCE = "^measurements must be a sequence of Measurement, got {}$"
+
+
+# (dataset of four good measurements ms, message): an entry that is not a Measurement raised
+# AttributeError, and a generator or a lone Measurement TypeError (has no len())
+@pytest.mark.parametrize("dataset, message", [
+    *((lambda ms, bad=bad: ms[:2] + [bad] + ms[2:], ENTRY.format(re.escape(repr(bad))))
+      for bad in (None, (1.0, 2.0), "abc", {"q_s": 1.0})),
+    (lambda ms: (m for m in ms), SEQUENCE.format("<generator object .*>")),
+    (lambda ms: ms[0], SEQUENCE.format(r"Measurement\(psi=ConfigState\(theta=1\.0, .*\)")),
+], ids=["None", "tuple", "str", "dict", "generator", "Measurement"])
+@pytest.mark.parametrize("call", [
+    lambda d, p, k: nls_estimate(d, p, CalibrationConfig(), k),
+    lambda d, p, k: identification_jacobian(d, p, k, PARAM_NAMES),
+    lambda d, p, k: split_at_turning_point(d),
+], ids=["nls_estimate", "identification_jacobian", "split_at_turning_point"])
+def test_dataset_calls_take_measurement_sequences_only(bench, k_cal, call, dataset, message):
+    ms = [Measurement(ConfigState(1.0, 0.2), q_s, np.zeros(3)) for q_s in (5.0, 10.0, 15.0, 20.0)]
+    with pytest.raises(ValidationError, match=message):
+        call(dataset(ms), bench, k_cal)
+
+
 @pytest.fixture(scope="module")
 def criterion_7_noisy(bench):
     """The criterion-7 noisy sweep (382 samples, 2 um, seed 11) and its
@@ -590,12 +613,12 @@ def test_eta_validation(eta):
 
 @pytest.mark.parametrize("beta_conv", [0.0, -1e-3, np.nan])
 def test_beta_conv_validation(beta_conv):
-    with pytest.raises(ValidationError, match="^beta_conv must be positive$"):
+    with pytest.raises(ValidationError, match=f"^beta_conv must be positive, got {beta_conv}$"):
         CalibrationConfig(beta_conv=beta_conv)
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"beta_conv": np.inf}, "beta_conv must be finite, got inf"),
+    ({"beta_conv": np.inf}, "beta_conv must be positive, got inf"),
     *(({"eta": value}, f"eta must be a real number, got {shown}") for value, shown in NOT_REAL),
     *(({"beta_conv": value}, f"beta_conv must be a real number, got {shown}")
       for value, shown in NOT_REAL),

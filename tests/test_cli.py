@@ -390,8 +390,8 @@ def test_gen_synthetic_bad_noise_or_seed_fails_cleanly(tmp_path, capsys, flag, v
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--eta", "2", "eta must lie in (0, 1], got 2.0"),
-    ("--conv", "0", "beta_conv must be positive"),
-    ("--conv", "inf", "beta_conv must be finite, got inf"),
+    ("--conv", "0", "beta_conv must be positive, got 0.0"),
+    ("--conv", "inf", "beta_conv must be positive, got inf"),
     ("--max-iter", "0", "max_iter must be an integer >= 1, got 0"),
     ("--free", "k0,k0", "free_params must be a nonempty set of distinct names"),
 ])

@@ -20,7 +20,6 @@ from crem import (
     micro_trajectory,
     fd_discrepancies,
     identification_jacobian,
-    solve_equilibrium,
 )
 from crem import differential
 from crem.differential import (
@@ -57,6 +56,7 @@ from conftest import (
     jacobian_partitions,
     mp_equilibrium,
     mp_tip_position_jacobian,
+    mp_tip_rotation_jacobian,
     outside,
     pose_arrays_3d,
     projected_offsets,
@@ -151,7 +151,7 @@ def test_arc_slopes_are_derivatives_of_the_ratios():
 def test_solver_matrices_residual_vanishes(bench, k_cal, theta_deg, q_s):
     # both raw moment residuals vanish at the solved angles
     psi = ConfigState(np.radians(theta_deg), 0.4)
-    phi = solve_equilibrium(bench, psi, q_s, k_cal)
+    phi = crem_pose(bench, psi, q_s, k_cal).equilibrium
     m1, m1p, m2, ms, lam = equilibrium_moments(bench, psi.theta, psi.delta, q_s, k_cal,
                                                phi.theta_s, phi.theta_prime)
     assert max(abs(m1p - m1), abs(m1p + m2 + ms - lam)) < 1e-8
@@ -179,8 +179,8 @@ def test_phi_gradients_match_finite_differences(bench, k_cal):
     h = 1e-6
 
     def phi_of(theta, delta, qs, k0, kt, kq):
-        e = solve_equilibrium(bench, ConfigState(theta, delta), qs,
-                              UncertaintyParams(k0, kt, kq))
+        e = crem_pose(bench, ConfigState(theta, delta), qs,
+                      UncertaintyParams(k0, kt, kq)).equilibrium
         return np.array([e.theta_s, e.theta_eps])
 
     x0 = [psi.theta, psi.delta, q_s, k_cal.k_lambda0, k_cal.k_lambda_theta,
@@ -614,7 +614,7 @@ def test_depth_gradient_tracks_differences(bench, k_cal, theta, delta, fq):
     psi = ConfigState(theta, delta)
     g = assemble_motion_jacobians(bench, psi, q_s, k_cal).d_phi
     h = 1e-6
-    ep, em = (solve_equilibrium(bench, psi, q_s + s, k_cal) for s in (h, -h))
+    ep, em = (crem_pose(bench, psi, q_s + s, k_cal).equilibrium for s in (h, -h))
     fp, fm = np.array([ep.theta_s, ep.theta_eps]), np.array([em.theta_s, em.theta_eps])
     assert np.max(np.abs(g[:, 2] - (fp - fm) / (2.0 * h))) < 1e-5
 
@@ -824,6 +824,18 @@ def test_motion_jacobian_positions_match_40_digit_reference(bench, theta_deg, de
     dp = mp_tip_position_jacobian(bench, theta, delta, q_s, k, (0, 1, 2))
     for got, want in ((js.J_psi[:3], dp[:, :2]), (js.J_mu[:3], dp[:, 2])):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS)
+def test_motion_jacobian_rotations_match_40_digit_reference(bench, theta_deg, delta, q_s):
+    # rotation rows of J_psi, J_mu and J_k: vee(dR/dx R^T) of the 40-digit tip rotation, with
+    # dR/dx by mpmath.diff in (theta, delta, q_s, k), solved anew at every point
+    k = UncertaintyParams(0.2, 0.01, 0.025)
+    theta = np.radians(theta_deg)
+    js = assemble_motion_jacobians(bench, ConfigState(theta, delta), q_s, k)
+    dw = mp_tip_rotation_jacobian(bench, theta, delta, q_s, k, range(6))
+    for got, want in ((js.J_psi[3:], dw[:, :2]), (js.J_mu[3:], dw[:, 2]), (js.J_k[3:], dw[:, 3:])):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("theta,q_s,index", [

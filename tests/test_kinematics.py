@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -175,8 +176,12 @@ def test_crem_pose_validates_range(bench, k_zero):
             ConfigState(1.2, delta)
         with pytest.raises(ValidationError, match="delta"):
             crem_pose(bench, SimpleNamespace(theta=1.2, delta=delta), 10.0, k_zero)
-    for angles in ((np.nan, 1.3), (1.2, np.inf), (-np.inf, np.nan)):
-        with pytest.raises(ValidationError, match="equilibrium angles"):
+    # each equilibrium angle is a finite real scalar (model._real); a string raised TypeError
+    for angles, message in (((np.nan, 1.3), "theta_s must be finite, got nan"),
+                            ((1.2, np.inf), "theta_eps must be finite, got inf"),
+                            ((-np.inf, np.nan), "theta_s must be finite, got -inf"),
+                            (("a", 1.0), "theta_s must be a real number, got 'a'")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             EquilibriumConfig(*angles)
 
 

@@ -25,7 +25,6 @@ from crem import (
     identification_jacobian,
     micro_trajectory,
     nls_estimate,
-    solve_equilibrium,
     uncertainty_lambda,
 )
 from crem import calibration, differential, kinematics, model
@@ -71,8 +70,29 @@ def test_invalid_params_rejected(bench, field, value):
 @pytest.mark.parametrize("field,value", [("k_lambda0", np.nan), ("k_lambda_theta", np.inf),
                                          ("k_lambda_q", -np.inf)])
 def test_invalid_uncertainty_params_rejected(field, value):
-    with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
+    with pytest.raises(ValidationError, match=f"^{field} must be finite, got {value}$"):
         UncertaintyParams(**{field: value})
+
+
+# (k, message): from_array takes three real numbers (model._reals); two numbers raised
+# IndexError, strings ValueError, and a fourth number was dropped
+@pytest.mark.parametrize("k, message", [
+    ([1.0, 2.0], "k must have shape (3,), got (2,)"),
+    ([1.0, 2.0, 3.0, 4.0], "k must have shape (3,), got (4,)"),
+    ([[1.0, 2.0, 3.0]], "k must have shape (3,), got (1, 3)"),
+    (["a", "b", "c"], "k must hold real numbers, got ['a', 'b', 'c']"),
+    (None, "k must hold real numbers, got None"),
+    ([1.0, np.nan, 0.0], "k_lambda_theta must be finite, got nan"),
+])
+def test_uncertainty_params_from_array_takes_three_real_numbers(k, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        UncertaintyParams.from_array(k)
+
+
+def test_uncertainty_params_from_array_holds_floats():
+    k = UncertaintyParams.from_array(np.array([1, 2, 3]))
+    assert k == UncertaintyParams(1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in dataclasses.astuple(k))
 
 
 def test_integral_float_n_is_stored_as_int(bench, k_zero):
@@ -80,8 +100,8 @@ def test_integral_float_n_is_stored_as_int(bench, k_zero):
               ("L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s")}
     p = RobotParams(**kwargs, n=3.0)
     assert type(p.n) is int and p.n == 3
-    assert solve_equilibrium(p, ConfigState(1.0, 0.3), 20.0, k_zero) \
-        == solve_equilibrium(bench, ConfigState(1.0, 0.3), 20.0, k_zero)
+    assert crem_pose(p, ConfigState(1.0, 0.3), 20.0, k_zero).equilibrium \
+        == crem_pose(bench, ConfigState(1.0, 0.3), 20.0, k_zero).equilibrium
 
 
 def test_wire_absent_params_allowed(bench):
@@ -173,7 +193,7 @@ def test_robot_params_take_real_scalars_only(bench, field, value, shown):
         dataclasses.replace(bench, **{field: value})
 
 
-SCALAR_CALLS = [crem_pose, assemble_motion_jacobians, solve_equilibrium, fd_discrepancies]
+SCALAR_CALLS = [crem_pose, assemble_motion_jacobians, fd_discrepancies]
 # (argument, value, message): the type rule of every scalar call (model._check_types); without
 # it q_s went through float(), which took True and '3', and a tuple psi or k raised
 # AttributeError
@@ -316,7 +336,7 @@ def test_backbone_lengths_nonphysical(bench, k_zero):
     psi = ConfigState(0.2, 0.0)
     with pytest.raises(NonPhysicalLength, match=r"^sample 0: \(theta, delta, q_s\) = "
                                                  r"\(0\.2, 0, 0\.5\): backbone length <= 0 "):
-        solve_equilibrium(short, psi, 0.5, k_zero)
+        crem_pose(short, psi, 0.5, k_zero)
     with pytest.raises(NonPhysicalLength):
         micro_trajectory(short, psi, np.linspace(0.0, 1.0, 5), k_zero)
     # the first sample at fault is named, with the least length of its own backbones
@@ -345,9 +365,9 @@ def test_subsegment_lengths_boundaries(bench, k_cal):
     # theta_s = theta0, and q_s = L leaves theta_prime = theta_s
     D = projected_offsets(bench, 0.3)
     psi = ConfigState(1.0, 0.3)
-    phi = solve_equilibrium(bench, psi, 0.0, k_cal)
+    phi = crem_pose(bench, psi, 0.0, k_cal).equilibrium
     assert_allclose(0.0 + D * (phi.theta_s - TH0), 0.0, atol=0)
-    phi = solve_equilibrium(bench, psi, bench.L, k_cal)
+    phi = crem_pose(bench, psi, bench.L, k_cal).equilibrium
     assert_allclose(0.0 + D * (phi.theta_prime - phi.theta_s), 0.0, atol=0)
 
 
@@ -458,7 +478,7 @@ def test_stiffness_positive_interior(bench):
 def test_straightness_preserved(bench, k_zero):
     psi = ConfigState(TH0, 0.3)
     for q_s in np.linspace(0.0, bench.L, 7):
-        phi = solve_equilibrium(bench, psi, q_s, k_zero)
+        phi = crem_pose(bench, psi, q_s, k_zero).equilibrium
         assert phi.theta_s == TH0
         assert phi.theta_prime == TH0
         assert phi.theta_eps == TH0
@@ -469,14 +489,14 @@ def test_zero_wire_closed_form(bench, k_zero):
                     E_s=bench.E_s, I_p=bench.I_p, I_i=bench.I_i, I_s=0.0)
     for theta in np.radians([15, 45, 75]):
         for q_s in np.linspace(0.05, 0.95, 7) * p.L:
-            phi = solve_equilibrium(p, ConfigState(theta, 0.2), q_s, k_zero)
+            phi = crem_pose(p, ConfigState(theta, 0.2), q_s, k_zero).equilibrium
             assert abs(phi.theta_prime - theta) < 1e-10
             assert abs(phi.theta_s - (TH0 + (theta - TH0) * q_s / p.L)) < 1e-10
 
 
 def test_moment_residuals_at_convergence(bench, k_cal):
     psi = ConfigState(np.radians(40), 0.6)
-    phi = solve_equilibrium(bench, psi, 18.0, k_cal)
+    phi = crem_pose(bench, psi, 18.0, k_cal).equilibrium
     m1, m1p, m2, ms, lam = equilibrium_moments(bench, psi.theta, psi.delta, 18.0, k_cal,
                                                phi.theta_s, phi.theta_prime)
     scale = max(1.0, abs(m1))
@@ -540,14 +560,14 @@ def test_overflowing_lambda_is_reported_not_halved_forever(bench):
     k = UncertaintyParams(1e308, 0.0, 1e308)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NoConvergence, match=r"sample 0: .*last step nan"):
-            solve_equilibrium(bench, ConfigState(1.0, 0.2), 15.0, k)
+            crem_pose(bench, ConfigState(1.0, 0.2), 15.0, k)
 
 
 def test_solver_matches_bruteforce_oracle(bench, k_cal, k_zero):
     for k in (k_zero, k_cal):
         for theta in np.radians([20, 45, 70]):
             for q_s in (4.43, 22.15, 39.87):
-                phi = solve_equilibrium(bench, ConfigState(theta, 0.0), q_s, k)
+                phi = crem_pose(bench, ConfigState(theta, 0.0), q_s, k).equilibrium
                 ref_s, ref_p = oracle_equilibrium(bench, theta, 0.0, q_s, k)
                 assert abs(phi.theta_s - ref_s) < 1e-9
                 assert abs(phi.theta_prime - ref_p) < 1e-9
@@ -556,7 +576,7 @@ def test_solver_matches_bruteforce_oracle(bench, k_cal, k_zero):
 def test_robot_straightens_with_insertion(bench, k_zero):
     # wire stiffens the inserted portion, pulling theta_prime toward pi/2
     theta = np.radians(30)
-    phi = solve_equilibrium(bench, ConfigState(theta, 0.0), 20.0, k_zero)
+    phi = crem_pose(bench, ConfigState(theta, 0.0), 20.0, k_zero).equilibrium
     assert theta < phi.theta_prime < TH0
 
 
@@ -565,17 +585,17 @@ def test_boundary_continuity_small_qs(bench, k_zero):
     psi = ConfigState(theta, 0.0)
     for exp in range(1, 7):
         q_s = 10.0 ** (-exp) * bench.L
-        phi = solve_equilibrium(bench, psi, q_s, k_zero)
+        phi = crem_pose(bench, psi, q_s, k_zero).equilibrium
         assert abs(phi.theta_prime - theta) < 10.0 ** (-exp) * 2
         assert abs(phi.theta_s - TH0) < 10.0 ** (-exp) * 2
-    phi = solve_equilibrium(bench, psi, 0.0, k_zero)
+    phi = crem_pose(bench, psi, 0.0, k_zero).equilibrium
     assert phi.theta_s == TH0
     assert phi.theta_prime == theta
 
 
 def test_full_insertion_limit(bench, k_zero):
     theta = np.radians(35)
-    phi = solve_equilibrium(bench, ConfigState(theta, 0.0), bench.L, k_zero)
+    phi = crem_pose(bench, ConfigState(theta, 0.0), bench.L, k_zero).equilibrium
     assert np.isfinite(phi.theta_s) and np.isfinite(phi.theta_prime)
     # fully inserted: separation plane reaches the end disk
     assert abs(phi.theta_prime - phi.theta_s) < 1e-6
@@ -586,10 +606,10 @@ def test_delta_equivariance(bench, k_cal):
     # relabels backbones without changing the stiffness sums
     theta = np.radians(50)
     for delta in (0.0, 0.37, -1.1):
-        a = solve_equilibrium(bench, ConfigState(theta, delta), 15.0, k_cal)
-        b = solve_equilibrium(
+        a = crem_pose(bench, ConfigState(theta, delta), 15.0, k_cal).equilibrium
+        b = crem_pose(
             bench, ConfigState(theta, delta + 2 * np.pi / 3), 15.0, k_cal
-        )
+        ).equilibrium
         assert abs(a.theta_s - b.theta_s) < 1e-11
         assert abs(a.theta_prime - b.theta_prime) < 1e-11
 
@@ -606,7 +626,7 @@ def test_moment_balance_property(bench, theta, delta, fq, k0, kq):
     k = UncertaintyParams(k0, 0.0, kq)
     psi = ConfigState(theta, delta)
     q_s = fq * bench.L
-    phi = solve_equilibrium(bench, psi, q_s, k)
+    phi = crem_pose(bench, psi, q_s, k).equilibrium
     m1, m1p, m2, ms, lam = equilibrium_moments(bench, theta, delta, q_s, k,
                                                phi.theta_s, phi.theta_prime)
     scale = max(1.0, abs(m1))
@@ -625,9 +645,9 @@ def test_equilibrium_ends_are_exact(bench, k_cal, theta, delta):
     # inserted one, with no special case in the solver
     k = UncertaintyParams(0.3, -0.1, 0.02)
     for kk in (k_cal, k):
-        phi = solve_equilibrium(bench, ConfigState(theta, delta), 0.0, kk)
+        phi = crem_pose(bench, ConfigState(theta, delta), 0.0, kk).equilibrium
         assert (phi.theta_s, phi.theta_prime) == (TH0, theta)
-        phi = solve_equilibrium(bench, ConfigState(theta, delta), bench.L, kk)
+        phi = crem_pose(bench, ConfigState(theta, delta), bench.L, kk).equilibrium
         assert phi.theta_eps == TH0
         _, th_s, th_p = micro_trajectory(bench, ConfigState(theta, delta), [0.0, bench.L], kk)
         assert (th_s[0], th_p[0]) == (TH0, theta)
@@ -718,7 +738,7 @@ RANDOM_ROBOTS = [
 @pytest.mark.parametrize("robot,x,k", RANDOM_ROBOTS)
 def test_random_robot_regression(robot, x, k):
     params, (theta, delta, q_s), k = RobotParams(*robot), x, UncertaintyParams(*k)
-    phi = solve_equilibrium(params, ConfigState(theta, delta), q_s, k)
+    phi = crem_pose(params, ConfigState(theta, delta), q_s, k).equilibrium
     m1, m1p, m2, ms, lam = equilibrium_moments(params, theta, delta, q_s, k,
                                                phi.theta_s, phi.theta_prime)
     scale = max(abs(m1), abs(m2), abs(ms), abs(lam), 1.0)
@@ -884,26 +904,6 @@ def test_jacobians_then_pose_form_one_chain(bench, k_cal, monkeypatch):
     assemble_motion_jacobians(bench, psi, 15.0, k_cal)
     crem_pose(bench, psi, 15.0, k_cal)
     assert (len(calls), len(arcs)) == (1, 2)
-
-
-def test_solve_then_pose_solve_once(bench, k_cal, monkeypatch):
-    # solve_equilibrium reads the kept solve, so the pose after it solves nothing again
-    solves, arcs = counted_solves(monkeypatch), counted_arcs(monkeypatch)
-    psi = ConfigState(1.0, 0.3)
-    solve_equilibrium(bench, psi, 15.0, k_cal)
-    crem_pose(bench, psi, 15.0, k_cal)
-    assert (len(solves), len(arcs)) == (1, 2)
-
-
-@pytest.mark.parametrize("theta,q_frac", [(1.0, 0.4), (TH0, 0.4), (1.0, 0.0), (1.0, 1.0)])
-def test_solve_equilibrium_is_the_pose_equilibrium(bench, k_cal, theta, q_frac):
-    # bent, straight theta, q_s = 0 and q_s = L, each solved afresh by each call
-    psi, q_s = ConfigState(theta, 0.3), q_frac * bench.L
-    phi = solve_equilibrium(bench, psi, q_s, k_cal)
-    clear_kept_values()
-    ref = crem_pose(bench, psi, q_s, k_cal).equilibrium
-    assert np.array([phi.theta_s, phi.theta_eps]).tobytes() \
-        == np.array([ref.theta_s, ref.theta_eps]).tobytes()
 
 
 @pytest.mark.parametrize("theta", [1.0, TH0 + 1e-5])

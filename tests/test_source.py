@@ -20,7 +20,8 @@ passes, so that no default stays that only tests omit.  The package's
 settable values, its defaulted function parameters plus its
 defaulted dataclass fields, are pinned at one count, so that a change which
 adds a setting raises the pin in its own diff and one which removes a
-setting lowers it.  The model's domain of (theta, delta, q_s) is written
+setting lowers it.  The names crem's __init__ exports are pinned at one count the same
+way.  The model's domain of (theta, delta, q_s) is written
 once, so that no second copy of the rule can drift from it.  The planar
 chain has one record, the one namedtuple with the field e_x, so that no
 second chain record can drift from it.  A batch is split into blocks in one
@@ -322,6 +323,33 @@ def test_settable_values_are_pinned():
     assert count == SETTABLE_VALUES
 
 
+# names the package's __init__ exports, its public API
+PUBLIC_NAMES = 35
+
+
+def public_names(source: str):
+    """Names, sorted, that the module-level from-imports of the source bind, except those
+    starting with '_'."""
+    return sorted(name for node in ast.parse(source).body
+                  if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                  for name in (alias.asname or alias.name for alias in node.names)
+                  if not name.startswith("_"))
+
+
+def test_checker_finds_public_names():
+    source = ("from __future__ import annotations\n__version__ = '1'\nimport f\n"
+              "from .a import (b, _c, d as e)\nfrom .g import h as _h\n"
+              "def i():\n    from .j import k\n")
+    assert public_names(source) == ["b", "e"]
+
+
+def test_public_names_are_pinned():
+    # a new public name raises this pin in the diff that adds it, and says why
+    names = public_names((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert len(names) == PUBLIC_NAMES
+    assert all(hasattr(crem, name) for name in names)
+
+
 def test_domain_is_written_once():
     # model._check_domain holds the one copy of the rule and its message
     copies = {path.name: count for path in SRC.glob("*.py")
@@ -495,19 +523,12 @@ def test_checker_finds_float_conversions():
     assert float_conversions(source) == ["E.f", "a", "b"]
 
 
-# callers besides model._float that convert with np.asarray(..., dtype=float), and why each
-# may: they convert no sample of a solve
-FLOAT_CONVERSIONS_ALLOWED = {
-    "model.UncertaintyParams.from_array": "reads the three coefficients of a k vector",
-}
-
-
 def test_samples_are_converted_in_one_place():
     # model._float makes a scalar a numpy scalar; np.asarray alone makes a 0-d array, on
     # which each numpy operation of a scalar solve costs about ten times as much
     found = [f"{stem}.{name}" for stem in ("model", "kinematics", "differential")
              for name in float_conversions((SRC / f"{stem}.py").read_text(encoding="utf-8"))]
-    assert sorted(found) == sorted(["model._float", *FLOAT_CONVERSIONS_ALLOWED])
+    assert found == ["model._float"]
 
 
 def test_version_is_the_project_version():
