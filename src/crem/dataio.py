@@ -8,10 +8,10 @@ row-major 3x4; T_GM is a translation, its rotation block the identity.
 Trajectory CSV: optional '# key=value' pragma lines, each key once, then a
 header 't,q_s,theta,delta,x,y[,z]' and data rows; a pragma after the header
 is refused, a plain '#' comment is allowed anywhere.  generate_synthetic is its
-one writer and load_dataset its one reader.  Angles are stored in
-degrees in files and converted to radians by load_dataset; all other
-numbers pass through verbatim with 17 significant digits, so write/read
-round-trips are lossless.
+one writer and load_dataset its one reader, in one pass that checks each row in
+full before it reads the next.  Angles are stored in degrees in files and converted
+to radians by load_dataset; all other numbers pass through verbatim with 17
+significant digits, so write/read round-trips are lossless.
 """
 from __future__ import annotations
 
@@ -24,11 +24,13 @@ import numpy as np
 from .errors import FrameError, ParseError, ValidationError
 from .calibration import Measurement
 from .kinematics import micro_trajectory
-from .model import ConfigState, RobotParams, UncertaintyParams, _check_domain, _integer, _real
+from .model import (ConfigState, RobotParams, UncertaintyParams, _check_domain, _check_types,
+                    _integer, _real)
 
 _REQUIRED_KEYS = ("L", "r", "E_p", "E_i", "E_s", "I_p", "I_i", "I_s")
 _TRANSFORM_KEYS = ("T_BI", "T_GM")
 _TRAJECTORY_COLUMNS = ("t", "q_s", "theta", "delta", "x", "y", "z")
+_HEADERS = (_TRAJECTORY_COLUMNS[:6], _TRAJECTORY_COLUMNS)
 _FMT = "%.17g"
 # sample rate of synthetic sweeps, Hz
 _SYNTHETIC_HZ = 30.0
@@ -39,15 +41,16 @@ _PLANAR_OBSERVED.flags.writeable = False
 
 @dataclass(frozen=True, eq=False)
 class RobotConfig:
-    """Robot parameters plus the optional rig transforms (4x4, identity default), each
-    finite and rigid with last row [0, 0, 0, 1] and held as a read-only float copy;
-    T_GM, read only for its offset, must be a translation."""
+    """Robot parameters, a RobotParams (model._check_types), plus the optional rig transforms
+    (4x4, identity default), each finite and rigid with last row [0, 0, 0, 1] and held as a
+    read-only float copy; T_GM, read only for its offset, must be a translation."""
 
     params: RobotParams
     T_BI: np.ndarray = field(default_factory=lambda: np.eye(4))
     T_GM: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self):
+        _check_types(params=self.params)
         for key in _TRANSFORM_KEYS:
             T = np.array(getattr(self, key), dtype=float)
             if T.shape != (4, 4) or not np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0]):
@@ -149,12 +152,25 @@ def write_robot_config(path, config: RobotConfig) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_trajectory(path):
-    """(rows, pragmas dict); each row is its 6 or 7 floats as given, angles in degrees."""
+def load_dataset(path, config: RobotConfig):
+    """Read a trajectory file into Measurement objects in the base frame of config's robot.
+
+    config must be a RobotConfig.  One pass: the frame is decided at the header, where a 2-D
+    image-frame file, its image z taken as 0, is refused (FrameError) if T_BI carries image z
+    into base x or y.  Each data row is checked in full before the next line is read: its
+    fields and t ('<path>:<line>'), then its domain (_check_domain, h = 0) and its Measurement
+    ('<path>: row <row>'), so the first bad row is named, whatever its fault.  Image-frame
+    positions are mapped through T_BI; the marker offset (translation of T_GM) is then
+    removed.  3-D rows take the default obs_mask; 2-D rows share one read-only mask that
+    observes only x and y.  Each run of consecutive rows with the same (theta, delta) bits
+    shares one ConfigState, so calibration._commands reads a one-psi file's angles once.
+    """
+    _check_path(path)
+    if not isinstance(config, RobotConfig):  # worded as model._check_types
+        raise ValidationError(f"config must be of type RobotConfig, got {config!r}")
+    R_BI, p_BI, offset = config.T_BI[:3, :3], config.T_BI[:3, 3], config.T_GM[:3, 3]
     pragmas: dict = {}
-    rows: list[list[float]] = []
-    width = 0
-    prev_t = -math.inf
+    measurements, width, prev_t, key = [], 0, -math.inf, None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -169,74 +185,52 @@ def _read_trajectory(path):
                                          + ("after the header" if width else "repeated"))
                     pragmas[k] = v
                 continue
-            parts = [p.strip() for p in line.split(",")]
+            fields = line.split(",")
             if not width:
-                if tuple(parts) not in (_TRAJECTORY_COLUMNS[:6], _TRAJECTORY_COLUMNS):
-                    raise ParseError(
-                        f"{path}:{lineno}: header must be t,q_s,theta,delta,x,y[,z]"
-                    )
-                width = len(parts)
+                if tuple(p.strip() for p in fields) not in _HEADERS:
+                    raise ParseError(f"{path}:{lineno}: header must be t,q_s,theta,delta,x,y[,z]")
+                width = len(fields)
+                frame = pragmas.get("frame", "base")
+                if frame not in ("base", "image"):
+                    raise ParseError(f"{path}: unknown frame {frame!r}")
+                image = frame == "image"
+                if image and width == 6 and np.max(np.abs(config.T_BI[:2, 2])) > 1e-9:
+                    raise FrameError(f"{path}: 2-D image-frame data needs a T_BI that maps "
+                                     "image z into base z alone")
+                mask = None if width == 7 else _PLANAR_OBSERVED
                 continue
-            if len(parts) != width:
+            if len(fields) != width:
                 raise ParseError(f"{path}:{lineno}: expected {width} fields")
             try:
-                nums = [float(p) for p in parts]
+                try:  # float() takes the blanks round a field, so only the header is stripped
+                    t, q_s, theta, delta, *xyz = map(float, fields)
+                except ValueError:  # again on the stripped fields, which the message quotes
+                    t, q_s, theta, delta, *xyz = (float(p.strip()) for p in fields)
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from e
-            if not math.isfinite(nums[0]):
+            if not math.isfinite(t):
                 raise ParseError(f"{path}:{lineno}: t must be finite")
-            if not nums[0] > prev_t:
+            if not t > prev_t:
                 raise ParseError(f"{path}:{lineno}: t must increase monotonically")
-            prev_t = nums[0]
-            rows.append(nums)
+            prev_t = t
+            row = len(measurements) + 1
+            # Python floats, so that a row inside the domain takes the check's scalar shortcut
+            angles = math.radians(theta), math.radians(delta)
+            _check_domain((*angles, q_s), 0.0, config.params.L, f"{path}: row", row)
+            # a run of rows at one (theta, delta) shares one ConfigState; the sign of delta is
+            # in the key, because -0.0 == 0.0 but their sines differ (theta = 0 is refused)
+            row_key = (theta, delta, math.copysign(1.0, delta))
+            if row_key != key:
+                key, psi = row_key, ConfigState(*angles)
+            p = np.array(xyz if width == 7 else xyz + [0.0])
+            if image:
+                p = R_BI @ p + p_BI
+            try:
+                measurements.append(Measurement(psi=psi, q_s=q_s, x_bar=p - offset, obs_mask=mask))
+            except ValidationError as e:
+                raise ValidationError(f"{path}: row {row}: {e}") from e
     if not width:
         raise ParseError(f"{path}: no header row")
-    return rows, pragmas
-
-
-def load_dataset(path, config: RobotConfig):
-    """Read a trajectory file into Measurement objects in the base frame of config's robot.
-
-    config must be a RobotConfig.  Each row is checked as it is read, its domain
-    (_check_domain, h = 0) before its Measurement, so the first bad row, whatever its fault,
-    is named '<path>: row <row>'.  Image-frame positions are mapped through T_BI; the marker
-    offset (translation of T_GM) is then removed.  A 2-D image-frame file, whose image z is
-    taken as 0, is refused (FrameError) if T_BI carries image z into base x or y.  3-D rows
-    take the default obs_mask; 2-D rows share one read-only mask that observes only x and y.
-    Each run of consecutive rows with the same (theta, delta) bits shares one ConfigState, so
-    that calibration._commands reads a one-psi file's angles once.  Rows keep file order.
-    """
-    _check_path(path)
-    if not isinstance(config, RobotConfig):  # worded as model._check_types
-        raise ValidationError(f"config must be of type RobotConfig, got {config!r}")
-    rows, pragmas = _read_trajectory(path)
-    frame = pragmas.get("frame", "base")
-    if frame not in ("base", "image"):
-        raise ParseError(f"{path}: unknown frame {frame!r}")
-    if (frame == "image" and rows and len(rows[0]) == 6
-            and np.max(np.abs(config.T_BI[:2, 2])) > 1e-9):
-        raise FrameError(f"{path}: 2-D image-frame data needs a T_BI that maps "
-                         "image z into base z alone")
-    measurements, key = [], None
-    R_BI, p_BI, offset = config.T_BI[:3, :3], config.T_BI[:3, 3], config.T_GM[:3, 3]
-    for row, (_, q_s, theta, delta, *xyz) in enumerate(rows, start=1):
-        # Python floats, so that a row inside the domain takes the check's scalar shortcut
-        angles = math.radians(theta), math.radians(delta)
-        _check_domain((*angles, q_s), 0.0, config.params.L, f"{path}: row", row)
-        # a run of rows at one (theta, delta) shares one ConfigState; the sign of delta is
-        # in the key, because -0.0 == 0.0 but their sines differ (theta = 0 is refused)
-        row_key = (theta, delta, math.copysign(1.0, delta))
-        if row_key != key:
-            key, psi = row_key, ConfigState(*angles)
-        p = np.array(xyz if len(xyz) == 3 else xyz + [0.0])
-        if frame == "image":
-            p = R_BI @ p + p_BI
-        p = p - offset
-        mask = None if len(xyz) == 3 else _PLANAR_OBSERVED
-        try:
-            measurements.append(Measurement(psi=psi, q_s=q_s, x_bar=p, obs_mask=mask))
-        except ValidationError as e:
-            raise ValidationError(f"{path}: row {row}: {e}") from e
     return measurements
 
 

@@ -286,19 +286,64 @@ def mp_tip_position_jacobian(params, theta, delta, q_s, k, cols, dps=40):
         return np.array(dp, dtype=float)
 
 
+def _mp_rotation_pose(th_s, th_e, delta, q_s):
+    """mp_tip_rotation as a pose of (theta_s, theta_eps, delta, q_s), which q_s does not move."""
+    return mp_tip_rotation(th_s, th_e, delta)
+
+
+def _mp_angular_velocity(R, dR):
+    """The space-frame angular velocity omega_j = vee(dR/dx_j R^T) of the nine entries R, row
+    by row, and their partials dR[entry][j], (3, len(dR[0])) floats."""
+    Rt = mpmath.matrix([[R[3 * c + r] for c in range(3)] for r in range(3)])
+    omega = []
+    for j in range(len(dR[0])):
+        W = mpmath.matrix([[dR[3 * r + c][j] for c in range(3)] for r in range(3)]) * Rt
+        omega.append([W[2, 1], W[0, 2], W[1, 0]])
+    return np.array(omega, dtype=float).T
+
+
 def mp_tip_rotation_jacobian(params, theta, delta, q_s, k, cols, dps=40):
     """The space-frame angular velocity omega_j = vee(dR/dx_j R^T) per x_j for j in cols of x as
     in mp_tip_position_jacobian, (3, len(cols)) floats: mpmath.diff of mp_tip_rotation at the
     dps-digit equilibrium, solved anew at every x."""
     with mpmath.workdps(dps):
-        R, dR = _mp_pose_partials(params, theta, delta, q_s, k, cols,
-                                  lambda th_s, th_e, d, _: mp_tip_rotation(th_s, th_e, d))
-        Rt = mpmath.matrix([[R[3 * c + r] for c in range(3)] for r in range(3)])
-        omega = []
-        for j in range(len(dR[0])):
-            W = mpmath.matrix([[dR[3 * r + c][j] for c in range(3)] for r in range(3)]) * Rt
-            omega.append([W[2, 1], W[0, 2], W[1, 0]])
-        return np.array(omega, dtype=float).T
+        R, dR = _mp_pose_partials(params, theta, delta, q_s, k, cols, _mp_rotation_pose)
+        return _mp_angular_velocity(R, dR)
+
+
+def mp_twist_jacobian(params, theta, delta, q_s, k, dps=40):
+    """The tip twist per (theta_s, theta_eps, delta, q_s) at the fixed dps-digit equilibrium of
+    (theta, delta, q_s, k), (6, 4) floats: mpmath.diff of mp_tip_position and mp_tip_rotation
+    in those four, the equilibrium not solved anew, the reference of J_xi_phi, J_xi_delta and
+    J_xi_qs."""
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(v) for v in (theta, delta, q_s, *k.as_array())]
+        th_s, th_p = _mp_solve(params, x)
+        y0 = [th_s, th_p + (TH0 - th_s), x[1], x[2]]
+
+        def partials(pose):
+            return [[mpmath.diff(lambda *y: pose(*y)[r], y0, tuple(int(i == j) for i in range(4)))
+                     for j in range(4)] for r in range(len(pose(*y0)))]
+
+        dp = partials(functools.partial(mp_tip_position, params))
+        omega = _mp_angular_velocity(_mp_rotation_pose(*y0), partials(_mp_rotation_pose))
+        return np.vstack([np.array(dp, dtype=float), omega])
+
+
+def mp_macro_jacobian(params, theta, delta, q_s, k, dps=40):
+    """J_M (6, n) floats: the dps-digit J_psi (mp_tip_position_jacobian and
+    mp_tip_rotation_jacobian in (theta, delta), as floats) times the pseudo-inverse
+    (A^T A)^-1 A^T of the backbone map A = J_q_psi, q_i = r cos(sigma_i) (theta - theta0),
+    formed in mpmath.  A has full column rank off straight."""
+    J_psi = np.vstack([mp_tip_position_jacobian(params, theta, delta, q_s, k, (0, 1), dps),
+                       mp_tip_rotation_jacobian(params, theta, delta, q_s, k, (0, 1), dps)])
+    with mpmath.workdps(dps):
+        u = mpmath.mpf(theta) - TH0
+        sigma = [mpmath.mpf(delta) + 2 * mpmath.pi / params.n * i for i in range(params.n)]
+        A = mpmath.matrix([[params.r * mpmath.cos(s), -params.r * mpmath.sin(s) * u]
+                           for s in sigma])
+        return np.array((mpmath.matrix(J_psi.tolist()) * (A.T * A) ** -1 * A.T).tolist(),
+                        dtype=float)
 
 
 def assert_valid_pose(pose, tol=1e-12):

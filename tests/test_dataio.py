@@ -165,6 +165,19 @@ def test_robot_config_refuses_transform_that_is_not_4x4_homogeneous(key, T):
         RobotConfig(params=default_params(), **{key: T})
 
 
+@pytest.mark.parametrize("params,message", [
+    (None, "params must be of type RobotParams, got None"),
+    ("x", "params must be of type RobotParams, got 'x'"),
+    (3.0, "params must be of type RobotParams, got 3.0"),
+])
+def test_robot_config_refuses_params_of_another_type(params, message):
+    # unchecked, write_robot_config and load_dataset raised AttributeError on params.L; the
+    # type is checked before the transforms
+    for transforms in ({}, {"T_BI": np.eye(3)}):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RobotConfig(params=params, **transforms)
+
+
 @pytest.mark.parametrize("key", ["T_BI", "T_GM"])
 def test_robot_config_holds_a_read_only_float_copy(key):
     T = np.eye(4, dtype=int)
@@ -213,6 +226,20 @@ def test_trajectory_header_errors(tmp_path):
     not_a_number = "t,q_s,theta,delta,x,y\n0,1,2,3,4,5\n1,2,3,x,4,5\n"
     with pytest.raises(ParseError, match=":3: could not convert string to float: 'x'$"):
         load_dataset(write(tmp_path, "n.csv", not_a_number), BENCH_ROBOT)
+
+
+def test_trajectory_fields_may_carry_blanks(tmp_path):
+    # float() reads a field with the blanks round it; a bad one is quoted without them
+    text = "t , q_s,theta,delta,x,y\n0, 5 ,30,0,1,2\n1,6,30,0,1 ,2\n"
+    assert [m.q_s for m in load_dataset(write(tmp_path, "b.csv", text), BENCH_ROBOT)] == [5, 6]
+    text += "2,7,30, x ,1,2\n"
+    with pytest.raises(ParseError, match=":4: could not convert string to float: 'x'$"):
+        load_dataset(write(tmp_path, "b.csv", text), BENCH_ROBOT)
+
+
+def test_trajectory_header_only_file_is_empty(tmp_path):
+    for text in ("t,q_s,theta,delta,x,y,z\n", "# frame=image\nt,q_s,theta,delta,x,y\n"):
+        assert load_dataset(write(tmp_path, "h.csv", text), BENCH_ROBOT) == []
 
 
 @pytest.mark.parametrize("text,message", [
@@ -339,6 +366,16 @@ def test_load_dataset_refuses_2d_image_file_through_tilted_image_frame(tmp_path)
         load_dataset(path, tilted_image_config(0.5, [1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("rows", ["", "0,5,30,0,1\n", "0,99,30,0,1,2\n"],
+                         ids=["header-only", "field-count", "depth"])
+def test_load_dataset_refuses_a_2d_image_frame_at_the_header(tmp_path, rows):
+    # the frame is decided at the header, before any row: a header-only file is refused, and
+    # the frame fault comes before a row's text or model fault
+    path = write(tmp_path, "img.csv", "# frame=image\nt,q_s,theta,delta,x,y\n" + rows)
+    with pytest.raises(FrameError, match=f"^{re.escape(str(path))}: 2-D image-frame data"):
+        load_dataset(path, tilted_image_config(0.5, [1.0, 0.0, 0.0]))
+
+
 def test_load_dataset_maps_2d_image_file_through_turn_about_z(tmp_path):
     cfg = tilted_image_config(0.5, [0.0, 0.0, 1.0])
     path = write(tmp_path, "img.csv", "# frame=image\nt,q_s,theta,delta,x,y\n0,5,30,0,1,2\n")
@@ -402,20 +439,38 @@ def test_load_dataset_applies_the_domain_rule(tmp_path, theta, delta, q_s, insid
             load_dataset(path, BENCH_ROBOT)
 
 
-@pytest.mark.parametrize("rows,message", [
+# three text faults of a data line, each with its ParseError as the file's third line
+_TEXT_FAULTS = {"field-count": ("2,5,30,0,1,0", "3: expected 7 fields"),
+                "non-number": ("2,5,30,x,1,0,40", "3: could not convert string to float: 'x'"),
+                "t-not-increasing": ("0,5,30,0,1,0,40", "3: t must increase monotonically")}
+_ROW_2_DEPTH = ("row 2: (theta, delta, q_s) = (0.523599, 0, 99) outside (0, pi) x (-pi, pi] x "
+                "[0, L]")
+
+
+@pytest.mark.parametrize("rows,error,message", [
     # a bad position before a depth outside the domain
-    (["1,5,30,0,nan,0,0", "2,99,30,0,1,0,40"], "row 2: x_bar must be a finite 3-vector"),
+    (["1,5,30,0,nan,0,0", "2,99,30,0,1,0,40"], ValidationError,
+     "row 2: x_bar must be a finite 3-vector"),
     # a depth outside the domain before a bad position
-    (["1,99,30,0,1,0,40", "2,5,30,0,nan,0,0"],
+    (["1,99,30,0,1,0,40", "2,5,30,0,nan,0,0"], ValidationError,
      "row 2: (theta, delta, q_s) = (0.523599, 0, 99) outside (0, pi) x (-pi, pi] x [0, L]"),
     # one row with a bad angle and a bad position: the domain is named
-    (["1,5,190,0,nan,0,0", "2,99,30,0,1,0,40"],
+    (["1,5,190,0,nan,0,0", "2,99,30,0,1,0,40"], ValidationError,
      "row 2: (theta, delta, q_s) = (3.31613, 0, 5) outside (0, pi) x (-pi, pi] x [0, L]"),
-])
-def test_load_dataset_names_the_first_bad_row_whatever_its_fault(tmp_path, rows, message):
+    # a depth outside the domain before a text fault: the file was parsed whole before any
+    # domain was checked, so the later text fault was named
+    *((["1,99,30,0,1,0,40", line], ValidationError, _ROW_2_DEPTH)
+      for line, _ in _TEXT_FAULTS.values()),
+    # a text fault before a depth outside the domain: the text fault's line is named
+    *(([line, "2,99,30,0,1,0,40"], ParseError, parse) for line, parse in _TEXT_FAULTS.values()),
+], ids=["position-then-depth", "depth-then-position", "angle-and-position",
+        *(f"depth-then-{name}" for name in _TEXT_FAULTS),
+        *(f"{name}-then-depth" for name in _TEXT_FAULTS)])
+def test_load_dataset_names_the_first_bad_row_whatever_its_fault(tmp_path, rows, error, message):
     path = write(tmp_path, "bad.csv", "\n".join(["t,q_s,theta,delta,x,y,z", "0,5,30,0,1,0,40",
                                                    *rows]) + "\n")
-    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+    where = f"{path}: " if error is ValidationError else f"{path}:"
+    with pytest.raises(error, match=f"^{re.escape(where + message)}$"):
         load_dataset(path, BENCH_ROBOT)
 
 
@@ -460,6 +515,10 @@ def test_load_dataset_unknown_frame(tmp_path):
     text = "# frame=world\nt,q_s,theta,delta,x,y\n0,5,30,0,0,0\n"
     with pytest.raises(ParseError, match="frame"):
         load_dataset(write(tmp_path, "f.csv", text), BENCH_ROBOT)
+    # decided at the header, so it comes before the fault of a later row
+    path = write(tmp_path, "f.csv", text + "1,99,30,0,0\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: unknown frame 'world'$"):
+        load_dataset(path, BENCH_ROBOT)
 
 
 # ---------------------------------------------------------------------------

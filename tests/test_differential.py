@@ -55,8 +55,10 @@ from conftest import (
     jacobian_arrays,
     jacobian_partitions,
     mp_equilibrium,
+    mp_macro_jacobian,
     mp_tip_position_jacobian,
     mp_tip_rotation_jacobian,
+    mp_twist_jacobian,
     outside,
     pose_arrays_3d,
     projected_offsets,
@@ -786,9 +788,48 @@ REFERENCE_POINTS = [
     (30, 0.4, 20.0), (120, -2.0, 5.0), (60, 1.1, 1e-3), (30, 0.4, 44.3 - 1e-3),
     (45, -0.7, 44.3 - 3.3e-3),
 ]
+# near-straight points, |theta - pi/2| of 1e-5 and 1e-9, at interior depths and within 1e-3 mm
+# of either end.  Left out: exactly straight, where the reference's arc ratios (cos u - 1) / u
+# divide by u = 0 and J_q_psi loses its delta column, and q_s = 0 or L, where the balance's
+# stiffnesses divide by the arc length 0; the points 1e-3 mm from either end stand in for them
+NEAR_STRAIGHT_POINTS = [
+    (90 + np.degrees(1e-5), 0.4, 20.0), (90 - np.degrees(1e-5), -2.0, 5.0),
+    (90 + np.degrees(1e-9), 1.1, 1e-3), (90 - np.degrees(1e-9), 0.4, 44.3 - 1e-3),
+]
 
 
-@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS)
+def within_40_digit_reference(got, want):
+    """got agrees with want to 1e-12 relative to max(1, |want|)."""
+    return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS + NEAR_STRAIGHT_POINTS)
+def test_twist_jacobians_match_40_digit_reference(bench, theta_deg, delta, q_s):
+    # J_xi_phi, J_xi_delta and J_xi_qs: mpmath.diff in (theta_s, theta_eps, delta, q_s) of the
+    # 40-digit tip position and rotation, at the 40-digit equilibrium held fixed
+    k = UncertaintyParams(0.2, 0.01, 0.025)
+    theta = np.radians(theta_deg)
+    js = assemble_motion_jacobians(bench, ConfigState(theta, delta), q_s, k)
+    xi = mp_twist_jacobian(bench, theta, delta, q_s, k)
+    for got, want in ((js.J_xi_phi, xi[:, :2]), (js.J_xi_delta, xi[:, 2]),
+                      (js.J_xi_qs, xi[:, 3])):
+        assert within_40_digit_reference(got, want)
+
+
+@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS + NEAR_STRAIGHT_POINTS[:2])
+def test_macro_jacobian_matches_40_digit_reference(bench, theta_deg, delta, q_s):
+    # J_M: the 40-digit J_psi through the 40-digit pseudo-inverse of J_q_psi.  Left out at
+    # |theta - pi/2| = 1e-9: the package carries theta_s and theta_eps as floats near pi/2,
+    # whose offsets from straight keep about 7 digits there, and J_q_psi's pseudo-inverse scales
+    # the delta column by 1 / |theta - pi/2|; at (pi/2 + 1e-9, 1.1, 1e-3) J_M is off by 2.0e-9
+    # relative to max(1, |J_M|)
+    k = UncertaintyParams(0.2, 0.01, 0.025)
+    theta = np.radians(theta_deg)
+    js = assemble_motion_jacobians(bench, ConfigState(theta, delta), q_s, k)
+    assert within_40_digit_reference(js.J_M, mp_macro_jacobian(bench, theta, delta, q_s, k))
+
+
+@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS + NEAR_STRAIGHT_POINTS)
 def test_equilibrium_and_gradient_match_40_digit_reference(bench, theta_deg, delta, q_s):
     # mpmath solves and differentiates the raw two-equation balance
     k = UncertaintyParams(0.2, 0.01, 0.025)
@@ -799,7 +840,7 @@ def test_equilibrium_and_gradient_match_40_digit_reference(bench, theta_deg, del
     assert np.max(np.abs(core.d_phi - d_phi)) <= 1e-12 * np.max(np.abs(d_phi))
 
 
-@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS)
+@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS + NEAR_STRAIGHT_POINTS)
 def test_identification_jacobian_matches_40_digit_reference(bench, theta_deg, delta, q_s):
     # position rows: mpmath.diff in k of the 40-digit tip position; rotation
     # rows: d theta_s / d k about the plane normal Rz(-delta)(0, -1, 0)
@@ -814,7 +855,7 @@ def test_identification_jacobian_matches_40_digit_reference(bench, theta_deg, de
     assert np.max(np.abs(J_k[3:] - dw_dk)) <= 1e-12 * np.max(np.abs(dw_dk))
 
 
-@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS)
+@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS + NEAR_STRAIGHT_POINTS)
 def test_motion_jacobian_positions_match_40_digit_reference(bench, theta_deg, delta, q_s):
     # position rows of J_psi and J_mu: mpmath.diff in (theta, delta, q_s) of the 40-digit tip
     # position, solved anew at every point
@@ -826,7 +867,7 @@ def test_motion_jacobian_positions_match_40_digit_reference(bench, theta_deg, de
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS)
+@pytest.mark.parametrize("theta_deg,delta,q_s", REFERENCE_POINTS + NEAR_STRAIGHT_POINTS)
 def test_motion_jacobian_rotations_match_40_digit_reference(bench, theta_deg, delta, q_s):
     # rotation rows of J_psi, J_mu and J_k: vee(dR/dx R^T) of the 40-digit tip rotation, with
     # dR/dx by mpmath.diff in (theta, delta, q_s, k), solved anew at every point

@@ -1,7 +1,9 @@
 import dataclasses
 import pickle
 import re
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -1140,6 +1142,29 @@ def test_block_working_set_is_bounded(bench, k_cal):
                    temporaries(lambda: identification_jacobian(ms, bench, k_cal, PARAM_NAMES)))
     commands = 3 * 8 * 4 * B
     assert all(grown <= commands for grown in np.subtract(used[4 * B], used[B])), used
+
+
+def test_one_shot_solve_frees_its_start_at_the_first_newton_step(bench, k_cal, monkeypatch):
+    # a one-shot multi-psi solve (a simulate-macro theta range, a jacobian-check grid) holds
+    # its start nowhere else: _newton drops it, so the (N,) kappa0 of the start that
+    # kinematics._solved_chain builds is freed before the next step's moment is formed
+    kappa0, freed = [], []
+    build, moment = kinematics._solver_start, model._stretched_moment
+
+    def watched_start(*args):
+        start = build(*args)
+        kappa0.append(weakref.ref(start.kappa0))
+        return start
+
+    def watched_moment(*args):
+        if sys._getframe(1).f_code is _newton.__code__ and not freed:
+            freed.append(kappa0[0]() is None)
+        return moment(*args)
+
+    monkeypatch.setattr(kinematics, "_solver_start", watched_start)
+    monkeypatch.setattr(model, "_stretched_moment", watched_moment)
+    kinematics._solved_chain(bench, np.linspace(0.3, 2.8, 50), 0.3, 20.0, k_cal)
+    assert len(kappa0) == 1 and freed == [True]
 
 
 # ---------------------------------------------------------------------------

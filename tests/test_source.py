@@ -25,7 +25,9 @@ way.  The model's domain of (theta, delta, q_s) is written
 once, so that no second copy of the rule can drift from it.  The planar
 chain has one record, the one namedtuple with the field e_x, so that no
 second chain record can drift from it.  A batch is split into blocks in one
-place, so that no second block loop can drift from it.  A measurement's commands
+place, so that no second block loop can drift from it.  Each file format has one reader
+and one writer, the only functions that open a file, so that no second reading pass
+can come back.  A measurement's commands
 are read in one place, so that the one-psi rule there is the only one, and its
 obs_mask only where it is checked and where it is weighed, so that the shared-mask rule
 there is the only one.  A Measurement is checked in its __init__ alone, so that no second
@@ -420,6 +422,46 @@ def test_batches_are_split_in_one_place():
     splitters = [f"{path.stem}.{name}" for path in SRC.glob("*.py")
                  for name in block_splitters(path.read_text(encoding="utf-8"))]
     assert splitters == ["model._blocks"]
+
+
+# the calls that open a file: open() by any name (io.open, os.open, a Path's open) and a
+# Path's whole-file reads and writes
+_FILE_CALLS = ("open", "read_text", "read_bytes", "write_text", "write_bytes")
+
+
+def file_openers(source: str):
+    """Names of the functions the source defines that call open() or a Path's whole-file read
+    or write, sorted: each one reads or writes a file format."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(n, ast.Call)
+                and ((isinstance(n.func, ast.Name) and n.func.id == "open")
+                     or (isinstance(n.func, ast.Attribute) and n.func.attr in _FILE_CALLS))
+                for n in ast.walk(node)):
+            names.append(node.name)
+    return sorted(names)
+
+
+def test_checker_finds_file_openers():
+    source = ("import io, os\n"
+              "def a(p):\n    with open(p) as fh: return fh.read()\n"
+              "def b(p): return io.open(p).read()\n"
+              "def c(p): return p.read_text()\n"
+              "def d(p): p.write_bytes(b'')\n"
+              "def e(p): return os.open(p, os.O_RDONLY)\n"
+              "def f(p): return str(p).split(',')\n"
+              "def g(opener): return opener(1)\n")
+    assert file_openers(source) == ["a", "b", "c", "d", "e"]
+
+
+def test_each_file_format_has_one_reader_and_one_writer():
+    # the robot config is read by load_robot_config and written by write_robot_config; a
+    # trajectory or output CSV is written by _write_csv and read, in one pass, by load_dataset
+    openers = [f"{path.stem}.{name}" for path in SRC.glob("*.py")
+               for name in file_openers(path.read_text(encoding="utf-8"))]
+    assert sorted(openers) == ["dataio._write_csv", "dataio.load_dataset",
+                               "dataio.load_robot_config", "dataio.write_robot_config"]
 
 
 def command_readers(source: str):
